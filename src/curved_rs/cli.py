@@ -77,6 +77,8 @@ def _parse_kv(pairs, what, cast=float) -> dict:
 def _resolve_metric(args):
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
+    if args.mass < 0:
+        raise ConfigError("--mass must be >= 0")
     if args.metric_file:
         try:
             with open(args.metric_file, "r", encoding="utf-8") as fh:

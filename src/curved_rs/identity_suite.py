@@ -35,7 +35,7 @@ from .geometry import (
     curvature,
     eval_metric,
 )
-from .numerics import STENCIL_POLICY, STEP_FIRST, fd_step, parallel_map, partial4
+from .numerics import STENCIL_POLICY, STEP_FIRST, fd_step, partial4
 from .spin_frame import (
     SIGMA_FLAT,
     connection_curvature_fd,
@@ -203,9 +203,8 @@ def _rel(err, *scales) -> float:
     return float(err) / floor
 
 
-def _max_over_points(ctx, points, fn) -> float:
-    values = parallel_map(fn, points)
-    return max(values) if values else 0.0
+def _max_over_points(points, fn) -> float:
+    return max((fn(x) for x in points), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,7 @@ def _chk_hermiticity(ctx):
                                     np.max(np.abs(G))))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_covariant_constancy(ctx):
@@ -259,7 +258,7 @@ def _chk_covariant_constancy(ctx):
                 worst = max(worst, _rel(np.max(np.abs(val)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_clifford(ctx):
@@ -282,7 +281,7 @@ def _chk_clifford(ctx):
             )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_sigma_tetrad(ctx):
@@ -304,7 +303,7 @@ def _chk_sigma_tetrad(ctx):
         )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_triple_gamma(ctx):
@@ -331,7 +330,7 @@ def _chk_triple_gamma(ctx):
                     )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_sigma_commutator(ctx):
@@ -353,7 +352,7 @@ def _chk_sigma_commutator(ctx):
             )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_commutator_curvature(ctx):
@@ -363,7 +362,7 @@ def _chk_commutator_curvature(ctx):
         scale = max(np.max(np.abs(alg)), np.max(np.abs(fd)), 1e-3)
         return _rel(np.max(np.abs(alg - fd)), scale)
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_commutator_decomposition(ctx):
@@ -376,7 +375,7 @@ def _chk_commutator_decomposition(ctx):
                         np.max(np.abs(fld(x))))
             return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-        worst = max(worst, _max_over_points(ctx, pts, at_point))
+        worst = max(worst, _max_over_points(pts, at_point))
     return len(pts), worst
 
 
@@ -393,7 +392,7 @@ def _chk_sigma_ricci_contraction(ctx):
                     ctx.met_class.riemann_scale, 1e-3)
         return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_curvature_bridge(ctx):
@@ -406,7 +405,7 @@ def _chk_curvature_bridge(ctx):
                         np.max(np.abs(fld(x))))
             return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-        worst = max(worst, _max_over_points(ctx, pts, at_point))
+        worst = max(worst, _max_over_points(pts, at_point))
     return len(pts), worst
 
 
@@ -421,7 +420,7 @@ def _chk_gamma_contraction(ctx):
                         np.max(np.abs(fld(x))))
             return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-        worst = max(worst, _max_over_points(ctx, ctx.points, at_point))
+        worst = max(worst, _max_over_points(ctx.points, at_point))
     return len(ctx.points), worst
 
 
@@ -442,7 +441,7 @@ def _chk_divergence_form(ctx):
                         _rel(np.max(np.abs(chi)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_derivative_chain(ctx):
@@ -457,7 +456,7 @@ def _chk_derivative_chain(ctx):
                         np.max(np.abs(fld(x))))
             return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-        worst = max(worst, _max_over_points(ctx, pts, at_point))
+        worst = max(worst, _max_over_points(pts, at_point))
     return len(pts), worst
 
 
@@ -476,7 +475,7 @@ def _chk_constraint_reduction(ctx):
             worst = max(worst, _rel(np.max(np.abs(rhs_chain - c2)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_flat_reduction(ctx):
@@ -517,7 +516,7 @@ def _chk_vacuum_constraint(ctx):
             worst = max(worst, _rel(np.max(np.abs(c2)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_einstein_space(ctx):
@@ -527,7 +526,7 @@ def _chk_einstein_space(ctx):
         dev = bundle.ricci - bundle.scalar / 4.0 * g
         return _rel(np.max(np.abs(dev)), np.max(np.abs(bundle.ricci)), 1e-3)
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_einstein_factor(ctx):
@@ -549,7 +548,7 @@ def _chk_einstein_factor(ctx):
             worst = max(worst, _rel(np.max(np.abs(c2 - factor * phi)), scale))
         return worst, vacuous
 
-    outcomes = parallel_map(at_point, ctx.points)
+    outcomes = [at_point(x) for x in ctx.points]
     err = max((o[0] for o in outcomes), default=0.0)
     skipped = sum(o[1] for o in outcomes)
     return len(ctx.points), err, f"vacuous_points={skipped}"
@@ -585,7 +584,7 @@ def _chk_operator_form(ctx):
                         np.max(np.abs(fld(x))))
             return _rel(np.max(np.abs(blocks - terms)), scale)
 
-        worst = max(worst, _max_over_points(ctx, ctx.points, at_point))
+        worst = max(worst, _max_over_points(ctx.points, at_point))
     return len(ctx.points), worst
 
 
@@ -601,7 +600,7 @@ def _chk_block_assembly(ctx):
                                 np.max(np.abs(prod_dense)), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
@@ -622,7 +621,7 @@ def _chk_transform_stages(ctx):
                 ap[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_s_inverse(ctx):
@@ -638,7 +637,7 @@ def _chk_s_inverse(ctx):
             worst = max(worst, _rel((s @ s_inv - eye).max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_transform_expansion(ctx):
@@ -656,7 +655,7 @@ def _chk_transform_expansion(ctx):
                 at_[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_tilde_closed_form(ctx):
@@ -672,7 +671,7 @@ def _chk_tilde_closed_form(ctx):
                 alpha_t[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_beta_dual_forms(ctx):
@@ -683,7 +682,7 @@ def _chk_beta_dual_forms(ctx):
         return _rel(np.max(np.abs(beta_t.blocks - eps_form.blocks)),
                     beta_t.max_abs(), 1.0)
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_massless_gradient(ctx):
@@ -698,7 +697,7 @@ def _chk_massless_gradient(ctx):
             worst = max(worst, _rel(np.max(np.abs(direct)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_gauge_criterion_nonzero(ctx):
@@ -714,7 +713,7 @@ def _chk_gauge_criterion_nonzero(ctx):
                                     pred_norm))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_eps_determinant(ctx):
@@ -729,7 +728,7 @@ def _chk_eps_determinant(ctx):
         worst = max(worst, _rel(np.max(np.abs(raw - eins)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _chk_metric_compatibility(ctx):
@@ -738,7 +737,7 @@ def _chk_metric_compatibility(ctx):
         g = eval_metric(ctx.spec, x).g_lower
         return _rel(np.max(np.abs(dev)), np.max(np.abs(g)), 1.0)
 
-    return len(ctx.points), _max_over_points(ctx, ctx.points, at_point)
+    return len(ctx.points), _max_over_points(ctx.points, at_point)
 
 
 def _curvcomm_tol(ctx):
@@ -876,6 +875,14 @@ def run_suite(
     """
     if n_points < 1:
         raise ConfigError("points must be >= 1")
+    overrides = tolerance_overrides or {}
+    known = [d.id for d in REGISTRY]
+    unknown = sorted(set(overrides) - set(known))
+    if unknown:
+        raise ConfigError(
+            f"tolerance override for unknown check(s) {', '.join(unknown)}; "
+            f"known checks: {', '.join(known)}"
+        )
     t0 = time.perf_counter()
     points = sample_points(spec, n_points, seed)
     class_points = points[: min(6, len(points))]
@@ -892,7 +899,6 @@ def run_suite(
         sp_fixtures=fixture_family(seed + 2, 3, BISPINOR, spec.sample_box),
         analytic_derivs=spec.deriv_fn is not None,
     )
-    overrides = tolerance_overrides or {}
     results = []
     for desc in REGISTRY:
         if not desc.applies(met_class):

@@ -5,7 +5,8 @@ Two step bases are used throughout the package:
 * ``STEP_FIRST`` for first derivatives of closed-form quantities
   (metric components, field samplers).
 * ``STEP_OUTER`` for derivatives of quantities that are themselves
-  finite-difference built (residual fields, spin connections).  The larger
+  finite-difference built (residual fields, spin connections), and with
+  Richardson for the inner derivatives of such nested chains.  The larger
   step keeps the inner-stencil noise from being amplified.
 
 All stencils are 2nd-order central differences; Richardson extrapolation
@@ -13,8 +14,6 @@ All stencils are 2nd-order central differences; Richardson extrapolation
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -45,51 +44,6 @@ def partial4(f, coords, mu, h, richardson=False):
     return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
 
 
-def grad4(f, coords, base=STEP_FIRST, richardson=False):
-    """Stack of d/dx^mu for mu = 0..3, leading axis is mu."""
-    parts = [
-        partial4(f, coords, mu, fd_step(coords[mu], base), richardson)
-        for mu in range(4)
-    ]
-    return np.stack(parts, axis=0)
-
-
-def richardson_disagreement(f, coords, mu, h):
-    """Absolute gap between the h and h/2 central estimates of d/dx^mu."""
-
-    def estimate(hh):
-        xp = np.array(coords, dtype=float)
-        xm = np.array(coords, dtype=float)
-        xp[mu] += hh
-        xm[mu] -= hh
-        return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hh)
-
-    return float(np.max(np.abs(estimate(h) - estimate(h / 2.0))))
-
-
 def thread_count() -> int:
-    """Worker count from CURVED_RS_THREADS (0 or unset = auto)."""
-    raw = os.environ.get("CURVED_RS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when the policy allows it.
-
-    Only order-independent reductions (max) are applied to the results, so
-    threading cannot perturb reported numbers.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    """Worker count of the engine: always 1, every check runs serially."""
+    return 1

@@ -168,6 +168,10 @@ def build_alpha_beta(gs: GammaSet):
     return alphas, beta
 
 
+#: rows +e_mu then -e_mu; scaled by the steps they give the stencil offsets
+_PLUS_MINUS_AXES = np.stack([np.eye(4), -np.eye(4)])
+
+
 def covariant_derivative(
     field: FieldSampler,
     spec: MetricSpec,
@@ -187,29 +191,30 @@ def covariant_derivative(
     [nu, s].  ``stencil_budget`` (optional) raises StencilTooCoarse when
     the two Richardson levels disagree beyond it.
     """
+    # one sampler call on the stencil: the centre, then x +- h e_mu for
+    # each step level (h, and h/2 when a Richardson level is needed)
+    h = np.array([fd_step(c, base_step) for c in x.coords])
+    steps = np.stack([h, h / 2] if richardson or stencil_budget is not None
+                     else [h])
+    offsets = (steps[:, None, None, :] * _PLUS_MINUS_AXES).reshape(-1, 4)
+    values = field.at(x.coords + np.concatenate([np.zeros((1, 4)), offsets]),
+                      x.chart_id)
+    value = values[0]
+    pm = values[1:].reshape((len(steps), 2, 4) + value.shape)
+    d_levels = (pm[:, 0] - pm[:, 1]) / (2.0 * steps).reshape(
+        steps.shape + (1,) * value.ndim)
+    d = d_levels[0]
+    if stencil_budget is not None:
+        gaps = np.max(np.abs(d_levels[0] - d_levels[1]).reshape(4, -1), axis=1)
+        over = np.flatnonzero(gaps > stencil_budget)
+        if over.size:
+            raise StencilTooCoarse(
+                f"Richardson levels differ by {gaps[over[0]]:.3e} along "
+                f"x^{over[0]} (budget {stencil_budget:.3e})"
+            )
+    if richardson:
+        d = (4.0 * d_levels[1] - d_levels[0]) / 3.0
 
-    def f(c):
-        return field(Point(c, x.chart_id))
-
-    parts = []
-    for mu in range(4):
-        h = fd_step(x.coords[mu], base_step)
-        if stencil_budget is not None or richardson:
-            d_h = partial4(f, x.coords, mu, h)
-            d_h2 = partial4(f, x.coords, mu, h / 2)
-            if stencil_budget is not None:
-                gap = float(np.max(np.abs(d_h - d_h2)))
-                if gap > stencil_budget:
-                    raise StencilTooCoarse(
-                        f"Richardson levels differ by {gap:.3e} along x^{mu} "
-                        f"(budget {stencil_budget:.3e})"
-                    )
-            parts.append((4.0 * d_h2 - d_h) / 3.0 if richardson else d_h)
-        else:
-            parts.append(partial4(f, x.coords, mu, h))
-    d = np.stack(parts, axis=0)
-
-    value = field(x)
     if include_spin:
         G = spin_connection(spec, x).Gamma
     if field.kind == BISPINOR:
@@ -235,11 +240,17 @@ def rs_residual(
     mass: MassParam,
     em: Optional[EMField] = None,
     charge: float = 1.0,
+    nested: bool = False,
 ) -> np.ndarray:
-    """Left side of the wave equation at ``x``: (alpha^nu D_nu + kappa beta) Psi."""
+    """Left side of the wave equation at ``x``: (alpha^nu D_nu + kappa beta) Psi.
+
+    ``nested=True`` takes D_nu at the outer step with Richardson, for a
+    residual that is differentiated again (see the numerics step policy)."""
     gs = gamma_set_at(spec, x)
     alphas, beta = build_alpha_beta(gs)
-    d = covariant_derivative(field, spec, x, em, charge)
+    d = covariant_derivative(field, spec, x, em, charge,
+                             base_step=STEP_OUTER if nested else STEP_FIRST,
+                             richardson=nested)
     res = mass.kappa * beta.apply(field(x))
     for nu in range(4):
         res = res + alphas[nu].apply(d[nu])
@@ -247,17 +258,22 @@ def rs_residual(
 
 
 def residual_sampler(field, spec, mass, em=None, charge=1.0) -> FieldSampler:
+    """The residual as a sampler, to be differentiated again (nested steps)."""
     return FieldSampler(
-        lambda p: rs_residual(field, spec, p, mass, em, charge),
+        lambda p: rs_residual(field, spec, p, mass, em, charge, nested=True),
         VECTOR_BISPINOR,
         name=f"residual({field.name})",
     )
 
 
-def divergence_combo(field, spec, x, mass, em=None, charge=1.0) -> np.ndarray:
-    """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be."""
+def divergence_combo(field, spec, x, mass, em=None, charge=1.0,
+                     nested=False) -> np.ndarray:
+    """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
+    (``nested`` as in ``rs_residual``)."""
     gs = gamma_set_at(spec, x)
-    d = covariant_derivative(field, spec, x, em, charge)
+    d = covariant_derivative(field, spec, x, em, charge,
+                             base_step=STEP_OUTER if nested else STEP_FIRST,
+                             richardson=nested)
     div = np.einsum("nb,nbi->i", gs.metric.g_upper, d)
     trace = np.einsum("bij,bj->i", gs.gamma_up, field(x))
     return div - 0.5 * mass.kappa * trace
@@ -305,7 +321,8 @@ def second_covariant_comm(field, spec, x, em=None, charge=1.0):
 
     def inner(c):
         return covariant_derivative(
-            field, spec, Point(c, x.chart_id), em, charge
+            field, spec, Point(c, x.chart_id), em, charge,
+            base_step=STEP_OUTER, richardson=True,
         )
 
     from .geometry import christoffel
@@ -359,7 +376,8 @@ def curvature_bridge(field, spec, x):
 
     def inner(c):
         return covariant_derivative(
-            field, spec, Point(c, x.chart_id), em=None, include_spin=False
+            field, spec, Point(c, x.chart_id), em=None, include_spin=False,
+            base_step=STEP_OUTER, richardson=True,
         )
 
     from .geometry import christoffel
@@ -409,7 +427,8 @@ def derivative_chain_check(field, spec, x, mass, em=None, charge=1.0,
     div_res = np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
 
     chi_field = FieldSampler(
-        lambda p: divergence_combo(field, spec, p, mass, em, charge),
+        lambda p: divergence_combo(field, spec, p, mass, em, charge,
+                                   nested=True),
         BISPINOR,
         name="first-constraint",
     )

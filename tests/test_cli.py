@@ -71,6 +71,21 @@ class TestExitCodes:
         code, _, _ = run(["identities", "--points"], capsys)
         assert code == 2
 
+    def test_unknown_tolerance_check_is_config_error(self, capsys):
+        code, _, err = run(
+            ["identities", "--metric", "minkowski_cartesian", "--points", "2",
+             "--tolerance", "no_such_check=1e-3"], capsys)
+        assert code == 2
+        assert "no_such_check" in err
+        assert "eq_1_7_derivative_chain" in err
+
+    def test_negative_mass_is_config_error(self, capsys):
+        code, _, err = run(
+            ["identities", "--metric", "minkowski_cartesian", "--points", "2",
+             "--mass", "-1"], capsys)
+        assert code == 2
+        assert "--mass" in err
+
     def test_check_failure_exit_one(self, capsys):
         code, out, _ = run(
             ["identities", "--metric", "minkowski_cartesian", "--points", "2",
@@ -201,13 +216,3 @@ class TestConstraintsCommand:
         report = json.loads(out)
         assert report["contraction_identity_error"] < 1e-7
         assert report["mass_scan"] is None
-
-
-def test_thread_env_does_not_change_report(capsys, monkeypatch):
-    args = ["identities", "--metric", "minkowski_cartesian", "--points", "3",
-            "--seed", "11", "--format", "json"]
-    monkeypatch.setenv("CURVED_RS_THREADS", "1")
-    _, serial, _ = run(args, capsys)
-    monkeypatch.setenv("CURVED_RS_THREADS", "4")
-    _, threaded, _ = run(args, capsys)
-    assert strip_timing(serial) == strip_timing(threaded)

@@ -51,6 +51,79 @@ class TestSamplers:
         assert np.allclose(f(x), np.exp(1j * (k @ x.coords)) * amp)
 
 
+def _closed_form_fields(kind):
+    shape = (4, 4) if kind == VECTOR_BISPINOR else (4,)
+    amp = (np.arange(np.prod(shape)) + 0.5j).reshape(shape)
+    box = [(-1.0, 1.0), (2.5, 9.0), (0.2, 2.9), (0.0, 6.0)]
+    return [
+        polynomial_field(3, kind),
+        polynomial_field(4, kind, box=box),
+        polynomial_field(5, kind, degree=1),
+        polynomial_field(6, kind, degree=0),
+        trig_field(7, kind),
+        trig_field(8, kind, box=box),
+        plane_wave([0.7, -0.3, 0.2, 0.5], amp, kind),
+        constant_field(amp, kind),
+    ]
+
+
+class TestBatchSampling:
+    COORDS = np.random.default_rng(17).uniform(-2.0, 3.0, size=(9, 4))
+
+    @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
+    def test_at_matches_stacked_calls(self, kind):
+        for f in _closed_form_fields(kind):
+            assert f.batch is not None
+            batch = f.at(self.COORDS)
+            rows = np.stack([f(pt(*c)) for c in self.COORDS])
+            assert batch.shape == (len(self.COORDS),) + f.shape()
+            assert batch.dtype == complex
+            scale = np.max(np.abs(rows))
+            assert np.max(np.abs(batch - rows)) <= 1e-14 * scale, f.name
+
+    def test_polynomial_matches_tensordot_reference(self):
+        # the coefficient draws and the nested-tensordot evaluation of the
+        # original implementation, kept as the reference
+        box = [(-1.0, 1.0), (2.5, 9.0), (0.2, 2.9), (0.0, 6.0)]
+        rng = np.random.default_rng(4)
+        c0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        c1 = 0.5 * (rng.standard_normal((4, 4, 4))
+                    + 1j * rng.standard_normal((4, 4, 4)))
+        c2 = 0.25 * (rng.standard_normal((4, 4, 4, 4))
+                     + 1j * rng.standard_normal((4, 4, 4, 4)))
+        c2 = 0.5 * (c2 + np.swapaxes(c2, 0, 1))
+        b = np.asarray(box)
+        center, half = b.mean(axis=1), 0.5 * (b[:, 1] - b[:, 0])
+        f = polynomial_field(4, box=box)
+        for c in self.COORDS:
+            u = (c - center) / half
+            want = (c0 + np.tensordot(u, c1, axes=(0, 0)) + np.tensordot(
+                u, np.tensordot(u, c2, axes=(0, 0)), axes=(0, 0)))
+            assert np.max(np.abs(f(pt(*c)) - want)) <= 1e-13 * np.max(
+                np.abs(want))
+
+    def test_row_loop_for_point_samplers(self):
+        seen = []
+
+        def fn(p):
+            seen.append(p.chart_id)
+            return np.full(4, p.coords.sum(), dtype=complex)
+
+        f = FieldSampler(fn, BISPINOR)
+        values = f.at(self.COORDS, "chart")
+        assert values.shape == (len(self.COORDS), 4)
+        assert np.array_equal(values[:, 0], self.COORDS.sum(axis=1))
+        assert seen == ["chart"] * len(self.COORDS)
+
+    def test_at_shape_enforcement(self):
+        bad_batch = FieldSampler(lambda p: np.zeros(4), BISPINOR,
+                                 batch=lambda c: np.zeros((len(c), 3)))
+        bad_rows = FieldSampler(lambda p: np.zeros(3), BISPINOR)
+        for bad in (bad_batch, bad_rows):
+            with pytest.raises(ValueError):
+                bad.at(self.COORDS)
+
+
 class TestSmoothness:
     def test_smooth_fixtures_pass(self):
         probes = [pt(0.1, -0.2, 0.3, 0.4), pt(1.0, 0.5, -0.5, 0.2)]

@@ -15,7 +15,8 @@ from curved_rs.fields import (
     polynomial_field,
     trig_field,
 )
-from curved_rs.geometry import christoffel
+from curved_rs.geometry import Point, christoffel
+from curved_rs.numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
 from curved_rs.rs_operator import (
     BlockMatrix16,
     EMField,
@@ -114,6 +115,73 @@ class TestCovariantDerivative:
         d = covariant_derivative(f, minkowski, x, em=em, charge=0.9)
         expected = -1j * 0.9 * np.einsum("n,bs->nbs", em.potential(x), f(x))
         assert np.max(np.abs(d - expected)) < 1e-12
+
+
+def stencil_oracle(field, spec, x, base_step, richardson=False):
+    """Per-axis partial4 derivative plus connection terms: the pre-batch
+    evaluation of covariant_derivative."""
+
+    def f(c):
+        return field(Point(c, x.chart_id))
+
+    d = np.stack([
+        partial4(f, x.coords, mu, fd_step(x.coords[mu], base_step),
+                 richardson=richardson)
+        for mu in range(4)
+    ])
+    value = field(x)
+    G = spin_connection(spec, x).Gamma
+    if field.kind == BISPINOR:
+        return d + np.einsum("nij,j->ni", G, value)
+    gam = christoffel(spec, x)
+    return (d - np.einsum("lnb,li->nbi", gam, value)
+            + np.einsum("nij,bj->nbi", G, value))
+
+
+class TestBatchedStencil:
+    @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
+    @pytest.mark.parametrize("make", [polynomial_field, trig_field])
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_matches_partial4_oracle(self, schwarzschild, kind, make,
+                                     richardson):
+        fld = make(21, kind, box=schwarzschild.sample_box)
+        base = STEP_OUTER if richardson else STEP_FIRST
+        for x in points_of(schwarzschild, n=3):
+            got = covariant_derivative(fld, schwarzschild, x, base_step=base,
+                                       richardson=richardson)
+            want = stencil_oracle(fld, schwarzschild, x, base, richardson)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_budget_passes_then_raises(self, schwarzschild):
+        fld = trig_field(22, box=schwarzschild.sample_box)
+        x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
+        got = covariant_derivative(fld, schwarzschild, x, base_step=STEP_OUTER,
+                                   richardson=True, stencil_budget=1e-3)
+        want = stencil_oracle(fld, schwarzschild, x, STEP_OUTER, True)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        with pytest.raises(StencilTooCoarse, match="along x"):
+            covariant_derivative(fld, schwarzschild, x, base_step=STEP_OUTER,
+                                 richardson=True, stencil_budget=1e-12)
+
+
+class TestNestedRoundoff:
+    """Nested chains take their inner derivatives at the outer step with
+    Richardson.  With the fine inner step the identity suite's 1.7 chain on
+    anti-de Sitter (suite seed 2135483339, fixture trig[2135483340001])
+    read 4.8e-5 against its 1e-4 band, all of it roundoff."""
+
+    @pytest.mark.parametrize("identity", [
+        lambda f, spec, x: derivative_chain_check(f, spec, x, MASS, charge=0.0),
+        lambda f, spec, x: commutator_decomposition(f, spec, x),
+        lambda f, spec, x: curvature_bridge(f, spec, x),
+    ], ids=["chain_1_7", "commutator_1_9", "bridge_1_10c"])
+    def test_error_far_below_band(self, anti_de_sitter, identity):
+        fld = trig_field(2135483340001, box=anti_de_sitter.sample_box)
+        for x in points_of(anti_de_sitter, n=10, seed=2135483339):
+            lhs, rhs = identity(fld, anti_de_sitter, x)
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
+                        np.max(np.abs(fld(x))))
+            assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
 
 
 class TestEMField:
