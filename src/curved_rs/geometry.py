@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OutOfDomain, SingularMetric
-from .numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
+from .numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4, read_only
 
 #: global sign of the antisymmetric tensor: eps^{0123} = EPS_SIGN / sqrt(-g)
 EPS_SIGN = -1.0
@@ -92,7 +92,7 @@ class MetricSpec:
         return bool(self.domain_guard(x))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricAtPoint:
     """Metric, inverse and determinant evaluated at one point."""
 
@@ -101,7 +101,7 @@ class MetricAtPoint:
     det_g: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurvatureBundle:
     """Christoffel symbols and curvature tensors at one point.
 
@@ -131,7 +131,8 @@ def _metric_cached(spec: MetricSpec, coords: tuple) -> MetricAtPoint:
     det = float(np.linalg.det(g))
     if abs(det) < 1e-14:
         raise SingularMetric(f"|det g| = {abs(det):.3e} at {coords}")
-    return MetricAtPoint(g_lower=g, g_upper=np.linalg.inv(g), det_g=det)
+    return MetricAtPoint(g_lower=read_only(g), g_upper=read_only(np.linalg.inv(g)),
+                         det_g=det)
 
 
 def eval_metric(spec: MetricSpec, x: Point) -> MetricAtPoint:
@@ -155,7 +156,7 @@ def metric_derivatives(spec: MetricSpec, x: Point) -> np.ndarray:
 def _metric_derivs_cached(spec, coords):
     x = Point(np.array(coords), spec.chart_id)
     if spec.deriv_fn is not None:
-        return np.asarray(spec.deriv_fn(x), dtype=float)
+        return read_only(np.asarray(spec.deriv_fn(x), dtype=float))
     out = np.empty((4, 4, 4))
     for mu in range(4):
         h = fd_step(x.coords[mu], STEP_FIRST)
@@ -172,7 +173,7 @@ def _metric_derivs_cached(spec, coords):
         gp = np.asarray(spec.component_fn(x.shifted(mu, h)), dtype=float)
         gm = np.asarray(spec.component_fn(x.shifted(mu, -h)), dtype=float)
         out[mu] = (gp - gm) / (2.0 * h)
-    return out
+    return read_only(out)
 
 
 def christoffel(spec: MetricSpec, x: Point) -> np.ndarray:
@@ -187,9 +188,9 @@ def _christoffel_cached(spec, coords):
     m = eval_metric(spec, x)
     dg = metric_derivatives(spec, x)
     # Gamma^s_ab = 1/2 g^{sr} (dg[a,r,b] + dg[b,r,a] - dg[r,a,b])
-    return 0.5 * np.einsum(
+    return read_only(0.5 * np.einsum(
         "sr,arb->sab", m.g_upper, dg + np.einsum("arb->bra", dg) - np.einsum("arb->rab", dg)
-    )
+    ))
 
 
 def curvature(spec: MetricSpec, x: Point) -> CurvatureBundle:
@@ -243,10 +244,10 @@ def _curvature_cached(spec, coords):
     einstein = ricci - 0.5 * scalar * m.g_lower
     return CurvatureBundle(
         christoffel=gam,
-        riemann_lower=riemann_lower,
-        ricci=ricci,
+        riemann_lower=read_only(riemann_lower),
+        ricci=read_only(ricci),
         scalar=scalar,
-        einstein=einstein,
+        einstein=read_only(einstein),
     )
 
 

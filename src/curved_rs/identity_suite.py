@@ -6,13 +6,15 @@ tolerance, an expectation ("zero" holds everywhere / "nonzero" must be
 violated by exactly the predicted amount), and a metric-applicability
 filter driven by the numerically measured curvature class of the metric
 (flat, Ricci-flat, Einstein, non-vacuum).  Identical inputs produce a
-byte-identical report apart from the timing fields.
+byte-identical report apart from the timing fields.  ``run_gauge`` and
+``run_constraints`` run subsets of the registry through the same path and
+add their own report keys.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,7 +46,7 @@ from .spin_frame import (
     spinor_commutator_curvature,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # default tolerance bands
 TOL_ALGEBRAIC = 1e-10
@@ -63,6 +65,13 @@ TOL_FLAT_REDUCTION = 1e-8
 #: points used by nested-stencil (second-order) checks
 SECOND_ORDER_POINT_CAP = 10
 FIXTURE_COUNT = 5
+#: points the curvature class is measured on
+CLASS_POINT_CAP = 6
+
+#: the checks behind the ``gauge`` and ``constraints`` commands
+GAUGE_CHECKS = ("eq_2_7b_massless_gradient", "eq_2_8c_gauge_criterion")
+CONSTRAINT_CHECKS = ("eq_1_6_gamma_contraction",
+                     "eq_1_11a_constraint_reduction")
 
 
 @dataclass
@@ -71,7 +80,6 @@ class MetricClass:
 
     riemann_scale: float
     ricci_norm: float
-    einstein_norm: float
     einstein_dev: float
     scalar: float
     christoffel_norm: float = 0.0
@@ -93,10 +101,6 @@ class MetricClass:
     @property
     def einstein_space(self) -> bool:
         return self.einstein_dev <= 1e-5 * max(self.riemann_scale, 1e-3)
-
-    @property
-    def nonvacuum(self) -> bool:
-        return self.einstein_norm > 1e-3
 
     def describe(self) -> str:
         if self.is_flat:
@@ -145,56 +149,56 @@ class CheckResult:
     passed: bool
     runtime_s: float
     note: str = ""
+    #: per-point errors, kept only by a point-by-point run (not reported)
+    point_errors: Optional[list] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "tag": self.tag,
-            "tolerance": self.tolerance,
-            "expect": self.expect,
-            "points": self.points,
-            "max_rel_error": self.max_rel_error,
-            "passed": self.passed,
-            "runtime_s": self.runtime_s,
-            "note": self.note,
-        }
+        out = asdict(self)
+        del out["point_errors"]
+        return out
 
 
 @dataclass
 class SuiteReport:
-    metric_name: str
-    metric_params: dict
-    config_hash: Optional[str]
-    seed: int
-    n_points: int
-    mass: float
-    charge: float
-    curvature_class: str
+    """Checks run on one context; ``kind`` and ``extra`` (further top-level
+    report keys) distinguish the commands built on the suite."""
+
+    ctx: SuiteContext
     checks: list
     runtime_s: float
+    kind: str = "identity_suite"
+    extra: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @property
+    def curvature_class(self) -> str:
+        return self.ctx.met_class.describe()
+
     def to_dict(self) -> dict:
+        spec = self.ctx.spec
         return {
             "schema_version": SCHEMA_VERSION,
-            "kind": "identity_suite",
+            "kind": self.kind,
             "environment": {
-                "metric": self.metric_name,
-                "params": dict(sorted(self.metric_params.items())),
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "points": self.n_points,
-                "mass": self.mass,
-                "charge": self.charge,
+                "metric": spec.name,
+                "params": dict(sorted(spec.params.items())),
+                "config_hash": (spec.chart_id.split(":", 1)[1]
+                                if spec.chart_id.startswith("config:")
+                                else None),
+                "seed": self.ctx.seed,
+                "points": len(self.ctx.points),
+                "mass": self.ctx.mass.m,
+                "charge": self.ctx.charge,
                 "stencil_policy": STENCIL_POLICY,
                 "curvature_class": self.curvature_class,
             },
             "checks": [c.to_dict() for c in self.checks],
             "passed": self.passed,
             "runtime_s": self.runtime_s,
+            **self.extra,
         }
 
 
@@ -819,7 +823,7 @@ REGISTRY = [
                     lambda mc: mc.ricci_flat, _chk_massless_gradient),
     CheckDescriptor("eq_2_8c_gauge_criterion", "2.8c",
                     _const(TOL_GAUGE_MATCH), "nonzero",
-                    lambda mc: mc.nonvacuum, _chk_gauge_criterion_nonzero),
+                    lambda mc: not mc.ricci_flat, _chk_gauge_criterion_nonzero),
     CheckDescriptor("eps_determinant_contraction", "2.8b", _curvcomm_tol,
                     "zero", lambda mc: True, _chk_eps_determinant),
     CheckDescriptor("metric_compatibility", "1.8", _const(TOL_FIRST_ORDER),
@@ -846,18 +850,37 @@ def sample_points(spec: MetricSpec, n: int, seed: int) -> list:
 
 
 def classify_metric(spec: MetricSpec, points) -> MetricClass:
-    riemann_scale = ricci = einstein = dev = gam_norm = 0.0
+    riemann_scale = ricci = dev = gam_norm = 0.0
     scalar = 0.0
     for x in points:
         b = curvature(spec, x)
         g = eval_metric(spec, x).g_lower
         riemann_scale = max(riemann_scale, float(np.max(np.abs(b.riemann_lower))))
         ricci = max(ricci, float(np.max(np.abs(b.ricci))))
-        einstein = max(einstein, float(np.max(np.abs(b.einstein))))
         dev = max(dev, float(np.max(np.abs(b.ricci - b.scalar / 4.0 * g))))
         gam_norm = max(gam_norm, float(np.max(np.abs(b.christoffel))))
         scalar = b.scalar
-    return MetricClass(riemann_scale, ricci, einstein, dev, scalar, gam_norm)
+    return MetricClass(riemann_scale, ricci, dev, scalar, gam_norm)
+
+
+def build_context(spec: MetricSpec, n_points: int, seed: int, mass: float,
+                  charge: float) -> SuiteContext:
+    """Points, curvature class and fixtures that every check runs on."""
+    if n_points < 1:
+        raise ConfigError("points must be >= 1")
+    points = sample_points(spec, n_points, seed)
+    return SuiteContext(
+        spec=spec,
+        points=points,
+        seed=seed,
+        mass=rso.MassParam(mass),
+        charge=charge,
+        met_class=classify_metric(spec, points[:CLASS_POINT_CAP]),
+        vb_fixtures=fixture_family(seed + 1, FIXTURE_COUNT, VECTOR_BISPINOR,
+                                   spec.sample_box),
+        sp_fixtures=fixture_family(seed + 2, 3, BISPINOR, spec.sample_box),
+        analytic_derivs=spec.deriv_fn is not None,
+    )
 
 
 def run_suite(
@@ -867,14 +890,18 @@ def run_suite(
     mass: float = 1.0,
     charge: float = 0.0,
     tolerance_overrides: Optional[dict] = None,
+    only: Optional[tuple] = None,
+    per_point: bool = False,
 ) -> SuiteReport:
     """Execute every applicable registered check and aggregate the report.
 
+    ``only`` restricts the run to the listed check ids.  ``per_point`` runs
+    each check once per point, on one-point contexts, and keeps the
+    per-point errors in ``CheckResult.point_errors``; the maximum over
+    them is the error of the whole run, and runner notes are dropped.
     Check failures are recorded, not raised; infrastructure errors
     propagate with context.
     """
-    if n_points < 1:
-        raise ConfigError("points must be >= 1")
     overrides = tolerance_overrides or {}
     known = [d.id for d in REGISTRY]
     unknown = sorted(set(overrides) - set(known))
@@ -884,58 +911,81 @@ def run_suite(
             f"known checks: {', '.join(known)}"
         )
     t0 = time.perf_counter()
-    points = sample_points(spec, n_points, seed)
-    class_points = points[: min(6, len(points))]
-    met_class = classify_metric(spec, class_points)
-    ctx = SuiteContext(
-        spec=spec,
-        points=points,
-        seed=seed,
-        mass=rso.MassParam(mass),
-        charge=charge,
-        met_class=met_class,
-        vb_fixtures=fixture_family(seed + 1, FIXTURE_COUNT, VECTOR_BISPINOR,
-                                   spec.sample_box),
-        sp_fixtures=fixture_family(seed + 2, 3, BISPINOR, spec.sample_box),
-        analytic_derivs=spec.deriv_fn is not None,
-    )
+    ctx = build_context(spec, n_points, seed, mass, charge)
     results = []
     for desc in REGISTRY:
-        if not desc.applies(met_class):
+        if only is not None and desc.id not in only:
+            continue
+        if not desc.applies(ctx.met_class):
             continue
         tol = float(overrides.get(desc.id, desc.tolerance(ctx)))
         t_check = time.perf_counter()
-        out = desc.runner(ctx)
-        npts, err = out[0], out[1]
-        note = out[2] if len(out) > 2 else ""
+        point_errors = None
+        if per_point:
+            outs = [desc.runner(replace(ctx, points=[x])) for x in ctx.points]
+            point_errors = [float(o[1]) for o in outs]
+            out = (sum(o[0] for o in outs), max(point_errors))
+        else:
+            out = desc.runner(ctx)
+        err = float(out[1])
         results.append(
             CheckResult(
                 id=desc.id,
                 tag=desc.tag,
                 tolerance=tol,
                 expect=desc.expect,
-                points=npts,
-                max_rel_error=float(err),
+                points=out[0],
+                max_rel_error=err,
                 passed=bool(err <= tol),
                 runtime_s=round(time.perf_counter() - t_check, 6),
-                note=note,
+                note=out[2] if len(out) > 2 else "",
+                point_errors=point_errors,
             )
         )
-    config_hash = None
-    if spec.chart_id.startswith("config:"):
-        config_hash = spec.chart_id.split(":", 1)[1]
-    return SuiteReport(
-        metric_name=spec.name,
-        metric_params=dict(spec.params),
-        config_hash=config_hash,
-        seed=seed,
-        n_points=n_points,
-        mass=mass,
-        charge=charge,
-        curvature_class=met_class.describe(),
-        checks=results,
-        runtime_s=round(time.perf_counter() - t0, 6),
-    )
+    return SuiteReport(ctx=ctx, checks=results,
+                       runtime_s=round(time.perf_counter() - t0, 6))
+
+
+def run_gauge(spec: MetricSpec, n_points: int = 20, seed: int = 42,
+              tolerance_overrides: Optional[dict] = None) -> SuiteReport:
+    """The gauge criterion of the massless, uncharged equation: (2.7b) on a
+    Ricci-flat metric, (2.8c) elsewhere, run point by point for the table
+    of Einstein norms and errors."""
+    rep = run_suite(spec, n_points, seed, mass=0.0, charge=0.0,
+                    tolerance_overrides=tolerance_overrides,
+                    only=GAUGE_CHECKS, per_point=True)
+    (check,) = rep.checks
+    table = [
+        {"index": i,
+         "einstein_norm": float(np.max(np.abs(curvature(spec, x).einstein))),
+         "max_rel_error": err}
+        for i, (x, err) in enumerate(zip(rep.ctx.points, check.point_errors))
+    ]
+    verdict = ("gauge-symmetric region" if rep.ctx.met_class.ricci_flat
+               else "no gauge symmetry (G != 0)")
+    return replace(rep, kind="gauge_criterion",
+                   extra={"verdict": verdict, "points_table": table})
+
+
+def run_constraints(spec: MetricSpec, n_points: int = 20, seed: int = 42,
+                    mass: float = 1.0, charge: float = 0.0,
+                    tolerance_overrides: Optional[dict] = None) -> SuiteReport:
+    """The constraint identities (1.6) and (1.11a), plus, on an Einstein
+    space with R != 0, the bracket 1/2 (R/12 - m^2) scanned over mass with
+    its real zero crossing m = sqrt(R/12)."""
+    rep = run_suite(spec, n_points, seed, mass, charge, tolerance_overrides,
+                    only=CONSTRAINT_CHECKS)
+    mc = rep.ctx.met_class
+    scan = None
+    if mc.einstein_space and abs(mc.scalar) > 1e-6:
+        scan = {
+            "scalar": mc.scalar,
+            "table": [(m, 0.5 * (mc.scalar / 12.0 - m * m))
+                      for m in (0.25 * i for i in range(9))],
+            "zero_crossing": (float(np.sqrt(mc.scalar / 12.0))
+                              if mc.scalar > 0 else None),
+        }
+    return replace(rep, kind="constraints", extra={"mass_scan": scan})
 
 
 def coverage_tags() -> set:

@@ -29,6 +29,12 @@ def fd_step(coord: float, base: float) -> float:
     return base * max(1.0, abs(coord))
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with writes disabled, for arrays a cache hands to every caller."""
+    a.setflags(write=False)
+    return a
+
+
 def partial4(f, coords, mu, h, richardson=False):
     """Central-difference d/dx^mu of an array-valued function of 4 coords."""
 

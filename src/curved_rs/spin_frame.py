@@ -30,7 +30,7 @@ from .geometry import (
     levi_civita,
     metric_derivatives,
 )
-from .numerics import STEP_FIRST, fd_step, partial4
+from .numerics import STEP_FIRST, fd_step, partial4, read_only
 
 _PAULI = np.array(
     [
@@ -222,7 +222,7 @@ def _spin_connection_cached(spec, coords):
     # omega[al, a, b] = e_(a)^nu (d_al E[b,nu] - Gamma^l_{al nu} E[b,l])
     nabla_e = de_dn - np.einsum("lan,bl->abn", gam, e_dn)
     omega = np.einsum("an,mbn->mab", tet.e_upper, nabla_e)
-    return 0.5 * np.einsum("abij,mab->mij", SIGMA_FLAT, omega)
+    return read_only(0.5 * np.einsum("abij,mab->mij", SIGMA_FLAT, omega))
 
 
 def spinor_commutator_curvature(spec: MetricSpec, x: Point) -> np.ndarray:

@@ -34,6 +34,9 @@ phi = 0.3, 5.9
 """
 
 
+COMMANDS = ("identities", "gauge", "constraints")
+
+
 def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -72,12 +75,22 @@ class TestExitCodes:
         assert code == 2
 
     def test_unknown_tolerance_check_is_config_error(self, capsys):
-        code, _, err = run(
-            ["identities", "--metric", "minkowski_cartesian", "--points", "2",
-             "--tolerance", "no_such_check=1e-3"], capsys)
-        assert code == 2
-        assert "no_such_check" in err
-        assert "eq_1_7_derivative_chain" in err
+        for command in COMMANDS:
+            code, _, err = run(
+                [command, "--metric", "minkowski_cartesian", "--points", "2",
+                 "--tolerance", "no_such_check=1e-3"], capsys)
+            assert code == 2, command
+            assert "no_such_check" in err
+            assert "eq_1_7_derivative_chain" in err
+
+    def test_gauge_rejects_mass_and_charge(self, capsys):
+        # the gauge criterion is the massless, uncharged equation
+        for flag in ("--mass", "--charge"):
+            code, _, err = run(
+                ["gauge", "--metric", "minkowski_cartesian", "--points", "2",
+                 flag, "3"], capsys)
+            assert code == 2
+            assert flag in err
 
     def test_negative_mass_is_config_error(self, capsys):
         code, _, err = run(
@@ -87,12 +100,17 @@ class TestExitCodes:
         assert "--mass" in err
 
     def test_check_failure_exit_one(self, capsys):
-        code, out, _ = run(
-            ["identities", "--metric", "minkowski_cartesian", "--points", "2",
-             "--tolerance", "eq_1_7_derivative_chain=1e-30"],
-            capsys)
-        assert code == 1
-        assert "FAIL" in out
+        for command, metric, check in (
+            ("identities", "minkowski_cartesian", "eq_1_7_derivative_chain"),
+            ("constraints", "anti_de_sitter_static", "eq_1_6_gamma_contraction"),
+            ("gauge", "frw_dust", "eq_2_8c_gauge_criterion"),
+        ):
+            code, out, _ = run(
+                [command, "--metric", metric, "--points", "2",
+                 "--tolerance", f"{check}=1e-30"],
+                capsys)
+            assert code == 1, command
+            assert "FAIL" in out
 
 
 class TestIdentitiesCommand:
@@ -103,18 +121,19 @@ class TestIdentitiesCommand:
             capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["command"] == "identities"
         assert report["passed"] is True
         assert report["environment"]["metric"] == "schwarzschild"
         assert report["environment"]["seed"] == 42
 
     def test_determinism_byte_identical(self, capsys):
-        args = ["identities", "--metric", "minkowski_cartesian", "--points",
-                "3", "--seed", "42", "--format", "json"]
-        _, out1, _ = run(args, capsys)
-        _, out2, _ = run(args, capsys)
-        assert strip_timing(out1) == strip_timing(out2)
+        for command in COMMANDS:
+            args = [command, "--metric", "minkowski_cartesian", "--points",
+                    "3", "--seed", "42", "--format", "json"]
+            _, out1, _ = run(args, capsys)
+            _, out2, _ = run(args, capsys)
+            assert strip_timing(out1) == strip_timing(out2), command
 
     def test_metric_file_path(self, capsys, tmp_path):
         cfg = tmp_path / "ds.cfg"
@@ -136,20 +155,57 @@ class TestIdentitiesCommand:
         assert json.loads(out_path.read_text())["passed"] is True
 
     def test_schema_golden(self, capsys, tmp_path):
-        # key layout of the JSON report is a stable contract
-        code, out, _ = run(
-            ["identities", "--metric", "minkowski_cartesian", "--points", "2",
-             "--seed", "1", "--format", "json"], capsys)
-        report = json.loads(out)
-        assert sorted(report.keys()) == [
-            "checks", "command", "environment", "kind", "passed",
-            "runtime_s", "schema_version"]
-        assert sorted(report["environment"].keys()) == [
-            "charge", "config_hash", "curvature_class", "mass", "metric",
-            "params", "points", "seed", "stencil_policy"]
-        assert sorted(report["checks"][0].keys()) == [
-            "expect", "id", "max_rel_error", "note", "passed", "points",
-            "runtime_s", "tag", "tolerance"]
+        # key layout of the JSON report is a stable contract, shared by
+        # every command; gauge and constraints add their own keys
+        extras = {"identities": [], "gauge": ["points_table", "verdict"],
+                  "constraints": ["mass_scan"]}
+        for command in COMMANDS:
+            metric = ("anti_de_sitter_static" if command == "constraints"
+                      else "minkowski_cartesian")
+            code, out, _ = run(
+                [command, "--metric", metric, "--points", "2",
+                 "--seed", "1", "--format", "json"], capsys)
+            report = json.loads(out)
+            assert report["schema_version"] == 2
+            assert report["command"] == command
+            assert sorted(report.keys()) == sorted([
+                "checks", "command", "environment", "kind", "passed",
+                "runtime_s", "schema_version"] + extras[command])
+            assert sorted(report["environment"].keys()) == [
+                "charge", "config_hash", "curvature_class", "mass", "metric",
+                "params", "points", "seed", "stencil_policy"]
+            assert sorted(report["checks"][0].keys()) == [
+                "expect", "id", "max_rel_error", "note", "passed", "points",
+                "runtime_s", "tag", "tolerance"]
+            if command == "gauge":
+                assert sorted(report["points_table"][0].keys()) == [
+                    "einstein_norm", "index", "max_rel_error"]
+            if command == "constraints":
+                assert sorted(report["mass_scan"].keys()) == [
+                    "scalar", "table", "zero_crossing"]
+
+    @pytest.mark.parametrize(
+        "metric", ["frw_dust", "schwarzschild", "anti_de_sitter_static"])
+    def test_commands_share_check_results(self, capsys, metric):
+        # gauge and constraints are views over the registry: each check
+        # entry equals the identities entry of the same id
+        def checks(command):
+            code, out, _ = run(
+                [command, "--metric", metric, "--points", "3", "--seed", "5",
+                 "--format", "json"], capsys)
+            out = json.loads(out)["checks"]
+            for c in out:
+                del c["runtime_s"]
+            return {c["id"]: c for c in out}
+
+        suite = checks("identities")
+        gauge = checks("gauge")
+        constraints = checks("constraints")
+        assert len(gauge) == 1
+        assert sorted(constraints) == [
+            "eq_1_11a_constraint_reduction", "eq_1_6_gamma_contraction"]
+        for cid, entry in {**gauge, **constraints}.items():
+            assert entry == suite[cid], cid
 
 
 class TestGaugeCommand:
@@ -172,18 +228,26 @@ class TestGaugeCommand:
         assert code == 0
         report = json.loads(out)
         assert report["verdict"] == "gauge-symmetric region"
+        assert [c["id"] for c in report["checks"]] == [
+            "eq_2_7b_massless_gradient"]
         for row in report["points_table"]:
             assert row["einstein_norm"] < 1e-7
-            assert row["residual_norm"] < 1e-6
+            assert row["max_rel_error"] < 1e-6
 
     def test_dichotomy_visible_in_table(self, capsys):
         code, out, _ = run(
             ["gauge", "--metric", "frw_dust", "--points", "3",
              "--format", "json"], capsys)
         report = json.loads(out)
-        for row in report["points_table"]:
+        assert [c["id"] for c in report["checks"]] == [
+            "eq_2_8c_gauge_criterion"]
+        rows = report["points_table"]
+        assert [row["index"] for row in rows] == [0, 1, 2]
+        for row in rows:
             assert row["einstein_norm"] > 1e-3
-            assert row["match_rel_error"] < 1e-4
+            assert row["max_rel_error"] < 1e-4
+        worst = max(row["max_rel_error"] for row in rows)
+        assert report["checks"][0]["max_rel_error"] == worst
 
 
 class TestConstraintsCommand:
@@ -214,5 +278,7 @@ class TestConstraintsCommand:
              "3", "--mass", "0", "--format", "json"], capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["contraction_identity_error"] < 1e-7
+        by_id = {c["id"]: c for c in report["checks"]}
+        assert by_id["eq_1_6_gamma_contraction"]["max_rel_error"] < 1e-7
+        assert by_id["eq_1_11a_constraint_reduction"]["passed"]
         assert report["mass_scan"] is None

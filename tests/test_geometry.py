@@ -17,6 +17,8 @@ from curved_rs.geometry import (
     metric_derivatives,
 )
 
+from curved_rs.spin_frame import spin_connection
+
 from conftest import points_of
 from oracles import symbolic_curvature, symbolic_metric
 
@@ -175,6 +177,52 @@ class TestCurvature:
             for x in points_of(spec, 2):
                 dev = covariant_metric_derivative(spec, x)
                 assert np.max(np.abs(dev)) < 1e-7
+
+
+FLAT_CFG = """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 1
+g11 = -1
+g22 = -1
+g33 = -1
+[sampling]
+t = -1, 1
+x = -1, 1
+y = -1, 1
+z = -1, 1
+"""
+
+
+class TestCachedArrays:
+    def test_write_raises_and_cache_keeps_value(self, schwarzschild):
+        x = points_of(schwarzschild, 1, seed=3)[0]
+        before = curvature(schwarzschild, x).ricci[0, 0]
+        with pytest.raises(ValueError):
+            curvature(schwarzschild, x).ricci[0, 0] = 99
+        assert curvature(schwarzschild, x).ricci[0, 0] == before
+        # nor can a caller swap an array out of the shared bundle
+        with pytest.raises(AttributeError):
+            curvature(schwarzschild, x).ricci = np.zeros((4, 4))
+        with pytest.raises(AttributeError):
+            eval_metric(schwarzschild, x).g_lower = np.eye(4)
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_every_cached_array_is_read_only(self, schwarzschild, analytic):
+        # the analytic-derivative preset and the finite-difference document
+        spec = (schwarzschild if analytic else spacetimes.spec_from_config(
+            spacetimes.parse_metric_config(FLAT_CFG)))
+        x = points_of(spec, 1, seed=3)[0]
+        m = eval_metric(spec, x)
+        b = curvature(spec, x)
+        arrays = [m.g_lower, m.g_upper, metric_derivatives(spec, x),
+                  geometry.christoffel(spec, x), b.christoffel,
+                  b.riemann_lower, b.ricci, b.einstein,
+                  spin_connection(spec, x).Gamma]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 99
 
 
 class TestLeviCivita:

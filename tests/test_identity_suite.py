@@ -75,10 +75,10 @@ class TestClassification:
         assert classify(schwarzschild).describe() == "ricci_flat"
         ds = classify(de_sitter)
         assert ds.describe() == "einstein"
-        assert ds.nonvacuum
+        assert not ds.ricci_flat
         frw = classify(frw_dust)
         assert frw.describe() == "generic"
-        assert frw.nonvacuum
+        assert not frw.ricci_flat
 
 
 class TestRunSuite:
