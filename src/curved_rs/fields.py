@@ -13,9 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import ETA, Point
+from .geometry import ETA, MetricSpec, Point
 from .numerics import STEP_FIRST, fd_step
-from .spin_frame import GAMMA_FLAT
+from .spin_frame import GAMMA_FLAT, gamma_sets
 
 VECTOR_BISPINOR = "vector_bispinor"
 BISPINOR = "bispinor"
@@ -30,9 +30,11 @@ class FieldSampler:
     ``__call__`` samples one Point.  ``at(coords)`` samples many: it takes
     an (n, 4) array of chart coordinates and returns the (n, *shape)
     complex values, row i being the value at ``coords[i]``.  Samplers with
-    a vectorized ``batch(coords)`` (the closed-form families) answer in one
-    call; the others call ``fn`` once per row, at Points carrying
-    ``chart_id``.  Both paths check the returned shape.
+    a vectorized ``batch(coords)`` (the closed-form families and the
+    package's wrapped samplers: residual, first constraint, gradient,
+    gamma-traceless) answer in one call; the others call ``fn`` once per
+    row, at Points carrying ``chart_id``.  Both paths check the returned
+    shape.
     """
 
     fn: Callable[[Point], np.ndarray]
@@ -190,22 +192,21 @@ def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
     return _closed_form(batch, kind, "plane_wave")
 
 
-def gamma_traceless_field(seed: int, gamma_pair, box=None) -> FieldSampler:
+def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler:
     """A smooth vector-bispinor with gamma^be(x) Psi_be = 0 pointwise.
 
-    Projects a seeded polynomial field: Psi_be = L_be - (1/4) gamma_be(x)
-    gamma^s(x) L_s.  ``gamma_pair`` maps a point to the pair
-    (gamma_al(x), gamma^al(x)) of position-dependent matrices.
+    Projects a seeded polynomial field with the Dirac matrices of the
+    MetricSpec ``spec``: Psi_be = L_be - (1/4) gamma_be(x) gamma^s(x) L_s.
     """
     raw = polynomial_field(seed, VECTOR_BISPINOR, box)
 
-    def fn(x: Point):
-        lam = raw(x)
-        gdn, gup = gamma_pair(x)
-        trace = np.einsum("sij,sj->i", gup, lam)
-        return lam - 0.25 * np.einsum("bij,j->bi", gdn, trace)
+    def batch(coords):
+        lam = raw.at(coords, spec.chart_id)
+        gs = gamma_sets(spec, coords)
+        trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
+        return lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace)
 
-    return FieldSampler(fn, VECTOR_BISPINOR, name=f"traceless[{seed}]")
+    return _closed_form(batch, VECTOR_BISPINOR, f"traceless[{seed}]")
 
 
 def fixture_family(seed: int, count: int, kind: str = VECTOR_BISPINOR,

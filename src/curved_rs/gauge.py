@@ -38,18 +38,29 @@ def gradient_field(psi: FieldSampler, spec: MetricSpec, x: Point) -> np.ndarray:
 
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec,
                      nested: bool = False) -> FieldSampler:
-    """The gradient field as a sampler.
+    """The gradient field as a sampler; ``at`` takes all its rows in one
+    ``covariant_derivative`` call.
 
     ``nested=True`` selects the coarser inner step (with Richardson), which
     keeps inner roundoff from being amplified when the sampler feeds a
     second derivative.
     """
     base = STEP_OUTER if nested else STEP_FIRST
-    return FieldSampler(
-        lambda p: covariant_derivative(psi, spec, p, base_step=base,
-                                       richardson=nested),
-        VECTOR_BISPINOR,
-        name=f"gradient({psi.name})",
+
+    def gradient(x):
+        return covariant_derivative(psi, spec, x, base_step=base,
+                                    richardson=nested)
+
+    return FieldSampler(gradient, VECTOR_BISPINOR,
+                        name=f"gradient({psi.name})", batch=gradient)
+
+
+def _eps_contraction(spec: MetricSpec, x: Point, d: np.ndarray) -> np.ndarray:
+    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) d[nu, s] at ``x``."""
+    gs = gamma_set_at(spec, x)
+    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
+    return 1j * np.einsum(
+        "ij,rnsm,mjk,nsk->ri", gs.gamma5, eps_mixed, gs.gamma_down, d
     )
 
 
@@ -60,16 +71,22 @@ def massless_residual(field: FieldSampler, spec: MetricSpec, x: Point,
     ``outer=True`` selects the coarser Richardson step policy for fields
     that are themselves finite-difference built (gradient fields).
     """
-    gs = gamma_set_at(spec, x)
     d = covariant_derivative(
         field, spec, x,
         base_step=STEP_OUTER if outer else STEP_FIRST,
         richardson=outer,
     )
-    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
-    return 1j * np.einsum(
-        "ij,rnsm,mjk,nsk->ri", gs.gamma5, eps_mixed, gs.gamma_down, d
-    )
+    return _eps_contraction(spec, x, d)
+
+
+def gradient_residual(psi: FieldSampler, spec: MetricSpec, x: Point):
+    """(massless residual of the gradient field of psi, its scale), both
+    from one outer derivative of the gradient field; the scale is the
+    magnitude of the derivative entries feeding the residual, the
+    yardstick against which 'the residual cancels' is measured."""
+    d = covariant_derivative(gradient_sampler(psi, spec, nested=True), spec,
+                             x, base_step=STEP_OUTER, richardson=True)
+    return _eps_contraction(spec, x, d), max(float(np.max(np.abs(d))), 1e-300)
 
 
 def einstein_prediction(psi: FieldSampler, spec: MetricSpec, x: Point,
@@ -96,12 +113,8 @@ def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x: Point):
 
 
 def residual_scale(psi: FieldSampler, spec: MetricSpec, x: Point) -> float:
-    """Magnitude of the derivative entries feeding the massless residual;
-    the yardstick against which 'the residual cancels' is measured."""
-    grad = gradient_sampler(psi, spec, nested=True)
-    d = covariant_derivative(grad, spec, x, base_step=STEP_OUTER,
-                             richardson=True)
-    return max(float(np.max(np.abs(d))), 1e-300)
+    """The scale of ``gradient_residual``."""
+    return gradient_residual(psi, spec, x)[1]
 
 
 def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point

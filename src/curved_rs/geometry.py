@@ -94,7 +94,8 @@ class MetricSpec:
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric, inverse and determinant evaluated at one point."""
+    """Metric, inverse and determinant evaluated at one point (or, in a
+    batch of points, stacked along a leading row axis)."""
 
     g_lower: np.ndarray
     g_upper: np.ndarray
@@ -260,13 +261,16 @@ def levi_civita(metric: MetricAtPoint):
     """The antisymmetric tensor at a point: (eps_upper, eps_lower).
 
     eps^{0123} = EPS_SIGN / sqrt(-g), eps_{0123} = -EPS_SIGN sqrt(-g);
-    indices of either are raised/lowered consistently by the metric.
+    indices of either are raised/lowered consistently by the metric.  A
+    metric stacked along a leading row axis gets one tensor per row.
     """
-    if metric.det_g >= 0 or abs(metric.det_g) < 1e-14:
+    det = np.asarray(metric.det_g, dtype=float)
+    bad = (det >= 0) | (np.abs(det) < 1e-14)
+    if bad.any():
         raise SingularMetric(
-            f"need a Lorentzian metric, det g = {metric.det_g:.3e}"
+            f"need a Lorentzian metric, det g = {det[bad].flat[0]:.3e}"
         )
-    root = np.sqrt(-metric.det_g)
+    root = np.sqrt(-det)[..., None, None, None, None]
     eps_upper = EPS_SIGN / root * PERM4
     eps_lower = -EPS_SIGN * root * PERM4
     return eps_upper, eps_lower

@@ -24,9 +24,10 @@ STEP_OUTER = 1e-4
 STENCIL_POLICY = "central2(h1=1e-5,h2=1e-4,richardson=1)"
 
 
-def fd_step(coord: float, base: float) -> float:
-    """Per-coordinate step: ``base * max(1, |coord|)``."""
-    return base * max(1.0, abs(coord))
+def fd_step(coord, base: float):
+    """Per-coordinate step: ``base * max(1, |coord|)`` (elementwise on
+    arrays)."""
+    return base * np.maximum(1.0, np.abs(coord))
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

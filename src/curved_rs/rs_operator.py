@@ -22,11 +22,19 @@ import numpy as np
 
 from .errors import InvalidTransform, StencilTooCoarse
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
-from .geometry import MetricSpec, Point, curvature, eval_metric, riemann_mixed
+from .geometry import (
+    MetricSpec,
+    Point,
+    christoffel,
+    curvature,
+    eval_metric,
+    riemann_mixed,
+)
 from .numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
 from .spin_frame import (
     GammaSet,
     gamma_set_at,
+    gamma_sets,
     spin_connection,
     spinor_commutator_curvature,
 )
@@ -139,43 +147,138 @@ class BlockMatrix16:
         return float(np.max(np.abs(self.blocks)))
 
 
+#: the 1/3 of the operator blocks alpha^nu and beta
+THIRD = 1.0 / 3.0
+
+#: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
+_IDENTITY_BLOCKS = np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex)
+
+
+def _gamma_pairs(gd: np.ndarray, gu: np.ndarray) -> np.ndarray:
+    """gamma_r gamma^s as blocks [..., r, s, i, j] (any leading axes)."""
+    return gd[..., :, None, :, :] @ gu[..., None, :, :, :]
+
+
 def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
     """I + coeff * gamma_r gamma^s as a block matrix."""
-    blocks = coeff * np.einsum(
-        "rij,sjk->rsik", gs.gamma_down, gs.gamma_up
+    return BlockMatrix16(
+        _IDENTITY_BLOCKS + coeff * _gamma_pairs(gs.gamma_down, gs.gamma_up)
     )
-    for r in range(4):
-        blocks[r, r] += np.eye(4)
-    return BlockMatrix16(blocks)
+
+
+def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
+    """The operator blocks on rows: gamma_al(x), gamma^al(x) (n, 4, 4, 4)
+    and g^{al be}(x) (n, 4, 4) give alpha [n, nu, r, s, i, j] and
+    beta [n, r, s, i, j]."""
+    pair = _gamma_pairs(gd, gu)
+    beta = _IDENTITY_BLOCKS - THIRD * pair
+    eye = np.eye(4)
+    # gamma_r gamma^nu gamma^s, indexed [n, nu, r, s, i, j]
+    triple = (gd[:, None, :, None] @ gu[:, :, None, None]) @ gu[:, None, None, :]
+    # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
+    # - gamma_r gamma^nu gamma^s)
+    alpha = (
+        eye[:, :, None, None] * gu[:, :, None, None]
+        - THIRD * eye[:, :, None, None, None] * gu[:, None, None, :]
+        - THIRD * gd[:, None, :, None] * g_up[:, :, None, :, None, None]
+        + THIRD * triple
+    )
+    return alpha, beta
 
 
 def build_alpha_beta(gs: GammaSet):
-    """The operator blocks (alpha^nu, beta) at a point."""
-    gd, gu = gs.gamma_down, gs.gamma_up
-    g_up = gs.metric.g_upper
-    beta = gamma_pair_block(gs, -1.0 / 3.0)
-
-    triple = np.einsum("rij,njk,skl->nrsil", gd, gu, gu)  # gamma_r gamma^nu gamma^s
-    alphas = []
-    for nu in range(4):
-        blocks = np.zeros((4, 4, 4, 4), dtype=complex)
-        for r in range(4):
-            blocks[r, r] += gu[nu]
-            blocks[nu, r] += -gu[r] / 3.0  # -1/3 gamma^s delta^nu_rho
-        blocks += -np.einsum("rij,s->rsij", gd, g_up[nu]) / 3.0
-        blocks += triple[nu] / 3.0
-        alphas.append(BlockMatrix16(blocks))
-    return alphas, beta
+    """The operator blocks (alpha^nu, beta) at a point: row 0 of
+    ``_alpha_beta_rows`` on the one point."""
+    alpha, beta = _alpha_beta_rows(gs.gamma_down[None], gs.gamma_up[None],
+                                   gs.metric.g_upper[None])
+    return [BlockMatrix16(a) for a in alpha[0]], BlockMatrix16(beta[0])
 
 
 #: rows +e_mu then -e_mu; scaled by the steps they give the stencil offsets
 _PLUS_MINUS_AXES = np.stack([np.eye(4), -np.eye(4)])
 
 
+def _rows(spec: MetricSpec, x):
+    """(coords (n, 4), chart id, single) for a Point or an (n, 4) array of
+    chart coordinates (which belong to the spec's chart)."""
+    if isinstance(x, Point):
+        return x.coords[None, :], x.chart_id, True
+    coords = np.asarray(x, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 4:
+        raise ValueError(f"rows must have shape (n, 4), got {coords.shape}")
+    return coords, spec.chart_id, False
+
+
+def _stencil(coords: np.ndarray, base_step: float, levels: int):
+    """Central stencils around each row of ``coords``: the centre, then
+    x +- h e_mu for each step level (h, and h/2 with two levels).
+
+    Returns the stencil points (n, 1 + 8 levels, 4) and the steps
+    (n, levels, 4)."""
+    h = fd_step(coords, base_step)
+    steps = np.stack([h, h / 2][:levels], axis=1)
+    offsets = steps[:, :, None, :, None] * _PLUS_MINUS_AXES
+    offsets = offsets.reshape(len(coords), -1, 4)
+    centre = np.zeros((len(coords), 1, 4))
+    return coords[:, None, :] + np.concatenate([centre, offsets], axis=1), steps
+
+
+def _differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
+                 stencil_budget: float = None):
+    """Centre value [n, ...] and d_mu [n, mu, ...] from the values
+    [n, 1 + 8 levels, ...] a function takes on ``_stencil`` points."""
+    n, levels = steps.shape[:2]
+    value = values[:, 0]
+    shape = value.shape[1:]
+    pm = values[:, 1:].reshape((n, levels, 2, 4) + shape)
+    d_levels = (pm[:, :, 0] - pm[:, :, 1]) / (2.0 * steps).reshape(
+        steps.shape + (1,) * len(shape))
+    if stencil_budget is not None:
+        gaps = np.max(np.abs(d_levels[:, 0] - d_levels[:, 1]).reshape(n, 4, -1),
+                      axis=2)
+        over = np.argwhere(gaps > stencil_budget)
+        if over.size:
+            row, mu = over[0]
+            raise StencilTooCoarse(
+                f"Richardson levels differ by {gaps[row, mu]:.3e} along "
+                f"x^{mu} (budget {stencil_budget:.3e})"
+            )
+    if richardson:
+        return value, (4.0 * d_levels[:, 1] - d_levels[:, 0]) / 3.0
+    return value, d_levels[:, 0]
+
+
+def _covariant_rows(field, spec, coords, chart_id, em, charge, base_step,
+                    richardson, include_spin=True, stencil_budget=None):
+    """D_nu of a sampler on rows, and the field there: (d [n, nu, ...],
+    value [n, ...]).  One ``field.at`` call samples every row's stencil;
+    the Christoffels and connections of the rows are stacked."""
+    levels = 2 if richardson or stencil_budget is not None else 1
+    points, steps = _stencil(coords, base_step, levels)
+    values = field.at(points.reshape(-1, 4), chart_id)
+    value, d = _differences(values.reshape(points.shape[:2] + values.shape[1:]),
+                            steps, richardson, stencil_budget)
+    pts = [Point(c, chart_id) for c in coords]
+    if include_spin:
+        G = np.stack([spin_connection(spec, p).Gamma for p in pts])
+    if field.kind == BISPINOR:
+        if include_spin:
+            d = d + np.einsum("xnij,xj->xni", G, value)
+    else:
+        gam = np.stack([christoffel(spec, p) for p in pts])
+        d = d - np.einsum("xlnb,xli->xnbi", gam, value)
+        if include_spin:
+            d = d + np.einsum("xnij,xbj->xnbi", G, value)
+    if em is not None:
+        A = np.stack([em.potential(p) for p in pts])
+        d = d - 1j * charge * np.einsum("xn,x...->xn...", A, value)
+    return d, value
+
+
 def covariant_derivative(
     field: FieldSampler,
     spec: MetricSpec,
-    x: Point,
+    x,
     em: Optional[EMField] = None,
     charge: float = 1.0,
     base_step: float = STEP_FIRST,
@@ -183,100 +286,87 @@ def covariant_derivative(
     include_spin: bool = True,
     stencil_budget: float = None,
 ) -> np.ndarray:
-    """D_nu of a sampler at ``x``.
+    """D_nu of a sampler at a Point ``x``, or on the rows of an (n, 4)
+    coordinate array.
 
     Vector-bispinor fields get the Christoffel term on the vector index
     and the bispinor connection on the spinor index; bispinor fields only
     the connection (they are coordinate scalars).  Returns [nu, be, s] or
-    [nu, s].  ``stencil_budget`` (optional) raises StencilTooCoarse when
-    the two Richardson levels disagree beyond it.
+    [nu, s], with a leading row axis for rows.  ``stencil_budget``
+    (optional) raises StencilTooCoarse when the two Richardson levels
+    disagree beyond it.
     """
-    # one sampler call on the stencil: the centre, then x +- h e_mu for
-    # each step level (h, and h/2 when a Richardson level is needed)
-    h = np.array([fd_step(c, base_step) for c in x.coords])
-    steps = np.stack([h, h / 2] if richardson or stencil_budget is not None
-                     else [h])
-    offsets = (steps[:, None, None, :] * _PLUS_MINUS_AXES).reshape(-1, 4)
-    values = field.at(x.coords + np.concatenate([np.zeros((1, 4)), offsets]),
-                      x.chart_id)
-    value = values[0]
-    pm = values[1:].reshape((len(steps), 2, 4) + value.shape)
-    d_levels = (pm[:, 0] - pm[:, 1]) / (2.0 * steps).reshape(
-        steps.shape + (1,) * value.ndim)
-    d = d_levels[0]
-    if stencil_budget is not None:
-        gaps = np.max(np.abs(d_levels[0] - d_levels[1]).reshape(4, -1), axis=1)
-        over = np.flatnonzero(gaps > stencil_budget)
-        if over.size:
-            raise StencilTooCoarse(
-                f"Richardson levels differ by {gaps[over[0]]:.3e} along "
-                f"x^{over[0]} (budget {stencil_budget:.3e})"
-            )
-    if richardson:
-        d = (4.0 * d_levels[1] - d_levels[0]) / 3.0
+    coords, chart_id, single = _rows(spec, x)
+    d, _ = _covariant_rows(field, spec, coords, chart_id, em, charge,
+                           base_step, richardson, include_spin, stencil_budget)
+    return d[0] if single else d
 
-    if include_spin:
-        G = spin_connection(spec, x).Gamma
-    if field.kind == BISPINOR:
-        if include_spin:
-            d = d + np.einsum("nij,j->ni", G, value)
-    else:
-        from .geometry import christoffel
 
-        gam = christoffel(spec, x)
-        d = d - np.einsum("lnb,li->nbi", gam, value)
-        if include_spin:
-            d = d + np.einsum("nij,bj->nbi", G, value)
-    if em is not None:
-        A = em.potential(x)
-        d = d - 1j * charge * np.einsum("n,...->n...", A, value)
-    return d
+def _inner_step(nested: bool):
+    """(base step, richardson) of a derivative that is differentiated again
+    (``nested``) or not."""
+    return (STEP_OUTER, True) if nested else (STEP_FIRST, False)
 
 
 def rs_residual(
     field: FieldSampler,
     spec: MetricSpec,
-    x: Point,
+    x,
     mass: MassParam,
     em: Optional[EMField] = None,
     charge: float = 1.0,
     nested: bool = False,
 ) -> np.ndarray:
-    """Left side of the wave equation at ``x``: (alpha^nu D_nu + kappa beta) Psi.
+    """Left side of the wave equation at a Point or on (n, 4) rows:
+    (alpha^nu D_nu + kappa beta) Psi.
 
     ``nested=True`` takes D_nu at the outer step with Richardson, for a
     residual that is differentiated again (see the numerics step policy)."""
-    gs = gamma_set_at(spec, x)
-    alphas, beta = build_alpha_beta(gs)
-    d = covariant_derivative(field, spec, x, em, charge,
-                             base_step=STEP_OUTER if nested else STEP_FIRST,
-                             richardson=nested)
-    res = mass.kappa * beta.apply(field(x))
-    for nu in range(4):
-        res = res + alphas[nu].apply(d[nu])
-    return res
+    coords, chart_id, single = _rows(spec, x)
+    gs = gamma_sets(spec, coords)
+    alpha, beta = _alpha_beta_rows(gs.gamma_down, gs.gamma_up,
+                                   gs.metric.g_upper)
+    d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
+                             *_inner_step(nested))
+    res = (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi)
+           + np.einsum("xnrsij,xnsj->xri", alpha, d))
+    return res[0] if single else res
 
 
 def residual_sampler(field, spec, mass, em=None, charge=1.0) -> FieldSampler:
-    """The residual as a sampler, to be differentiated again (nested steps)."""
-    return FieldSampler(
-        lambda p: rs_residual(field, spec, p, mass, em, charge, nested=True),
-        VECTOR_BISPINOR,
-        name=f"residual({field.name})",
-    )
+    """The residual as a sampler, to be differentiated again (nested steps);
+    ``at`` evaluates all its rows in one ``rs_residual`` call."""
+    def residual(x):
+        return rs_residual(field, spec, x, mass, em, charge, nested=True)
+
+    return FieldSampler(residual, VECTOR_BISPINOR,
+                        name=f"residual({field.name})", batch=residual)
 
 
 def divergence_combo(field, spec, x, mass, em=None, charge=1.0,
                      nested=False) -> np.ndarray:
     """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
-    (``nested`` as in ``rs_residual``)."""
-    gs = gamma_set_at(spec, x)
-    d = covariant_derivative(field, spec, x, em, charge,
-                             base_step=STEP_OUTER if nested else STEP_FIRST,
-                             richardson=nested)
-    div = np.einsum("nb,nbi->i", gs.metric.g_upper, d)
-    trace = np.einsum("bij,bj->i", gs.gamma_up, field(x))
-    return div - 0.5 * mass.kappa * trace
+    at a Point or on (n, 4) rows (``nested`` as in ``rs_residual``)."""
+    coords, chart_id, single = _rows(spec, x)
+    gs = gamma_sets(spec, coords)
+    d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
+                             *_inner_step(nested))
+    div = np.einsum("xnb,xnbi->xi", gs.metric.g_upper, d)
+    trace = np.einsum("xbij,xbj->xi", gs.gamma_up, psi)
+    out = div - 0.5 * mass.kappa * trace
+    return out[0] if single else out
+
+
+def first_constraint_sampler(field, spec, mass, em=None, charge=1.0
+                             ) -> FieldSampler:
+    """The first-constraint combination as a sampler, to be differentiated
+    again (nested steps); ``at`` evaluates all its rows in one
+    ``divergence_combo`` call."""
+    def first_constraint(x):
+        return divergence_combo(field, spec, x, mass, em, charge, nested=True)
+
+    return FieldSampler(first_constraint, BISPINOR, name="first-constraint",
+                        batch=first_constraint)
 
 
 def contraction_identity(field, spec, x, mass, em=None, charge=1.0):
@@ -316,28 +406,24 @@ def einstein_space_factor(spec, x, mass) -> complex:
     return 0.5 * (bundle.scalar / 12.0 + mass.kappa**2)
 
 
+def _outer_derivative(inner, x: Point):
+    """(inner(x), d_mu inner(x)) for a function ``inner`` of (n, 4) rows,
+    evaluated once on the whole outer stencil (outer step, Richardson)."""
+    points, steps = _stencil(x.coords[None, :], STEP_OUTER, 2)
+    value, d = _differences(inner(points[0])[None], steps, richardson=True)
+    return value[0], d[0]
+
+
 def second_covariant_comm(field, spec, x, em=None, charge=1.0):
     """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
-
-    def inner(c):
-        return covariant_derivative(
-            field, spec, Point(c, x.chart_id), em, charge,
-            base_step=STEP_OUTER, richardson=True,
-        )
-
-    from .geometry import christoffel
-
+    v, dv = _outer_derivative(  # [nu, c, s] and [mu, nu, c, s]
+        lambda rows: covariant_derivative(field, spec, rows, em, charge,
+                                          base_step=STEP_OUTER,
+                                          richardson=True),
+        x,
+    )
     gam = christoffel(spec, x)
     G = spin_connection(spec, x).Gamma
-    v = inner(x.coords)  # [nu, c, s]
-    dv = np.stack(
-        [
-            partial4(inner, x.coords, mu, fd_step(x.coords[mu], STEP_OUTER),
-                     richardson=True)
-            for mu in range(4)
-        ],
-        axis=0,
-    )  # [mu, nu, c, s]
     t = (
         dv
         - np.einsum("lmn,lcs->mncs", gam, v)
@@ -373,25 +459,14 @@ def curvature_bridge(field, spec, x):
     -gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be
     = gamma^al Psi^nu R_{nu al}, with the left side by nested differences
     of Christoffel-only derivatives."""
-
-    def inner(c):
-        return covariant_derivative(
-            field, spec, Point(c, x.chart_id), em=None, include_spin=False,
-            base_step=STEP_OUTER, richardson=True,
-        )
-
-    from .geometry import christoffel
-
-    gam = christoffel(spec, x)
-    v = inner(x.coords)
-    dv = np.stack(
-        [
-            partial4(inner, x.coords, mu, fd_step(x.coords[mu], STEP_OUTER),
-                     richardson=True)
-            for mu in range(4)
-        ],
-        axis=0,
+    v, dv = _outer_derivative(
+        lambda rows: covariant_derivative(field, spec, rows, em=None,
+                                          include_spin=False,
+                                          base_step=STEP_OUTER,
+                                          richardson=True),
+        x,
     )
+    gam = christoffel(spec, x)
     t = (
         dv
         - np.einsum("lmn,lcs->mncs", gam, v)
@@ -426,21 +501,14 @@ def derivative_chain_check(field, spec, x, mass, em=None, charge=1.0,
     )
     div_res = np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
 
-    chi_field = FieldSampler(
-        lambda p: divergence_combo(field, spec, p, mass, em, charge,
-                                   nested=True),
-        BISPINOR,
-        name="first-constraint",
-    )
-    dchi = covariant_derivative(
-        chi_field, spec, x, em, charge,
-        base_step=STEP_OUTER, richardson=True, stencil_budget=stencil_budget,
-    )
-    chi = chi_field(x)
+    chi_field = first_constraint_sampler(field, spec, mass, em, charge)
+    dchi, chi = _covariant_rows(chi_field, spec, x.coords[None, :], x.chart_id,
+                                em, charge, STEP_OUTER, True,
+                                stencil_budget=stencil_budget)
     lhs = (
         div_res
-        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
-        - mass.kappa * chi
+        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi[0])
+        - mass.kappa * chi[0]
     )
 
     rhs = chain_rhs_algebraic(field, spec, x, mass, em, charge)

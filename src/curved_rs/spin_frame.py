@@ -77,7 +77,9 @@ class Tetrad:
 
 @dataclass
 class GammaSet:
-    """Flat and position-dependent Dirac matrices plus the volume tensor."""
+    """Flat and position-dependent Dirac matrices plus the volume tensor
+    (from ``gamma_sets``, each position-dependent array has a leading row
+    axis)."""
 
     gamma_flat: np.ndarray  # [a, i, j]
     gamma5: np.ndarray
@@ -97,59 +99,75 @@ class SpinConnection:
     Gamma: np.ndarray
 
 
-def _is_diagonal(g: np.ndarray) -> bool:
-    off = g - np.diag(np.diag(g))
-    return float(np.max(np.abs(off))) <= 1e-12 * max(1.0, float(np.max(np.abs(g))))
+_OFF_DIAGONAL = 1.0 - np.eye(4)
+
+
+def _diagonal_rows(g: np.ndarray) -> np.ndarray:
+    """Which metrics of a (..., 4, 4) stack are diagonal."""
+    a = np.abs(g)
+    off = (a * _OFF_DIAGONAL).max(axis=(-2, -1))
+    return off <= 1e-12 * np.maximum(1.0, a.max(axis=(-2, -1)))
+
+
+def _tetrad_rows(g: np.ndarray, g_inv: np.ndarray):
+    """(e^(a)_al, e_(a)^al) for an (n, 4, 4) stack of metrics and inverses.
+
+    Diagonal rows get the diagonal-positive gauge e^(a)_al =
+    sqrt(|g_al al|) delta; the others an eigen-decomposition whose
+    eigenvectors have a positive largest-magnitude entry.  Raises
+    SignatureError unless every metric has exactly one positive
+    eigendirection.
+    """
+    diag = _diagonal_rows(g)
+    d = np.diagonal(g, axis1=1, axis2=2)
+    bad = diag & ~((d[:, 0] > 0) & (d[:, 1:] < 0).all(axis=1))
+    if bad.any():
+        raise SignatureError(
+            f"diagonal metric with signs {np.sign(d[bad][0])} is not (+,-,-,-)"
+        )
+    # non-diagonal rows get 1 here and their eigen-tetrads below
+    root = np.sqrt(np.where(diag[:, None], np.abs(d), 1.0))
+    e_lower = root[:, :, None] * np.eye(4)
+    e_upper = (1.0 / root)[:, :, None] * np.eye(4)
+    rest = ~diag
+    if rest.any():
+        evals, evecs = np.linalg.eigh(g[rest])
+        order = np.argsort(evals, axis=1)[:, ::-1]  # the positive one first
+        evals = np.take_along_axis(evals, order, axis=1)
+        evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
+        bad = ~((evals[:, 0] > 0) & (evals[:, 1:] < 0).all(axis=1))
+        if bad.any():
+            raise SignatureError(
+                f"metric eigenvalues {evals[bad][0]} are not (+,-,-,-)"
+            )
+        pivot = np.argmax(np.abs(evecs), axis=1)
+        lead = np.take_along_axis(evecs, pivot[:, None, :], axis=1)
+        evecs = np.where(lead < 0, -evecs, evecs)
+        e_rest = np.sqrt(np.abs(evals))[:, :, None] * evecs.transpose(0, 2, 1)
+        e_lower[rest] = e_rest
+        e_upper[rest] = ETA @ e_rest @ g_inv[rest]
+    return e_lower, e_upper
 
 
 def build_tetrad(m: MetricAtPoint) -> Tetrad:
-    """Tetrad with e^(a)_al eta_ab e^(b)_be = g_{al be}.
-
-    Diagonal metrics get the diagonal-positive gauge e^(a)_al =
-    sqrt(|g_al al|) delta; otherwise an eigen-decomposition with a
-    deterministic sign fix is used.  Raises SignatureError unless the
-    metric has exactly one positive eigendirection.
-    """
-    g = m.g_lower
-    if _is_diagonal(g):
-        d = np.diag(g)
-        if not (d[0] > 0 and np.all(d[1:] < 0)):
-            raise SignatureError(
-                f"diagonal metric with signs {np.sign(d)} is not (+,-,-,-)"
-            )
-        e_lower = np.diag(np.sqrt(np.abs(d)))
-        e_upper = np.diag(1.0 / np.sqrt(np.abs(d)))
-        return Tetrad(e_lower=e_lower, e_upper=e_upper)
-
-    evals, evecs = np.linalg.eigh(g)
-    order = np.argsort(evals)[::-1]  # the positive eigenvalue first
-    evals = evals[order]
-    evecs = evecs[:, order]
-    if not (evals[0] > 0 and np.all(evals[1:] < 0)):
-        raise SignatureError(f"metric eigenvalues {evals} are not (+,-,-,-)")
-    for a in range(4):
-        col = evecs[:, a]
-        pivot = np.argmax(np.abs(col))
-        if col[pivot] < 0:
-            evecs[:, a] = -col
-    e_lower = (np.sqrt(np.abs(evals))[:, None]) * evecs.T
-    e_upper = ETA @ e_lower @ m.g_upper
-    return Tetrad(e_lower=e_lower, e_upper=e_upper)
+    """Tetrad with e^(a)_al eta_ab e^(b)_be = g_{al be}: row 0 of
+    ``_tetrad_rows`` on the one metric."""
+    e_lower, e_upper = _tetrad_rows(m.g_lower[None], m.g_upper[None])
+    return Tetrad(e_lower=e_lower[0], e_upper=e_upper[0])
 
 
 def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> GammaSet:
-    """Position-dependent Dirac matrices from a tetrad."""
+    """Position-dependent Dirac matrices from a tetrad, at one point or,
+    when tetrad and metric carry a leading row axis, on every row."""
     if flat is None:
         gamma_flat, gamma5 = GAMMA_FLAT, GAMMA5
     else:
         gamma_flat = flat
         gamma5 = 1j * flat[0] @ flat[1] @ flat[2] @ flat[3]
-    gamma_up = np.einsum("am,aij->mij", t.e_upper, gamma_flat)
-    gamma_down = np.einsum("mn,nij->mij", m.g_lower, gamma_up)
-    sigma = 0.25 * (
-        np.einsum("aij,bjk->abik", gamma_up, gamma_up)
-        - np.einsum("bij,ajk->abik", gamma_up, gamma_up)
-    )
+    gamma_up = np.einsum("...am,aij->...mij", t.e_upper, gamma_flat)
+    gamma_down = np.einsum("...mn,...nij->...mij", m.g_lower, gamma_up)
+    prod = gamma_up[..., :, None, :, :] @ gamma_up[..., None, :, :, :]
+    sigma = 0.25 * (prod - np.swapaxes(prod, -4, -3))
     eps_upper, eps_lower = levi_civita(m)
     return GammaSet(
         gamma_flat=gamma_flat,
@@ -164,7 +182,27 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
     )
 
 
+def gamma_sets(spec: MetricSpec, coords, flat: np.ndarray = None) -> GammaSet:
+    """The Dirac matrices at every row of an (n, 4) coordinate array.
+
+    Every position-dependent array of the returned GammaSet (metric,
+    tetrad, gammas, sigma, eps) gains a leading row axis; ``gamma_flat``
+    and ``gamma5`` are shared.  Each row goes through ``eval_metric``, so
+    the domain guard and the singular-metric check run on every row.
+    """
+    metrics = [eval_metric(spec, Point(c, spec.chart_id))
+               for c in np.asarray(coords, dtype=float)]
+    m = MetricAtPoint(
+        g_lower=np.array([a.g_lower for a in metrics]),
+        g_upper=np.array([a.g_upper for a in metrics]),
+        det_g=np.array([a.det_g for a in metrics]),
+    )
+    return curved_gammas(Tetrad(*_tetrad_rows(m.g_lower, m.g_upper)), m, flat)
+
+
 def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSet:
+    """The Dirac matrices at one point, by the same tetrad and gamma
+    builders as ``gamma_sets``."""
     m = eval_metric(spec, x)
     return curved_gammas(build_tetrad(m), m, flat)
 
@@ -182,7 +220,7 @@ def _tetrad_derivatives(spec: MetricSpec, x: Point) -> np.ndarray:
     falls back to finite differences of the tetrad field.
     """
     m = eval_metric(spec, x)
-    if _is_diagonal(m.g_lower):
+    if _diagonal_rows(m.g_lower):
         dg = metric_derivatives(spec, x)
         e_diag = np.sqrt(np.abs(np.diag(m.g_lower)))
         out = np.zeros((4, 4, 4))

@@ -158,11 +158,7 @@ class TestConstrainedFields:
         assert np.max(np.abs(trace)) < 1e-10
 
     def test_gamma_traceless_projection(self, schwarzschild):
-        def pair(p):
-            gs = gamma_set_at(schwarzschild, p)
-            return gs.gamma_down, gs.gamma_up
-
-        f = gamma_traceless_field(11, pair, box=schwarzschild.sample_box)
+        f = gamma_traceless_field(11, schwarzschild, box=schwarzschild.sample_box)
         x = schwarzschild.point(0.0, 5.0, 1.1, 0.4)
         gs = gamma_set_at(schwarzschild, x)
         trace = np.einsum("bij,bj->i", gs.gamma_up, f(x))

@@ -391,11 +391,7 @@ class TestResidual:
 
 class TestConstraintTwo:
     def test_vacuum_traceless_field_vanishes(self, schwarzschild):
-        def pair(p):
-            gs = gamma_set_at(schwarzschild, p)
-            return gs.gamma_down, gs.gamma_up
-
-        fld = gamma_traceless_field(7, pair, box=schwarzschild.sample_box)
+        fld = gamma_traceless_field(7, schwarzschild, box=schwarzschild.sample_box)
         for x in points_of(schwarzschild, 4):
             c2 = constraint_two_residual(fld, schwarzschild, x, MASS)
             assert np.max(np.abs(c2)) < 1e-7 * max(
@@ -434,11 +430,7 @@ class TestConstraintTwo:
         F[0, 2], F[2, 0] = 0.6, -0.6
         em = uniform_em(F)
 
-        def pair(p):
-            gs = gamma_set_at(minkowski, p)
-            return gs.gamma_down, gs.gamma_up
-
-        fld = gamma_traceless_field(13, pair, box=minkowski.sample_box)
+        fld = gamma_traceless_field(13, minkowski, box=minkowski.sample_box)
         x = minkowski.point(0.1, 0.2, 0.3, 0.4)
         gs = gamma_set_at(minkowski, x)
         c2 = constraint_two_residual(fld, minkowski, x, MASS, em=em,
