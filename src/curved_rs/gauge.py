@@ -22,7 +22,7 @@ import numpy as np
 from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point, curvature, eval_metric
-from .numerics import STEP_FIRST, STEP_OUTER
+from .numerics import nested_step
 from .rs_operator import covariant_derivative
 from .spin_frame import gamma_set_at
 
@@ -45,11 +45,11 @@ def gradient_sampler(psi: FieldSampler, spec: MetricSpec,
     keeps inner roundoff from being amplified when the sampler feeds a
     second derivative.
     """
-    base = STEP_OUTER if nested else STEP_FIRST
+    base_step, richardson = nested_step(nested)
 
     def gradient(x):
-        return covariant_derivative(psi, spec, x, base_step=base,
-                                    richardson=nested)
+        return covariant_derivative(psi, spec, x, base_step=base_step,
+                                    richardson=richardson)
 
     return FieldSampler(gradient, VECTOR_BISPINOR,
                         name=f"gradient({psi.name})", batch=gradient)
@@ -71,11 +71,9 @@ def massless_residual(field: FieldSampler, spec: MetricSpec, x: Point,
     ``outer=True`` selects the coarser Richardson step policy for fields
     that are themselves finite-difference built (gradient fields).
     """
-    d = covariant_derivative(
-        field, spec, x,
-        base_step=STEP_OUTER if outer else STEP_FIRST,
-        richardson=outer,
-    )
+    base_step, richardson = nested_step(outer)
+    d = covariant_derivative(field, spec, x, base_step=base_step,
+                             richardson=richardson)
     return _eps_contraction(spec, x, d)
 
 
@@ -84,8 +82,9 @@ def gradient_residual(psi: FieldSampler, spec: MetricSpec, x: Point):
     from one outer derivative of the gradient field; the scale is the
     magnitude of the derivative entries feeding the residual, the
     yardstick against which 'the residual cancels' is measured."""
+    base_step, richardson = nested_step(True)
     d = covariant_derivative(gradient_sampler(psi, spec, nested=True), spec,
-                             x, base_step=STEP_OUTER, richardson=True)
+                             x, base_step=base_step, richardson=richardson)
     return _eps_contraction(spec, x, d), max(float(np.max(np.abs(d))), 1e-300)
 
 

@@ -20,6 +20,15 @@ import numpy as np
 STEP_FIRST = 1e-5
 STEP_OUTER = 1e-4
 
+
+def nested_step(nested: bool):
+    """(base step, richardson) of a derivative: ``(STEP_OUTER, True)`` when
+    the derivative is itself differentiated again or differentiates a
+    finite-difference built field (``nested``), else ``(STEP_FIRST,
+    False)``."""
+    return (STEP_OUTER, True) if nested else (STEP_FIRST, False)
+
+
 #: human-readable id of the stencil policy, embedded in reports
 STENCIL_POLICY = "central2(h1=1e-5,h2=1e-4,richardson=1)"
 

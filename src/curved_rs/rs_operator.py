@@ -30,7 +30,7 @@ from .geometry import (
     eval_metric,
     riemann_mixed,
 )
-from .numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
+from .numerics import STEP_FIRST, STEP_OUTER, fd_step, nested_step, partial4
 from .spin_frame import (
     GammaSet,
     gamma_set_at,
@@ -302,12 +302,6 @@ def covariant_derivative(
     return d[0] if single else d
 
 
-def _inner_step(nested: bool):
-    """(base step, richardson) of a derivative that is differentiated again
-    (``nested``) or not."""
-    return (STEP_OUTER, True) if nested else (STEP_FIRST, False)
-
-
 def rs_residual(
     field: FieldSampler,
     spec: MetricSpec,
@@ -327,7 +321,7 @@ def rs_residual(
     alpha, beta = _alpha_beta_rows(gs.gamma_down, gs.gamma_up,
                                    gs.metric.g_upper)
     d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
-                             *_inner_step(nested))
+                             *nested_step(nested))
     res = (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi)
            + np.einsum("xnrsij,xnsj->xri", alpha, d))
     return res[0] if single else res
@@ -350,7 +344,7 @@ def divergence_combo(field, spec, x, mass, em=None, charge=1.0,
     coords, chart_id, single = _rows(spec, x)
     gs = gamma_sets(spec, coords)
     d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
-                             *_inner_step(nested))
+                             *nested_step(nested))
     div = np.einsum("xnb,xnbi->xi", gs.metric.g_upper, d)
     trace = np.einsum("xbij,xbj->xi", gs.gamma_up, psi)
     out = div - 0.5 * mass.kappa * trace

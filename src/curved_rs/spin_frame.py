@@ -182,7 +182,7 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
     )
 
 
-def gamma_sets(spec: MetricSpec, coords, flat: np.ndarray = None) -> GammaSet:
+def gamma_sets(spec: MetricSpec, coords) -> GammaSet:
     """The Dirac matrices at every row of an (n, 4) coordinate array.
 
     Every position-dependent array of the returned GammaSet (metric,
@@ -197,7 +197,7 @@ def gamma_sets(spec: MetricSpec, coords, flat: np.ndarray = None) -> GammaSet:
         g_upper=np.array([a.g_upper for a in metrics]),
         det_g=np.array([a.det_g for a in metrics]),
     )
-    return curved_gammas(Tetrad(*_tetrad_rows(m.g_lower, m.g_upper)), m, flat)
+    return curved_gammas(Tetrad(*_tetrad_rows(m.g_lower, m.g_upper)), m)
 
 
 def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSet:
