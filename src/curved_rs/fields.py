@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import ETA, MetricSpec, Point
 from .numerics import STEP_FIRST, fd_step
-from .spin_frame import GAMMA_FLAT, gamma_sets
+from .spin_frame import GAMMA_FLAT, build_frame
 
 VECTOR_BISPINOR = "vector_bispinor"
 BISPINOR = "bispinor"
@@ -202,7 +202,7 @@ def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler
 
     def batch(coords):
         lam = raw.at(coords, spec.chart_id)
-        gs = gamma_sets(spec, coords)
+        gs = build_frame(spec, coords).gammas
         trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
         return lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace)
 

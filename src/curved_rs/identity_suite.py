@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,9 +41,10 @@ from .geometry import (
 from .numerics import STENCIL_POLICY, STEP_FIRST, fd_step, partial4
 from .spin_frame import (
     SIGMA_FLAT,
+    Frame,
+    build_frame,
     connection_curvature_fd,
     gamma_set_at,
-    spin_connection,
     spinor_commutator_curvature,
 )
 
@@ -126,6 +128,12 @@ class SuiteContext:
 
     def chain_points(self):
         return self.points[:SECOND_ORDER_POINT_CAP]
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The frame of ``points``, built once and shared by every check;
+        a context made by ``replace(ctx, points=...)`` builds its own."""
+        return build_frame(self.spec, [x.coords for x in self.points])
 
 
 @dataclass
@@ -211,15 +219,31 @@ def _max_over_points(points, fn) -> float:
     return max((fn(x) for x in points), default=0.0)
 
 
+def _max_over_rows(ctx, fn) -> float:
+    """max of fn(i) over the rows i of the context frame (its points)."""
+    return max((fn(i) for i in range(len(ctx.points))), default=0.0)
+
+
+def _row_max(a) -> np.ndarray:
+    return np.max(np.abs(a).reshape(len(a), -1), axis=1)
+
+
+def _max_row_rel(lhs, rhs, psi) -> float:
+    """Largest over rows of max|lhs - rhs| relative to the row's largest
+    entry of lhs, rhs and psi (each with a leading row axis)."""
+    scale = np.maximum(np.maximum(_row_max(lhs), _row_max(rhs)), _row_max(psi))
+    return float(np.max(_row_max(lhs - rhs) / np.maximum(scale, 1e-300)))
+
+
 # ---------------------------------------------------------------------------
 # check implementations
 # ---------------------------------------------------------------------------
 
 
 def _chk_hermiticity(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
-        G = spin_connection(ctx.spec, x).Gamma
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
+        G = ctx.frame.connection[i]
         g0 = gs.gamma_flat[0]
         worst = 0.0
         for b in range(4):
@@ -232,18 +256,17 @@ def _chk_hermiticity(ctx):
                                     np.max(np.abs(G))))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_covariant_constancy(ctx):
     spec = ctx.spec
 
-    def at_point(x):
-        from .geometry import christoffel
-
-        gam = christoffel(spec, x)
-        gs = gamma_set_at(spec, x)
-        G = spin_connection(spec, x).Gamma
+    def at_row(i):
+        x = ctx.points[i]
+        gam = ctx.frame.christoffel[i]
+        gs = ctx.frame.gamma_set(i)
+        G = ctx.frame.connection[i]
 
         def gup_at(c):
             return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
@@ -262,12 +285,12 @@ def _chk_covariant_constancy(ctx):
                 worst = max(worst, _rel(np.max(np.abs(val)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_clifford(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         g_up = gs.metric.g_upper
         anti = np.einsum("aij,bjk->abik", gs.gamma_up, gs.gamma_up)
         anti = anti + anti.transpose(1, 0, 2, 3)
@@ -285,12 +308,12 @@ def _chk_clifford(ctx):
             )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_sigma_tetrad(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         g_up = gs.metric.g_upper
         prod = np.einsum("aij,bjk->abik", gs.gamma_up, gs.gamma_up)
         target = (
@@ -307,12 +330,12 @@ def _chk_sigma_tetrad(ctx):
         )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_triple_gamma(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         g_up = gs.metric.g_upper
         worst = 0.0
         for a in range(4):
@@ -334,12 +357,12 @@ def _chk_triple_gamma(ctx):
                     )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_sigma_commutator(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         worst = 0.0
         for sig, g in ((SIGMA_FLAT, ETA), (gs.sigma_curved, gs.metric.g_upper)):
             comm = np.einsum("abij,mnjk->abmnik", sig, sig)
@@ -356,7 +379,7 @@ def _chk_sigma_commutator(ctx):
             )
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_commutator_curvature(ctx):
@@ -384,9 +407,9 @@ def _chk_commutator_decomposition(ctx):
 
 
 def _chk_sigma_ricci_contraction(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
-        bundle = curvature(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
+        bundle = curvature(ctx.spec, ctx.points[i])
         lhs = -0.5 * np.einsum(
             "aij,mnjk,mnab->bik", gs.gamma_up, gs.sigma_curved,
             bundle.riemann_lower,
@@ -396,7 +419,7 @@ def _chk_sigma_ricci_contraction(ctx):
                     ctx.met_class.riemann_scale, 1e-3)
         return _rel(np.max(np.abs(lhs - rhs)), scale)
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_curvature_bridge(ctx):
@@ -414,17 +437,13 @@ def _chk_curvature_bridge(ctx):
 
 
 def _chk_gamma_contraction(ctx):
+    frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        def at_point(x, fld=fld):
-            lhs, rhs = rso.contraction_identity(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge
-            )
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
-                        np.max(np.abs(fld(x))))
-            return _rel(np.max(np.abs(lhs - rhs)), scale)
-
-        worst = max(worst, _max_over_points(ctx.points, at_point))
+        lhs, rhs = rso.contraction_identity(fld, ctx.spec, frame, ctx.mass,
+                                            charge=ctx.charge)
+        psi = fld.at(frame.coords, frame.chart_id)
+        worst = max(worst, _max_row_rel(lhs, rhs, psi))
     return len(ctx.points), worst
 
 
@@ -433,53 +452,50 @@ def _chk_divergence_form(ctx):
              for boost in (0.0, 0.4)]
     mass = rso.MassParam(ctx.mass.m or 1.0)
 
-    def at_point(x):
-        worst = 0.0
-        for w in waves:
-            gs = gamma_set_at(ctx.spec, x)
-            res = rso.rs_residual(w, ctx.spec, x, mass)
-            lhs = np.einsum("sij,sj->i", gs.gamma_up, res)
-            chi = rso.divergence_combo(w, ctx.spec, x, mass)
-            scale = max(float(np.max(np.abs(w(x)))), 1e-6)
-            worst = max(worst, _rel(np.max(np.abs(lhs)), scale),
-                        _rel(np.max(np.abs(chi)), scale))
-        return worst
-
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    frame = ctx.frame
+    worst = 0.0
+    for w in waves:
+        res = rso.rs_residual(w, ctx.spec, frame, mass)
+        lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
+        chi = rso.divergence_combo(w, ctx.spec, frame, mass)
+        scale = np.maximum(_row_max(w.at(frame.coords, frame.chart_id)), 1e-6)
+        worst = max(worst, float(np.max(_row_max(lhs) / scale)),
+                    float(np.max(_row_max(chi) / scale)))
+    return len(ctx.points), worst
 
 
 def _chk_derivative_chain(ctx):
     pts = ctx.chain_points()
     worst = 0.0
-    for fld in ctx.vb_fixtures:
-        def at_point(x, fld=fld):
+    for x in pts:
+        frame = rso.stencil_frame(ctx.spec, x)
+        for fld in ctx.vb_fixtures:
             lhs, rhs = rso.derivative_chain_check(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge
+                fld, ctx.spec, frame, ctx.mass, charge=ctx.charge
             )
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                         np.max(np.abs(fld(x))))
-            return _rel(np.max(np.abs(lhs - rhs)), scale)
-
-        worst = max(worst, _max_over_points(pts, at_point))
+            worst = max(worst, _rel(np.max(np.abs(lhs - rhs)), scale))
     return len(pts), worst
 
 
 def _chk_constraint_reduction(ctx):
-    def at_point(x):
+    def at_row(i):
+        x, gs = ctx.points[i], ctx.frame.gamma_set(i)
         worst = 0.0
         for fld in ctx.vb_fixtures[:3]:
             rhs_chain = rso.chain_rhs_algebraic(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge
+                fld, ctx.spec, x, ctx.mass, charge=ctx.charge, gs=gs
             )
             c2 = rso.constraint_two_residual(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge
+                fld, ctx.spec, x, ctx.mass, charge=ctx.charge, gs=gs
             )
             scale = max(np.max(np.abs(rhs_chain)), np.max(np.abs(c2)),
                         np.max(np.abs(fld(x))))
             worst = max(worst, _rel(np.max(np.abs(rhs_chain - c2)), scale))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_flat_reduction(ctx):
@@ -530,67 +546,63 @@ def _chk_einstein_space(ctx):
 
 
 def _chk_einstein_factor(ctx):
-    def at_point(x):
+    def at_row(i):
+        x, gs = ctx.points[i], ctx.frame.gamma_set(i)
         worst = 0.0
         vacuous = 0
         for fld in ctx.vb_fixtures[:3]:
-            gs = gamma_set_at(ctx.spec, x)
             psi = fld(x)
             phi = np.einsum("rij,rj->i", gs.gamma_up, psi)
             if np.max(np.abs(phi)) < 1e-8 * max(np.max(np.abs(psi)), 1e-30):
                 vacuous += 1
                 continue
             c2 = rso.constraint_two_residual(fld, ctx.spec, x, ctx.mass,
-                                             charge=ctx.charge)
+                                             charge=ctx.charge, gs=gs)
             factor = rso.einstein_space_factor(ctx.spec, x, ctx.mass)
             scale = max(np.max(np.abs(c2)), abs(factor) * np.max(np.abs(phi)),
                         np.max(np.abs(phi)))
             worst = max(worst, _rel(np.max(np.abs(c2 - factor * phi)), scale))
         return worst, vacuous
 
-    outcomes = [at_point(x) for x in ctx.points]
+    outcomes = [at_row(i) for i in range(len(ctx.points))]
     err = max((o[0] for o in outcomes), default=0.0)
     skipped = sum(o[1] for o in outcomes)
     return len(ctx.points), err, f"vacuous_points={skipped}"
 
 
-def _term_by_term_residual(fld, spec, x, mass, charge):
-    """Independent evaluation of the wave equation, term by term."""
-    gs = gamma_set_at(spec, x)
-    d = rso.covariant_derivative(fld, spec, x, charge=charge)
-    psi = fld(x)
+def _term_by_term_residual(fld, spec, frame, mass, charge):
+    """Independent evaluation of the wave equation on a frame's rows, term
+    by term."""
+    gs = frame.gammas
+    d = rso.covariant_derivative(fld, spec, frame, charge=charge)
+    psi = fld.at(frame.coords, frame.chart_id)
     gu, g_up = gs.gamma_up, gs.metric.g_upper
-    t1 = np.einsum("aij,asj->si", gu, d) + mass.kappa * psi
+    t1 = np.einsum("xaij,xasj->xsi", gu, d) + mass.kappa * psi
     t2 = -(1.0 / 3.0) * (
-        np.einsum("bij,sbj->si", gu, d)
-        + np.einsum("sij,nb,nbj->si", gs.gamma_down, g_up, d)
+        np.einsum("xbij,xsbj->xsi", gu, d)
+        + np.einsum("xsij,xnb,xnbj->xsi", gs.gamma_down, g_up, d)
     )
-    inner = np.einsum("aij,bjk,abk->i", gu, gu, d) - mass.kappa * np.einsum(
-        "bij,bj->i", gu, psi
-    )
-    t3 = (1.0 / 3.0) * np.einsum("sij,j->si", gs.gamma_down, inner)
-    return t1 + t2 + t3
+    inner = (np.einsum("xaij,xbjk,xabk->xi", gu, gu, d)
+             - mass.kappa * np.einsum("xbij,xbj->xi", gu, psi))
+    t3 = (1.0 / 3.0) * np.einsum("xsij,xj->xsi", gs.gamma_down, inner)
+    return t1 + t2 + t3, psi
 
 
 def _chk_operator_form(ctx):
+    frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        def at_point(x, fld=fld):
-            blocks = rso.rs_residual(fld, ctx.spec, x, ctx.mass,
-                                     charge=ctx.charge)
-            terms = _term_by_term_residual(fld, ctx.spec, x, ctx.mass,
-                                           ctx.charge)
-            scale = max(np.max(np.abs(blocks)), np.max(np.abs(terms)),
-                        np.max(np.abs(fld(x))))
-            return _rel(np.max(np.abs(blocks - terms)), scale)
-
-        worst = max(worst, _max_over_points(ctx.points, at_point))
+        blocks = rso.rs_residual(fld, ctx.spec, frame, ctx.mass,
+                                 charge=ctx.charge)
+        terms, psi = _term_by_term_residual(fld, ctx.spec, frame, ctx.mass,
+                                            ctx.charge)
+        worst = max(worst, _max_row_rel(blocks, terms, psi))
     return len(ctx.points), worst
 
 
 def _chk_block_assembly(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         alphas, beta = rso.build_alpha_beta(gs)
         trace = sum(beta.blocks[r, r] for r in range(4))
         worst = _rel(np.max(np.abs(trace - (8.0 / 3.0) * np.eye(4))), 1.0)
@@ -600,7 +612,7 @@ def _chk_block_assembly(ctx):
                                 np.max(np.abs(prod_dense)), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
@@ -609,8 +621,8 @@ _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
 def _chk_transform_stages(ctx):
     a, b, c = _GENERIC_ABC
 
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         alphas, beta = rso.build_alpha_beta(gs)
         tr = rso.transform_CS(alphas, beta, gs, a, b, c)
         bp, ap, _, _ = rso.transform_printed(gs, a, b, c)
@@ -621,14 +633,14 @@ def _chk_transform_stages(ctx):
                 ap[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_s_inverse(ctx):
     pairs = [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]
 
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         eye = rso.BlockMatrix16.identity()
         worst = 0.0
         for a, b in pairs:
@@ -637,14 +649,14 @@ def _chk_s_inverse(ctx):
             worst = max(worst, _rel((s @ s_inv - eye).max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_transform_expansion(ctx):
     a, b, c = _GENERIC_ABC
 
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         alphas, beta = rso.build_alpha_beta(gs)
         tr = rso.transform_CS(alphas, beta, gs, a, b, c)
         _, _, bt, at_ = rso.transform_printed(gs, a, b, c)
@@ -655,12 +667,12 @@ def _chk_transform_expansion(ctx):
                 at_[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_tilde_closed_form(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         alphas, beta = rso.build_alpha_beta(gs)
         tr = rso.transform_CS(alphas, beta, gs, -1.0 / 3.0, -1.0, 2.0)
         alpha_t, beta_t = rso.tilde_closed_form(gs)
@@ -671,18 +683,18 @@ def _chk_tilde_closed_form(ctx):
                 alpha_t[nu].max_abs(), 1.0))
         return worst
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_beta_dual_forms(ctx):
-    def at_point(x):
-        gs = gamma_set_at(ctx.spec, x)
+    def at_row(i):
+        gs = ctx.frame.gamma_set(i)
         _, beta_t = rso.tilde_closed_form(gs)
         eps_form = rso.beta_tilde_eps_form(gs)
         return _rel(np.max(np.abs(beta_t.blocks - eps_form.blocks)),
                     beta_t.max_abs(), 1.0)
 
-    return len(ctx.points), _max_over_points(ctx.points, at_point)
+    return len(ctx.points), _max_over_rows(ctx, at_row)
 
 
 def _chk_massless_gradient(ctx):

@@ -15,6 +15,7 @@ antisymmetric tensor; both routes are implemented and compared by tests.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,20 +23,20 @@ import numpy as np
 
 from .errors import InvalidTransform, StencilTooCoarse
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
-from .geometry import (
-    MetricSpec,
-    Point,
-    christoffel,
-    curvature,
-    eval_metric,
-    riemann_mixed,
+from .geometry import MetricSpec, Point, curvature, eval_metric, riemann_mixed
+from .numerics import (
+    STEP_FIRST,
+    STEP_OUTER,
+    fd_step,
+    nested_step,
+    partial4,
+    read_only,
 )
-from .numerics import STEP_FIRST, STEP_OUTER, fd_step, nested_step, partial4
 from .spin_frame import (
+    Frame,
     GammaSet,
+    build_frame,
     gamma_set_at,
-    gamma_sets,
-    spin_connection,
     spinor_commutator_curvature,
 )
 
@@ -194,19 +195,34 @@ def build_alpha_beta(gs: GammaSet):
     return [BlockMatrix16(a) for a in alpha[0]], BlockMatrix16(beta[0])
 
 
+#: operator blocks per frame, built on first use and dropped with the frame
+_FRAME_BLOCKS = weakref.WeakKeyDictionary()
+
+
+def frame_blocks(frame: Frame):
+    """alpha [n, nu, r, s, i, j] and beta [n, r, s, i, j] on a frame's rows,
+    built once per frame (read-only)."""
+    blocks = _FRAME_BLOCKS.get(frame)
+    if blocks is None:
+        gs = frame.gammas
+        blocks = tuple(map(read_only, _alpha_beta_rows(
+            gs.gamma_down, gs.gamma_up, gs.metric.g_upper)))
+        _FRAME_BLOCKS[frame] = blocks
+    return blocks
+
+
 #: rows +e_mu then -e_mu; scaled by the steps they give the stencil offsets
 _PLUS_MINUS_AXES = np.stack([np.eye(4), -np.eye(4)])
 
 
-def _rows(spec: MetricSpec, x):
-    """(coords (n, 4), chart id, single) for a Point or an (n, 4) array of
-    chart coordinates (which belong to the spec's chart)."""
+def _frame(spec: MetricSpec, x):
+    """(frame, single) for a Point, an (n, 4) array of chart coordinates of
+    the spec's chart, or a Frame."""
+    if isinstance(x, Frame):
+        return x, False
     if isinstance(x, Point):
-        return x.coords[None, :], x.chart_id, True
-    coords = np.asarray(x, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 4:
-        raise ValueError(f"rows must have shape (n, 4), got {coords.shape}")
-    return coords, spec.chart_id, False
+        return build_frame(spec, x.coords[None, :], x.chart_id), True
+    return build_frame(spec, x), False
 
 
 def _stencil(coords: np.ndarray, base_step: float, levels: int):
@@ -248,31 +264,41 @@ def _differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
     return value, d_levels[:, 0]
 
 
-def _covariant_rows(field, spec, coords, chart_id, em, charge, base_step,
-                    richardson, include_spin=True, stencil_budget=None):
-    """D_nu of a sampler on rows, and the field there: (d [n, nu, ...],
-    value [n, ...]).  One ``field.at`` call samples every row's stencil;
-    the Christoffels and connections of the rows are stacked."""
-    levels = 2 if richardson or stencil_budget is not None else 1
-    points, steps = _stencil(coords, base_step, levels)
-    values = field.at(points.reshape(-1, 4), chart_id)
-    value, d = _differences(values.reshape(points.shape[:2] + values.shape[1:]),
-                            steps, richardson, stencil_budget)
-    pts = [Point(c, chart_id) for c in coords]
+def _connect(frame: Frame, kind: str, d, value, em, charge,
+             include_spin=True, rows=slice(None)):
+    """D_nu from the partial derivatives d [n, nu, ...] and the values
+    [n, ...] of a field on the rows ``rows`` of a frame: the Christoffel
+    term on a vector index, the connection on the spinor index, and the
+    potential."""
     if include_spin:
-        G = np.stack([spin_connection(spec, p).Gamma for p in pts])
-    if field.kind == BISPINOR:
+        G = frame.connection[rows]
+    if kind == BISPINOR:
         if include_spin:
             d = d + np.einsum("xnij,xj->xni", G, value)
     else:
-        gam = np.stack([christoffel(spec, p) for p in pts])
+        gam = frame.christoffel[rows]
         d = d - np.einsum("xlnb,xli->xnbi", gam, value)
         if include_spin:
             d = d + np.einsum("xnij,xbj->xnbi", G, value)
     if em is not None:
-        A = np.stack([em.potential(p) for p in pts])
+        A = np.stack([em.potential(Point(c, frame.chart_id))
+                      for c in frame.coords[rows]])
         d = d - 1j * charge * np.einsum("xn,x...->xn...", A, value)
-    return d, value
+    return d
+
+
+def _covariant_rows(field, frame: Frame, em, charge, base_step, richardson,
+                    include_spin=True, stencil_budget=None):
+    """D_nu of a sampler on a frame's rows, and the field there:
+    (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
+    row's stencil; the geometry comes from the frame."""
+    levels = 2 if richardson or stencil_budget is not None else 1
+    points, steps = _stencil(frame.coords, base_step, levels)
+    values = field.at(points.reshape(-1, 4), frame.chart_id)
+    value, d = _differences(values.reshape(points.shape[:2] + values.shape[1:]),
+                            steps, richardson, stencil_budget)
+    return _connect(frame, field.kind, d, value, em, charge,
+                    include_spin), value
 
 
 def covariant_derivative(
@@ -287,7 +313,7 @@ def covariant_derivative(
     stencil_budget: float = None,
 ) -> np.ndarray:
     """D_nu of a sampler at a Point ``x``, or on the rows of an (n, 4)
-    coordinate array.
+    coordinate array or a Frame.
 
     Vector-bispinor fields get the Christoffel term on the vector index
     and the bispinor connection on the spinor index; bispinor fields only
@@ -296,10 +322,24 @@ def covariant_derivative(
     (optional) raises StencilTooCoarse when the two Richardson levels
     disagree beyond it.
     """
-    coords, chart_id, single = _rows(spec, x)
-    d, _ = _covariant_rows(field, spec, coords, chart_id, em, charge,
-                           base_step, richardson, include_spin, stencil_budget)
+    frame, single = _frame(spec, x)
+    d, _ = _covariant_rows(field, frame, em, charge, base_step, richardson,
+                           include_spin, stencil_budget)
     return d[0] if single else d
+
+
+def _residual(frame, d, psi, mass):
+    """(alpha^nu D_nu + kappa beta) Psi on a frame's rows from D_nu Psi."""
+    alpha, beta = frame_blocks(frame)
+    return (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi)
+            + np.einsum("xnrsij,xnsj->xri", alpha, d))
+
+
+def _first_constraint(frame, d, psi, mass):
+    """D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows."""
+    div = np.einsum("xnb,xnbi->xi", frame.metric.g_upper, d)
+    trace = np.einsum("xbij,xbj->xi", frame.gammas.gamma_up, psi)
+    return div - 0.5 * mass.kappa * trace
 
 
 def rs_residual(
@@ -309,76 +349,45 @@ def rs_residual(
     mass: MassParam,
     em: Optional[EMField] = None,
     charge: float = 1.0,
-    nested: bool = False,
 ) -> np.ndarray:
-    """Left side of the wave equation at a Point or on (n, 4) rows:
-    (alpha^nu D_nu + kappa beta) Psi.
-
-    ``nested=True`` takes D_nu at the outer step with Richardson, for a
-    residual that is differentiated again (see the numerics step policy)."""
-    coords, chart_id, single = _rows(spec, x)
-    gs = gamma_sets(spec, coords)
-    alpha, beta = _alpha_beta_rows(gs.gamma_down, gs.gamma_up,
-                                   gs.metric.g_upper)
-    d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
-                             *nested_step(nested))
-    res = (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi)
-           + np.einsum("xnrsij,xnsj->xri", alpha, d))
+    """Left side of the wave equation at a Point, or on (n, 4) rows or a
+    Frame: (alpha^nu D_nu + kappa beta) Psi."""
+    frame, single = _frame(spec, x)
+    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    res = _residual(frame, d, psi, mass)
     return res[0] if single else res
 
 
-def residual_sampler(field, spec, mass, em=None, charge=1.0) -> FieldSampler:
-    """The residual as a sampler, to be differentiated again (nested steps);
-    ``at`` evaluates all its rows in one ``rs_residual`` call."""
-    def residual(x):
-        return rs_residual(field, spec, x, mass, em, charge, nested=True)
-
-    return FieldSampler(residual, VECTOR_BISPINOR,
-                        name=f"residual({field.name})", batch=residual)
-
-
-def divergence_combo(field, spec, x, mass, em=None, charge=1.0,
-                     nested=False) -> np.ndarray:
+def divergence_combo(field, spec, x, mass, em=None, charge=1.0) -> np.ndarray:
     """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
-    at a Point or on (n, 4) rows (``nested`` as in ``rs_residual``)."""
-    coords, chart_id, single = _rows(spec, x)
-    gs = gamma_sets(spec, coords)
-    d, psi = _covariant_rows(field, spec, coords, chart_id, em, charge,
-                             *nested_step(nested))
-    div = np.einsum("xnb,xnbi->xi", gs.metric.g_upper, d)
-    trace = np.einsum("xbij,xbj->xi", gs.gamma_up, psi)
-    out = div - 0.5 * mass.kappa * trace
+    at a Point, or on (n, 4) rows or a Frame."""
+    frame, single = _frame(spec, x)
+    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    out = _first_constraint(frame, d, psi, mass)
     return out[0] if single else out
-
-
-def first_constraint_sampler(field, spec, mass, em=None, charge=1.0
-                             ) -> FieldSampler:
-    """The first-constraint combination as a sampler, to be differentiated
-    again (nested steps); ``at`` evaluates all its rows in one
-    ``divergence_combo`` call."""
-    def first_constraint(x):
-        return divergence_combo(field, spec, x, mass, em, charge, nested=True)
-
-    return FieldSampler(first_constraint, BISPINOR, name="first-constraint",
-                        batch=first_constraint)
 
 
 def contraction_identity(field, spec, x, mass, em=None, charge=1.0):
     """gamma-contraction of the residual vs (2/3) of the first-constraint
-    combination; equal for arbitrary smooth fields."""
-    gs = gamma_set_at(spec, x)
-    res = rs_residual(field, spec, x, mass, em, charge)
-    lhs = np.einsum("sij,sj->i", gs.gamma_up, res)
-    rhs = (2.0 / 3.0) * divergence_combo(field, spec, x, mass, em, charge)
-    return lhs, rhs
+    combination, at a Point or on rows or a Frame; equal for arbitrary
+    smooth fields.  Both sides share one D_nu Psi."""
+    frame, single = _frame(spec, x)
+    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    res = _residual(frame, d, psi, mass)
+    lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
+    rhs = (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
+    return (lhs[0], rhs[0]) if single else (lhs, rhs)
 
 
-def constraint_two_residual(field, spec, x, mass, em=None, charge=1.0):
+def constraint_two_residual(field, spec, x, mass, em=None, charge=1.0,
+                            gs=None):
     """The algebraic constraint:
     (1/2 R_ab + i e F_ab) gamma^a Psi^b
     + [kappa^2/2 - 1/3 (R/4 + i e F_ab sigma^ab)] gamma^r Psi_r.
+    ``gs``: the Dirac matrices at ``x`` when the caller has them.
     """
-    gs = gamma_set_at(spec, x)
+    if gs is None:
+        gs = gamma_set_at(spec, x)
     bundle = curvature(spec, x)
     psi = field(x)
     psi_up = np.einsum("bl,lj->bj", gs.metric.g_upper, psi)
@@ -400,24 +409,33 @@ def einstein_space_factor(spec, x, mass) -> complex:
     return 0.5 * (bundle.scalar / 12.0 + mass.kappa**2)
 
 
-def _outer_derivative(inner, x: Point):
-    """(inner(x), d_mu inner(x)) for a function ``inner`` of (n, 4) rows,
-    evaluated once on the whole outer stencil (outer step, Richardson)."""
-    points, steps = _stencil(x.coords[None, :], STEP_OUTER, 2)
-    value, d = _differences(inner(points[0])[None], steps, richardson=True)
-    return value[0], d[0]
+def stencil_frame(spec: MetricSpec, x: Point) -> Frame:
+    """The frame of the outer stencil around ``x`` (outer step, both
+    Richardson levels; row 0 is ``x``), on which nested chains take their
+    inner derivatives; the fixtures checked at ``x`` share it."""
+    points, _ = _stencil(x.coords[None, :], STEP_OUTER, 2)
+    return build_frame(spec, points[0], x.chart_id)
+
+
+def _outer_derivative(values, frame: Frame, stencil_budget=None):
+    """(value, d_mu value) at the centre of a ``stencil_frame``, from the
+    values [rows, ...] a quantity takes on its rows (outer step,
+    Richardson); both keep a leading axis of length 1."""
+    points, steps = _stencil(frame.coords[:1], STEP_OUTER, 2)
+    if not np.array_equal(points[0], frame.coords):
+        raise ValueError("the frame is not the outer stencil of its row 0")
+    return _differences(values[None], steps, True, stencil_budget)
 
 
 def second_covariant_comm(field, spec, x, em=None, charge=1.0):
     """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
-    v, dv = _outer_derivative(  # [nu, c, s] and [mu, nu, c, s]
-        lambda rows: covariant_derivative(field, spec, rows, em, charge,
-                                          base_step=STEP_OUTER,
-                                          richardson=True),
-        x,
-    )
-    gam = christoffel(spec, x)
-    G = spin_connection(spec, x).Gamma
+    frame = stencil_frame(spec, x)
+    inner = covariant_derivative(field, spec, frame, em, charge,
+                                 base_step=STEP_OUTER, richardson=True)
+    v, dv = _outer_derivative(inner, frame)  # [1, nu, c, s], [1, mu, nu, c, s]
+    v, dv = v[0], dv[0]
+    gam = frame.christoffel[0]
+    G = frame.connection[0]
     t = (
         dv
         - np.einsum("lmn,lcs->mncs", gam, v)
@@ -453,14 +471,13 @@ def curvature_bridge(field, spec, x):
     -gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be
     = gamma^al Psi^nu R_{nu al}, with the left side by nested differences
     of Christoffel-only derivatives."""
-    v, dv = _outer_derivative(
-        lambda rows: covariant_derivative(field, spec, rows, em=None,
-                                          include_spin=False,
-                                          base_step=STEP_OUTER,
-                                          richardson=True),
-        x,
-    )
-    gam = christoffel(spec, x)
+    frame = stencil_frame(spec, x)
+    inner = covariant_derivative(field, spec, frame, em=None,
+                                 include_spin=False, base_step=STEP_OUTER,
+                                 richardson=True)
+    v, dv = _outer_derivative(inner, frame)
+    v, dv = v[0], dv[0]
+    gam = frame.christoffel[0]
     t = (
         dv
         - np.einsum("lmn,lcs->mncs", gam, v)
@@ -486,39 +503,48 @@ def derivative_chain_check(field, spec, x, mass, em=None, charge=1.0,
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator
     D_{al be} in its algebraic curvature form.
-    """
-    gs = gamma_set_at(spec, x)
-    res_field = residual_sampler(field, spec, mass, em, charge)
-    dres = covariant_derivative(
-        res_field, spec, x, em, charge,
-        base_step=STEP_OUTER, richardson=True, stencil_budget=stencil_budget,
-    )
-    div_res = np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
 
-    chi_field = first_constraint_sampler(field, spec, mass, em, charge)
-    dchi, chi = _covariant_rows(chi_field, spec, x.coords[None, :], x.chart_id,
-                                em, charge, STEP_OUTER, True,
-                                stencil_budget=stencil_budget)
+    ``x`` is a Point or its ``stencil_frame``, which the fields checked at
+    one point share.  One inner D_nu Psi on the frame's rows (one ``at``
+    call over the stencil of stencils) gives both the residual and chi
+    there; their outer derivatives at the centre follow.
+    """
+    if isinstance(x, Frame):
+        frame, x = x, Point(x.coords[0], x.chart_id)
+    else:
+        frame = stencil_frame(spec, x)
+    d, psi = _covariant_rows(field, frame, em, charge, *nested_step(True))
+    res, dres = _outer_derivative(_residual(frame, d, psi, mass), frame,
+                                  stencil_budget)
+    chi, dchi = _outer_derivative(_first_constraint(frame, d, psi, mass),
+                                  frame, stencil_budget)
+    centre = slice(0, 1)
+    dres = _connect(frame, VECTOR_BISPINOR, dres, res, em, charge,
+                    rows=centre)[0]
+    dchi = _connect(frame, BISPINOR, dchi, chi, em, charge, rows=centre)[0]
+    gs = frame.gamma_set(0)
     lhs = (
-        div_res
-        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi[0])
+        np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
+        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
         - mass.kappa * chi[0]
     )
-
-    rhs = chain_rhs_algebraic(field, spec, x, mass, em, charge)
+    rhs = chain_rhs_algebraic(field, spec, x, mass, em, charge, gs=gs)
     return lhs, rhs
 
 
-def chain_rhs_algebraic(field, spec, x, mass, em=None, charge=1.0):
+def chain_rhs_algebraic(field, spec, x, mass, em=None, charge=1.0, gs=None):
     """The curvature/field form of the derivative chain:
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
-    algebraic form (vector curvature + spinor curvature - i e F)."""
-    gs = gamma_set_at(spec, x)
-    m = eval_metric(spec, x)
+    algebraic form (vector curvature + spinor curvature - i e F).
+    ``gs``: the Dirac matrices at ``x`` when the caller has them (a frame
+    row)."""
+    if gs is None:
+        gs = gamma_set_at(spec, x)
+    m = gs.metric
     bundle = curvature(spec, x)
     rmix = riemann_mixed(bundle, m)
-    dhat = spinor_commutator_curvature(spec, x)
+    dhat = spinor_commutator_curvature(spec, x, gs)
     F = em.field_tensor(x) if em is not None else None
     psi = field(x)
     # (D_{a m} Psi)_b = -R^l_{b a m} Psi_l + Dhat_{a m} Psi_b - i e F_{a m} Psi_b

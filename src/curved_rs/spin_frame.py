@@ -13,8 +13,8 @@ d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,8 +52,9 @@ def _weyl_gammas() -> np.ndarray:
     return g
 
 
-GAMMA_FLAT = _weyl_gammas()
-GAMMA5 = 1j * GAMMA_FLAT[0] @ GAMMA_FLAT[1] @ GAMMA_FLAT[2] @ GAMMA_FLAT[3]
+GAMMA_FLAT = read_only(_weyl_gammas())
+GAMMA5 = read_only(
+    1j * GAMMA_FLAT[0] @ GAMMA_FLAT[1] @ GAMMA_FLAT[2] @ GAMMA_FLAT[3])
 
 #: sigma^{ab} = [gamma^a, gamma^b]/4, frame indices raised with eta
 SIGMA_FLAT = 0.25 * (
@@ -67,7 +68,7 @@ def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ajk,kl->ail", u, GAMMA_FLAT, u.conj().T)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tetrad:
     """Orthonormal frame: e_lower[a, al] = e^(a)_al, e_upper[a, al] = e_(a)^al."""
 
@@ -75,10 +76,10 @@ class Tetrad:
     e_upper: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class GammaSet:
     """Flat and position-dependent Dirac matrices plus the volume tensor
-    (from ``gamma_sets``, each position-dependent array has a leading row
+    (in a ``Frame``, each position-dependent array has a leading row
     axis)."""
 
     gamma_flat: np.ndarray  # [a, i, j]
@@ -182,27 +183,84 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
     )
 
 
-def gamma_sets(spec: MetricSpec, coords) -> GammaSet:
-    """The Dirac matrices at every row of an (n, 4) coordinate array.
+#: the GammaSet arrays that carry a frame's row axis (besides metric, tetrad)
+_ROW_ARRAYS = ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
+               "eps_lower")
 
-    Every position-dependent array of the returned GammaSet (metric,
-    tetrad, gammas, sigma, eps) gains a leading row axis; ``gamma_flat``
-    and ``gamma5`` are shared.  Each row goes through ``eval_metric``, so
-    the domain guard and the singular-metric check run on every row.
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The geometry of an (n, 4) row set of chart coordinates, shared by
+    everything evaluated on those rows: metric, Dirac matrices with their
+    tetrad (``gammas``, each array with a leading row axis), Christoffels
+    and connections (n, 4, 4, 4).
+
+    Each is computed once, on first use, and every array is read-only.
+    Rows go through ``eval_metric``, ``christoffel`` and ``spin_connection``,
+    so their domain guards, caches and singular-metric checks run per row.
+    Build frames with ``build_frame``.
     """
-    metrics = [eval_metric(spec, Point(c, spec.chart_id))
-               for c in np.asarray(coords, dtype=float)]
-    m = MetricAtPoint(
-        g_lower=np.array([a.g_lower for a in metrics]),
-        g_upper=np.array([a.g_upper for a in metrics]),
-        det_g=np.array([a.det_g for a in metrics]),
-    )
-    return curved_gammas(Tetrad(*_tetrad_rows(m.g_lower, m.g_upper)), m)
+
+    spec: MetricSpec
+    coords: np.ndarray
+    chart_id: str
+
+    def _per_row(self, fn) -> list:
+        return [fn(self.spec, Point(c, self.chart_id)) for c in self.coords]
+
+    @cached_property
+    def metric(self) -> MetricAtPoint:
+        rows = self._per_row(eval_metric)
+        return MetricAtPoint(
+            g_lower=read_only(np.array([m.g_lower for m in rows])),
+            g_upper=read_only(np.array([m.g_upper for m in rows])),
+            det_g=read_only(np.array([m.det_g for m in rows])),
+        )
+
+    @cached_property
+    def gammas(self) -> GammaSet:
+        m = self.metric
+        t = Tetrad(*map(read_only, _tetrad_rows(m.g_lower, m.g_upper)))
+        gs = curved_gammas(t, m)
+        for k in _ROW_ARRAYS:
+            read_only(getattr(gs, k))
+        return gs
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return read_only(np.stack(self._per_row(christoffel)))
+
+    @cached_property
+    def connection(self) -> np.ndarray:
+        return read_only(
+            np.stack([c.Gamma for c in self._per_row(spin_connection)]))
+
+    def gamma_set(self, i: int) -> GammaSet:
+        """The Dirac matrices at row ``i`` (read-only views); equal to
+        ``gamma_set_at`` at that point."""
+        gs = self.gammas
+        m, t = gs.metric, gs.tetrad
+        return replace(
+            gs,
+            metric=MetricAtPoint(m.g_lower[i], m.g_upper[i], float(m.det_g[i])),
+            tetrad=Tetrad(t.e_lower[i], t.e_upper[i]),
+            **{k: getattr(gs, k)[i] for k in _ROW_ARRAYS},
+        )
+
+
+def build_frame(spec: MetricSpec, coords, chart_id: str = None) -> Frame:
+    """The frame of an (n, 4) array of chart coordinates (of the spec's
+    chart unless ``chart_id`` says otherwise)."""
+    coords = np.array(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 4:
+        raise ValueError(f"rows must have shape (n, 4), got {coords.shape}")
+    return Frame(spec, read_only(coords),
+                 spec.chart_id if chart_id is None else chart_id)
 
 
 def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSet:
     """The Dirac matrices at one point, by the same tetrad and gamma
-    builders as ``gamma_sets``."""
+    builders as ``Frame.gammas``."""
     m = eval_metric(spec, x)
     return curved_gammas(build_tetrad(m), m, flat)
 
@@ -263,12 +321,15 @@ def _spin_connection_cached(spec, coords):
     return read_only(0.5 * np.einsum("abij,mab->mij", SIGMA_FLAT, omega))
 
 
-def spinor_commutator_curvature(spec: MetricSpec, x: Point) -> np.ndarray:
+def spinor_commutator_curvature(spec: MetricSpec, x: Point,
+                                gs: GammaSet = None) -> np.ndarray:
     """The curvature acting on the bispinor index: 1/2 sigma^{nu mu}(x)
     R_{mu nu be al}(x), returned as Dhat[al, be] (4x4 complex each),
-    antisymmetric in (al, be)."""
+    antisymmetric in (al, be).  ``gs``: the Dirac matrices at ``x`` when
+    the caller has them (a frame row)."""
     bundle = curvature(spec, x)
-    gs = gamma_set_at(spec, x)
+    if gs is None:
+        gs = gamma_set_at(spec, x)
     return 0.5 * np.einsum(
         "nmij,mnba->abij", gs.sigma_curved, bundle.riemann_lower
     )

@@ -1,29 +1,34 @@
-"""Row batches of the frame -> blocks -> D_nu stack: a batch equals its row
-loop, the gates still see the one batched path, and the work counts of the
-nested chains stay pinned."""
+"""Row batches of the frame -> blocks -> D_nu stack: a frame equals the
+per-point geometry, a batch equals its row loop, the gates still see the
+shared frames, and the work counts of the nested chains stay pinned."""
+
+import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
-from curved_rs import gauge
+from curved_rs import gauge, geometry, identity_suite, spin_frame
 from curved_rs import rs_operator as rso
 from curved_rs.errors import OutOfDomain
 from curved_rs.fields import (
     BISPINOR,
+    VECTOR_BISPINOR,
     FieldSampler,
     gamma_traceless_field,
     polynomial_field,
     trig_field,
 )
-from curved_rs.geometry import ETA, MetricSpec, Point
-from curved_rs.identity_suite import run_suite
+from curved_rs.geometry import ETA, MetricSpec, Point, christoffel
+from curved_rs.identity_suite import build_context, run_suite
 from curved_rs.rs_operator import MassParam
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from curved_rs.spin_frame import (
     SpinConnection,
     _diagonal_rows,
+    build_frame,
     gamma_set_at,
-    gamma_sets,
+    spin_connection,
 )
 
 from conftest import points_of
@@ -58,20 +63,29 @@ def _rows(spec, n=3):
     return np.stack([p.coords for p in points_of(spec, n, seed=77)])
 
 
+def _rows_sampler(fn, kind, name):
+    """A sampler whose rows all go through one call of ``fn``."""
+    return FieldSampler(fn, kind, name=name, batch=fn)
+
+
 def _wrapped_samplers(spec):
     box = spec.sample_box
     vb = trig_field(31, box=box)
     sp = polynomial_field(32, BISPINOR, box=box)
     return {
-        "residual": rso.residual_sampler(vb, spec, MASS),
-        "first_constraint": rso.first_constraint_sampler(vb, spec, MASS),
+        "residual": _rows_sampler(
+            lambda x: rso.rs_residual(vb, spec, x, MASS), VECTOR_BISPINOR,
+            "residual"),
+        "first_constraint": _rows_sampler(
+            lambda x: rso.divergence_combo(vb, spec, x, MASS), BISPINOR,
+            "first-constraint"),
         "gradient": gauge.gradient_sampler(sp, spec, nested=True),
         "gamma_traceless": gamma_traceless_field(33, spec, box=box),
     }
 
 
 def test_skewed_metric_takes_the_eigen_path():
-    metrics = gamma_sets(SKEWED, _rows(SKEWED)).metric.g_lower
+    metrics = build_frame(SKEWED, _rows(SKEWED)).metric.g_lower
     assert not _diagonal_rows(metrics).any()
 
 
@@ -91,9 +105,9 @@ def test_batch_equals_row_loop(name):
 def test_single_point_is_row_of_the_batch(name):
     spec = _spec(name)
     coords = _rows(spec)
-    batch = gamma_sets(spec, coords)
-    alpha, beta = rso._alpha_beta_rows(batch.gamma_down, batch.gamma_up,
-                                       batch.metric.g_upper)
+    frame = build_frame(spec, coords)
+    batch = frame.gammas
+    alpha, beta = rso.frame_blocks(frame)
     for i, c in enumerate(coords):
         gs = gamma_set_at(spec, Point(c, spec.chart_id))
         for key in ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
@@ -108,6 +122,62 @@ def test_single_point_is_row_of_the_batch(name):
             assert np.array_equal(alphas[nu].blocks, alpha[i, nu])
 
 
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_frame_equals_the_per_point_path(name):
+    spec = _spec(name)
+    frame = build_frame(spec, _rows(spec))
+    for i, c in enumerate(frame.coords):
+        x = Point(c, spec.chart_id)
+        assert np.array_equal(frame.christoffel[i], christoffel(spec, x))
+        assert np.array_equal(frame.connection[i],
+                              spin_connection(spec, x).Gamma)
+        row, one = frame.gamma_set(i), gamma_set_at(spec, x)
+        for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
+                    "sigma_curved", "eps_upper", "eps_lower"):
+            assert np.array_equal(getattr(row, key), getattr(one, key)), key
+        for key in ("g_lower", "g_upper", "det_g"):
+            assert np.array_equal(getattr(row.metric, key),
+                                  getattr(one.metric, key)), key
+        for key in ("e_lower", "e_upper"):
+            assert np.array_equal(getattr(row.tetrad, key),
+                                  getattr(one.tetrad, key)), key
+
+
+def _frame_arrays(frame):
+    gs, row = frame.gammas, frame.gamma_set(0)
+    out = {"coords": frame.coords, "christoffel": frame.christoffel,
+           "connection": frame.connection}
+    for prefix, g in (("gammas", gs), ("row", row)):
+        for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
+                    "sigma_curved", "eps_upper", "eps_lower"):
+            out[f"{prefix}.{key}"] = getattr(g, key)
+        for key in ("g_lower", "g_upper", "det_g"):
+            out[f"{prefix}.metric.{key}"] = getattr(g.metric, key)
+        for key in ("e_lower", "e_upper"):
+            out[f"{prefix}.tetrad.{key}"] = getattr(g.tetrad, key)
+    alpha, beta = rso.frame_blocks(frame)
+    out["alpha"], out["beta"] = alpha, beta
+    return out
+
+
+def test_frame_arrays_are_read_only(schwarzschild):
+    """A frame is shared by every check on its rows, so no caller may
+    change it: writes raise and the values stay."""
+    frame = build_frame(schwarzschild, _rows(schwarzschild))
+    for label, array in _frame_arrays(frame).items():
+        if np.ndim(array) == 0:  # a row's det_g is a plain float
+            continue
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 99.0
+        assert np.array_equal(array, before), label
+    for obj, attr in ((frame, "coords"), (frame.gammas, "gamma_up"),
+                      (frame.metric, "g_lower"),
+                      (frame.gammas.tetrad, "e_lower")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, None)
+
+
 def test_one_row_outside_the_domain_raises(schwarzschild):
     coords = _rows(schwarzschild)
     coords[1, 1] = 1.5  # inside the horizon r = 2M
@@ -117,6 +187,33 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
             sampler.at(coords, schwarzschild.chart_id)
     with pytest.raises(OutOfDomain):
         rso.covariant_derivative(trig_field(3), schwarzschild, coords)
+    frame = build_frame(schwarzschild, coords)
+    for name in ("metric", "gammas", "christoffel", "connection"):
+        with pytest.raises(OutOfDomain):
+            getattr(frame, name)
+
+
+@pytest.mark.parametrize("name", ("schwarzschild", "frw_dust", "skewed"))
+def test_batched_first_order_checks_equal_the_per_point_path(name):
+    """1.2a and 1.6 run each fixture over the whole context frame; their
+    values and errors equal the point-by-point evaluation."""
+    spec = _spec(name)
+    ctx = build_context(spec, 4, seed=13, mass=1.0, charge=0.0)
+    for fld in ctx.vb_fixtures:
+        res = rso.rs_residual(fld, spec, ctx.frame, ctx.mass)
+        lhs, rhs = rso.contraction_identity(fld, spec, ctx.frame, ctx.mass)
+        for i, x in enumerate(ctx.points):
+            one = rso.rs_residual(fld, spec, x, ctx.mass)
+            assert np.max(np.abs(res[i] - one)) <= 1e-13 * np.max(np.abs(one))
+            l1, r1 = rso.contraction_identity(fld, spec, x, ctx.mass)
+            for a, b in ((lhs[i], l1), (rhs[i], r1)):
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    for runner in (identity_suite._chk_operator_form,
+                   identity_suite._chk_gamma_contraction):
+        _, batched = runner(ctx)
+        per_point = max(runner(dataclasses.replace(ctx, points=[x]))[1]
+                        for x in ctx.points)
+        assert abs(batched - per_point) <= 1e-13, runner.__name__
 
 
 def test_rows_must_be_n_by_4(schwarzschild):
@@ -148,16 +245,16 @@ def test_perturbed_block_coefficient_fails_the_operator_gates(
 def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
         schwarzschild, monkeypatch):
     """The inner derivatives of 1.7 and 2.7b run on the rows of the outer
-    stencil; without the connection there, both gates fail."""
+    stencil frame; without the connection there, both gates fail."""
     checks = ("eq_1_7_derivative_chain", "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
     original = rso._covariant_rows
 
-    def without_connection_on_rows(field, spec, coords, chart_id, em, charge,
-                                   base_step, richardson, include_spin=True,
+    def without_connection_on_rows(field, frame, em, charge, base_step,
+                                   richardson, include_spin=True,
                                    stencil_budget=None):
-        return original(field, spec, coords, chart_id, em, charge, base_step,
-                        richardson, include_spin and len(coords) == 1,
+        return original(field, frame, em, charge, base_step, richardson,
+                        include_spin and len(frame.coords) == 1,
                         stencil_budget)
 
     monkeypatch.setattr(rso, "_covariant_rows", without_connection_on_rows)
@@ -170,11 +267,75 @@ def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
     residual of a gradient field, eps^{r nu s mu} gamma_mu D_nu d_s psi,
     vanishes identically (eps antisymmetrizes d_nu d_s and the symmetric
     Christoffels), so the gauge obstruction only shows where 2.8c runs."""
-    monkeypatch.setattr(rso, "spin_connection",
+    monkeypatch.setattr(spin_frame, "spin_connection",
                         lambda spec, x: SpinConnection(np.zeros((4, 4, 4))))
     assert not any(_verdicts(schwarzschild,
                              ("eq_1_7_derivative_chain",)).values())
     assert not any(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
+
+
+def _scaled(fn, factor=1.0 + 1e-3):
+    return lambda spec, coords: fn(spec, coords) * factor
+
+
+# The mutations below act where the geometry is computed, so the caches of
+# a spec would keep their results: each mutated run gets its own spec.
+
+
+def test_flipped_eps_sign_fails_the_volume_tensor_gates(schwarzschild,
+                                                         monkeypatch):
+    checks = ("eq_1_5_triple_gamma", "eq_2_5_transform_expansion",
+              "eq_2_6_tilde_closed_form", "eq_2_6c_beta_dual_forms")
+    assert all(_verdicts(schwarzschild, checks).values())
+    monkeypatch.setattr(geometry, "EPS_SIGN", -geometry.EPS_SIGN)
+    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+
+
+def test_scaled_connection_fails_the_connection_gates(schwarzschild, frw_dust,
+                                                      monkeypatch):
+    checks = ("eq_1_4_covariant_constancy", "eq_1_8e_commutator_curvature",
+              "eq_1_9_commutator_decomposition", "eq_1_7_derivative_chain",
+              "eq_2_7b_massless_gradient")
+    assert all(_verdicts(schwarzschild, checks).values())
+    assert all(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
+    monkeypatch.setattr(spin_frame, "_spin_connection_cached",
+                        _scaled(spin_frame._spin_connection_cached))
+    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+    assert not any(_verdicts(load_preset("frw_dust"),
+                             ("eq_2_8c_gauge_criterion",)).values())
+
+
+def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
+                                                        frw_dust, monkeypatch):
+    """Scaled where they are computed, the Christoffels of every layer
+    (frames, connections, curvature) move together.  1.9 cannot see that:
+    its curvature side is built from the same Christoffels, and the
+    commutator decomposition holds for any connection."""
+    checks = ("eq_1_4_covariant_constancy", "eq_1_7_derivative_chain",
+              "metric_compatibility")
+    assert all(_verdicts(schwarzschild, checks).values())
+    assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
+    monkeypatch.setattr(geometry, "_christoffel_cached",
+                        _scaled(geometry._christoffel_cached))
+    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+    assert not any(_verdicts(load_preset("frw_dust"),
+                             ("eq_1_10c_curvature_bridge",)).values())
+
+
+def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
+                                                         frw_dust, monkeypatch):
+    """Scaled only where frames (and connections) read them, the
+    Christoffels no longer match the curvature, and 1.9 fails too."""
+    checks = ("eq_1_4_covariant_constancy", "eq_1_9_commutator_decomposition",
+              "eq_1_7_derivative_chain")
+    assert all(_verdicts(schwarzschild, checks).values())
+    assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
+    original = spin_frame.christoffel
+    monkeypatch.setattr(spin_frame, "christoffel",
+                        lambda spec, x: original(spec, x) * (1.0 + 1e-3))
+    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+    assert not any(_verdicts(load_preset("frw_dust"),
+                             ("eq_1_10c_curvature_bridge",)).values())
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +343,74 @@ def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_derivative_chain_samples_its_fixture_twice(schwarzschild,
-                                                    monkeypatch):
-    """1.7 at one point: one ``at`` call for the residual's stencil of
-    stencils, one for the first constraint's."""
-    fld = trig_field(41, box=schwarzschild.sample_box)
+def _count_at(monkeypatch, fields):
+    """Rows of each ``at`` call on the given samplers."""
     calls = []
     original = FieldSampler.at
 
     def counting_at(self, coords, chart_id=""):
-        if self is fld:
+        if any(self is f for f in fields):
             calls.append(len(coords))
         return original(self, coords, chart_id)
 
     monkeypatch.setattr(FieldSampler, "at", counting_at)
+    return calls
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of ``module.name`` through every package module binding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith("curved_rs")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_derivative_chain_samples_its_fixture_once(schwarzschild,
+                                                   monkeypatch):
+    """1.7 at one point: one ``at`` call over the stencil of stencils gives
+    both the residual and the first constraint."""
+    fld = trig_field(41, box=schwarzschild.sample_box)
+    calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
     rso.derivative_chain_check(fld, schwarzschild, x, MASS)
-    assert calls == [17 * 17, 17 * 17]
+    assert calls == [17 * 17]
+
+
+def test_contraction_identity_samples_its_fixture_once(schwarzschild,
+                                                       monkeypatch):
+    """1.6 at one point: both sides share one D_nu Psi."""
+    fld = trig_field(42, box=schwarzschild.sample_box)
+    calls = _count_at(monkeypatch, [fld])
+    x = points_of(schwarzschild, 1, seed=9)[0]
+    rso.contraction_identity(fld, schwarzschild, x, MASS)
+    assert calls == [9]
+
+
+def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
+                                                           monkeypatch):
+    """1.7 at one point with 5 fixtures: one outer-stencil frame (17 rows,
+    one geometry lookup per row) and one ``at`` call per fixture."""
+    ctx = build_context(schwarzschild, 1, seed=9, mass=1.0, charge=0.0)
+    assert len(ctx.vb_fixtures) == 5
+    identity_suite._chk_derivative_chain(ctx)  # warm the geometry caches
+    at_calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    frames = _count_calls(monkeypatch, spin_frame, "build_frame")
+    connections = _count_calls(monkeypatch, spin_frame, "spin_connection")
+    christoffels = _count_calls(monkeypatch, geometry, "christoffel")
+    _, err = identity_suite._chk_derivative_chain(ctx)
+    assert err <= identity_suite.TOL_SECOND_ORDER
+    assert at_calls == [17 * 17] * 5
+    assert len(frames) == 1
+    assert len(connections) <= 18
+    assert len(christoffels) <= 18
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
