@@ -103,44 +103,30 @@ def test_batch_equals_row_loop(name):
 
 @pytest.mark.parametrize("name", SPEC_NAMES)
 def test_single_point_is_row_of_the_batch(name):
-    spec = _spec(name)
-    coords = _rows(spec)
-    frame = build_frame(spec, coords)
-    batch = frame.gammas
-    alpha, beta = rso.frame_blocks(frame)
-    for i, c in enumerate(coords):
-        gs = gamma_set_at(spec, Point(c, spec.chart_id))
-        for key in ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
-                    "eps_lower"):
-            assert np.array_equal(getattr(gs, key), getattr(batch, key)[i]), key
-        assert np.array_equal(gs.tetrad.e_lower, batch.tetrad.e_lower[i])
-        assert np.array_equal(gs.metric.g_upper, batch.metric.g_upper[i])
-        assert gs.metric.det_g == batch.metric.det_g[i]
-        alphas, beta_one = rso.build_alpha_beta(gs)
-        assert np.array_equal(beta_one.blocks, beta[i])
-        for nu in range(4):
-            assert np.array_equal(alphas[nu].blocks, alpha[i, nu])
-
-
-@pytest.mark.parametrize("name", SPEC_NAMES)
-def test_frame_equals_the_per_point_path(name):
+    """Each row of a frame (Dirac matrices, metric, tetrad, Christoffels,
+    connection, operator blocks) equals the per-point path exactly."""
     spec = _spec(name)
     frame = build_frame(spec, _rows(spec))
+    alpha, beta = rso.frame_blocks(frame)
     for i, c in enumerate(frame.coords):
         x = Point(c, spec.chart_id)
         assert np.array_equal(frame.christoffel[i], christoffel(spec, x))
         assert np.array_equal(frame.connection[i],
                               spin_connection(spec, x).Gamma)
-        row, one = frame.gamma_set(i), gamma_set_at(spec, x)
+        row, gs = frame.gamma_set(i), gamma_set_at(spec, x)
         for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
                     "sigma_curved", "eps_upper", "eps_lower"):
-            assert np.array_equal(getattr(row, key), getattr(one, key)), key
+            assert np.array_equal(getattr(row, key), getattr(gs, key)), key
         for key in ("g_lower", "g_upper", "det_g"):
             assert np.array_equal(getattr(row.metric, key),
-                                  getattr(one.metric, key)), key
+                                  getattr(gs.metric, key)), key
         for key in ("e_lower", "e_upper"):
             assert np.array_equal(getattr(row.tetrad, key),
-                                  getattr(one.tetrad, key)), key
+                                  getattr(gs.tetrad, key)), key
+        alphas, beta_one = rso.build_alpha_beta(gs)
+        assert np.array_equal(beta_one.blocks, beta[i])
+        for nu in range(4):
+            assert np.array_equal(alphas[nu].blocks, alpha[i, nu])
 
 
 def _frame_arrays(frame):
