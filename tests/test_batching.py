@@ -324,6 +324,60 @@ def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
                              ("eq_1_10c_curvature_bridge",)).values())
 
 
+def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
+                                                         anti_de_sitter,
+                                                         monkeypatch):
+    """On Schwarzschild the flip is an equivalent mutant: on a vacuum both
+    the raw contraction and its determinant expansion vanish, so their
+    sign cannot be seen."""
+    check = ("eps_determinant_contraction",)
+    for spec in (frw_dust, anti_de_sitter):
+        assert all(_verdicts(spec, check).values())
+    monkeypatch.setattr(gauge, "EPS_DET_SIGN", -gauge.EPS_DET_SIGN)
+    for name in ("frw_dust", "anti_de_sitter_static"):
+        assert not any(_verdicts(load_preset(name), check).values())
+
+
+def test_scaled_ricci_fails_the_constraint_gates(frw_dust, anti_de_sitter,
+                                                 monkeypatch):
+    """The Ricci tensor scaled where the operator layer reads the
+    curvature: the constraint no longer matches the chain's curvature
+    form, nor the Einstein-space factor."""
+    reduction = ("eq_1_11a_constraint_reduction",)
+    both = reduction + ("eq_1_14b_constraint_factor",)
+    assert all(_verdicts(frw_dust, reduction).values())
+    assert all(_verdicts(anti_de_sitter, both).values())
+    original = rso.curvature
+
+    def scaled_ricci(spec, x):
+        b = original(spec, x)
+        return dataclasses.replace(b, ricci=b.ricci * (1.0 + 1e-3))
+
+    monkeypatch.setattr(rso, "curvature", scaled_ricci)
+    assert not any(_verdicts(load_preset("frw_dust"), reduction).values())
+    assert not any(_verdicts(load_preset("anti_de_sitter_static"),
+                             both).values())
+
+
+def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
+                                                       monkeypatch):
+    """One leg of the tetrad scaled in the Dirac matrices the operator
+    layer builds: the gamma-traceless fixtures are no longer traceless."""
+    check = ("eq_1_13_vacuum_constraint",)
+    assert all(_verdicts(schwarzschild, check).values())
+    original = rso.gamma_set_at
+
+    def scaled_leg(spec, x, flat=None):
+        gs = original(spec, x, flat)
+        e_upper = gs.tetrad.e_upper.copy()
+        e_upper[1] *= 1.0 + 1e-3
+        return spin_frame.curved_gammas(
+            spin_frame.Tetrad(gs.tetrad.e_lower, e_upper), gs.metric)
+
+    monkeypatch.setattr(rso, "gamma_set_at", scaled_leg)
+    assert not any(_verdicts(load_preset("schwarzschild"), check).values())
+
+
 # ---------------------------------------------------------------------------
 # work counts of the nested chains
 # ---------------------------------------------------------------------------
