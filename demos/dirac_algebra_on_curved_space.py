@@ -51,7 +51,7 @@ print(f"triple-product expansion (volume term included)   = {worst:.2e}")
 
 # covariant constancy: d gamma + Christoffel term + [connection, gamma] = 0
 gam = christoffel(spec, x)
-G = spin_connection(spec, x).Gamma
+G = spin_connection(spec, x)
 
 
 def gup_at(c):

@@ -37,7 +37,6 @@ from .geometry import (
 from .identity_suite import SuiteReport, run_suite
 from .rs_operator import (
     BlockMatrix16,
-    EMField,
     MassParam,
     build_alpha_beta,
     contraction_identity,
@@ -50,7 +49,6 @@ from .rs_operator import (
 from .spacetimes import MetricConfig, load_preset, parse_metric_config, spec_from_config
 from .spin_frame import (
     GammaSet,
-    SpinConnection,
     Tetrad,
     build_tetrad,
     curved_gammas,

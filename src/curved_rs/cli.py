@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import identity_suite as suite_mod
@@ -48,9 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=VALUE", help="preset parameter")
         p.add_argument("--points", type=int, default=20)
         p.add_argument("--seed", type=int, default=42)
-        if name != "gauge":  # the gauge criterion is massless and uncharged
+        if name != "gauge":  # the gauge criterion is massless
             p.add_argument("--mass", type=float, default=1.0)
-            p.add_argument("--charge", type=float, default=0.0)
         p.add_argument("--tolerance", action="append", default=[],
                        metavar="CHECK=TOL", help="per-check tolerance override")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -58,25 +58,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_kv(pairs, what, cast=float) -> dict:
+def _parse_kv(pairs, what) -> dict:
     out = {}
     for pair in pairs:
         key, eq, value = pair.partition("=")
         if not eq:
             raise ConfigError(f"{what} '{pair}' is not NAME=VALUE")
         try:
-            out[key.strip()] = cast(value)
+            number = float(value)
         except ValueError:
             raise ConfigError(f"{what} '{pair}' has a non-numeric value")
+        if not math.isfinite(number):
+            raise ConfigError(f"{what} '{pair}' has a value that is not finite")
+        out[key.strip()] = number
     return out
 
 
 def _resolve_metric(args):
     if args.points < 1:
         raise ConfigError("--points must be >= 1")
-    if getattr(args, "mass", 0.0) < 0:
-        raise ConfigError("--mass must be >= 0")
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    if not 0 <= getattr(args, "mass", 0.0) < math.inf:
+        raise ConfigError("--mass must be finite and >= 0")
     if args.metric_file:
+        if args.param:
+            raise ConfigError(
+                "--param does not apply to --metric-file; a document's "
+                "parameters live in its [params] section"
+            )
         try:
             with open(args.metric_file, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -166,7 +176,7 @@ def run_command(args) -> int:
     else:
         run = (suite_mod.run_suite if args.command == "identities"
                else suite_mod.run_constraints)
-        report = run(spec, mass=args.mass, charge=args.charge, **common)
+        report = run(spec, mass=args.mass, **common)
     payload = report.to_dict()
     payload["command"] = args.command
     _emit(payload, args)

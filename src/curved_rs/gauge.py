@@ -11,8 +11,7 @@ C0 is a representation-independent constant, calibrated once by a fit at
 one non-vacuum point and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
-fail by exactly the predicted amount.  The electromagnetic field is zero
-throughout this module.
+fail by exactly the predicted amount.
 """
 
 from __future__ import annotations
@@ -109,11 +108,6 @@ def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x: Point):
     direct = massless_residual(gradient_sampler(psi, spec, nested=True),
                                spec, x, outer=True)
     return direct, einstein_prediction(psi, spec, x)
-
-
-def residual_scale(psi: FieldSampler, spec: MetricSpec, x: Point) -> float:
-    """The scale of ``gradient_residual``."""
-    return gradient_residual(psi, spec, x)[1]
 
 
 def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point

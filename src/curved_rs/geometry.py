@@ -59,9 +59,6 @@ class Point:
         c[mu] += dh
         return Point(c, self.chart_id)
 
-    def key(self):
-        return self.coords.tobytes()
-
 
 @dataclass(eq=False)
 class MetricSpec:
@@ -82,8 +79,6 @@ class MetricSpec:
     chart_id: str = ""
     params: dict = field(default_factory=dict)
     sample_box: Optional[tuple] = None
-
-    dim = 4
 
     def point(self, *coords) -> Point:
         return Point(np.array(coords, dtype=float), self.chart_id)

@@ -48,7 +48,7 @@ from .spin_frame import (
     spinor_commutator_curvature,
 )
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 # default tolerance bands
 TOL_ALGEBRAIC = 1e-10
@@ -120,7 +120,6 @@ class SuiteContext:
     points: list
     seed: int
     mass: rso.MassParam
-    charge: float
     met_class: MetricClass
     vb_fixtures: list
     sp_fixtures: list
@@ -199,7 +198,6 @@ class SuiteReport:
                 "seed": self.ctx.seed,
                 "points": len(self.ctx.points),
                 "mass": self.ctx.mass.m,
-                "charge": self.ctx.charge,
                 "stencil_policy": STENCIL_POLICY,
                 "curvature_class": self.curvature_class,
             },
@@ -440,8 +438,7 @@ def _chk_gamma_contraction(ctx):
     frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        lhs, rhs = rso.contraction_identity(fld, ctx.spec, frame, ctx.mass,
-                                            charge=ctx.charge)
+        lhs, rhs = rso.contraction_identity(fld, ctx.spec, frame, ctx.mass)
         psi = fld.at(frame.coords, frame.chart_id)
         worst = max(worst, _max_row_rel(lhs, rhs, psi))
     return len(ctx.points), worst
@@ -470,9 +467,8 @@ def _chk_derivative_chain(ctx):
     for x in pts:
         frame = rso.stencil_frame(ctx.spec, x)
         for fld in ctx.vb_fixtures:
-            lhs, rhs = rso.derivative_chain_check(
-                fld, ctx.spec, frame, ctx.mass, charge=ctx.charge
-            )
+            lhs, rhs = rso.derivative_chain_check(fld, ctx.spec, frame,
+                                                  ctx.mass)
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                         np.max(np.abs(fld(x))))
             worst = max(worst, _rel(np.max(np.abs(lhs - rhs)), scale))
@@ -484,12 +480,9 @@ def _chk_constraint_reduction(ctx):
         x, gs = ctx.points[i], ctx.frame.gamma_set(i)
         worst = 0.0
         for fld in ctx.vb_fixtures[:3]:
-            rhs_chain = rso.chain_rhs_algebraic(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge, gs=gs
-            )
-            c2 = rso.constraint_two_residual(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge, gs=gs
-            )
+            rhs_chain = rso.chain_rhs_algebraic(fld, ctx.spec, x, ctx.mass,
+                                                gs=gs)
+            c2 = rso.constraint_two_residual(fld, ctx.spec, x, ctx.mass, gs=gs)
             scale = max(np.max(np.abs(rhs_chain)), np.max(np.abs(c2)),
                         np.max(np.abs(fld(x))))
             worst = max(worst, _rel(np.max(np.abs(rhs_chain - c2)), scale))
@@ -523,9 +516,7 @@ def _chk_vacuum_constraint(ctx):
     def at_point(x):
         worst = 0.0
         for fld in fields:
-            c2 = rso.constraint_two_residual(
-                fld, ctx.spec, x, ctx.mass, charge=ctx.charge
-            )
+            c2 = rso.constraint_two_residual(fld, ctx.spec, x, ctx.mass)
             scale = max(float(np.max(np.abs(fld(x)))), 1e-6) * max(
                 1.0, abs(ctx.mass.kappa) ** 2
             )
@@ -556,8 +547,7 @@ def _chk_einstein_factor(ctx):
             if np.max(np.abs(phi)) < 1e-8 * max(np.max(np.abs(psi)), 1e-30):
                 vacuous += 1
                 continue
-            c2 = rso.constraint_two_residual(fld, ctx.spec, x, ctx.mass,
-                                             charge=ctx.charge, gs=gs)
+            c2 = rso.constraint_two_residual(fld, ctx.spec, x, ctx.mass, gs=gs)
             factor = rso.einstein_space_factor(ctx.spec, x, ctx.mass)
             scale = max(np.max(np.abs(c2)), abs(factor) * np.max(np.abs(phi)),
                         np.max(np.abs(phi)))
@@ -570,11 +560,11 @@ def _chk_einstein_factor(ctx):
     return len(ctx.points), err, f"vacuous_points={skipped}"
 
 
-def _term_by_term_residual(fld, spec, frame, mass, charge):
+def _term_by_term_residual(fld, spec, frame, mass):
     """Independent evaluation of the wave equation on a frame's rows, term
     by term."""
     gs = frame.gammas
-    d = rso.covariant_derivative(fld, spec, frame, charge=charge)
+    d = rso.covariant_derivative(fld, spec, frame)
     psi = fld.at(frame.coords, frame.chart_id)
     gu, g_up = gs.gamma_up, gs.metric.g_upper
     t1 = np.einsum("xaij,xasj->xsi", gu, d) + mass.kappa * psi
@@ -592,10 +582,8 @@ def _chk_operator_form(ctx):
     frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        blocks = rso.rs_residual(fld, ctx.spec, frame, ctx.mass,
-                                 charge=ctx.charge)
-        terms, psi = _term_by_term_residual(fld, ctx.spec, frame, ctx.mass,
-                                            ctx.charge)
+        blocks = rso.rs_residual(fld, ctx.spec, frame, ctx.mass)
+        terms, psi = _term_by_term_residual(fld, ctx.spec, frame, ctx.mass)
         worst = max(worst, _max_row_rel(blocks, terms, psi))
     return len(ctx.points), worst
 
@@ -867,8 +855,8 @@ def classify_metric(spec: MetricSpec, points) -> MetricClass:
     return MetricClass(riemann_scale, ricci, dev, scalar, gam_norm)
 
 
-def build_context(spec: MetricSpec, n_points: int, seed: int, mass: float,
-                  charge: float) -> SuiteContext:
+def build_context(spec: MetricSpec, n_points: int, seed: int,
+                  mass: float) -> SuiteContext:
     """Points, curvature class and fixtures that every check runs on."""
     if n_points < 1:
         raise ConfigError("points must be >= 1")
@@ -878,7 +866,6 @@ def build_context(spec: MetricSpec, n_points: int, seed: int, mass: float,
         points=points,
         seed=seed,
         mass=rso.MassParam(mass),
-        charge=charge,
         met_class=classify_metric(spec, points[:CLASS_POINT_CAP]),
         vb_fixtures=fixture_family(seed + 1, FIXTURE_COUNT, VECTOR_BISPINOR,
                                    spec.sample_box),
@@ -892,7 +879,6 @@ def run_suite(
     n_points: int = 20,
     seed: int = 42,
     mass: float = 1.0,
-    charge: float = 0.0,
     tolerance_overrides: Optional[dict] = None,
     only: Optional[tuple] = None,
     per_point: bool = False,
@@ -914,8 +900,12 @@ def run_suite(
             f"tolerance override for unknown check(s) {', '.join(unknown)}; "
             f"known checks: {', '.join(known)}"
         )
+    invalid = sorted(k for k, v in overrides.items() if not 0 <= v < np.inf)
+    if invalid:
+        raise ConfigError(
+            f"tolerance for {', '.join(invalid)} must be finite and >= 0")
     t0 = time.perf_counter()
-    ctx = build_context(spec, n_points, seed, mass, charge)
+    ctx = build_context(spec, n_points, seed, mass)
     results = []
     for desc in REGISTRY:
         if only is not None and desc.id not in only:
@@ -952,10 +942,10 @@ def run_suite(
 
 def run_gauge(spec: MetricSpec, n_points: int = 20, seed: int = 42,
               tolerance_overrides: Optional[dict] = None) -> SuiteReport:
-    """The gauge criterion of the massless, uncharged equation: (2.7b) on a
+    """The gauge criterion of the massless equation: (2.7b) on a
     Ricci-flat metric, (2.8c) elsewhere, run point by point for the table
     of Einstein norms and errors."""
-    rep = run_suite(spec, n_points, seed, mass=0.0, charge=0.0,
+    rep = run_suite(spec, n_points, seed, mass=0.0,
                     tolerance_overrides=tolerance_overrides,
                     only=GAUGE_CHECKS, per_point=True)
     (check,) = rep.checks
@@ -972,12 +962,12 @@ def run_gauge(spec: MetricSpec, n_points: int = 20, seed: int = 42,
 
 
 def run_constraints(spec: MetricSpec, n_points: int = 20, seed: int = 42,
-                    mass: float = 1.0, charge: float = 0.0,
+                    mass: float = 1.0,
                     tolerance_overrides: Optional[dict] = None) -> SuiteReport:
     """The constraint identities (1.6) and (1.11a), plus, on an Einstein
     space with R != 0, the bracket 1/2 (R/12 - m^2) scanned over mass with
     its real zero crossing m = sqrt(R/12)."""
-    rep = run_suite(spec, n_points, seed, mass, charge, tolerance_overrides,
+    rep = run_suite(spec, n_points, seed, mass, tolerance_overrides,
                     only=CONSTRAINT_CHECKS)
     mc = rep.ctx.met_class
     scan = None

@@ -7,7 +7,7 @@ bispinor index) as  (alpha^nu D_nu + kappa beta) Psi = 0  with 4x4 blocks
     (alpha^nu)_r^s = gamma^nu delta_r^s - 1/3 gamma^s delta^nu_r
                      - 1/3 gamma_r g^{nu s} + 1/3 gamma_r gamma^nu gamma^s,
 
-D_nu = nabla_nu + Gamma_nu - i e A_nu.  The left C-multiplication and S
+D_nu = nabla_nu + Gamma_nu.  The left C-multiplication and S
 similarity (with S = I + a gamma gamma, S^-1 = I + b gamma gamma,
 a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .numerics import (
     STEP_OUTER,
     fd_step,
     nested_step,
-    partial4,
     read_only,
 )
 from .spin_frame import (
@@ -49,51 +47,10 @@ class MassParam:
     kappa: complex = None
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("mass must be >= 0")
+        if not 0 <= self.m < np.inf:
+            raise ValueError(f"mass must be finite and >= 0, got {self.m}")
         if self.kappa is None:
             self.kappa = 1j * self.m
-
-
-@dataclass
-class EMField:
-    """External electromagnetic potential A_al(x) and tensor F_{al be}(x).
-
-    When ``F`` is omitted it is derived from A by central differences of
-    the curl d_al A_be - d_be A_al.
-    """
-
-    A: callable
-    F: callable = None
-
-    def field_tensor(self, x: Point) -> np.ndarray:
-        if self.F is not None:
-            return np.asarray(self.F(x), dtype=float)
-        dA = np.stack(
-            [
-                partial4(
-                    lambda c: np.asarray(self.A(Point(c, x.chart_id))),
-                    x.coords, mu, fd_step(x.coords[mu], STEP_FIRST),
-                )
-                for mu in range(4)
-            ],
-            axis=0,
-        )
-        return dA - dA.T
-
-    def potential(self, x: Point) -> np.ndarray:
-        return np.asarray(self.A(x), dtype=float)
-
-
-def uniform_em(F: np.ndarray) -> EMField:
-    """Constant field tensor with potential A_be = -1/2 F_be_al x^al."""
-    F = np.asarray(F, dtype=float)
-    if np.max(np.abs(F + F.T)) > 1e-12:
-        raise ValueError("field tensor must be antisymmetric")
-    return EMField(
-        A=lambda p: -0.5 * F @ p.coords,
-        F=lambda p: F,
-    )
 
 
 class BlockMatrix16:
@@ -264,12 +221,11 @@ def _differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
     return value, d_levels[:, 0]
 
 
-def _connect(frame: Frame, kind: str, d, value, em, charge,
-             include_spin=True, rows=slice(None)):
+def _connect(frame: Frame, kind: str, d, value, include_spin=True,
+             rows=slice(None)):
     """D_nu from the partial derivatives d [n, nu, ...] and the values
     [n, ...] of a field on the rows ``rows`` of a frame: the Christoffel
-    term on a vector index, the connection on the spinor index, and the
-    potential."""
+    term on a vector index and the connection on the spinor index."""
     if include_spin:
         G = frame.connection[rows]
     if kind == BISPINOR:
@@ -280,14 +236,10 @@ def _connect(frame: Frame, kind: str, d, value, em, charge,
         d = d - np.einsum("xlnb,xli->xnbi", gam, value)
         if include_spin:
             d = d + np.einsum("xnij,xbj->xnbi", G, value)
-    if em is not None:
-        A = np.stack([em.potential(Point(c, frame.chart_id))
-                      for c in frame.coords[rows]])
-        d = d - 1j * charge * np.einsum("xn,x...->xn...", A, value)
     return d
 
 
-def _covariant_rows(field, frame: Frame, em, charge, base_step, richardson,
+def _covariant_rows(field, frame: Frame, base_step, richardson,
                     include_spin=True, stencil_budget=None):
     """D_nu of a sampler on a frame's rows, and the field there:
     (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
@@ -297,16 +249,13 @@ def _covariant_rows(field, frame: Frame, em, charge, base_step, richardson,
     values = field.at(points.reshape(-1, 4), frame.chart_id)
     value, d = _differences(values.reshape(points.shape[:2] + values.shape[1:]),
                             steps, richardson, stencil_budget)
-    return _connect(frame, field.kind, d, value, em, charge,
-                    include_spin), value
+    return _connect(frame, field.kind, d, value, include_spin), value
 
 
 def covariant_derivative(
     field: FieldSampler,
     spec: MetricSpec,
     x,
-    em: Optional[EMField] = None,
-    charge: float = 1.0,
     base_step: float = STEP_FIRST,
     richardson: bool = False,
     include_spin: bool = True,
@@ -323,8 +272,8 @@ def covariant_derivative(
     disagree beyond it.
     """
     frame, single = _frame(spec, x)
-    d, _ = _covariant_rows(field, frame, em, charge, base_step, richardson,
-                           include_spin, stencil_budget)
+    d, _ = _covariant_rows(field, frame, base_step, richardson, include_spin,
+                           stencil_budget)
     return d[0] if single else d
 
 
@@ -342,48 +291,40 @@ def _first_constraint(frame, d, psi, mass):
     return div - 0.5 * mass.kappa * trace
 
 
-def rs_residual(
-    field: FieldSampler,
-    spec: MetricSpec,
-    x,
-    mass: MassParam,
-    em: Optional[EMField] = None,
-    charge: float = 1.0,
-) -> np.ndarray:
+def rs_residual(field: FieldSampler, spec: MetricSpec, x, mass: MassParam
+                ) -> np.ndarray:
     """Left side of the wave equation at a Point, or on (n, 4) rows or a
     Frame: (alpha^nu D_nu + kappa beta) Psi."""
     frame, single = _frame(spec, x)
-    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     res = _residual(frame, d, psi, mass)
     return res[0] if single else res
 
 
-def divergence_combo(field, spec, x, mass, em=None, charge=1.0) -> np.ndarray:
+def divergence_combo(field, spec, x, mass) -> np.ndarray:
     """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
     at a Point, or on (n, 4) rows or a Frame."""
     frame, single = _frame(spec, x)
-    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     out = _first_constraint(frame, d, psi, mass)
     return out[0] if single else out
 
 
-def contraction_identity(field, spec, x, mass, em=None, charge=1.0):
+def contraction_identity(field, spec, x, mass):
     """gamma-contraction of the residual vs (2/3) of the first-constraint
     combination, at a Point or on rows or a Frame; equal for arbitrary
     smooth fields.  Both sides share one D_nu Psi."""
     frame, single = _frame(spec, x)
-    d, psi = _covariant_rows(field, frame, em, charge, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
     rhs = (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
     return (lhs[0], rhs[0]) if single else (lhs, rhs)
 
 
-def constraint_two_residual(field, spec, x, mass, em=None, charge=1.0,
-                            gs=None):
+def constraint_two_residual(field, spec, x, mass, gs=None):
     """The algebraic constraint:
-    (1/2 R_ab + i e F_ab) gamma^a Psi^b
-    + [kappa^2/2 - 1/3 (R/4 + i e F_ab sigma^ab)] gamma^r Psi_r.
+    1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r.
     ``gs``: the Dirac matrices at ``x`` when the caller has them.
     """
     if gs is None:
@@ -391,15 +332,12 @@ def constraint_two_residual(field, spec, x, mass, em=None, charge=1.0,
     bundle = curvature(spec, x)
     psi = field(x)
     psi_up = np.einsum("bl,lj->bj", gs.metric.g_upper, psi)
-    F = em.field_tensor(x) if em is not None else np.zeros((4, 4))
-    coef = 0.5 * bundle.ricci + 1j * charge * F
-    t1 = np.einsum("ab,aij,bj->i", coef, gs.gamma_up, psi_up)
+    # einsum's summation order follows its operands' memory layout; a
+    # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
+    ricci = np.ascontiguousarray(bundle.ricci)
+    t1 = np.einsum("ab,aij,bj->i", 0.5 * ricci, gs.gamma_up, psi_up)
     phi = np.einsum("rij,rj->i", gs.gamma_up, psi)
-    t2 = (0.5 * mass.kappa**2 - bundle.scalar / 12.0) * phi
-    if em is not None:
-        fsigma = np.einsum("ab,abij->ij", F, gs.sigma_curved)
-        t2 = t2 - (1j * charge / 3.0) * fsigma @ phi
-    return t1 + t2
+    return t1 + (0.5 * mass.kappa**2 - bundle.scalar / 12.0) * phi
 
 
 def einstein_space_factor(spec, x, mass) -> complex:
@@ -427,11 +365,11 @@ def _outer_derivative(values, frame: Frame, stencil_budget=None):
     return _differences(values[None], steps, True, stencil_budget)
 
 
-def second_covariant_comm(field, spec, x, em=None, charge=1.0):
+def second_covariant_comm(field, spec, x):
     """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
     frame = stencil_frame(spec, x)
-    inner = covariant_derivative(field, spec, frame, em, charge,
-                                 base_step=STEP_OUTER, richardson=True)
+    inner = covariant_derivative(field, spec, frame, base_step=STEP_OUTER,
+                                 richardson=True)
     v, dv = _outer_derivative(inner, frame)  # [1, nu, c, s], [1, mu, nu, c, s]
     v, dv = v[0], dv[0]
     gam = frame.christoffel[0]
@@ -442,16 +380,13 @@ def second_covariant_comm(field, spec, x, em=None, charge=1.0):
         - np.einsum("lmc,nls->mncs", gam, v)
         + np.einsum("mij,ncj->mnci", G, v)
     )
-    if em is not None:
-        A = em.potential(x)
-        t = t - 1j * charge * np.einsum("m,ncs->mncs", A, v)
     return t - t.transpose(1, 0, 2, 3)
 
 
-def commutator_decomposition(field, spec, x, em=None, charge=1.0):
-    """Nested-difference [D_al, D_be] Psi vs its curvature/field form
-    (vector curvature + spinor curvature - i e F)."""
-    lhs = second_covariant_comm(field, spec, x, em, charge)
+def commutator_decomposition(field, spec, x):
+    """Nested-difference [D_al, D_be] Psi vs its curvature form
+    (vector curvature + spinor curvature)."""
+    lhs = second_covariant_comm(field, spec, x)
     m = eval_metric(spec, x)
     bundle = curvature(spec, x)
     rmix = riemann_mixed(bundle, m)
@@ -460,9 +395,6 @@ def commutator_decomposition(field, spec, x, em=None, charge=1.0):
     # vector part: ( [nabla_a, nabla_b] Psi )_c = - R^l_{c a b} Psi_l
     rhs = -np.einsum("lcab,ls->abcs", rmix, psi)
     rhs = rhs + np.einsum("abij,cj->abci", dhat, psi)
-    if em is not None:
-        F = em.field_tensor(x)
-        rhs = rhs - 1j * charge * np.einsum("ab,cs->abcs", F, psi)
     return lhs, rhs
 
 
@@ -472,9 +404,8 @@ def curvature_bridge(field, spec, x):
     = gamma^al Psi^nu R_{nu al}, with the left side by nested differences
     of Christoffel-only derivatives."""
     frame = stencil_frame(spec, x)
-    inner = covariant_derivative(field, spec, frame, em=None,
-                                 include_spin=False, base_step=STEP_OUTER,
-                                 richardson=True)
+    inner = covariant_derivative(field, spec, frame, include_spin=False,
+                                 base_step=STEP_OUTER, richardson=True)
     v, dv = _outer_derivative(inner, frame)
     v, dv = v[0], dv[0]
     gam = frame.christoffel[0]
@@ -493,10 +424,9 @@ def curvature_bridge(field, spec, x):
     return lhs, rhs
 
 
-def derivative_chain_check(field, spec, x, mass, em=None, charge=1.0,
-                           stencil_budget=None):
+def derivative_chain_check(field, spec, x, mass, stencil_budget=None):
     """D^s applied to the residual, minus the first-constraint part, vs the
-    curvature/field form; an identity for arbitrary C^3 fields.
+    curvature form; an identity for arbitrary C^3 fields.
 
     Left side: D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with
     chi the first-constraint combination.  Right side:
@@ -513,30 +443,29 @@ def derivative_chain_check(field, spec, x, mass, em=None, charge=1.0,
         frame, x = x, Point(x.coords[0], x.chart_id)
     else:
         frame = stencil_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, em, charge, *nested_step(True))
+    d, psi = _covariant_rows(field, frame, *nested_step(True))
     res, dres = _outer_derivative(_residual(frame, d, psi, mass), frame,
                                   stencil_budget)
     chi, dchi = _outer_derivative(_first_constraint(frame, d, psi, mass),
                                   frame, stencil_budget)
     centre = slice(0, 1)
-    dres = _connect(frame, VECTOR_BISPINOR, dres, res, em, charge,
-                    rows=centre)[0]
-    dchi = _connect(frame, BISPINOR, dchi, chi, em, charge, rows=centre)[0]
+    dres = _connect(frame, VECTOR_BISPINOR, dres, res, rows=centre)[0]
+    dchi = _connect(frame, BISPINOR, dchi, chi, rows=centre)[0]
     gs = frame.gamma_set(0)
     lhs = (
         np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
         - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
         - mass.kappa * chi[0]
     )
-    rhs = chain_rhs_algebraic(field, spec, x, mass, em, charge, gs=gs)
+    rhs = chain_rhs_algebraic(field, spec, x, mass, gs=gs)
     return lhs, rhs
 
 
-def chain_rhs_algebraic(field, spec, x, mass, em=None, charge=1.0, gs=None):
-    """The curvature/field form of the derivative chain:
+def chain_rhs_algebraic(field, spec, x, mass, gs=None):
+    """The curvature form of the derivative chain:
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
-    algebraic form (vector curvature + spinor curvature - i e F).
+    algebraic form (vector curvature + spinor curvature).
     ``gs``: the Dirac matrices at ``x`` when the caller has them (a frame
     row)."""
     if gs is None:
@@ -545,21 +474,16 @@ def chain_rhs_algebraic(field, spec, x, mass, em=None, charge=1.0, gs=None):
     bundle = curvature(spec, x)
     rmix = riemann_mixed(bundle, m)
     dhat = spinor_commutator_curvature(spec, x, gs)
-    F = em.field_tensor(x) if em is not None else None
     psi = field(x)
-    # (D_{a m} Psi)_b = -R^l_{b a m} Psi_l + Dhat_{a m} Psi_b - i e F_{a m} Psi_b
+    # (D_{a m} Psi)_b = -R^l_{b a m} Psi_l + Dhat_{a m} Psi_b
     comm = -np.einsum("lbam,ls->ambs", rmix, psi) + np.einsum(
         "amij,bj->ambi", dhat, psi
     )
-    if F is not None:
-        comm = comm - 1j * charge * np.einsum("am,bs->ambs", F, psi)
     contracted = np.einsum("mb,ambs->as", m.g_upper, comm)
     term1 = -np.einsum("aij,aj->i", gs.gamma_up, contracted)
     phi = np.einsum("rij,rj->i", gs.gamma_up, psi)
     term2 = 0.5 * mass.kappa**2 * phi
     d_on_phi = np.einsum("abij,j->abi", dhat, phi)
-    if F is not None:
-        d_on_phi = d_on_phi - 1j * charge * np.einsum("ab,i->abi", F, phi)
     term3 = (1.0 / 3.0) * np.einsum(
         "abij,abj->i", gs.sigma_curved, d_on_phi
     )

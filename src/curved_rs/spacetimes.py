@@ -31,14 +31,16 @@ from .geometry import MetricSpec, Point
 #: margin (coordinate units) kept between guards and horizons/singularities
 DOMAIN_MARGIN = 1e-3
 
-PRESET_NAMES = (
-    "minkowski_cartesian",
-    "minkowski_spherical",
-    "schwarzschild",
-    "de_sitter_static",
-    "anti_de_sitter_static",
-    "frw_dust",
-)
+#: each preset's parameters with their defaults
+PRESET_PARAMS = {
+    "minkowski_cartesian": {},
+    "minkowski_spherical": {},
+    "schwarzschild": {"M": 1.0},
+    "de_sitter_static": {"alpha": 1.0},
+    "anti_de_sitter_static": {"alpha": 1.0},
+    "frw_dust": {"a0": 1.0},
+}
+PRESET_NAMES = tuple(PRESET_PARAMS)
 
 
 def _diag(*entries):
@@ -98,7 +100,7 @@ def _minkowski_spherical(margin=DOMAIN_MARGIN):
 
 
 def _schwarzschild(M=1.0, margin=DOMAIN_MARGIN):
-    if M <= 0:
+    if not M > 0:
         raise InvalidParameter(f"schwarzschild needs M > 0, got {M}")
 
     def comp(p):
@@ -137,7 +139,7 @@ def _schwarzschild(M=1.0, margin=DOMAIN_MARGIN):
 
 def _static_constant_curvature(name, alpha, sign, margin=DOMAIN_MARGIN):
     """Shared builder: f(r) = 1 - sign r^2/alpha^2 (de Sitter: sign=+1)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise InvalidParameter(f"{name} needs alpha > 0, got {alpha}")
 
     def f_of(r):
@@ -179,7 +181,7 @@ def _static_constant_curvature(name, alpha, sign, margin=DOMAIN_MARGIN):
 
 
 def _frw_dust(a0=1.0, margin=DOMAIN_MARGIN):
-    if a0 <= 0:
+    if not a0 > 0:
         raise InvalidParameter(f"frw_dust needs a0 > 0, got {a0}")
 
     def scale(t):
@@ -214,34 +216,36 @@ def _frw_dust(a0=1.0, margin=DOMAIN_MARGIN):
 
 
 def load_preset(name: str, margin: float = DOMAIN_MARGIN, **params) -> MetricSpec:
-    """Build a preset MetricSpec; raises InvalidParameter for bad inputs.
+    """Build a preset MetricSpec; raises InvalidParameter for an unknown
+    preset or parameter, and for a value that is not finite or out of range.
 
     ``margin`` widens the exclusion band around horizons, poles and
     singularities (coordinate units).
     """
-    if margin <= 0:
+    if not margin > 0:
         raise InvalidParameter(f"margin must be positive, got {margin}")
+    if name not in PRESET_PARAMS:
+        raise InvalidParameter(f"unknown preset '{name}'")
+    defaults = PRESET_PARAMS[name]
+    for key, value in params.items():
+        if key not in defaults:
+            raise InvalidParameter(
+                f"{name} has no parameter '{key}'; its parameters: "
+                f"{', '.join(defaults) or 'none'}"
+            )
+        if not math.isfinite(value):
+            raise InvalidParameter(f"{name} needs a finite {key}, got {value}")
+    params = defaults | params
     if name == "minkowski_cartesian":
-        if params:
-            raise InvalidParameter("minkowski_cartesian takes no parameters")
         return _minkowski_cartesian()
     if name == "minkowski_spherical":
-        if params:
-            raise InvalidParameter("minkowski_spherical takes no parameters")
         return _minkowski_spherical(margin)
     if name == "schwarzschild":
-        return _schwarzschild(**({"M": 1.0} | params), margin=margin)
-    if name == "de_sitter_static":
-        alpha = ({"alpha": 1.0} | params)["alpha"]
-        return _static_constant_curvature("de_sitter_static", alpha, +1.0,
-                                          margin)
-    if name == "anti_de_sitter_static":
-        alpha = ({"alpha": 1.0} | params)["alpha"]
-        return _static_constant_curvature("anti_de_sitter_static", alpha,
-                                          -1.0, margin)
+        return _schwarzschild(params["M"], margin)
     if name == "frw_dust":
-        return _frw_dust(**({"a0": 1.0} | params), margin=margin)
-    raise InvalidParameter(f"unknown preset '{name}'")
+        return _frw_dust(params["a0"], margin)
+    sign = +1.0 if name == "de_sitter_static" else -1.0
+    return _static_constant_curvature(name, params["alpha"], sign, margin)
 
 
 # ---------------------------------------------------------------------------

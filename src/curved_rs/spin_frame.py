@@ -93,13 +93,6 @@ class GammaSet:
     tetrad: Tetrad
 
 
-@dataclass
-class SpinConnection:
-    """The four connection matrices Gamma_al(x), indexed [al, i, j]."""
-
-    Gamma: np.ndarray
-
-
 _OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
@@ -232,8 +225,7 @@ class Frame:
 
     @cached_property
     def connection(self) -> np.ndarray:
-        return read_only(
-            np.stack([c.Gamma for c in self._per_row(spin_connection)]))
+        return read_only(np.stack(self._per_row(spin_connection)))
 
     def gamma_set(self, i: int) -> GammaSet:
         """The Dirac matrices at row ``i`` (read-only views); equal to
@@ -300,9 +292,10 @@ def _tetrad_derivatives(spec: MetricSpec, x: Point) -> np.ndarray:
     )
 
 
-def spin_connection(spec: MetricSpec, x: Point) -> SpinConnection:
-    """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu)."""
-    return SpinConnection(Gamma=_spin_connection_cached(spec, tuple(x.coords)))
+def spin_connection(spec: MetricSpec, x: Point) -> np.ndarray:
+    """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu), indexed
+    [al, i, j] (read-only)."""
+    return _spin_connection_cached(spec, tuple(x.coords))
 
 
 @lru_cache(maxsize=65536)

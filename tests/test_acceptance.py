@@ -27,7 +27,7 @@ from curved_rs.gauge import (
     C0,
     fit_prediction_constant,
     gauge_criterion,
-    residual_scale,
+    gradient_residual,
 )
 from curved_rs.geometry import curvature
 from curved_rs.spacetimes import parse_metric_config, spec_from_config
@@ -82,7 +82,6 @@ def _suite_ctx(spec, n_points, seed=42):
         points=points,
         seed=seed,
         mass=rso.MassParam(1.0),
-        charge=0.0,
         met_class=met_class,
         vb_fixtures=fixture_family(seed + 1, 5, "vector_bispinor",
                                    spec.sample_box),
@@ -268,7 +267,7 @@ def test_criterion_7_gauge_dichotomy():
         for x in suite.sample_points(spec, 8, 42):
             for psi in psis:
                 direct, predicted = gauge_criterion(psi, spec, x)
-                scale = residual_scale(psi, spec, x)
+                scale = gradient_residual(psi, spec, x)[1]
                 worst_zero = max(
                     worst_zero, float(np.max(np.abs(direct)) / scale))
     frw = spacetimes.load_preset("frw_dust", a0=1.0)

@@ -24,7 +24,6 @@ from curved_rs.identity_suite import build_context, run_suite
 from curved_rs.rs_operator import MassParam
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from curved_rs.spin_frame import (
-    SpinConnection,
     _diagonal_rows,
     build_frame,
     gamma_set_at,
@@ -112,7 +111,7 @@ def test_single_point_is_row_of_the_batch(name):
         x = Point(c, spec.chart_id)
         assert np.array_equal(frame.christoffel[i], christoffel(spec, x))
         assert np.array_equal(frame.connection[i],
-                              spin_connection(spec, x).Gamma)
+                              spin_connection(spec, x))
         row, gs = frame.gamma_set(i), gamma_set_at(spec, x)
         for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
                     "sigma_curved", "eps_upper", "eps_lower"):
@@ -184,7 +183,7 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
     """1.2a and 1.6 run each fixture over the whole context frame; their
     values and errors equal the point-by-point evaluation."""
     spec = _spec(name)
-    ctx = build_context(spec, 4, seed=13, mass=1.0, charge=0.0)
+    ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
         res = rso.rs_residual(fld, spec, ctx.frame, ctx.mass)
         lhs, rhs = rso.contraction_identity(fld, spec, ctx.frame, ctx.mass)
@@ -236,10 +235,9 @@ def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
     assert all(_verdicts(schwarzschild, checks).values())
     original = rso._covariant_rows
 
-    def without_connection_on_rows(field, frame, em, charge, base_step,
-                                   richardson, include_spin=True,
-                                   stencil_budget=None):
-        return original(field, frame, em, charge, base_step, richardson,
+    def without_connection_on_rows(field, frame, base_step, richardson,
+                                   include_spin=True, stencil_budget=None):
+        return original(field, frame, base_step, richardson,
                         include_spin and len(frame.coords) == 1,
                         stencil_budget)
 
@@ -254,7 +252,7 @@ def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
     vanishes identically (eps antisymmetrizes d_nu d_s and the symmetric
     Christoffels), so the gauge obstruction only shows where 2.8c runs."""
     monkeypatch.setattr(spin_frame, "spin_connection",
-                        lambda spec, x: SpinConnection(np.zeros((4, 4, 4))))
+                        lambda spec, x: np.zeros((4, 4, 4)))
     assert not any(_verdicts(schwarzschild,
                              ("eq_1_7_derivative_chain",)).values())
     assert not any(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
@@ -438,7 +436,7 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
     """1.7 at one point with 5 fixtures: one outer-stencil frame (17 rows,
     one geometry lookup per row) and one ``at`` call per fixture."""
-    ctx = build_context(schwarzschild, 1, seed=9, mass=1.0, charge=0.0)
+    ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     identity_suite._chk_derivative_chain(ctx)  # warm the geometry caches
     at_calls = _count_at(monkeypatch, ctx.vb_fixtures)

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, report formats, determinism."""
 
+import argparse
 import json
 import re
 
 import pytest
 
-from curved_rs.cli import main
+from curved_rs.cli import build_parser, main
 
 DS_CFG = """
 [coords]
@@ -84,13 +85,40 @@ class TestExitCodes:
             assert "eq_1_7_derivative_chain" in err
 
     def test_gauge_rejects_mass_and_charge(self, capsys):
-        # the gauge criterion is the massless, uncharged equation
-        for flag in ("--mass", "--charge"):
+        # the gauge criterion is the massless equation, and no command
+        # couples the field to a potential
+        for command, flag in (("gauge", "--mass"), ("gauge", "--charge"),
+                              ("identities", "--charge"),
+                              ("constraints", "--charge")):
             code, _, err = run(
-                ["gauge", "--metric", "minkowski_cartesian", "--points", "2",
+                [command, "--metric", "minkowski_cartesian", "--points", "2",
                  flag, "3"], capsys)
-            assert code == 2
+            assert code == 2, command
             assert flag in err
+
+    @pytest.mark.parametrize("args", [
+        ["identities", "--seed", "-1"],
+        ["identities", "--metric", "schwarzschild", "--param", "foo=1"],
+        ["identities", "--metric", "frw_dust", "--param", "alpha=2"],
+        ["identities", "--metric", "schwarzschild", "--param", "M=nan"],
+        ["identities", "--metric", "schwarzschild", "--param", "M=inf"],
+        ["gauge", "--metric", "de_sitter_static", "--param", "alpha=nan"],
+        ["identities", "--mass", "nan"],
+        ["identities", "--mass", "inf"],
+        ["identities", "--metric", "de_sitter_static", "--param", "foo=1"],
+        ["identities", "--metric", "anti_de_sitter_static", "--param", "M=3"],
+        ["identities", "--metric-file", "{cfg}", "--param", "alpha=5"],
+        ["identities", "--tolerance", "eq_1_3_hermiticity=-1"],
+        ["identities", "--tolerance", "eq_1_3_hermiticity=nan"],
+    ])
+    def test_bad_input_is_config_error(self, capsys, tmp_path, args):
+        cfg = tmp_path / "ds.cfg"
+        cfg.write_text(DS_CFG)
+        args = [a.replace("{cfg}", str(cfg)) for a in args]
+        code, out, err = run(args + ["--points", "2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_negative_mass_is_config_error(self, capsys):
         code, _, err = run(
@@ -121,7 +149,7 @@ class TestIdentitiesCommand:
             capsys)
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["command"] == "identities"
         assert report["passed"] is True
         assert report["environment"]["metric"] == "schwarzschild"
@@ -166,14 +194,14 @@ class TestIdentitiesCommand:
                 [command, "--metric", metric, "--points", "2",
                  "--seed", "1", "--format", "json"], capsys)
             report = json.loads(out)
-            assert report["schema_version"] == 2
+            assert report["schema_version"] == 3
             assert report["command"] == command
             assert sorted(report.keys()) == sorted([
                 "checks", "command", "environment", "kind", "passed",
                 "runtime_s", "schema_version"] + extras[command])
             assert sorted(report["environment"].keys()) == [
-                "charge", "config_hash", "curvature_class", "mass", "metric",
-                "params", "points", "seed", "stencil_policy"]
+                "config_hash", "curvature_class", "mass", "metric", "params",
+                "points", "seed", "stencil_policy"]
             assert sorted(report["checks"][0].keys()) == [
                 "expect", "id", "max_rel_error", "note", "passed", "points",
                 "runtime_s", "tag", "tolerance"]
@@ -282,3 +310,54 @@ class TestConstraintsCommand:
         assert by_id["eq_1_6_gamma_contraction"]["max_rel_error"] < 1e-7
         assert by_id["eq_1_11a_constraint_reduction"]["passed"]
         assert report["mass_scan"] is None
+
+
+#: for every option of every command: the arguments of the run it is
+#: compared with, and those that give the option a non-default value
+#: ("{cfg}" is a metric document)
+FLAG_CHANGES = {
+    "--metric": ([], ["--metric", "frw_dust"]),
+    "--metric-file": ([], ["--metric-file", "{cfg}"]),
+    "--param": (["--metric", "schwarzschild"], ["--param", "M=1.5"]),
+    "--points": (["--metric", "schwarzschild"], ["--points", "3"]),
+    "--seed": (["--metric", "schwarzschild"], ["--seed", "4"]),
+    "--mass": (["--metric", "schwarzschild"], ["--mass", "2.5"]),
+    "--tolerance": (["--metric", "schwarzschild"],
+                    ["--tolerance", "eq_2_7b_massless_gradient=0.5",
+                     "--tolerance", "eq_1_6_gamma_contraction=0.5"]),
+}
+#: options that choose only how the report is written
+OUTPUT_FLAGS = ("--format", "--output")
+
+
+def _command_options():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in commands.choices.items():
+        for action in sub._actions:
+            option = max(action.option_strings, key=len)
+            if option != "--help" and option not in OUTPUT_FLAGS:
+                yield command, option
+
+
+@pytest.mark.parametrize("command, option", list(_command_options()))
+def test_every_physics_flag_reaches_the_results(capsys, tmp_path, command,
+                                                option):
+    """An option that moves no check's error or tolerance is a silent
+    no-op; one that this table does not know fails here."""
+    assert option in FLAG_CHANGES, f"{command} {option} is not in the table"
+    base, change = FLAG_CHANGES[option]
+    cfg = tmp_path / "ds.cfg"
+    cfg.write_text(DS_CFG)
+
+    def outcome(extra):
+        args = [command, "--points", "1", "--seed", "3", "--format", "json"]
+        code, out, _ = run(
+            args + base + [a.replace("{cfg}", str(cfg)) for a in extra],
+            capsys)
+        assert code in (0, 1), extra
+        return {c["id"]: (c["max_rel_error"], c["tolerance"])
+                for c in json.loads(out)["checks"]}
+
+    assert outcome(change) != outcome([])

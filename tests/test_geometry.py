@@ -219,7 +219,7 @@ class TestCachedArrays:
         arrays = [m.g_lower, m.g_upper, metric_derivatives(spec, x),
                   geometry.christoffel(spec, x), b.christoffel,
                   b.riemann_lower, b.ricci, b.einstein,
-                  spin_connection(spec, x).Gamma]
+                  spin_connection(spec, x)]
         for a in arrays:
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 99

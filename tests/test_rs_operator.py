@@ -19,7 +19,6 @@ from curved_rs.geometry import Point, christoffel
 from curved_rs.numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
 from curved_rs.rs_operator import (
     BlockMatrix16,
-    EMField,
     MassParam,
     build_alpha_beta,
     chain_rhs_algebraic,
@@ -38,7 +37,6 @@ from curved_rs.rs_operator import (
     transform_CS,
     transform_printed,
     beta_tilde_eps_form,
-    uniform_em,
 )
 from curved_rs.spin_frame import gamma_set_at, spin_connection
 
@@ -47,11 +45,11 @@ from conftest import points_of
 MASS = MassParam(1.0)
 
 
-def residual_term_oracle(fld, spec, x, mass, charge=1.0, em=None):
+def residual_term_oracle(fld, spec, x, mass):
     """Term-by-term evaluation of the wave equation, independent of the
     block assembly."""
     gs = gamma_set_at(spec, x)
-    d = covariant_derivative(fld, spec, x, em, charge)
+    d = covariant_derivative(fld, spec, x)
     psi = fld(x)
     gu, g_up = gs.gamma_up, gs.metric.g_upper
     t1 = np.einsum("aij,asj->si", gu, d) + mass.kappa * psi
@@ -76,8 +74,9 @@ class TestMassParam:
         assert m.kappa == 0.5
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(ValueError):
-            MassParam(-1.0)
+        for m in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MassParam(m)
 
 
 class TestCovariantDerivative:
@@ -101,20 +100,11 @@ class TestCovariantDerivative:
         x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
         d = covariant_derivative(f, schwarzschild, x)
         gam = christoffel(schwarzschild, x)
-        G = spin_connection(schwarzschild, x).Gamma
+        G = spin_connection(schwarzschild, x)
         expected = -np.einsum("lnb,li->nbi", gam, values) + np.einsum(
             "nij,bj->nbi", G, values)
         assert np.max(np.abs(d - expected)) < 1e-9
 
-    def test_em_minimal_coupling(self, minkowski):
-        F = np.zeros((4, 4))
-        F[0, 1], F[1, 0] = 0.4, -0.4
-        em = uniform_em(F)
-        f = constant_field(np.ones((4, 4)), VECTOR_BISPINOR)
-        x = minkowski.point(0.5, 1.0, 0.0, 0.0)
-        d = covariant_derivative(f, minkowski, x, em=em, charge=0.9)
-        expected = -1j * 0.9 * np.einsum("n,bs->nbs", em.potential(x), f(x))
-        assert np.max(np.abs(d - expected)) < 1e-12
 
 
 def stencil_oracle(field, spec, x, base_step, richardson=False):
@@ -130,7 +120,7 @@ def stencil_oracle(field, spec, x, base_step, richardson=False):
         for mu in range(4)
     ])
     value = field(x)
-    G = spin_connection(spec, x).Gamma
+    G = spin_connection(spec, x)
     if field.kind == BISPINOR:
         return d + np.einsum("nij,j->ni", G, value)
     gam = christoffel(spec, x)
@@ -171,7 +161,7 @@ class TestNestedRoundoff:
     read 4.8e-5 against its 1e-4 band, all of it roundoff."""
 
     @pytest.mark.parametrize("identity", [
-        lambda f, spec, x: derivative_chain_check(f, spec, x, MASS, charge=0.0),
+        lambda f, spec, x: derivative_chain_check(f, spec, x, MASS),
         lambda f, spec, x: commutator_decomposition(f, spec, x),
         lambda f, spec, x: curvature_bridge(f, spec, x),
     ], ids=["chain_1_7", "commutator_1_9", "bridge_1_10c"])
@@ -182,21 +172,6 @@ class TestNestedRoundoff:
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                         np.max(np.abs(fld(x))))
             assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
-
-
-class TestEMField:
-    def test_curl_recovers_tensor(self, minkowski):
-        F = np.zeros((4, 4))
-        F[0, 1], F[1, 0] = 0.3, -0.3
-        F[2, 3], F[3, 2] = -0.7, 0.7
-        em = uniform_em(F)
-        derived = EMField(A=em.A)  # force the finite-difference curl
-        x = minkowski.point(0.2, -0.4, 0.1, 0.9)
-        assert np.max(np.abs(derived.field_tensor(x) - F)) < 1e-9
-
-    def test_non_antisymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_em(np.eye(4))
 
 
 class TestBlockMatrix:
@@ -425,21 +400,6 @@ class TestConstraintTwo:
                 hi = mid
         assert 0.5 * (lo + hi) == pytest.approx(1.0, abs=1e-6)
 
-    def test_uniform_field_flat(self, minkowski):
-        F = np.zeros((4, 4))
-        F[0, 2], F[2, 0] = 0.6, -0.6
-        em = uniform_em(F)
-
-        fld = gamma_traceless_field(13, minkowski, box=minkowski.sample_box)
-        x = minkowski.point(0.1, 0.2, 0.3, 0.4)
-        gs = gamma_set_at(minkowski, x)
-        c2 = constraint_two_residual(fld, minkowski, x, MASS, em=em,
-                                     charge=0.8)
-        psi_up = np.einsum("bl,lj->bj", gs.metric.g_upper, fld(x))
-        expected = 1j * 0.8 * np.einsum("ab,aij,bj->i", F, gs.gamma_up, psi_up)
-        assert np.max(np.abs(c2 - expected)) < 1e-12
-
-
 class TestDerivativeChain:
     def test_flat_within_budget(self, minkowski):
         fld = polynomial_field(3, box=minkowski.sample_box)
@@ -458,37 +418,12 @@ class TestDerivativeChain:
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
 
-    def test_uniform_field_terms(self, minkowski):
-        F = np.zeros((4, 4))
-        F[0, 1], F[1, 0] = 0.5, -0.5
-        F[2, 3], F[3, 2] = -0.2, 0.2
-        em = uniform_em(F)
-        fld = polynomial_field(6, box=minkowski.sample_box)
-        x = minkowski.point(0.1, -0.2, 0.4, 0.3)
-        lhs, rhs = derivative_chain_check(fld, minkowski, x, MASS, em=em,
-                                          charge=0.7)
-        scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
-        assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
-
     def test_stencil_budget_raises(self, schwarzschild):
         fld = trig_field(4, box=schwarzschild.sample_box)
         x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
         with pytest.raises(StencilTooCoarse):
             derivative_chain_check(fld, schwarzschild, x, MASS,
                                    stencil_budget=1e-18)
-
-    def test_commutator_decomposition_with_field(self, minkowski):
-        # [D_a, D_b] on a constant field with uniform F reduces to -ieF
-        F = np.zeros((4, 4))
-        F[1, 3], F[3, 1] = 0.9, -0.9
-        em = uniform_em(F)
-        fld = constant_field(np.ones((4, 4)), VECTOR_BISPINOR)
-        x = minkowski.point(0.0, 0.5, -0.5, 1.0)
-        lhs, rhs = commutator_decomposition(fld, minkowski, x, em=em,
-                                            charge=1.1)
-        expected = -1.1j * np.einsum("ab,cs->abcs", F, fld(x))
-        assert np.max(np.abs(rhs - expected)) < 1e-12
-        assert np.max(np.abs(lhs - expected)) < 1e-7
 
     @pytest.mark.parametrize("preset", ["schwarzschild", "frw_dust"])
     def test_commutator_decomposition_curved(self, preset, request):
