@@ -2,9 +2,10 @@
 """Bring your own metric: the configuration-document route.
 
 Writes the Schwarzschild exterior as a config document, parses it,
-round-trips it through the canonical serializer, and cross-validates the
-finite-difference curvature of the config route against the analytic
-preset.  The same spec object then drives the identity suite.
+round-trips it through the canonical serializer, and cross-validates its
+curvature against the schwarzschild preset, itself an embedded document
+(both get exact metric derivatives from the expression language).  The
+same spec object then drives the identity suite.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ theta < pi - 0.001
 
 [sampling]
 t = -1.0, 1.0
-r = 3.0, 8.0
+r = 3*M, 8*M
 theta = 0.5, 2.6
 phi = 0.3, 5.9
 """
@@ -47,7 +48,7 @@ print(f"serialize -> parse reproduces the ASTs: {again.components == cfg.compone
 spec_cfg = spacetimes.spec_from_config(cfg)
 spec_pre = spacetimes.load_preset("schwarzschild", M=1.0)
 
-print("\ncross-validation against the analytic preset:")
+print("\ncross-validation against the schwarzschild preset:")
 worst = 0.0
 for x in sample_points(spec_pre, 5, seed=6):
     xc = spec_cfg.point(*x.coords)
@@ -58,7 +59,7 @@ for x in sample_points(spec_pre, 5, seed=6):
         np.max(np.abs(b_cfg.riemann_lower - b_pre.riemann_lower)) / scale))
 print(f"  max relative Riemann mismatch over 5 points: {worst:.2e}")
 
-print("\nidentity suite on the config metric (finite-difference route):")
+print("\nidentity suite on the config metric:")
 report = run_suite(spec_cfg, n_points=5, seed=42)
 for c in report.checks:
     mark = "pass" if c.passed else "FAIL"

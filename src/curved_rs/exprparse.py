@@ -11,7 +11,8 @@ Grammar (precedence from loosest to tightest, ``^`` right-associative)::
 ``NAME`` is either a coordinate symbol, a named parameter, the constant
 ``pi``, or one of the functions sin, cos, tan, exp, log, sqrt, sinh, cosh.
 Evaluation is pure: the same AST with the same bindings gives a
-bit-identical float.
+bit-identical float.  ``diff`` differentiates an AST exactly, into another
+AST of the same grammar.
 """
 
 from __future__ import annotations
@@ -228,23 +229,8 @@ def evaluate(node: Expr, bindings: dict) -> float:
     Raises EvalError on unbound names, division by zero, or math-domain
     violations (sqrt of a negative, log of a non-positive value).
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        if node.name in bindings:
-            return float(bindings[node.name])
-        if node.name in CONSTANTS:
-            return CONSTANTS[node.name]
-        raise EvalError(f"unbound symbol '{node.name}'")
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, bindings)
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, bindings)
-        try:
-            return FUNCTIONS[node.func](arg)
-        except ValueError as exc:
-            raise EvalError(f"{node.func}({arg!r}): {exc}") from exc
-    if isinstance(node, BinOp):
+    kind = type(node)
+    if kind is BinOp:
         lhs = evaluate(node.left, bindings)
         rhs = evaluate(node.right, bindings)
         if node.op == "+":
@@ -257,15 +243,134 @@ def evaluate(node: Expr, bindings: dict) -> float:
             if rhs == 0.0:
                 raise EvalError("division by zero")
             return lhs / rhs
-        if node.op == "^":
-            try:
-                result = lhs**rhs
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise EvalError(f"power {lhs!r} ^ {rhs!r}: {exc}") from exc
-            if isinstance(result, complex):
-                raise EvalError(f"power {lhs!r} ^ {rhs!r} is not real")
-            return result
+        try:
+            result = lhs**rhs
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power {lhs!r} ^ {rhs!r}: {exc}") from exc
+        if isinstance(result, complex):
+            raise EvalError(f"power {lhs!r} ^ {rhs!r} is not real")
+        return result
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        if node.name in bindings:
+            return float(bindings[node.name])
+        if node.name in CONSTANTS:
+            return CONSTANTS[node.name]
+        raise EvalError(f"unbound symbol '{node.name}'")
+    if kind is Neg:
+        return -evaluate(node.arg, bindings)
+    if kind is Call:
+        arg = evaluate(node.arg, bindings)
+        try:
+            return FUNCTIONS[node.func](arg)
+        except ValueError as exc:
+            raise EvalError(f"{node.func}({arg!r}): {exc}") from exc
     raise TypeError(f"not an expression node: {node!r}")
+
+
+ZERO, ONE, TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _value(node: Expr):
+    """The float of a subtree without free symbols, else None."""
+    if isinstance(node, Num):
+        return node.value
+    if free_symbols(node):
+        return None
+    try:
+        return evaluate(node, {})
+    except (EvalError, ArithmeticError):
+        return None
+
+
+def _num(v: float) -> Expr:
+    # a negative constant is Neg(Num), the form the parser gives it
+    return Num(abs(v)) if v >= 0 else Neg(Num(-v))
+
+
+def _fold(op: str, u: Expr, w: Expr) -> Expr:
+    """``u op w`` with constants folded and 0/1 identities applied, so that
+    a structurally zero derivative comes out as ``ZERO``."""
+    a, b = _value(u), _value(w)
+    if a is not None and b is not None:
+        try:
+            return _num(evaluate(BinOp(op, Num(a), Num(b)), {}))
+        except EvalError:
+            pass  # left for evaluation to report where it is met
+    u, w = (u if a is None else _num(a)), (w if b is None else _num(b))
+    if op in "+-" and isinstance(w, Neg):  # u +- (-x) = u -+ x
+        return _fold("-" if op == "+" else "+", u, w.arg)
+    if op == "+":
+        return w if u == ZERO else u if w == ZERO else BinOp(op, u, w)
+    if op == "-":
+        return _neg(w) if u == ZERO else u if w == ZERO else BinOp(op, u, w)
+    if op == "*":
+        if ZERO in (u, w):
+            return ZERO
+        if -1.0 in (a, b):
+            return _neg(w if a == -1.0 else u)
+        return w if u == ONE else u if w == ONE else BinOp(op, u, w)
+    if op == "/":
+        return ZERO if u == ZERO else u if w == ONE else BinOp(op, u, w)
+    return ONE if w == ZERO else u if w == ONE else BinOp(op, u, w)
+
+
+def _neg(u: Expr) -> Expr:
+    if _value(u) is not None:
+        return _num(-_value(u))
+    if isinstance(u, BinOp) and u.op in "*/" and isinstance(u.left, Neg):
+        return BinOp(u.op, u.left.arg, u.right)  # -((-x) * y) = x * y
+    return u.arg if isinstance(u, Neg) else Neg(u)
+
+
+#: f'(u) of each built-in f
+_DERIVATIVES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: _neg(Call("sin", u)),
+    "tan": lambda u: _fold("/", ONE, _fold("^", Call("cos", u), TWO)),
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: _fold("/", ONE, u),
+    "sqrt": lambda u: _fold("/", ONE, _fold("*", TWO, Call("sqrt", u))),
+    "sinh": lambda u: Call("cosh", u),
+    "cosh": lambda u: Call("sinh", u),
+}
+
+
+def diff(node: Expr, var: str) -> Expr:
+    """The exact partial derivative of an AST with respect to ``var``.
+
+    Sum, product, quotient and power rules (the general u^v rule when the
+    exponent depends on ``var``) and the chain rule through the built-ins;
+    constants and 0/1 identities are folded, so a derivative that vanishes
+    structurally is ``Num(0.0)``.
+    """
+    if var not in free_symbols(node):
+        return ZERO
+    if isinstance(node, Var):
+        return ONE
+    if isinstance(node, Neg):
+        return _neg(diff(node.arg, var))
+    if isinstance(node, Call):
+        return _fold("*", _DERIVATIVES[node.func](node.arg), diff(node.arg, var))
+    if not isinstance(node, BinOp):
+        raise TypeError(f"not an expression node: {node!r}")
+    u, w = node.left, node.right
+    du, dw = diff(u, var), diff(w, var)
+    if node.op in "+-":
+        return _fold(node.op, du, dw)
+    if node.op == "*":
+        return _fold("+", _fold("*", du, w), _fold("*", u, dw))
+    if node.op == "/":
+        if dw == ZERO:
+            return _fold("/", du, w)
+        return _fold("/", _fold("-", _fold("*", du, w), _fold("*", u, dw)),
+                     _fold("^", w, TWO))
+    if dw == ZERO:  # d(u^c) = c u^(c-1) du
+        return _fold("*", _fold("*", w, _fold("^", u, _fold("-", w, ONE))), du)
+    # d(u^v) = u^v (dv log(u) + v du / u)
+    return _fold("*", node, _fold("+", _fold("*", dw, Call("log", u)),
+                                  _fold("/", _fold("*", w, du), u)))
 
 
 def free_symbols(node: Expr) -> set:

@@ -10,7 +10,7 @@ Conventions (pinned once, verified by the test suite):
 
 With these choices the static de Sitter preset has R = -12/alpha^2 and the
 static anti-de Sitter preset has R = +12/alpha^2; vacuum presets are
-Ricci-flat.  The totally antisymmetric tensor carries the weight
+Ricci-flat.  The totally antisymmetric tensor carries the factor
 sqrt(-det g); its global sign EPS_SIGN is fixed by the triple-product
 identity of the position-dependent Dirac matrices (see spin_frame) and
 frozen here with a regression test.
@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OutOfDomain, SingularMetric
-from .numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4, read_only
+from .numerics import read_only
 
 #: global sign of the antisymmetric tensor: eps^{0123} = EPS_SIGN / sqrt(-g)
 EPS_SIGN = -1.0
@@ -62,19 +62,20 @@ class Point:
 
 @dataclass(eq=False)
 class MetricSpec:
-    """A spacetime metric: component map, optional analytic derivative,
-    and the guard delimiting the chart's validity domain.
+    """A spacetime metric: component map with its exact derivatives, and
+    the guard delimiting the chart's validity domain.  Specs are built from
+    metric documents (see ``spacetimes``).
 
-    ``component_fn`` maps a Point to the 4x4 symmetric matrix g_ab;
-    ``deriv_fn`` (optional) maps a Point to d_mu g_ab, indexed [mu, a, b].
-    ``sample_box`` is the per-coordinate (lo, hi) box used by randomized
-    suites; it must lie strictly inside the domain.
+    ``component_fn(p, order=0)`` maps a Point to the 4x4 symmetric matrix
+    g_ab (order 0), to d_mu g_ab indexed [mu, a, b] (order 1) or to
+    d_mu d_nu g_ab indexed [mu, nu, a, b] (order 2).  ``sample_box`` is the
+    per-coordinate (lo, hi) box used by randomized suites; it must lie
+    strictly inside the domain.
     """
 
     name: str
-    component_fn: Callable[[Point], np.ndarray]
-    deriv_fn: Optional[Callable[[Point], np.ndarray]] = None
-    domain_guard: Callable[[Point], bool] = lambda p: True
+    component_fn: Callable[..., np.ndarray]
+    domain_guard: Callable[[Point], bool]
     chart: tuple = ("x0", "x1", "x2", "x3")
     chart_id: str = ""
     params: dict = field(default_factory=dict)
@@ -112,17 +113,24 @@ class CurvatureBundle:
     einstein: np.ndarray
 
 
-def _require_in_domain(spec: MetricSpec, x: Point):
+# Each cached builder guards the domain on the first use of a point (its
+# own or, through the metric, its inputs'); a cache hit is a point that
+# passed, so it skips the guard.
+
+
+def _point_in_domain(spec: MetricSpec, coords: tuple) -> Point:
+    x = Point(np.array(coords), spec.chart_id)
     if not spec.contains(x):
         raise OutOfDomain(
             f"point {np.array2string(x.coords, precision=6)} is outside the "
             f"domain of metric '{spec.name}'"
         )
+    return x
 
 
 @lru_cache(maxsize=65536)
 def _metric_cached(spec: MetricSpec, coords: tuple) -> MetricAtPoint:
-    x = Point(np.array(coords), spec.chart_id)
+    x = _point_in_domain(spec, coords)
     g = np.asarray(spec.component_fn(x), dtype=float)
     det = float(np.linalg.det(g))
     if abs(det) < 1e-14:
@@ -133,56 +141,30 @@ def _metric_cached(spec: MetricSpec, coords: tuple) -> MetricAtPoint:
 
 def eval_metric(spec: MetricSpec, x: Point) -> MetricAtPoint:
     """Metric, inverse and determinant at ``x``; guards the domain."""
-    _require_in_domain(spec, x)
     return _metric_cached(spec, tuple(x.coords))
 
 
-def metric_derivatives(spec: MetricSpec, x: Point) -> np.ndarray:
-    """d_mu g_ab at ``x``, indexed [mu, a, b].
-
-    Uses the analytic derivative when the spec provides one, otherwise a
-    central stencil with per-coordinate step max(1e-5, 1e-5 |x_mu|); the
-    step is halved up to 8 times if the stencil leaves the domain.
-    """
-    _require_in_domain(spec, x)
-    return _metric_derivs_cached(spec, tuple(x.coords))
+def metric_derivatives(spec: MetricSpec, x: Point, order: int = 1) -> np.ndarray:
+    """The exact d_mu g_ab at ``x``, indexed [mu, a, b] (``order`` 1), or
+    d_mu d_nu g_ab, indexed [mu, nu, a, b] (``order`` 2)."""
+    return _metric_derivs_cached(spec, tuple(x.coords), order)
 
 
 @lru_cache(maxsize=65536)
-def _metric_derivs_cached(spec, coords):
-    x = Point(np.array(coords), spec.chart_id)
-    if spec.deriv_fn is not None:
-        return read_only(np.asarray(spec.deriv_fn(x), dtype=float))
-    out = np.empty((4, 4, 4))
-    for mu in range(4):
-        h = fd_step(x.coords[mu], STEP_FIRST)
-        for _ in range(9):
-            if spec.contains(x.shifted(mu, h)) and spec.contains(
-                x.shifted(mu, -h)
-            ):
-                break
-            h *= 0.5
-        else:
-            raise OutOfDomain(
-                f"no room for a derivative stencil along x^{mu} at {coords}"
-            )
-        gp = np.asarray(spec.component_fn(x.shifted(mu, h)), dtype=float)
-        gm = np.asarray(spec.component_fn(x.shifted(mu, -h)), dtype=float)
-        out[mu] = (gp - gm) / (2.0 * h)
-    return read_only(out)
+def _metric_derivs_cached(spec, coords, order):
+    x = _point_in_domain(spec, coords)
+    return read_only(np.asarray(spec.component_fn(x, order), dtype=float))
 
 
 def christoffel(spec: MetricSpec, x: Point) -> np.ndarray:
     """Gamma^s_{ab} at ``x``, indexed [s, a, b]."""
-    _require_in_domain(spec, x)
     return _christoffel_cached(spec, tuple(x.coords))
 
 
 @lru_cache(maxsize=65536)
 def _christoffel_cached(spec, coords):
-    x = Point(np.array(coords), spec.chart_id)
-    m = eval_metric(spec, x)
-    dg = metric_derivatives(spec, x)
+    m = _metric_cached(spec, coords)
+    dg = _metric_derivs_cached(spec, coords, 1)
     # Gamma^s_ab = 1/2 g^{sr} (dg[a,r,b] + dg[b,r,a] - dg[r,a,b])
     return read_only(0.5 * np.einsum(
         "sr,arb->sab", m.g_upper, dg + np.einsum("arb->bra", dg) - np.einsum("arb->rab", dg)
@@ -190,42 +172,24 @@ def _christoffel_cached(spec, coords):
 
 
 def curvature(spec: MetricSpec, x: Point) -> CurvatureBundle:
-    """Full curvature bundle at ``x``.
-
-    The Christoffel derivative is a central stencil with one Richardson
-    halving; inner Christoffels reuse analytic metric derivatives when
-    available.
-    """
-    _require_in_domain(spec, x)
+    """Full curvature bundle at ``x``, from the exact first and second
+    metric derivatives: with d_mu g^{sr} = -g^{sk} (d_mu g_kl) g^{lr},
+    d_mu Gamma^s_ab = -g^{sk} d_mu g_kl Gamma^l_ab
+    + 1/2 g^{sr} d_mu (d_a g_rb + d_b g_ra - d_r g_ab)."""
     return _curvature_cached(spec, tuple(x.coords))
 
 
 @lru_cache(maxsize=16384)
 def _curvature_cached(spec, coords):
-    x = Point(np.array(coords), spec.chart_id)
-    m = eval_metric(spec, x)
-    gam = christoffel(spec, x)
-
-    def gamma_at(c):
-        return christoffel(spec, Point(c, spec.chart_id))
-
-    dgam = np.empty((4, 4, 4, 4))  # [mu, s, a, b] = d_mu Gamma^s_ab
-    for mu in range(4):
-        h = fd_step(x.coords[mu], STEP_OUTER)
-        for _ in range(9):
-            ok = True
-            for s in (h, -h, h / 2, -h / 2):
-                if not spec.contains(x.shifted(mu, s)):
-                    ok = False
-                    break
-            if ok:
-                break
-            h *= 0.5
-        else:
-            raise OutOfDomain(
-                f"no room for the curvature stencil along x^{mu} at {coords}"
-            )
-        dgam[mu] = partial4(gamma_at, x.coords, mu, h, richardson=True)
+    m = _metric_cached(spec, coords)
+    gam = _christoffel_cached(spec, coords)
+    dg = _metric_derivs_cached(spec, coords, 1)
+    ddg = _metric_derivs_cached(spec, coords, 2)
+    dterms = (np.einsum("marb->mrab", ddg) + np.einsum("mbra->mrab", ddg)
+              - ddg)  # [mu, r, a, b] = d_mu (d_a g_rb + d_b g_ra - d_r g_ab)
+    # [mu, s, a, b] = d_mu Gamma^s_ab
+    dgam = (0.5 * np.einsum("sr,mrab->msab", m.g_upper, dterms)
+            - np.einsum("sk,mkl,lab->msab", m.g_upper, dg, gam))
 
     # R^r_{s mu nu}
     r_up = (

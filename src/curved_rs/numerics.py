@@ -3,7 +3,7 @@
 Two step bases are used throughout the package:
 
 * ``STEP_FIRST`` for first derivatives of closed-form quantities
-  (metric components, field samplers).
+  (field samplers, Dirac matrices); metric derivatives are exact.
 * ``STEP_OUTER`` for derivatives of quantities that are themselves
   finite-difference built (residual fields, spin connections), and with
   Richardson for the inner derivatives of such nested chains.  The larger

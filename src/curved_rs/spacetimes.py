@@ -1,6 +1,8 @@
 """Preset metric catalog and ingestion of user-defined diagonal metrics.
 
-Presets (all diagonal, signature (+,-,-,-)):
+Every metric is a sectioned text document with one expression per diagonal
+component (see ``parse_metric_config``); only diagonal metrics exist.  The
+presets are documents embedded here (all signature (+,-,-,-)):
 
 * ``minkowski_cartesian`` and ``minkowski_spherical`` - flat space;
 * ``schwarzschild(M)`` - vacuum exterior, r > 2M;
@@ -11,241 +13,159 @@ Presets (all diagonal, signature (+,-,-,-)):
 * ``frw_dust(a0)`` - spatially flat expansion a(t) = a0 t^(2/3), the
   canonical preset with a nonzero Einstein tensor.
 
-User metrics come from a sectioned text document with one expression per
-diagonal component (see ``parse_metric_config``); only diagonal metrics
-are accepted.
+A spec's metric derivatives are exact: ``exprparse.diff`` differentiates
+each component once per spec, and the spec evaluates those ASTs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import exprparse
-from .errors import ConfigError, EvalError, InvalidParameter, ParseError
+from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
 from .geometry import MetricSpec, Point
 
-#: margin (coordinate units) kept between guards and horizons/singularities
-DOMAIN_MARGIN = 1e-3
-
-#: each preset's parameters with their defaults
-PRESET_PARAMS = {
-    "minkowski_cartesian": {},
-    "minkowski_spherical": {},
-    "schwarzschild": {"M": 1.0},
-    "de_sitter_static": {"alpha": 1.0},
-    "anti_de_sitter_static": {"alpha": 1.0},
-    "frw_dust": {"a0": 1.0},
+#: the preset documents; their guards keep 1e-3 coordinate units from
+#: horizons, poles and singularities
+PRESET_DOCUMENTS = {
+    "minkowski_cartesian": """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 1
+g11 = -1
+g22 = -1
+g33 = -1
+[sampling]
+t = -2, 2
+x = -2, 2
+y = -2, 2
+z = -2, 2
+""",
+    "minkowski_spherical": """
+[coords]
+names = t, r, theta, phi
+[metric]
+g00 = 1
+g11 = -1
+g22 = -r^2
+g33 = -r^2 * sin(theta)^2
+[domain]
+r > 0.001
+theta > 0.001
+theta < pi - 0.001
+[sampling]
+t = -1, 1
+r = 1, 5
+theta = 0.5, pi - 0.5
+phi = 0.3, 5.9
+""",
+    "schwarzschild": """
+[coords]
+names = t, r, theta, phi
+[metric]
+g00 = 1 - 2*M/r
+g11 = -1/(1 - 2*M/r)
+g22 = -r^2
+g33 = -r^2 * sin(theta)^2
+[params]
+M = 1.0
+[domain]
+r > 2*M + 0.001
+theta > 0.001
+theta < pi - 0.001
+[sampling]
+t = -1, 1
+r = 3*M, 8*M
+theta = 0.5, pi - 0.5
+phi = 0.3, 5.9
+""",
+    "de_sitter_static": """
+[coords]
+names = t, r, theta, phi
+[metric]
+g00 = 1 - r^2/alpha^2
+g11 = -1/(1 - r^2/alpha^2)
+g22 = -r^2
+g33 = -r^2 * sin(theta)^2
+[params]
+alpha = 1.0
+[domain]
+r > 0.001
+r < alpha*(1 - 0.001)
+theta > 0.001
+theta < pi - 0.001
+[sampling]
+t = -1, 1
+r = 0.15*alpha, 0.7*alpha
+theta = 0.5, pi - 0.5
+phi = 0.3, 5.9
+""",
+    "anti_de_sitter_static": """
+[coords]
+names = t, r, theta, phi
+[metric]
+g00 = 1 + r^2/alpha^2
+g11 = -1/(1 + r^2/alpha^2)
+g22 = -r^2
+g33 = -r^2 * sin(theta)^2
+[params]
+alpha = 1.0
+[domain]
+r > 0.001
+theta > 0.001
+theta < pi - 0.001
+[sampling]
+t = -1, 1
+r = 0.15*alpha, 0.7*alpha
+theta = 0.5, pi - 0.5
+phi = 0.3, 5.9
+""",
+    "frw_dust": """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 1
+g11 = -(a0*t^(2/3))^2
+g22 = -(a0*t^(2/3))^2
+g33 = -(a0*t^(2/3))^2
+[params]
+a0 = 1.0
+[domain]
+t > 0.01
+[sampling]
+t = 0.5, 2
+x = -1, 1
+y = -1, 1
+z = -1, 1
+""",
 }
-PRESET_NAMES = tuple(PRESET_PARAMS)
+PRESET_NAMES = tuple(PRESET_DOCUMENTS)
 
 
-def _diag(*entries):
-    return np.diag(np.array(entries, dtype=float))
-
-
-def _zeros_deriv(_):
-    return np.zeros((4, 4, 4))
-
-
-def _minkowski_cartesian():
-    return MetricSpec(
-        name="minkowski_cartesian",
-        component_fn=lambda p: _diag(1.0, -1.0, -1.0, -1.0),
-        deriv_fn=_zeros_deriv,
-        domain_guard=lambda p: bool(np.all(np.isfinite(p.coords))),
-        chart=("t", "x", "y", "z"),
-        chart_id="minkowski_cartesian",
-        sample_box=((-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0), (-2.0, 2.0)),
-    )
-
-
-def _spherical_guard(r_lo, r_hi=None, margin=DOMAIN_MARGIN):
-    def guard(p):
-        _, r, theta, _ = p.coords
-        if not np.all(np.isfinite(p.coords)):
-            return False
-        if r <= r_lo or (r_hi is not None and r >= r_hi):
-            return False
-        return margin < theta < math.pi - margin
-
-    return guard
-
-
-def _minkowski_spherical(margin=DOMAIN_MARGIN):
-    def comp(p):
-        _, r, theta, _ = p.coords
-        return _diag(1.0, -1.0, -(r**2), -(r**2) * math.sin(theta) ** 2)
-
-    def deriv(p):
-        _, r, theta, _ = p.coords
-        dg = np.zeros((4, 4, 4))
-        dg[1, 2, 2] = -2.0 * r
-        dg[1, 3, 3] = -2.0 * r * math.sin(theta) ** 2
-        dg[2, 3, 3] = -(r**2) * 2.0 * math.sin(theta) * math.cos(theta)
-        return dg
-
-    return MetricSpec(
-        name="minkowski_spherical",
-        component_fn=comp,
-        deriv_fn=deriv,
-        domain_guard=_spherical_guard(margin, margin=margin),
-        chart=("t", "r", "theta", "phi"),
-        chart_id="minkowski_spherical",
-        sample_box=((-1.0, 1.0), (1.0, 5.0), (0.5, math.pi - 0.5), (0.3, 5.9)),
-    )
-
-
-def _schwarzschild(M=1.0, margin=DOMAIN_MARGIN):
-    if not M > 0:
-        raise InvalidParameter(f"schwarzschild needs M > 0, got {M}")
-
-    def comp(p):
-        _, r, theta, _ = p.coords
-        f = 1.0 - 2.0 * M / r
-        return _diag(f, -1.0 / f, -(r**2), -(r**2) * math.sin(theta) ** 2)
-
-    def deriv(p):
-        _, r, theta, _ = p.coords
-        f = 1.0 - 2.0 * M / r
-        df = 2.0 * M / r**2
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = df
-        dg[1, 1, 1] = df / f**2
-        dg[1, 2, 2] = -2.0 * r
-        dg[1, 3, 3] = -2.0 * r * math.sin(theta) ** 2
-        dg[2, 3, 3] = -(r**2) * 2.0 * math.sin(theta) * math.cos(theta)
-        return dg
-
-    return MetricSpec(
-        name="schwarzschild",
-        component_fn=comp,
-        deriv_fn=deriv,
-        domain_guard=_spherical_guard(2.0 * M + margin, margin=margin),
-        chart=("t", "r", "theta", "phi"),
-        chart_id="schwarzschild",
-        params={"M": M},
-        sample_box=(
-            (-1.0, 1.0),
-            (3.0 * M, 8.0 * M),
-            (0.5, math.pi - 0.5),
-            (0.3, 5.9),
-        ),
-    )
-
-
-def _static_constant_curvature(name, alpha, sign, margin=DOMAIN_MARGIN):
-    """Shared builder: f(r) = 1 - sign r^2/alpha^2 (de Sitter: sign=+1)."""
-    if not alpha > 0:
-        raise InvalidParameter(f"{name} needs alpha > 0, got {alpha}")
-
-    def f_of(r):
-        return 1.0 - sign * r**2 / alpha**2
-
-    def comp(p):
-        _, r, theta, _ = p.coords
-        f = f_of(r)
-        return _diag(f, -1.0 / f, -(r**2), -(r**2) * math.sin(theta) ** 2)
-
-    def deriv(p):
-        _, r, theta, _ = p.coords
-        f = f_of(r)
-        df = -sign * 2.0 * r / alpha**2
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = df
-        dg[1, 1, 1] = df / f**2
-        dg[1, 2, 2] = -2.0 * r
-        dg[1, 3, 3] = -2.0 * r * math.sin(theta) ** 2
-        dg[2, 3, 3] = -(r**2) * 2.0 * math.sin(theta) * math.cos(theta)
-        return dg
-
-    r_hi = alpha * (1.0 - margin) if sign > 0 else None
-    return MetricSpec(
-        name=name,
-        component_fn=comp,
-        deriv_fn=deriv,
-        domain_guard=_spherical_guard(margin, r_hi, margin=margin),
-        chart=("t", "r", "theta", "phi"),
-        chart_id=name,
-        params={"alpha": alpha},
-        sample_box=(
-            (-1.0, 1.0),
-            (0.15 * alpha, 0.7 * alpha),
-            (0.5, math.pi - 0.5),
-            (0.3, 5.9),
-        ),
-    )
-
-
-def _frw_dust(a0=1.0, margin=DOMAIN_MARGIN):
-    if not a0 > 0:
-        raise InvalidParameter(f"frw_dust needs a0 > 0, got {a0}")
-
-    def scale(t):
-        return a0 * t ** (2.0 / 3.0)
-
-    def comp(p):
-        t = p.coords[0]
-        a2 = scale(t) ** 2
-        return _diag(1.0, -a2, -a2, -a2)
-
-    def deriv(p):
-        t = p.coords[0]
-        a = scale(t)
-        adot = a0 * (2.0 / 3.0) * t ** (-1.0 / 3.0)
-        dg = np.zeros((4, 4, 4))
-        for i in (1, 2, 3):
-            dg[0, i, i] = -2.0 * a * adot
-        return dg
-
-    return MetricSpec(
-        name="frw_dust",
-        component_fn=comp,
-        deriv_fn=deriv,
-        domain_guard=lambda p: bool(
-            np.all(np.isfinite(p.coords)) and p.coords[0] > 10 * margin
-        ),
-        chart=("t", "x", "y", "z"),
-        chart_id="frw_dust",
-        params={"a0": a0},
-        sample_box=((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),
-    )
-
-
-def load_preset(name: str, margin: float = DOMAIN_MARGIN, **params) -> MetricSpec:
-    """Build a preset MetricSpec; raises InvalidParameter for an unknown
-    preset or parameter, and for a value that is not finite or out of range.
-
-    ``margin`` widens the exclusion band around horizons, poles and
-    singularities (coordinate units).
-    """
-    if not margin > 0:
-        raise InvalidParameter(f"margin must be positive, got {margin}")
-    if name not in PRESET_PARAMS:
+def load_preset(name: str, **params) -> MetricSpec:
+    """Build a preset MetricSpec from its document, with ``params``
+    overriding the document's [params]; raises InvalidParameter for an
+    unknown preset or parameter, and for a value that is not finite and
+    positive."""
+    if name not in PRESET_DOCUMENTS:
         raise InvalidParameter(f"unknown preset '{name}'")
-    defaults = PRESET_PARAMS[name]
+    cfg = parse_metric_config(PRESET_DOCUMENTS[name], name=name)
     for key, value in params.items():
-        if key not in defaults:
+        if key not in cfg.params:
             raise InvalidParameter(
                 f"{name} has no parameter '{key}'; its parameters: "
-                f"{', '.join(defaults) or 'none'}"
+                f"{', '.join(cfg.params) or 'none'}"
             )
-        if not math.isfinite(value):
-            raise InvalidParameter(f"{name} needs a finite {key}, got {value}")
-    params = defaults | params
-    if name == "minkowski_cartesian":
-        return _minkowski_cartesian()
-    if name == "minkowski_spherical":
-        return _minkowski_spherical(margin)
-    if name == "schwarzschild":
-        return _schwarzschild(params["M"], margin)
-    if name == "frw_dust":
-        return _frw_dust(params["a0"], margin)
-    sign = +1.0 if name == "de_sitter_static" else -1.0
-    return _static_constant_curvature(name, params["alpha"], sign, margin)
+        if not (math.isfinite(value) and value > 0):
+            raise InvalidParameter(
+                f"{name} needs a finite {key} > 0, got {value}")
+    params = {k: float(v) for k, v in params.items()}
+    return _build_spec(replace(cfg, params=cfg.params | params), name)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +184,7 @@ class MetricConfig:
     components: dict  # g00..g33 -> AST
     params: dict  # name -> float
     domain: list  # list of (lhs AST, op, rhs AST), op in {'<', '>'}
-    sampling: dict = field(default_factory=dict)  # coord -> (lo, hi)
+    sampling: dict = field(default_factory=dict)  # coord -> (lo AST, hi AST)
     name: str = "config"
 
     def serialize(self) -> str:
@@ -290,8 +210,8 @@ class MetricConfig:
             lines.append("[sampling]")
             for k in self.coord_names:
                 if k in self.sampling:
-                    lo, hi = self.sampling[k]
-                    lines.append(f"{k} = {lo!r}, {hi!r}")
+                    lo, hi = map(exprparse.to_text, self.sampling[k])
+                    lines.append(f"{k} = {lo}, {hi}")
             lines.append("")
         return "\n".join(lines)
 
@@ -384,7 +304,8 @@ def parse_metric_config(text: str, name: str = "config") -> MetricConfig:
             pieces = value.split(",")
             if len(pieces) != 2:
                 raise ParseError("expected 'coord = lo, hi'", lineno, 1)
-            sampling[key.strip()] = (float(pieces[0]), float(pieces[1]))
+            sampling[key.strip()] = tuple(
+                exprparse.parse_expression(piece, lineno) for piece in pieces)
 
     if coord_names is None:
         raise ParseError("missing [coords] section", 1, 1)
@@ -411,27 +332,64 @@ def _validate_symbols(cfg: MetricConfig):
             raise ConfigError(
                 f"domain constraint uses undefined symbols: {sorted(stray)}"
             )
+    for coord, bounds in cfg.sampling.items():
+        stray = set().union(*map(exprparse.free_symbols, bounds)) - set(cfg.params)
+        if stray:
+            raise ConfigError(
+                f"[sampling] bounds of {coord} use symbols that are not "
+                f"parameters: {sorted(stray)}"
+            )
 
 
 def spec_from_config(cfg: MetricConfig) -> MetricSpec:
-    """Diagonal MetricSpec evaluating the config's expressions.
+    """Diagonal MetricSpec evaluating the config's expressions, with exact
+    metric derivatives.
 
-    Derivatives fall back to finite differences; the domain guard evaluates
-    the [domain] inequalities (a point with any failing or non-evaluable
-    constraint is outside).
+    The domain guard evaluates the [domain] inequalities (a point with any
+    failing or non-evaluable constraint, or a non-evaluable component, is
+    outside).
     """
+    return _build_spec(cfg, f"config:{cfg.content_hash()}")
+
+
+def _derivative_tables(cfg: MetricConfig) -> tuple:
+    """For the metric (order 0) and its first and second derivatives, the
+    structurally nonzero entries as (index, label, AST); a second
+    derivative's index addresses both [mu, nu] and [nu, mu]."""
+    names = cfg.coord_names
+    comps = [cfg.components[k] for k in COMPONENT_KEYS]
+    first = [[exprparse.diff(ast, x) for ast in comps] for x in names]
+    tables = (
+        [((a, a), f"g{a}{a}", ast) for a, ast in enumerate(comps)],
+        [((mu, a, a), f"d_{names[mu]} g{a}{a}", first[mu][a])
+         for mu in range(4) for a in range(4)],
+        [(((mu, nu), (nu, mu), a, a), f"d_{names[mu]} d_{names[nu]} g{a}{a}",
+          exprparse.diff(first[mu][a], names[nu]))
+         for mu in range(4) for nu in range(mu, 4) for a in range(4)],
+    )
+    return tuple([e for e in t if e[2] != exprparse.ZERO] for t in tables)
+
+
+def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
     names = cfg.coord_names
     comp_asts = [cfg.components[k] for k in COMPONENT_KEYS]
+    tables = _derivative_tables(cfg)
 
     def bindings(p: Point) -> dict:
-        b = dict(cfg.params)
-        for i, n in enumerate(names):
-            b[n] = p.coords[i]
-        return b
+        return cfg.params | dict(zip(names, p.coords.tolist()))
 
-    def comp(p: Point) -> np.ndarray:
+    def comp(p: Point, order: int = 0) -> np.ndarray:
         b = bindings(p)
-        return np.diag([exprparse.evaluate(ast, b) for ast in comp_asts])
+        out = np.zeros((4,) * (order + 2))
+        for index, label, ast in tables[order]:
+            try:
+                out[index] = exprparse.evaluate(ast, b)
+            except EvalError as exc:
+                raise OutOfDomain(
+                    f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
+                    f"at {np.array2string(p.coords, precision=6)}: {exc}"
+                ) from exc
+        return out
 
     def guard(p: Point) -> bool:
         if not np.all(np.isfinite(p.coords)):
@@ -456,15 +414,19 @@ def spec_from_config(cfg: MetricConfig) -> MetricSpec:
         missing = [n for n in names if n not in cfg.sampling]
         if missing:
             raise ConfigError(f"[sampling] missing coordinates: {missing}")
-        box = tuple(cfg.sampling[n] for n in names)
+        try:
+            box = tuple(
+                tuple(exprparse.evaluate(e, cfg.params) for e in cfg.sampling[n])
+                for n in names)
+        except EvalError as exc:
+            raise ConfigError(f"[sampling] bound cannot be evaluated: {exc}")
 
     return MetricSpec(
         name=cfg.name,
         component_fn=comp,
-        deriv_fn=None,
         domain_guard=guard,
         chart=names,
-        chart_id=f"config:{cfg.content_hash()}",
+        chart_id=chart_id,
         params=dict(cfg.params),
         sample_box=box,
     )

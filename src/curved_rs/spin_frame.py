@@ -30,7 +30,7 @@ from .geometry import (
     levi_civita,
     metric_derivatives,
 )
-from .numerics import STEP_FIRST, fd_step, partial4, read_only
+from .numerics import STEP_OUTER, fd_step, partial4, read_only
 
 _PAULI = np.array(
     [
@@ -93,60 +93,29 @@ class GammaSet:
     tetrad: Tetrad
 
 
-_OFF_DIAGONAL = 1.0 - np.eye(4)
+_OFF_DIAGONAL = ~np.eye(4, dtype=bool)
 
 
-def _diagonal_rows(g: np.ndarray) -> np.ndarray:
-    """Which metrics of a (..., 4, 4) stack are diagonal."""
-    a = np.abs(g)
-    off = (a * _OFF_DIAGONAL).max(axis=(-2, -1))
-    return off <= 1e-12 * np.maximum(1.0, a.max(axis=(-2, -1)))
-
-
-def _tetrad_rows(g: np.ndarray, g_inv: np.ndarray):
-    """(e^(a)_al, e_(a)^al) for an (n, 4, 4) stack of metrics and inverses.
-
-    Diagonal rows get the diagonal-positive gauge e^(a)_al =
-    sqrt(|g_al al|) delta; the others an eigen-decomposition whose
-    eigenvectors have a positive largest-magnitude entry.  Raises
-    SignatureError unless every metric has exactly one positive
-    eigendirection.
-    """
-    diag = _diagonal_rows(g)
+def _tetrad_rows(g: np.ndarray):
+    """(e^(a)_al, e_(a)^al) for an (n, 4, 4) stack of diagonal metrics: the
+    diagonal-positive gauge e^(a)_al = sqrt(|g_al al|) delta.  Raises
+    SignatureError unless every metric has signs (+,-,-,-)."""
+    if g[:, _OFF_DIAGONAL].any():
+        raise ValueError("tetrads are built for diagonal metrics only")
     d = np.diagonal(g, axis1=1, axis2=2)
-    bad = diag & ~((d[:, 0] > 0) & (d[:, 1:] < 0).all(axis=1))
+    bad = ~((d[:, 0] > 0) & (d[:, 1:] < 0).all(axis=1))
     if bad.any():
         raise SignatureError(
             f"diagonal metric with signs {np.sign(d[bad][0])} is not (+,-,-,-)"
         )
-    # non-diagonal rows get 1 here and their eigen-tetrads below
-    root = np.sqrt(np.where(diag[:, None], np.abs(d), 1.0))
-    e_lower = root[:, :, None] * np.eye(4)
-    e_upper = (1.0 / root)[:, :, None] * np.eye(4)
-    rest = ~diag
-    if rest.any():
-        evals, evecs = np.linalg.eigh(g[rest])
-        order = np.argsort(evals, axis=1)[:, ::-1]  # the positive one first
-        evals = np.take_along_axis(evals, order, axis=1)
-        evecs = np.take_along_axis(evecs, order[:, None, :], axis=2)
-        bad = ~((evals[:, 0] > 0) & (evals[:, 1:] < 0).all(axis=1))
-        if bad.any():
-            raise SignatureError(
-                f"metric eigenvalues {evals[bad][0]} are not (+,-,-,-)"
-            )
-        pivot = np.argmax(np.abs(evecs), axis=1)
-        lead = np.take_along_axis(evecs, pivot[:, None, :], axis=1)
-        evecs = np.where(lead < 0, -evecs, evecs)
-        e_rest = np.sqrt(np.abs(evals))[:, :, None] * evecs.transpose(0, 2, 1)
-        e_lower[rest] = e_rest
-        e_upper[rest] = ETA @ e_rest @ g_inv[rest]
-    return e_lower, e_upper
+    root = np.sqrt(np.abs(d))
+    return root[:, :, None] * np.eye(4), (1.0 / root)[:, :, None] * np.eye(4)
 
 
 def build_tetrad(m: MetricAtPoint) -> Tetrad:
     """Tetrad with e^(a)_al eta_ab e^(b)_be = g_{al be}: row 0 of
     ``_tetrad_rows`` on the one metric."""
-    e_lower, e_upper = _tetrad_rows(m.g_lower[None], m.g_upper[None])
+    e_lower, e_upper = _tetrad_rows(m.g_lower[None])
     return Tetrad(e_lower=e_lower[0], e_upper=e_upper[0])
 
 
@@ -213,7 +182,7 @@ class Frame:
     @cached_property
     def gammas(self) -> GammaSet:
         m = self.metric
-        t = Tetrad(*map(read_only, _tetrad_rows(m.g_lower, m.g_upper)))
+        t = Tetrad(*map(read_only, _tetrad_rows(m.g_lower)))
         gs = curved_gammas(t, m)
         for k in _ROW_ARRAYS:
             read_only(getattr(gs, k))
@@ -257,39 +226,12 @@ def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSe
     return curved_gammas(build_tetrad(m), m, flat)
 
 
-def tetrad_field(spec: MetricSpec, x: Point) -> np.ndarray:
-    """e^(a)_al as a smooth field (diagonal gauge on diagonal metrics)."""
-    return build_tetrad(eval_metric(spec, x)).e_lower
-
-
-def _tetrad_derivatives(spec: MetricSpec, x: Point) -> np.ndarray:
-    """d_mu e^(a)_al, indexed [mu, a, al].
-
-    Diagonal metrics use the chain rule on sqrt(eta_aa g_aa) with the
-    spec's metric derivatives (analytic when available); the general case
-    falls back to finite differences of the tetrad field.
-    """
-    m = eval_metric(spec, x)
-    if _diagonal_rows(m.g_lower):
-        dg = metric_derivatives(spec, x)
-        e_diag = np.sqrt(np.abs(np.diag(m.g_lower)))
-        out = np.zeros((4, 4, 4))
-        for mu in range(4):
-            for a in range(4):
-                out[mu, a, a] = ETA[a, a] * dg[mu, a, a] / (2.0 * e_diag[a])
-        return out
-    return np.stack(
-        [
-            partial4(
-                lambda c: tetrad_field(spec, Point(c, spec.chart_id)),
-                x.coords,
-                mu,
-                fd_step(x.coords[mu], STEP_FIRST),
-            )
-            for mu in range(4)
-        ],
-        axis=0,
-    )
+def _tetrad_derivatives(tet: Tetrad, dg: np.ndarray) -> np.ndarray:
+    """d_mu e^(a)_al, indexed [mu, a, al], of the diagonal tetrad: the chain
+    rule on sqrt(eta_aa g_aa) with the exact metric derivatives dg."""
+    d = np.diagonal(dg, axis1=1, axis2=2)
+    return ((np.diag(ETA) * d / (2.0 * np.diag(tet.e_lower)))[:, :, None]
+            * np.eye(4))
 
 
 def spin_connection(spec: MetricSpec, x: Point) -> np.ndarray:
@@ -303,7 +245,7 @@ def _spin_connection_cached(spec, coords):
     x = Point(np.array(coords), spec.chart_id)
     m = eval_metric(spec, x)
     tet = build_tetrad(m)
-    de = _tetrad_derivatives(spec, x)  # [mu, a, al] of e^(a)_al
+    de = _tetrad_derivatives(tet, metric_derivatives(spec, x))
     gam = christoffel(spec, x)
     # frame indices lowered with eta: E[b, nu] = eta_bc e^(c)_nu
     e_dn = ETA @ tet.e_lower
@@ -333,7 +275,6 @@ def connection_curvature_fd(spec: MetricSpec, x: Point) -> np.ndarray:
     F[al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
     with the derivative taken by Richardson differences of the connection
     field."""
-    from .numerics import STEP_OUTER
 
     def gamma_at(c):
         return _spin_connection_cached(spec, tuple(c))

@@ -32,6 +32,8 @@ def symbolic_metric(name, **params):
         x, y, z = sp.symbols("x y z")
         a2 = (a0 * t ** sp.Rational(2, 3)) ** 2
         return (t, x, y, z), sp.diag(1, -a2, -a2, -a2)
+    if name == "minkowski_cartesian":
+        return sp.symbols("t x y z"), sp.diag(1, -1, -1, -1)
     if name == "minkowski_spherical":
         return (t, r, th, ph), sp.diag(1, -1, -(r**2),
                                        -(r**2) * sp.sin(th) ** 2)

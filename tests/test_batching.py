@@ -19,44 +19,15 @@ from curved_rs.fields import (
     polynomial_field,
     trig_field,
 )
-from curved_rs.geometry import ETA, MetricSpec, Point, christoffel
+from curved_rs.geometry import Point, christoffel
 from curved_rs.identity_suite import build_context, run_suite
 from curved_rs.rs_operator import MassParam
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
-from curved_rs.spin_frame import (
-    _diagonal_rows,
-    build_frame,
-    gamma_set_at,
-    spin_connection,
-)
+from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
 from conftest import points_of
 
 MASS = MassParam(1.0)
-
-#: a constant symmetric perturbation that makes the metric non-diagonal
-_SKEW = np.zeros((4, 4))
-_SKEW[0, 1] = _SKEW[1, 0] = 0.1
-_SKEW[1, 2] = _SKEW[2, 1] = 0.03
-_SKEW[2, 3] = _SKEW[3, 2] = 0.05
-
-
-def _skewed_metric(p):
-    t, x, y, z = p.coords
-    return (1.0 + 0.1 * x * x + 0.05 * y * z) * (ETA + (1.0 + 0.2 * t) * _SKEW)
-
-
-#: a hand-built Lorentzian metric that is nowhere diagonal, so its tetrads
-#: come from the batched eigen-decomposition
-SKEWED = MetricSpec("skewed", _skewed_metric, chart_id="skewed",
-                    sample_box=((-0.5, 0.5),) * 4)
-
-SPEC_NAMES = tuple(PRESET_NAMES) + ("skewed",)
-
-
-def _spec(name):
-    return SKEWED if name == "skewed" else load_preset(name)
-
 
 def _rows(spec, n=3):
     return np.stack([p.coords for p in points_of(spec, n, seed=77)])
@@ -83,14 +54,9 @@ def _wrapped_samplers(spec):
     }
 
 
-def test_skewed_metric_takes_the_eigen_path():
-    metrics = build_frame(SKEWED, _rows(SKEWED)).metric.g_lower
-    assert not _diagonal_rows(metrics).any()
-
-
-@pytest.mark.parametrize("name", SPEC_NAMES)
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_batch_equals_row_loop(name):
-    spec = _spec(name)
+    spec = load_preset(name)
     coords = _rows(spec)
     for label, sampler in _wrapped_samplers(spec).items():
         assert sampler.batch is not None, label
@@ -100,11 +66,11 @@ def test_batch_equals_row_loop(name):
         assert np.max(np.abs(batch - loop)) <= 1e-13 * np.max(np.abs(loop)), label
 
 
-@pytest.mark.parametrize("name", SPEC_NAMES)
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_single_point_is_row_of_the_batch(name):
     """Each row of a frame (Dirac matrices, metric, tetrad, Christoffels,
     connection, operator blocks) equals the per-point path exactly."""
-    spec = _spec(name)
+    spec = load_preset(name)
     frame = build_frame(spec, _rows(spec))
     alpha, beta = rso.frame_blocks(frame)
     for i, c in enumerate(frame.coords):
@@ -178,11 +144,11 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
             getattr(frame, name)
 
 
-@pytest.mark.parametrize("name", ("schwarzschild", "frw_dust", "skewed"))
+@pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_batched_first_order_checks_equal_the_per_point_path(name):
     """1.2a and 1.6 run each fixture over the whole context frame; their
     values and errors equal the point-by-point evaluation."""
-    spec = _spec(name)
+    spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
         res = rso.rs_residual(fld, spec, ctx.frame, ctx.mass)

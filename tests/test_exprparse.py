@@ -1,7 +1,11 @@
-"""Grammar, precedence, error positions, and the serialize round-trip."""
+"""Grammar, precedence, error positions, the serialize round-trip, and
+exact differentiation against sympy."""
+
+import math
 
 import pytest
-from hypothesis import given, settings
+import sympy as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curved_rs.errors import EvalError, ParseError
@@ -11,6 +15,7 @@ from curved_rs.exprparse import (
     Neg,
     Num,
     Var,
+    diff,
     evaluate,
     free_symbols,
     parse_expression,
@@ -158,3 +163,96 @@ def test_referential_transparency():
     first = evaluate(ast, bindings)
     for _ in range(5):
         assert evaluate(ast, bindings) == first  # bit-identical
+
+
+# --- exact differentiation against sympy ---------------------------------------
+
+_SYMPY_FUNCS = {"sin": sp.sin, "cos": sp.cos, "tan": sp.tan, "exp": sp.exp,
+                "log": sp.log, "sqrt": sp.sqrt, "sinh": sp.sinh,
+                "cosh": sp.cosh}
+_SYMPY_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+              "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+              "^": lambda a, b: a**b}
+
+
+def _to_sympy(node):
+    if isinstance(node, Num):
+        return sp.Float(node.value)
+    if isinstance(node, Var):
+        return sp.pi if node.name == "pi" else sp.Symbol(node.name)
+    if isinstance(node, Neg):
+        return -_to_sympy(node.arg)
+    if isinstance(node, Call):
+        return _SYMPY_FUNCS[node.func](_to_sympy(node.arg))
+    return _SYMPY_OPS[node.op](_to_sympy(node.left), _to_sympy(node.right))
+
+
+def _agrees_with_sympy(ast, var, bindings):
+    """diff(ast) evaluated at ``bindings`` against sympy's derivative."""
+    ours = evaluate(diff(ast, var), bindings)
+    ref = float(sp.diff(_to_sympy(ast), sp.Symbol(var)).subs(
+        {sp.Symbol(k): v for k, v in bindings.items()}).evalf(30))
+    assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
+
+
+AT = {"x": 0.7, "y": 1.3, "M": 0.4}
+
+
+@pytest.mark.parametrize("text", [
+    # each built-in, through the chain rule
+    "sin(x^2)", "cos(3*x)", "tan(x)", "exp(-x)", "log(x + y)", "sqrt(x*y)",
+    "sinh(x/2)", "cosh(x - y)",
+    # each rule
+    "x + y", "x - 2*x", "x*y*x", "y / x", "x / (1 + x^2)", "-x^3",
+    "x^(-1)", "x^(2/3)", "(1 - 2*M/x)^(-1)", "-1/(1 - 2*M/x)",
+    # a variable exponent: the general u^v rule, and a constant base
+    "x^x", "(1 + x)^(y*x)", "2^x", "pi^(x/2)",
+])
+def test_diff_matches_sympy(text):
+    ast = parse_expression(text)
+    for var in ("x", "y"):
+        _agrees_with_sympy(ast, var, AT)
+
+
+def test_second_derivatives_match_sympy():
+    for text in ("-r^2 * sin(theta)^2", "-1/(1 - 2*M/r)",
+                 "-(a0*t^(2/3))^2", "1 + r^2/alpha^2"):
+        ast = parse_expression(text)
+        names = sorted(free_symbols(ast))
+        at = {n: 0.3 + 0.6 * i for i, n in enumerate(names)}
+        if "r" in at:
+            at["r"] = 4.0  # outside the horizon
+        for a in names:
+            for b in names:
+                ours = evaluate(diff(diff(ast, a), b), at)
+                ref = float(sp.diff(_to_sympy(ast), sp.Symbol(a), sp.Symbol(b))
+                            .subs({sp.Symbol(k): v for k, v in at.items()}))
+                assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12), (text, a, b)
+
+
+def test_structural_zeros_fold():
+    assert diff(parse_expression("M * r^2 + sin(theta)"), "t") == Num(0.0)
+    assert diff(parse_expression("-r^2 * sin(theta)^2"), "phi") == Num(0.0)
+    assert diff(parse_expression("2 * x"), "x") == Num(2.0)
+    assert diff(parse_expression("x^2"), "x") == parse_expression("2 * x")
+
+
+def test_derivative_serializes_in_the_grammar():
+    d = diff(parse_expression("(1 - 2*M/r)^(-1) + 2^r"), "r")
+    assert parse_expression(to_text(d)) == d
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_exprs(), st.sampled_from(["r", "theta", "M"]))
+def test_diff_of_random_asts_matches_sympy(ast, var):
+    bindings = {"r": 1.7, "theta": 0.6, "M": 0.3, "alpha": 2.1, "x1": 0.9}
+    try:
+        ours = evaluate(diff(ast, var), bindings)
+        value = evaluate(ast, bindings)
+    except (EvalError, OverflowError):
+        assume(False)
+    assume(math.isfinite(ours) and math.isfinite(value) and abs(ours) < 1e12)
+    ref = sp.diff(_to_sympy(ast), sp.Symbol(var)).subs(
+        {sp.Symbol(k): v for k, v in bindings.items()}).evalf(30)
+    assume(ref.is_real and ref.is_finite)
+    assert ours == pytest.approx(float(ref), rel=1e-7, abs=1e-9)

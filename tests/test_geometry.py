@@ -1,5 +1,6 @@
-"""Metric evaluation, finite-difference curvature, and the volume tensor,
-cross-checked against closed forms and the symbolic oracle."""
+"""Metric evaluation, exact metric derivatives and curvature, and the
+volume tensor, cross-checked against closed forms, central differences and
+the symbolic oracle."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from curved_rs import geometry, spacetimes
 from curved_rs.errors import OutOfDomain, SingularMetric
 from curved_rs.geometry import (
     EPS_SIGN,
-    MetricSpec,
-    Point,
     covariant_metric_derivative,
     curvature,
     eval_metric,
@@ -21,6 +20,17 @@ from curved_rs.spin_frame import spin_connection
 
 from conftest import points_of
 from oracles import symbolic_curvature, symbolic_metric
+
+#: a document whose metric degenerates at x = 0
+DEGENERATE_CFG = """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = x
+g11 = -1
+g22 = -1
+g33 = -1
+"""
 
 
 class TestEvalMetric:
@@ -46,12 +56,10 @@ class TestEvalMetric:
             eval_metric(schwarzschild, schwarzschild.point(0.0, 2.0, 1.0, 0.0))
 
     def test_singular_metric(self):
-        spec = MetricSpec(
-            name="degenerate",
-            component_fn=lambda p: np.diag([p.coords[1], -1.0, -1.0, -1.0]),
-        )
+        spec = spacetimes.spec_from_config(
+            spacetimes.parse_metric_config(DEGENERATE_CFG))
         with pytest.raises(SingularMetric):
-            eval_metric(spec, Point(np.array([0.0, 0.0, 0.0, 0.0])))
+            eval_metric(spec, spec.point(0.0, 0.0, 0.0, 0.0))
 
 
 class TestMetricDerivatives:
@@ -60,23 +68,20 @@ class TestMetricDerivatives:
         assert np.max(np.abs(dg)) == 0.0
 
     def test_analytic_matches_fd(self, all_presets):
-        # the declared invariant: analytic derivatives agree with central
-        # differences to relative 1e-6 at random in-domain points
+        # exact first and second derivatives agree with central differences
+        # of the component map (of order 0 and 1), taken here as the
+        # independent reference, to relative 1e-6 at random points
         for spec in all_presets:
-            if spec.deriv_fn is None:
-                continue
-            fd_spec = MetricSpec(
-                name=spec.name + "_fd",
-                component_fn=spec.component_fn,
-                domain_guard=spec.domain_guard,
-                chart_id=spec.chart_id,
-                sample_box=spec.sample_box,
-            )
             for x in points_of(spec, 4):
-                analytic = metric_derivatives(spec, x)
-                fd = metric_derivatives(fd_spec, x)
-                scale = max(np.max(np.abs(analytic)), 1.0)
-                assert np.max(np.abs(analytic - fd)) <= 1e-6 * scale
+                for order in (1, 2):
+                    exact = metric_derivatives(spec, x, order)
+                    scale = max(np.max(np.abs(exact)), 1.0)
+                    for mu in range(4):
+                        h = 1e-5 * max(1.0, abs(x.coords[mu]))
+                        fd = (spec.component_fn(x.shifted(mu, h), order - 1)
+                              - spec.component_fn(x.shifted(mu, -h), order - 1)
+                              ) / (2.0 * h)
+                        assert np.max(np.abs(exact[mu] - fd)) <= 1e-6 * scale
 
     def test_frw_time_derivative_closed_form(self, frw_dust):
         # d/dt g_11 = -2 a adot with a = t^(2/3)
@@ -92,18 +97,29 @@ class TestMetricDerivatives:
             dg = metric_derivatives(schwarzschild, x)
             assert np.allclose(dg, dg.transpose(0, 2, 1))
 
-    def test_step_halving_near_edge(self, schwarzschild):
-        # close enough to the horizon that the default stencil would leave
-        # the domain; the step halves instead of failing
-        x = schwarzschild.point(0.0, 2.0 + 2e-3, 1.2, 0.5)
-        fd_spec = MetricSpec(
-            name="schw_fd",
-            component_fn=schwarzschild.component_fn,
-            domain_guard=schwarzschild.domain_guard,
-            chart_id=schwarzschild.chart_id,
-        )
-        dg = metric_derivatives(fd_spec, x)
-        assert np.all(np.isfinite(dg))
+    def test_curvature_near_horizon_is_finite(self, schwarzschild):
+        # 1e-3 outside the guard's band around the horizon: exact
+        # derivatives need no room for a stencil, and the Kretschmann
+        # scalar K = 48 M^2 / r^6 still holds
+        r = 2.0 + 2e-3
+        x = schwarzschild.point(0.0, r, 1.2, 0.5)
+        b = curvature(schwarzschild, x)
+        for a in (b.christoffel, b.riemann_lower, b.ricci, b.einstein):
+            assert np.all(np.isfinite(a))
+        m = eval_metric(schwarzschild, x)
+        up = np.einsum("aA,bB,cC,dD,ABCD->abcd", m.g_upper, m.g_upper,
+                       m.g_upper, m.g_upper, b.riemann_lower)
+        k = float(np.einsum("abcd,abcd->", b.riemann_lower, up))
+        assert k == pytest.approx(48.0 / r**6, rel=1e-8)
+
+    def test_undefined_derivative_is_out_of_domain(self):
+        # sqrt(x) is defined at x = 0, its derivative is not
+        spec = spacetimes.spec_from_config(spacetimes.parse_metric_config(
+            DEGENERATE_CFG.replace("g00 = x", "g00 = 1 + sqrt(x)")))
+        x = spec.point(0.0, 0.0, 0.0, 0.0)
+        assert spec.contains(x)
+        with pytest.raises(OutOfDomain, match=r"d_x g00 = .*sqrt\(x\)"):
+            metric_derivatives(spec, x)
 
 
 class TestCurvature:
@@ -114,19 +130,19 @@ class TestCurvature:
                 assert np.max(np.abs(b.riemann_lower)) < 1e-7
                 assert np.max(np.abs(b.einstein)) < 1e-7
 
-    @pytest.mark.parametrize("name", ["schwarzschild", "de_sitter_static",
-                                      "anti_de_sitter_static", "frw_dust"])
+    @pytest.mark.parametrize("name", spacetimes.PRESET_NAMES)
     def test_against_symbolic_oracle(self, name):
+        # exact derivatives leave roundoff only: 1e-10 relative to the
+        # tensor's largest entry (or 1, on a flat chart)
         spec = spacetimes.load_preset(name)
         oracle = symbolic_curvature(*symbolic_metric(name))
         for x in points_of(spec, 4):
             b = curvature(spec, x)
             ref = oracle(x)
-            scale = max(np.max(np.abs(ref["riemann_lower"])), 1e-3)
-            assert np.max(np.abs(b.riemann_lower - ref["riemann_lower"])) < 1e-7 * scale
-            assert np.max(np.abs(b.ricci - ref["ricci"])) < 1e-7 * max(scale, 1)
-            assert abs(b.scalar - float(ref["scalar"])) < 1e-7 * max(abs(b.scalar), 1)
-            assert np.max(np.abs(b.einstein - ref["einstein"])) < 1e-7 * max(scale, 1)
+            for key in ("christoffel", "riemann_lower", "ricci", "einstein"):
+                scale = max(np.max(np.abs(ref[key])), 1.0)
+                assert np.max(np.abs(getattr(b, key) - ref[key])) <= 1e-10 * scale, key
+            assert abs(b.scalar - float(ref["scalar"])) <= 1e-10 * max(abs(b.scalar), 1)
 
     def test_schwarzschild_ricci_flat(self, schwarzschild):
         for x in points_of(schwarzschild, 20, seed=7):
@@ -159,7 +175,7 @@ class TestCurvature:
         for spec in all_presets:
             for x in points_of(spec, 2):
                 r = curvature(spec, x).riemann_lower
-                # flat charts leave only stencil noise; floor the scale
+                # flat charts leave only roundoff; floor the scale
                 scale = max(np.max(np.abs(r)), 1e-3)
                 assert np.max(np.abs(r + r.transpose(1, 0, 2, 3))) < 1e-6 * scale
                 assert np.max(np.abs(r + r.transpose(0, 1, 3, 2))) < 1e-6 * scale
@@ -210,13 +226,14 @@ class TestCachedArrays:
 
     @pytest.mark.parametrize("analytic", [True, False])
     def test_every_cached_array_is_read_only(self, schwarzschild, analytic):
-        # the analytic-derivative preset and the finite-difference document
+        # a preset (True) and a document read by spec_from_config (False)
         spec = (schwarzschild if analytic else spacetimes.spec_from_config(
             spacetimes.parse_metric_config(FLAT_CFG)))
         x = points_of(spec, 1, seed=3)[0]
         m = eval_metric(spec, x)
         b = curvature(spec, x)
         arrays = [m.g_lower, m.g_upper, metric_derivatives(spec, x),
+                  metric_derivatives(spec, x, order=2),
                   geometry.christoffel(spec, x), b.christoffel,
                   b.riemann_lower, b.ricci, b.einstein,
                   spin_connection(spec, x)]

@@ -1,11 +1,17 @@
 """Preset catalog facts and the configuration-document path."""
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from curved_rs import identity_suite
 from curved_rs.errors import ConfigError, InvalidParameter, OutOfDomain, ParseError
 from curved_rs.geometry import curvature, eval_metric
 from curved_rs.spacetimes import (
+    PRESET_DOCUMENTS,
+    PRESET_NAMES,
     load_preset,
     parse_metric_config,
     spec_from_config,
@@ -67,6 +73,51 @@ class TestPresets:
             load_preset("nosuch")
         with pytest.raises(InvalidParameter):
             load_preset("minkowski_cartesian", M=1.0)
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(InvalidParameter, match="finite M > 0"):
+                load_preset("schwarzschild", M=bad)
+
+    def test_presets_are_their_documents(self):
+        # a preset is its embedded document under the preset's chart id,
+        # with the document's [params] overridden
+        for name in PRESET_NAMES:
+            cfg = parse_metric_config(PRESET_DOCUMENTS[name], name=name)
+            spec = load_preset(name)
+            assert (spec.name, spec.chart_id, spec.params) == (name, name, cfg.params)
+        assert load_preset("schwarzschild", M=2.0).params == {"M": 2.0}
+
+    def test_sampling_boxes(self):
+        # the boxes are [sampling] expressions over the parameters, and the
+        # same floats the presets have always sampled from
+        theta = (0.5, math.pi - 0.5)
+        phi = (0.3, 5.9)
+        boxes = {
+            ("minkowski_cartesian", ()): ((-2.0, 2.0),) * 4,
+            ("minkowski_spherical", ()): ((-1.0, 1.0), (1.0, 5.0), theta, phi),
+            ("schwarzschild", (("M", 1.7),)):
+                ((-1.0, 1.0), (3.0 * 1.7, 8.0 * 1.7), theta, phi),
+            ("de_sitter_static", (("alpha", 2.5),)):
+                ((-1.0, 1.0), (0.15 * 2.5, 0.7 * 2.5), theta, phi),
+            ("anti_de_sitter_static", (("alpha", 0.3),)):
+                ((-1.0, 1.0), (0.15 * 0.3, 0.7 * 0.3), theta, phi),
+            ("frw_dust", (("a0", 3.0),)): ((0.5, 2.0),) + ((-1.0, 1.0),) * 3,
+        }
+        for (name, params), box in boxes.items():
+            spec = load_preset(name, **dict(params))
+            assert spec.sample_box == box, name
+            for x in identity_suite.sample_points(spec, 20, 3):
+                assert spec.contains(x)
+
+    def test_exact_derivatives_of_every_preset(self, all_presets):
+        # structurally zero entries stay zero; the others are finite
+        for spec in all_presets:
+            x = identity_suite.sample_points(spec, 1, 5)[0]
+            for order in (1, 2):
+                d = spec.component_fn(x, order)
+                assert d.shape == (4,) * (order + 2)
+                assert np.all(np.isfinite(d))
+            assert np.array_equal(spec.component_fn(x, 2),
+                                  spec.component_fn(x, 2).swapaxes(0, 1))
 
     def test_schwarzschild_vacuum_at_20_points(self, schwarzschild):
         for x in points_of(schwarzschild, 20, seed=3):
@@ -142,6 +193,27 @@ class TestConfigParsing:
         assert again.params == cfg.params
         assert again.coord_names == cfg.coord_names
         assert again.content_hash() == cfg.content_hash()
+
+    def test_sampling_bounds_are_expressions(self):
+        text = SCHW_CFG.replace("r = 3.0, 8.0", "r = 3*M, 8*M").replace(
+            "theta = 0.5, 2.6", "theta = 0.5, pi - 0.5")
+        cfg = parse_metric_config(text)
+        again = parse_metric_config(cfg.serialize())
+        assert again.sampling == cfg.sampling
+        assert "r = 3.0 * M, 8.0 * M" in cfg.serialize()
+        box = spec_from_config(cfg).sample_box
+        assert box[1] == (3.0, 8.0) and box[2] == (0.5, math.pi - 0.5)
+        with pytest.raises(ConfigError, match="not parameters"):
+            parse_metric_config(text.replace("r = 3*M", "r = 3*theta"))
+
+    def test_shipped_documents_keep_their_hashes(self):
+        # bounds written as numbers serialize as before
+        documents = Path(__file__).resolve().parent.parent / "perfbench" / "documents"
+        hashes = {p.stem: parse_metric_config(p.read_text()).content_hash()
+                  for p in documents.glob("*.metric")}
+        assert hashes == {"schwarzschild": "8faaaa9e5cb8d7c4",
+                          "frw_dust": "fa3b1dd2fb7d743f",
+                          "anti_de_sitter": "62e95ba91bbc0574"}
 
     def test_content_hash_tracks_content(self):
         cfg = parse_metric_config(SCHW_CFG)
