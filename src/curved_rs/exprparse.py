@@ -226,8 +226,9 @@ def parse_expression(text: str, line_offset: int = 1) -> Expr:
 def evaluate(node: Expr, bindings: dict) -> float:
     """Evaluate an AST against name->value bindings.
 
-    Raises EvalError on unbound names, division by zero, or math-domain
-    violations (sqrt of a negative, log of a non-positive value).
+    Raises EvalError on unbound names, division by zero, math-domain
+    violations (sqrt of a negative, log of a non-positive value) and
+    results too large for a float.
     """
     kind = type(node)
     if kind is BinOp:
@@ -264,7 +265,7 @@ def evaluate(node: Expr, bindings: dict) -> float:
         arg = evaluate(node.arg, bindings)
         try:
             return FUNCTIONS[node.func](arg)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise EvalError(f"{node.func}({arg!r}): {exc}") from exc
     raise TypeError(f"not an expression node: {node!r}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import ETA, MetricSpec, Point
 from .numerics import STEP_FIRST, fd_step
-from .spin_frame import GAMMA_FLAT, build_frame
+from .spin_frame import GAMMA_FLAT, Frame, build_frame
 
 VECTOR_BISPINOR = "vector_bispinor"
 BISPINOR = "bispinor"
@@ -28,13 +28,13 @@ class FieldSampler:
     """A smooth closed-form field; stateless.
 
     ``__call__`` samples one Point.  ``at(coords)`` samples many: it takes
-    an (n, 4) array of chart coordinates and returns the (n, *shape)
-    complex values, row i being the value at ``coords[i]``.  Samplers with
-    a vectorized ``batch(coords)`` (the closed-form families and the
-    package's wrapped samplers: residual, first constraint, gradient,
-    gamma-traceless) answer in one call; the others call ``fn`` once per
-    row, at Points carrying ``chart_id``.  Both paths check the returned
-    shape.
+    an (n, 4) array of chart coordinates or a Frame and returns the
+    (n, *shape) complex values, row i being the value at row i.  Samplers
+    with a vectorized ``batch`` (the closed-form families and the package's
+    wrapped samplers: residual, first constraint, gradient, gamma-traceless)
+    answer in one call and are handed a Frame as it is; the others call
+    ``fn`` once per row, at Points carrying ``chart_id`` (or the frame's).
+    Both paths check the returned shape.
     """
 
     fn: Callable[[Point], np.ndarray]
@@ -48,11 +48,14 @@ class FieldSampler:
         return value
 
     def at(self, coords, chart_id: str = "") -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
+        if isinstance(coords, Frame):
+            rows, chart_id = coords.coords, coords.chart_id
+        else:
+            rows = coords = np.asarray(coords, dtype=float)
         if self.batch is None:
-            return np.stack([self(Point(c, chart_id)) for c in coords])
+            return np.stack([self(Point(c, chart_id)) for c in rows])
         values = np.asarray(self.batch(coords), dtype=complex)
-        self._check(values.shape, (len(coords),) + _SHAPES[self.kind])
+        self._check(values.shape, (len(rows),) + _SHAPES[self.kind])
         return values
 
     def _check(self, got, expected):
@@ -67,9 +70,11 @@ class FieldSampler:
 
 
 def _closed_form(batch, kind: str, name: str) -> FieldSampler:
-    """A sampler whose single-point path is its batch on one row."""
-    return FieldSampler(lambda x: batch(x.coords[None, :])[0], kind, name,
-                        batch)
+    """A sampler whose single-point path is its batch on one row, and whose
+    batch reads a frame's coordinates."""
+    return FieldSampler(
+        lambda x: batch(x.coords[None, :])[0], kind, name,
+        lambda rows: batch(rows.coords if isinstance(rows, Frame) else rows))
 
 
 def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
@@ -200,8 +205,11 @@ def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler
     """
     raw = polynomial_field(seed, VECTOR_BISPINOR, box)
 
-    def batch(coords):
+    def batch(rows):
+        coords = rows.coords if isinstance(rows, Frame) else rows
         lam = raw.at(coords, spec.chart_id)
+        # projected with its own Dirac matrices, never those of a caller's
+        # frame, so that an operator checked on it is not checked by itself
         gs = build_frame(spec, coords).gammas
         trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
         return lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace)

@@ -11,7 +11,8 @@ C0 is a representation-independent constant, calibrated once by a fit at
 one non-vacuum point and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
-fail by exactly the predicted amount.
+fail by exactly the predicted amount.  Functions at ``x`` take a Point,
+(n, 4) coordinates or a Frame, like those of ``rs_operator``.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 
 from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
-from .geometry import MetricSpec, Point, curvature, eval_metric
+from .geometry import MetricSpec, Point
 from .numerics import nested_step
-from .rs_operator import covariant_derivative
-from .spin_frame import gamma_set_at
+from .rs_operator import centre_covariant, covariant_derivative
+from .spin_frame import as_frame
 
 #: frozen proportionality constant of the Einstein-tensor prediction
 C0 = 0.5
@@ -38,7 +39,7 @@ def gradient_field(psi: FieldSampler, spec: MetricSpec, x: Point) -> np.ndarray:
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec,
                      nested: bool = False) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
-    ``covariant_derivative`` call.
+    ``covariant_derivative`` call, on a Frame with the frame's geometry.
 
     ``nested=True`` selects the coarser inner step (with Richardson), which
     keeps inner roundoff from being amplified when the sampler feeds a
@@ -54,51 +55,70 @@ def gradient_sampler(psi: FieldSampler, spec: MetricSpec,
                         name=f"gradient({psi.name})", batch=gradient)
 
 
-def _eps_contraction(spec: MetricSpec, x: Point, d: np.ndarray) -> np.ndarray:
-    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) d[nu, s] at ``x``."""
-    gs = gamma_set_at(spec, x)
-    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
+def _eps_contraction(gs, d: np.ndarray) -> np.ndarray:
+    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) d[nu, s]."""
+    eps_mixed = np.einsum("...rl,...lnsm->...rnsm", gs.metric.g_lower,
+                          gs.eps_upper)
     return 1j * np.einsum(
-        "ij,rnsm,mjk,nsk->ri", gs.gamma5, eps_mixed, gs.gamma_down, d
+        "ij,...rnsm,...mjk,...nsk->...ri", gs.gamma5, eps_mixed,
+        gs.gamma_down, d
     )
 
 
-def massless_residual(field: FieldSampler, spec: MetricSpec, x: Point,
+def _massless(field: FieldSampler, spec: MetricSpec, x, outer: bool):
+    """(massless residual, the D_nu Psi~_s it contracts); ``outer=True``
+    samples the field on each row's outer-stencil frame, which a gradient
+    field also takes its inner derivative on."""
+    frame, single = as_frame(spec, x)
+    if outer:
+        d = np.stack([
+            centre_covariant(field.at(frame.outer(i)), frame.outer(i),
+                             field.kind)[1]
+            for i in range(len(frame.coords))])
+    else:
+        d = covariant_derivative(field, spec, frame)
+    res = _eps_contraction(frame.gammas, d)
+    return (res[0], d[0]) if single else (res, d)
+
+
+def massless_residual(field: FieldSampler, spec: MetricSpec, x,
                       outer: bool = False) -> np.ndarray:
     """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s.
 
     ``outer=True`` selects the coarser Richardson step policy for fields
     that are themselves finite-difference built (gradient fields).
     """
-    base_step, richardson = nested_step(outer)
-    d = covariant_derivative(field, spec, x, base_step=base_step,
-                             richardson=richardson)
-    return _eps_contraction(spec, x, d)
+    return _massless(field, spec, x, outer)[0]
 
 
-def gradient_residual(psi: FieldSampler, spec: MetricSpec, x: Point):
+def gradient_residual(psi: FieldSampler, spec: MetricSpec, x):
     """(massless residual of the gradient field of psi, its scale), both
     from one outer derivative of the gradient field; the scale is the
     magnitude of the derivative entries feeding the residual, the
-    yardstick against which 'the residual cancels' is measured."""
-    base_step, richardson = nested_step(True)
-    d = covariant_derivative(gradient_sampler(psi, spec, nested=True), spec,
-                             x, base_step=base_step, richardson=richardson)
-    return _eps_contraction(spec, x, d), max(float(np.max(np.abs(d))), 1e-300)
+    yardstick against which 'the residual cancels' is measured (per row
+    on rows)."""
+    res, d = _massless(gradient_sampler(psi, spec, nested=True), spec, x,
+                       True)
+    scale = np.maximum(np.max(np.abs(d), axis=(-3, -2, -1)), 1e-300)
+    return res, float(scale) if scale.ndim == 0 else scale
 
 
-def einstein_prediction(psi: FieldSampler, spec: MetricSpec, x: Point,
+def einstein_prediction(psi: FieldSampler, spec: MetricSpec, x,
                         constant: complex = C0) -> np.ndarray:
     """constant * G_rb gamma^b(x) psi(x)."""
-    gs = gamma_set_at(spec, x)
-    bundle = curvature(spec, x)
-    return constant * np.einsum(
-        "rb,bij,j->ri", bundle.einstein, gs.gamma_up, psi(x)
+    frame, single = as_frame(spec, x)
+    # psi point by point: a run on one point then repeats the prediction of
+    # a run on many to the last bit, which a batched sampler need not do
+    values = np.stack([psi(Point(c, frame.chart_id)) for c in frame.coords])
+    out = constant * np.einsum(
+        "xrb,xbij,xj->xri", frame.curvature.einstein, frame.gammas.gamma_up,
+        values
     )
+    return out[0] if single else out
 
 
-def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x: Point):
-    """(direct, predicted) residual pair at ``x``.
+def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x):
+    """(direct, predicted) residual pair.
 
     direct    = massless residual of the gradient field of psi;
     predicted = C0 * G_rb gamma^b(x) psi(x) with the frozen constant.
@@ -131,7 +151,7 @@ def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point
 EPS_DET_SIGN = -1.0
 
 
-def epsilon_contraction_check(spec: MetricSpec, x: Point) -> dict:
+def epsilon_contraction_check(spec: MetricSpec, x) -> dict:
     """Two routes to the double-eps curvature contraction.
 
     ``raw[r, t]``           = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
@@ -142,30 +162,27 @@ def epsilon_contraction_check(spec: MetricSpec, x: Point) -> dict:
     With indices raised and lowered by one metric the raw contraction
     equals EPS_DET_SIGN times the determinant expansion.
     """
-    m = eval_metric(spec, x)
-    gs = gamma_set_at(spec, x)
-    bundle = curvature(spec, x)
+    frame, single = as_frame(spec, x)
+    m, gs, bundle = frame.metric, frame.gammas, frame.curvature
 
-    eps_first = np.einsum("rl,lnsm->rnsm", m.g_lower, gs.eps_upper)
-    eps_last = np.einsum("abtl,lm->abtm", gs.eps_upper, m.g_lower)
-    prod = np.einsum("rnsm,abtm->rnsabt", eps_first, eps_last)
-    raw = np.einsum("abns,rnsabt->rt", bundle.riemann_lower, prod)
+    eps_first = np.einsum("xrl,xlnsm->xrnsm", m.g_lower, gs.eps_upper)
+    eps_last = np.einsum("xabtl,xlm->xabtm", gs.eps_upper, m.g_lower)
+    prod = np.einsum("xrnsm,xabtm->xrnsabt", eps_first, eps_last)
+    raw = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, prod)
 
     g_up = m.g_upper
     delta = np.eye(4)
     det = (
-        np.einsum("ar,nb,st->rnsabt", delta, g_up, g_up)
-        - np.einsum("ar,nt,sb->rnsabt", delta, g_up, g_up)
-        - np.einsum("br,na,st->rnsabt", delta, g_up, g_up)
-        + np.einsum("br,nt,sa->rnsabt", delta, g_up, g_up)
-        + np.einsum("tr,na,sb->rnsabt", delta, g_up, g_up)
-        - np.einsum("tr,nb,sa->rnsabt", delta, g_up, g_up)
+        np.einsum("ar,xnb,xst->xrnsabt", delta, g_up, g_up)
+        - np.einsum("ar,xnt,xsb->xrnsabt", delta, g_up, g_up)
+        - np.einsum("br,xna,xst->xrnsabt", delta, g_up, g_up)
+        + np.einsum("br,xnt,xsa->xrnsabt", delta, g_up, g_up)
+        + np.einsum("tr,xna,xsb->xrnsabt", delta, g_up, g_up)
+        - np.einsum("tr,xnb,xsa->xrnsabt", delta, g_up, g_up)
     )
-    det_expanded = np.einsum("abns,rnsabt->rt", bundle.riemann_lower, det)
-    einstein_mixed = np.einsum("rb,bt->rt", bundle.einstein, g_up)
-    return {
-        "raw": raw,
-        "det_expanded": det_expanded,
-        "einstein_combination": 4.0 * einstein_mixed,
-        "sign": EPS_DET_SIGN,
-    }
+    det_expanded = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, det)
+    einstein_mixed = np.einsum("xrb,xbt->xrt", bundle.einstein, g_up)
+    out = {"raw": raw, "det_expanded": det_expanded,
+           "einstein_combination": 4.0 * einstein_mixed}
+    return {**{k: v[0] if single else v for k, v in out.items()},
+            "sign": EPS_DET_SIGN}

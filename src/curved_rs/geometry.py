@@ -1,4 +1,8 @@
-"""Metric evaluation and curvature objects at a spacetime point.
+"""Metric evaluation and curvature at a spacetime point or on (n, 4) rows.
+
+Every function takes a Point, an (n, 4) coordinate array or a
+``MetricJet``, and does its tensor algebra once over the row axis (a Point
+has none).  Nothing is kept between calls but what a jet keeps.
 
 Conventions (pinned once, verified by the test suite):
 
@@ -19,7 +23,7 @@ frozen here with a regression test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Optional
 
@@ -100,7 +104,8 @@ class MetricAtPoint:
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Christoffel symbols and curvature tensors at one point.
+    """Christoffel symbols and curvature tensors at one point (or on rows,
+    each with a leading row axis and the scalar an array).
 
     ``christoffel`` is Gamma^s_{ab} indexed [s, a, b]; ``riemann_lower`` is
     the fully lowered R_{r s mu nu}.
@@ -113,107 +118,129 @@ class CurvatureBundle:
     einstein: np.ndarray
 
 
-# Each cached builder guards the domain on the first use of a point (its
-# own or, through the metric, its inputs'); a cache hit is a point that
-# passed, so it skips the guard.
+def as_rows(coords) -> np.ndarray:
+    """A read-only float copy of an (n, 4) array of chart coordinates."""
+    coords = np.array(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 4:
+        raise ValueError(f"rows must have shape (n, 4), got {coords.shape}")
+    return read_only(coords)
 
 
-def _point_in_domain(spec: MetricSpec, coords: tuple) -> Point:
-    x = Point(np.array(coords), spec.chart_id)
-    if not spec.contains(x):
-        raise OutOfDomain(
-            f"point {np.array2string(x.coords, precision=6)} is outside the "
-            f"domain of metric '{spec.name}'"
-        )
-    return x
+@dataclass(frozen=True, eq=False)
+class MetricJet:
+    """The metric of a spec and its derivatives at one point (``coords`` of
+    shape (4,)) or on (n, 4) rows: every row passes the domain guard once,
+    and each order is evaluated once per row, on first use, for everything
+    built on the jet.  ``spin_frame.Frame`` is the jet of a row set."""
+
+    spec: MetricSpec
+    coords: np.ndarray
+    chart_id: str
+    _orders: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def _points(self) -> list:
+        points = [Point(c, self.chart_id) for c in self.coords.reshape(-1, 4)]
+        for x in points:
+            if not self.spec.contains(x):
+                raise OutOfDomain(
+                    f"point {np.array2string(x.coords, precision=6)} is "
+                    f"outside the domain of metric '{self.spec.name}'"
+                )
+        return points
+
+    def order(self, k: int) -> np.ndarray:
+        """g_ab (``k`` 0), d_mu g_ab (1) or d_mu d_nu g_ab (2), read-only."""
+        if k not in self._orders:
+            values = np.array([self.spec.component_fn(x, k)
+                               for x in self._points], dtype=float)
+            self._orders[k] = read_only(
+                values if self.coords.ndim == 2 else values[0])
+        return self._orders[k]
+
+    @cached_property
+    def metric(self) -> MetricAtPoint:
+        g = self.order(0)
+        det = np.linalg.det(g)
+        if np.any(np.abs(det) < 1e-14):
+            raise SingularMetric(f"|det g| = {np.min(np.abs(det)):.3e} at "
+                                 f"{self.coords.tolist()}")
+        return MetricAtPoint(
+            g_lower=g, g_upper=read_only(np.linalg.inv(g)),
+            det_g=read_only(det) if det.ndim else float(det))
 
 
-@lru_cache(maxsize=65536)
-def _metric_cached(spec: MetricSpec, coords: tuple) -> MetricAtPoint:
-    x = _point_in_domain(spec, coords)
-    g = np.asarray(spec.component_fn(x), dtype=float)
-    det = float(np.linalg.det(g))
-    if abs(det) < 1e-14:
-        raise SingularMetric(f"|det g| = {abs(det):.3e} at {coords}")
-    return MetricAtPoint(g_lower=read_only(g), g_upper=read_only(np.linalg.inv(g)),
-                         det_g=det)
+def metric_jet(spec: MetricSpec, x) -> MetricJet:
+    """``x`` as a jet: a Point or (n, 4) rows wrapped, a jet as it is."""
+    if isinstance(x, MetricJet):
+        return x
+    if isinstance(x, Point):
+        return MetricJet(spec, x.coords, x.chart_id)
+    return MetricJet(spec, as_rows(x), spec.chart_id)
 
 
-def eval_metric(spec: MetricSpec, x: Point) -> MetricAtPoint:
-    """Metric, inverse and determinant at ``x``; guards the domain."""
-    return _metric_cached(spec, tuple(x.coords))
+def eval_metric(spec: MetricSpec, x) -> MetricAtPoint:
+    """Metric, inverse and determinant; guards the domain."""
+    return metric_jet(spec, x).metric
 
 
-def metric_derivatives(spec: MetricSpec, x: Point, order: int = 1) -> np.ndarray:
-    """The exact d_mu g_ab at ``x``, indexed [mu, a, b] (``order`` 1), or
+def metric_derivatives(spec: MetricSpec, x, order: int = 1) -> np.ndarray:
+    """The exact d_mu g_ab, indexed [mu, a, b] (``order`` 1), or
     d_mu d_nu g_ab, indexed [mu, nu, a, b] (``order`` 2)."""
-    return _metric_derivs_cached(spec, tuple(x.coords), order)
+    return metric_jet(spec, x).order(order)
 
 
-@lru_cache(maxsize=65536)
-def _metric_derivs_cached(spec, coords, order):
-    x = _point_in_domain(spec, coords)
-    return read_only(np.asarray(spec.component_fn(x, order), dtype=float))
-
-
-def christoffel(spec: MetricSpec, x: Point) -> np.ndarray:
-    """Gamma^s_{ab} at ``x``, indexed [s, a, b]."""
-    return _christoffel_cached(spec, tuple(x.coords))
-
-
-@lru_cache(maxsize=65536)
-def _christoffel_cached(spec, coords):
-    m = _metric_cached(spec, coords)
-    dg = _metric_derivs_cached(spec, coords, 1)
+def christoffel(spec: MetricSpec, x) -> np.ndarray:
+    """Gamma^s_{ab}, indexed [s, a, b]."""
+    jet = metric_jet(spec, x)
+    dg = jet.order(1)
     # Gamma^s_ab = 1/2 g^{sr} (dg[a,r,b] + dg[b,r,a] - dg[r,a,b])
     return read_only(0.5 * np.einsum(
-        "sr,arb->sab", m.g_upper, dg + np.einsum("arb->bra", dg) - np.einsum("arb->rab", dg)
+        "...sr,...arb->...sab", jet.metric.g_upper,
+        dg + np.einsum("...arb->...bra", dg) - np.einsum("...arb->...rab", dg)
     ))
 
 
-def curvature(spec: MetricSpec, x: Point) -> CurvatureBundle:
-    """Full curvature bundle at ``x``, from the exact first and second
-    metric derivatives: with d_mu g^{sr} = -g^{sk} (d_mu g_kl) g^{lr},
+def curvature(spec: MetricSpec, x) -> CurvatureBundle:
+    """Full curvature bundle from the exact first and second metric
+    derivatives: with
+    d_mu g^{sr} = -g^{sk} (d_mu g_kl) g^{lr},
     d_mu Gamma^s_ab = -g^{sk} d_mu g_kl Gamma^l_ab
     + 1/2 g^{sr} d_mu (d_a g_rb + d_b g_ra - d_r g_ab)."""
-    return _curvature_cached(spec, tuple(x.coords))
-
-
-@lru_cache(maxsize=16384)
-def _curvature_cached(spec, coords):
-    m = _metric_cached(spec, coords)
-    gam = _christoffel_cached(spec, coords)
-    dg = _metric_derivs_cached(spec, coords, 1)
-    ddg = _metric_derivs_cached(spec, coords, 2)
-    dterms = (np.einsum("marb->mrab", ddg) + np.einsum("mbra->mrab", ddg)
+    jet = metric_jet(spec, x)
+    m = jet.metric
+    gam = christoffel(spec, jet)
+    dg, ddg = jet.order(1), jet.order(2)
+    dterms = (np.einsum("...marb->...mrab", ddg)
+              + np.einsum("...mbra->...mrab", ddg)
               - ddg)  # [mu, r, a, b] = d_mu (d_a g_rb + d_b g_ra - d_r g_ab)
     # [mu, s, a, b] = d_mu Gamma^s_ab
-    dgam = (0.5 * np.einsum("sr,mrab->msab", m.g_upper, dterms)
-            - np.einsum("sk,mkl,lab->msab", m.g_upper, dg, gam))
+    dgam = (0.5 * np.einsum("...sr,...mrab->...msab", m.g_upper, dterms)
+            - np.einsum("...sk,...mkl,...lab->...msab", m.g_upper, dg, gam))
 
     # R^r_{s mu nu}
     r_up = (
-        np.einsum("mrns->rsmn", dgam)
-        - np.einsum("nrms->rsmn", dgam)
-        + np.einsum("rml,lns->rsmn", gam, gam)
-        - np.einsum("rnl,lms->rsmn", gam, gam)
+        np.einsum("...mrns->...rsmn", dgam)
+        - np.einsum("...nrms->...rsmn", dgam)
+        + np.einsum("...rml,...lns->...rsmn", gam, gam)
+        - np.einsum("...rnl,...lms->...rsmn", gam, gam)
     )
-    riemann_lower = np.einsum("rl,lsmn->rsmn", m.g_lower, r_up)
-    ricci = np.einsum("lsln->sn", r_up)
-    scalar = float(np.einsum("sn,sn->", m.g_upper, ricci))
-    einstein = ricci - 0.5 * scalar * m.g_lower
+    riemann_lower = np.einsum("...rl,...lsmn->...rsmn", m.g_lower, r_up)
+    ricci = np.einsum("...lsln->...sn", r_up)
+    scalar = np.einsum("...sn,...sn->...", m.g_upper, ricci)
+    einstein = ricci - 0.5 * scalar[..., None, None] * m.g_lower
     return CurvatureBundle(
         christoffel=gam,
         riemann_lower=read_only(riemann_lower),
         ricci=read_only(ricci),
-        scalar=scalar,
+        scalar=read_only(scalar) if scalar.ndim else float(scalar),
         einstein=read_only(einstein),
     )
 
 
 def riemann_mixed(bundle: CurvatureBundle, m: MetricAtPoint) -> np.ndarray:
     """R^r_{s mu nu} from the stored lowered tensor."""
-    return np.einsum("rl,lsmn->rsmn", m.g_upper, bundle.riemann_lower)
+    return np.einsum("...rl,...lsmn->...rsmn", m.g_upper, bundle.riemann_lower)
 
 
 def levi_civita(metric: MetricAtPoint):
@@ -235,13 +262,14 @@ def levi_civita(metric: MetricAtPoint):
     return eps_upper, eps_lower
 
 
-def covariant_metric_derivative(spec: MetricSpec, x: Point) -> np.ndarray:
-    """nabla_mu g_ab, which must vanish; exposed for the compatibility test."""
-    dg = metric_derivatives(spec, x)
-    gam = christoffel(spec, x)
-    g = eval_metric(spec, x).g_lower
+def covariant_metric_derivative(spec: MetricSpec, x) -> np.ndarray:
+    """nabla_mu g_ab, which must vanish; exposed for the compatibility
+    check."""
+    jet = metric_jet(spec, x)
+    gam = christoffel(spec, jet)
+    g = jet.metric.g_lower
     return (
-        dg
-        - np.einsum("lma,lb->mab", gam, g)
-        - np.einsum("lmb,al->mab", gam, g)
+        jet.order(1)
+        - np.einsum("...lma,...lb->...mab", gam, g)
+        - np.einsum("...lmb,...al->...mab", gam, g)
     )

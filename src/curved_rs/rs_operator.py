@@ -11,6 +11,10 @@ D_nu = nabla_nu + Gamma_nu.  The left C-multiplication and S
 similarity (with S = I + a gamma gamma, S^-1 = I + b gamma gamma,
 a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
+
+Functions at ``x`` take a Point, (n, 4) coordinates or a Frame and return
+one row per row; the nested-difference ones take a Point or an
+outer-stencil frame (``Frame.outer``) and return the value at its row 0.
 """
 
 from __future__ import annotations
@@ -20,21 +24,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTransform, StencilTooCoarse
+from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
-from .geometry import MetricSpec, Point, curvature, eval_metric, riemann_mixed
+from .geometry import MetricSpec, riemann_mixed
 from .numerics import (
     STEP_FIRST,
     STEP_OUTER,
-    fd_step,
+    differences,
     nested_step,
+    outer_derivative,
     read_only,
+    stencil,
 )
 from .spin_frame import (
     Frame,
     GammaSet,
+    as_frame,
     build_frame,
-    gamma_set_at,
+    outer_frame,
     spinor_commutator_curvature,
 )
 
@@ -168,59 +175,6 @@ def frame_blocks(frame: Frame):
     return blocks
 
 
-#: rows +e_mu then -e_mu; scaled by the steps they give the stencil offsets
-_PLUS_MINUS_AXES = np.stack([np.eye(4), -np.eye(4)])
-
-
-def _frame(spec: MetricSpec, x):
-    """(frame, single) for a Point, an (n, 4) array of chart coordinates of
-    the spec's chart, or a Frame."""
-    if isinstance(x, Frame):
-        return x, False
-    if isinstance(x, Point):
-        return build_frame(spec, x.coords[None, :], x.chart_id), True
-    return build_frame(spec, x), False
-
-
-def _stencil(coords: np.ndarray, base_step: float, levels: int):
-    """Central stencils around each row of ``coords``: the centre, then
-    x +- h e_mu for each step level (h, and h/2 with two levels).
-
-    Returns the stencil points (n, 1 + 8 levels, 4) and the steps
-    (n, levels, 4)."""
-    h = fd_step(coords, base_step)
-    steps = np.stack([h, h / 2][:levels], axis=1)
-    offsets = steps[:, :, None, :, None] * _PLUS_MINUS_AXES
-    offsets = offsets.reshape(len(coords), -1, 4)
-    centre = np.zeros((len(coords), 1, 4))
-    return coords[:, None, :] + np.concatenate([centre, offsets], axis=1), steps
-
-
-def _differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
-                 stencil_budget: float = None):
-    """Centre value [n, ...] and d_mu [n, mu, ...] from the values
-    [n, 1 + 8 levels, ...] a function takes on ``_stencil`` points."""
-    n, levels = steps.shape[:2]
-    value = values[:, 0]
-    shape = value.shape[1:]
-    pm = values[:, 1:].reshape((n, levels, 2, 4) + shape)
-    d_levels = (pm[:, :, 0] - pm[:, :, 1]) / (2.0 * steps).reshape(
-        steps.shape + (1,) * len(shape))
-    if stencil_budget is not None:
-        gaps = np.max(np.abs(d_levels[:, 0] - d_levels[:, 1]).reshape(n, 4, -1),
-                      axis=2)
-        over = np.argwhere(gaps > stencil_budget)
-        if over.size:
-            row, mu = over[0]
-            raise StencilTooCoarse(
-                f"Richardson levels differ by {gaps[row, mu]:.3e} along "
-                f"x^{mu} (budget {stencil_budget:.3e})"
-            )
-    if richardson:
-        return value, (4.0 * d_levels[:, 1] - d_levels[:, 0]) / 3.0
-    return value, d_levels[:, 0]
-
-
 def _connect(frame: Frame, kind: str, d, value, include_spin=True,
              rows=slice(None)):
     """D_nu from the partial derivatives d [n, nu, ...] and the values
@@ -245,10 +199,10 @@ def _covariant_rows(field, frame: Frame, base_step, richardson,
     (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
     row's stencil; the geometry comes from the frame."""
     levels = 2 if richardson or stencil_budget is not None else 1
-    points, steps = _stencil(frame.coords, base_step, levels)
+    points, steps = stencil(frame.coords, base_step, levels)
     values = field.at(points.reshape(-1, 4), frame.chart_id)
-    value, d = _differences(values.reshape(points.shape[:2] + values.shape[1:]),
-                            steps, richardson, stencil_budget)
+    value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
+                           steps, richardson, stencil_budget)
     return _connect(frame, field.kind, d, value, include_spin), value
 
 
@@ -271,7 +225,7 @@ def covariant_derivative(
     (optional) raises StencilTooCoarse when the two Richardson levels
     disagree beyond it.
     """
-    frame, single = _frame(spec, x)
+    frame, single = as_frame(spec, x)
     d, _ = _covariant_rows(field, frame, base_step, richardson, include_spin,
                            stencil_budget)
     return d[0] if single else d
@@ -295,7 +249,7 @@ def rs_residual(field: FieldSampler, spec: MetricSpec, x, mass: MassParam
                 ) -> np.ndarray:
     """Left side of the wave equation at a Point, or on (n, 4) rows or a
     Frame: (alpha^nu D_nu + kappa beta) Psi."""
-    frame, single = _frame(spec, x)
+    frame, single = as_frame(spec, x)
     d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     res = _residual(frame, d, psi, mass)
     return res[0] if single else res
@@ -304,7 +258,7 @@ def rs_residual(field: FieldSampler, spec: MetricSpec, x, mass: MassParam
 def divergence_combo(field, spec, x, mass) -> np.ndarray:
     """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
     at a Point, or on (n, 4) rows or a Frame."""
-    frame, single = _frame(spec, x)
+    frame, single = as_frame(spec, x)
     d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     out = _first_constraint(frame, d, psi, mass)
     return out[0] if single else out
@@ -314,7 +268,7 @@ def contraction_identity(field, spec, x, mass):
     """gamma-contraction of the residual vs (2/3) of the first-constraint
     combination, at a Point or on rows or a Frame; equal for arbitrary
     smooth fields.  Both sides share one D_nu Psi."""
-    frame, single = _frame(spec, x)
+    frame, single = as_frame(spec, x)
     d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
@@ -322,172 +276,151 @@ def contraction_identity(field, spec, x, mass):
     return (lhs[0], rhs[0]) if single else (lhs, rhs)
 
 
-def constraint_two_residual(field, spec, x, mass, gs=None):
-    """The algebraic constraint:
-    1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r.
-    ``gs``: the Dirac matrices at ``x`` when the caller has them.
-    """
-    if gs is None:
-        gs = gamma_set_at(spec, x)
-    bundle = curvature(spec, x)
-    psi = field(x)
-    psi_up = np.einsum("bl,lj->bj", gs.metric.g_upper, psi)
+def constraint_two_residual(field, spec, x, mass):
+    """The algebraic constraint
+    1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r."""
+    frame, single = as_frame(spec, x)
+    gs, bundle = frame.gammas, frame.curvature
+    psi = field.at(frame)
+    psi_up = np.einsum("xbl,xlj->xbj", gs.metric.g_upper, psi)
     # einsum's summation order follows its operands' memory layout; a
     # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
     ricci = np.ascontiguousarray(bundle.ricci)
-    t1 = np.einsum("ab,aij,bj->i", 0.5 * ricci, gs.gamma_up, psi_up)
-    phi = np.einsum("rij,rj->i", gs.gamma_up, psi)
-    return t1 + (0.5 * mass.kappa**2 - bundle.scalar / 12.0) * phi
+    t1 = np.einsum("xab,xaij,xbj->xi", 0.5 * ricci, gs.gamma_up, psi_up)
+    phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
+    out = t1 + (0.5 * mass.kappa**2 - bundle.scalar[:, None] / 12.0) * phi
+    return out[0] if single else out
 
 
-def einstein_space_factor(spec, x, mass) -> complex:
+def einstein_space_factor(spec, x, mass):
     """The scalar 1/2 (R/12 - m^2) multiplying gamma^r Psi_r when
     R_ab = (R/4) g_ab (uses kappa^2 = -m^2 under the default convention)."""
-    bundle = curvature(spec, x)
-    return 0.5 * (bundle.scalar / 12.0 + mass.kappa**2)
+    frame, single = as_frame(spec, x)
+    out = 0.5 * (frame.curvature.scalar / 12.0 + mass.kappa**2)
+    return out[0] if single else out
 
 
-def stencil_frame(spec: MetricSpec, x: Point) -> Frame:
-    """The frame of the outer stencil around ``x`` (outer step, both
-    Richardson levels; row 0 is ``x``), on which nested chains take their
-    inner derivatives; the fixtures checked at ``x`` share it."""
-    points, _ = _stencil(x.coords[None, :], STEP_OUTER, 2)
-    return build_frame(spec, points[0], x.chart_id)
+def centre_covariant(values, frame: Frame, kind: str, stencil_budget=None):
+    """(value, D_mu value) at row 0 of an outer-stencil frame from the
+    values [rows, ...] a field of ``kind`` takes on its rows."""
+    v, dv = outer_derivative(values, frame.coords, stencil_budget)
+    return v[0], _connect(frame, kind, dv, v, rows=slice(0, 1))[0]
 
 
-def _outer_derivative(values, frame: Frame, stencil_budget=None):
-    """(value, d_mu value) at the centre of a ``stencil_frame``, from the
-    values [rows, ...] a quantity takes on its rows (outer step,
-    Richardson); both keep a leading axis of length 1."""
-    points, steps = _stencil(frame.coords[:1], STEP_OUTER, 2)
-    if not np.array_equal(points[0], frame.coords):
-        raise ValueError("the frame is not the outer stencil of its row 0")
-    return _differences(values[None], steps, True, stencil_budget)
+def _nested_commutator(field, spec, x, include_spin):
+    """(outer-stencil frame, [D_al, D_be] Psi indexed [al, be, c, s] by
+    nested differences at its row 0, the spin connection optional)."""
+    frame = outer_frame(spec, x)
+    inner = covariant_derivative(field, spec, frame, base_step=STEP_OUTER,
+                                 richardson=True, include_spin=include_spin)
+    v, dv = outer_derivative(inner, frame.coords)  # [1, nu, c, s], [1, mu, ...]
+    v, dv, gam = v[0], dv[0], frame.christoffel[0]
+    t = (dv - np.einsum("lmn,lcs->mncs", gam, v)
+         - np.einsum("lmc,nls->mncs", gam, v))
+    if include_spin:
+        t = t + np.einsum("mij,ncj->mnci", frame.connection[0], v)
+    return frame, t - t.transpose(1, 0, 2, 3)
 
 
 def second_covariant_comm(field, spec, x):
     """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
-    frame = stencil_frame(spec, x)
-    inner = covariant_derivative(field, spec, frame, base_step=STEP_OUTER,
-                                 richardson=True)
-    v, dv = _outer_derivative(inner, frame)  # [1, nu, c, s], [1, mu, nu, c, s]
-    v, dv = v[0], dv[0]
-    gam = frame.christoffel[0]
-    G = frame.connection[0]
-    t = (
-        dv
-        - np.einsum("lmn,lcs->mncs", gam, v)
-        - np.einsum("lmc,nls->mncs", gam, v)
-        + np.einsum("mij,ncj->mnci", G, v)
-    )
-    return t - t.transpose(1, 0, 2, 3)
+    return _nested_commutator(field, spec, x, True)[1]
+
+
+def _curvature_commutator(frame: Frame, psi):
+    """(algebraic [D_a, D_b] Psi_c on a frame's rows, spinor curvature)."""
+    dhat = spinor_commutator_curvature(frame.spec, frame)
+    rmix = riemann_mixed(frame.curvature, frame.metric)
+    # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
+    return (-np.einsum("xlcab,xls->xabcs", rmix, psi)
+            + np.einsum("xabij,xcj->xabci", dhat, psi)), dhat
+
+
+def commutator_curvature(field, spec, x):
+    """The curvature form of [D_al, D_be] Psi, indexed [al, be, c, s]: the
+    vector plus the spinor curvature."""
+    frame, single = as_frame(spec, x)
+    comm, _ = _curvature_commutator(frame, field.at(frame))
+    return comm[0] if single else comm
 
 
 def commutator_decomposition(field, spec, x):
-    """Nested-difference [D_al, D_be] Psi vs its curvature form
-    (vector curvature + spinor curvature)."""
-    lhs = second_covariant_comm(field, spec, x)
-    m = eval_metric(spec, x)
-    bundle = curvature(spec, x)
-    rmix = riemann_mixed(bundle, m)
-    dhat = spinor_commutator_curvature(spec, x)
-    psi = field(x)
-    # vector part: ( [nabla_a, nabla_b] Psi )_c = - R^l_{c a b} Psi_l
-    rhs = -np.einsum("lcab,ls->abcs", rmix, psi)
-    rhs = rhs + np.einsum("abij,cj->abci", dhat, psi)
-    return lhs, rhs
+    """Nested-difference [D_al, D_be] Psi vs its curvature form."""
+    return (second_covariant_comm(field, spec, x),
+            commutator_curvature(field, spec, x))
+
+
+def bridge_commutator(field, spec, x):
+    """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be by nested
+    differences of Christoffel-only derivatives."""
+    frame, comm = _nested_commutator(field, spec, x, False)
+    gs = frame.gamma_set(0)
+    w = np.einsum("nc,ancs->as", gs.metric.g_upper, comm)
+    return -np.einsum("aij,aj->i", gs.gamma_up, w)
+
+
+def ricci_gamma_contraction(field, spec, x):
+    """gamma^al Psi^nu R_{nu al}."""
+    frame, single = as_frame(spec, x)
+    psi_up = np.einsum("xnl,xlj->xnj", frame.metric.g_upper, field.at(frame))
+    out = np.einsum("xna,xaij,xnj->xi", frame.curvature.ricci,
+                    frame.gammas.gamma_up, psi_up)
+    return out[0] if single else out
 
 
 def curvature_bridge(field, spec, x):
-    """The standalone contraction
-    -gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be
-    = gamma^al Psi^nu R_{nu al}, with the left side by nested differences
-    of Christoffel-only derivatives."""
-    frame = stencil_frame(spec, x)
-    inner = covariant_derivative(field, spec, frame, include_spin=False,
-                                 base_step=STEP_OUTER, richardson=True)
-    v, dv = _outer_derivative(inner, frame)
-    v, dv = v[0], dv[0]
-    gam = frame.christoffel[0]
-    t = (
-        dv
-        - np.einsum("lmn,lcs->mncs", gam, v)
-        - np.einsum("lmc,nls->mncs", gam, v)
+    """The standalone contraction (bridge commutator, Ricci contraction):
+    -gamma^al [nabla_al, nabla_be] Psi^be = gamma^al Psi^nu R_{nu al}."""
+    return (bridge_commutator(field, spec, x),
+            ricci_gamma_contraction(field, spec, x))
+
+
+def derivative_chain(field, spec, x, mass, stencil_budget=None):
+    """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with chi the
+    first-constraint combination.  One inner D_nu Psi on the outer-stencil
+    frame's rows (one ``at`` call over the stencil of stencils) gives both
+    the residual and chi there; their outer derivatives at row 0 follow.
+    """
+    frame = outer_frame(spec, x)
+    d, psi = _covariant_rows(field, frame, *nested_step(True))
+    res, dres = centre_covariant(_residual(frame, d, psi, mass), frame,
+                                 VECTOR_BISPINOR, stencil_budget)
+    chi, dchi = centre_covariant(_first_constraint(frame, d, psi, mass),
+                                 frame, BISPINOR, stencil_budget)
+    gs = frame.gamma_set(0)
+    return (
+        np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
+        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
+        - mass.kappa * chi
     )
-    gs = gamma_set_at(spec, x)
-    g_up = gs.metric.g_upper
-    w = np.einsum("nc,ancs->as", g_up, t - t.transpose(1, 0, 2, 3))
-    lhs = -np.einsum("aij,aj->i", gs.gamma_up, w)
-    bundle = curvature(spec, x)
-    psi_up = np.einsum("nl,lj->nj", g_up, field(x))
-    rhs = np.einsum("na,aij,nj->i", bundle.ricci, gs.gamma_up, psi_up)
-    return lhs, rhs
 
 
 def derivative_chain_check(field, spec, x, mass, stencil_budget=None):
-    """D^s applied to the residual, minus the first-constraint part, vs the
-    curvature form; an identity for arbitrary C^3 fields.
-
-    Left side: D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with
-    chi the first-constraint combination.  Right side:
-    -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
-    + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator
-    D_{al be} in its algebraic curvature form.
-
-    ``x`` is a Point or its ``stencil_frame``, which the fields checked at
-    one point share.  One inner D_nu Psi on the frame's rows (one ``at``
-    call over the stencil of stencils) gives both the residual and chi
-    there; their outer derivatives at the centre follow.
-    """
-    if isinstance(x, Frame):
-        frame, x = x, Point(x.coords[0], x.chart_id)
-    else:
-        frame = stencil_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, *nested_step(True))
-    res, dres = _outer_derivative(_residual(frame, d, psi, mass), frame,
-                                  stencil_budget)
-    chi, dchi = _outer_derivative(_first_constraint(frame, d, psi, mass),
-                                  frame, stencil_budget)
-    centre = slice(0, 1)
-    dres = _connect(frame, VECTOR_BISPINOR, dres, res, rows=centre)[0]
-    dchi = _connect(frame, BISPINOR, dchi, chi, rows=centre)[0]
-    gs = frame.gamma_set(0)
-    lhs = (
-        np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
-        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
-        - mass.kappa * chi[0]
-    )
-    rhs = chain_rhs_algebraic(field, spec, x, mass, gs=gs)
-    return lhs, rhs
+    """The derivative chain vs its curvature form, an identity for any C^3
+    field; ``stencil_budget`` as for ``numerics.differences``."""
+    return (derivative_chain(field, spec, x, mass, stencil_budget),
+            chain_rhs_algebraic(field, spec, x, mass))
 
 
-def chain_rhs_algebraic(field, spec, x, mass, gs=None):
+def chain_rhs_algebraic(field, spec, x, mass):
     """The curvature form of the derivative chain:
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
-    algebraic form (vector curvature + spinor curvature).
-    ``gs``: the Dirac matrices at ``x`` when the caller has them (a frame
-    row)."""
-    if gs is None:
-        gs = gamma_set_at(spec, x)
-    m = gs.metric
-    bundle = curvature(spec, x)
-    rmix = riemann_mixed(bundle, m)
-    dhat = spinor_commutator_curvature(spec, x, gs)
-    psi = field(x)
-    # (D_{a m} Psi)_b = -R^l_{b a m} Psi_l + Dhat_{a m} Psi_b
-    comm = -np.einsum("lbam,ls->ambs", rmix, psi) + np.einsum(
-        "amij,bj->ambi", dhat, psi
-    )
-    contracted = np.einsum("mb,ambs->as", m.g_upper, comm)
-    term1 = -np.einsum("aij,aj->i", gs.gamma_up, contracted)
-    phi = np.einsum("rij,rj->i", gs.gamma_up, psi)
+    algebraic form (vector curvature + spinor curvature)."""
+    frame, single = as_frame(spec, x)
+    gs = frame.gammas
+    psi = field.at(frame)
+    comm, dhat = _curvature_commutator(frame, psi)
+    contracted = np.einsum("xmb,xambs->xas", gs.metric.g_upper, comm)
+    term1 = -np.einsum("xaij,xaj->xi", gs.gamma_up, contracted)
+    phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
     term2 = 0.5 * mass.kappa**2 * phi
-    d_on_phi = np.einsum("abij,j->abi", dhat, phi)
+    d_on_phi = np.einsum("xabij,xj->xabi", dhat, phi)
     term3 = (1.0 / 3.0) * np.einsum(
-        "abij,abj->i", gs.sigma_curved, d_on_phi
+        "xabij,xabj->xi", gs.sigma_curved, d_on_phi
     )
-    return term1 + term2 + term3
+    out = term1 + term2 + term3
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -604,32 +537,23 @@ def flat_reduction_check(field: FieldSampler, mass: MassParam, points,
                          spec: MetricSpec = None) -> dict:
     """On Minkowski (Cartesian), fields obeying gamma^a Psi_a = 0 and
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
-    residuals (gamma^a d_a + kappa) Psi_c.  Returns a report dict."""
+    residuals (gamma^a d_a + kappa) Psi_c, at every point.  Returns a
+    report dict."""
     from .geometry import ETA
     from .spacetimes import load_preset
     from .spin_frame import GAMMA_FLAT
 
     if spec is None:
         spec = load_preset("minkowski_cartesian")
-    max_rs = max_dirac = max_match = 0.0
-    max_tr = max_div = 0.0
-    scale = 1e-300
-    for x in points:
-        psi = field(x)
-        d = covariant_derivative(field, spec, x)
-        rs = rs_residual(field, spec, x, mass)
-        dirac = (
-            np.einsum("aij,acj->ci", GAMMA_FLAT, d) + mass.kappa * psi
-        )
-        trace = np.einsum("aij,aj->i", GAMMA_FLAT, psi)
-        div = np.einsum("ab,abj->j", ETA, d)
-        scale = max(scale, float(np.max(np.abs(psi))),
-                    float(np.max(np.abs(d))))
-        max_rs = max(max_rs, float(np.max(np.abs(rs))))
-        max_dirac = max(max_dirac, float(np.max(np.abs(dirac))))
-        max_match = max(max_match, float(np.max(np.abs(rs - dirac))))
-        max_tr = max(max_tr, float(np.max(np.abs(trace))))
-        max_div = max(max_div, float(np.max(np.abs(div))))
+    frame = build_frame(spec, [x.coords for x in points])
+    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
+    rs = _residual(frame, d, psi, mass)
+    dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
+    max_rs, max_dirac, max_match, max_tr, max_div = (
+        float(np.max(np.abs(a))) for a in (
+            rs, dirac, rs - dirac, np.einsum("aij,xaj->xi", GAMMA_FLAT, psi),
+            np.einsum("ab,xabj->xj", ETA, d)))
+    scale = max(1e-300, float(np.max(np.abs(psi))), float(np.max(np.abs(d))))
     constraints_ok = max_tr <= 1e-8 * scale and max_div <= 1e-8 * scale
     return {
         "constraints_satisfied": constraints_ok,

@@ -4,11 +4,12 @@ shared frames, and the work counts of the nested chains stay pinned."""
 
 import dataclasses
 import sys
+import types
 
 import numpy as np
 import pytest
 
-from curved_rs import gauge, geometry, identity_suite, spin_frame
+from curved_rs import fields, gauge, geometry, identity_suite, spin_frame
 from curved_rs import rs_operator as rso
 from curved_rs.errors import OutOfDomain
 from curved_rs.fields import (
@@ -23,7 +24,12 @@ from curved_rs.geometry import Point, christoffel
 from curved_rs.identity_suite import build_context, run_suite
 from curved_rs.rs_operator import MassParam
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
-from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
+from curved_rs.spin_frame import (
+    Frame,
+    build_frame,
+    gamma_set_at,
+    spin_connection,
+)
 
 from conftest import points_of
 
@@ -217,19 +223,28 @@ def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
     residual of a gradient field, eps^{r nu s mu} gamma_mu D_nu d_s psi,
     vanishes identically (eps antisymmetrizes d_nu d_s and the symmetric
     Christoffels), so the gauge obstruction only shows where 2.8c runs."""
-    monkeypatch.setattr(spin_frame, "spin_connection",
-                        lambda spec, x: np.zeros((4, 4, 4)))
+    monkeypatch.setattr(
+        spin_frame, "spin_connection",
+        lambda spec, x: np.zeros(np.shape(x.coords)[:-1] + (4, 4, 4)))
     assert not any(_verdicts(schwarzschild,
                              ("eq_1_7_derivative_chain",)).values())
     assert not any(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
 
 
 def _scaled(fn, factor=1.0 + 1e-3):
-    return lambda spec, coords: fn(spec, coords) * factor
+    return lambda spec, x: fn(spec, x) * factor
 
 
-# The mutations below act where the geometry is computed, so the caches of
-# a spec would keep their results: each mutated run gets its own spec.
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` in every package module binding it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith("curved_rs")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, replacement)
+
+
+# The mutations below act where the geometry is computed.
 
 
 def test_flipped_eps_sign_fails_the_volume_tensor_gates(schwarzschild,
@@ -248,8 +263,8 @@ def test_scaled_connection_fails_the_connection_gates(schwarzschild, frw_dust,
               "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
-    monkeypatch.setattr(spin_frame, "_spin_connection_cached",
-                        _scaled(spin_frame._spin_connection_cached))
+    _patch_everywhere(monkeypatch, spin_frame, "spin_connection",
+                      _scaled(spin_frame.spin_connection))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
                              ("eq_2_8c_gauge_criterion",)).values())
@@ -265,8 +280,8 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
               "metric_compatibility")
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
-    monkeypatch.setattr(geometry, "_christoffel_cached",
-                        _scaled(geometry._christoffel_cached))
+    _patch_everywhere(monkeypatch, geometry, "christoffel",
+                      _scaled(geometry.christoffel))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
                              ("eq_1_10c_curvature_bridge",)).values())
@@ -302,43 +317,65 @@ def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
         assert not any(_verdicts(load_preset(name), check).values())
 
 
-def test_scaled_ricci_fails_the_constraint_gates(frw_dust, anti_de_sitter,
-                                                 monkeypatch):
-    """The Ricci tensor scaled where the operator layer reads the
-    curvature: the constraint no longer matches the chain's curvature
-    form, nor the Einstein-space factor."""
-    reduction = ("eq_1_11a_constraint_reduction",)
-    both = reduction + ("eq_1_14b_constraint_factor",)
-    assert all(_verdicts(frw_dust, reduction).values())
-    assert all(_verdicts(anti_de_sitter, both).values())
-    original = rso.curvature
+def _scale_frame_ricci(monkeypatch):
+    """Scale the Ricci tensor alone in the curvature that frames fill, which
+    every check reads; the curvature class is measured apart from frames,
+    so the same checks apply."""
+    original = spin_frame.curvature
 
     def scaled_ricci(spec, x):
         b = original(spec, x)
         return dataclasses.replace(b, ricci=b.ricci * (1.0 + 1e-3))
 
-    monkeypatch.setattr(rso, "curvature", scaled_ricci)
+    monkeypatch.setattr(spin_frame, "curvature", scaled_ricci)
+
+
+def test_scaled_ricci_fails_the_constraint_gates(frw_dust, anti_de_sitter,
+                                                 monkeypatch):
+    """The Ricci tensor scaled where the frames the operator layer reads
+    fill their curvature: the constraint no longer matches the chain's
+    curvature form, nor the Einstein-space factor."""
+    reduction = ("eq_1_11a_constraint_reduction",)
+    both = reduction + ("eq_1_14b_constraint_factor",)
+    assert all(_verdicts(frw_dust, reduction).values())
+    assert all(_verdicts(anti_de_sitter, both).values())
+    _scale_frame_ricci(monkeypatch)
     assert not any(_verdicts(load_preset("frw_dust"), reduction).values())
+    assert not any(_verdicts(load_preset("anti_de_sitter_static"),
+                             both).values())
+
+
+def test_scaled_ricci_fails_the_ricci_gates(frw_dust, anti_de_sitter,
+                                            monkeypatch):
+    """The same mutant: the Ricci tensor no longer is the contraction of
+    the Riemann tensor (1.10b) nor R/4 g on an Einstein space (1.14a)."""
+    sigma_ricci = ("eq_1_10b_sigma_ricci",)
+    both = sigma_ricci + ("eq_1_14a_einstein_space",)
+    assert all(_verdicts(frw_dust, sigma_ricci).values())
+    assert all(_verdicts(anti_de_sitter, both).values())
+    _scale_frame_ricci(monkeypatch)
+    assert not any(_verdicts(load_preset("frw_dust"), sigma_ricci).values())
     assert not any(_verdicts(load_preset("anti_de_sitter_static"),
                              both).values())
 
 
 def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
                                                        monkeypatch):
-    """One leg of the tetrad scaled in the Dirac matrices the operator
-    layer builds: the gamma-traceless fixtures are no longer traceless."""
+    """One leg of the tetrad scaled in the Dirac matrices the
+    gamma-traceless fixtures are projected with: they are no longer
+    traceless for the operator's matrices."""
     check = ("eq_1_13_vacuum_constraint",)
     assert all(_verdicts(schwarzschild, check).values())
-    original = rso.gamma_set_at
+    original = fields.build_frame
 
-    def scaled_leg(spec, x, flat=None):
-        gs = original(spec, x, flat)
+    def scaled_leg(spec, coords, chart_id=None):
+        gs = original(spec, coords, chart_id).gammas
         e_upper = gs.tetrad.e_upper.copy()
-        e_upper[1] *= 1.0 + 1e-3
-        return spin_frame.curved_gammas(
-            spin_frame.Tetrad(gs.tetrad.e_lower, e_upper), gs.metric)
+        e_upper[:, 1] *= 1.0 + 1e-3
+        return types.SimpleNamespace(gammas=spin_frame.curved_gammas(
+            spin_frame.Tetrad(gs.tetrad.e_lower, e_upper), gs.metric))
 
-    monkeypatch.setattr(rso, "gamma_set_at", scaled_leg)
+    monkeypatch.setattr(fields, "build_frame", scaled_leg)
     assert not any(_verdicts(load_preset("schwarzschild"), check).values())
 
 
@@ -354,7 +391,8 @@ def _count_at(monkeypatch, fields):
 
     def counting_at(self, coords, chart_id=""):
         if any(self is f for f in fields):
-            calls.append(len(coords))
+            rows = coords.coords if isinstance(coords, Frame) else coords
+            calls.append(len(rows))
         return original(self, coords, chart_id)
 
     monkeypatch.setattr(FieldSampler, "at", counting_at)
@@ -370,10 +408,7 @@ def _count_calls(monkeypatch, module, name):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name.startswith("curved_rs")
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, counting)
+    _patch_everywhere(monkeypatch, module, name, counting)
     return calls
 
 
@@ -384,7 +419,7 @@ def test_derivative_chain_samples_its_fixture_once(schwarzschild,
     fld = trig_field(41, box=schwarzschild.sample_box)
     calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
-    rso.derivative_chain_check(fld, schwarzschild, x, MASS)
+    rso.derivative_chain(fld, schwarzschild, x, MASS)
     assert calls == [17 * 17]
 
 
@@ -400,27 +435,30 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
 
 def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
-    """1.7 at one point with 5 fixtures: one outer-stencil frame (17 rows,
-    one geometry lookup per row) and one ``at`` call per fixture."""
+    """1.7 at one point with 5 fixtures: the context frame and one
+    outer-stencil frame, each filled once (the Christoffels by the frame,
+    by its connection and by its curvature).  Per fixture the curvature
+    form and the scale sample the point, and one ``at`` call samples the
+    stencil of stencils.  A second run builds and fills nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
-    identity_suite._chk_derivative_chain(ctx)  # warm the geometry caches
     at_calls = _count_at(monkeypatch, ctx.vb_fixtures)
     frames = _count_calls(monkeypatch, spin_frame, "build_frame")
     connections = _count_calls(monkeypatch, spin_frame, "spin_connection")
     christoffels = _count_calls(monkeypatch, geometry, "christoffel")
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
-    assert at_calls == [17 * 17] * 5
-    assert len(frames) == 1
-    assert len(connections) <= 18
-    assert len(christoffels) <= 18
+    assert at_calls == [1, 1, 17 * 17] * 5
+    assert (len(frames), len(connections), len(christoffels)) == (2, 1, 3)
+    identity_suite._chk_derivative_chain(ctx)
+    assert (len(frames), len(connections), len(christoffels)) == (2, 1, 3)
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                                                       monkeypatch):
-    """2.7b at one point with 3 fixtures: per fixture one outer derivative
-    and one batched inner derivative over the 17 outer rows."""
+    """2.7b at one point with 3 fixtures: per fixture one batched inner
+    derivative over the 17 rows of the point's outer-stencil frame; the
+    outer derivative differences those rows, with no further call."""
     calls = []
     original = rso.covariant_derivative
 
@@ -434,4 +472,40 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                     only=("eq_2_7b_massless_gradient",))
     assert len(rep.ctx.sp_fixtures) == 3
     assert rep.checks[0].passed
-    assert len(calls) == 6
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("name, traceless_frames",
+                         [("schwarzschild", 4), ("frw_dust", 0)])
+def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
+                                                monkeypatch):
+    """One suite at 20 points builds the context frame and one outer-stencil
+    frame per point, which 1.7, 1.8e, 1.9, 1.10c and 2.7b or 2.8c share;
+    only the gamma-traceless fixtures of 1.13 (two, each sampled twice)
+    project with frames of their own.  The metric is evaluated once per
+    frame row and order used: orders 0-2 on the context rows, 0-1 on the
+    17 rows of each outer frame; besides, orders 0-2 on the 6 points the
+    curvature class is measured on, order 0 at the 8 shifted points of
+    each point's covariant-constancy check and on the fixtures' frames."""
+    spec = load_preset(name)
+    evals = {0: 0, 1: 0, 2: 0}
+    original = spec.component_fn
+
+    def counting(x, order=0):
+        evals[order] += 1
+        return original(x, order)
+
+    spec.component_fn = counting
+    frames = _count_calls(monkeypatch, spin_frame, "build_frame")
+    rep = run_suite(spec, n_points=20, seed=42)
+    n, rows, classified = 20, 17, identity_suite.CLASS_POINT_CAP
+    assert rep.passed
+    assert len(frames) == 1 + n + traceless_frames
+    assert all(rep.ctx.frame.outer(i).coords.shape == (rows, 4)
+               for i in range(n))
+    assert len(frames) == 1 + n + traceless_frames  # no frame built again
+    assert evals == {
+        0: n + n * rows + classified + 8 * n + traceless_frames * n,
+        1: n + n * rows + classified,
+        2: n + classified,
+    }

@@ -96,3 +96,27 @@ def test_spec_counters_see_every_entry(make, entry):
     counts = tracer.counts()
     assert counts["geometry.metric_evals"] > 0
     assert counts["geometry.guard_calls"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_ops_record_every_expected_call(name):
+    # what ``run.py --trace 1`` checks, on one cycle of the workload's keys:
+    # an entry point the package stops calling fails here, not only there
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wl = workloads.setup(name, 1)
+    finally:
+        tracer.uninstall()
+    for k in range(len(wl.keys)):
+        tracer.op = k
+        tracer.install()
+        try:
+            wl.run(wl.next_input(k))
+        finally:
+            tracer.uninstall()
+    observed = {span: calls for span, (calls, _, _)
+                in tracer.layer_totals(tracer.spans()).items()}
+    observed.update(tracer.counts())
+    expected = _run_constant("EXPECTED_CALLS")[name]
+    assert [n for n in expected if not observed[n]] == []

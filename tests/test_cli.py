@@ -36,6 +36,39 @@ phi = 0.3, 5.9
 """
 
 
+#: documents whose sampling box lies outside the domain: by a [domain]
+#: line, and by components that overflow a float everywhere in the box
+OUTSIDE_CFG = """
+[coords]
+names = t, r, theta, phi
+[metric]
+g00 = 1
+g11 = -1
+g22 = -r^2
+g33 = -r^2 * sin(theta)^2
+[domain]
+r > 10
+[sampling]
+t = -1, 1
+r = 1, 2
+theta = 0.5, 2.5
+phi = 0.3, 5.9
+"""
+OVERFLOW_CFG = """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 1 + exp(x)
+g11 = -1
+g22 = -1
+g33 = -1
+[sampling]
+t = -1, 1
+x = 710, 800
+y = -1, 1
+z = -1, 1
+"""
+
 COMMANDS = ("identities", "gauge", "constraints")
 
 
@@ -111,11 +144,15 @@ class TestExitCodes:
         ["identities", "--metric-file", "{cfg}", "--param", "alpha=5"],
         ["identities", "--tolerance", "eq_1_3_hermiticity=-1"],
         ["identities", "--tolerance", "eq_1_3_hermiticity=nan"],
+        ["identities", "--metric-file", "{outside}"],
+        ["identities", "--metric-file", "{overflow}"],
     ])
     def test_bad_input_is_config_error(self, capsys, tmp_path, args):
-        cfg = tmp_path / "ds.cfg"
-        cfg.write_text(DS_CFG)
-        args = [a.replace("{cfg}", str(cfg)) for a in args]
+        for key, text in (("cfg", DS_CFG), ("outside", OUTSIDE_CFG),
+                          ("overflow", OVERFLOW_CFG)):
+            (tmp_path / f"{key}.cfg").write_text(text)
+            args = [a.replace(f"{{{key}}}", str(tmp_path / f"{key}.cfg"))
+                    for a in args]
         code, out, err = run(args + ["--points", "2"], capsys)
         assert code == 2
         assert out == ""

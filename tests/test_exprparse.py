@@ -113,6 +113,10 @@ class TestEvalErrors:
         with pytest.raises(EvalError):
             ev("x ^ 0.5", x=-2.0)
 
+    def test_overflowing_builtin(self):
+        with pytest.raises(EvalError, match="exp"):
+            ev("1 + exp(x)", x=800.0)
+
 
 def test_free_symbols():
     ast = parse_expression("1 - 2*M/r + sin(theta) * pi")

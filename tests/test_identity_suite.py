@@ -59,6 +59,14 @@ class TestSampling:
         with pytest.raises(ConfigError):
             suite.sample_points(bare, 3, 1)
 
+    def test_box_outside_the_domain_rejected(self, schwarzschild):
+        import copy
+
+        inside_horizon = copy.copy(schwarzschild)
+        inside_horizon.sample_box = ((-1, 1), (1.0, 1.5), (0.5, 2.5), (0, 1))
+        with pytest.raises(ConfigError, match=r"\(1\.0, 1\.5\).*'schwarzschild'"):
+            suite.sample_points(inside_horizon, 3, 1)
+
 
 class TestClassification:
     def test_classes(self, minkowski, minkowski_spherical, schwarzschild,
