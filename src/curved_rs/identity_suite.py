@@ -229,11 +229,6 @@ def _worst(*errors) -> float:
     return worst
 
 
-def _max_over_rows(ctx, fn) -> float:
-    """The worst fn(i) over the rows i of the context frame (its points)."""
-    return _worst(*(fn(i) for i in range(len(ctx.points))))
-
-
 def _row_max(a) -> np.ndarray:
     return np.max(np.abs(a).reshape(len(a), -1), axis=1)
 
@@ -259,23 +254,17 @@ def _max_row_rel(lhs, rhs, psi) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _chk_hermiticity(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        G = ctx.frame.connection[i]
-        g0 = gs.gamma_flat[0]
-        worst = 0.0
-        for b in range(4):
-            lhs = gs.gamma_up[b].conj().T
-            rhs = g0 @ gs.gamma_up[b] @ g0
-            worst = _worst(worst, _rel(np.max(np.abs(lhs - rhs)), 1.0,
-                                       np.max(np.abs(gs.gamma_up))))
-            herm = G[b].conj().T @ g0 + g0 @ G[b]
-            worst = _worst(worst, _rel(np.max(np.abs(herm)), 1.0,
-                                       np.max(np.abs(G))))
-        return worst
+def _dagger(a):
+    return np.swapaxes(a, -1, -2).conj()
 
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+
+def _chk_hermiticity(ctx):
+    gs, G = ctx.frame.gammas, ctx.frame.connection
+    g0, gu = gs.gamma_flat[0], gs.gamma_up
+    errs = np.maximum(
+        _row_rel(_row_max(_dagger(gu) - g0 @ gu @ g0), 1.0, _row_max(gu)),
+        _row_rel(_row_max(_dagger(G) @ g0 + g0 @ G), 1.0, _row_max(G)))
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_covariant_constancy(ctx):
@@ -284,121 +273,97 @@ def _chk_covariant_constancy(ctx):
     def at_row(i):
         x = ctx.points[i]
         gam = ctx.frame.christoffel[i]
-        gs = ctx.frame.gamma_set(i)
+        gu = ctx.frame.gammas.gamma_up[i]
         G = ctx.frame.connection[i]
 
         def gup_at(c):
             return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
 
         worst = 0.0
-        scale = max(1.0, float(np.max(np.abs(gs.gamma_up))))
+        scale = max(1.0, float(np.max(np.abs(gu))))
         for s in range(4):
             d = partial4(gup_at, x.coords, s, fd_step(x.coords[s], STEP_FIRST))
             for r in range(4):
                 val = (
                     d[r]
-                    + np.einsum("l,lij->ij", gam[r, s, :], gs.gamma_up)
-                    + G[s] @ gs.gamma_up[r]
-                    - gs.gamma_up[r] @ G[s]
+                    + np.einsum("l,lij->ij", gam[r, s, :], gu)
+                    + G[s] @ gu[r]
+                    - gu[r] @ G[s]
                 )
                 worst = _worst(worst, _rel(np.max(np.abs(val)), scale))
         return worst
 
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    return len(ctx.points), _worst(*map(at_row, range(len(ctx.points))))
 
 
 def _chk_clifford(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        g_up = gs.metric.g_upper
-        anti = np.einsum("aij,bjk->abik", gs.gamma_up, gs.gamma_up)
-        anti = anti + anti.transpose(1, 0, 2, 3)
-        target = 2.0 * np.einsum("ab,ij->abij", g_up, np.eye(4))
-        worst = _rel(np.max(np.abs(anti - target)), 1.0, np.max(np.abs(g_up)))
-        trace = np.einsum("aij,ajk->ik", gs.gamma_up, gs.gamma_down)
-        worst = _worst(worst, _rel(np.max(np.abs(trace - 4.0 * np.eye(4))), 4.0))
-        g5 = gs.gamma5
-        worst = _worst(worst, _rel(np.max(np.abs(g5 @ g5 - np.eye(4))), 1.0))
-        for a in range(4):
-            worst = _worst(
-                worst,
-                _rel(np.max(np.abs(g5 @ gs.gamma_flat[a]
-                                   + gs.gamma_flat[a] @ g5)), 1.0),
-            )
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    g_up, g5 = gs.metric.g_upper, gs.gamma5
+    anti = np.einsum("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
+    anti = anti + np.swapaxes(anti, 1, 2)
+    target = 2.0 * np.einsum("xab,ij->xabij", g_up, np.eye(4))
+    trace = np.einsum("xaij,xajk->xik", gs.gamma_up, gs.gamma_down)
+    errs = np.maximum(
+        _row_rel(_row_max(anti - target), 1.0, _row_max(g_up)),
+        _row_rel(_row_max(trace - 4.0 * np.eye(4)), 4.0))
+    flat = _worst(_rel(np.max(np.abs(g5 @ g5 - np.eye(4))), 1.0),
+                  _rel(np.max(np.abs(g5 @ gs.gamma_flat
+                                     + gs.gamma_flat @ g5)), 1.0))
+    return len(ctx.points), _worst(flat, *errs)
 
 
 def _chk_sigma_tetrad(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        g_up = gs.metric.g_upper
-        prod = np.einsum("aij,bjk->abik", gs.gamma_up, gs.gamma_up)
-        target = (
-            np.einsum("ab,ij->abij", g_up, np.eye(4)) + 2.0 * gs.sigma_curved
-        )
-        worst = _rel(np.max(np.abs(prod - target)), 1.0, np.max(np.abs(g_up)))
-        tetrad_sigma = np.einsum(
-            "abij,am,bn->mnij", SIGMA_FLAT, gs.tetrad.e_upper, gs.tetrad.e_upper
-        )
-        worst = _worst(
-            worst,
-            _rel(np.max(np.abs(tetrad_sigma - gs.sigma_curved)), 1.0,
-                 np.max(np.abs(gs.sigma_curved))),
-        )
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    g_up, sigma, e_up = gs.metric.g_upper, gs.sigma_curved, gs.tetrad.e_upper
+    prod = np.einsum("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
+    target = np.einsum("xab,ij->xabij", g_up, np.eye(4)) + 2.0 * sigma
+    tetrad_sigma = np.einsum("abij,xam,xbn->xmnij", SIGMA_FLAT, e_up, e_up)
+    errs = np.maximum(
+        _row_rel(_row_max(prod - target), 1.0, _row_max(g_up)),
+        _row_rel(_row_max(tetrad_sigma - sigma), 1.0, _row_max(sigma)))
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_triple_gamma(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        g_up = gs.metric.g_upper
-        worst = 0.0
-        for a in range(4):
-            for b in range(4):
-                for r in range(4):
-                    lhs = gs.gamma_up[a] @ gs.gamma_up[b] @ gs.gamma_up[r]
-                    rhs = (
-                        gs.gamma_up[a] * g_up[b, r]
-                        - gs.gamma_up[b] * g_up[a, r]
-                        + gs.gamma_up[r] * g_up[a, b]
-                        + 1j * gs.gamma5 @ np.einsum(
-                            "s,sij->ij", gs.eps_upper[a, b, r], gs.gamma_down
-                        )
-                    )
-                    worst = _worst(
-                        worst,
-                        _rel(np.max(np.abs(lhs - rhs)), 1.0,
-                             np.max(np.abs(lhs))),
-                    )
-        return worst
+    gs = ctx.frame.gammas
+    gu, g_up = gs.gamma_up, gs.metric.g_upper
+    # every product gamma^a gamma^b gamma^r, indexed [x, a, b, r, i, j]
+    ga = gu[:, :, None, None]
+    gb = gu[:, None, :, None]
+    gr = gu[:, None, None, :]
+    lhs = ga @ gb @ gr
+    rhs = (ga * g_up[:, None, :, :, None, None]
+           - gb * g_up[:, :, None, :, None, None]
+           + gr * g_up[:, :, :, None, None, None]
+           + 1j * gs.gamma5 @ np.einsum("xabrs,xsij->xabrij", gs.eps_upper,
+                                        gs.gamma_down))
+    # each product relative to its own size
+    errs = _row_rel(np.max(np.abs(lhs - rhs), axis=(-2, -1)), 1.0,
+                    np.max(np.abs(lhs), axis=(-2, -1)))
+    return len(ctx.points), _worst(*_row_max(errs))
 
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+
+def _sigma_commutator_defect(sig, g):
+    """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
+    n, i, k], for sigma and the inverse metric on any leading axes."""
+    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig)
+    comm = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
+    return comm - (
+        np.einsum("...ma,...nbij->...abmnij", g, sig)
+        - np.einsum("...mb,...naij->...abmnij", g, sig)
+        - np.einsum("...na,...mbij->...abmnij", g, sig)
+        + np.einsum("...nb,...maij->...abmnij", g, sig)
+    )
 
 
 def _chk_sigma_commutator(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        worst = 0.0
-        for sig, g in ((SIGMA_FLAT, ETA), (gs.sigma_curved, gs.metric.g_upper)):
-            comm = np.einsum("abij,mnjk->abmnik", sig, sig)
-            comm = comm - comm.transpose(2, 3, 0, 1, 4, 5)
-            target = (
-                np.einsum("ma,nbij->abmnij", g, sig)
-                - np.einsum("mb,naij->abmnij", g, sig)
-                - np.einsum("na,mbij->abmnij", g, sig)
-                + np.einsum("nb,maij->abmnij", g, sig)
-            )
-            worst = _worst(
-                worst,
-                _rel(np.max(np.abs(comm - target)), 1.0, np.max(np.abs(g))),
-            )
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    flat = _rel(np.max(np.abs(_sigma_commutator_defect(SIGMA_FLAT, ETA))), 1.0,
+                np.max(np.abs(ETA)))
+    g_up = gs.metric.g_upper
+    errs = _row_rel(_row_max(_sigma_commutator_defect(gs.sigma_curved, g_up)),
+                    1.0, _row_max(g_up))
+    return len(ctx.points), _worst(flat, *errs)
 
 
 def _chk_commutator_curvature(ctx):
@@ -485,8 +450,9 @@ def _chk_constraint_reduction(ctx):
     worst = 0.0
     for fld in ctx.vb_fixtures[:3]:
         rhs_chain = rso.chain_rhs_algebraic(fld, ctx.spec, ctx.frame, ctx.mass)
-        c2 = rso.constraint_two_residual(fld, ctx.spec, ctx.frame, ctx.mass)
-        worst = _worst(worst, _max_row_rel(rhs_chain, c2, fld.at(ctx.frame)))
+        psi = fld.at(ctx.frame)
+        c2 = rso._constraint_two(ctx.frame, psi, ctx.mass)
+        worst = _worst(worst, _max_row_rel(rhs_chain, c2, psi))
     return len(ctx.points), worst
 
 
@@ -516,7 +482,7 @@ def _chk_vacuum_constraint(ctx):
     worst = 0.0
     for fld in fields:
         psi = fld.at(ctx.frame)
-        c2 = rso.constraint_two_residual(fld, ctx.spec, ctx.frame, ctx.mass)
+        c2 = rso._constraint_two(ctx.frame, psi, ctx.mass)
         worst = _worst(worst, *_row_rel(
             _row_max(c2), np.maximum(_row_max(psi), 1e-6) * kappa2))
     return len(ctx.points), worst
@@ -538,7 +504,7 @@ def _chk_einstein_factor(ctx):
     for fld in ctx.vb_fixtures[:3]:
         psi = fld.at(frame)
         phi = np.einsum("xrij,xrj->xi", frame.gammas.gamma_up, psi)
-        c2 = rso.constraint_two_residual(fld, ctx.spec, frame, ctx.mass)
+        c2 = rso._constraint_two(frame, psi, ctx.mass)
         phi_max = _row_max(phi)
         empty = phi_max < 1e-8 * np.maximum(_row_max(psi), 1e-30)
         vacuous += int(empty.sum())
@@ -577,100 +543,70 @@ def _chk_operator_form(ctx):
 
 
 def _chk_block_assembly(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        alphas, beta = rso.build_alpha_beta(gs)
-        trace = sum(beta.blocks[r, r] for r in range(4))
-        worst = _rel(np.max(np.abs(trace - (8.0 / 3.0) * np.eye(4))), 1.0)
-        prod_blocks = (alphas[0] @ beta).to_dense()
-        prod_dense = alphas[0].to_dense() @ beta.to_dense()
-        worst = _worst(worst, _rel(np.max(np.abs(prod_blocks - prod_dense)),
-                                   np.max(np.abs(prod_dense)), 1.0))
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    alphas, beta = rso.build_alpha_beta(ctx.frame.gammas)
+    trace = sum(beta.blocks[:, r, r] for r in range(4))
+    prod_dense = alphas[0].to_dense() @ beta.to_dense()
+    errs = np.maximum(
+        _row_max(trace - (8.0 / 3.0) * np.eye(4)),
+        _row_rel(_row_max((alphas[0] @ beta).to_dense() - prod_dense),
+                 _row_max(prod_dense), 1.0))
+    return len(ctx.points), _worst(*errs)
 
 
 _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
 
 
+def _transform_errors(beta, beta_ref, alphas, alpha_refs) -> np.ndarray:
+    """Per row: the largest deviation of the beta blocks from their
+    reference, and of each alpha^nu relative to the larger of 1 and its
+    reference's largest entry."""
+    errs = _row_max(beta.blocks - beta_ref.blocks)
+    for al, ref in zip(alphas, alpha_refs):
+        errs = np.maximum(errs, _row_rel(_row_max(al.blocks - ref.blocks),
+                                         _row_max(ref.blocks), 1.0))
+    return errs
+
+
 def _chk_transform_stages(ctx):
-    a, b, c = _GENERIC_ABC
-
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        alphas, beta = rso.build_alpha_beta(gs)
-        tr = rso.transform_CS(alphas, beta, gs, a, b, c)
-        bp, ap, _, _ = rso.transform_printed(gs, a, b, c)
-        worst = _rel(np.max(np.abs(tr.beta_prime.blocks - bp.blocks)), 1.0)
-        for nu in range(4):
-            worst = _worst(worst, _rel(
-                np.max(np.abs(tr.alpha_prime[nu].blocks - ap[nu].blocks)),
-                ap[nu].max_abs(), 1.0))
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, *_GENERIC_ABC)
+    bp, ap, _, _ = rso.transform_printed(gs, *_GENERIC_ABC)
+    errs = _transform_errors(tr.beta_prime, bp, tr.alpha_prime, ap)
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_s_inverse(ctx):
-    pairs = [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]
-
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        eye = rso.BlockMatrix16.identity()
-        worst = 0.0
-        for a, b in pairs:
-            s = rso.gamma_pair_block(gs, a)
-            s_inv = rso.gamma_pair_block(gs, b)
-            worst = _worst(worst, _rel((s @ s_inv - eye).max_abs(), 1.0))
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    eye = rso.BlockMatrix16.identity()
+    errs = [_row_max((rso.gamma_pair_block(gs, a) @ rso.gamma_pair_block(gs, b)
+                      - eye).blocks)
+            for a, b in [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]]
+    return len(ctx.points), _worst(*np.ravel(errs))
 
 
 def _chk_transform_expansion(ctx):
-    a, b, c = _GENERIC_ABC
-
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        alphas, beta = rso.build_alpha_beta(gs)
-        tr = rso.transform_CS(alphas, beta, gs, a, b, c)
-        _, _, bt, at_ = rso.transform_printed(gs, a, b, c)
-        worst = _rel(np.max(np.abs(tr.beta_tilde.blocks - bt.blocks)), 1.0)
-        for nu in range(4):
-            worst = _worst(worst, _rel(
-                np.max(np.abs(tr.alpha_tilde[nu].blocks - at_[nu].blocks)),
-                at_[nu].max_abs(), 1.0))
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, *_GENERIC_ABC)
+    _, _, bt, at_ = rso.transform_printed(gs, *_GENERIC_ABC)
+    errs = _transform_errors(tr.beta_tilde, bt, tr.alpha_tilde, at_)
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_tilde_closed_form(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        alphas, beta = rso.build_alpha_beta(gs)
-        tr = rso.transform_CS(alphas, beta, gs, -1.0 / 3.0, -1.0, 2.0)
-        alpha_t, beta_t = rso.tilde_closed_form(gs)
-        worst = _rel(np.max(np.abs(tr.beta_tilde.blocks - beta_t.blocks)), 1.0)
-        for nu in range(4):
-            worst = _worst(worst, _rel(
-                np.max(np.abs(tr.alpha_tilde[nu].blocks - alpha_t[nu].blocks)),
-                alpha_t[nu].max_abs(), 1.0))
-        return worst
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, -1.0 / 3.0, -1.0, 2.0)
+    alpha_t, beta_t = rso.tilde_closed_form(gs)
+    errs = _transform_errors(tr.beta_tilde, beta_t, tr.alpha_tilde, alpha_t)
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_beta_dual_forms(ctx):
-    def at_row(i):
-        gs = ctx.frame.gamma_set(i)
-        _, beta_t = rso.tilde_closed_form(gs)
-        eps_form = rso.beta_tilde_eps_form(gs)
-        return _rel(np.max(np.abs(beta_t.blocks - eps_form.blocks)),
-                    beta_t.max_abs(), 1.0)
-
-    return len(ctx.points), _max_over_rows(ctx, at_row)
+    gs = ctx.frame.gammas
+    _, beta_t = rso.tilde_closed_form(gs)
+    eps_form = rso.beta_tilde_eps_form(gs)
+    errs = _row_rel(_row_max(beta_t.blocks - eps_form.blocks),
+                    _row_max(beta_t.blocks), 1.0)
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_massless_gradient(ctx):

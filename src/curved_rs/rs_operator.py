@@ -15,6 +15,8 @@ antisymmetric tensor; both routes are implemented and compared by tests.
 Functions at ``x`` take a Point, (n, 4) coordinates or a Frame and return
 one row per row; the nested-difference ones take a Point or an
 outer-stencil frame (``Frame.outer``) and return the value at its row 0.
+The block algebra works on any leading axes: given a frame's ``gammas``
+instead of one point's GammaSet, it builds every row's blocks at once.
 """
 
 from __future__ import annotations
@@ -61,24 +63,23 @@ class MassParam:
 
 
 class BlockMatrix16:
-    """A 4x4 grid of 4x4 complex blocks acting on vector-bispinors.
+    """A 4x4 grid of 4x4 complex blocks acting on vector-bispinors, or a
+    stack of them on any leading axes (a frame's rows).
 
-    blocks[r, s, i, j]: r/s are the vector row/column, i/j the spinor ones.
+    blocks[..., r, s, i, j]: r/s are the vector row/column, i/j the spinor
+    ones.  ``max_abs`` is the largest entry over the whole stack.
     """
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
         self.blocks = np.asarray(blocks, dtype=complex)
-        if self.blocks.shape != (4, 4, 4, 4):
-            raise ValueError("blocks must have shape (4, 4, 4, 4)")
+        if self.blocks.shape[-4:] != (4, 4, 4, 4):
+            raise ValueError("blocks must have shape (..., 4, 4, 4, 4)")
 
     @classmethod
     def identity(cls):
-        blocks = np.zeros((4, 4, 4, 4), dtype=complex)
-        for r in range(4):
-            blocks[r, r] = np.eye(4)
-        return cls(blocks)
+        return cls(_IDENTITY_BLOCKS)
 
     @classmethod
     def from_dense(cls, dense):
@@ -86,11 +87,12 @@ class BlockMatrix16:
         return cls(dense.transpose(0, 2, 1, 3))
 
     def to_dense(self) -> np.ndarray:
-        return self.blocks.transpose(0, 2, 1, 3).reshape(16, 16)
+        b = self.blocks
+        return b.swapaxes(-3, -2).reshape(b.shape[:-4] + (16, 16))
 
     def __matmul__(self, other):
         return BlockMatrix16(
-            np.einsum("rlij,lsjk->rsik", self.blocks, other.blocks)
+            np.einsum("...rlij,...lsjk->...rsik", self.blocks, other.blocks)
         )
 
     def __add__(self, other):
@@ -106,7 +108,7 @@ class BlockMatrix16:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """(M Psi)_r = sum_s block(r, s) Psi_s."""
-        return np.einsum("rsij,sj->ri", self.blocks, psi)
+        return np.einsum("...rsij,...sj->...ri", self.blocks, psi)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.blocks)))
@@ -116,7 +118,13 @@ class BlockMatrix16:
 THIRD = 1.0 / 3.0
 
 #: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
-_IDENTITY_BLOCKS = np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex)
+_IDENTITY_BLOCKS = read_only(
+    np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex))
+
+
+def _per_nu(blocks) -> list:
+    """The four BlockMatrix16 of blocks [..., nu, r, s, i, j]."""
+    return [BlockMatrix16(blocks[..., nu, :, :, :, :]) for nu in range(4)]
 
 
 def _gamma_pairs(gd: np.ndarray, gu: np.ndarray) -> np.ndarray:
@@ -125,38 +133,42 @@ def _gamma_pairs(gd: np.ndarray, gu: np.ndarray) -> np.ndarray:
 
 
 def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
-    """I + coeff * gamma_r gamma^s as a block matrix."""
+    """I + coeff * gamma_r gamma^s as a block matrix (on the GammaSet's
+    leading axes)."""
     return BlockMatrix16(
         _IDENTITY_BLOCKS + coeff * _gamma_pairs(gs.gamma_down, gs.gamma_up)
     )
 
 
 def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
-    """The operator blocks on rows: gamma_al(x), gamma^al(x) (n, 4, 4, 4)
-    and g^{al be}(x) (n, 4, 4) give alpha [n, nu, r, s, i, j] and
-    beta [n, r, s, i, j]."""
+    """The operator blocks on any leading axes: gamma_al(x), gamma^al(x)
+    [..., 4, 4, 4] and g^{al be}(x) [..., 4, 4] give alpha
+    [..., nu, r, s, i, j] and beta [..., r, s, i, j]."""
     pair = _gamma_pairs(gd, gu)
     beta = _IDENTITY_BLOCKS - THIRD * pair
     eye = np.eye(4)
-    # gamma_r gamma^nu gamma^s, indexed [n, nu, r, s, i, j]
-    triple = (gd[:, None, :, None] @ gu[:, :, None, None]) @ gu[:, None, None, :]
+    gd_r = gd[..., None, :, None, :, :]
+    # gamma_r gamma^nu gamma^s, indexed [..., nu, r, s, i, j]
+    triple = ((gd_r @ gu[..., :, None, None, :, :])
+              @ gu[..., None, None, :, :, :])
     # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
     # - gamma_r gamma^nu gamma^s)
     alpha = (
-        eye[:, :, None, None] * gu[:, :, None, None]
-        - THIRD * eye[:, :, None, None, None] * gu[:, None, None, :]
-        - THIRD * gd[:, None, :, None] * g_up[:, :, None, :, None, None]
+        eye[:, :, None, None] * gu[..., :, None, None, :, :]
+        - THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
+        - THIRD * gd_r * g_up[..., :, None, :, None, None]
         + THIRD * triple
     )
     return alpha, beta
 
 
 def build_alpha_beta(gs: GammaSet):
-    """The operator blocks (alpha^nu, beta) at a point: row 0 of
-    ``_alpha_beta_rows`` on the one point."""
-    alpha, beta = _alpha_beta_rows(gs.gamma_down[None], gs.gamma_up[None],
-                                   gs.metric.g_upper[None])
-    return [BlockMatrix16(a) for a in alpha[0]], BlockMatrix16(beta[0])
+    """The operator blocks (alpha^nu for nu = 0..3, beta) at a point, or on
+    every row of a frame's ``gammas`` (each block matrix then carries the
+    row axis)."""
+    alpha, beta = _alpha_beta_rows(gs.gamma_down, gs.gamma_up,
+                                   gs.metric.g_upper)
+    return _per_nu(alpha), BlockMatrix16(beta)
 
 
 #: operator blocks per frame, built on first use and dropped with the frame
@@ -280,16 +292,21 @@ def constraint_two_residual(field, spec, x, mass):
     """The algebraic constraint
     1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r."""
     frame, single = as_frame(spec, x)
+    out = _constraint_two(frame, field.at(frame), mass)
+    return out[0] if single else out
+
+
+def _constraint_two(frame, psi, mass):
+    """The algebraic constraint on a frame's rows from the field values
+    psi [n, be, s] there."""
     gs, bundle = frame.gammas, frame.curvature
-    psi = field.at(frame)
     psi_up = np.einsum("xbl,xlj->xbj", gs.metric.g_upper, psi)
     # einsum's summation order follows its operands' memory layout; a
     # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
     ricci = np.ascontiguousarray(bundle.ricci)
     t1 = np.einsum("xab,xaij,xbj->xi", 0.5 * ricci, gs.gamma_up, psi_up)
     phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
-    out = t1 + (0.5 * mass.kappa**2 - bundle.scalar[:, None] / 12.0) * phi
-    return out[0] if single else out
+    return t1 + (0.5 * mass.kappa**2 - bundle.scalar[:, None] / 12.0) * phi
 
 
 def einstein_space_factor(spec, x, mass):
@@ -354,9 +371,8 @@ def bridge_commutator(field, spec, x):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be by nested
     differences of Christoffel-only derivatives."""
     frame, comm = _nested_commutator(field, spec, x, False)
-    gs = frame.gamma_set(0)
-    w = np.einsum("nc,ancs->as", gs.metric.g_upper, comm)
-    return -np.einsum("aij,aj->i", gs.gamma_up, w)
+    w = np.einsum("nc,ancs->as", frame.metric.g_upper[0], comm)
+    return -np.einsum("aij,aj->i", frame.gammas.gamma_up[0], w)
 
 
 def ricci_gamma_contraction(field, spec, x):
@@ -387,10 +403,9 @@ def derivative_chain(field, spec, x, mass, stencil_budget=None):
                                  VECTOR_BISPINOR, stencil_budget)
     chi, dchi = centre_covariant(_first_constraint(frame, d, psi, mass),
                                  frame, BISPINOR, stencil_budget)
-    gs = frame.gamma_set(0)
     return (
-        np.einsum("nb,nbi->i", gs.metric.g_upper, dres)
-        - (2.0 / 3.0) * np.einsum("aij,aj->i", gs.gamma_up, dchi)
+        np.einsum("nb,nbi->i", frame.metric.g_upper[0], dres)
+        - (2.0 / 3.0) * np.einsum("aij,aj->i", frame.gammas.gamma_up[0], dchi)
         - mass.kappa * chi
     )
 
@@ -458,8 +473,20 @@ def transform_CS(alphas, beta, gs: GammaSet, a: float, b: float, c: float
     )
 
 
+def _eps_mixed(gs: GammaSet) -> np.ndarray:
+    """eps_r^{nu s mu}, indexed [..., r, nu, s, mu]."""
+    return np.einsum("...rl,...lnsm->...rnsm", gs.metric.g_lower, gs.eps_upper)
+
+
+def _eps_gamma(gs: GammaSet) -> np.ndarray:
+    """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]."""
+    return 1j * np.einsum("ij,...rnsm,...mjk->...nrsik", gs.gamma5,
+                          _eps_mixed(gs), gs.gamma_down)
+
+
 def transform_printed(gs: GammaSet, a: float, b: float, c: float):
-    """The expanded coefficient form of the transformed operator blocks.
+    """The expanded coefficient form of the transformed operator blocks (on
+    the GammaSet's leading axes).
 
     beta' = I - (c+1)/3 gamma gamma;
     beta~ = I + [b + (4b+1)(a - (4a+1)(c+1)/3)] gamma gamma;
@@ -467,7 +494,6 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
     epsilon term carries the common bracket B).
     """
     gd, gu = gs.gamma_down, gs.gamma_up
-    g_up = gs.metric.g_upper
     beta_prime = gamma_pair_block(gs, -(c + 1.0) / 3.0)
     beta_tilde = gamma_pair_block(
         gs, b + (4.0 * b + 1.0) * (a - (4.0 * a + 1.0) * (c + 1.0) / 3.0)
@@ -479,53 +505,35 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
     c_sig = (2.0 * b - 1.0) / 3.0 + B
     c_g = ((2.0 * c - 1.0) * (1.0 + 4.0 * a) / 3.0 + 2.0 * a) + B
 
-    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
-    eps_term = 1j * np.einsum(
-        "ij,rnsm,mjk->nrsik", gs.gamma5, eps_mixed, gd
+    # the terms of blocks [..., nu, r, s, i, j]: gamma^nu delta_r^s,
+    # delta^nu_r gamma^s and gamma_r g^{nu s}
+    eye = np.eye(4)
+    nu_rs = eye[:, :, None, None] * gu[..., :, None, None, :, :]
+    nu_r_s = eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
+    r_nu_s = gd[..., None, :, None, :, :] * gs.metric.g_upper[
+        ..., :, None, :, None, None]
+    alpha_prime = (
+        nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
+        + np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu) / 3.0
     )
-
-    alpha_prime = []
-    alpha_tilde = []
-    for nu in range(4):
-        blocks_p = np.zeros((4, 4, 4, 4), dtype=complex)
-        blocks_t = np.zeros((4, 4, 4, 4), dtype=complex)
-        for r in range(4):
-            blocks_p[r, r] += gu[nu]
-            blocks_p[nu, r] += -gu[r] / 3.0
-            blocks_t[r, r] += c_nu * gu[nu]
-            blocks_t[nu, r] += c_sig * gu[r]
-        blocks_p += (2.0 * c - 1.0) / 3.0 * np.einsum(
-            "rij,s->rsij", gd, g_up[nu]
-        )
-        blocks_p += np.einsum("rij,jk,skl->rsil", gd, gu[nu], gu) / 3.0
-        blocks_t += c_g * np.einsum("rij,s->rsij", gd, g_up[nu])
-        blocks_t += B * eps_term[nu]
-        alpha_prime.append(BlockMatrix16(blocks_p))
-        alpha_tilde.append(BlockMatrix16(blocks_t))
-    return beta_prime, alpha_prime, beta_tilde, alpha_tilde
+    alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
+                   + B * _eps_gamma(gs))
+    return beta_prime, _per_nu(alpha_prime), beta_tilde, _per_nu(alpha_tilde)
 
 
 def tilde_closed_form(gs: GammaSet):
-    """The closed-form transformed blocks:
+    """The closed-form transformed blocks (on the GammaSet's leading axes):
     (beta~)_r^s = delta - gamma_r gamma^s,
     (alpha~^nu)_r^s = i gamma5 eps_r^{nu s mu} gamma_mu."""
-    beta_tilde = gamma_pair_block(gs, -1.0)
-    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
-    blocks = 1j * np.einsum(
-        "ij,rnsm,mjk->nrsik", gs.gamma5, eps_mixed, gs.gamma_down
-    )
-    alpha_tilde = [BlockMatrix16(blocks[nu]) for nu in range(4)]
-    return alpha_tilde, beta_tilde
+    return _per_nu(_eps_gamma(gs)), gamma_pair_block(gs, -1.0)
 
 
 def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
     """The dual form (beta~)_r^s = i/2 gamma5 eps_r^{nu s mu} gamma_mu gamma_nu."""
-    eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower, gs.eps_upper)
-    blocks = 0.5j * np.einsum(
-        "ij,rnsm,mjk,nkl->rsil",
-        gs.gamma5, eps_mixed, gs.gamma_down, gs.gamma_down,
-    )
-    return BlockMatrix16(blocks)
+    return BlockMatrix16(0.5j * np.einsum(
+        "ij,...rnsm,...mjk,...nkl->...rsil",
+        gs.gamma5, _eps_mixed(gs), gs.gamma_down, gs.gamma_down,
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ where geometry is kept and shared; functions of one Point keep nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -152,20 +152,16 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
     )
 
 
-#: the GammaSet arrays that carry a frame's row axis (besides metric, tetrad)
-_ROW_ARRAYS = ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
-               "eps_lower")
-
-
 class Frame(MetricJet):
     """The geometry of an (n, 4) row set of chart coordinates, shared by
     everything evaluated on those rows: the metric jet it extends, the
     Dirac matrices with their tetrad (``gammas``), the Christoffels, the
     curvature and the connection, each with a leading row axis.  Each is
     filled on first use by one call of the geometry function of its name;
-    every array is read-only.  ``outer(i)``, the outer-stencil frame of row
-    i, is built once and kept, so every nested derivative at that row
-    shares it.  Build frames with ``build_frame``.
+    every array is read-only; code that needs one row indexes them.
+    ``outer(i)``, the outer-stencil frame of row i, is built once and kept,
+    so every nested derivative at that row shares it.  Build frames with
+    ``build_frame``.
     """
 
     @cached_property
@@ -183,18 +179,6 @@ class Frame(MetricJet):
     @cached_property
     def connection(self) -> np.ndarray:
         return spin_connection(self.spec, self)
-
-    def gamma_set(self, i: int) -> GammaSet:
-        """The Dirac matrices at row ``i`` (read-only views); equal to
-        ``gamma_set_at`` at that point."""
-        gs = self.gammas
-        m, t = gs.metric, gs.tetrad
-        return replace(
-            gs,
-            metric=MetricAtPoint(m.g_lower[i], m.g_upper[i], float(m.det_g[i])),
-            tetrad=Tetrad(t.e_lower[i], t.e_upper[i]),
-            **{k: getattr(gs, k)[i] for k in _ROW_ARRAYS},
-        )
 
     @cached_property
     def _outer(self) -> dict:

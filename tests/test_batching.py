@@ -74,44 +74,50 @@ def test_batch_equals_row_loop(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_single_point_is_row_of_the_batch(name):
-    """Each row of a frame (Dirac matrices, metric, tetrad, Christoffels,
-    connection, operator blocks) equals the per-point path exactly."""
+    """Each row of a frame's arrays (Dirac matrices, metric, tetrad,
+    Christoffels, connection, operator blocks) equals the per-point path
+    exactly, and so do the block matrices built on the frame's gammas."""
     spec = load_preset(name)
     frame = build_frame(spec, _rows(spec))
     alpha, beta = rso.frame_blocks(frame)
+    rows = frame.gammas
+    alphas_rows, beta_rows = rso.build_alpha_beta(rows)
     for i, c in enumerate(frame.coords):
         x = Point(c, spec.chart_id)
         assert np.array_equal(frame.christoffel[i], christoffel(spec, x))
         assert np.array_equal(frame.connection[i],
                               spin_connection(spec, x))
-        row, gs = frame.gamma_set(i), gamma_set_at(spec, x)
-        for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
-                    "sigma_curved", "eps_upper", "eps_lower"):
-            assert np.array_equal(getattr(row, key), getattr(gs, key)), key
+        gs = gamma_set_at(spec, x)
+        for key in ("gamma_flat", "gamma5"):
+            assert np.array_equal(getattr(rows, key), getattr(gs, key)), key
+        for key in ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
+                    "eps_lower"):
+            assert np.array_equal(getattr(rows, key)[i], getattr(gs, key)), key
         for key in ("g_lower", "g_upper", "det_g"):
-            assert np.array_equal(getattr(row.metric, key),
+            assert np.array_equal(getattr(rows.metric, key)[i],
                                   getattr(gs.metric, key)), key
         for key in ("e_lower", "e_upper"):
-            assert np.array_equal(getattr(row.tetrad, key),
+            assert np.array_equal(getattr(rows.tetrad, key)[i],
                                   getattr(gs.tetrad, key)), key
         alphas, beta_one = rso.build_alpha_beta(gs)
         assert np.array_equal(beta_one.blocks, beta[i])
+        assert np.array_equal(beta_rows.blocks[i], beta[i])
         for nu in range(4):
             assert np.array_equal(alphas[nu].blocks, alpha[i, nu])
+            assert np.array_equal(alphas_rows[nu].blocks[i], alpha[i, nu])
 
 
 def _frame_arrays(frame):
-    gs, row = frame.gammas, frame.gamma_set(0)
+    gs = frame.gammas
     out = {"coords": frame.coords, "christoffel": frame.christoffel,
            "connection": frame.connection}
-    for prefix, g in (("gammas", gs), ("row", row)):
-        for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
-                    "sigma_curved", "eps_upper", "eps_lower"):
-            out[f"{prefix}.{key}"] = getattr(g, key)
-        for key in ("g_lower", "g_upper", "det_g"):
-            out[f"{prefix}.metric.{key}"] = getattr(g.metric, key)
-        for key in ("e_lower", "e_upper"):
-            out[f"{prefix}.tetrad.{key}"] = getattr(g.tetrad, key)
+    for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
+                "sigma_curved", "eps_upper", "eps_lower"):
+        out[f"gammas.{key}"] = getattr(gs, key)
+    for key in ("g_lower", "g_upper", "det_g"):
+        out[f"gammas.metric.{key}"] = getattr(gs.metric, key)
+    for key in ("e_lower", "e_upper"):
+        out[f"gammas.tetrad.{key}"] = getattr(gs.tetrad, key)
     alpha, beta = rso.frame_blocks(frame)
     out["alpha"], out["beta"] = alpha, beta
     return out
@@ -122,8 +128,6 @@ def test_frame_arrays_are_read_only(schwarzschild):
     change it: writes raise and the values stay."""
     frame = build_frame(schwarzschild, _rows(schwarzschild))
     for label, array in _frame_arrays(frame).items():
-        if np.ndim(array) == 0:  # a row's det_g is a plain float
-            continue
         before = array.copy()
         with pytest.raises(ValueError, match="read-only"):
             array[(0,) * array.ndim] = 99.0
@@ -152,8 +156,9 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
 
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_batched_first_order_checks_equal_the_per_point_path(name):
-    """1.2a and 1.6 run each fixture over the whole context frame; their
-    values and errors equal the point-by-point evaluation."""
+    """1.2a and 1.6 run each fixture over the whole context frame, and the
+    algebraic checks run once over its rows; their values and errors equal
+    the point-by-point evaluation."""
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
@@ -165,8 +170,12 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
             l1, r1 = rso.contraction_identity(fld, spec, x, ctx.mass)
             for a, b in ((lhs[i], l1), (rhs[i], r1)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-    for runner in (identity_suite._chk_operator_form,
-                   identity_suite._chk_gamma_contraction):
+    runners = [identity_suite._chk_operator_form,
+               identity_suite._chk_gamma_contraction]
+    runners += [d.runner for d in identity_suite.REGISTRY
+                if d.id in ALGEBRAIC_ROW_CHECKS]
+    assert len(runners) == 2 + len(ALGEBRAIC_ROW_CHECKS)
+    for runner in runners:
         _, batched = runner(ctx)
         per_point = max(runner(dataclasses.replace(ctx, points=[x]))[1]
                         for x in ctx.points)
@@ -192,8 +201,13 @@ def _verdicts(spec, checks):
 
 def test_perturbed_block_coefficient_fails_the_operator_gates(
         schwarzschild, monkeypatch):
+    """The 1/3 of the operator blocks perturbed: the blocks no longer match
+    the term-by-term operator, the trace of beta, nor the printed forms of
+    the C/S transform, which are built without the blocks."""
     checks = ("eq_1_2a_operator_form", "eq_1_6_gamma_contraction",
-              "eq_1_7_derivative_chain")
+              "eq_1_7_derivative_chain", "eq_2_2_block_assembly",
+              "eq_2_3_transform_stages", "eq_2_5_transform_expansion",
+              "eq_2_6_tilde_closed_form")
     assert all(_verdicts(schwarzschild, checks).values())
     monkeypatch.setattr(rso, "THIRD", rso.THIRD * (1.0 + 1e-3))
     assert not any(_verdicts(schwarzschild, checks).values())
@@ -245,6 +259,36 @@ def _patch_everywhere(monkeypatch, module, name, replacement):
 
 
 # The mutations below act where the geometry is computed.
+
+
+#: the checks that run their algebra once over the context frame's rows
+ALGEBRAIC_ROW_CHECKS = (
+    "eq_1_3_hermiticity", "eq_1_5_clifford", "eq_1_5_sigma_split",
+    "eq_1_5_triple_gamma", "sigma_commutator", "eq_2_2_block_assembly",
+    "eq_2_3_transform_stages", "eq_2_4_s_inverse",
+    "eq_2_5_transform_expansion", "eq_2_6_tilde_closed_form",
+    "eq_2_6c_beta_dual_forms")
+
+
+def test_phased_tetrad_leg_fails_the_algebraic_gates(schwarzschild, frw_dust,
+                                                     monkeypatch):
+    """One tetrad leg times a phase where every tetrad is built: the Dirac
+    matrices are no longer gamma^0-Hermitian, nor a Clifford basis of the
+    metric, and every block identity built on them fails."""
+    for spec in (schwarzschild, frw_dust):
+        assert all(_verdicts(spec, ALGEBRAIC_ROW_CHECKS).values())
+    original = spin_frame.build_tetrad
+
+    def phased_leg(m):
+        t = original(m)
+        e_upper = t.e_upper.astype(complex)
+        e_upper[..., 1] *= np.exp(1e-3j)
+        return spin_frame.Tetrad(t.e_lower, e_upper)
+
+    monkeypatch.setattr(spin_frame, "build_tetrad", phased_leg)
+    for name in ("schwarzschild", "frw_dust"):
+        verdicts = _verdicts(load_preset(name), ALGEBRAIC_ROW_CHECKS)
+        assert not any(verdicts.values()), name
 
 
 def test_flipped_eps_sign_fails_the_volume_tensor_gates(schwarzschild,
@@ -476,12 +520,12 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
 
 
 @pytest.mark.parametrize("name, traceless_frames",
-                         [("schwarzschild", 4), ("frw_dust", 0)])
+                         [("schwarzschild", 2), ("frw_dust", 0)])
 def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
                                                 monkeypatch):
     """One suite at 20 points builds the context frame and one outer-stencil
     frame per point, which 1.7, 1.8e, 1.9, 1.10c and 2.7b or 2.8c share;
-    only the gamma-traceless fixtures of 1.13 (two, each sampled twice)
+    only the gamma-traceless fixtures of 1.13 (two, each sampled once)
     project with frames of their own.  The metric is evaluated once per
     frame row and order used: orders 0-2 on the context rows, 0-1 on the
     17 rows of each outer frame; besides, orders 0-2 on the 6 points the

@@ -101,20 +101,26 @@ def test_spec_counters_see_every_entry(make, entry):
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_traced_ops_record_every_expected_call(name):
     # what ``run.py --trace 1`` checks, on one cycle of the workload's keys:
-    # an entry point the package stops calling fails here, not only there
+    # an entry point the package stops calling, or an output the workload's
+    # check can no longer read or accept, fails here, not only there
     tracer = tracing.Tracer()
     tracer.install()
     try:
         wl = workloads.setup(name, 1)
     finally:
         tracer.uninstall()
+    verdicts = []
     for k in range(len(wl.keys)):
         tracer.op = k
+        inp = wl.next_input(k)
         tracer.install()
         try:
-            wl.run(wl.next_input(k))
+            out = wl.run(inp)
         finally:
             tracer.uninstall()
+        verdicts.append(wl.check(inp, out))
+    # the outputs still read as the workload's check expects them
+    assert [v.detail for v in verdicts if v.failed or v.wrong] == []
     observed = {span: calls for span, (calls, _, _)
                 in tracer.layer_totals(tracer.spans()).items()}
     observed.update(tracer.counts())
