@@ -12,7 +12,9 @@ one non-vacuum point and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
 fail by exactly the predicted amount.  Functions at ``x`` take a Point,
-(n, 4) coordinates or a Frame, like those of ``rs_operator``.
+(n, 4) coordinates or a Frame, like those of ``rs_operator``; the massless
+residual differentiates on the frame's outer frame (outer step with
+Richardson), as a second derivative of psi needs.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
-from .numerics import nested_step
-from .rs_operator import centre_covariant, covariant_derivative
+from .numerics import STEP_OUTER
+from .rs_operator import _eps_gamma, centre_covariant, covariant_derivative
 from .spin_frame import as_frame
 
 #: frozen proportionality constant of the Einstein-tensor prediction
@@ -36,59 +38,38 @@ def gradient_field(psi: FieldSampler, spec: MetricSpec, x: Point) -> np.ndarray:
     return covariant_derivative(psi, spec, x)
 
 
-def gradient_sampler(psi: FieldSampler, spec: MetricSpec,
-                     nested: bool = False) -> FieldSampler:
+def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
     ``covariant_derivative`` call, on a Frame with the frame's geometry.
-
-    ``nested=True`` selects the coarser inner step (with Richardson), which
-    keeps inner roundoff from being amplified when the sampler feeds a
-    second derivative.
+    It differentiates at the outer step with Richardson, which keeps inner
+    roundoff from being amplified when the sampler feeds a second
+    derivative.
     """
-    base_step, richardson = nested_step(nested)
 
     def gradient(x):
-        return covariant_derivative(psi, spec, x, base_step=base_step,
-                                    richardson=richardson)
+        return covariant_derivative(psi, spec, x, base_step=STEP_OUTER,
+                                    richardson=True)
 
     return FieldSampler(gradient, VECTOR_BISPINOR,
                         name=f"gradient({psi.name})", batch=gradient)
 
 
-def _eps_contraction(gs, d: np.ndarray) -> np.ndarray:
-    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) d[nu, s]."""
-    eps_mixed = np.einsum("...rl,...lnsm->...rnsm", gs.metric.g_lower,
-                          gs.eps_upper)
-    return 1j * np.einsum(
-        "ij,...rnsm,...mjk,...nsk->...ri", gs.gamma5, eps_mixed,
-        gs.gamma_down, d
-    )
-
-
-def _massless(field: FieldSampler, spec: MetricSpec, x, outer: bool):
-    """(massless residual, the D_nu Psi~_s it contracts); ``outer=True``
-    samples the field on each row's outer-stencil frame, which a gradient
-    field also takes its inner derivative on."""
+def _massless(field: FieldSampler, spec: MetricSpec, x):
+    """(massless residual, the D_nu Psi~_s it contracts), with the field
+    sampled on the outer frame, which a gradient field also takes its
+    inner derivative on."""
     frame, single = as_frame(spec, x)
-    if outer:
-        d = np.stack([
-            centre_covariant(field.at(frame.outer(i)), frame.outer(i),
-                             field.kind)[1]
-            for i in range(len(frame.coords))])
-    else:
-        d = covariant_derivative(field, spec, frame)
-    res = _eps_contraction(frame.gammas, d)
+    _, d = centre_covariant(field.at(frame.outer), frame, field.kind)
+    # the closed-form blocks alpha~^nu = i gamma5 eps_r^{nu s mu} gamma_mu
+    res = np.einsum("xnrsik,xnsk->xri", _eps_gamma(frame.gammas), d)
     return (res[0], d[0]) if single else (res, d)
 
 
-def massless_residual(field: FieldSampler, spec: MetricSpec, x,
-                      outer: bool = False) -> np.ndarray:
-    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s.
-
-    ``outer=True`` selects the coarser Richardson step policy for fields
-    that are themselves finite-difference built (gradient fields).
-    """
-    return _massless(field, spec, x, outer)[0]
+def massless_residual(field: FieldSampler, spec: MetricSpec, x) -> np.ndarray:
+    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s,
+    differentiated on the outer frame (outer step, Richardson), as a field
+    that is itself finite-difference built (a gradient field) needs."""
+    return _massless(field, spec, x)[0]
 
 
 def gradient_residual(psi: FieldSampler, spec: MetricSpec, x):
@@ -97,8 +78,7 @@ def gradient_residual(psi: FieldSampler, spec: MetricSpec, x):
     magnitude of the derivative entries feeding the residual, the
     yardstick against which 'the residual cancels' is measured (per row
     on rows)."""
-    res, d = _massless(gradient_sampler(psi, spec, nested=True), spec, x,
-                       True)
+    res, d = _massless(gradient_sampler(psi, spec), spec, x)
     scale = np.maximum(np.max(np.abs(d), axis=(-3, -2, -1)), 1e-300)
     return res, float(scale) if scale.ndim == 0 else scale
 
@@ -125,8 +105,7 @@ def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x):
     Both vanish precisely where the Einstein tensor (contracted with
     gamma psi) does.
     """
-    direct = massless_residual(gradient_sampler(psi, spec, nested=True),
-                               spec, x, outer=True)
+    direct = massless_residual(gradient_sampler(psi, spec), spec, x)
     return direct, einstein_prediction(psi, spec, x)
 
 
@@ -134,8 +113,7 @@ def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point
                             ) -> complex:
     """Least-squares fit of the constant in front of the Einstein-tensor
     prediction at one point; FitDegenerate if the point is vacuous."""
-    direct = massless_residual(gradient_sampler(psi, spec, nested=True),
-                               spec, x, outer=True)
+    direct = massless_residual(gradient_sampler(psi, spec), spec, x)
     unit = einstein_prediction(psi, spec, x, constant=1.0)
     norm = float(np.sum(np.abs(unit) ** 2))
     if norm < 1e-16:

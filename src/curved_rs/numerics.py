@@ -25,14 +25,6 @@ STEP_FIRST = 1e-5
 STEP_OUTER = 1e-4
 
 
-def nested_step(nested: bool):
-    """(base step, richardson) of a derivative: ``(STEP_OUTER, True)`` when
-    the derivative is itself differentiated again or differentiates a
-    finite-difference built field (``nested``), else ``(STEP_FIRST,
-    False)``."""
-    return (STEP_OUTER, True) if nested else (STEP_FIRST, False)
-
-
 #: human-readable id of the stencil policy, embedded in reports
 STENCIL_POLICY = "central2(h1=1e-5,h2=1e-4,richardson=1)"
 
@@ -108,15 +100,14 @@ def differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
     return value, d_levels[:, 0]
 
 
-def outer_derivative(values: np.ndarray, coords: np.ndarray,
+def outer_derivative(values: np.ndarray, centres: np.ndarray,
                      stencil_budget: float = None):
-    """(value, d_mu value) at row 0 of the outer-stencil rows ``coords``,
-    from the values [rows, ...] a quantity takes on them (outer step,
-    Richardson); both keep a leading axis of length 1."""
-    points, steps = stencil(coords[:1], STEP_OUTER, 2)
-    if not np.array_equal(points[0], coords):
-        raise ValueError("the rows are not the outer stencil of their row 0")
-    return differences(values[None], steps, True, stencil_budget)
+    """(value [n, ...], d_mu value [n, mu, ...]) at the n rows ``centres``,
+    from the values [n * 17, ...] a quantity takes on their stacked outer
+    stencils (``Frame.outer``: outer step, Richardson)."""
+    _, steps = stencil(centres, STEP_OUTER, 2)
+    return differences(values.reshape((len(centres), -1) + values.shape[1:]),
+                       steps, True, stencil_budget)
 
 
 def thread_count() -> int:

@@ -13,8 +13,8 @@ a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
 Functions at ``x`` take a Point, (n, 4) coordinates or a Frame and return
-one row per row; the nested-difference ones take a Point or an
-outer-stencil frame (``Frame.outer``) and return the value at its row 0.
+one row per row; the nested-difference ones take every row's outer
+stencil from the frame's one stacked outer frame (``Frame.outer``).
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 """
@@ -33,7 +33,6 @@ from .numerics import (
     STEP_FIRST,
     STEP_OUTER,
     differences,
-    nested_step,
     outer_derivative,
     read_only,
     stencil,
@@ -43,7 +42,6 @@ from .spin_frame import (
     GammaSet,
     as_frame,
     build_frame,
-    outer_frame,
     spinor_commutator_curvature,
 )
 
@@ -148,17 +146,17 @@ def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
     beta = _IDENTITY_BLOCKS - THIRD * pair
     eye = np.eye(4)
     gd_r = gd[..., None, :, None, :, :]
-    # gamma_r gamma^nu gamma^s, indexed [..., nu, r, s, i, j]
+    # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
+    # - gamma_r gamma^nu gamma^s), indexed [..., nu, r, s, i, j]: summed in
+    # place, with the triple product formed last, so that at most one
+    # temporary of alpha's size is held beside it
+    alpha = eye[:, :, None, None] * gu[..., :, None, None, :, :]
+    alpha -= THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
+    alpha -= THIRD * gd_r * g_up[..., :, None, :, None, None]
     triple = ((gd_r @ gu[..., :, None, None, :, :])
               @ gu[..., None, None, :, :, :])
-    # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
-    # - gamma_r gamma^nu gamma^s)
-    alpha = (
-        eye[:, :, None, None] * gu[..., :, None, None, :, :]
-        - THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
-        - THIRD * gd_r * g_up[..., :, None, :, None, None]
-        + THIRD * triple
-    )
+    triple *= THIRD
+    alpha += triple
     return alpha, beta
 
 
@@ -187,18 +185,17 @@ def frame_blocks(frame: Frame):
     return blocks
 
 
-def _connect(frame: Frame, kind: str, d, value, include_spin=True,
-             rows=slice(None)):
+def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     """D_nu from the partial derivatives d [n, nu, ...] and the values
-    [n, ...] of a field on the rows ``rows`` of a frame: the Christoffel
-    term on a vector index and the connection on the spinor index."""
+    [n, ...] of a field on a frame's rows: the Christoffel term on a
+    vector index and the connection on the spinor index."""
     if include_spin:
-        G = frame.connection[rows]
+        G = frame.connection
     if kind == BISPINOR:
         if include_spin:
             d = d + np.einsum("xnij,xj->xni", G, value)
     else:
-        gam = frame.christoffel[rows]
+        gam = frame.christoffel
         d = d - np.einsum("xlnb,xli->xnbi", gam, value)
         if include_spin:
             d = d + np.einsum("xnij,xbj->xnbi", G, value)
@@ -318,30 +315,32 @@ def einstein_space_factor(spec, x, mass):
 
 
 def centre_covariant(values, frame: Frame, kind: str, stencil_budget=None):
-    """(value, D_mu value) at row 0 of an outer-stencil frame from the
-    values [rows, ...] a field of ``kind`` takes on its rows."""
+    """(value, D_mu value) on a frame's rows from the values [n * 17, ...]
+    a field of ``kind`` takes on the rows of its outer frame."""
     v, dv = outer_derivative(values, frame.coords, stencil_budget)
-    return v[0], _connect(frame, kind, dv, v, rows=slice(0, 1))[0]
+    return v, _connect(frame, kind, dv, v)
 
 
-def _nested_commutator(field, spec, x, include_spin):
-    """(outer-stencil frame, [D_al, D_be] Psi indexed [al, be, c, s] by
-    nested differences at its row 0, the spin connection optional)."""
-    frame = outer_frame(spec, x)
-    inner = covariant_derivative(field, spec, frame, base_step=STEP_OUTER,
-                                 richardson=True, include_spin=include_spin)
-    v, dv = outer_derivative(inner, frame.coords)  # [1, nu, c, s], [1, mu, ...]
-    v, dv, gam = v[0], dv[0], frame.christoffel[0]
-    t = (dv - np.einsum("lmn,lcs->mncs", gam, v)
-         - np.einsum("lmc,nls->mncs", gam, v))
+def _nested_commutator(frame: Frame, field, include_spin):
+    """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
+    nested differences over its outer frame, the spin connection
+    optional."""
+    inner = covariant_derivative(field, frame.spec, frame.outer, STEP_OUTER,
+                                 True, include_spin)
+    v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
+    gam = frame.christoffel
+    t = (dv - np.einsum("xlmn,xlcs->xmncs", gam, v)
+         - np.einsum("xlmc,xnls->xmncs", gam, v))
     if include_spin:
-        t = t + np.einsum("mij,ncj->mnci", frame.connection[0], v)
-    return frame, t - t.transpose(1, 0, 2, 3)
+        t = t + np.einsum("xmij,xncj->xmnci", frame.connection, v)
+    return t - t.transpose(0, 2, 1, 3, 4)
 
 
 def second_covariant_comm(field, spec, x):
     """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
-    return _nested_commutator(field, spec, x, True)[1]
+    frame, single = as_frame(spec, x)
+    out = _nested_commutator(frame, field, True)
+    return out[0] if single else out
 
 
 def _curvature_commutator(frame: Frame, psi):
@@ -370,18 +369,26 @@ def commutator_decomposition(field, spec, x):
 def bridge_commutator(field, spec, x):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be by nested
     differences of Christoffel-only derivatives."""
-    frame, comm = _nested_commutator(field, spec, x, False)
-    w = np.einsum("nc,ancs->as", frame.metric.g_upper[0], comm)
-    return -np.einsum("aij,aj->i", frame.gammas.gamma_up[0], w)
+    frame, single = as_frame(spec, x)
+    comm = _nested_commutator(frame, field, False)
+    w = np.einsum("xnc,xancs->xas", frame.metric.g_upper, comm)
+    out = -np.einsum("xaij,xaj->xi", frame.gammas.gamma_up, w)
+    return out[0] if single else out
 
 
 def ricci_gamma_contraction(field, spec, x):
     """gamma^al Psi^nu R_{nu al}."""
     frame, single = as_frame(spec, x)
-    psi_up = np.einsum("xnl,xlj->xnj", frame.metric.g_upper, field.at(frame))
-    out = np.einsum("xna,xaij,xnj->xi", frame.curvature.ricci,
-                    frame.gammas.gamma_up, psi_up)
+    out = _ricci_contraction(frame, field.at(frame))
     return out[0] if single else out
+
+
+def _ricci_contraction(frame: Frame, psi):
+    """gamma^al Psi^nu R_{nu al} on a frame's rows from the field values
+    psi [n, be, s] there."""
+    psi_up = np.einsum("xnl,xlj->xnj", frame.metric.g_upper, psi)
+    return np.einsum("xna,xaij,xnj->xi", frame.curvature.ricci,
+                     frame.gammas.gamma_up, psi_up)
 
 
 def curvature_bridge(field, spec, x):
@@ -393,21 +400,23 @@ def curvature_bridge(field, spec, x):
 
 def derivative_chain(field, spec, x, mass, stencil_budget=None):
     """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with chi the
-    first-constraint combination.  One inner D_nu Psi on the outer-stencil
-    frame's rows (one ``at`` call over the stencil of stencils) gives both
-    the residual and chi there; their outer derivatives at row 0 follow.
+    first-constraint combination.  One inner D_nu Psi on the rows of the
+    outer frame (one ``at`` call over every row's stencil of stencils)
+    gives both the residual and chi there; their outer derivatives at the
+    frame's rows follow.
     """
-    frame = outer_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, *nested_step(True))
-    res, dres = centre_covariant(_residual(frame, d, psi, mass), frame,
-                                 VECTOR_BISPINOR, stencil_budget)
-    chi, dchi = centre_covariant(_first_constraint(frame, d, psi, mass),
+    frame, single = as_frame(spec, x)
+    outer = frame.outer
+    d, psi = _covariant_rows(field, outer, STEP_OUTER, True)
+    _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
+                               VECTOR_BISPINOR, stencil_budget)
+    chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
                                  frame, BISPINOR, stencil_budget)
-    return (
-        np.einsum("nb,nbi->i", frame.metric.g_upper[0], dres)
-        - (2.0 / 3.0) * np.einsum("aij,aj->i", frame.gammas.gamma_up[0], dchi)
-        - mass.kappa * chi
-    )
+    out = (np.einsum("xnb,xnbi->xi", frame.metric.g_upper, dres)
+           - (2.0 / 3.0) * np.einsum("xaij,xaj->xi", frame.gammas.gamma_up,
+                                     dchi)
+           - mass.kappa * chi)
+    return out[0] if single else out
 
 
 def derivative_chain_check(field, spec, x, mass, stencil_budget=None):
@@ -423,8 +432,14 @@ def chain_rhs_algebraic(field, spec, x, mass):
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
     algebraic form (vector curvature + spinor curvature)."""
     frame, single = as_frame(spec, x)
+    out = _chain_rhs(frame, field.at(frame), mass)
+    return out[0] if single else out
+
+
+def _chain_rhs(frame: Frame, psi, mass):
+    """The curvature form of the derivative chain on a frame's rows from
+    the field values psi [n, be, s] there."""
     gs = frame.gammas
-    psi = field.at(frame)
     comm, dhat = _curvature_commutator(frame, psi)
     contracted = np.einsum("xmb,xambs->xas", gs.metric.g_upper, comm)
     term1 = -np.einsum("xaij,xaj->xi", gs.gamma_up, contracted)
@@ -434,8 +449,7 @@ def chain_rhs_algebraic(field, spec, x, mass):
     term3 = (1.0 / 3.0) * np.einsum(
         "xabij,xabj->xi", gs.sigma_curved, d_on_phi
     )
-    out = term1 + term2 + term3
-    return out[0] if single else out
+    return term1 + term2 + term3
 
 
 # ---------------------------------------------------------------------------

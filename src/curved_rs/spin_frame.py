@@ -37,7 +37,7 @@ from .geometry import (
     metric_derivatives,
     metric_jet,
 )
-from .numerics import STEP_OUTER, differences, read_only, stencil
+from .numerics import STEP_OUTER, outer_derivative, read_only, stencil
 
 _PAULI = np.array(
     [
@@ -159,8 +159,8 @@ class Frame(MetricJet):
     curvature and the connection, each with a leading row axis.  Each is
     filled on first use by one call of the geometry function of its name;
     every array is read-only; code that needs one row indexes them.
-    ``outer(i)``, the outer-stencil frame of row i, is built once and kept,
-    so every nested derivative at that row shares it.  Build frames with
+    ``outer`` is the frame of every row's outer stencil, built once and
+    shared by every nested derivative on these rows.  Build frames with
     ``build_frame``.
     """
 
@@ -181,16 +181,12 @@ class Frame(MetricJet):
         return spin_connection(self.spec, self)
 
     @cached_property
-    def _outer(self) -> dict:
-        return {}
-
-    def outer(self, i: int) -> "Frame":
-        """The frame of the outer stencil around row ``i`` (outer step, both
-        Richardson levels; its row 0 is row ``i``)."""
-        if i not in self._outer:
-            points, _ = stencil(self.coords[i:i + 1], STEP_OUTER, 2)
-            self._outer[i] = build_frame(self.spec, points[0], self.chart_id)
-        return self._outer[i]
+    def outer(self) -> "Frame":
+        """The frame of every row's outer stencil (outer step, both
+        Richardson levels): 17 rows per row, centre by centre, each centre
+        first."""
+        points, _ = stencil(self.coords, STEP_OUTER, 2)
+        return build_frame(self.spec, points.reshape(-1, 4), self.chart_id)
 
 
 def build_frame(spec: MetricSpec, coords, chart_id: str = None) -> Frame:
@@ -208,12 +204,6 @@ def as_frame(spec: MetricSpec, x):
     if isinstance(x, Point):
         return build_frame(spec, x.coords[None, :], x.chart_id), True
     return build_frame(spec, x), False
-
-
-def outer_frame(spec: MetricSpec, x) -> Frame:
-    """The outer-stencil frame around a Point; one (``Frame.outer``) as it
-    is."""
-    return x if isinstance(x, Frame) else as_frame(spec, x)[0].outer(0)
 
 
 def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSet:
@@ -261,14 +251,10 @@ def connection_curvature_fd(spec: MetricSpec, x) -> np.ndarray:
     """Independent construction of the connection curvature,
     F[al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
     with the derivative taken by Richardson differences of the connection
-    on each row's outer-stencil frame; at a Point, or on every row of a
-    Frame."""
+    on the outer frame; at a Point, or on every row of a Frame."""
     frame, single = as_frame(spec, x)
-    _, steps = stencil(frame.coords, STEP_OUTER, 2)
-    values = np.stack([frame.outer(i).connection
-                       for i in range(len(frame.coords))])
     # G[x, al, i, j], dG[x, mu, al, i, j] = d_mu Gamma_al
-    G, dG = differences(values, steps, True)
+    G, dG = outer_derivative(frame.outer.connection, frame.coords)
     comm = (np.einsum("xaij,xbjk->xabik", G, G)
             - np.einsum("xbij,xajk->xabik", G, G))
     out = dG - dG.transpose(0, 2, 1, 3, 4) + comm

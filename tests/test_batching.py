@@ -3,6 +3,7 @@ per-point geometry, a batch equals its row loop, the gates still see the
 shared frames, and the work counts of the nested chains stay pinned."""
 
 import dataclasses
+import functools
 import sys
 import types
 
@@ -55,7 +56,7 @@ def _wrapped_samplers(spec):
         "first_constraint": _rows_sampler(
             lambda x: rso.divergence_combo(vb, spec, x, MASS), BISPINOR,
             "first-constraint"),
-        "gradient": gauge.gradient_sampler(sp, spec, nested=True),
+        "gradient": gauge.gradient_sampler(sp, spec),
         "gamma_traceless": gamma_traceless_field(33, spec, box=box),
     }
 
@@ -156,9 +157,10 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
 
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_batched_first_order_checks_equal_the_per_point_path(name):
-    """1.2a and 1.6 run each fixture over the whole context frame, and the
-    algebraic checks run once over its rows; their values and errors equal
-    the point-by-point evaluation."""
+    """1.2a and 1.6 run each fixture over the whole context frame, the
+    algebraic checks run once over its rows, and the nested checks once
+    over the stacked outer frame of the context or chain frame; their
+    values and errors equal the point-by-point evaluation."""
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
@@ -173,8 +175,8 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
     runners = [identity_suite._chk_operator_form,
                identity_suite._chk_gamma_contraction]
     runners += [d.runner for d in identity_suite.REGISTRY
-                if d.id in ALGEBRAIC_ROW_CHECKS]
-    assert len(runners) == 2 + len(ALGEBRAIC_ROW_CHECKS)
+                if d.id in ALGEBRAIC_ROW_CHECKS + NESTED_CHECKS]
+    assert len(runners) == 2 + len(ALGEBRAIC_ROW_CHECKS) + len(NESTED_CHECKS)
     for runner in runners:
         _, batched = runner(ctx)
         per_point = max(runner(dataclasses.replace(ctx, points=[x]))[1]
@@ -268,6 +270,37 @@ ALGEBRAIC_ROW_CHECKS = (
     "eq_2_3_transform_stages", "eq_2_4_s_inverse",
     "eq_2_5_transform_expansion", "eq_2_6_tilde_closed_form",
     "eq_2_6c_beta_dual_forms")
+
+
+#: the checks that take nested differences over a stacked outer frame
+NESTED_CHECKS = (
+    "eq_1_7_derivative_chain", "eq_1_8e_commutator_curvature",
+    "eq_1_9_commutator_decomposition", "eq_1_10c_curvature_bridge",
+    "eq_2_7b_massless_gradient", "eq_2_8c_gauge_criterion")
+
+
+def test_rolled_outer_rows_fail_the_nested_gates(schwarzschild, frw_dust,
+                                                 monkeypatch):
+    """The outer frame stacks its centres' stencils centre by centre.  With
+    its rows rolled by one stencil, each of two centres differences its
+    neighbour's stencil, and every nested gate fails."""
+    # 2.7b applies on Ricci-flat metrics, 2.8c on the others
+    applicable = {"schwarzschild": NESTED_CHECKS[:-1],
+                  "frw_dust": NESTED_CHECKS[:-2] + NESTED_CHECKS[-1:]}
+    for spec in (schwarzschild, frw_dust):
+        assert all(_verdicts(spec, applicable[spec.name]).values())
+    original = spin_frame.Frame.outer.func
+
+    def rolled(self):
+        outer = original(self)
+        return build_frame(self.spec, np.roll(outer.coords, 17, axis=0),
+                           self.chart_id)
+
+    prop = functools.cached_property(rolled)
+    prop.__set_name__(Frame, "outer")
+    monkeypatch.setattr(Frame, "outer", prop)
+    for name, checks in applicable.items():
+        assert not any(_verdicts(load_preset(name), checks).values()), name
 
 
 def test_phased_tetrad_leg_fails_the_algebraic_gates(schwarzschild, frw_dust,
@@ -479,11 +512,13 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
 
 def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
-    """1.7 at one point with 5 fixtures: the context frame and one
-    outer-stencil frame, each filled once (the Christoffels by the frame,
-    by its connection and by its curvature).  Per fixture the curvature
-    form and the scale sample the point, and one ``at`` call samples the
-    stencil of stencils.  A second run builds and fills nothing."""
+    """1.7 at one point with 5 fixtures: the chain frame and its outer
+    frame, each filled once.  The Christoffels are filled by the outer
+    frame and its connection (the inner derivatives), and by the chain
+    frame, its connection (the outer derivative) and its curvature (the
+    curvature form).  Per fixture one ``at`` call samples the point for the
+    curvature form and the scale, and one samples the stencil of stencils.
+    A second run builds and fills nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     at_calls = _count_at(monkeypatch, ctx.vb_fixtures)
@@ -492,17 +527,32 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     christoffels = _count_calls(monkeypatch, geometry, "christoffel")
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
-    assert at_calls == [1, 1, 17 * 17] * 5
-    assert (len(frames), len(connections), len(christoffels)) == (2, 1, 3)
+    assert at_calls == [1, 17 * 17] * 5
+    assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
     identity_suite._chk_derivative_chain(ctx)
-    assert (len(frames), len(connections), len(christoffels)) == (2, 1, 3)
+    assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
+
+
+def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
+    """At 20 points 1.11a samples each of its 3 fixtures once, on the
+    context rows, and hands that psi to both of its sides.  1.7 samples
+    each of its 5 once on the 10 chain points, for its curvature form and
+    scale, and once over the stencils of stencils of their outer frame
+    (170 rows x 17 points)."""
+    ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
+    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    identity_suite._chk_constraint_reduction(ctx)
+    assert calls == [20] * 3
+    calls.clear()
+    identity_suite._chk_derivative_chain(ctx)
+    assert calls == [10, 170 * 17] * 5
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                                                       monkeypatch):
     """2.7b at one point with 3 fixtures: per fixture one batched inner
-    derivative over the 17 rows of the point's outer-stencil frame; the
-    outer derivative differences those rows, with no further call."""
+    derivative over the 17 rows of the outer frame; the outer derivative
+    differences those rows, with no further call."""
     calls = []
     original = rso.covariant_derivative
 
@@ -523,14 +573,17 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                          [("schwarzschild", 2), ("frw_dust", 0)])
 def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
                                                 monkeypatch):
-    """One suite at 20 points builds the context frame and one outer-stencil
-    frame per point, which 1.7, 1.8e, 1.9, 1.10c and 2.7b or 2.8c share;
-    only the gamma-traceless fixtures of 1.13 (two, each sampled once)
-    project with frames of their own.  The metric is evaluated once per
-    frame row and order used: orders 0-2 on the context rows, 0-1 on the
-    17 rows of each outer frame; besides, orders 0-2 on the 6 points the
-    curvature class is measured on, order 0 at the 8 shifted points of
-    each point's covariant-constancy check and on the fixtures' frames."""
+    """One suite at n = 20 points builds 4 frames besides the two
+    gamma-traceless fixture frames of 1.13 (Ricci-flat metrics only):
+    the context frame and its outer frame, which 1.8e and 2.7b or 2.8c
+    share, and the frame of the c = 10 chain points and its outer frame,
+    which 1.7, 1.9 and 1.10c share.  An outer frame has 17 rows per row.
+    The metric is evaluated once per frame row and order used:
+      order 0: n + 17 n + c + 17 c + 6 + 8 n + 2n per fixture frame,
+      order 1: n + 17 n + c + 17 c + 6,
+      order 2: n + c + 6,
+    with orders 0-2 on the 6 points the curvature class is measured on
+    and order 0 at the 8 shifted points of each point's 1.4."""
     spec = load_preset(name)
     evals = {0: 0, 1: 0, 2: 0}
     original = spec.component_fn
@@ -543,13 +596,15 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
     frames = _count_calls(monkeypatch, spin_frame, "build_frame")
     rep = run_suite(spec, n_points=20, seed=42)
     n, rows, classified = 20, 17, identity_suite.CLASS_POINT_CAP
+    chain = identity_suite.SECOND_ORDER_POINT_CAP
     assert rep.passed
-    assert len(frames) == 1 + n + traceless_frames
-    assert all(rep.ctx.frame.outer(i).coords.shape == (rows, 4)
-               for i in range(n))
-    assert len(frames) == 1 + n + traceless_frames  # no frame built again
+    assert len(frames) == 4 + traceless_frames
+    assert rep.ctx.frame.outer.coords.shape == (n * rows, 4)
+    assert rep.ctx.chain_frame.outer.coords.shape == (chain * rows, 4)
+    assert len(frames) == 4 + traceless_frames  # no frame built again
     assert evals == {
-        0: n + n * rows + classified + 8 * n + traceless_frames * n,
-        1: n + n * rows + classified,
-        2: n + classified,
+        0: (n + n * rows + chain + chain * rows + classified + 8 * n
+            + traceless_frames * n),
+        1: n + n * rows + chain + chain * rows + classified,
+        2: n + chain + classified,
     }

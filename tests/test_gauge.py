@@ -62,24 +62,24 @@ class TestMasslessResidual:
     def test_flat_gradient_exact_zero_structure(self, minkowski):
         # eps-antisymmetrized second partials cancel
         psi = polynomial_field(31, kind=BISPINOR, box=minkowski.sample_box)
-        grad = gradient_sampler(psi, minkowski, nested=True)
+        grad = gradient_sampler(psi, minkowski)
         for x in points_of(minkowski, 3):
-            res = massless_residual(grad, minkowski, x, outer=True)
+            res = massless_residual(grad, minkowski, x)
             assert np.max(np.abs(res)) < 1e-8
 
     def test_ricci_flat_gradient_within_budget(self, schwarzschild):
         psi = trig_field(32, kind=BISPINOR, box=schwarzschild.sample_box)
-        grad = gradient_sampler(psi, schwarzschild, nested=True)
+        grad = gradient_sampler(psi, schwarzschild)
         for x in points_of(schwarzschild, 4):
-            res = massless_residual(grad, schwarzschild, x, outer=True)
+            res = massless_residual(grad, schwarzschild, x)
             scale = gradient_residual(psi, schwarzschild, x)[1]
             assert np.max(np.abs(res)) < 1e-5 * scale
 
     def test_nonvacuum_gradient_not_a_solution(self, frw_dust):
         psi = polynomial_field(33, kind=BISPINOR, box=frw_dust.sample_box)
-        grad = gradient_sampler(psi, frw_dust, nested=True)
+        grad = gradient_sampler(psi, frw_dust)
         x = frw_dust.point(1.0, 0.2, -0.3, 0.5)
-        res = massless_residual(grad, frw_dust, x, outer=True)
+        res = massless_residual(grad, frw_dust, x)
         scale = gradient_residual(psi, frw_dust, x)[1]
         assert np.max(np.abs(res)) > 1e-2 * scale
 
@@ -91,12 +91,10 @@ class TestMasslessResidual:
             lambda p: c1 * psis[0](p) + c2 * psis[1](p), BISPINOR)
         x = schwarzschild.point(0.1, 5.0, 1.4, 1.0)
         direct_combo = massless_residual(
-            gradient_sampler(combo, schwarzschild, nested=True),
-            schwarzschild, x, outer=True)
+            gradient_sampler(combo, schwarzschild), schwarzschild, x)
         parts = [
-            massless_residual(
-                gradient_sampler(p, schwarzschild, nested=True),
-                schwarzschild, x, outer=True)
+            massless_residual(gradient_sampler(p, schwarzschild),
+                              schwarzschild, x)
             for p in psis
         ]
         # linearity is exact over the FD core; measure against the

@@ -182,6 +182,32 @@ z = -1, 1
         assert rep.to_dict()["environment"]["config_hash"] == cfg.content_hash()
         assert rep.passed
 
+    def test_flat_reduction_applies_to_eta_only(self):
+        """1.12 compares with plane waves built for eta.  A constant metric
+        other than eta is flat and Cartesian: the suite runs clean without
+        1.12, and 1.12 run on it anyway reads that metric and fails."""
+        text = """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 4
+g11 = -1
+g22 = -1
+g33 = -1
+[sampling]
+t = -2, 2
+x = -2, 2
+y = -2, 2
+z = -2, 2
+"""
+        spec = spec_from_config(parse_metric_config(text, name="g00_4"))
+        rep = suite.run_suite(spec, n_points=4, seed=5)
+        assert rep.passed
+        assert rep.ctx.met_class.flat_cartesian
+        assert "eq_1_12_flat_reduction" not in {c.id for c in rep.checks}
+        _, err = suite._chk_flat_reduction(rep.ctx)
+        assert err > suite.TOL_FLAT_REDUCTION
+
 
 class TestNaNErrors:
     def test_fold_propagates_nan(self):

@@ -481,10 +481,10 @@ class TestMassZeroConsistency:
         from curved_rs.gauge import gradient_sampler, massless_residual
 
         psi = polynomial_field(17, kind=BISPINOR, box=minkowski.sample_box)
-        grad = gradient_sampler(psi, minkowski, nested=True)
+        grad = gradient_sampler(psi, minkowski)
         zero_mass = MassParam(0.0)
         for x in points_of(minkowski, 3):
-            tilde_res = massless_residual(grad, minkowski, x, outer=True)
+            tilde_res = massless_residual(grad, minkowski, x)
             assert np.max(np.abs(tilde_res)) < 1e-7
 
     def test_untransformed_massless_residual_on_gradient(self, schwarzschild):
