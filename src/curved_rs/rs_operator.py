@@ -17,6 +17,11 @@ one row per row; the nested-difference ones take every row's outer
 stencil from the frame's one stacked outer frame (``Frame.outer``).
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
+Every block product is one dense (..., 16, 16) matmul, and the
+multi-operand einsums (the gamma triples of ``_alpha_beta_rows`` and
+``transform_printed``, ``_eps_gamma`` and ``beta_tilde_eps_form``) take
+numpy's contraction path (``optimize=True``), so each runs as pairwise
+products instead of one nested loop over every index.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ class BlockMatrix16:
     stack of them on any leading axes (a frame's rows).
 
     blocks[..., r, s, i, j]: r/s are the vector row/column, i/j the spinor
-    ones.  ``max_abs`` is the largest entry over the whole stack.
+    ones; the dense form is [..., 4 r + i, 4 s + j].  A product is one
+    (..., 16, 16) matmul of the dense forms.  ``max_abs`` is the largest
+    entry over the whole stack.
     """
 
     __slots__ = ("blocks",)
@@ -81,17 +88,16 @@ class BlockMatrix16:
 
     @classmethod
     def from_dense(cls, dense):
-        dense = np.asarray(dense, dtype=complex).reshape(4, 4, 4, 4)
-        return cls(dense.transpose(0, 2, 1, 3))
+        dense = np.asarray(dense, dtype=complex)
+        return cls(dense.reshape(dense.shape[:-2] + (4, 4, 4, 4))
+                   .swapaxes(-3, -2))
 
     def to_dense(self) -> np.ndarray:
         b = self.blocks
         return b.swapaxes(-3, -2).reshape(b.shape[:-4] + (16, 16))
 
     def __matmul__(self, other):
-        return BlockMatrix16(
-            np.einsum("...rlij,...lsjk->...rsik", self.blocks, other.blocks)
-        )
+        return BlockMatrix16.from_dense(self.to_dense() @ other.to_dense())
 
     def __add__(self, other):
         return BlockMatrix16(self.blocks + other.blocks)
@@ -145,16 +151,16 @@ def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
     pair = _gamma_pairs(gd, gu)
     beta = _IDENTITY_BLOCKS - THIRD * pair
     eye = np.eye(4)
-    gd_r = gd[..., None, :, None, :, :]
     # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
     # - gamma_r gamma^nu gamma^s), indexed [..., nu, r, s, i, j]: summed in
     # place, with the triple product formed last, so that at most one
     # temporary of alpha's size is held beside it
     alpha = eye[:, :, None, None] * gu[..., :, None, None, :, :]
     alpha -= THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
-    alpha -= THIRD * gd_r * g_up[..., :, None, :, None, None]
-    triple = ((gd_r @ gu[..., :, None, None, :, :])
-              @ gu[..., None, None, :, :, :])
+    alpha -= (THIRD * gd[..., None, :, None, :, :]
+              * g_up[..., :, None, :, None, None])
+    triple = np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
+                       optimize=True)
     triple *= THIRD
     alpha += triple
     return alpha, beta
@@ -495,7 +501,7 @@ def _eps_mixed(gs: GammaSet) -> np.ndarray:
 def _eps_gamma(gs: GammaSet) -> np.ndarray:
     """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]."""
     return 1j * np.einsum("ij,...rnsm,...mjk->...nrsik", gs.gamma5,
-                          _eps_mixed(gs), gs.gamma_down)
+                          _eps_mixed(gs), gs.gamma_down, optimize=True)
 
 
 def transform_printed(gs: GammaSet, a: float, b: float, c: float):
@@ -528,7 +534,8 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
         ..., :, None, :, None, None]
     alpha_prime = (
         nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
-        + np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu) / 3.0
+        + np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
+                    optimize=True) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
                    + B * _eps_gamma(gs))
@@ -547,6 +554,7 @@ def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
     return BlockMatrix16(0.5j * np.einsum(
         "ij,...rnsm,...mjk,...nkl->...rsil",
         gs.gamma5, _eps_mixed(gs), gs.gamma_down, gs.gamma_down,
+        optimize=True,
     ))
 
 

@@ -174,6 +174,9 @@ def load_preset(name: str, **params) -> MetricSpec:
 
 CONFIG_SECTIONS = ("coords", "metric", "params", "domain", "sampling")
 COMPONENT_KEYS = ("g00", "g11", "g22", "g33")
+#: largest |g_aa| at a point of a document's domain, so that products of
+#: several sqrt|g|-sized Dirac matrices and their derivatives stay finite
+COMPONENT_LIMIT = 1e100
 
 
 @dataclass
@@ -404,7 +407,8 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
                 if op == "<" and not left < right:
                     return False
             for ast in comp_asts:
-                exprparse.evaluate(ast, b)
+                if not abs(exprparse.evaluate(ast, b)) <= COMPONENT_LIMIT:
+                    return False
         except EvalError:
             return False
         return True

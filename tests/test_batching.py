@@ -215,6 +215,28 @@ def test_perturbed_block_coefficient_fails_the_operator_gates(
     assert not any(_verdicts(schwarzschild, checks).values())
 
 
+def test_dense_layout_mutant_fails_the_block_assembly(schwarzschild,
+                                                      monkeypatch):
+    """``@`` goes through the dense 16x16 form; a dense layout without the
+    r/s, i/j interleave (and the matching reshape back, so that the round
+    trip still holds) makes a wrong product, which 2.2's explicit block
+    contraction catches."""
+    check = ("eq_2_2_block_assembly",)
+    assert all(_verdicts(schwarzschild, check).values())
+
+    def flat_dense(self):
+        return self.blocks.reshape(self.blocks.shape[:-4] + (16, 16))
+
+    def flat_from_dense(cls, dense):
+        dense = np.asarray(dense, dtype=complex)
+        return cls(dense.reshape(dense.shape[:-2] + (4, 4, 4, 4)))
+
+    monkeypatch.setattr(rso.BlockMatrix16, "to_dense", flat_dense)
+    monkeypatch.setattr(rso.BlockMatrix16, "from_dense",
+                        classmethod(flat_from_dense))
+    assert not any(_verdicts(schwarzschild, check).values())
+
+
 def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
         schwarzschild, monkeypatch):
     """The inner derivatives of 1.7 and 2.7b run on the rows of the outer

@@ -68,6 +68,9 @@ x = 710, 800
 y = -1, 1
 z = -1, 1
 """
+#: below x = 709.78 exp(x) is finite (up to 1e308): such draws are outside
+#: the domain by ``spacetimes.COMPONENT_LIMIT`` instead of overflowing later
+LARGE_CFG = OVERFLOW_CFG.replace("x = 710, 800", "x = 700, 800")
 
 COMMANDS = ("identities", "gauge", "constraints")
 
@@ -146,10 +149,13 @@ class TestExitCodes:
         ["identities", "--tolerance", "eq_1_3_hermiticity=nan"],
         ["identities", "--metric-file", "{outside}"],
         ["identities", "--metric-file", "{overflow}"],
+        ["identities", "--metric-file", "{large}", "--seed", "1"],
+        ["identities", "--metric-file", "{large}", "--seed", "2"],
+        ["identities", "--metric-file", "{large}", "--seed", "3"],
     ])
     def test_bad_input_is_config_error(self, capsys, tmp_path, args):
         for key, text in (("cfg", DS_CFG), ("outside", OUTSIDE_CFG),
-                          ("overflow", OVERFLOW_CFG)):
+                          ("overflow", OVERFLOW_CFG), ("large", LARGE_CFG)):
             (tmp_path / f"{key}.cfg").write_text(text)
             args = [a.replace(f"{{{key}}}", str(tmp_path / f"{key}.cfg"))
                     for a in args]

@@ -37,8 +37,10 @@ from curved_rs.rs_operator import (
     transform_CS,
     transform_printed,
     beta_tilde_eps_form,
+    THIRD,
+    _alpha_beta_rows,
 )
-from curved_rs.spin_frame import gamma_set_at, spin_connection
+from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
 from conftest import points_of
 
@@ -202,6 +204,71 @@ class TestBlockMatrix:
         lhs = ((ms[0] @ ms[1]) @ ms[2]).blocks
         rhs = (ms[0] @ (ms[1] @ ms[2])).blocks
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1, np.max(np.abs(lhs)))
+
+
+def _frame_rows(spec, n=20):
+    return build_frame(spec, [x.coords for x in points_of(spec, n, seed=41)])
+
+
+class TestDenseBlockProducts:
+    """``@`` is one dense (..., 16, 16) matmul; it must equal the block
+    contraction sum_l A_rl B_ls on stacked frame rows and on one point."""
+
+    @staticmethod
+    def _assert_block_sum(a, b):
+        ref = np.einsum("...rlij,...lsjk->...rsik", a.blocks, b.blocks)
+        prod = (a @ b).blocks
+        assert prod.shape == ref.shape
+        assert np.max(np.abs(prod - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_product_is_the_block_sum_on_rows(self, schwarzschild):
+        gs = _frame_rows(schwarzschild).gammas
+        alphas, beta = build_alpha_beta(gs)
+        assert beta.blocks.shape == (20, 4, 4, 4, 4)
+        for al in alphas:
+            self._assert_block_sum(al, beta)
+        self._assert_block_sum(gamma_pair_block(gs, 0.7), alphas[2])
+        # a single matrix against a stack broadcasts over the rows
+        self._assert_block_sum(BlockMatrix16.identity() * 2.0, beta)
+
+    def test_product_is_the_block_sum_at_a_point(self, schwarzschild):
+        gs = gamma_set_at(schwarzschild, schwarzschild.point(0.3, 5.0, 1.1,
+                                                             2.0))
+        alphas, beta = build_alpha_beta(gs)
+        self._assert_block_sum(alphas[1], beta)
+        self._assert_block_sum(beta, gamma_pair_block(gs, -0.125))
+
+    def test_dense_round_trip_on_rows(self, schwarzschild, rng):
+        alphas, beta = build_alpha_beta(_frame_rows(
+            schwarzschild).gammas)
+        for m in (beta, alphas[3]):
+            dense = m.to_dense()
+            assert dense.shape == (20, 16, 16)
+            assert np.array_equal(BlockMatrix16.from_dense(dense).blocks,
+                                  m.blocks)
+        dense = rng.standard_normal((16, 16)) + 1j * rng.standard_normal(
+            (16, 16))
+        assert np.array_equal(BlockMatrix16.from_dense(dense).to_dense(),
+                              dense)
+
+    def test_alpha_triple_path_equals_the_matmul_chain(self, schwarzschild):
+        """The contraction path of gamma_r gamma^nu gamma^s leaves alpha
+        bit-identical to the broadcast 4x4 matmul chain, so a point and
+        its row of a frame agree exactly."""
+        gs = _frame_rows(schwarzschild).gammas
+        gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
+        alpha, _ = _alpha_beta_rows(gd, gu, g_up)
+        eye = np.eye(4)
+        gd_r = gd[..., None, :, None, :, :]
+        chain = eye[:, :, None, None] * gu[..., :, None, None, :, :]
+        chain -= THIRD * eye[:, :, None, None, None] * gu[
+            ..., None, None, :, :, :]
+        chain -= THIRD * gd_r * g_up[..., :, None, :, None, None]
+        triple = ((gd_r @ gu[..., :, None, None, :, :])
+                  @ gu[..., None, None, :, :, :])
+        triple *= THIRD
+        chain += triple
+        assert np.array_equal(alpha, chain)
 
 
 class TestOperatorBlocks:
