@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
-from .numerics import STEP_OUTER
+from .numerics import PAIRWISE, STEP_OUTER
 from .rs_operator import _eps_gamma, centre_covariant, covariant_derivative
 from .spin_frame import as_frame
 
@@ -145,8 +145,10 @@ def epsilon_contraction_check(spec: MetricSpec, x) -> dict:
 
     eps_first = np.einsum("xrl,xlnsm->xrnsm", m.g_lower, gs.eps_upper)
     eps_last = np.einsum("xabtl,xlm->xabtm", gs.eps_upper, m.g_lower)
-    prod = np.einsum("xrnsm,xabtm->xrnsabt", eps_first, eps_last)
-    raw = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, prod)
+    prod = np.einsum("xrnsm,xabtm->xrnsabt", eps_first, eps_last,
+                     optimize=PAIRWISE)
+    raw = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, prod,
+                    optimize=PAIRWISE)
 
     g_up = m.g_upper
     delta = np.eye(4)

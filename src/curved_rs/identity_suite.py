@@ -38,7 +38,7 @@ from .geometry import (
     curvature,
     metric_jet,
 )
-from .numerics import STENCIL_POLICY, STEP_FIRST, fd_step, partial4
+from .numerics import PAIRWISE, STENCIL_POLICY, STEP_FIRST, fd_step, partial4
 from .spin_frame import (
     SIGMA_FLAT,
     Frame,
@@ -284,32 +284,27 @@ def _chk_hermiticity(ctx):
 
 
 def _chk_covariant_constancy(ctx):
-    spec = ctx.spec
+    """d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] on the
+    frame's rows, with d_s gamma^r differenced over Dirac matrices built
+    apart from the frame (``gamma_set_at`` on the shifted rows)."""
+    frame = ctx.frame
+    coords = frame.coords
 
-    def at_row(i):
-        x = ctx.points[i]
-        gam = ctx.frame.christoffel[i]
-        gu = ctx.frame.gammas.gamma_up[i]
-        G = ctx.frame.connection[i]
+    def gamma_up_at(rows):
+        return gamma_set_at(ctx.spec, rows).gamma_up
 
-        def gup_at(c):
-            return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
-
-        worst = 0.0
-        scale = max(1.0, float(np.max(np.abs(gu))))
-        for s in range(4):
-            d = partial4(gup_at, x.coords, s, fd_step(x.coords[s], STEP_FIRST))
-            for r in range(4):
-                val = (
-                    d[r]
-                    + np.einsum("l,lij->ij", gam[r, s, :], gu)
-                    + G[s] @ gu[r]
-                    - gu[r] @ G[s]
-                )
-                worst = _worst(worst, _rel(np.max(np.abs(val)), scale))
-        return worst
-
-    return len(ctx.points), _worst(*map(at_row, range(len(ctx.points))))
+    # d[x, s, r, i, j] = d_s gamma^r
+    d = np.stack([partial4(gamma_up_at, coords, s,
+                           fd_step(coords[:, s], STEP_FIRST))
+                  for s in range(4)], axis=1)
+    gu, G = frame.gammas.gamma_up, frame.connection
+    val = (d
+           + np.einsum("xrsl,xlij->xsrij", frame.christoffel, gu,
+                       optimize=PAIRWISE)
+           + G[:, :, None] @ gu[:, None]
+           - gu[:, None] @ G[:, :, None])
+    errs = _row_rel(_row_max(val), 1.0, _row_max(gu))
+    return len(ctx.points), _worst(*errs)
 
 
 def _chk_clifford(ctx):
@@ -362,7 +357,8 @@ def _chk_triple_gamma(ctx):
 def _sigma_commutator_defect(sig, g):
     """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
     n, i, k], for sigma and the inverse metric on any leading axes."""
-    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig)
+    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig,
+                     optimize=PAIRWISE)
     comm = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
     return comm - (
         np.einsum("...ma,...nbij->...abmnij", g, sig)
@@ -409,11 +405,16 @@ def _chk_commutator_decomposition(ctx):
         lambda frame, psi: rso._curvature_commutator(frame, psi)[0])
 
 
+#: the contraction path numpy picks (``optimize=True``) for 1.10b's
+#: gamma sigma Riemann product
+_SIGMA_RICCI_PATH = ("einsum_path", (1, 2), (0, 1))
+
+
 def _chk_sigma_ricci_contraction(ctx):
     gs, bundle = ctx.frame.gammas, ctx.frame.curvature
     lhs = -0.5 * np.einsum(
         "xaij,xmnjk,xmnab->xbik", gs.gamma_up, gs.sigma_curved,
-        bundle.riemann_lower, optimize=True,
+        bundle.riemann_lower, optimize=_SIGMA_RICCI_PATH,
     )
     rhs = -0.5 * np.einsum("xnij,xnb->xbij", gs.gamma_up, bundle.ricci)
     errs = _row_rel(_row_max(lhs - rhs), _row_max(lhs), _row_max(rhs),

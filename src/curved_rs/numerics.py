@@ -11,8 +11,13 @@ Two step bases are used throughout the package:
 
 All stencils are 2nd-order central differences; Richardson extrapolation
 (one halving) upgrades them to 4th order where requested.  ``stencil`` and
-``differences`` serve every row-batched derivative; ``partial4`` one of a
-function of one point.
+``differences`` serve every row-batched derivative that samples all its
+stencil points in one call; ``partial4`` takes one axis of a function of
+one point, or of (n, 4) rows with one step per row.
+
+``PAIRWISE`` is the contraction path of a two-operand ``einsum`` over a
+frame's rows: numpy then runs it as one batched matmul on BLAS instead of
+a nested loop over every index.
 """
 
 from __future__ import annotations
@@ -28,6 +33,10 @@ STEP_OUTER = 1e-4
 #: human-readable id of the stencil policy, embedded in reports
 STENCIL_POLICY = "central2(h1=1e-5,h2=1e-4,richardson=1)"
 
+#: ``einsum(..., optimize=PAIRWISE)`` contracts its two operands in one
+#: batched matmul; at a single point it costs more than the plain loop
+PAIRWISE = ("einsum_path", (0, 1))
+
 
 def fd_step(coord, base: float):
     """Per-coordinate step: ``base * max(1, |coord|)`` (elementwise on
@@ -42,14 +51,18 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 def partial4(f, coords, mu, h, richardson=False):
-    """Central-difference d/dx^mu of an array-valued function of 4 coords."""
+    """Central-difference d/dx^mu of an array-valued function of 4 coords,
+    at one point, or on (n, 4) rows with one step per row (``h`` [n]): ``f``
+    then takes the shifted rows and returns one value per row."""
 
     def estimate(hh):
         xp = np.array(coords, dtype=float)
         xm = np.array(coords, dtype=float)
-        xp[mu] += hh
-        xm[mu] -= hh
-        return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * hh)
+        xp[..., mu] += hh
+        xm[..., mu] -= hh
+        diff = np.asarray(f(xp)) - np.asarray(f(xm))
+        step = 2.0 * np.asarray(hh)
+        return diff / step.reshape(step.shape + (1,) * (diff.ndim - step.ndim))
 
     if not richardson:
         return estimate(h)

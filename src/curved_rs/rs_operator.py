@@ -17,11 +17,14 @@ one row per row; the nested-difference ones take every row's outer
 stencil from the frame's one stacked outer frame (``Frame.outer``).
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
-Every block product is one dense (..., 16, 16) matmul, and the
+Every block product is one dense (..., 16, 16) matmul.  The
 multi-operand einsums (the gamma triples of ``_alpha_beta_rows`` and
-``transform_printed``, ``_eps_gamma`` and ``beta_tilde_eps_form``) take
-numpy's contraction path (``optimize=True``), so each runs as pairwise
-products instead of one nested loop over every index.
+``transform_printed``, ``_eps_gamma`` and ``beta_tilde_eps_form``) carry
+the fixed contraction path numpy would pick for them, so each runs as
+pairwise products instead of one nested loop over every index, without a
+path search on every call; the two-operand contractions over a frame's
+rows (``_residual``, ``_connect`` and the commutator terms) carry
+``PAIRWISE`` and run as batched matmuls.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, riemann_mixed
 from .numerics import (
+    PAIRWISE,
     STEP_FIRST,
     STEP_OUTER,
     differences,
@@ -121,6 +125,13 @@ class BlockMatrix16:
 #: the 1/3 of the operator blocks alpha^nu and beta
 THIRD = 1.0 / 3.0
 
+#: the contraction paths numpy picks (``optimize=True``) for the gamma
+#: triple gamma_r gamma^nu gamma^s, for i gamma5 eps gamma and for
+#: i/2 gamma5 eps gamma gamma, at one point and on 1 to 340 rows alike
+_TRIPLE_PATH = ("einsum_path", (0, 1), (0, 1))
+_EPS_GAMMA_PATH = ("einsum_path", (0, 2), (0, 1))
+_EPS_GAMMA_GAMMA_PATH = ("einsum_path", (0, 2), (1, 2), (0, 1))
+
 #: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
 _IDENTITY_BLOCKS = read_only(
     np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex))
@@ -160,7 +171,7 @@ def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
     alpha -= (THIRD * gd[..., None, :, None, :, :]
               * g_up[..., :, None, :, None, None])
     triple = np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
-                       optimize=True)
+                       optimize=_TRIPLE_PATH)
     triple *= THIRD
     alpha += triple
     return alpha, beta
@@ -199,12 +210,12 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
         G = frame.connection
     if kind == BISPINOR:
         if include_spin:
-            d = d + np.einsum("xnij,xj->xni", G, value)
+            d = d + np.einsum("xnij,xj->xni", G, value, optimize=PAIRWISE)
     else:
         gam = frame.christoffel
-        d = d - np.einsum("xlnb,xli->xnbi", gam, value)
+        d = d - np.einsum("xlnb,xli->xnbi", gam, value, optimize=PAIRWISE)
         if include_spin:
-            d = d + np.einsum("xnij,xbj->xnbi", G, value)
+            d = d + np.einsum("xnij,xbj->xnbi", G, value, optimize=PAIRWISE)
     return d
 
 
@@ -249,8 +260,9 @@ def covariant_derivative(
 def _residual(frame, d, psi, mass):
     """(alpha^nu D_nu + kappa beta) Psi on a frame's rows from D_nu Psi."""
     alpha, beta = frame_blocks(frame)
-    return (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi)
-            + np.einsum("xnrsij,xnsj->xri", alpha, d))
+    return (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi,
+                                   optimize=PAIRWISE)
+            + np.einsum("xnrsij,xnsj->xri", alpha, d, optimize=PAIRWISE))
 
 
 def _first_constraint(frame, d, psi, mass):
@@ -335,10 +347,11 @@ def _nested_commutator(frame: Frame, field, include_spin):
                                  True, include_spin)
     v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
     gam = frame.christoffel
-    t = (dv - np.einsum("xlmn,xlcs->xmncs", gam, v)
-         - np.einsum("xlmc,xnls->xmncs", gam, v))
+    t = (dv - np.einsum("xlmn,xlcs->xmncs", gam, v, optimize=PAIRWISE)
+         - np.einsum("xlmc,xnls->xmncs", gam, v, optimize=PAIRWISE))
     if include_spin:
-        t = t + np.einsum("xmij,xncj->xmnci", frame.connection, v)
+        t = t + np.einsum("xmij,xncj->xmnci", frame.connection, v,
+                          optimize=PAIRWISE)
     return t - t.transpose(0, 2, 1, 3, 4)
 
 
@@ -354,8 +367,9 @@ def _curvature_commutator(frame: Frame, psi):
     dhat = spinor_commutator_curvature(frame.spec, frame)
     rmix = riemann_mixed(frame.curvature, frame.metric)
     # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
-    return (-np.einsum("xlcab,xls->xabcs", rmix, psi)
-            + np.einsum("xabij,xcj->xabci", dhat, psi)), dhat
+    comm = (-np.einsum("xlcab,xls->xabcs", rmix, psi, optimize=PAIRWISE)
+            + np.einsum("xabij,xcj->xabci", dhat, psi, optimize=PAIRWISE))
+    return comm, dhat
 
 
 def commutator_curvature(field, spec, x):
@@ -501,7 +515,8 @@ def _eps_mixed(gs: GammaSet) -> np.ndarray:
 def _eps_gamma(gs: GammaSet) -> np.ndarray:
     """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]."""
     return 1j * np.einsum("ij,...rnsm,...mjk->...nrsik", gs.gamma5,
-                          _eps_mixed(gs), gs.gamma_down, optimize=True)
+                          _eps_mixed(gs), gs.gamma_down,
+                          optimize=_EPS_GAMMA_PATH)
 
 
 def transform_printed(gs: GammaSet, a: float, b: float, c: float):
@@ -535,7 +550,7 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
     alpha_prime = (
         nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
         + np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
-                    optimize=True) / 3.0
+                    optimize=_TRIPLE_PATH) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
                    + B * _eps_gamma(gs))
@@ -554,7 +569,7 @@ def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
     return BlockMatrix16(0.5j * np.einsum(
         "ij,...rnsm,...mjk,...nkl->...rsil",
         gs.gamma5, _eps_mixed(gs), gs.gamma_down, gs.gamma_down,
-        optimize=True,
+        optimize=_EPS_GAMMA_GAMMA_PATH,
     ))
 
 

@@ -37,7 +37,13 @@ from .geometry import (
     metric_derivatives,
     metric_jet,
 )
-from .numerics import STEP_OUTER, outer_derivative, read_only, stencil
+from .numerics import (
+    PAIRWISE,
+    STEP_OUTER,
+    outer_derivative,
+    read_only,
+    stencil,
+)
 
 _PAULI = np.array(
     [
@@ -68,6 +74,10 @@ SIGMA_FLAT = 0.25 * (
     np.einsum("aij,bjk->abik", GAMMA_FLAT, GAMMA_FLAT)
     - np.einsum("bij,ajk->abik", GAMMA_FLAT, GAMMA_FLAT)
 )
+
+
+#: SIGMA_FLAT as a matrix [(a, b), (i, j)]
+_SIGMA_MATRIX = read_only(SIGMA_FLAT.reshape(16, 16))
 
 
 def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:
@@ -206,9 +216,12 @@ def as_frame(spec: MetricSpec, x):
     return build_frame(spec, x), False
 
 
-def gamma_set_at(spec: MetricSpec, x: Point, flat: np.ndarray = None) -> GammaSet:
-    """The Dirac matrices at one point, by the same tetrad and gamma
-    builders as ``Frame.gammas``."""
+def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,
+                 flat: np.ndarray = None) -> GammaSet:
+    """The Dirac matrices at a Point, or on every row of (n, 4) chart
+    coordinates of the spec's chart (each array then with a leading row
+    axis), by the same tetrad and gamma builders as ``Frame.gammas`` but
+    without a frame: nothing is kept for the rows."""
     m = eval_metric(spec, x)
     return curved_gammas(build_tetrad(m), m, flat)
 
@@ -234,7 +247,9 @@ def spin_connection(spec: MetricSpec, x) -> np.ndarray:
     # omega[al, a, b] = e_(a)^nu (d_al E[b,nu] - Gamma^l_{al nu} E[b,l])
     nabla_e = de_dn - np.einsum("...lan,...bl->...abn", gam, e_dn)
     omega = np.einsum("...an,...mbn->...mab", tet.e_upper, nabla_e)
-    return read_only(0.5 * np.einsum("abij,...mab->...mij", SIGMA_FLAT, omega))
+    # sigma^{ab} omega_{al ab} as one (..., 16) @ (16, 16) matmul over (a, b)
+    conn = omega.reshape(omega.shape[:-2] + (16,)) @ _SIGMA_MATRIX
+    return read_only(0.5 * conn.reshape(conn.shape[:-1] + (4, 4)))
 
 
 def spinor_commutator_curvature(spec: MetricSpec, x) -> np.ndarray:
@@ -243,7 +258,7 @@ def spinor_commutator_curvature(spec: MetricSpec, x) -> np.ndarray:
     antisymmetric in (al, be); at a Point, or on every row of a Frame."""
     frame, single = as_frame(spec, x)
     out = 0.5 * np.einsum("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
-                          frame.curvature.riemann_lower)
+                          frame.curvature.riemann_lower, optimize=PAIRWISE)
     return out[0] if single else out
 
 

@@ -10,7 +10,14 @@ import types
 import numpy as np
 import pytest
 
-from curved_rs import fields, gauge, geometry, identity_suite, spin_frame
+from curved_rs import (
+    fields,
+    gauge,
+    geometry,
+    identity_suite,
+    numerics,
+    spin_frame,
+)
 from curved_rs import rs_operator as rso
 from curved_rs.errors import OutOfDomain
 from curved_rs.fields import (
@@ -157,9 +164,9 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
 
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_batched_first_order_checks_equal_the_per_point_path(name):
-    """1.2a and 1.6 run each fixture over the whole context frame, the
-    algebraic checks run once over its rows, and the nested checks once
-    over the stacked outer frame of the context or chain frame; their
+    """1.2a and 1.6 run each fixture over the whole context frame, 1.4 and
+    the algebraic checks run once over its rows, and the nested checks
+    once over the stacked outer frame of the context or chain frame; their
     values and errors equal the point-by-point evaluation."""
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
@@ -174,9 +181,10 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     runners = [identity_suite._chk_operator_form,
                identity_suite._chk_gamma_contraction]
+    row_checks = COVARIANT_CONSTANCY + ALGEBRAIC_ROW_CHECKS + NESTED_CHECKS
     runners += [d.runner for d in identity_suite.REGISTRY
-                if d.id in ALGEBRAIC_ROW_CHECKS + NESTED_CHECKS]
-    assert len(runners) == 2 + len(ALGEBRAIC_ROW_CHECKS) + len(NESTED_CHECKS)
+                if d.id in row_checks]
+    assert len(runners) == 2 + len(row_checks)
     for runner in runners:
         _, batched = runner(ctx)
         per_point = max(runner(dataclasses.replace(ctx, points=[x]))[1]
@@ -184,9 +192,95 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
         assert abs(batched - per_point) <= 1e-13, runner.__name__
 
 
+def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
+    """``partial4`` on (n, 4) rows with one step per row equals the
+    one-point ``partial4`` of each row, plain and with Richardson."""
+    coords = _rows(schwarzschild, 4)
+
+    def gamma_up(x):
+        return gamma_set_at(schwarzschild, x).gamma_up
+
+    def at_point(c):
+        return gamma_up(Point(c, schwarzschild.chart_id))
+
+    for mu in range(4):
+        h = numerics.fd_step(coords[:, mu], numerics.STEP_FIRST)
+        for richardson in (False, True):
+            rows = numerics.partial4(gamma_up, coords, mu, h, richardson)
+            assert rows.shape == (4, 4, 4, 4)
+            for i, c in enumerate(coords):
+                one = numerics.partial4(at_point, c, mu, h[i], richardson)
+                assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
+                    1.0, np.max(np.abs(one)))
+
+
 def test_rows_must_be_n_by_4(schwarzschild):
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
         rso.covariant_derivative(trig_field(3), schwarzschild, np.zeros(4))
+
+
+def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
+    """Each two-operand contraction over rows that carries ``PAIRWISE`` (one
+    batched matmul) equals its plain ``einsum`` to 1e-14 relative, on the
+    170 rows of an outer frame (the nested commutator on its 10 centres);
+    1.4's error moves by at most 1e-14."""
+    ctx = build_context(frw_dust, 10, seed=21, mass=1.0)
+    frame, outer = ctx.frame, ctx.frame.outer
+    vb, sp = ctx.vb_fixtures[0], ctx.sp_fixtures[0]
+    psi, chi = vb.at(outer), sp.at(outer)
+    rng = np.random.default_rng(3)
+    d_vb = rng.standard_normal(psi.shape[:1] + (4,) + psi.shape[1:]) + 0j
+    d_sp = rng.standard_normal(chi.shape[:1] + (4,) + chi.shape[1:]) + 0j
+    assert len(outer.coords) == 170
+
+    def contractions():
+        return [
+            rso._connect(outer, VECTOR_BISPINOR, d_vb, psi),
+            rso._connect(outer, BISPINOR, d_sp, chi),
+            rso._residual(outer, d_vb, psi, MASS),
+            rso._curvature_commutator(outer, psi)[0],
+            spin_frame.spinor_commutator_curvature(frw_dust, outer),
+            identity_suite._sigma_commutator_defect(
+                outer.gammas.sigma_curved, outer.metric.g_upper),
+            gauge.epsilon_contraction_check(frw_dust, outer)["raw"],
+            rso._nested_commutator(frame, vb, True),
+        ]
+
+    pathed = contractions()
+    constancy = identity_suite._chk_covariant_constancy(ctx)[1]
+    _patch_everywhere(monkeypatch, numerics, "PAIRWISE", False)
+    for a, b in zip(pathed, contractions(), strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+    assert abs(identity_suite._chk_covariant_constancy(ctx)[1]
+               - constancy) <= 1e-14
+
+
+@pytest.mark.parametrize("rows", (None, 1, 20))
+def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
+                                               monkeypatch):
+    """The multi-operand einsums carry the path ``optimize=True`` finds on
+    every call; with the search put back, their values and 1.10b's error
+    stay bit-identical, at one point and on 1 and 20 rows."""
+    if rows is None:
+        gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
+    else:
+        gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
+    ctx = build_context(frw_dust, rows or 1, seed=8, mass=1.0)
+
+    def values():
+        gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
+        printed = rso.transform_printed(gs, 0.25, -0.125, 0.7)
+        return [*rso._alpha_beta_rows(gd, gu, g_up), rso._eps_gamma(gs),
+                rso.beta_tilde_eps_form(gs).blocks,
+                *(m.blocks for m in printed[1] + printed[3]),
+                identity_suite._chk_sigma_ricci_contraction(ctx)[1]]
+
+    fixed = values()
+    for name in ("_TRIPLE_PATH", "_EPS_GAMMA_PATH", "_EPS_GAMMA_GAMMA_PATH"):
+        monkeypatch.setattr(rso, name, True)
+    monkeypatch.setattr(identity_suite, "_SIGMA_RICCI_PATH", True)
+    for a, b in zip(fixed, values(), strict=True):
+        assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +388,10 @@ ALGEBRAIC_ROW_CHECKS = (
     "eq_2_6c_beta_dual_forms")
 
 
+#: 1.4, which differences Dirac matrices built apart from the frame
+COVARIANT_CONSTANCY = ("eq_1_4_covariant_constancy",)
+
+
 #: the checks that take nested differences over a stacked outer frame
 NESTED_CHECKS = (
     "eq_1_7_derivative_chain", "eq_1_8e_commutator_curvature",
@@ -325,13 +423,32 @@ def test_rolled_outer_rows_fail_the_nested_gates(schwarzschild, frw_dust,
         assert not any(_verdicts(load_preset(name), checks).values()), name
 
 
+def test_rolled_gamma_rows_fail_the_covariant_constancy(schwarzschild,
+                                                         monkeypatch):
+    """1.4 differences the rows ``gamma_set_at`` returns for the shifted
+    rows against the frame's rows; rolled by one row, each point
+    differences its neighbour's Dirac matrices, and 1.4 fails."""
+    assert all(_verdicts(schwarzschild, COVARIANT_CONSTANCY).values())
+    original = identity_suite.gamma_set_at
+
+    def rolled(spec, x, flat=None):
+        gs = original(spec, x, flat)
+        return dataclasses.replace(gs, gamma_up=np.roll(gs.gamma_up, 1,
+                                                        axis=0))
+
+    monkeypatch.setattr(identity_suite, "gamma_set_at", rolled)
+    assert not any(_verdicts(schwarzschild, COVARIANT_CONSTANCY).values())
+
+
 def test_phased_tetrad_leg_fails_the_algebraic_gates(schwarzschild, frw_dust,
                                                      monkeypatch):
     """One tetrad leg times a phase where every tetrad is built: the Dirac
     matrices are no longer gamma^0-Hermitian, nor a Clifford basis of the
-    metric, and every block identity built on them fails."""
+    metric, every block identity built on them fails, and so does 1.4
+    (the phased leg breaks the connection's covariant constancy)."""
+    checks = ALGEBRAIC_ROW_CHECKS + COVARIANT_CONSTANCY
     for spec in (schwarzschild, frw_dust):
-        assert all(_verdicts(spec, ALGEBRAIC_ROW_CHECKS).values())
+        assert all(_verdicts(spec, checks).values())
     original = spin_frame.build_tetrad
 
     def phased_leg(m):
@@ -342,7 +459,7 @@ def test_phased_tetrad_leg_fails_the_algebraic_gates(schwarzschild, frw_dust,
 
     monkeypatch.setattr(spin_frame, "build_tetrad", phased_leg)
     for name in ("schwarzschild", "frw_dust"):
-        verdicts = _verdicts(load_preset(name), ALGEBRAIC_ROW_CHECKS)
+        verdicts = _verdicts(load_preset(name), checks)
         assert not any(verdicts.values()), name
 
 
