@@ -444,8 +444,7 @@ def test_phased_tetrad_leg_fails_the_algebraic_gates(schwarzschild, frw_dust,
                                                      monkeypatch):
     """One tetrad leg times a phase where every tetrad is built: the Dirac
     matrices are no longer gamma^0-Hermitian, nor a Clifford basis of the
-    metric, every block identity built on them fails, and so does 1.4
-    (the phased leg breaks the connection's covariant constancy)."""
+    metric, every block identity built on them fails, and so does 1.4."""
     checks = ALGEBRAIC_ROW_CHECKS + COVARIANT_CONSTANCY
     for spec in (schwarzschild, frw_dust):
         assert all(_verdicts(spec, checks).values())
