@@ -87,8 +87,8 @@ def einstein_prediction(psi: FieldSampler, spec: MetricSpec, x,
                         constant: complex = C0) -> np.ndarray:
     """constant * G_rb gamma^b(x) psi(x)."""
     frame, single = as_frame(spec, x)
-    # psi point by point: a run on one point then repeats the prediction of
-    # a run on many to the last bit, which a batched sampler need not do
+    # psi point by point: the suite's one FieldSampler.__call__, which
+    # perfbench traces as ``fields.sampler`` (``FieldSampler.at`` untraced)
     values = np.stack([psi(Point(c, frame.chart_id)) for c in frame.coords])
     out = constant * np.einsum(
         "xrb,xbij,xj->xri", frame.curvature.einstein, frame.gammas.gamma_up,

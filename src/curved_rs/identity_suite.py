@@ -158,7 +158,7 @@ class SuiteContext:
 class CheckDescriptor:
     id: str
     tag: str
-    tolerance: Callable[[SuiteContext], float]
+    tolerance: float
     expect: str  # "zero" | "nonzero"
     applies: Callable[[MetricClass], bool]
     runner: Callable[[SuiteContext], tuple]
@@ -175,7 +175,8 @@ class CheckResult:
     passed: bool
     runtime_s: float
     note: str = ""
-    #: per-point errors, kept only by a point-by-point run (not reported)
+    #: per-point errors of a check whose runner returns one error per
+    #: point (not reported)
     point_errors: Optional[list] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
@@ -446,9 +447,9 @@ def _chk_divergence_form(ctx):
     frame = ctx.frame
     worst = 0.0
     for w in waves:
-        res = rso.rs_residual(w, ctx.spec, frame, mass)
-        lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
-        chi = rso.divergence_combo(w, ctx.spec, frame, mass)
+        # gamma.residual and (2/3) of the first constraint, from one D Psi
+        lhs, rhs = rso.contraction_identity(w, ctx.spec, frame, mass)
+        chi = 1.5 * rhs
         scale = np.maximum(_row_max(w.at(frame.coords, frame.chart_id)), 1e-6)
         worst = _worst(worst, float(np.max(_row_max(lhs) / scale)),
                        float(np.max(_row_max(chi) / scale)))
@@ -477,7 +478,7 @@ def _chk_flat_reduction(ctx):
     mass = rso.MassParam(ctx.mass.m or 1.0)
     worst = 0.0
     for w in waves:
-        rep = rso.flat_reduction_check(w, mass, ctx.points, ctx.spec)
+        rep = rso.flat_reduction_check(w, mass, ctx.frame)
         scale = max(rep["scale"], 1e-6)
         worst = _worst(worst, rep["max_rs_residual"] / scale,
                        rep["max_match_error"] / scale)
@@ -623,22 +624,23 @@ def _chk_beta_dual_forms(ctx):
 
 
 def _chk_massless_gradient(ctx):
-    worst = 0.0
+    errs = []
     for psi in ctx.sp_fixtures:
         direct, scale = gauge_mod.gradient_residual(psi, ctx.spec, ctx.frame)
-        worst = _worst(worst, *_row_rel(_row_max(direct), scale))
-    return len(ctx.points), worst
+        errs.append(_row_rel(_row_max(direct), scale))
+    # one error per point, NaN-propagating over the fixtures
+    return len(ctx.points), np.maximum.reduce(errs)
 
 
 def _chk_gauge_criterion_nonzero(ctx):
-    worst = 0.0
+    errs = []
     for psi in ctx.sp_fixtures:
         direct, predicted = gauge_mod.gauge_criterion(psi, ctx.spec, ctx.frame)
         pred_norm = _row_max(predicted)
-        errs = _row_rel(_row_max(direct - predicted), pred_norm)
+        err = _row_rel(_row_max(direct - predicted), pred_norm)
         # a vanishing prediction misses the expected nonzero obstruction
-        worst = _worst(worst, *np.where(pred_norm < 1e-10, 1.0, errs))
-    return len(ctx.points), worst
+        errs.append(np.where(pred_norm < 1e-10, 1.0, err))
+    return len(ctx.points), np.maximum.reduce(errs)
 
 
 def _chk_eps_determinant(ctx):
@@ -657,89 +659,77 @@ def _chk_metric_compatibility(ctx):
     return len(ctx.points), _worst(*errs)
 
 
-def _const(v):
-    return lambda ctx: v
-
-
 REGISTRY = [
-    CheckDescriptor("eq_1_2a_operator_form", "1.2a", _const(1e-9), "zero",
+    CheckDescriptor("eq_1_2a_operator_form", "1.2a", 1e-9, "zero",
                     lambda mc: True, _chk_operator_form),
-    CheckDescriptor("eq_1_3_hermiticity", "1.3", _const(TOL_ALGEBRAIC), "zero",
+    CheckDescriptor("eq_1_3_hermiticity", "1.3", TOL_ALGEBRAIC, "zero",
                     lambda mc: True, _chk_hermiticity),
-    CheckDescriptor("eq_1_4_covariant_constancy", "1.4",
-                    _const(TOL_FIRST_ORDER), "zero",
-                    lambda mc: True, _chk_covariant_constancy),
-    CheckDescriptor("eq_1_5_clifford", "1.5", _const(TOL_ALGEBRAIC), "zero",
+    CheckDescriptor("eq_1_4_covariant_constancy", "1.4", TOL_FIRST_ORDER,
+                    "zero", lambda mc: True, _chk_covariant_constancy),
+    CheckDescriptor("eq_1_5_clifford", "1.5", TOL_ALGEBRAIC, "zero",
                     lambda mc: True, _chk_clifford),
-    CheckDescriptor("eq_1_5_sigma_split", "1.5", _const(TOL_ALGEBRAIC), "zero",
+    CheckDescriptor("eq_1_5_sigma_split", "1.5", TOL_ALGEBRAIC, "zero",
                     lambda mc: True, _chk_sigma_tetrad),
-    CheckDescriptor("eq_1_5_triple_gamma", "1.5", _const(TOL_ALGEBRAIC),
-                    "zero", lambda mc: True, _chk_triple_gamma),
-    CheckDescriptor("sigma_commutator", "1.8", _const(TOL_ALGEBRAIC), "zero",
+    CheckDescriptor("eq_1_5_triple_gamma", "1.5", TOL_ALGEBRAIC, "zero",
+                    lambda mc: True, _chk_triple_gamma),
+    CheckDescriptor("sigma_commutator", "1.8", TOL_ALGEBRAIC, "zero",
                     lambda mc: True, _chk_sigma_commutator),
     CheckDescriptor("eq_1_8e_commutator_curvature", "1.8",
-                    _const(TOL_CURVCOMM_ANALYTIC),
-                    "zero", lambda mc: True, _chk_commutator_curvature),
+                    TOL_CURVCOMM_ANALYTIC, "zero", lambda mc: True,
+                    _chk_commutator_curvature),
     CheckDescriptor("eq_1_9_commutator_decomposition", "1.9",
-                    _const(TOL_SECOND_ORDER), "zero",
-                    lambda mc: True, _chk_commutator_decomposition),
-    CheckDescriptor("eq_1_10b_sigma_ricci", "1.10", _const(TOL_FIRST_ORDER),
-                    "zero", lambda mc: True, _chk_sigma_ricci_contraction),
-    CheckDescriptor("eq_1_10c_curvature_bridge", "1.10",
-                    _const(TOL_SECOND_ORDER), "zero",
-                    lambda mc: True, _chk_curvature_bridge),
-    CheckDescriptor("eq_1_6_gamma_contraction", "1.6",
-                    _const(TOL_CONTRACTION), "zero",
-                    lambda mc: True, _chk_gamma_contraction),
-    CheckDescriptor("eq_1_11b_divergence_form", "1.11b",
-                    _const(TOL_FLAT_REDUCTION), "zero",
-                    lambda mc: mc.flat_cartesian, _chk_divergence_form),
-    CheckDescriptor("eq_1_7_derivative_chain", "1.7",
-                    _const(TOL_SECOND_ORDER), "zero",
-                    lambda mc: True, _chk_derivative_chain),
+                    TOL_SECOND_ORDER, "zero", lambda mc: True,
+                    _chk_commutator_decomposition),
+    CheckDescriptor("eq_1_10b_sigma_ricci", "1.10", TOL_FIRST_ORDER, "zero",
+                    lambda mc: True, _chk_sigma_ricci_contraction),
+    CheckDescriptor("eq_1_10c_curvature_bridge", "1.10", TOL_SECOND_ORDER,
+                    "zero", lambda mc: True, _chk_curvature_bridge),
+    CheckDescriptor("eq_1_6_gamma_contraction", "1.6", TOL_CONTRACTION,
+                    "zero", lambda mc: True, _chk_gamma_contraction),
+    CheckDescriptor("eq_1_11b_divergence_form", "1.11b", TOL_FLAT_REDUCTION,
+                    "zero", lambda mc: mc.flat_cartesian,
+                    _chk_divergence_form),
+    CheckDescriptor("eq_1_7_derivative_chain", "1.7", TOL_SECOND_ORDER,
+                    "zero", lambda mc: True, _chk_derivative_chain),
     CheckDescriptor("eq_1_11a_constraint_reduction", "1.11a",
-                    _const(TOL_FIRST_ORDER), "zero",
-                    lambda mc: True, _chk_constraint_reduction),
-    CheckDescriptor("eq_1_12_flat_reduction", "1.12",
-                    _const(TOL_FLAT_REDUCTION), "zero",
+                    TOL_FIRST_ORDER, "zero", lambda mc: True,
+                    _chk_constraint_reduction),
+    CheckDescriptor("eq_1_12_flat_reduction", "1.12", TOL_FLAT_REDUCTION,
+                    "zero",
                     lambda mc: mc.flat_cartesian and mc.eta_dev <= 1e-12,
                     _chk_flat_reduction),
-    CheckDescriptor("eq_1_13_vacuum_constraint", "1.13",
-                    _const(TOL_FIRST_ORDER), "zero",
-                    lambda mc: mc.ricci_flat, _chk_vacuum_constraint),
-    CheckDescriptor("eq_1_14a_einstein_space", "1.14", _const(TOL_EINSTEIN),
-                    "zero",
+    CheckDescriptor("eq_1_13_vacuum_constraint", "1.13", TOL_FIRST_ORDER,
+                    "zero", lambda mc: mc.ricci_flat, _chk_vacuum_constraint),
+    CheckDescriptor("eq_1_14a_einstein_space", "1.14", TOL_EINSTEIN, "zero",
                     lambda mc: (mc.einstein_space and not mc.is_flat
                                 and not mc.ricci_flat),
                     _chk_einstein_space),
-    CheckDescriptor("eq_1_14b_constraint_factor", "1.14", _const(TOL_FACTOR),
-                    "zero",
+    CheckDescriptor("eq_1_14b_constraint_factor", "1.14", TOL_FACTOR, "zero",
                     lambda mc: (mc.einstein_space and not mc.ricci_flat
                                 and abs(mc.scalar) > 0.1),
                     _chk_einstein_factor),
-    CheckDescriptor("eq_2_2_block_assembly", "2.2", _const(TOL_ALGEBRAIC),
-                    "zero", lambda mc: True, _chk_block_assembly),
-    CheckDescriptor("eq_2_3_transform_stages", "2.3", _const(TOL_TRANSFORM),
-                    "zero", lambda mc: True, _chk_transform_stages),
-    CheckDescriptor("eq_2_4_s_inverse", "2.4", _const(TOL_TRANSFORM), "zero",
+    CheckDescriptor("eq_2_2_block_assembly", "2.2", TOL_ALGEBRAIC, "zero",
+                    lambda mc: True, _chk_block_assembly),
+    CheckDescriptor("eq_2_3_transform_stages", "2.3", TOL_TRANSFORM, "zero",
+                    lambda mc: True, _chk_transform_stages),
+    CheckDescriptor("eq_2_4_s_inverse", "2.4", TOL_TRANSFORM, "zero",
                     lambda mc: True, _chk_s_inverse),
-    CheckDescriptor("eq_2_5_transform_expansion", "2.5", _const(TOL_TRANSFORM),
+    CheckDescriptor("eq_2_5_transform_expansion", "2.5", TOL_TRANSFORM,
                     "zero", lambda mc: True, _chk_transform_expansion),
-    CheckDescriptor("eq_2_6_tilde_closed_form", "2.6", _const(TOL_TRANSFORM),
-                    "zero", lambda mc: True, _chk_tilde_closed_form),
-    CheckDescriptor("eq_2_6c_beta_dual_forms", "2.6c", _const(TOL_TRANSFORM),
-                    "zero", lambda mc: True, _chk_beta_dual_forms),
-    CheckDescriptor("eq_2_7b_massless_gradient", "2.7b",
-                    _const(TOL_GAUGE_ZERO), "zero",
-                    lambda mc: mc.ricci_flat, _chk_massless_gradient),
-    CheckDescriptor("eq_2_8c_gauge_criterion", "2.8c",
-                    _const(TOL_GAUGE_MATCH), "nonzero",
-                    lambda mc: not mc.ricci_flat, _chk_gauge_criterion_nonzero),
+    CheckDescriptor("eq_2_6_tilde_closed_form", "2.6", TOL_TRANSFORM, "zero",
+                    lambda mc: True, _chk_tilde_closed_form),
+    CheckDescriptor("eq_2_6c_beta_dual_forms", "2.6c", TOL_TRANSFORM, "zero",
+                    lambda mc: True, _chk_beta_dual_forms),
+    CheckDescriptor("eq_2_7b_massless_gradient", "2.7b", TOL_GAUGE_ZERO,
+                    "zero", lambda mc: mc.ricci_flat, _chk_massless_gradient),
+    CheckDescriptor("eq_2_8c_gauge_criterion", "2.8c", TOL_GAUGE_MATCH,
+                    "nonzero", lambda mc: not mc.ricci_flat,
+                    _chk_gauge_criterion_nonzero),
     CheckDescriptor("eps_determinant_contraction", "2.8b",
-                    _const(TOL_CURVCOMM_ANALYTIC),
-                    "zero", lambda mc: True, _chk_eps_determinant),
-    CheckDescriptor("metric_compatibility", "1.8", _const(TOL_FIRST_ORDER),
-                    "zero", lambda mc: True, _chk_metric_compatibility),
+                    TOL_CURVCOMM_ANALYTIC, "zero", lambda mc: True,
+                    _chk_eps_determinant),
+    CheckDescriptor("metric_compatibility", "1.8", TOL_FIRST_ORDER, "zero",
+                    lambda mc: True, _chk_metric_compatibility),
 ]
 
 
@@ -802,16 +792,15 @@ def run_suite(
     mass: float = 1.0,
     tolerance_overrides: Optional[dict] = None,
     only: Optional[tuple] = None,
-    per_point: bool = False,
 ) -> SuiteReport:
-    """Execute every applicable registered check and aggregate the report.
+    """Execute every applicable registered check, each once over the
+    context frame's rows, and aggregate the report.
 
-    ``only`` restricts the run to the listed check ids.  ``per_point`` runs
-    each check once per point, on one-point contexts, and keeps the
-    per-point errors in ``CheckResult.point_errors``; the maximum over
-    them is the error of the whole run, and runner notes are dropped.
-    Check failures are recorded, not raised; infrastructure errors
-    propagate with context.
+    ``only`` restricts the run to the listed check ids.  A runner returns
+    (points, error[, note]); an error that is an array holds one error per
+    point, kept in ``CheckResult.point_errors`` and folded by ``_worst``
+    into the check's error.  Check failures are recorded, not raised;
+    infrastructure errors propagate with context.
     """
     overrides = tolerance_overrides or {}
     known = [d.id for d in REGISTRY]
@@ -833,16 +822,13 @@ def run_suite(
             continue
         if not desc.applies(ctx.met_class):
             continue
-        tol = float(overrides.get(desc.id, desc.tolerance(ctx)))
+        tol = float(overrides.get(desc.id, desc.tolerance))
         t_check = time.perf_counter()
+        out = desc.runner(ctx)
         point_errors = None
-        if per_point:
-            outs = [desc.runner(replace(ctx, points=[x])) for x in ctx.points]
-            point_errors = [float(o[1]) for o in outs]
-            out = (sum(o[0] for o in outs), _worst(*point_errors))
-        else:
-            out = desc.runner(ctx)
-        err = float(out[1])
+        if np.ndim(out[1]):
+            point_errors = [float(e) for e in out[1]]
+        err = _worst(*point_errors) if point_errors else float(out[1])
         results.append(
             CheckResult(
                 id=desc.id,
@@ -864,11 +850,11 @@ def run_suite(
 def run_gauge(spec: MetricSpec, n_points: int = 20, seed: int = 42,
               tolerance_overrides: Optional[dict] = None) -> SuiteReport:
     """The gauge criterion of the massless equation: (2.7b) on a
-    Ricci-flat metric, (2.8c) elsewhere, run point by point for the table
-    of Einstein norms and errors."""
+    Ricci-flat metric, (2.8c) elsewhere, with the table of each point's
+    Einstein norm and error."""
     rep = run_suite(spec, n_points, seed, mass=0.0,
                     tolerance_overrides=tolerance_overrides,
-                    only=GAUGE_CHECKS, per_point=True)
+                    only=GAUGE_CHECKS)
     (check,) = rep.checks
     einstein = _row_max(rep.ctx.frame.curvature.einstein)
     table = [

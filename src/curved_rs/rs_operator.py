@@ -50,7 +50,6 @@ from .spin_frame import (
     Frame,
     GammaSet,
     as_frame,
-    build_frame,
     spinor_commutator_curvature,
 )
 
@@ -578,19 +577,15 @@ def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
 # ---------------------------------------------------------------------------
 
 
-def flat_reduction_check(field: FieldSampler, mass: MassParam, points,
-                         spec: MetricSpec = None) -> dict:
+def flat_reduction_check(field: FieldSampler, mass: MassParam,
+                         frame: Frame) -> dict:
     """On Minkowski (Cartesian), fields obeying gamma^a Psi_a = 0 and
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
-    residuals (gamma^a d_a + kappa) Psi_c, at every point.  Returns a
-    report dict."""
+    residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose
+    metric the residual reads.  Returns a report dict."""
     from .geometry import ETA
-    from .spacetimes import load_preset
     from .spin_frame import GAMMA_FLAT
 
-    if spec is None:
-        spec = load_preset("minkowski_cartesian")
-    frame = build_frame(spec, [x.coords for x in points])
     d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
     rs = _residual(frame, d, psi, mass)
     dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi

@@ -270,7 +270,7 @@ def connection_curvature_fd(spec: MetricSpec, x) -> np.ndarray:
     frame, single = as_frame(spec, x)
     # G[x, al, i, j], dG[x, mu, al, i, j] = d_mu Gamma_al
     G, dG = outer_derivative(frame.outer.connection, frame.coords)
-    comm = (np.einsum("xaij,xbjk->xabik", G, G)
-            - np.einsum("xbij,xajk->xabik", G, G))
+    comm = (np.einsum("xaij,xbjk->xabik", G, G, optimize=PAIRWISE)
+            - np.einsum("xbij,xajk->xabik", G, G, optimize=PAIRWISE))
     out = dG - dG.transpose(0, 2, 1, 3, 4) + comm
     return out[0] if single else out

@@ -32,6 +32,7 @@ from curved_rs.gauge import (
 from curved_rs.geometry import curvature
 from curved_rs.spacetimes import parse_metric_config, spec_from_config
 from curved_rs.spin_frame import (
+    build_frame,
     connection_curvature_fd,
     gamma_set_at,
     spinor_commutator_curvature,
@@ -206,10 +207,11 @@ def test_criterion_4_constraint_operator_identities():
 def test_criterion_5_flat_reduction():
     mink = spacetimes.load_preset("minkowski_cartesian")
     points = suite.sample_points(mink, 8, 42)
+    frame = build_frame(mink, [x.coords for x in points])
     worst_res = worst_match = 0.0
     for boost in (0.0, 0.4, 0.9):
         wave = flat_rs_plane_wave(1.0, boost)
-        rep = rso.flat_reduction_check(wave, rso.MassParam(1.0), points)
+        rep = rso.flat_reduction_check(wave, rso.MassParam(1.0), frame)
         assert rep["constraints_satisfied"]
         worst_res = max(worst_res, rep["max_rs_residual"])
         worst_match = max(worst_match, rep["max_match_error"] / rep["scale"])

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from curved_rs import identity_suite as suite
+from curved_rs import spin_frame
 from curved_rs.errors import ConfigError
-from curved_rs.spacetimes import parse_metric_config, spec_from_config
+from curved_rs.spacetimes import (
+    load_preset,
+    parse_metric_config,
+    spec_from_config,
+)
 
 #: every equation family the registry must exercise (an id may refine a
 #: family tag with a letter suffix, e.g. 1.14 -> eq_1_14a / eq_1_14b)
@@ -207,6 +212,58 @@ z = -2, 2
         assert "eq_1_12_flat_reduction" not in {c.id for c in rep.checks}
         _, err = suite._chk_flat_reduction(rep.ctx)
         assert err > suite.TOL_FLAT_REDUCTION
+
+    def test_phased_tetrad_leg_fails_the_divergence_form(self, minkowski,
+                                                         monkeypatch):
+        """1.11b contracts the wave equation of plane waves with the
+        frame's Dirac matrices.  One tetrad leg times a phase moves gamma^1,
+        and the waves' gamma^a Psi_a no longer vanishes: 1.11b fails
+        (error 5e-4 against 1e-8).
+
+        Equivalent mutants, since the waves obey gamma^a Psi_a = 0 and
+        d^a Psi_a = 0 exactly: the kappa convention of ``MassParam`` (kappa
+        multiplies only gamma^a Psi_a in both gamma^r residual_r and the
+        first constraint), ``THIRD`` x (1 + 1e-3) (gamma^r alpha^nu_r^s is
+        2/3 g^{nu s} plus terms in gamma^a Psi_a), and any change of g00,
+        g33 or the t and z derivatives (the waves vary along t and z only,
+        and their polarization is transverse, eps_0 = eps_3 = 0)."""
+        check = ("eq_1_11b_divergence_form",)
+        (result,) = suite.run_suite(minkowski, n_points=2, seed=5,
+                                    only=check).checks
+        assert result.passed
+        original = spin_frame.build_tetrad
+
+        def phased_leg(m):
+            t = original(m)
+            e_upper = t.e_upper.astype(complex)
+            e_upper[..., 1] *= np.exp(1e-3j)
+            return spin_frame.Tetrad(t.e_lower, e_upper)
+
+        monkeypatch.setattr(spin_frame, "build_tetrad", phased_leg)
+        (result,) = suite.run_suite(minkowski, n_points=2, seed=5,
+                                    only=check).checks
+        assert result.max_rel_error > 1e3 * result.tolerance
+        assert not result.passed
+
+
+@pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
+def test_gauge_table_is_one_run_of_the_check(name, monkeypatch):
+    """``run_gauge`` runs its check once, on the whole context; the table
+    holds the check's per-point errors, and their maximum is its error."""
+    contexts = []
+    for desc in suite.REGISTRY:
+        if desc.id in suite.GAUGE_CHECKS:
+            def counting(ctx, runner=desc.runner):
+                contexts.append(ctx)
+                return runner(ctx)
+            monkeypatch.setattr(desc, "runner", counting)
+    rep = suite.run_gauge(load_preset(name), n_points=5, seed=5)
+    (check,) = rep.checks
+    assert len(contexts) == 1 and contexts[0] is rep.ctx
+    assert len(rep.ctx.points) == 5
+    table = rep.extra["points_table"]
+    assert [row["max_rel_error"] for row in table] == check.point_errors
+    assert max(check.point_errors) == check.max_rel_error
 
 
 class TestNaNErrors:

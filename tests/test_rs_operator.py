@@ -527,11 +527,16 @@ class TestDerivativeChain:
             assert np.max(np.abs(chain - c2)) < 1e-8 * scale
 
 
+def frame_of(spec, n):
+    return build_frame(spec, [x.coords for x in points_of(spec, n)])
+
+
 class TestFlatReduction:
     def test_plane_wave_basis(self, minkowski):
-        pts = points_of(minkowski, 4)
+        frame = frame_of(minkowski, 4)
         for boost in (0.0, 0.3):
-            rep = flat_reduction_check(flat_rs_plane_wave(1.0, boost), MASS, pts)
+            rep = flat_reduction_check(flat_rs_plane_wave(1.0, boost), MASS,
+                                       frame)
             assert rep["constraints_satisfied"]
             assert rep["reduction_matches"]
             assert rep["max_rs_residual"] < 1e-8
@@ -539,12 +544,12 @@ class TestFlatReduction:
 
     def test_violating_field_flagged(self, minkowski):
         fld = polynomial_field(21, box=minkowski.sample_box)
-        rep = flat_reduction_check(fld, MASS, points_of(minkowski, 3))
+        rep = flat_reduction_check(fld, MASS, frame_of(minkowski, 3))
         assert not rep["constraints_satisfied"]
 
     def test_zero_field(self, minkowski):
         fld = constant_field(np.zeros((4, 4)), VECTOR_BISPINOR)
-        rep = flat_reduction_check(fld, MASS, points_of(minkowski, 2))
+        rep = flat_reduction_check(fld, MASS, frame_of(minkowski, 2))
         assert rep["max_rs_residual"] == 0.0
         assert rep["max_dirac_residual"] == 0.0
         assert rep["reduction_matches"]
