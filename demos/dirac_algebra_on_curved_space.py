@@ -13,7 +13,7 @@ import numpy as np
 
 from curved_rs import spacetimes
 from curved_rs.geometry import christoffel
-from curved_rs.numerics import STEP_FIRST, fd_step, partial4
+from curved_rs.numerics import partial4
 from curved_rs.spin_frame import Point, gamma_set_at, spin_connection
 
 spec = spacetimes.load_preset("schwarzschild", M=1.0)
@@ -60,7 +60,7 @@ def gup_at(c):
 
 worst = 0.0
 for s in range(4):
-    d = partial4(gup_at, x.coords, s, fd_step(x.coords[s], STEP_FIRST))
+    d = partial4(gup_at, x.coords, s)
     for r in range(4):
         val = (d[r] + np.einsum("l,lij->ij", gam[r, s, :], gs.gamma_up)
                + G[s] @ gs.gamma_up[r] - gs.gamma_up[r] @ G[s])

@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     SignatureError,
     SingularMetric,
-    StencilTooCoarse,
 )
 from .fields import FieldSampler, fixture_family, plane_wave, polynomial_field, trig_field
 from .gauge import gauge_criterion, gradient_field, massless_residual

@@ -25,10 +25,6 @@ class InvalidTransform(CurvedRSError):
     """Transformation parameters violate a + b + 4ab = 0."""
 
 
-class StencilTooCoarse(CurvedRSError):
-    """Richardson levels of a nested derivative disagree beyond budget."""
-
-
 class FitDegenerate(CurvedRSError):
     """The calibration point produced a vacuous (zero) prediction vector."""
 

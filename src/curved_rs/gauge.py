@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
-from .numerics import PAIRWISE, STEP_OUTER
+from .numerics import PAIRWISE
 from .rs_operator import _eps_gamma, centre_covariant, covariant_derivative
 from .spin_frame import as_frame
 
@@ -41,14 +41,13 @@ def gradient_field(psi: FieldSampler, spec: MetricSpec, x: Point) -> np.ndarray:
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
     ``covariant_derivative`` call, on a Frame with the frame's geometry.
-    It differentiates at the outer step with Richardson, which keeps inner
-    roundoff from being amplified when the sampler feeds a second
-    derivative.
+    It differentiates with the nested step policy (outer step, Richardson),
+    which keeps inner roundoff from being amplified when the sampler feeds a
+    second derivative.
     """
 
     def gradient(x):
-        return covariant_derivative(psi, spec, x, base_step=STEP_OUTER,
-                                    richardson=True)
+        return covariant_derivative(psi, spec, x, nested=True)
 
     return FieldSampler(gradient, VECTOR_BISPINOR,
                         name=f"gradient({psi.name})", batch=gradient)

@@ -38,7 +38,7 @@ from .geometry import (
     curvature,
     metric_jet,
 )
-from .numerics import PAIRWISE, STENCIL_POLICY, STEP_FIRST, fd_step, partial4
+from .numerics import PAIRWISE, STENCIL_POLICY, partial4
 from .spin_frame import (
     SIGMA_FLAT,
     Frame,
@@ -295,9 +295,7 @@ def _chk_covariant_constancy(ctx):
         return gamma_set_at(ctx.spec, rows).gamma_up
 
     # d[x, s, r, i, j] = d_s gamma^r
-    d = np.stack([partial4(gamma_up_at, coords, s,
-                           fd_step(coords[:, s], STEP_FIRST))
-                  for s in range(4)], axis=1)
+    d = np.stack([partial4(gamma_up_at, coords, s) for s in range(4)], axis=1)
     gu, G = frame.gammas.gamma_up, frame.connection
     val = (d
            + np.einsum("xrsl,xlij->xsrij", frame.christoffel, gu,

@@ -1,19 +1,25 @@
 """Finite-difference stencils and the shared step policy.
 
-Two step bases are used throughout the package:
+Every finite difference takes one of two step policies, and callers choose
+between them only through a ``nested`` switch:
 
-* ``STEP_FIRST`` for first derivatives of closed-form quantities
-  (field samplers, Dirac matrices); metric derivatives are exact.
-* ``STEP_OUTER`` for derivatives of quantities that are themselves
-  finite-difference built (residual fields, spin connections), and with
-  Richardson for the inner derivatives of such nested chains.  The larger
+* ``nested=False``: one level at ``STEP_FIRST``, for first derivatives of
+  closed-form quantities (field samplers, Dirac matrices); metric
+  derivatives are exact.
+* ``nested=True``: two levels, ``STEP_OUTER`` and its half, combined by
+  Richardson, for derivatives of quantities that are themselves
+  finite-difference built (residual fields, spin connections, gradient
+  fields) and for the inner derivatives of nested chains.  The larger
   step keeps the inner-stencil noise from being amplified.
 
 All stencils are 2nd-order central differences; Richardson extrapolation
-(one halving) upgrades them to 4th order where requested.  ``stencil`` and
+(one halving) upgrades them to 4th order.  ``stencil`` and
 ``differences`` serve every row-batched derivative that samples all its
-stencil points in one call; ``partial4`` takes one axis of a function of
-one point, or of (n, 4) rows with one step per row.
+stencil points in one call; ``differences`` extrapolates exactly when the
+stencil has two levels.  ``outer_derivative`` differences a quantity over
+the stacked outer stencils of a frame's rows (``Frame.outer``).
+``partial4`` takes one axis of a function of one point, or of (n, 4) rows
+with one step per row.
 
 ``PAIRWISE`` is the contraction path of a two-operand ``einsum`` over a
 frame's rows: numpy then runs it as one batched matmul on BLAS instead of
@@ -23,8 +29,6 @@ a nested loop over every index.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import StencilTooCoarse
 
 STEP_FIRST = 1e-5
 STEP_OUTER = 1e-4
@@ -50,21 +54,23 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def partial4(f, coords, mu, h, richardson=False):
+def partial4(f, coords, mu, nested=False):
     """Central-difference d/dx^mu of an array-valued function of 4 coords,
-    at one point, or on (n, 4) rows with one step per row (``h`` [n]): ``f``
-    then takes the shifted rows and returns one value per row."""
+    at one point, or on (n, 4) rows with one step per row: ``f`` then takes
+    the shifted rows and returns one value per row."""
+    coords = np.asarray(coords, dtype=float)
 
     def estimate(hh):
-        xp = np.array(coords, dtype=float)
-        xm = np.array(coords, dtype=float)
+        xp = coords.copy()
+        xm = coords.copy()
         xp[..., mu] += hh
         xm[..., mu] -= hh
         diff = np.asarray(f(xp)) - np.asarray(f(xm))
         step = 2.0 * np.asarray(hh)
         return diff / step.reshape(step.shape + (1,) * (diff.ndim - step.ndim))
 
-    if not richardson:
+    h = fd_step(coords[..., mu], STEP_OUTER if nested else STEP_FIRST)
+    if not nested:
         return estimate(h)
     return (4.0 * estimate(h / 2.0) - estimate(h)) / 3.0
 
@@ -73,54 +79,43 @@ def partial4(f, coords, mu, h, richardson=False):
 _PLUS_MINUS_AXES = np.stack([np.eye(4), -np.eye(4)])
 
 
-def stencil(coords: np.ndarray, base_step: float, levels: int):
+def stencil(coords: np.ndarray, nested=False):
     """Central stencils around each row of ``coords``: the centre, then
-    x +- h e_mu for each step level (h, and h/2 with two levels).
+    x +- h e_mu for each step level (h = ``fd_step(x, STEP_FIRST)``, or
+    h = ``fd_step(x, STEP_OUTER)`` and h/2 when ``nested``).
 
     Returns the stencil points (n, 1 + 8 levels, 4) and the steps
     (n, levels, 4)."""
-    h = fd_step(coords, base_step)
-    steps = np.stack([h, h / 2][:levels], axis=1)
+    h = fd_step(coords, STEP_OUTER if nested else STEP_FIRST)
+    steps = np.stack([h, h / 2] if nested else [h], axis=1)
     offsets = steps[:, :, None, :, None] * _PLUS_MINUS_AXES
     offsets = offsets.reshape(len(coords), -1, 4)
     centre = np.zeros((len(coords), 1, 4))
     return coords[:, None, :] + np.concatenate([centre, offsets], axis=1), steps
 
 
-def differences(values: np.ndarray, steps: np.ndarray, richardson: bool,
-                stencil_budget: float = None):
+def differences(values: np.ndarray, steps: np.ndarray):
     """Centre value [n, ...] and d_mu [n, mu, ...] from the values
-    [n, 1 + 8 levels, ...] a function takes on ``stencil`` points;
-    StencilTooCoarse when the step levels differ by over ``stencil_budget``."""
+    [n, 1 + 8 levels, ...] a function takes on ``stencil`` points,
+    Richardson-extrapolated when the stencil has two levels."""
     n, levels = steps.shape[:2]
     value = values[:, 0]
     shape = value.shape[1:]
     pm = values[:, 1:].reshape((n, levels, 2, 4) + shape)
     d_levels = (pm[:, :, 0] - pm[:, :, 1]) / (2.0 * steps).reshape(
         steps.shape + (1,) * len(shape))
-    if stencil_budget is not None:
-        gaps = np.max(np.abs(d_levels[:, 0] - d_levels[:, 1]).reshape(n, 4, -1),
-                      axis=2)
-        over = np.argwhere(gaps > stencil_budget)
-        if over.size:
-            row, mu = over[0]
-            raise StencilTooCoarse(
-                f"Richardson levels differ by {gaps[row, mu]:.3e} along "
-                f"x^{mu} (budget {stencil_budget:.3e})"
-            )
-    if richardson:
+    if levels == 2:
         return value, (4.0 * d_levels[:, 1] - d_levels[:, 0]) / 3.0
     return value, d_levels[:, 0]
 
 
-def outer_derivative(values: np.ndarray, centres: np.ndarray,
-                     stencil_budget: float = None):
+def outer_derivative(values: np.ndarray, centres: np.ndarray):
     """(value [n, ...], d_mu value [n, mu, ...]) at the n rows ``centres``,
     from the values [n * 17, ...] a quantity takes on their stacked outer
-    stencils (``Frame.outer``: outer step, Richardson)."""
-    _, steps = stencil(centres, STEP_OUTER, 2)
+    stencils (``Frame.outer``, the nested stencils)."""
+    _, steps = stencil(centres, nested=True)
     return differences(values.reshape((len(centres), -1) + values.shape[1:]),
-                       steps, True, stencil_budget)
+                       steps)
 
 
 def thread_count() -> int:

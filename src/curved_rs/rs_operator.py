@@ -39,8 +39,6 @@ from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, riemann_mixed
 from .numerics import (
     PAIRWISE,
-    STEP_FIRST,
-    STEP_OUTER,
     differences,
     outer_derivative,
     read_only,
@@ -218,16 +216,15 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     return d
 
 
-def _covariant_rows(field, frame: Frame, base_step, richardson,
-                    include_spin=True, stencil_budget=None):
+def _covariant_rows(field, frame: Frame, nested=False, include_spin=True):
     """D_nu of a sampler on a frame's rows, and the field there:
     (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
-    row's stencil; the geometry comes from the frame."""
-    levels = 2 if richardson or stencil_budget is not None else 1
-    points, steps = stencil(frame.coords, base_step, levels)
+    row's stencil (``numerics.stencil``); the geometry comes from the
+    frame."""
+    points, steps = stencil(frame.coords, nested)
     values = field.at(points.reshape(-1, 4), frame.chart_id)
     value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
-                           steps, richardson, stencil_budget)
+                           steps)
     return _connect(frame, field.kind, d, value, include_spin), value
 
 
@@ -235,10 +232,8 @@ def covariant_derivative(
     field: FieldSampler,
     spec: MetricSpec,
     x,
-    base_step: float = STEP_FIRST,
-    richardson: bool = False,
+    nested: bool = False,
     include_spin: bool = True,
-    stencil_budget: float = None,
 ) -> np.ndarray:
     """D_nu of a sampler at a Point ``x``, or on the rows of an (n, 4)
     coordinate array or a Frame.
@@ -246,13 +241,12 @@ def covariant_derivative(
     Vector-bispinor fields get the Christoffel term on the vector index
     and the bispinor connection on the spinor index; bispinor fields only
     the connection (they are coordinate scalars).  Returns [nu, be, s] or
-    [nu, s], with a leading row axis for rows.  ``stencil_budget``
-    (optional) raises StencilTooCoarse when the two Richardson levels
-    disagree beyond it.
+    [nu, s], with a leading row axis for rows.  ``nested`` picks the
+    nested step policy of ``numerics``, for a derivative that feeds
+    another one.
     """
     frame, single = as_frame(spec, x)
-    d, _ = _covariant_rows(field, frame, base_step, richardson, include_spin,
-                           stencil_budget)
+    d, _ = _covariant_rows(field, frame, nested, include_spin)
     return d[0] if single else d
 
 
@@ -276,7 +270,7 @@ def rs_residual(field: FieldSampler, spec: MetricSpec, x, mass: MassParam
     """Left side of the wave equation at a Point, or on (n, 4) rows or a
     Frame: (alpha^nu D_nu + kappa beta) Psi."""
     frame, single = as_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame)
     res = _residual(frame, d, psi, mass)
     return res[0] if single else res
 
@@ -285,7 +279,7 @@ def divergence_combo(field, spec, x, mass) -> np.ndarray:
     """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
     at a Point, or on (n, 4) rows or a Frame."""
     frame, single = as_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame)
     out = _first_constraint(frame, d, psi, mass)
     return out[0] if single else out
 
@@ -295,7 +289,7 @@ def contraction_identity(field, spec, x, mass):
     combination, at a Point or on rows or a Frame; equal for arbitrary
     smooth fields.  Both sides share one D_nu Psi."""
     frame, single = as_frame(spec, x)
-    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
     rhs = (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
@@ -331,10 +325,10 @@ def einstein_space_factor(spec, x, mass):
     return out[0] if single else out
 
 
-def centre_covariant(values, frame: Frame, kind: str, stencil_budget=None):
+def centre_covariant(values, frame: Frame, kind: str):
     """(value, D_mu value) on a frame's rows from the values [n * 17, ...]
     a field of ``kind`` takes on the rows of its outer frame."""
-    v, dv = outer_derivative(values, frame.coords, stencil_budget)
+    v, dv = outer_derivative(values, frame.coords)
     return v, _connect(frame, kind, dv, v)
 
 
@@ -342,8 +336,8 @@ def _nested_commutator(frame: Frame, field, include_spin):
     """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
     nested differences over its outer frame, the spin connection
     optional."""
-    inner = covariant_derivative(field, frame.spec, frame.outer, STEP_OUTER,
-                                 True, include_spin)
+    inner = covariant_derivative(field, frame.spec, frame.outer, nested=True,
+                                 include_spin=include_spin)
     v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
     gam = frame.christoffel
     t = (dv - np.einsum("xlmn,xlcs->xmncs", gam, v, optimize=PAIRWISE)
@@ -417,7 +411,7 @@ def curvature_bridge(field, spec, x):
             ricci_gamma_contraction(field, spec, x))
 
 
-def derivative_chain(field, spec, x, mass, stencil_budget=None):
+def derivative_chain(field, spec, x, mass):
     """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with chi the
     first-constraint combination.  One inner D_nu Psi on the rows of the
     outer frame (one ``at`` call over every row's stencil of stencils)
@@ -426,11 +420,11 @@ def derivative_chain(field, spec, x, mass, stencil_budget=None):
     """
     frame, single = as_frame(spec, x)
     outer = frame.outer
-    d, psi = _covariant_rows(field, outer, STEP_OUTER, True)
+    d, psi = _covariant_rows(field, outer, nested=True)
     _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
-                               VECTOR_BISPINOR, stencil_budget)
+                               VECTOR_BISPINOR)
     chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
-                                 frame, BISPINOR, stencil_budget)
+                                 frame, BISPINOR)
     out = (np.einsum("xnb,xnbi->xi", frame.metric.g_upper, dres)
            - (2.0 / 3.0) * np.einsum("xaij,xaj->xi", frame.gammas.gamma_up,
                                      dchi)
@@ -438,10 +432,10 @@ def derivative_chain(field, spec, x, mass, stencil_budget=None):
     return out[0] if single else out
 
 
-def derivative_chain_check(field, spec, x, mass, stencil_budget=None):
+def derivative_chain_check(field, spec, x, mass):
     """The derivative chain vs its curvature form, an identity for any C^3
-    field; ``stencil_budget`` as for ``numerics.differences``."""
-    return (derivative_chain(field, spec, x, mass, stencil_budget),
+    field."""
+    return (derivative_chain(field, spec, x, mass),
             chain_rhs_algebraic(field, spec, x, mass))
 
 
@@ -586,7 +580,7 @@ def flat_reduction_check(field: FieldSampler, mass: MassParam,
     from .geometry import ETA
     from .spin_frame import GAMMA_FLAT
 
-    d, psi = _covariant_rows(field, frame, STEP_FIRST, False)
+    d, psi = _covariant_rows(field, frame)
     rs = _residual(frame, d, psi, mass)
     dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
     max_rs, max_dirac, max_match, max_tr, max_div = (

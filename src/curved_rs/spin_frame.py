@@ -37,13 +37,7 @@ from .geometry import (
     metric_derivatives,
     metric_jet,
 )
-from .numerics import (
-    PAIRWISE,
-    STEP_OUTER,
-    outer_derivative,
-    read_only,
-    stencil,
-)
+from .numerics import PAIRWISE, outer_derivative, read_only, stencil
 
 _PAULI = np.array(
     [
@@ -195,7 +189,7 @@ class Frame(MetricJet):
         """The frame of every row's outer stencil (outer step, both
         Richardson levels): 17 rows per row, centre by centre, each centre
         first."""
-        points, _ = stencil(self.coords, STEP_OUTER, 2)
+        points, _ = stencil(self.coords, nested=True)
         return build_frame(self.spec, points.reshape(-1, 4), self.chart_id)
 
 

@@ -195,7 +195,7 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
 
 def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
     """``partial4`` on (n, 4) rows with one step per row equals the
-    one-point ``partial4`` of each row, plain and with Richardson."""
+    one-point ``partial4`` of each row, under both step policies."""
     coords = _rows(schwarzschild, 4)
 
     def gamma_up(x):
@@ -205,12 +205,11 @@ def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
         return gamma_up(Point(c, schwarzschild.chart_id))
 
     for mu in range(4):
-        h = numerics.fd_step(coords[:, mu], numerics.STEP_FIRST)
-        for richardson in (False, True):
-            rows = numerics.partial4(gamma_up, coords, mu, h, richardson)
+        for nested in (False, True):
+            rows = numerics.partial4(gamma_up, coords, mu, nested)
             assert rows.shape == (4, 4, 4, 4)
             for i, c in enumerate(coords):
-                one = numerics.partial4(at_point, c, mu, h[i], richardson)
+                one = numerics.partial4(at_point, c, mu, nested)
                 assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
                     1.0, np.max(np.abs(one)))
 
@@ -341,11 +340,10 @@ def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
     assert all(_verdicts(schwarzschild, checks).values())
     original = rso._covariant_rows
 
-    def without_connection_on_rows(field, frame, base_step, richardson,
-                                   include_spin=True, stencil_budget=None):
-        return original(field, frame, base_step, richardson,
-                        include_spin and len(frame.coords) == 1,
-                        stencil_budget)
+    def without_connection_on_rows(field, frame, nested=False,
+                                   include_spin=True):
+        return original(field, frame, nested,
+                        include_spin and len(frame.coords) == 1)
 
     monkeypatch.setattr(rso, "_covariant_rows", without_connection_on_rows)
     assert not any(_verdicts(schwarzschild, checks).values())

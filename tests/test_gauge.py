@@ -157,8 +157,8 @@ class TestGaugeCriterion:
         # a constant unitary change of the flat representation conjugates
         # every bispinor object: the criterion pair built from rotated
         # pieces equals U (default pair), so every zero/nonzero verdict is
-        # representation independent
-        from curved_rs.numerics import STEP_OUTER
+        # representation independent, under either step policy of the
+        # rotated gradient field
         from curved_rs.rs_operator import covariant_derivative
         from curved_rs.spin_frame import spin_connection
 
@@ -170,19 +170,18 @@ class TestGaugeCriterion:
         psi = polynomial_field(58, kind=BISPINOR, box=spec.sample_box)
         x = spec.point(1.2, 0.1, 0.3, -0.2)
 
-        def rotated_pair():
+        def rotated_pair(nested):
             # gradient field of U psi with the rotated connection U G U+
             def grad_rot(p):
-                d = covariant_derivative(psi, spec, p, base_step=STEP_OUTER,
-                                         richardson=True)
+                d = covariant_derivative(psi, spec, p, nested=nested)
                 return np.einsum("ij,bj->bi", q, d)
 
             grad = FieldSampler(grad_rot, "vector_bispinor")
             gs = gamma_set_at(spec, x, flat=flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)
-            raw = covariant_derivative(grad, spec, x, base_step=STEP_OUTER,
-                                       richardson=True, include_spin=False)
+            raw = covariant_derivative(grad, spec, x, nested=nested,
+                                       include_spin=False)
             d = raw + np.einsum("nij,bj->nbi", g_rot, grad(spec.point(*x.coords)))
             eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower,
                                   gs.eps_upper)
@@ -195,15 +194,17 @@ class TestGaugeCriterion:
             return direct, predicted
 
         direct0, predicted0 = gauge_criterion(psi, spec, x)
-        direct1, predicted1 = rotated_pair()
-        assert np.max(np.abs(direct1 - np.einsum("ij,bj->bi", q, direct0))) \
-            < 1e-8 * max(np.max(np.abs(direct0)), 1e-6)
-        assert np.max(np.abs(predicted1
-                             - np.einsum("ij,bj->bi", q, predicted0))) \
-            < 1e-10 * max(np.max(np.abs(predicted0)), 1e-6)
-        # norms (hence verdicts) coincide
-        assert np.linalg.norm(direct1) == pytest.approx(
-            np.linalg.norm(direct0), rel=1e-8)
+        for nested in (False, True):
+            direct1, predicted1 = rotated_pair(nested)
+            assert np.max(np.abs(
+                direct1 - np.einsum("ij,bj->bi", q, direct0))) \
+                < 1e-8 * max(np.max(np.abs(direct0)), 1e-6)
+            assert np.max(np.abs(predicted1
+                                 - np.einsum("ij,bj->bi", q, predicted0))) \
+                < 1e-10 * max(np.max(np.abs(predicted0)), 1e-6)
+            # norms (hence verdicts) coincide
+            assert np.linalg.norm(direct1) == pytest.approx(
+                np.linalg.norm(direct0), rel=1e-8)
 
 
 class TestEpsilonContraction:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from curved_rs.errors import InvalidTransform, StencilTooCoarse
+from curved_rs.errors import InvalidTransform
 from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
@@ -16,7 +16,7 @@ from curved_rs.fields import (
     trig_field,
 )
 from curved_rs.geometry import Point, christoffel
-from curved_rs.numerics import STEP_FIRST, STEP_OUTER, fd_step, partial4
+from curved_rs.numerics import STENCIL_POLICY, fd_step, partial4, stencil
 from curved_rs.rs_operator import (
     BlockMatrix16,
     MassParam,
@@ -109,7 +109,7 @@ class TestCovariantDerivative:
 
 
 
-def stencil_oracle(field, spec, x, base_step, richardson=False):
+def stencil_oracle(field, spec, x, nested=False):
     """Per-axis partial4 derivative plus connection terms: the pre-batch
     evaluation of covariant_derivative."""
 
@@ -117,9 +117,7 @@ def stencil_oracle(field, spec, x, base_step, richardson=False):
         return field(Point(c, x.chart_id))
 
     d = np.stack([
-        partial4(f, x.coords, mu, fd_step(x.coords[mu], base_step),
-                 richardson=richardson)
-        for mu in range(4)
+        partial4(f, x.coords, mu, nested) for mu in range(4)
     ])
     value = field(x)
     G = spin_connection(spec, x)
@@ -131,29 +129,29 @@ def stencil_oracle(field, spec, x, base_step, richardson=False):
 
 
 class TestBatchedStencil:
+    def test_step_policy_table(self):
+        # the two policies: one level at 1e-5, or two at 1e-4 and its half
+        x = np.array([[0.5, 4.0, -2.5, 0.3], [3.0, 0.1, 0.2, -7.0]])
+        h = fd_step(x, 1e-5)
+        points, steps = stencil(x, False)
+        assert points.shape == (2, 9, 4)
+        assert np.array_equal(steps, h[:, None])
+        assert np.array_equal(points[:, 1:5], x[:, None] + h[:, None] * np.eye(4))
+        h = fd_step(x, 1e-4)
+        points, steps = stencil(x, True)
+        assert points.shape == (2, 17, 4)
+        assert np.array_equal(steps, np.stack([h, h / 2], axis=1))
+        assert "h1=1e-5" in STENCIL_POLICY and "h2=1e-4" in STENCIL_POLICY
+
     @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
     @pytest.mark.parametrize("make", [polynomial_field, trig_field])
-    @pytest.mark.parametrize("richardson", [False, True])
-    def test_matches_partial4_oracle(self, schwarzschild, kind, make,
-                                     richardson):
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_matches_partial4_oracle(self, schwarzschild, kind, make, nested):
         fld = make(21, kind, box=schwarzschild.sample_box)
-        base = STEP_OUTER if richardson else STEP_FIRST
         for x in points_of(schwarzschild, n=3):
-            got = covariant_derivative(fld, schwarzschild, x, base_step=base,
-                                       richardson=richardson)
-            want = stencil_oracle(fld, schwarzschild, x, base, richardson)
+            got = covariant_derivative(fld, schwarzschild, x, nested=nested)
+            want = stencil_oracle(fld, schwarzschild, x, nested)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-
-    def test_budget_passes_then_raises(self, schwarzschild):
-        fld = trig_field(22, box=schwarzschild.sample_box)
-        x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
-        got = covariant_derivative(fld, schwarzschild, x, base_step=STEP_OUTER,
-                                   richardson=True, stencil_budget=1e-3)
-        want = stencil_oracle(fld, schwarzschild, x, STEP_OUTER, True)
-        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
-        with pytest.raises(StencilTooCoarse, match="along x"):
-            covariant_derivative(fld, schwarzschild, x, base_step=STEP_OUTER,
-                                 richardson=True, stencil_budget=1e-12)
 
 
 class TestNestedRoundoff:
@@ -491,13 +489,6 @@ class TestDerivativeChain:
             lhs, rhs = derivative_chain_check(fld, spec, x, MASS)
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
-
-    def test_stencil_budget_raises(self, schwarzschild):
-        fld = trig_field(4, box=schwarzschild.sample_box)
-        x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
-        with pytest.raises(StencilTooCoarse):
-            derivative_chain_check(fld, schwarzschild, x, MASS,
-                                   stencil_budget=1e-18)
 
     @pytest.mark.parametrize("preset", ["schwarzschild", "frw_dust"])
     def test_commutator_decomposition_curved(self, preset, request):

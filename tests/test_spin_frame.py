@@ -5,7 +5,7 @@ import pytest
 
 from curved_rs.errors import SignatureError
 from curved_rs.geometry import ETA, curvature, eval_metric
-from curved_rs.numerics import STEP_FIRST, fd_step, partial4
+from curved_rs.numerics import partial4
 from curved_rs.spin_frame import (
     GAMMA5,
     GAMMA_FLAT,
@@ -200,8 +200,7 @@ class TestSpinConnection:
                     return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
 
                 for s in range(4):
-                    d = partial4(gup_at, x.coords, s,
-                                 fd_step(x.coords[s], STEP_FIRST))
+                    d = partial4(gup_at, x.coords, s)
                     for r in range(4):
                         val = (
                             d[r]
