@@ -22,7 +22,7 @@ from .errors import (
     SingularMetric,
 )
 from .fields import FieldSampler, fixture_family, plane_wave, polynomial_field, trig_field
-from .gauge import gauge_criterion, gradient_field, massless_residual
+from .gauge import gauge_criterion, massless_residual
 from .geometry import (
     CurvatureBundle,
     MetricAtPoint,

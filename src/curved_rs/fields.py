@@ -243,33 +243,25 @@ def _null_space(a: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     return vh[rank:].conj().T
 
 
-def dirac_plane_wave_spinor(k, kappa) -> np.ndarray:
-    """A spinor u with (i gamma^a k_a + kappa) u = 0; k_a is the covector."""
-    k = np.asarray(k, dtype=float)
-    kslash = np.einsum("a,aij->ij", k, GAMMA_FLAT)
-    ns = _null_space(1j * kslash + kappa * np.eye(4))
-    if ns.shape[1] == 0:
-        raise ValueError(f"no Dirac plane-wave spinor for k={k}, kappa={kappa}")
-    return ns[:, 0]
-
-
 def flat_rs_plane_wave(mass: float, boost: float = 0.0) -> FieldSampler:
     """A plane-wave solution of the full flat-space system.
 
-    Builds Psi_c = eps_c u exp(i k.x) with (i gamma k + kappa) u = 0,
-    k^a eps_a = 0 and gamma^a eps_a u = 0, with k on the mass shell
-    (k = (omega, 0, 0, k3), omega^2 - k3^2 = mass^2).
+    Psi_c = A[c, i] exp(i k.x) with k on the mass shell
+    (k = (omega, 0, 0, k3), omega^2 - k3^2 = mass^2) and the amplitude the
+    sum of a basis of the null space of the stacked 24 x 16 system: the
+    Dirac equation (i gamma k + kappa) A_c = 0 on each vector component,
+    gamma^a A_a = 0 and k^a A_a = 0.  Every component then varies, along
+    t and z.
     """
     omega = np.hypot(mass, boost)
     k = np.array([omega, 0.0, 0.0, boost])
-    kappa = 1j * mass
-    u = dirac_plane_wave_spinor(k, kappa)
-    # stack the 4 spinor rows of eps -> gamma^a eps_a u and the row k^a eps_a
-    rows = [np.array([GAMMA_FLAT[a][i] @ u for a in range(4)]) for i in range(4)]
-    rows.append((ETA @ k).astype(complex))
-    ns = _null_space(np.array(rows))
+    dirac = 1j * np.einsum("a,aij->ij", k, GAMMA_FLAT) + 1j * mass * np.eye(4)
+    system = np.concatenate([
+        np.kron(np.eye(4), dirac),            # rows (c, j): Dirac on A_c
+        np.concatenate(GAMMA_FLAT, axis=1),   # rows j: gamma^a A_a
+        np.kron(ETA @ k, np.eye(4)),          # rows i: k^a A_a
+    ])
+    ns = _null_space(system)
     if ns.shape[1] == 0:
-        raise ValueError(f"no constrained polarization for mass={mass}")
-    eps = ns[:, 0]
-    amplitude = np.einsum("b,i->bi", eps, u)
-    return plane_wave(k, amplitude, VECTOR_BISPINOR)
+        raise ValueError(f"no constrained plane wave for mass={mass}")
+    return plane_wave(k, ns.sum(axis=1).reshape(4, 4), VECTOR_BISPINOR)

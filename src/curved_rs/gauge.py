@@ -32,12 +32,6 @@ from .spin_frame import as_frame
 C0 = 0.5
 
 
-def gradient_field(psi: FieldSampler, spec: MetricSpec, x: Point) -> np.ndarray:
-    """Psi0_be = (d_be + Gamma_be) psi at ``x`` (psi is a coordinate scalar,
-    so no Christoffel term appears)."""
-    return covariant_derivative(psi, spec, x)
-
-
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
     ``covariant_derivative`` call, on a Frame with the frame's geometry.

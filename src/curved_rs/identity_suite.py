@@ -102,6 +102,12 @@ class MetricClass:
         return self.is_flat and self.christoffel_norm < 1e-10
 
     @property
+    def is_eta(self) -> bool:
+        """The metric is eta itself (|g - eta| <= 1e-12), which the flat
+        plane waves of 1.11b and 1.12 are built for."""
+        return self.flat_cartesian and self.eta_dev <= 1e-12
+
+    @property
     def ricci_flat(self) -> bool:
         return self.ricci_norm <= 1e-5 * max(self.riemann_scale, 1e-3)
 
@@ -685,17 +691,14 @@ REGISTRY = [
     CheckDescriptor("eq_1_6_gamma_contraction", "1.6", TOL_CONTRACTION,
                     "zero", lambda mc: True, _chk_gamma_contraction),
     CheckDescriptor("eq_1_11b_divergence_form", "1.11b", TOL_FLAT_REDUCTION,
-                    "zero", lambda mc: mc.flat_cartesian,
-                    _chk_divergence_form),
+                    "zero", lambda mc: mc.is_eta, _chk_divergence_form),
     CheckDescriptor("eq_1_7_derivative_chain", "1.7", TOL_SECOND_ORDER,
                     "zero", lambda mc: True, _chk_derivative_chain),
     CheckDescriptor("eq_1_11a_constraint_reduction", "1.11a",
                     TOL_FIRST_ORDER, "zero", lambda mc: True,
                     _chk_constraint_reduction),
     CheckDescriptor("eq_1_12_flat_reduction", "1.12", TOL_FLAT_REDUCTION,
-                    "zero",
-                    lambda mc: mc.flat_cartesian and mc.eta_dev <= 1e-12,
-                    _chk_flat_reduction),
+                    "zero", lambda mc: mc.is_eta, _chk_flat_reduction),
     CheckDescriptor("eq_1_13_vacuum_constraint", "1.13", TOL_FIRST_ORDER,
                     "zero", lambda mc: mc.ricci_flat, _chk_vacuum_constraint),
     CheckDescriptor("eq_1_14a_einstein_space", "1.14", TOL_EINSTEIN, "zero",
@@ -794,7 +797,9 @@ def run_suite(
     """Execute every applicable registered check, each once over the
     context frame's rows, and aggregate the report.
 
-    ``only`` restricts the run to the listed check ids.  A runner returns
+    ``only`` restricts the run to the listed check ids.  An ``only`` id
+    that is not registered, or a tolerance override for a check outside
+    the run, is a ConfigError naming the run's checks.  A runner returns
     (points, error[, note]); an error that is an array holds one error per
     point, kept in ``CheckResult.point_errors`` and folded by ``_worst``
     into the check's error.  Check failures are recorded, not raised;
@@ -802,12 +807,17 @@ def run_suite(
     """
     overrides = tolerance_overrides or {}
     known = [d.id for d in REGISTRY]
-    unknown = sorted(set(overrides) - set(known))
+    unknown = sorted(set(only or ()) - set(known))
     if unknown:
+        raise ConfigError(f"unknown check(s) {', '.join(unknown)}; "
+                          f"known checks: {', '.join(known)}")
+    if only is not None:
+        known = [k for k in known if k in only]
+    outside = sorted(set(overrides) - set(known))
+    if outside:
         raise ConfigError(
-            f"tolerance override for unknown check(s) {', '.join(unknown)}; "
-            f"known checks: {', '.join(known)}"
-        )
+            f"tolerance override for check(s) {', '.join(outside)} outside "
+            f"this run; its checks: {', '.join(known)}")
     invalid = sorted(k for k, v in overrides.items() if not 0 <= v < np.inf)
     if invalid:
         raise ConfigError(
@@ -816,9 +826,7 @@ def run_suite(
     ctx = build_context(spec, n_points, seed, mass)
     results = []
     for desc in REGISTRY:
-        if only is not None and desc.id not in only:
-            continue
-        if not desc.applies(ctx.met_class):
+        if desc.id not in known or not desc.applies(ctx.met_class):
             continue
         tol = float(overrides.get(desc.id, desc.tolerance))
         t_check = time.perf_counter()

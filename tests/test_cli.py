@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from curved_rs.cli import build_parser, main
+from curved_rs.identity_suite import CONSTRAINT_CHECKS, GAUGE_CHECKS, REGISTRY
 
 DS_CFG = """
 [coords]
@@ -73,6 +74,9 @@ z = -1, 1
 LARGE_CFG = OVERFLOW_CFG.replace("x = 710, 800", "x = 700, 800")
 
 COMMANDS = ("identities", "gauge", "constraints")
+#: the checks each command runs
+COMMAND_CHECKS = {"identities": tuple(d.id for d in REGISTRY),
+                  "gauge": GAUGE_CHECKS, "constraints": CONSTRAINT_CHECKS}
 
 
 def run(args, capsys):
@@ -119,7 +123,22 @@ class TestExitCodes:
                  "--tolerance", "no_such_check=1e-3"], capsys)
             assert code == 2, command
             assert "no_such_check" in err
-            assert "eq_1_7_derivative_chain" in err
+            assert all(check in err for check in COMMAND_CHECKS[command])
+
+    @pytest.mark.parametrize("command, check", [
+        ("gauge", "eq_1_7_derivative_chain"),
+        ("constraints", "eq_2_7b_massless_gradient"),
+    ])
+    def test_tolerance_of_another_commands_check_is_config_error(
+            self, capsys, command, check):
+        # a registered check the command does not run: the override would
+        # change nothing
+        code, _, err = run(
+            [command, "--metric", "schwarzschild", "--points", "1",
+             "--tolerance", f"{check}=0"], capsys)
+        assert code == 2
+        assert check in err
+        assert all(own in err for own in COMMAND_CHECKS[command])
 
     def test_gauge_rejects_mass_and_charge(self, capsys):
         # the gauge criterion is the massless equation, and no command
@@ -366,9 +385,13 @@ FLAG_CHANGES = {
     "--points": (["--metric", "schwarzschild"], ["--points", "3"]),
     "--seed": (["--metric", "schwarzschild"], ["--seed", "4"]),
     "--mass": (["--metric", "schwarzschild"], ["--mass", "2.5"]),
-    "--tolerance": (["--metric", "schwarzschild"],
-                    ["--tolerance", "eq_2_7b_massless_gradient=0.5",
-                     "--tolerance", "eq_1_6_gamma_contraction=0.5"]),
+    # per command: an override may name only the command's own checks
+    "--tolerance": {
+        command: (["--metric", "schwarzschild"],
+                  ["--tolerance", f"{check}=0.5"])
+        for command, check in (("identities", "eq_1_6_gamma_contraction"),
+                               ("gauge", "eq_2_7b_massless_gradient"),
+                               ("constraints", "eq_1_6_gamma_contraction"))},
 }
 #: options that choose only how the report is written
 OUTPUT_FLAGS = ("--format", "--output")
@@ -391,7 +414,8 @@ def test_every_physics_flag_reaches_the_results(capsys, tmp_path, command,
     """An option that moves no check's error or tolerance is a silent
     no-op; one that this table does not know fails here."""
     assert option in FLAG_CHANGES, f"{command} {option} is not in the table"
-    base, change = FLAG_CHANGES[option]
+    entry = FLAG_CHANGES[option]
+    base, change = entry[command] if isinstance(entry, dict) else entry
     cfg = tmp_path / "ds.cfg"
     cfg.write_text(DS_CFG)
 

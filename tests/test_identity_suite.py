@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from curved_rs import identity_suite as suite
+from curved_rs import rs_operator as rso
 from curved_rs import spin_frame
 from curved_rs.errors import ConfigError
 from curved_rs.spacetimes import (
@@ -21,6 +22,23 @@ REQUIRED_TAGS = [
     "1.11a", "1.11b", "1.12", "1.13", "1.14", "2.2", "2.3", "2.4", "2.5",
     "2.6", "2.7", "2.8",
 ]
+
+
+#: a flat Cartesian document whose metric is not eta
+G00_4_DOCUMENT = """
+[coords]
+names = t, x, y, z
+[metric]
+g00 = 4
+g11 = -1
+g22 = -1
+g33 = -1
+[sampling]
+t = -2, 2
+x = -2, 2
+y = -2, 2
+z = -2, 2
+"""
 
 
 def strip_timing(payload: dict) -> str:
@@ -162,6 +180,16 @@ class TestRunSuite:
         )
         assert not rep2.passed
 
+    def test_only_and_overrides_name_checks_of_the_run(self, minkowski):
+        # an unregistered ``only`` id would run no check and pass
+        with pytest.raises(ConfigError, match="no_such_check"):
+            suite.run_suite(minkowski, n_points=1, only=("no_such_check",))
+        with pytest.raises(ConfigError, match="eq_1_7_derivative_chain.*"
+                                              "its checks: eq_1_3_hermiticity$"):
+            suite.run_suite(minkowski, n_points=1,
+                            only=("eq_1_3_hermiticity",),
+                            tolerance_overrides={"eq_1_7_derivative_chain": 1})
+
     def test_points_validation(self, minkowski):
         with pytest.raises(ConfigError):
             suite.run_suite(minkowski, n_points=0)
@@ -191,27 +219,45 @@ z = -1, 1
         """1.12 compares with plane waves built for eta.  A constant metric
         other than eta is flat and Cartesian: the suite runs clean without
         1.12, and 1.12 run on it anyway reads that metric and fails."""
-        text = """
-[coords]
-names = t, x, y, z
-[metric]
-g00 = 4
-g11 = -1
-g22 = -1
-g33 = -1
-[sampling]
-t = -2, 2
-x = -2, 2
-y = -2, 2
-z = -2, 2
-"""
-        spec = spec_from_config(parse_metric_config(text, name="g00_4"))
+        spec = spec_from_config(parse_metric_config(G00_4_DOCUMENT,
+                                                    name="g00_4"))
         rep = suite.run_suite(spec, n_points=4, seed=5)
         assert rep.passed
         assert rep.ctx.met_class.flat_cartesian
         assert "eq_1_12_flat_reduction" not in {c.id for c in rep.checks}
         _, err = suite._chk_flat_reduction(rep.ctx)
         assert err > suite.TOL_FLAT_REDUCTION
+
+    def test_divergence_form_applies_to_eta_only(self):
+        """1.11b differentiates the same plane waves: on the g00 = 4
+        document the suite runs clean without it, and 1.11b run there
+        anyway fails."""
+        spec = spec_from_config(parse_metric_config(G00_4_DOCUMENT,
+                                                    name="g00_4"))
+        rep = suite.run_suite(spec, n_points=4, seed=5)
+        assert rep.passed
+        assert "eq_1_11b_divergence_form" not in {c.id for c in rep.checks}
+        _, err = suite._chk_divergence_form(rep.ctx)
+        assert err > 1e3 * suite.TOL_FLAT_REDUCTION
+
+    def test_scaled_time_derivative_fails_the_divergence_form(
+            self, minkowski, monkeypatch):
+        """The plane waves vary along t with every vector component
+        nonzero, so a time derivative off by 1e-3 breaks 1.11b."""
+        check = ("eq_1_11b_divergence_form",)
+        original = rso.differences
+
+        def scaled_time_derivative(values, steps):
+            value, d = original(values, steps)
+            d = d.copy()
+            d[:, 0] *= 1.0 + 1e-3
+            return value, d
+
+        monkeypatch.setattr(rso, "differences", scaled_time_derivative)
+        (result,) = suite.run_suite(minkowski, n_points=2, seed=5,
+                                    only=check).checks
+        assert result.max_rel_error > 1e3 * result.tolerance
+        assert not result.passed
 
     def test_phased_tetrad_leg_fails_the_divergence_form(self, minkowski,
                                                          monkeypatch):
@@ -223,10 +269,8 @@ z = -2, 2
         Equivalent mutants, since the waves obey gamma^a Psi_a = 0 and
         d^a Psi_a = 0 exactly: the kappa convention of ``MassParam`` (kappa
         multiplies only gamma^a Psi_a in both gamma^r residual_r and the
-        first constraint), ``THIRD`` x (1 + 1e-3) (gamma^r alpha^nu_r^s is
-        2/3 g^{nu s} plus terms in gamma^a Psi_a), and any change of g00,
-        g33 or the t and z derivatives (the waves vary along t and z only,
-        and their polarization is transverse, eps_0 = eps_3 = 0)."""
+        first constraint) and ``THIRD`` x (1 + 1e-3) (gamma^r alpha^nu_r^s
+        is 2/3 g^{nu s} plus terms in gamma^a Psi_a)."""
         check = ("eq_1_11b_divergence_form",)
         (result,) = suite.run_suite(minkowski, n_points=2, seed=5,
                                     only=check).checks

@@ -560,14 +560,12 @@ class TestMassZeroConsistency:
     def test_untransformed_massless_residual_on_gradient(self, schwarzschild):
         # Psi = S^-1 Psi~0 with Psi~0 a gradient field solves the original
         # massless equation wherever the metric is Ricci-flat
-        from curved_rs.gauge import gradient_field
-
         psi = trig_field(18, kind=BISPINOR, box=schwarzschild.sample_box)
 
         def untransformed(p):
             gs = gamma_set_at(schwarzschild, p)
             s_inv = gamma_pair_block(gs, -1.0)  # inverse of I - (1/3) gg
-            return s_inv.apply(gradient_field(psi, schwarzschild, p))
+            return s_inv.apply(covariant_derivative(psi, schwarzschild, p))
 
         fld = FieldSampler(untransformed, VECTOR_BISPINOR, name="gauge-orig")
         zero_mass = MassParam(0.0)
