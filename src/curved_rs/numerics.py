@@ -57,7 +57,8 @@ def read_only(a: np.ndarray) -> np.ndarray:
 def partial4(f, coords, mu, nested=False):
     """Central-difference d/dx^mu of an array-valued function of 4 coords,
     at one point, or on (n, 4) rows with one step per row: ``f`` then takes
-    the shifted rows and returns one value per row."""
+    the shifted rows and returns one value per row; ``nested`` as for
+    ``stencil``."""
     coords = np.asarray(coords, dtype=float)
 
     def estimate(hh):
