@@ -39,7 +39,6 @@ from .rs_operator import (
     MassParam,
     build_alpha_beta,
     contraction_identity,
-    constraint_two_residual,
     covariant_derivative,
     rs_residual,
     tilde_closed_form,

@@ -11,10 +11,11 @@ C0 is a representation-independent constant, calibrated once by a fit at
 one non-vacuum point and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
-fail by exactly the predicted amount.  Functions at ``x`` take a Point,
-(n, 4) coordinates or a Frame, like those of ``rs_operator``; the massless
-residual differentiates on the frame's outer frame (outer step with
-Richardson), as a second derivative of psi needs.
+fail by exactly the predicted amount.  Functions that evaluate take a
+Frame and return one row per frame row, like those of ``rs_operator``;
+``gradient_sampler`` is the one place where raw rows become a frame.  The
+massless residual differentiates on the frame's outer frame (outer step
+with Richardson), as a second derivative of psi needs.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
 from .numerics import PAIRWISE
-from .rs_operator import _eps_gamma, centre_covariant, covariant_derivative
-from .spin_frame import as_frame
+from .rs_operator import centre_covariant, covariant_derivative, eps_gamma
+from .spin_frame import Frame, build_frame
 
 #: frozen proportionality constant of the Einstein-tensor prediction
 C0 = 0.5
@@ -34,85 +35,83 @@ C0 = 0.5
 
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
-    ``covariant_derivative`` call, on a Frame with the frame's geometry.
-    It differentiates with the nested step policy (outer step, Richardson),
+    ``covariant_derivative`` call, on a Frame with the frame's geometry,
+    or on the frame it builds for raw rows (a stencil's).  It
+    differentiates with the nested step policy (outer step, Richardson),
     which keeps inner roundoff from being amplified when the sampler feeds a
     second derivative.
     """
 
-    def gradient(x):
-        return covariant_derivative(psi, spec, x, nested=True)
+    def gradient(rows):
+        if not isinstance(rows, Frame):
+            rows = build_frame(spec, rows)
+        return covariant_derivative(psi, rows, nested=True)
 
-    return FieldSampler(gradient, VECTOR_BISPINOR,
-                        name=f"gradient({psi.name})", batch=gradient)
+    return FieldSampler(
+        lambda x: gradient(build_frame(spec, [x.coords], x.chart_id))[0],
+        VECTOR_BISPINOR, name=f"gradient({psi.name})", batch=gradient)
 
 
-def _massless(field: FieldSampler, spec: MetricSpec, x):
+def _massless(field: FieldSampler, frame: Frame):
     """(massless residual, the D_nu Psi~_s it contracts), with the field
     sampled on the outer frame, which a gradient field also takes its
     inner derivative on."""
-    frame, single = as_frame(spec, x)
     _, d = centre_covariant(field.at(frame.outer), frame, field.kind)
     # the closed-form blocks alpha~^nu = i gamma5 eps_r^{nu s mu} gamma_mu
-    res = np.einsum("xnrsik,xnsk->xri", _eps_gamma(frame.gammas), d)
-    return (res[0], d[0]) if single else (res, d)
+    return np.einsum("xnrsik,xnsk->xri", eps_gamma(frame.gammas), d), d
 
 
-def massless_residual(field: FieldSampler, spec: MetricSpec, x) -> np.ndarray:
-    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s,
-    differentiated on the outer frame (outer step, Richardson), as a field
-    that is itself finite-difference built (a gradient field) needs."""
-    return _massless(field, spec, x)[0]
+def massless_residual(field: FieldSampler, frame: Frame) -> np.ndarray:
+    """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s
+    on a frame's rows, differentiated on the outer frame (outer step,
+    Richardson), as a field that is itself finite-difference built (a
+    gradient field) needs."""
+    return _massless(field, frame)[0]
 
 
-def gradient_residual(psi: FieldSampler, spec: MetricSpec, x):
-    """(massless residual of the gradient field of psi, its scale), both
-    from one outer derivative of the gradient field; the scale is the
+def gradient_residual(psi: FieldSampler, frame: Frame):
+    """(massless residual of the gradient field of psi, its scale per row),
+    both from one outer derivative of the gradient field; the scale is the
     magnitude of the derivative entries feeding the residual, the
-    yardstick against which 'the residual cancels' is measured (per row
-    on rows)."""
-    res, d = _massless(gradient_sampler(psi, spec), spec, x)
-    scale = np.maximum(np.max(np.abs(d), axis=(-3, -2, -1)), 1e-300)
-    return res, float(scale) if scale.ndim == 0 else scale
+    yardstick against which 'the residual cancels' is measured."""
+    res, d = _massless(gradient_sampler(psi, frame.spec), frame)
+    return res, np.maximum(np.max(np.abs(d), axis=(-3, -2, -1)), 1e-300)
 
 
-def einstein_prediction(psi: FieldSampler, spec: MetricSpec, x,
+def einstein_prediction(psi: FieldSampler, frame: Frame,
                         constant: complex = C0) -> np.ndarray:
-    """constant * G_rb gamma^b(x) psi(x)."""
-    frame, single = as_frame(spec, x)
+    """constant * G_rb gamma^b(x) psi(x) on a frame's rows."""
     # psi point by point: the suite's one FieldSampler.__call__, which
     # perfbench traces as ``fields.sampler`` (``FieldSampler.at`` untraced)
     values = np.stack([psi(Point(c, frame.chart_id)) for c in frame.coords])
-    out = constant * np.einsum(
+    return constant * np.einsum(
         "xrb,xbij,xj->xri", frame.curvature.einstein, frame.gammas.gamma_up,
         values
     )
-    return out[0] if single else out
 
 
-def gauge_criterion(psi: FieldSampler, spec: MetricSpec, x):
-    """(direct, predicted) residual pair.
+def gauge_criterion(psi: FieldSampler, frame: Frame):
+    """(direct, predicted) residual pair on a frame's rows.
 
     direct    = massless residual of the gradient field of psi;
     predicted = C0 * G_rb gamma^b(x) psi(x) with the frozen constant.
     Both vanish precisely where the Einstein tensor (contracted with
     gamma psi) does.
     """
-    direct = massless_residual(gradient_sampler(psi, spec), spec, x)
-    return direct, einstein_prediction(psi, spec, x)
+    direct = massless_residual(gradient_sampler(psi, frame.spec), frame)
+    return direct, einstein_prediction(psi, frame)
 
 
-def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point
-                            ) -> complex:
+def fit_prediction_constant(psi: FieldSampler, frame: Frame) -> complex:
     """Least-squares fit of the constant in front of the Einstein-tensor
-    prediction at one point; FitDegenerate if the point is vacuous."""
-    direct = massless_residual(gradient_sampler(psi, spec), spec, x)
-    unit = einstein_prediction(psi, spec, x, constant=1.0)
+    prediction over a frame's rows; FitDegenerate if they are vacuous."""
+    direct = massless_residual(gradient_sampler(psi, frame.spec), frame)
+    unit = einstein_prediction(psi, frame, constant=1.0)
     norm = float(np.sum(np.abs(unit) ** 2))
     if norm < 1e-16:
         raise FitDegenerate(
-            "Einstein-tensor prediction vanishes at the fit point; "
-            "pick a non-vacuum point with gamma psi != 0"
+            "Einstein-tensor prediction vanishes at the fit points; "
+            "pick non-vacuum points with gamma psi != 0"
         )
     return complex(np.sum(direct * unit.conj()) / norm)
 
@@ -122,8 +121,9 @@ def fit_prediction_constant(psi: FieldSampler, spec: MetricSpec, x: Point
 EPS_DET_SIGN = -1.0
 
 
-def epsilon_contraction_check(spec: MetricSpec, x) -> dict:
-    """Two routes to the double-eps curvature contraction.
+def epsilon_contraction_check(frame: Frame) -> dict:
+    """Two routes to the double-eps curvature contraction on a frame's
+    rows.
 
     ``raw[r, t]``           = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
     ``det_expanded[r, t]``  = the same with the eps product replaced by
@@ -133,7 +133,6 @@ def epsilon_contraction_check(spec: MetricSpec, x) -> dict:
     With indices raised and lowered by one metric the raw contraction
     equals EPS_DET_SIGN times the determinant expansion.
     """
-    frame, single = as_frame(spec, x)
     m, gs, bundle = frame.metric, frame.gammas, frame.curvature
 
     eps_first = np.einsum("xrl,xlnsm->xrnsm", m.g_lower, gs.eps_upper)
@@ -155,7 +154,6 @@ def epsilon_contraction_check(spec: MetricSpec, x) -> dict:
     )
     det_expanded = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, det)
     einstein_mixed = np.einsum("xrb,xbt->xrt", bundle.einstein, g_up)
-    out = {"raw": raw, "det_expanded": det_expanded,
-           "einstein_combination": 4.0 * einstein_mixed}
-    return {**{k: v[0] if single else v for k, v in out.items()},
+    return {"raw": raw, "det_expanded": det_expanded,
+            "einstein_combination": 4.0 * einstein_mixed,
             "sign": EPS_DET_SIGN}

@@ -384,22 +384,21 @@ def _chk_sigma_commutator(ctx):
 
 
 def _chk_commutator_curvature(ctx):
-    alg = spinor_commutator_curvature(ctx.spec, ctx.frame)
-    fd = connection_curvature_fd(ctx.spec, ctx.frame)
+    alg = spinor_commutator_curvature(ctx.frame)
+    fd = connection_curvature_fd(ctx.frame)
     errs = _row_rel(_row_max(alg - fd), _row_max(alg), _row_max(fd), 1e-3)
     return len(ctx.points), _worst(*errs)
 
 
 def _chain_errors(ctx, fields, nested, algebraic) -> float:
-    """The worst error over the chain points of ``nested(field, spec,
-    frame)`` against ``algebraic(frame, psi)``, with psi the field on the
-    chain frame, relative per point to the largest of both sides and
-    psi."""
+    """The worst error over the chain points of ``nested(field, frame)``
+    against ``algebraic(frame, psi)``, with psi the field on the chain
+    frame, relative per point to the largest of both sides and psi."""
     frame = ctx.chain_frame
     worst = 0.0
     for fld in fields:
         psi = fld.at(frame)
-        worst = _worst(worst, _max_row_rel(nested(fld, ctx.spec, frame),
+        worst = _worst(worst, _max_row_rel(nested(fld, frame),
                                            algebraic(frame, psi), psi))
     return worst
 
@@ -407,7 +406,7 @@ def _chain_errors(ctx, fields, nested, algebraic) -> float:
 def _chk_commutator_decomposition(ctx):
     return len(ctx.chain_points()), _chain_errors(
         ctx, ctx.vb_fixtures[:3], rso.second_covariant_comm,
-        lambda frame, psi: rso._curvature_commutator(frame, psi)[0])
+        lambda frame, psi: rso.curvature_commutator(frame, psi)[0])
 
 
 #: the contraction path numpy picks (``optimize=True``) for 1.10b's
@@ -430,14 +429,14 @@ def _chk_sigma_ricci_contraction(ctx):
 def _chk_curvature_bridge(ctx):
     return len(ctx.chain_points()), _chain_errors(
         ctx, ctx.vb_fixtures[:3], rso.bridge_commutator,
-        rso._ricci_contraction)
+        rso.ricci_contraction)
 
 
 def _chk_gamma_contraction(ctx):
     frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        lhs, rhs = rso.contraction_identity(fld, ctx.spec, frame, ctx.mass)
+        lhs, rhs = rso.contraction_identity(fld, frame, ctx.mass)
         psi = fld.at(frame.coords, frame.chart_id)
         worst = _worst(worst, _max_row_rel(lhs, rhs, psi))
     return len(ctx.points), worst
@@ -452,7 +451,7 @@ def _chk_divergence_form(ctx):
     worst = 0.0
     for w in waves:
         # gamma.residual and (2/3) of the first constraint, from one D Psi
-        lhs, rhs = rso.contraction_identity(w, ctx.spec, frame, mass)
+        lhs, rhs = rso.contraction_identity(w, frame, mass)
         chi = 1.5 * rhs
         scale = np.maximum(_row_max(w.at(frame.coords, frame.chart_id)), 1e-6)
         worst = _worst(worst, float(np.max(_row_max(lhs) / scale)),
@@ -463,15 +462,15 @@ def _chk_divergence_form(ctx):
 def _chk_derivative_chain(ctx):
     return len(ctx.chain_points()), _chain_errors(
         ctx, ctx.vb_fixtures, partial(rso.derivative_chain, mass=ctx.mass),
-        partial(rso._chain_rhs, mass=ctx.mass))
+        partial(rso.chain_rhs, mass=ctx.mass))
 
 
 def _chk_constraint_reduction(ctx):
     worst = 0.0
     for fld in ctx.vb_fixtures[:3]:
         psi = fld.at(ctx.frame)
-        rhs_chain = rso._chain_rhs(ctx.frame, psi, ctx.mass)
-        c2 = rso._constraint_two(ctx.frame, psi, ctx.mass)
+        rhs_chain = rso.chain_rhs(ctx.frame, psi, ctx.mass)
+        c2 = rso.constraint_two(ctx.frame, psi, ctx.mass)
         worst = _worst(worst, _max_row_rel(rhs_chain, c2, psi))
     return len(ctx.points), worst
 
@@ -482,7 +481,7 @@ def _chk_flat_reduction(ctx):
     mass = rso.MassParam(ctx.mass.m or 1.0)
     worst = 0.0
     for w in waves:
-        rep = rso.flat_reduction_check(w, mass, ctx.frame)
+        rep = rso.flat_reduction_check(w, ctx.frame, mass)
         scale = max(rep["scale"], 1e-6)
         worst = _worst(worst, rep["max_rs_residual"] / scale,
                        rep["max_match_error"] / scale)
@@ -502,7 +501,7 @@ def _chk_vacuum_constraint(ctx):
     worst = 0.0
     for fld in fields:
         psi = fld.at(ctx.frame)
-        c2 = rso._constraint_two(ctx.frame, psi, ctx.mass)
+        c2 = rso.constraint_two(ctx.frame, psi, ctx.mass)
         worst = _worst(worst, *_row_rel(
             _row_max(c2), np.maximum(_row_max(psi), 1e-6) * kappa2))
     return len(ctx.points), worst
@@ -518,13 +517,13 @@ def _chk_einstein_space(ctx):
 
 def _chk_einstein_factor(ctx):
     frame = ctx.frame
-    factor = rso.einstein_space_factor(ctx.spec, frame, ctx.mass)
+    factor = rso.einstein_space_factor(frame, ctx.mass)
     worst = 0.0
     vacuous = 0
     for fld in ctx.vb_fixtures[:3]:
         psi = fld.at(frame)
         phi = np.einsum("xrij,xrj->xi", frame.gammas.gamma_up, psi)
-        c2 = rso._constraint_two(frame, psi, ctx.mass)
+        c2 = rso.constraint_two(frame, psi, ctx.mass)
         phi_max = _row_max(phi)
         empty = phi_max < 1e-8 * np.maximum(_row_max(psi), 1e-30)
         vacuous += int(empty.sum())
@@ -534,11 +533,11 @@ def _chk_einstein_factor(ctx):
     return len(ctx.points), worst, f"vacuous_points={vacuous}"
 
 
-def _term_by_term_residual(fld, spec, frame, mass):
+def _term_by_term_residual(fld, frame, mass):
     """Independent evaluation of the wave equation on a frame's rows, term
     by term."""
     gs = frame.gammas
-    d = rso.covariant_derivative(fld, spec, frame)
+    d = rso.covariant_derivative(fld, frame)
     psi = fld.at(frame.coords, frame.chart_id)
     gu, g_up = gs.gamma_up, gs.metric.g_upper
     t1 = np.einsum("xaij,xasj->xsi", gu, d) + mass.kappa * psi
@@ -556,8 +555,8 @@ def _chk_operator_form(ctx):
     frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        blocks = rso.rs_residual(fld, ctx.spec, frame, ctx.mass)
-        terms, psi = _term_by_term_residual(fld, ctx.spec, frame, ctx.mass)
+        blocks = rso.rs_residual(fld, frame, ctx.mass)
+        terms, psi = _term_by_term_residual(fld, frame, ctx.mass)
         worst = _worst(worst, _max_row_rel(blocks, terms, psi))
     return len(ctx.points), worst
 
@@ -630,7 +629,7 @@ def _chk_beta_dual_forms(ctx):
 def _chk_massless_gradient(ctx):
     errs = []
     for psi in ctx.sp_fixtures:
-        direct, scale = gauge_mod.gradient_residual(psi, ctx.spec, ctx.frame)
+        direct, scale = gauge_mod.gradient_residual(psi, ctx.frame)
         errs.append(_row_rel(_row_max(direct), scale))
     # one error per point, NaN-propagating over the fixtures
     return len(ctx.points), np.maximum.reduce(errs)
@@ -639,7 +638,7 @@ def _chk_massless_gradient(ctx):
 def _chk_gauge_criterion_nonzero(ctx):
     errs = []
     for psi in ctx.sp_fixtures:
-        direct, predicted = gauge_mod.gauge_criterion(psi, ctx.spec, ctx.frame)
+        direct, predicted = gauge_mod.gauge_criterion(psi, ctx.frame)
         pred_norm = _row_max(predicted)
         err = _row_rel(_row_max(direct - predicted), pred_norm)
         # a vanishing prediction misses the expected nonzero obstruction
@@ -648,7 +647,7 @@ def _chk_gauge_criterion_nonzero(ctx):
 
 
 def _chk_eps_determinant(ctx):
-    rep = gauge_mod.epsilon_contraction_check(ctx.spec, ctx.frame)
+    rep = gauge_mod.epsilon_contraction_check(ctx.frame)
     raw, det = rep["raw"], rep["det_expanded"]
     scale = (_row_max(raw), _row_max(det), ctx.met_class.riemann_scale, 1e-3)
     errs = np.maximum(

@@ -12,14 +12,17 @@ similarity (with S = I + a gamma gamma, S^-1 = I + b gamma gamma,
 a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
-Functions at ``x`` take a Point, (n, 4) coordinates or a Frame and return
-one row per row; the nested-difference ones take every row's outer
-stencil from the frame's one stacked outer frame (``Frame.outer``).
+Functions that evaluate a field or the curvature take a Frame and return
+one row per frame row; those given the field values psi [n, ...] on the
+frame's rows (``chain_rhs``, ``curvature_commutator``,
+``ricci_contraction``, ``constraint_two``) sample nothing.  The
+nested-difference ones take every row's outer stencil from the frame's
+one stacked outer frame (``Frame.outer``).
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 Every block product is one dense (..., 16, 16) matmul.  The
 multi-operand einsums (the gamma triples of ``_alpha_beta_rows`` and
-``transform_printed``, ``_eps_gamma`` and ``beta_tilde_eps_form``) carry
+``transform_printed``, ``eps_gamma`` and ``beta_tilde_eps_form``) carry
 the fixed contraction path numpy would pick for them, so each runs as
 pairwise products instead of one nested loop over every index, without a
 path search on every call; the two-operand contractions over a frame's
@@ -36,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
-from .geometry import MetricSpec, riemann_mixed
+from .geometry import riemann_mixed
 from .numerics import (
     PAIRWISE,
     differences,
@@ -44,12 +47,7 @@ from .numerics import (
     read_only,
     stencil,
 )
-from .spin_frame import (
-    Frame,
-    GammaSet,
-    as_frame,
-    spinor_commutator_curvature,
-)
+from .spin_frame import Frame, GammaSet, spinor_commutator_curvature
 
 
 @dataclass
@@ -230,24 +228,19 @@ def _covariant_rows(field, frame: Frame, nested=False, include_spin=True):
 
 def covariant_derivative(
     field: FieldSampler,
-    spec: MetricSpec,
-    x,
+    frame: Frame,
     nested: bool = False,
     include_spin: bool = True,
 ) -> np.ndarray:
-    """D_nu of a sampler at a Point ``x``, or on the rows of an (n, 4)
-    coordinate array or a Frame.
+    """D_nu of a sampler on a frame's rows.
 
     Vector-bispinor fields get the Christoffel term on the vector index
     and the bispinor connection on the spinor index; bispinor fields only
-    the connection (they are coordinate scalars).  Returns [nu, be, s] or
-    [nu, s], with a leading row axis for rows.  ``nested`` picks the
-    nested step policy of ``numerics``, for a derivative that feeds
-    another one.
+    the connection (they are coordinate scalars).  Returns [n, nu, be, s]
+    or [n, nu, s].  ``nested`` picks the nested step policy of
+    ``numerics``, for a derivative that feeds another one.
     """
-    frame, single = as_frame(spec, x)
-    d, _ = _covariant_rows(field, frame, nested, include_spin)
-    return d[0] if single else d
+    return _covariant_rows(field, frame, nested, include_spin)[0]
 
 
 def _residual(frame, d, psi, mass):
@@ -265,48 +258,28 @@ def _first_constraint(frame, d, psi, mass):
     return div - 0.5 * mass.kappa * trace
 
 
-def rs_residual(field: FieldSampler, spec: MetricSpec, x, mass: MassParam
+def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam
                 ) -> np.ndarray:
-    """Left side of the wave equation at a Point, or on (n, 4) rows or a
-    Frame: (alpha^nu D_nu + kappa beta) Psi."""
-    frame, single = as_frame(spec, x)
+    """Left side of the wave equation on a frame's rows:
+    (alpha^nu D_nu + kappa beta) Psi."""
     d, psi = _covariant_rows(field, frame)
-    res = _residual(frame, d, psi, mass)
-    return res[0] if single else res
+    return _residual(frame, d, psi, mass)
 
 
-def divergence_combo(field, spec, x, mass) -> np.ndarray:
-    """The first-constraint combination D_be Psi^be - (kappa/2) gamma_be Psi^be
-    at a Point, or on (n, 4) rows or a Frame."""
-    frame, single = as_frame(spec, x)
-    d, psi = _covariant_rows(field, frame)
-    out = _first_constraint(frame, d, psi, mass)
-    return out[0] if single else out
-
-
-def contraction_identity(field, spec, x, mass):
+def contraction_identity(field, frame: Frame, mass):
     """gamma-contraction of the residual vs (2/3) of the first-constraint
-    combination, at a Point or on rows or a Frame; equal for arbitrary
-    smooth fields.  Both sides share one D_nu Psi."""
-    frame, single = as_frame(spec, x)
+    combination D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows;
+    equal for arbitrary smooth fields.  Both sides share one D_nu Psi."""
     d, psi = _covariant_rows(field, frame)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
-    rhs = (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
-    return (lhs[0], rhs[0]) if single else (lhs, rhs)
+    return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
 
 
-def constraint_two_residual(field, spec, x, mass):
+def constraint_two(frame: Frame, psi, mass):
     """The algebraic constraint
-    1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r."""
-    frame, single = as_frame(spec, x)
-    out = _constraint_two(frame, field.at(frame), mass)
-    return out[0] if single else out
-
-
-def _constraint_two(frame, psi, mass):
-    """The algebraic constraint on a frame's rows from the field values
-    psi [n, be, s] there."""
+    1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r on a frame's
+    rows from the field values psi [n, be, s] there."""
     gs, bundle = frame.gammas, frame.curvature
     psi_up = np.einsum("xbl,xlj->xbj", gs.metric.g_upper, psi)
     # einsum's summation order follows its operands' memory layout; a
@@ -317,12 +290,11 @@ def _constraint_two(frame, psi, mass):
     return t1 + (0.5 * mass.kappa**2 - bundle.scalar[:, None] / 12.0) * phi
 
 
-def einstein_space_factor(spec, x, mass):
+def einstein_space_factor(frame: Frame, mass):
     """The scalar 1/2 (R/12 - m^2) multiplying gamma^r Psi_r when
-    R_ab = (R/4) g_ab (uses kappa^2 = -m^2 under the default convention)."""
-    frame, single = as_frame(spec, x)
-    out = 0.5 * (frame.curvature.scalar / 12.0 + mass.kappa**2)
-    return out[0] if single else out
+    R_ab = (R/4) g_ab, per row (uses kappa^2 = -m^2 under the default
+    convention)."""
+    return 0.5 * (frame.curvature.scalar / 12.0 + mass.kappa**2)
 
 
 def centre_covariant(values, frame: Frame, kind: str):
@@ -336,7 +308,7 @@ def _nested_commutator(frame: Frame, field, include_spin):
     """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
     nested differences over its outer frame, the spin connection
     optional."""
-    inner = covariant_derivative(field, frame.spec, frame.outer, nested=True,
+    inner = covariant_derivative(field, frame.outer, nested=True,
                                  include_spin=include_spin)
     v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
     gam = frame.christoffel
@@ -348,16 +320,17 @@ def _nested_commutator(frame: Frame, field, include_spin):
     return t - t.transpose(0, 2, 1, 3, 4)
 
 
-def second_covariant_comm(field, spec, x):
-    """[D_al, D_be] Psi by nested differences, indexed [al, be, c, s]."""
-    frame, single = as_frame(spec, x)
-    out = _nested_commutator(frame, field, True)
-    return out[0] if single else out
+def second_covariant_comm(field, frame: Frame):
+    """[D_al, D_be] Psi by nested differences on a frame's rows, indexed
+    [x, al, be, c, s]."""
+    return _nested_commutator(frame, field, True)
 
 
-def _curvature_commutator(frame: Frame, psi):
-    """(algebraic [D_a, D_b] Psi_c on a frame's rows, spinor curvature)."""
-    dhat = spinor_commutator_curvature(frame.spec, frame)
+def curvature_commutator(frame: Frame, psi):
+    """The curvature form of [D_al, D_be] Psi on a frame's rows from the
+    field values psi [n, be, s] there, indexed [x, al, be, c, s] (the
+    vector plus the spinor curvature), and the spinor curvature."""
+    dhat = spinor_commutator_curvature(frame)
     rmix = riemann_mixed(frame.curvature, frame.metric)
     # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
     comm = (-np.einsum("xlcab,xls->xabcs", rmix, psi, optimize=PAIRWISE)
@@ -365,38 +338,16 @@ def _curvature_commutator(frame: Frame, psi):
     return comm, dhat
 
 
-def commutator_curvature(field, spec, x):
-    """The curvature form of [D_al, D_be] Psi, indexed [al, be, c, s]: the
-    vector plus the spinor curvature."""
-    frame, single = as_frame(spec, x)
-    comm, _ = _curvature_commutator(frame, field.at(frame))
-    return comm[0] if single else comm
-
-
-def commutator_decomposition(field, spec, x):
-    """Nested-difference [D_al, D_be] Psi vs its curvature form."""
-    return (second_covariant_comm(field, spec, x),
-            commutator_curvature(field, spec, x))
-
-
-def bridge_commutator(field, spec, x):
-    """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be by nested
-    differences of Christoffel-only derivatives."""
-    frame, single = as_frame(spec, x)
+def bridge_commutator(field, frame: Frame):
+    """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be on a
+    frame's rows by nested differences of Christoffel-only derivatives;
+    equal to ``ricci_contraction``."""
     comm = _nested_commutator(frame, field, False)
     w = np.einsum("xnc,xancs->xas", frame.metric.g_upper, comm)
-    out = -np.einsum("xaij,xaj->xi", frame.gammas.gamma_up, w)
-    return out[0] if single else out
+    return -np.einsum("xaij,xaj->xi", frame.gammas.gamma_up, w)
 
 
-def ricci_gamma_contraction(field, spec, x):
-    """gamma^al Psi^nu R_{nu al}."""
-    frame, single = as_frame(spec, x)
-    out = _ricci_contraction(frame, field.at(frame))
-    return out[0] if single else out
-
-
-def _ricci_contraction(frame: Frame, psi):
+def ricci_contraction(frame: Frame, psi):
     """gamma^al Psi^nu R_{nu al} on a frame's rows from the field values
     psi [n, be, s] there."""
     psi_up = np.einsum("xnl,xlj->xnj", frame.metric.g_upper, psi)
@@ -404,56 +355,34 @@ def _ricci_contraction(frame: Frame, psi):
                      frame.gammas.gamma_up, psi_up)
 
 
-def curvature_bridge(field, spec, x):
-    """The standalone contraction (bridge commutator, Ricci contraction):
-    -gamma^al [nabla_al, nabla_be] Psi^be = gamma^al Psi^nu R_{nu al}."""
-    return (bridge_commutator(field, spec, x),
-            ricci_gamma_contraction(field, spec, x))
-
-
-def derivative_chain(field, spec, x, mass):
-    """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi, with chi the
-    first-constraint combination.  One inner D_nu Psi on the rows of the
-    outer frame (one ``at`` call over every row's stencil of stencils)
-    gives both the residual and chi there; their outer derivatives at the
-    frame's rows follow.
+def derivative_chain(field, frame: Frame, mass):
+    """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi on a frame's
+    rows, with chi the first-constraint combination; equal to
+    ``chain_rhs`` for any C^3 field.  One inner D_nu Psi on the rows of
+    the outer frame (one ``at`` call over every row's stencil of
+    stencils) gives both the residual and chi there; their outer
+    derivatives at the frame's rows follow.
     """
-    frame, single = as_frame(spec, x)
     outer = frame.outer
     d, psi = _covariant_rows(field, outer, nested=True)
     _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
                                VECTOR_BISPINOR)
     chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
                                  frame, BISPINOR)
-    out = (np.einsum("xnb,xnbi->xi", frame.metric.g_upper, dres)
-           - (2.0 / 3.0) * np.einsum("xaij,xaj->xi", frame.gammas.gamma_up,
-                                     dchi)
-           - mass.kappa * chi)
-    return out[0] if single else out
+    return (np.einsum("xnb,xnbi->xi", frame.metric.g_upper, dres)
+            - (2.0 / 3.0) * np.einsum("xaij,xaj->xi", frame.gammas.gamma_up,
+                                      dchi)
+            - mass.kappa * chi)
 
 
-def derivative_chain_check(field, spec, x, mass):
-    """The derivative chain vs its curvature form, an identity for any C^3
-    field."""
-    return (derivative_chain(field, spec, x, mass),
-            chain_rhs_algebraic(field, spec, x, mass))
-
-
-def chain_rhs_algebraic(field, spec, x, mass):
-    """The curvature form of the derivative chain:
+def chain_rhs(frame: Frame, psi, mass):
+    """The curvature form of the derivative chain on a frame's rows from
+    the field values psi [n, be, s] there:
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
     algebraic form (vector curvature + spinor curvature)."""
-    frame, single = as_frame(spec, x)
-    out = _chain_rhs(frame, field.at(frame), mass)
-    return out[0] if single else out
-
-
-def _chain_rhs(frame: Frame, psi, mass):
-    """The curvature form of the derivative chain on a frame's rows from
-    the field values psi [n, be, s] there."""
     gs = frame.gammas
-    comm, dhat = _curvature_commutator(frame, psi)
+    comm, dhat = curvature_commutator(frame, psi)
     contracted = np.einsum("xmb,xambs->xas", gs.metric.g_upper, comm)
     term1 = -np.einsum("xaij,xaj->xi", gs.gamma_up, contracted)
     phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
@@ -505,7 +434,7 @@ def _eps_mixed(gs: GammaSet) -> np.ndarray:
     return np.einsum("...rl,...lnsm->...rnsm", gs.metric.g_lower, gs.eps_upper)
 
 
-def _eps_gamma(gs: GammaSet) -> np.ndarray:
+def eps_gamma(gs: GammaSet) -> np.ndarray:
     """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]."""
     return 1j * np.einsum("ij,...rnsm,...mjk->...nrsik", gs.gamma5,
                           _eps_mixed(gs), gs.gamma_down,
@@ -546,7 +475,7 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
                     optimize=_TRIPLE_PATH) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
-                   + B * _eps_gamma(gs))
+                   + B * eps_gamma(gs))
     return beta_prime, _per_nu(alpha_prime), beta_tilde, _per_nu(alpha_tilde)
 
 
@@ -554,7 +483,7 @@ def tilde_closed_form(gs: GammaSet):
     """The closed-form transformed blocks (on the GammaSet's leading axes):
     (beta~)_r^s = delta - gamma_r gamma^s,
     (alpha~^nu)_r^s = i gamma5 eps_r^{nu s mu} gamma_mu."""
-    return _per_nu(_eps_gamma(gs)), gamma_pair_block(gs, -1.0)
+    return _per_nu(eps_gamma(gs)), gamma_pair_block(gs, -1.0)
 
 
 def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
@@ -571,8 +500,8 @@ def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
 # ---------------------------------------------------------------------------
 
 
-def flat_reduction_check(field: FieldSampler, mass: MassParam,
-                         frame: Frame) -> dict:
+def flat_reduction_check(field: FieldSampler, frame: Frame,
+                         mass: MassParam) -> dict:
     """On Minkowski (Cartesian), fields obeying gamma^a Psi_a = 0 and
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
     residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose

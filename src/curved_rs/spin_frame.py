@@ -11,7 +11,11 @@ e_(b)nu); with it the position-dependent gammas are covariantly constant:
 d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
 A ``Frame`` holds all of this for a set of rows and is the one place
-where geometry is kept and shared; functions of one Point keep nothing.
+where geometry is kept and shared.  The geometry functions here
+(``gamma_set_at``, ``spin_connection``) take a Point or (n, 4) rows and
+keep nothing; the curvature forms of the connection
+(``spinor_commutator_curvature``, ``connection_curvature_fd``) take a
+Frame, like the operator layer.
 """
 
 from __future__ import annotations
@@ -200,16 +204,6 @@ def build_frame(spec: MetricSpec, coords, chart_id: str = None) -> Frame:
                  spec.chart_id if chart_id is None else chart_id)
 
 
-def as_frame(spec: MetricSpec, x):
-    """(frame, single) for a Point (a one-row frame), (n, 4) coordinates of
-    the spec's chart, or a Frame."""
-    if isinstance(x, Frame):
-        return x, False
-    if isinstance(x, Point):
-        return build_frame(spec, x.coords[None, :], x.chart_id), True
-    return build_frame(spec, x), False
-
-
 def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,
                  flat: np.ndarray = None) -> GammaSet:
     """The Dirac matrices at a Point, or on every row of (n, 4) chart
@@ -246,25 +240,22 @@ def spin_connection(spec: MetricSpec, x) -> np.ndarray:
     return read_only(0.5 * conn.reshape(conn.shape[:-1] + (4, 4)))
 
 
-def spinor_commutator_curvature(spec: MetricSpec, x) -> np.ndarray:
+def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
     """The curvature acting on the bispinor index: 1/2 sigma^{nu mu}(x)
-    R_{mu nu be al}(x), returned as Dhat[al, be] (4x4 complex each),
-    antisymmetric in (al, be); at a Point, or on every row of a Frame."""
-    frame, single = as_frame(spec, x)
-    out = 0.5 * np.einsum("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
-                          frame.curvature.riemann_lower, optimize=PAIRWISE)
-    return out[0] if single else out
+    R_{mu nu be al}(x) on every row of a frame, returned as
+    Dhat[x, al, be] (4x4 complex each), antisymmetric in (al, be)."""
+    return 0.5 * np.einsum("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
+                           frame.curvature.riemann_lower, optimize=PAIRWISE)
 
 
-def connection_curvature_fd(spec: MetricSpec, x) -> np.ndarray:
-    """Independent construction of the connection curvature,
-    F[al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
+def connection_curvature_fd(frame: Frame) -> np.ndarray:
+    """Independent construction of the connection curvature on every row
+    of a frame,
+    F[x, al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
     with the derivative taken by Richardson differences of the connection
-    on the outer frame; at a Point, or on every row of a Frame."""
-    frame, single = as_frame(spec, x)
+    on the outer frame."""
     # G[x, al, i, j], dG[x, mu, al, i, j] = d_mu Gamma_al
     G, dG = outer_derivative(frame.outer.connection, frame.coords)
     comm = (np.einsum("xaij,xbjk->xabik", G, G, optimize=PAIRWISE)
             - np.einsum("xbij,xajk->xabik", G, G, optimize=PAIRWISE))
-    out = dG - dG.transpose(0, 2, 1, 3, 4) + comm
-    return out[0] if single else out
+    return dG - dG.transpose(0, 2, 1, 3, 4) + comm

@@ -3,6 +3,8 @@ import pytest
 
 from curved_rs import spacetimes
 from curved_rs.identity_suite import sample_points
+from curved_rs.rs_operator import covariant_derivative
+from curved_rs.spin_frame import build_frame
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +46,22 @@ def all_presets(minkowski, minkowski_spherical, schwarzschild, de_sitter,
 
 def points_of(spec, n=5, seed=1234):
     return sample_points(spec, n, seed)
+
+
+def frame_at(spec, x):
+    """The one-row frame of a Point, which the operator layer evaluates a
+    single point on."""
+    return build_frame(spec, x.coords[None, :], x.chart_id)
+
+
+def first_constraint(fld, frame, mass):
+    """D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows, written
+    out from ``covariant_derivative`` and the frame's Dirac matrices."""
+    gs = frame.gammas
+    d = covariant_derivative(fld, frame)
+    return (np.einsum("xnb,xnbi->xi", gs.metric.g_upper, d)
+            - 0.5 * mass.kappa * np.einsum("xbij,xbj->xi", gs.gamma_up,
+                                           fld.at(frame)))
 
 
 @pytest.fixture(scope="session")

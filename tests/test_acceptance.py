@@ -38,6 +38,8 @@ from curved_rs.spin_frame import (
     spinor_commutator_curvature,
 )
 
+from conftest import first_constraint, frame_at
+
 ALL_PRESETS = [
     ("minkowski_cartesian", {}),
     ("minkowski_spherical", {}),
@@ -147,8 +149,9 @@ def test_criterion_3_curvature_commutator_law():
     for name in ("schwarzschild", "de_sitter_static"):
         spec = spacetimes.load_preset(name)
         for x in suite.sample_points(spec, 20, 42):
-            alg = spinor_commutator_curvature(spec, x)
-            fd = connection_curvature_fd(spec, x)
+            frame = frame_at(spec, x)
+            alg = spinor_commutator_curvature(frame)
+            fd = connection_curvature_fd(frame)
             scale = max(np.max(np.abs(alg)), 1e-3)
             worst_preset = max(worst_preset,
                                float(np.max(np.abs(alg - fd)) / scale))
@@ -156,8 +159,9 @@ def test_criterion_3_curvature_commutator_law():
     spec_doc = spec_from_config(parse_metric_config(SCHW_CFG))
     worst_doc = 0.0
     for x in suite.sample_points(spec_doc, 6, 42):
-        alg = spinor_commutator_curvature(spec_doc, x)
-        fd = connection_curvature_fd(spec_doc, x)
+        frame = frame_at(spec_doc, x)
+        alg = spinor_commutator_curvature(frame)
+        fd = connection_curvature_fd(frame)
         scale = max(np.max(np.abs(alg)), 1e-3)
         worst_doc = max(worst_doc, float(np.max(np.abs(alg - fd)) / scale))
     verdict(3, "curvature-commutator law",
@@ -171,10 +175,10 @@ def test_criterion_4_constraint_operator_identities():
     fld = trig_field(9, box=mink.sample_box)
     num = den = 0.0j
     for x in suite.sample_points(mink, 5, 42):
-        gs = gamma_set_at(mink, x)
-        res = rso.rs_residual(fld, mink, x, rso.MassParam(1.0))
-        lhs = np.einsum("sij,sj->i", gs.gamma_up, res)
-        chi = rso.divergence_combo(fld, mink, x, rso.MassParam(1.0))
+        frame = frame_at(mink, x)
+        res = rso.rs_residual(fld, frame, rso.MassParam(1.0))[0]
+        lhs = np.einsum("sij,sj->i", frame.gammas.gamma_up[0], res)
+        chi = first_constraint(fld, frame, rso.MassParam(1.0))[0]
         num += np.vdot(chi, lhs)
         den += np.vdot(chi, chi)
     coefficient_ok = abs(num / den - 2.0 / 3.0) < 1e-10
@@ -188,12 +192,14 @@ def test_criterion_4_constraint_operator_identities():
         points = suite.sample_points(spec, 10, 42)
         for f in fixtures:
             for x in points:
-                lhs, rhs = rso.contraction_identity(f, spec, x, mass)
+                frame = frame_at(spec, x)
+                lhs, rhs = rso.contraction_identity(f, frame, mass)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                             np.max(np.abs(f(x))))
                 worst_first = max(worst_first,
                                   float(np.max(np.abs(lhs - rhs)) / scale))
-                lhs2, rhs2 = rso.derivative_chain_check(f, spec, x, mass)
+                lhs2 = rso.derivative_chain(f, frame, mass)
+                rhs2 = rso.chain_rhs(frame, f.at(frame), mass)
                 scale2 = max(np.max(np.abs(lhs2)), np.max(np.abs(rhs2)),
                              np.max(np.abs(f(x))))
                 worst_second = max(worst_second,
@@ -211,7 +217,7 @@ def test_criterion_5_flat_reduction():
     worst_res = worst_match = 0.0
     for boost in (0.0, 0.4, 0.9):
         wave = flat_rs_plane_wave(1.0, boost)
-        rep = rso.flat_reduction_check(wave, rso.MassParam(1.0), frame)
+        rep = rso.flat_reduction_check(wave, frame, rso.MassParam(1.0))
         assert rep["constraints_satisfied"]
         worst_res = max(worst_res, rep["max_rs_residual"])
         worst_match = max(worst_match, rep["max_match_error"] / rep["scale"])
@@ -228,12 +234,12 @@ def test_criterion_6_einstein_space_factor():
         spec = spacetimes.load_preset(name, alpha=1.0)
         fld = polynomial_field(5, box=spec.sample_box)
         for x in suite.sample_points(spec, 6, 42):
-            gs = gamma_set_at(spec, x)
-            phi = np.einsum("rij,rj->i", gs.gamma_up, fld(x))
+            frame = frame_at(spec, x)
+            phi = np.einsum("rij,rj->i", frame.gammas.gamma_up[0], fld(x))
             if np.max(np.abs(phi)) < 1e-10:
                 continue  # vacuous point
-            c2 = rso.constraint_two_residual(fld, spec, x, mass)
-            factor = rso.einstein_space_factor(spec, x, mass)
+            c2 = rso.constraint_two(frame, fld.at(frame), mass)[0]
+            factor = rso.einstein_space_factor(frame, mass)[0]
             scale = max(np.max(np.abs(c2)), np.max(np.abs(phi)))
             worst = max(worst,
                         float(np.max(np.abs(c2 - factor * phi)) / scale))
@@ -244,10 +250,11 @@ def test_criterion_6_einstein_space_factor():
     ads = spacetimes.load_preset("anti_de_sitter_static", alpha=1.0)
     x0 = suite.sample_points(ads, 1, 42)[0]
     scalar = curvature(ads, x0).scalar
+    frame0 = frame_at(ads, x0)
     lo, hi = 0.0, 2.0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if rso.einstein_space_factor(ads, x0, rso.MassParam(mid)).real > 0:
+        if rso.einstein_space_factor(frame0, rso.MassParam(mid))[0].real > 0:
             lo = mid
         else:
             hi = mid
@@ -266,9 +273,10 @@ def test_criterion_7_gauge_dichotomy():
         spec = spacetimes.load_preset(name)
         psis = fixture_family(44, 2, BISPINOR, spec.sample_box)
         for x in suite.sample_points(spec, 8, 42):
+            frame = frame_at(spec, x)
             for psi in psis:
-                direct, predicted = gauge_criterion(psi, spec, x)
-                scale = gradient_residual(psi, spec, x)[1]
+                direct, predicted = gauge_criterion(psi, frame)
+                scale = gradient_residual(psi, frame)[1][0]
                 worst_zero = max(
                     worst_zero, float(np.max(np.abs(direct)) / scale))
     frw = spacetimes.load_preset("frw_dust", a0=1.0)
@@ -277,7 +285,7 @@ def test_criterion_7_gauge_dichotomy():
     nonzero_everywhere = True
     for x in suite.sample_points(frw, 8, 42):
         for psi in psis:
-            direct, predicted = gauge_criterion(psi, frw, x)
+            direct, predicted = gauge_criterion(psi, frame_at(frw, x))
             denom = float(np.max(np.abs(predicted)))
             if denom <= 1e-10:
                 nonzero_everywhere = False
@@ -333,5 +341,5 @@ def test_gauge_constant_calibration_regression():
         spec = spacetimes.load_preset(name)
         psi = polynomial_field(60, kind=BISPINOR, box=spec.sample_box)
         x = suite.sample_points(spec, 1, 13)[0]
-        assert fit_prediction_constant(psi, spec, x) == pytest.approx(
+        assert fit_prediction_constant(psi, frame_at(spec, x)) == pytest.approx(
             C0, abs=1e-6)

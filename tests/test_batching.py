@@ -39,7 +39,7 @@ from curved_rs.spin_frame import (
     spin_connection,
 )
 
-from conftest import points_of
+from conftest import first_constraint, frame_at, points_of
 
 MASS = MassParam(1.0)
 
@@ -47,9 +47,15 @@ def _rows(spec, n=3):
     return np.stack([p.coords for p in points_of(spec, n, seed=77)])
 
 
-def _rows_sampler(fn, kind, name):
-    """A sampler whose rows all go through one call of ``fn``."""
-    return FieldSampler(fn, kind, name=name, batch=fn)
+def _rows_sampler(spec, fn, kind, name):
+    """A sampler whose rows all go through one call of ``fn`` on their
+    frame; a Point is a one-row frame."""
+
+    def batch(rows):
+        return fn(build_frame(spec, rows))
+
+    return FieldSampler(lambda x: fn(frame_at(spec, x))[0], kind, name=name,
+                        batch=batch)
 
 
 def _wrapped_samplers(spec):
@@ -58,10 +64,10 @@ def _wrapped_samplers(spec):
     sp = polynomial_field(32, BISPINOR, box=box)
     return {
         "residual": _rows_sampler(
-            lambda x: rso.rs_residual(vb, spec, x, MASS), VECTOR_BISPINOR,
-            "residual"),
+            spec, lambda frame: rso.rs_residual(vb, frame, MASS),
+            VECTOR_BISPINOR, "residual"),
         "first_constraint": _rows_sampler(
-            lambda x: rso.divergence_combo(vb, spec, x, MASS), BISPINOR,
+            spec, lambda frame: first_constraint(vb, frame, MASS), BISPINOR,
             "first-constraint"),
         "gradient": gauge.gradient_sampler(sp, spec),
         "gamma_traceless": gamma_traceless_field(33, spec, box=box),
@@ -154,9 +160,9 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
     for label, sampler in samplers.items():
         with pytest.raises(OutOfDomain):
             sampler.at(coords, schwarzschild.chart_id)
-    with pytest.raises(OutOfDomain):
-        rso.covariant_derivative(trig_field(3), schwarzschild, coords)
     frame = build_frame(schwarzschild, coords)
+    with pytest.raises(OutOfDomain):
+        rso.covariant_derivative(trig_field(3), frame)
     for name in ("metric", "gammas", "christoffel", "connection"):
         with pytest.raises(OutOfDomain):
             getattr(frame, name)
@@ -171,12 +177,13 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
-        res = rso.rs_residual(fld, spec, ctx.frame, ctx.mass)
-        lhs, rhs = rso.contraction_identity(fld, spec, ctx.frame, ctx.mass)
+        res = rso.rs_residual(fld, ctx.frame, ctx.mass)
+        lhs, rhs = rso.contraction_identity(fld, ctx.frame, ctx.mass)
         for i, x in enumerate(ctx.points):
-            one = rso.rs_residual(fld, spec, x, ctx.mass)
+            one = rso.rs_residual(fld, frame_at(spec, x), ctx.mass)[0]
             assert np.max(np.abs(res[i] - one)) <= 1e-13 * np.max(np.abs(one))
-            l1, r1 = rso.contraction_identity(fld, spec, x, ctx.mass)
+            l1, r1 = (a[0] for a in rso.contraction_identity(
+                fld, frame_at(spec, x), ctx.mass))
             for a, b in ((lhs[i], l1), (rhs[i], r1)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     runners = [identity_suite._chk_operator_form,
@@ -216,7 +223,7 @@ def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
 
 def test_rows_must_be_n_by_4(schwarzschild):
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
-        rso.covariant_derivative(trig_field(3), schwarzschild, np.zeros(4))
+        build_frame(schwarzschild, np.zeros(4))
 
 
 def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
@@ -238,13 +245,13 @@ def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
             rso._connect(outer, VECTOR_BISPINOR, d_vb, psi),
             rso._connect(outer, BISPINOR, d_sp, chi),
             rso._residual(outer, d_vb, psi, MASS),
-            rso._curvature_commutator(outer, psi)[0],
-            spin_frame.spinor_commutator_curvature(frw_dust, outer),
+            rso.curvature_commutator(outer, psi)[0],
+            spin_frame.spinor_commutator_curvature(outer),
             identity_suite._sigma_commutator_defect(
                 outer.gammas.sigma_curved, outer.metric.g_upper),
-            gauge.epsilon_contraction_check(frw_dust, outer)["raw"],
+            gauge.epsilon_contraction_check(outer)["raw"],
             rso._nested_commutator(frame, vb, True),
-            spin_frame.connection_curvature_fd(frw_dust, frame),
+            spin_frame.connection_curvature_fd(frame),
         ]
 
     pathed = contractions()
@@ -271,7 +278,7 @@ def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
     def values():
         gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
         printed = rso.transform_printed(gs, 0.25, -0.125, 0.7)
-        return [*rso._alpha_beta_rows(gd, gu, g_up), rso._eps_gamma(gs),
+        return [*rso._alpha_beta_rows(gd, gu, g_up), rso.eps_gamma(gs),
                 rso.beta_tilde_eps_form(gs).blocks,
                 *(m.blocks for m in printed[1] + printed[3]),
                 identity_suite._chk_sigma_ricci_contraction(ctx)[1]]
@@ -634,7 +641,7 @@ def test_derivative_chain_samples_its_fixture_once(schwarzschild,
     fld = trig_field(41, box=schwarzschild.sample_box)
     calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
-    rso.derivative_chain(fld, schwarzschild, x, MASS)
+    rso.derivative_chain(fld, frame_at(schwarzschild, x), MASS)
     assert calls == [17 * 17]
 
 
@@ -644,7 +651,7 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
     fld = trig_field(42, box=schwarzschild.sample_box)
     calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
-    rso.contraction_identity(fld, schwarzschild, x, MASS)
+    rso.contraction_identity(fld, frame_at(schwarzschild, x), MASS)
     assert calls == [9]
 
 

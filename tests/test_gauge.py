@@ -30,13 +30,14 @@ from curved_rs.spin_frame import (
     unitary_transform_gammas,
 )
 
-from conftest import points_of
+from conftest import frame_at, points_of
 
 
 class TestGradientField:
     def test_constant_bispinor_flat(self, minkowski):
         psi = constant_field(np.array([1.0, 2.0, 3.0, 4.0]), BISPINOR)
-        out = covariant_derivative(psi, minkowski, minkowski.point(0, 1, 2, 3))
+        out = covariant_derivative(
+            psi, frame_at(minkowski, minkowski.point(0, 1, 2, 3)))
         assert np.max(np.abs(out)) < 1e-14
 
     def test_plane_wave_analytic(self, minkowski):
@@ -44,7 +45,7 @@ class TestGradientField:
         u = np.array([1.0, 1j, -0.5, 0.25])
         psi = plane_wave(k, u, BISPINOR)
         x = minkowski.point(0.4, 0.1, 0.2, -0.3)
-        out = covariant_derivative(psi, minkowski, x)
+        out = covariant_derivative(psi, frame_at(minkowski, x))[0]
         expected = 1j * np.einsum("b,s->bs", k, psi(x))
         assert np.max(np.abs(out - expected)) < 1e-8 * np.max(np.abs(expected))
 
@@ -52,7 +53,7 @@ class TestGradientField:
         values = np.array([1.0, -2.0, 0.5j, 1.5])
         psi = constant_field(values, BISPINOR)
         x = schwarzschild.point(0.0, 4.5, 1.2, 0.6)
-        out = covariant_derivative(psi, schwarzschild, x)
+        out = covariant_derivative(psi, frame_at(schwarzschild, x))[0]
         G = spin_connection(schwarzschild, x)
         expected = np.einsum("bij,j->bi", G, values)
         assert np.max(np.abs(out - expected)) < 1e-9
@@ -64,23 +65,24 @@ class TestMasslessResidual:
         psi = polynomial_field(31, kind=BISPINOR, box=minkowski.sample_box)
         grad = gradient_sampler(psi, minkowski)
         for x in points_of(minkowski, 3):
-            res = massless_residual(grad, minkowski, x)
+            res = massless_residual(grad, frame_at(minkowski, x))
             assert np.max(np.abs(res)) < 1e-8
 
     def test_ricci_flat_gradient_within_budget(self, schwarzschild):
         psi = trig_field(32, kind=BISPINOR, box=schwarzschild.sample_box)
         grad = gradient_sampler(psi, schwarzschild)
         for x in points_of(schwarzschild, 4):
-            res = massless_residual(grad, schwarzschild, x)
-            scale = gradient_residual(psi, schwarzschild, x)[1]
+            frame = frame_at(schwarzschild, x)
+            res = massless_residual(grad, frame)
+            scale = gradient_residual(psi, frame)[1][0]
             assert np.max(np.abs(res)) < 1e-5 * scale
 
     def test_nonvacuum_gradient_not_a_solution(self, frw_dust):
         psi = polynomial_field(33, kind=BISPINOR, box=frw_dust.sample_box)
         grad = gradient_sampler(psi, frw_dust)
-        x = frw_dust.point(1.0, 0.2, -0.3, 0.5)
-        res = massless_residual(grad, frw_dust, x)
-        scale = gradient_residual(psi, frw_dust, x)[1]
+        frame = frame_at(frw_dust, frw_dust.point(1.0, 0.2, -0.3, 0.5))
+        res = massless_residual(grad, frame)
+        scale = gradient_residual(psi, frame)[1][0]
         assert np.max(np.abs(res)) > 1e-2 * scale
 
     def test_linearity(self, schwarzschild, rng):
@@ -89,17 +91,16 @@ class TestMasslessResidual:
         c1, c2 = 0.7 - 0.2j, -1.3 + 0.4j
         combo = FieldSampler(
             lambda p: c1 * psis[0](p) + c2 * psis[1](p), BISPINOR)
-        x = schwarzschild.point(0.1, 5.0, 1.4, 1.0)
+        frame = frame_at(schwarzschild, schwarzschild.point(0.1, 5.0, 1.4, 1.0))
         direct_combo = massless_residual(
-            gradient_sampler(combo, schwarzschild), schwarzschild, x)
+            gradient_sampler(combo, schwarzschild), frame)
         parts = [
-            massless_residual(gradient_sampler(p, schwarzschild),
-                              schwarzschild, x)
+            massless_residual(gradient_sampler(p, schwarzschild), frame)
             for p in psis
         ]
         # linearity is exact over the FD core; measure against the
         # derivative scale, not the (vanishing) residual
-        scale = max(gradient_residual(p, schwarzschild, x)[1] for p in psis)
+        scale = max(gradient_residual(p, frame)[1][0] for p in psis)
         assert np.max(np.abs(direct_combo - c1 * parts[0] - c2 * parts[1])) \
             < 1e-10 * scale
 
@@ -108,7 +109,7 @@ class TestGaugeCriterion:
     def test_minkowski_both_zero(self, minkowski):
         psi = polynomial_field(51, kind=BISPINOR, box=minkowski.sample_box)
         for x in points_of(minkowski, 3):
-            direct, predicted = gauge_criterion(psi, minkowski, x)
+            direct, predicted = gauge_criterion(psi, frame_at(minkowski, x))
             assert np.max(np.abs(predicted)) < 1e-9
             assert np.max(np.abs(direct)) < 1e-7
 
@@ -117,15 +118,16 @@ class TestGaugeCriterion:
                 trig_field(53, kind=BISPINOR, box=schwarzschild.sample_box)]
         for x in points_of(schwarzschild, 20, seed=5):
             for psi in psis:
-                direct, predicted = gauge_criterion(psi, schwarzschild, x)
-                scale = gradient_residual(psi, schwarzschild, x)[1]
+                frame = frame_at(schwarzschild, x)
+                direct, predicted = gauge_criterion(psi, frame)
+                scale = gradient_residual(psi, frame)[1][0]
                 assert np.max(np.abs(direct)) < 1e-5 * scale
                 assert np.max(np.abs(predicted)) < 1e-5 * scale
 
     def test_frw_matches_prediction(self, frw_dust):
         psi = polynomial_field(54, kind=BISPINOR, box=frw_dust.sample_box)
         for x in points_of(frw_dust, 5):
-            direct, predicted = gauge_criterion(psi, frw_dust, x)
+            direct, predicted = gauge_criterion(psi, frame_at(frw_dust, x))
             denom = np.max(np.abs(predicted))
             assert denom > 1e-6
             assert np.max(np.abs(direct - predicted)) < 1e-4 * denom
@@ -135,23 +137,23 @@ class TestGaugeCriterion:
         spec = request.getfixturevalue(preset)
         psi = trig_field(55, kind=BISPINOR, box=spec.sample_box)
         for x in points_of(spec, 3):
-            direct, predicted = gauge_criterion(psi, spec, x)
+            direct, predicted = gauge_criterion(psi, frame_at(spec, x))
             denom = np.max(np.abs(predicted))
             assert np.max(np.abs(direct - predicted)) < 1e-4 * denom
 
     def test_constant_regression(self, frw_dust):
         # the frozen constant is reproduced by a fresh fit
         psi = polynomial_field(56, kind=BISPINOR, box=frw_dust.sample_box)
-        fitted = fit_prediction_constant(psi, frw_dust,
-                                         frw_dust.point(1.1, 0.2, 0.1, -0.4))
+        fitted = fit_prediction_constant(
+            psi, frame_at(frw_dust, frw_dust.point(1.1, 0.2, 0.1, -0.4)))
         assert fitted == pytest.approx(C0, abs=1e-6)
         assert C0 == 0.5
 
     def test_fit_degenerate_on_flat(self, minkowski):
         psi = polynomial_field(57, kind=BISPINOR, box=minkowski.sample_box)
         with pytest.raises(FitDegenerate):
-            fit_prediction_constant(psi, minkowski,
-                                    minkowski.point(0.1, 0.2, 0.3, 0.4))
+            fit_prediction_constant(
+                psi, frame_at(minkowski, minkowski.point(0.1, 0.2, 0.3, 0.4)))
 
     def test_representation_independence(self, frw_dust, rng):
         # a constant unitary change of the flat representation conjugates
@@ -171,15 +173,16 @@ class TestGaugeCriterion:
         def rotated_pair(nested):
             # gradient field of U psi with the rotated connection U G U+
             def grad_rot(p):
-                d = covariant_derivative(psi, spec, p, nested=nested)
+                d = covariant_derivative(psi, frame_at(spec, p),
+                                         nested=nested)[0]
                 return np.einsum("ij,bj->bi", q, d)
 
             grad = FieldSampler(grad_rot, "vector_bispinor")
             gs = gamma_set_at(spec, x, flat=flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)
-            raw = covariant_derivative(grad, spec, x, nested=nested,
-                                       include_spin=False)
+            raw = covariant_derivative(grad, frame_at(spec, x), nested=nested,
+                                       include_spin=False)[0]
             d = raw + np.einsum("nij,bj->nbi", g_rot, grad(spec.point(*x.coords)))
             eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower,
                                   gs.eps_upper)
@@ -191,7 +194,8 @@ class TestGaugeCriterion:
                 q @ psi(x))
             return direct, predicted
 
-        direct0, predicted0 = gauge_criterion(psi, spec, x)
+        direct0, predicted0 = (a[0] for a in gauge_criterion(
+            psi, frame_at(spec, x)))
         for nested in (False, True):
             direct1, predicted1 = rotated_pair(nested)
             assert np.max(np.abs(
@@ -208,13 +212,13 @@ class TestGaugeCriterion:
 class TestEpsilonContraction:
     def test_flat_everything_zero(self, minkowski):
         rep = epsilon_contraction_check(
-            minkowski, minkowski.point(0.1, 0.2, 0.3, 0.4))
+            frame_at(minkowski, minkowski.point(0.1, 0.2, 0.3, 0.4)))
         assert np.max(np.abs(rep["raw"])) < 1e-9
         assert np.max(np.abs(rep["det_expanded"])) < 1e-9
 
     def test_determinant_matches_raw(self, schwarzschild):
         for x in points_of(schwarzschild, 4):
-            rep = epsilon_contraction_check(schwarzschild, x)
+            rep = epsilon_contraction_check(frame_at(schwarzschild, x))
             scale = max(np.max(np.abs(rep["raw"])), 1e-3)
             assert np.max(np.abs(rep["raw"] - rep["sign"]
                                  * rep["det_expanded"])) < 1e-8 * scale
@@ -222,7 +226,7 @@ class TestEpsilonContraction:
     def test_reduces_to_einstein_combination(self, frw_dust, de_sitter):
         for spec in (frw_dust, de_sitter):
             for x in points_of(spec, 3):
-                rep = epsilon_contraction_check(spec, x)
+                rep = epsilon_contraction_check(frame_at(spec, x))
                 scale = max(np.max(np.abs(rep["raw"])), 1e-3)
                 assert np.max(np.abs(
                     rep["raw"] - rep["einstein_combination"])) < 1e-8 * scale

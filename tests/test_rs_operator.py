@@ -20,19 +20,20 @@ from curved_rs.numerics import STENCIL_POLICY, fd_step, partial4, stencil
 from curved_rs.rs_operator import (
     BlockMatrix16,
     MassParam,
+    bridge_commutator,
     build_alpha_beta,
-    chain_rhs_algebraic,
-    commutator_decomposition,
-    constraint_two_residual,
+    chain_rhs,
+    constraint_two,
     contraction_identity,
     covariant_derivative,
-    curvature_bridge,
-    derivative_chain_check,
-    divergence_combo,
+    curvature_commutator,
+    derivative_chain,
     einstein_space_factor,
     flat_reduction_check,
     gamma_pair_block,
+    ricci_contraction,
     rs_residual,
+    second_covariant_comm,
     tilde_closed_form,
     transform_CS,
     transform_printed,
@@ -42,16 +43,34 @@ from curved_rs.rs_operator import (
 )
 from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
-from conftest import points_of
+from conftest import first_constraint, frame_at, points_of
 
 MASS = MassParam(1.0)
+
+
+def chain_pair(fld, frame):
+    """1.7: the derivative chain and its curvature form."""
+    return derivative_chain(fld, frame, MASS), chain_rhs(frame, fld.at(frame),
+                                                         MASS)
+
+
+def commutator_pair(fld, frame):
+    """1.9: nested-difference [D_al, D_be] Psi and its curvature form."""
+    return (second_covariant_comm(fld, frame),
+            curvature_commutator(frame, fld.at(frame))[0])
+
+
+def bridge_pair(fld, frame):
+    """1.10c: the bridge commutator and the Ricci contraction."""
+    return bridge_commutator(fld, frame), ricci_contraction(frame,
+                                                            fld.at(frame))
 
 
 def residual_term_oracle(fld, spec, x, mass):
     """Term-by-term evaluation of the wave equation, independent of the
     block assembly."""
     gs = gamma_set_at(spec, x)
-    d = covariant_derivative(fld, spec, x)
+    d = covariant_derivative(fld, frame_at(spec, x))[0]
     psi = fld(x)
     gu, g_up = gs.gamma_up, gs.metric.g_upper
     t1 = np.einsum("aij,asj->si", gu, d) + mass.kappa * psi
@@ -84,7 +103,8 @@ class TestMassParam:
 class TestCovariantDerivative:
     def test_constant_bispinor_flat(self, minkowski):
         f = constant_field(np.array([1, 2j, -1, 0.5]), BISPINOR)
-        d = covariant_derivative(f, minkowski, minkowski.point(0, 0, 0, 0))
+        d = covariant_derivative(
+            f, frame_at(minkowski, minkowski.point(0, 0, 0, 0)))[0]
         assert np.max(np.abs(d)) < 1e-14
 
     def test_plane_wave_analytic(self, minkowski):
@@ -92,7 +112,7 @@ class TestCovariantDerivative:
         amp = np.arange(1, 17, dtype=complex).reshape(4, 4)
         f = plane_wave(k, amp, VECTOR_BISPINOR)
         x = minkowski.point(0.3, 0.1, -0.4, 0.2)
-        d = covariant_derivative(f, minkowski, x)
+        d = covariant_derivative(f, frame_at(minkowski, x))[0]
         expected = 1j * np.einsum("n,bs->nbs", k, f(x))
         assert np.max(np.abs(d - expected)) < 1e-8 * np.max(np.abs(expected))
 
@@ -100,7 +120,7 @@ class TestCovariantDerivative:
         values = (np.arange(16) + 1j).reshape(4, 4)
         f = constant_field(values, VECTOR_BISPINOR)
         x = schwarzschild.point(0.0, 4.0, 1.2, 0.7)
-        d = covariant_derivative(f, schwarzschild, x)
+        d = covariant_derivative(f, frame_at(schwarzschild, x))[0]
         gam = christoffel(schwarzschild, x)
         G = spin_connection(schwarzschild, x)
         expected = -np.einsum("lnb,li->nbi", gam, values) + np.einsum(
@@ -149,7 +169,8 @@ class TestBatchedStencil:
     def test_matches_partial4_oracle(self, schwarzschild, kind, make, nested):
         fld = make(21, kind, box=schwarzschild.sample_box)
         for x in points_of(schwarzschild, n=3):
-            got = covariant_derivative(fld, schwarzschild, x, nested=nested)
+            got = covariant_derivative(fld, frame_at(schwarzschild, x),
+                                       nested=nested)[0]
             want = stencil_oracle(fld, schwarzschild, x, nested)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -161,14 +182,12 @@ class TestNestedRoundoff:
     read 4.8e-5 against its 1e-4 band, all of it roundoff."""
 
     @pytest.mark.parametrize("identity", [
-        lambda f, spec, x: derivative_chain_check(f, spec, x, MASS),
-        lambda f, spec, x: commutator_decomposition(f, spec, x),
-        lambda f, spec, x: curvature_bridge(f, spec, x),
+        chain_pair, commutator_pair, bridge_pair,
     ], ids=["chain_1_7", "commutator_1_9", "bridge_1_10c"])
     def test_error_far_below_band(self, anti_de_sitter, identity):
         fld = trig_field(2135483340001, box=anti_de_sitter.sample_box)
         for x in points_of(anti_de_sitter, n=10, seed=2135483339):
-            lhs, rhs = identity(fld, anti_de_sitter, x)
+            lhs, rhs = identity(fld, frame_at(anti_de_sitter, x))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                         np.max(np.abs(fld(x))))
             assert np.max(np.abs(lhs - rhs)) < 1e-7 * scale
@@ -309,7 +328,7 @@ class TestOperatorBlocks:
         for seed in (3, 4):
             fld = polynomial_field(seed, box=spec.sample_box)
             for x in points_of(spec, 3):
-                blocks = rs_residual(fld, spec, x, MASS)
+                blocks = rs_residual(fld, frame_at(spec, x), MASS)[0]
                 terms = residual_term_oracle(fld, spec, x, MASS)
                 scale = max(np.max(np.abs(blocks)), 1.0)
                 assert np.max(np.abs(blocks - terms)) < tol * scale
@@ -322,10 +341,10 @@ class TestContractionIdentity:
         fld = trig_field(9, box=minkowski.sample_box)
         num = den = 0.0j
         for x in points_of(minkowski, 5):
-            gs = gamma_set_at(minkowski, x)
-            res = rs_residual(fld, minkowski, x, MASS)
-            lhs = np.einsum("sij,sj->i", gs.gamma_up, res)
-            chi = divergence_combo(fld, minkowski, x, MASS)
+            frame = frame_at(minkowski, x)
+            res = rs_residual(fld, frame, MASS)[0]
+            lhs = np.einsum("sij,sj->i", frame.gammas.gamma_up[0], res)
+            chi = first_constraint(fld, frame, MASS)[0]
             num += np.vdot(chi, lhs)
             den += np.vdot(chi, chi)
         assert num / den == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -336,14 +355,14 @@ class TestContractionIdentity:
         for seed in (11, 12):
             fld = polynomial_field(seed, box=spec.sample_box)
             for x in points_of(spec, 3):
-                lhs, rhs = contraction_identity(fld, spec, x, MASS)
+                lhs, rhs = contraction_identity(fld, frame_at(spec, x), MASS)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
 
     def test_solution_field_gives_zero(self, minkowski):
         wave = flat_rs_plane_wave(1.0, boost=0.5)
         for x in points_of(minkowski, 3):
-            lhs, _ = contraction_identity(wave, minkowski, x, MASS)
+            lhs, _ = contraction_identity(wave, frame_at(minkowski, x), MASS)
             assert np.max(np.abs(lhs)) < 1e-9
 
 
@@ -426,12 +445,12 @@ class TestResidual:
         for boost in (0.0, 0.4, 1.1):
             wave = flat_rs_plane_wave(1.0, boost)
             for x in points_of(minkowski, 3):
-                res = rs_residual(wave, minkowski, x, MASS)
+                res = rs_residual(wave, frame_at(minkowski, x), MASS)
                 assert np.max(np.abs(res)) < 1e-8
 
     def test_constant_massless_field(self, minkowski):
         f = constant_field(np.ones((4, 4)), VECTOR_BISPINOR)
-        res = rs_residual(f, minkowski, minkowski.point(0, 1, 2, 3),
+        res = rs_residual(f, frame_at(minkowski, minkowski.point(0, 1, 2, 3)),
                           MassParam(0.0))
         assert np.max(np.abs(res)) < 1e-13
 
@@ -440,7 +459,8 @@ class TestConstraintTwo:
     def test_vacuum_traceless_field_vanishes(self, schwarzschild):
         fld = gamma_traceless_field(7, schwarzschild, box=schwarzschild.sample_box)
         for x in points_of(schwarzschild, 4):
-            c2 = constraint_two_residual(fld, schwarzschild, x, MASS)
+            frame = frame_at(schwarzschild, x)
+            c2 = constraint_two(frame, fld.at(frame), MASS)
             assert np.max(np.abs(c2)) < 1e-7 * max(
                 1.0, np.max(np.abs(fld(x))))
 
@@ -450,10 +470,10 @@ class TestConstraintTwo:
         spec = request.getfixturevalue(preset)
         fld = polynomial_field(5, box=spec.sample_box)
         for x in points_of(spec, 4):
-            gs = gamma_set_at(spec, x)
-            phi = np.einsum("rij,rj->i", gs.gamma_up, fld(x))
-            c2 = constraint_two_residual(fld, spec, x, MASS)
-            factor = einstein_space_factor(spec, x, MASS)
+            frame = frame_at(spec, x)
+            phi = np.einsum("rij,rj->i", frame.gammas.gamma_up[0], fld(x))
+            c2 = constraint_two(frame, fld.at(frame), MASS)[0]
+            factor = einstein_space_factor(frame, MASS)[0]
             assert factor == pytest.approx(0.5 * (scalar / 12.0 - 1.0),
                                            rel=1e-5, abs=1e-6)
             assert np.max(np.abs(c2 - factor * phi)) < 1e-6 * max(
@@ -461,12 +481,12 @@ class TestConstraintTwo:
 
     def test_zero_crossing_on_positive_scalar_preset(self, anti_de_sitter):
         # the bracket 1/2 (R/12 - m^2) crosses zero at m = sqrt(R/12) = 1
-        x = anti_de_sitter.point(0.0, 0.4, 1.3, 0.8)
+        frame = frame_at(anti_de_sitter,
+                         anti_de_sitter.point(0.0, 0.4, 1.3, 0.8))
         lo, hi = 0.5, 1.5
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if einstein_space_factor(anti_de_sitter, x,
-                                     MassParam(mid)).real > 0:
+            if einstein_space_factor(frame, MassParam(mid))[0].real > 0:
                 lo = mid
             else:
                 hi = mid
@@ -476,7 +496,7 @@ class TestDerivativeChain:
     def test_flat_within_budget(self, minkowski):
         fld = polynomial_field(3, box=minkowski.sample_box)
         for x in points_of(minkowski, 3):
-            lhs, rhs = derivative_chain_check(fld, minkowski, x, MASS)
+            lhs, rhs = chain_pair(fld, frame_at(minkowski, x))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 2e-6 * scale
 
@@ -486,7 +506,7 @@ class TestDerivativeChain:
         spec = request.getfixturevalue(preset)
         fld = trig_field(8, box=spec.sample_box)
         for x in points_of(spec, 3):
-            lhs, rhs = derivative_chain_check(fld, spec, x, MASS)
+            lhs, rhs = chain_pair(fld, frame_at(spec, x))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
             assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
 
@@ -495,7 +515,7 @@ class TestDerivativeChain:
         spec = request.getfixturevalue(preset)
         fld = polynomial_field(10, box=spec.sample_box)
         for x in points_of(spec, 2):
-            lhs, rhs = commutator_decomposition(fld, spec, x)
+            lhs, rhs = commutator_pair(fld, frame_at(spec, x))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                         np.max(np.abs(fld(x))))
             assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
@@ -504,7 +524,7 @@ class TestDerivativeChain:
         for spec in (schwarzschild, frw_dust):
             fld = polynomial_field(14, box=spec.sample_box)
             for x in points_of(spec, 2):
-                lhs, rhs = curvature_bridge(fld, spec, x)
+                lhs, rhs = bridge_pair(fld, frame_at(spec, x))
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                             np.max(np.abs(fld(x))))
                 assert np.max(np.abs(lhs - rhs)) < 1e-4 * scale
@@ -512,8 +532,10 @@ class TestDerivativeChain:
     def test_reduction_matches_constraint_two(self, de_sitter):
         fld = polynomial_field(2, box=de_sitter.sample_box)
         for x in points_of(de_sitter, 3):
-            chain = chain_rhs_algebraic(fld, de_sitter, x, MASS)
-            c2 = constraint_two_residual(fld, de_sitter, x, MASS)
+            frame = frame_at(de_sitter, x)
+            psi = fld.at(frame)
+            chain = chain_rhs(frame, psi, MASS)
+            c2 = constraint_two(frame, psi, MASS)
             scale = max(np.max(np.abs(chain)), np.max(np.abs(c2)), 1.0)
             assert np.max(np.abs(chain - c2)) < 1e-8 * scale
 
@@ -526,8 +548,8 @@ class TestFlatReduction:
     def test_plane_wave_basis(self, minkowski):
         frame = frame_of(minkowski, 4)
         for boost in (0.0, 0.3):
-            rep = flat_reduction_check(flat_rs_plane_wave(1.0, boost), MASS,
-                                       frame)
+            rep = flat_reduction_check(flat_rs_plane_wave(1.0, boost), frame,
+                                       MASS)
             assert rep["constraints_satisfied"]
             assert rep["reduction_matches"]
             assert rep["max_rs_residual"] < 1e-8
@@ -535,12 +557,12 @@ class TestFlatReduction:
 
     def test_violating_field_flagged(self, minkowski):
         fld = polynomial_field(21, box=minkowski.sample_box)
-        rep = flat_reduction_check(fld, MASS, frame_of(minkowski, 3))
+        rep = flat_reduction_check(fld, frame_of(minkowski, 3), MASS)
         assert not rep["constraints_satisfied"]
 
     def test_zero_field(self, minkowski):
         fld = constant_field(np.zeros((4, 4)), VECTOR_BISPINOR)
-        rep = flat_reduction_check(fld, MASS, frame_of(minkowski, 2))
+        rep = flat_reduction_check(fld, frame_of(minkowski, 2), MASS)
         assert rep["max_rs_residual"] == 0.0
         assert rep["max_dirac_residual"] == 0.0
         assert rep["reduction_matches"]
@@ -554,7 +576,7 @@ class TestMassZeroConsistency:
         grad = gradient_sampler(psi, minkowski)
         zero_mass = MassParam(0.0)
         for x in points_of(minkowski, 3):
-            tilde_res = massless_residual(grad, minkowski, x)
+            tilde_res = massless_residual(grad, frame_at(minkowski, x))
             assert np.max(np.abs(tilde_res)) < 1e-7
 
     def test_untransformed_massless_residual_on_gradient(self, schwarzschild):
@@ -565,13 +587,13 @@ class TestMassZeroConsistency:
         def untransformed(p):
             gs = gamma_set_at(schwarzschild, p)
             s_inv = gamma_pair_block(gs, -1.0)  # inverse of I - (1/3) gg
-            return s_inv.apply(covariant_derivative(psi, schwarzschild, p))
+            return s_inv.apply(
+                covariant_derivative(psi, frame_at(schwarzschild, p))[0])
 
         fld = FieldSampler(untransformed, VECTOR_BISPINOR, name="gauge-orig")
         zero_mass = MassParam(0.0)
         for x in points_of(schwarzschild, 2):
-            res = rs_residual(fld, schwarzschild, x, zero_mass)
-            gs = gamma_set_at(schwarzschild, x)
-            scale = max(np.max(np.abs(covariant_derivative(
-                fld, schwarzschild, x))), 1.0)
+            frame = frame_at(schwarzschild, x)
+            res = rs_residual(fld, frame, zero_mass)
+            scale = max(np.max(np.abs(covariant_derivative(fld, frame))), 1.0)
             assert np.max(np.abs(res)) < 1e-4 * scale
