@@ -35,11 +35,10 @@ C0 = 0.5
 
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
-    ``covariant_derivative`` call, on a Frame with the frame's geometry,
-    or on the frame it builds for raw rows (a stencil's).  It
-    differentiates with the nested step policy (outer step, Richardson),
-    which keeps inner roundoff from being amplified when the sampler feeds a
-    second derivative.
+    ``covariant_derivative`` call, on a Frame or on the frame it builds of
+    raw rows.  It differentiates with the nested step policy (outer step,
+    Richardson), which keeps inner roundoff from being amplified when the
+    sampler feeds a second derivative.
     """
 
     def gradient(rows):
@@ -122,8 +121,7 @@ EPS_DET_SIGN = -1.0
 
 
 def epsilon_contraction_check(frame: Frame) -> dict:
-    """Two routes to the double-eps curvature contraction on a frame's
-    rows.
+    """Two routes to the double-eps curvature contraction, per frame row.
 
     ``raw[r, t]``           = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
     ``det_expanded[r, t]``  = the same with the eps product replaced by

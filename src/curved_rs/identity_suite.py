@@ -152,11 +152,17 @@ class SuiteContext:
         return build_frame(self.spec, [x.coords for x in self.chain_points()])
 
     @cached_property
+    def blocks(self) -> tuple:
+        """``build_alpha_beta`` of the frame's gammas, shared by 2.2, 2.6
+        and ``generic_transform``."""
+        return rso.build_alpha_beta(self.frame.gammas)
+
+    @cached_property
     def generic_transform(self) -> tuple:
         """(``transform_CS``, ``transform_printed``) of the frame's blocks
         at ``_GENERIC_ABC``, which 2.3 and 2.5 compare stage by stage."""
         gs = self.frame.gammas
-        return (rso.transform_CS(*rso.build_alpha_beta(gs), gs, *_GENERIC_ABC),
+        return (rso.transform_CS(*self.blocks, gs, *_GENERIC_ABC),
                 rso.transform_printed(gs, *_GENERIC_ABC))
 
 
@@ -433,12 +439,10 @@ def _chk_curvature_bridge(ctx):
 
 
 def _chk_gamma_contraction(ctx):
-    frame = ctx.frame
     worst = 0.0
     for fld in ctx.vb_fixtures:
-        lhs, rhs = rso.contraction_identity(fld, frame, ctx.mass)
-        psi = fld.at(frame.coords, frame.chart_id)
-        worst = _worst(worst, _max_row_rel(lhs, rhs, psi))
+        worst = _worst(worst, _max_row_rel(
+            *rso.contraction_identity(fld, ctx.frame, ctx.mass)))
     return len(ctx.points), worst
 
 
@@ -447,13 +451,12 @@ def _chk_divergence_form(ctx):
              for boost in (0.0, 0.4)]
     mass = rso.MassParam(ctx.mass.m or 1.0)
 
-    frame = ctx.frame
     worst = 0.0
     for w in waves:
         # gamma.residual and (2/3) of the first constraint, from one D Psi
-        lhs, rhs = rso.contraction_identity(w, frame, mass)
+        lhs, rhs, psi = rso.contraction_identity(w, ctx.frame, mass)
         chi = 1.5 * rhs
-        scale = np.maximum(_row_max(w.at(frame.coords, frame.chart_id)), 1e-6)
+        scale = np.maximum(_row_max(psi), 1e-6)
         worst = _worst(worst, float(np.max(_row_max(lhs) / scale)),
                        float(np.max(_row_max(chi) / scale)))
     return len(ctx.points), worst
@@ -562,7 +565,7 @@ def _chk_operator_form(ctx):
 
 
 def _chk_block_assembly(ctx):
-    alphas, beta = rso.build_alpha_beta(ctx.frame.gammas)
+    alphas, beta = ctx.blocks
     trace = sum(beta.blocks[:, r, r] for r in range(4))
     # the block product against sum_l A_rl B_ls written out, independent of
     # the dense layout ``@`` goes through
@@ -611,7 +614,7 @@ def _chk_transform_expansion(ctx):
 
 def _chk_tilde_closed_form(ctx):
     gs = ctx.frame.gammas
-    tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, -1.0 / 3.0, -1.0, 2.0)
+    tr = rso.transform_CS(*ctx.blocks, gs, -1.0 / 3.0, -1.0, 2.0)
     alpha_t, beta_t = rso.tilde_closed_form(gs)
     errs = _transform_errors(tr.beta_tilde, beta_t, tr.alpha_tilde, alpha_t)
     return len(ctx.points), _worst(*errs)
@@ -798,7 +801,8 @@ def run_suite(
 
     ``only`` restricts the run to the listed check ids.  An ``only`` id
     that is not registered, or a tolerance override for a check outside
-    the run, is a ConfigError naming the run's checks.  A runner returns
+    the run or inapplicable to the metric's measured curvature class, is a
+    ConfigError naming the run's checks.  A runner returns
     (points, error[, note]); an error that is an array holds one error per
     point, kept in ``CheckResult.point_errors`` and folded by ``_worst``
     into the check's error.  Check failures are recorded, not raised;
@@ -823,10 +827,15 @@ def run_suite(
             f"tolerance for {', '.join(invalid)} must be finite and >= 0")
     t0 = time.perf_counter()
     ctx = build_context(spec, n_points, seed, mass)
+    run = [d for d in REGISTRY if d.id in known and d.applies(ctx.met_class)]
+    idle = sorted(set(overrides) - {d.id for d in run})
+    if idle:
+        raise ConfigError(
+            f"tolerance override for check(s) {', '.join(idle)} that do not "
+            f"apply to curvature class {ctx.met_class.describe()}; its "
+            f"checks: {', '.join(d.id for d in run)}")
     results = []
-    for desc in REGISTRY:
-        if desc.id not in known or not desc.applies(ctx.met_class):
-            continue
+    for desc in run:
         tol = float(overrides.get(desc.id, desc.tolerance))
         t_check = time.perf_counter()
         out = desc.runner(ctx)

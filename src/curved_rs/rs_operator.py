@@ -12,12 +12,10 @@ similarity (with S = I + a gamma gamma, S^-1 = I + b gamma gamma,
 a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
-Functions that evaluate a field or the curvature take a Frame and return
-one row per frame row; those given the field values psi [n, ...] on the
-frame's rows (``chain_rhs``, ``curvature_commutator``,
-``ricci_contraction``, ``constraint_two``) sample nothing.  The
-nested-difference ones take every row's outer stencil from the frame's
-one stacked outer frame (``Frame.outer``).
+Functions of a field take a Frame and return one row per frame row; the
+algebraic sides of the identities take the field's values on its rows.
+The nested-difference ones take every row's outer stencil from the
+frame's one stacked outer frame (``Frame.outer``).
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 Every block product is one dense (..., 16, 16) matmul.  The
@@ -39,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
-from .geometry import riemann_mixed
+from .geometry import ETA, riemann_mixed
 from .numerics import (
     PAIRWISE,
     differences,
@@ -47,7 +45,8 @@ from .numerics import (
     read_only,
     stencil,
 )
-from .spin_frame import Frame, GammaSet, spinor_commutator_curvature
+from .spin_frame import (GAMMA_FLAT, Frame, GammaSet,
+                         spinor_commutator_curvature)
 
 
 @dataclass
@@ -175,9 +174,9 @@ def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
 def build_alpha_beta(gs: GammaSet):
     """The operator blocks (alpha^nu for nu = 0..3, beta) at a point, or on
     every row of a frame's ``gammas`` (each block matrix then carries the
-    row axis)."""
-    alpha, beta = _alpha_beta_rows(gs.gamma_down, gs.gamma_up,
-                                   gs.metric.g_upper)
+    row axis); read-only, since a suite context shares them."""
+    alpha, beta = map(read_only, _alpha_beta_rows(
+        gs.gamma_down, gs.gamma_up, gs.metric.g_upper))
     return _per_nu(alpha), BlockMatrix16(beta)
 
 
@@ -267,13 +266,13 @@ def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam
 
 
 def contraction_identity(field, frame: Frame, mass):
-    """gamma-contraction of the residual vs (2/3) of the first-constraint
-    combination D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows;
-    equal for arbitrary smooth fields.  Both sides share one D_nu Psi."""
+    """(lhs, rhs, psi) on a frame's rows from one D_nu Psi: the
+    gamma-contraction of the residual, equal for any smooth field to (2/3)
+    D_be Psi^be - (kappa/2) gamma_be Psi^be, and the field itself."""
     d, psi = _covariant_rows(field, frame)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
-    return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
+    return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass), psi
 
 
 def constraint_two(frame: Frame, psi, mass):
@@ -304,10 +303,10 @@ def centre_covariant(values, frame: Frame, kind: str):
     return v, _connect(frame, kind, dv, v)
 
 
-def _nested_commutator(frame: Frame, field, include_spin):
+def second_covariant_comm(field, frame: Frame, include_spin=True):
     """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
-    nested differences over its outer frame, the spin connection
-    optional."""
+    nested differences over its outer frame; ``include_spin`` False drops
+    the spin connection (the Christoffel-only commutator)."""
     inner = covariant_derivative(field, frame.outer, nested=True,
                                  include_spin=include_spin)
     v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
@@ -318,12 +317,6 @@ def _nested_commutator(frame: Frame, field, include_spin):
         t = t + np.einsum("xmij,xncj->xmnci", frame.connection, v,
                           optimize=PAIRWISE)
     return t - t.transpose(0, 2, 1, 3, 4)
-
-
-def second_covariant_comm(field, frame: Frame):
-    """[D_al, D_be] Psi by nested differences on a frame's rows, indexed
-    [x, al, be, c, s]."""
-    return _nested_commutator(frame, field, True)
 
 
 def curvature_commutator(frame: Frame, psi):
@@ -342,7 +335,7 @@ def bridge_commutator(field, frame: Frame):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be on a
     frame's rows by nested differences of Christoffel-only derivatives;
     equal to ``ricci_contraction``."""
-    comm = _nested_commutator(frame, field, False)
+    comm = second_covariant_comm(field, frame, include_spin=False)
     w = np.einsum("xnc,xancs->xas", frame.metric.g_upper, comm)
     return -np.einsum("xaij,xaj->xi", frame.gammas.gamma_up, w)
 
@@ -506,9 +499,6 @@ def flat_reduction_check(field: FieldSampler, frame: Frame,
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
     residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose
     metric the residual reads.  Returns a report dict."""
-    from .geometry import ETA
-    from .spin_frame import GAMMA_FLAT
-
     d, psi = _covariant_rows(field, frame)
     rs = _residual(frame, d, psi, mass)
     dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi

@@ -11,11 +11,8 @@ e_(b)nu); with it the position-dependent gammas are covariantly constant:
 d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
 A ``Frame`` holds all of this for a set of rows and is the one place
-where geometry is kept and shared.  The geometry functions here
-(``gamma_set_at``, ``spin_connection``) take a Point or (n, 4) rows and
-keep nothing; the curvature forms of the connection
-(``spinor_commutator_curvature``, ``connection_curvature_fd``) take a
-Frame, like the operator layer.
+where geometry is kept and shared; functions of a Point or (n, 4) rows
+keep nothing, and the two connection curvatures take a Frame.
 """
 
 from __future__ import annotations
@@ -249,8 +246,7 @@ def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
 
 
 def connection_curvature_fd(frame: Frame) -> np.ndarray:
-    """Independent construction of the connection curvature on every row
-    of a frame,
+    """Independent construction of the connection curvature on a frame,
     F[x, al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
     with the derivative taken by Richardson differences of the connection
     on the outer frame."""

@@ -193,7 +193,7 @@ def test_criterion_4_constraint_operator_identities():
         for f in fixtures:
             for x in points:
                 frame = frame_at(spec, x)
-                lhs, rhs = rso.contraction_identity(f, frame, mass)
+                lhs, rhs, _ = rso.contraction_identity(f, frame, mass)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                             np.max(np.abs(f(x))))
                 worst_first = max(worst_first,

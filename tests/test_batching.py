@@ -134,6 +134,9 @@ def _frame_arrays(frame):
         out[f"gammas.tetrad.{key}"] = getattr(gs.tetrad, key)
     alpha, beta = rso.frame_blocks(frame)
     out["alpha"], out["beta"] = alpha, beta
+    alphas, beta = rso.build_alpha_beta(gs)
+    out["build_alpha_beta.alpha"] = alphas[0].blocks
+    out["build_alpha_beta.beta"] = beta.blocks
     return out
 
 
@@ -178,11 +181,11 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
         res = rso.rs_residual(fld, ctx.frame, ctx.mass)
-        lhs, rhs = rso.contraction_identity(fld, ctx.frame, ctx.mass)
+        lhs, rhs, _ = rso.contraction_identity(fld, ctx.frame, ctx.mass)
         for i, x in enumerate(ctx.points):
             one = rso.rs_residual(fld, frame_at(spec, x), ctx.mass)[0]
             assert np.max(np.abs(res[i] - one)) <= 1e-13 * np.max(np.abs(one))
-            l1, r1 = (a[0] for a in rso.contraction_identity(
+            l1, r1, _ = (a[0] for a in rso.contraction_identity(
                 fld, frame_at(spec, x), ctx.mass))
             for a, b in ((lhs[i], l1), (rhs[i], r1)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
@@ -250,7 +253,7 @@ def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
             identity_suite._sigma_commutator_defect(
                 outer.gammas.sigma_curved, outer.metric.g_upper),
             gauge.epsilon_contraction_check(outer)["raw"],
-            rso._nested_commutator(frame, vb, True),
+            rso.second_covariant_comm(vb, frame),
             spin_frame.connection_curvature_fd(frame),
         ]
 
@@ -691,6 +694,25 @@ def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
     calls.clear()
     identity_suite._chk_derivative_chain(ctx)
     assert calls == [10, 170 * 17] * 5
+
+
+def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
+    """At 20 points 1.6 samples each of its 5 fixtures once, over the
+    stencils of the context rows (20 rows x 9 points); its scale is the
+    field on the centre rows of that call."""
+    ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
+    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    identity_suite._chk_gamma_contraction(ctx)
+    assert calls == [20 * 9] * 5
+
+
+def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
+    """2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 share the context's
+    operator blocks: one ``build_alpha_beta`` call per suite."""
+    calls = _count_calls(monkeypatch, rso, "build_alpha_beta")
+    rep = run_suite(schwarzschild, n_points=4, seed=42)
+    assert rep.passed
+    assert len(calls) == 1
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,

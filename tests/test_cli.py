@@ -140,6 +140,21 @@ class TestExitCodes:
         assert check in err
         assert all(own in err for own in COMMAND_CHECKS[command])
 
+    @pytest.mark.parametrize("command, check, applicable", [
+        ("identities", "eq_1_12_flat_reduction", "eq_1_13_vacuum_constraint"),
+        ("gauge", "eq_2_8c_gauge_criterion", "eq_2_7b_massless_gradient"),
+    ])
+    def test_tolerance_of_an_inapplicable_check_is_config_error(
+            self, capsys, command, check, applicable):
+        # Schwarzschild is Ricci-flat and not eta, so the check does not
+        # run there and the override would change nothing
+        code, out, err = run(
+            [command, "--metric", "schwarzschild", "--points", "2",
+             "--tolerance", f"{check}=0"], capsys)
+        assert (code, out) == (2, "")
+        assert check in err and "ricci_flat" in err
+        assert applicable in err
+
     def test_gauge_rejects_mass_and_charge(self, capsys):
         # the gauge criterion is the massless equation, and no command
         # couples the field to a potential

@@ -1,0 +1,57 @@
+"""The package's modules reach one another only through public names: no
+``from .mod import _name`` and no ``mod._name`` on a sibling module."""
+
+import ast
+from pathlib import Path
+
+import curved_rs
+
+PACKAGE = Path(curved_rs.__file__).resolve().parent
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reaches(source: str, filename: str = "<source>") -> list:
+    """'file:line name' for each private name the source imports from, or
+    reads off, a module of the package."""
+    tree = ast.parse(source, filename)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("curved_rs")):
+            for alias in node.names:
+                if node.module in (None, "curved_rs"):
+                    siblings.add(alias.asname or alias.name)
+                elif _private(alias.name):
+                    found.append(f"{filename}:{node.lineno} {alias.name}")
+        elif isinstance(node, ast.Import):
+            siblings.update(alias.asname for alias in node.names
+                            if alias.name.startswith("curved_rs.")
+                            and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in siblings):
+            found.append(f"{filename}:{node.lineno} "
+                         f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_modules_use_only_public_names_of_their_siblings():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += private_reaches(path.read_text(), path.name)
+    assert found == []
+
+
+def test_the_guard_sees_both_kinds_of_reach():
+    source = ("from .rs_operator import _eps_gamma, eps_gamma\n"
+              "from . import rs_operator as rso\n"
+              "import curved_rs.gauge as gauge_mod\n"
+              "rso._chain_rhs(rso.chain_rhs, gauge_mod._massless)\n"
+              "local._private, rso.__name__\n")
+    assert private_reaches(source) == [
+        "<source>:1 _eps_gamma", "<source>:4 rso._chain_rhs",
+        "<source>:4 gauge_mod._massless"]

@@ -355,14 +355,14 @@ class TestContractionIdentity:
         for seed in (11, 12):
             fld = polynomial_field(seed, box=spec.sample_box)
             for x in points_of(spec, 3):
-                lhs, rhs = contraction_identity(fld, frame_at(spec, x), MASS)
+                lhs, rhs, _ = contraction_identity(fld, frame_at(spec, x), MASS)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
 
     def test_solution_field_gives_zero(self, minkowski):
         wave = flat_rs_plane_wave(1.0, boost=0.5)
         for x in points_of(minkowski, 3):
-            lhs, _ = contraction_identity(wave, frame_at(minkowski, x), MASS)
+            lhs, _, _ = contraction_identity(wave, frame_at(minkowski, x), MASS)
             assert np.max(np.abs(lhs)) < 1e-9
 
 
