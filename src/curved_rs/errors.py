@@ -30,7 +30,15 @@ class FitDegenerate(CurvedRSError):
 
 
 class EvalError(CurvedRSError):
-    """Expression evaluation hit a domain violation (sqrt of a negative, ...)."""
+    """Expression evaluation hit a domain violation (sqrt of a negative, ...).
+
+    ``position`` is the index, in a program's flat list of results, of the
+    value that could not be computed.
+    """
+
+    def __init__(self, message, position=None):
+        super().__init__(message)
+        self.position = position
 
 
 class ParseError(CurvedRSError):

@@ -10,16 +10,28 @@ Grammar (precedence from loosest to tightest, ``^`` right-associative)::
 
 ``NAME`` is either a coordinate symbol, a named parameter, the constant
 ``pi``, or one of the functions sin, cos, tan, exp, log, sqrt, sinh, cosh.
-Evaluation is pure: the same AST with the same bindings gives a
-bit-identical float.  ``diff`` differentiates an AST exactly, into another
-AST of the same grammar.
+``diff`` differentiates an AST exactly, into another AST of the same
+grammar.
+
+Every evaluation runs compiled code.  A ``Program`` holds expressions over
+the slots of a row and, on its first evaluation, compiles them into one
+Python function over a list of rows, built as a Python syntax tree: slots
+are positional names, parameters float constants, and the function reaches
+only fixed helpers, with no builtins, so no name or text of a document
+becomes code.  The compiled code performs the float operations of the
+grammar in its order, with the same ``math`` functions, so the same AST
+with the same bindings gives a bit-identical float whether evaluated alone
+or on any row of a batch.
 """
 
 from __future__ import annotations
 
+import ast as pyast
 import math
-from dataclasses import dataclass
-from typing import Union
+import operator
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Union
 
 from .errors import EvalError, ParseError
 
@@ -223,60 +235,191 @@ def parse_expression(text: str, line_offset: int = 1) -> Expr:
     return node
 
 
-def evaluate(node: Expr, bindings: dict) -> float:
-    """Evaluate an AST against name->value bindings.
+def _pow(lhs, rhs):
+    """``lhs ^ rhs``, an EvalError where it overflows or is not real."""
+    try:
+        result = lhs**rhs
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise EvalError(f"power {lhs!r} ^ {rhs!r}: {exc}") from exc
+    if isinstance(result, complex):
+        raise EvalError(f"power {lhs!r} ^ {rhs!r} is not real")
+    return result
 
-    Raises EvalError on unbound names, division by zero, math-domain
-    violations (sqrt of a negative, log of a non-positive value) and
-    results too large for a float.
-    """
-    kind = type(node)
-    if kind is BinOp:
-        lhs = evaluate(node.left, bindings)
-        rhs = evaluate(node.right, bindings)
-        if node.op == "+":
-            return lhs + rhs
-        if node.op == "-":
-            return lhs - rhs
-        if node.op == "*":
-            return lhs * rhs
-        if node.op == "/":
-            if rhs == 0.0:
-                raise EvalError("division by zero")
-            return lhs / rhs
+
+def _checked(name, fn):
+    """``fn`` with its math errors raised as EvalError naming ``name``."""
+
+    def call(arg):
         try:
-            result = lhs**rhs
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"power {lhs!r} ^ {rhs!r}: {exc}") from exc
-        if isinstance(result, complex):
-            raise EvalError(f"power {lhs!r} ^ {rhs!r} is not real")
-        return result
-    if kind is Num:
-        return node.value
-    if kind is Var:
-        if node.name in bindings:
-            return float(bindings[node.name])
-        if node.name in CONSTANTS:
-            return CONSTANTS[node.name]
-        raise EvalError(f"unbound symbol '{node.name}'")
-    if kind is Neg:
-        return -evaluate(node.arg, bindings)
-    if kind is Call:
-        arg = evaluate(node.arg, bindings)
-        try:
-            return FUNCTIONS[node.func](arg)
+            return fn(arg)
         except (ValueError, OverflowError) as exc:
-            raise EvalError(f"{node.func}({arg!r}): {exc}") from exc
-    raise TypeError(f"not an expression node: {node!r}")
+            raise EvalError(f"{name}({arg!r}): {exc}") from exc
+
+    return call
+
+
+#: ``u op w`` on two floats, as compiled code computes it; '/' by zero
+#: raises ZeroDivisionError
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": _pow}
+_OPERATORS = {"+": pyast.Add, "-": pyast.Sub, "*": pyast.Mult, "/": pyast.Div}
+_COMPARISONS = {"<": pyast.Lt, ">": pyast.Gt}
+#: the helper each built-in compiles to
+_CALLS = {name: f"_f{i}" for i, name in enumerate(FUNCTIONS)}
+#: the only names compiled code can reach
+_HELPERS = {"_pow": _pow, "_abs": abs, "_errors": (EvalError, ZeroDivisionError),
+            **{_CALLS[name]: _checked(name, fn) for name, fn in FUNCTIONS.items()}}
+
+#: a compiled program's frame: ``rows`` is a list of rows, ``out`` the list
+#: each row's results are appended to
+_TEMPLATE = """
+def _program(rows, out):
+    _append = out.append
+    for _row in rows:
+        pass
+"""
+
+
+#: the source position every generated node carries
+_AT = {"lineno": 1, "col_offset": 0}
+
+
+def _name(ident, store=False):
+    return pyast.Name(ident, pyast.Store() if store else pyast.Load(), **_AT)
+
+
+def _call(helper, *args):
+    return pyast.Call(_name(helper), list(args), [], **_AT)
+
+
+@dataclass(frozen=True, eq=False)
+class Program:
+    """Expressions over the slots of a row, compiled on first evaluation
+    into one Python function over a list of rows (see ``evaluate``).
+
+    Without ``tests`` a program gives every row the value of each of
+    ``exprs``.  With ``tests`` ((lhs, op, rhs), op '<' or '>') it is a
+    guard: a row passes when each test holds and then each of ``exprs``
+    lies within +-``limit``, checked in that order up to the first that
+    fails; a row where one of them cannot be evaluated fails.  Names are
+    bound to the row's slots first, then to ``consts`` (compiled in as
+    floats), then to the constants of the language.
+    """
+
+    exprs: tuple
+    slots: tuple = ()
+    consts: dict = field(default_factory=dict)
+    tests: Optional[tuple] = None
+    limit: float = math.inf
+
+    @cached_property
+    def function(self):
+        """The compiled program: ``function(rows, out)`` appends each row's
+        results to ``out`` (values row by row, or one bool per row)."""
+        slots = {name: f"_x{i}" for i, name in enumerate(self.slots)}
+        unbound = []
+
+        def code(node: Expr) -> pyast.expr:
+            # float operations in the order the language defines them; '^'
+            # and the built-ins go through checked helpers
+            kind = type(node)
+            if kind is BinOp:
+                left, right = code(node.left), code(node.right)
+                if node.op == "^":
+                    return _call("_pow", left, right)
+                return pyast.BinOp(left, _OPERATORS[node.op](), right, **_AT)
+            if kind is Num:
+                return pyast.Constant(node.value, **_AT)
+            if kind is Var:
+                if node.name in slots:
+                    return _name(slots[node.name])
+                if node.name in self.consts:
+                    return pyast.Constant(float(self.consts[node.name]), **_AT)
+                if node.name in CONSTANTS:
+                    return pyast.Constant(CONSTANTS[node.name], **_AT)
+                unbound.append(node.name)
+                return _call("_unbound", pyast.Constant(len(unbound) - 1, **_AT))
+            if kind is Neg:
+                return pyast.UnaryOp(pyast.USub(), code(node.arg), **_AT)
+            if kind is Call and node.func in _CALLS:
+                return _call(_CALLS[node.func], code(node.arg))
+            raise TypeError(f"not an expression node: {node!r}")
+
+        values = [code(e) for e in self.exprs]
+        if self.tests is None:
+            body = [pyast.Expr(_call("_append", v), **_AT) for v in values]
+        else:
+            conditions = [
+                pyast.Compare(code(lhs), [_COMPARISONS[op]()], [code(rhs)], **_AT)
+                for lhs, op, rhs in self.tests
+            ] + [pyast.Compare(_call("_abs", v), [pyast.LtE()],
+                               [pyast.Constant(float(self.limit), **_AT)], **_AT)
+                 for v in values]
+            passes = (pyast.BoolOp(pyast.And(), conditions, **_AT)
+                      if len(conditions) > 1 else
+                      conditions[0] if conditions else pyast.Constant(True, **_AT))
+            body = [pyast.Try(
+                body=[pyast.Assign([_name("_ok", True)], passes, **_AT)],
+                handlers=[pyast.ExceptHandler(
+                    _name("_errors"), None,
+                    [pyast.Assign([_name("_ok", True)],
+                                  pyast.Constant(False, **_AT), **_AT)], **_AT)],
+                orelse=[], finalbody=[], **_AT),
+                pyast.Expr(_call("_append", _name("_ok")), **_AT)]
+        module = pyast.parse(_TEMPLATE)
+        loop = module.body[0].body[1]
+        if slots:
+            loop.target = pyast.Tuple(
+                [_name(f"_x{i}", True) for i in range(len(self.slots))],
+                pyast.Store(), **_AT)
+        loop.body = body or loop.body
+
+        def unbound_symbol(k):
+            raise EvalError(f"unbound symbol '{unbound[k]}'")
+
+        namespace = {"__builtins__": {}, "_unbound": unbound_symbol, **_HELPERS}
+        exec(compile(module, "<exprparse>", "exec"), namespace)
+        return namespace["_program"]
+
+
+def evaluate(node, bindings):
+    """The float value of an expression against name->value ``bindings``,
+    or the results of a ``Program`` on ``bindings``, a list of rows: the
+    value of each expression row by row in one flat list, or, for a
+    guard, one bool per row.
+
+    Every evaluation runs compiled code.  Raises EvalError on unbound
+    names, division by zero, math-domain violations (sqrt of a negative,
+    log of a non-positive value), non-real powers and results too large
+    for a float; its ``position`` is the index in the flat list of the
+    value that failed.
+    """
+    if isinstance(node, Program):
+        program, rows = node, bindings
+    else:
+        program, rows = Program((node,), consts=bindings), ((),)
+    out = []
+    try:
+        program.function(rows, out)
+    except ZeroDivisionError as exc:  # what an inline '/' by zero raises
+        raise EvalError("division by zero", len(out)) from exc
+    except EvalError as exc:
+        exc.position = len(out)
+        raise
+    return out if program is node else out[0]
 
 
 ZERO, ONE, TWO = Num(0.0), Num(1.0), Num(2.0)
 
 
 def _value(node: Expr):
-    """The float of a subtree without free symbols, else None."""
+    """The float of a subtree without free symbols, else None.  A literal
+    is read as it stands: a ``Num``, or the ``Neg(Num)`` that ``_num``
+    and the parser write for a negative constant."""
     if isinstance(node, Num):
         return node.value
+    if isinstance(node, Neg) and isinstance(node.arg, Num):
+        return -node.arg.value
     if free_symbols(node):
         return None
     try:
@@ -296,8 +439,8 @@ def _fold(op: str, u: Expr, w: Expr) -> Expr:
     a, b = _value(u), _value(w)
     if a is not None and b is not None:
         try:
-            return _num(evaluate(BinOp(op, Num(a), Num(b)), {}))
-        except EvalError:
+            return _num(_BINARY[op](a, b))
+        except (EvalError, ZeroDivisionError):
             pass  # left for evaluation to report where it is met
     u, w = (u if a is None else _num(a)), (w if b is None else _num(b))
     if op in "+-" and isinstance(w, Neg):  # u +- (-x) = u -+ x

@@ -70,16 +70,18 @@ class MetricSpec:
     the guard delimiting the chart's validity domain.  Specs are built from
     metric documents (see ``spacetimes``).
 
-    ``component_fn(p, order=0)`` maps a Point to the 4x4 symmetric matrix
+    ``component_fn(x, order=0)`` maps a Point to the 4x4 symmetric matrix
     g_ab (order 0), to d_mu g_ab indexed [mu, a, b] (order 1) or to
-    d_mu d_nu g_ab indexed [mu, nu, a, b] (order 2).  ``sample_box`` is the
+    d_mu d_nu g_ab indexed [mu, nu, a, b] (order 2), and (n, 4) rows to
+    those arrays with a leading row axis.  ``domain_guard(x)`` is a bool
+    for a Point and a bool per row for rows.  ``sample_box`` is the
     per-coordinate (lo, hi) box used by randomized suites; it must lie
     strictly inside the domain.
     """
 
     name: str
     component_fn: Callable[..., np.ndarray]
-    domain_guard: Callable[[Point], bool]
+    domain_guard: Callable[..., object]
     chart: tuple = ("x0", "x1", "x2", "x3")
     chart_id: str = ""
     params: dict = field(default_factory=dict)
@@ -129,9 +131,10 @@ def as_rows(coords) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class MetricJet:
     """The metric of a spec and its derivatives at one point (``coords`` of
-    shape (4,)) or on (n, 4) rows: every row passes the domain guard once,
-    and each order is evaluated once per row, on first use, for everything
-    built on the jet.  ``spin_frame.Frame`` is the jet of a row set."""
+    shape (4,)) or on (n, 4) rows: one guard call checks every row, and
+    one call per order evaluates it on every row, on first use, for
+    everything built on the jet.  ``spin_frame.Frame`` is the jet of a row
+    set."""
 
     spec: MetricSpec
     coords: np.ndarray
@@ -139,21 +142,21 @@ class MetricJet:
     _orders: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
-    def _points(self) -> list:
-        points = [Point(c, self.chart_id) for c in self.coords.reshape(-1, 4)]
-        for x in points:
-            if not self.spec.contains(x):
-                raise OutOfDomain(
-                    f"point {np.array2string(x.coords, precision=6)} is "
-                    f"outside the domain of metric '{self.spec.name}'"
-                )
-        return points
+    def _rows(self) -> np.ndarray:
+        """The coordinates as (n, 4) rows, all guarded in one call."""
+        rows = self.coords.reshape(-1, 4)
+        inside = np.asarray(self.spec.domain_guard(rows))
+        if not inside.all():
+            raise OutOfDomain(
+                f"point {np.array2string(rows[np.argmin(inside)], precision=6)}"
+                f" is outside the domain of metric '{self.spec.name}'"
+            )
+        return rows
 
     def order(self, k: int) -> np.ndarray:
         """g_ab (``k`` 0), d_mu g_ab (1) or d_mu d_nu g_ab (2), read-only."""
         if k not in self._orders:
-            values = np.array([self.spec.component_fn(x, k)
-                               for x in self._points], dtype=float)
+            values = self.spec.component_fn(self._rows, k)
             self._orders[k] = read_only(
                 values if self.coords.ndim == 2 else values[0])
         return self._orders[k]

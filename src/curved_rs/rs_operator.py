@@ -171,12 +171,16 @@ def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
     return alpha, beta
 
 
-def build_alpha_beta(gs: GammaSet):
-    """The operator blocks (alpha^nu for nu = 0..3, beta) at a point, or on
-    every row of a frame's ``gammas`` (each block matrix then carries the
-    row axis); read-only, since a suite context shares them."""
-    alpha, beta = map(read_only, _alpha_beta_rows(
-        gs.gamma_down, gs.gamma_up, gs.metric.g_upper))
+def build_alpha_beta(gs: GammaSet | Frame):
+    """The operator blocks (alpha^nu for nu = 0..3, beta) at a point, on
+    every row of a frame's ``gammas``, or on a frame's rows from the blocks
+    ``frame_blocks`` keeps for it (each block matrix then carries the row
+    axis); read-only, since a suite context shares them."""
+    if isinstance(gs, Frame):
+        alpha, beta = frame_blocks(gs)
+    else:
+        alpha, beta = map(read_only, _alpha_beta_rows(
+            gs.gamma_down, gs.gamma_up, gs.metric.g_upper))
     return _per_nu(alpha), BlockMatrix16(beta)
 
 
@@ -213,7 +217,7 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     return d
 
 
-def _covariant_rows(field, frame: Frame, nested=False, include_spin=True):
+def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
     """D_nu of a sampler on a frame's rows, and the field there:
     (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
     row's stencil (``numerics.stencil``); the geometry comes from the
@@ -239,7 +243,7 @@ def covariant_derivative(
     or [n, nu, s].  ``nested`` picks the nested step policy of
     ``numerics``, for a derivative that feeds another one.
     """
-    return _covariant_rows(field, frame, nested, include_spin)[0]
+    return covariant_rows(field, frame, nested, include_spin)[0]
 
 
 def _residual(frame, d, psi, mass):
@@ -257,11 +261,12 @@ def _first_constraint(frame, d, psi, mass):
     return div - 0.5 * mass.kappa * trace
 
 
-def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam
-                ) -> np.ndarray:
+def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam,
+                rows: tuple = None) -> np.ndarray:
     """Left side of the wave equation on a frame's rows:
-    (alpha^nu D_nu + kappa beta) Psi."""
-    d, psi = _covariant_rows(field, frame)
+    (alpha^nu D_nu + kappa beta) Psi, from ``rows`` = (D_nu Psi, Psi) of
+    ``covariant_rows`` when given, without sampling the field again."""
+    d, psi = covariant_rows(field, frame) if rows is None else rows
     return _residual(frame, d, psi, mass)
 
 
@@ -269,7 +274,7 @@ def contraction_identity(field, frame: Frame, mass):
     """(lhs, rhs, psi) on a frame's rows from one D_nu Psi: the
     gamma-contraction of the residual, equal for any smooth field to (2/3)
     D_be Psi^be - (kappa/2) gamma_be Psi^be, and the field itself."""
-    d, psi = _covariant_rows(field, frame)
+    d, psi = covariant_rows(field, frame)
     res = _residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
     return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass), psi
@@ -357,7 +362,7 @@ def derivative_chain(field, frame: Frame, mass):
     derivatives at the frame's rows follow.
     """
     outer = frame.outer
-    d, psi = _covariant_rows(field, outer, nested=True)
+    d, psi = covariant_rows(field, outer, nested=True)
     _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
                                VECTOR_BISPINOR)
     chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
@@ -499,7 +504,7 @@ def flat_reduction_check(field: FieldSampler, frame: Frame,
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
     residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose
     metric the residual reads.  Returns a report dict."""
-    d, psi = _covariant_rows(field, frame)
+    d, psi = covariant_rows(field, frame)
     rs = _residual(frame, d, psi, mass)
     dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
     max_rs, max_dirac, max_match, max_tr, max_div = (

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
-from .geometry import MetricSpec, Point
+from .geometry import MetricSpec, Point, as_rows
 
 #: the preset documents; their guards keep 1e-3 coordinate units from
 #: horizons, poles and singularities
@@ -373,57 +373,71 @@ def _derivative_tables(cfg: MetricConfig) -> tuple:
     return tuple([e for e in t if e[2] != exprparse.ZERO] for t in tables)
 
 
+def _rows(x) -> np.ndarray:
+    """A Point's coordinates as one row, or (n, 4) rows."""
+    return x.coords[None] if isinstance(x, Point) else as_rows(x)
+
+
+def _scatter(table: list, order: int) -> tuple:
+    """(flat positions, value columns) that place a derivative table's
+    values in a row's (4,) * (order + 2) array."""
+    positions, columns = [], []
+    for j, (index, _, _) in enumerate(table):
+        target = np.zeros((4,) * (order + 2), dtype=bool)
+        target[index] = True
+        for flat in np.flatnonzero(target):
+            positions.append(flat)
+            columns.append(j)
+    return positions, columns
+
+
 def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
     names = cfg.coord_names
-    comp_asts = [cfg.components[k] for k in COMPONENT_KEYS]
     tables = _derivative_tables(cfg)
+    # each compiled on first use: one function per order, and the guard
+    programs = [exprparse.Program(tuple(ast for _, _, ast in t), names, cfg.params)
+                for t in tables]
+    scatters = [_scatter(t, k) for k, t in enumerate(tables)]
+    guard_program = exprparse.Program(
+        tuple(cfg.components[k] for k in COMPONENT_KEYS), names, cfg.params,
+        tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
 
-    def bindings(p: Point) -> dict:
-        return cfg.params | dict(zip(names, p.coords.tolist()))
-
-    def comp(p: Point, order: int = 0) -> np.ndarray:
-        b = bindings(p)
-        out = np.zeros((4,) * (order + 2))
-        for index, label, ast in tables[order]:
-            try:
-                out[index] = exprparse.evaluate(ast, b)
-            except EvalError as exc:
-                raise OutOfDomain(
-                    f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
-                    f"at {np.array2string(p.coords, precision=6)}: {exc}"
-                ) from exc
-        return out
-
-    def guard(p: Point) -> bool:
-        if not np.all(np.isfinite(p.coords)):
-            return False
-        b = bindings(p)
+    def comp(x, order: int = 0) -> np.ndarray:
+        rows = _rows(x)
+        table = tables[order]
         try:
-            for lhs, op, rhs in cfg.domain:
-                left = exprparse.evaluate(lhs, b)
-                right = exprparse.evaluate(rhs, b)
-                if op == ">" and not left > right:
-                    return False
-                if op == "<" and not left < right:
-                    return False
-            for ast in comp_asts:
-                if not abs(exprparse.evaluate(ast, b)) <= COMPONENT_LIMIT:
-                    return False
-        except EvalError:
-            return False
-        return True
+            values = exprparse.evaluate(programs[order], rows.tolist())
+        except EvalError as exc:
+            row, entry = divmod(exc.position, len(table))
+            _, label, ast = table[entry]
+            raise OutOfDomain(
+                f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
+                f"at {np.array2string(rows[row], precision=6)}: {exc}"
+            ) from exc
+        positions, columns = scatters[order]
+        out = np.zeros((len(rows), 4 ** (order + 2)))
+        out[:, positions] = np.reshape(values, (len(rows), len(table)))[:, columns]
+        out = out.reshape((len(rows),) + (4,) * (order + 2))
+        return out[0] if isinstance(x, Point) else out
+
+    def guard(x):
+        rows = _rows(x)
+        inside = np.isfinite(rows).all(axis=1)
+        inside[inside] = exprparse.evaluate(guard_program, rows[inside].tolist())
+        return bool(inside[0]) if isinstance(x, Point) else inside
 
     box = None
     if cfg.sampling:
         missing = [n for n in names if n not in cfg.sampling]
         if missing:
             raise ConfigError(f"[sampling] missing coordinates: {missing}")
+        bounds = exprparse.Program(
+            tuple(e for n in names for e in cfg.sampling[n]), consts=cfg.params)
         try:
-            box = tuple(
-                tuple(exprparse.evaluate(e, cfg.params) for e in cfg.sampling[n])
-                for n in names)
+            values = exprparse.evaluate(bounds, [()])
         except EvalError as exc:
             raise ConfigError(f"[sampling] bound cannot be evaluated: {exc}")
+        box = tuple(zip(values[::2], values[1::2]))
 
     return MetricSpec(
         name=cfg.name,

@@ -1,13 +1,24 @@
-"""Independent symbolic curvature oracle, built on sympy.
+"""Independent references for the package's results.
 
-Implements the same curvature conventions as the package (signature
-(+,-,-,-), R^r_{s mu nu} = d_mu Gamma^r_{nu s} - ..., Ricci from the
-1st/3rd contraction) but through symbolic differentiation of closed-form
-metrics, so the two routes share no code.
+``symbolic_metric`` and ``symbolic_curvature`` are a symbolic curvature
+oracle, built on sympy.  It implements the same curvature conventions as
+the package (signature (+,-,-,-), R^r_{s mu nu} = d_mu Gamma^r_{nu s} -
+..., Ricci from the 1st/3rd contraction) but through symbolic
+differentiation of closed-form metrics, so the two routes share no code.
+
+``tree_evaluate`` walks an expression AST node by node, one binding set at
+a time: the reference for compiled evaluation.  ``loop_sample_points`` is
+the reference for ``sample_points``: one draw and one guard call at a
+time.
 """
+
 
 import numpy as np
 import sympy as sp
+
+from curved_rs.errors import ConfigError, EvalError
+from curved_rs.exprparse import CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num, Var
+from curved_rs.geometry import Point
 
 
 def symbolic_metric(name, **params):
@@ -90,3 +101,78 @@ def symbolic_curvature(coords, g):
         }
 
     return evaluate
+
+
+def tree_evaluate(node, bindings: dict) -> float:
+    """The value of an AST against name->value bindings, by walking it."""
+    kind = type(node)
+    if kind is BinOp:
+        lhs = tree_evaluate(node.left, bindings)
+        rhs = tree_evaluate(node.right, bindings)
+        if node.op == "+":
+            return lhs + rhs
+        if node.op == "-":
+            return lhs - rhs
+        if node.op == "*":
+            return lhs * rhs
+        if node.op == "/":
+            if rhs == 0.0:
+                raise EvalError("division by zero")
+            return lhs / rhs
+        try:
+            result = lhs**rhs
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power {lhs!r} ^ {rhs!r}: {exc}") from exc
+        if isinstance(result, complex):
+            raise EvalError(f"power {lhs!r} ^ {rhs!r} is not real")
+        return result
+    if kind is Num:
+        return node.value
+    if kind is Var:
+        if node.name in bindings:
+            return float(bindings[node.name])
+        if node.name in CONSTANTS:
+            return CONSTANTS[node.name]
+        raise EvalError(f"unbound symbol '{node.name}'")
+    if kind is Neg:
+        return -tree_evaluate(node.arg, bindings)
+    if kind is Call:
+        arg = tree_evaluate(node.arg, bindings)
+        try:
+            return FUNCTIONS[node.func](arg)
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(f"{node.func}({arg!r}): {exc}") from exc
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def loop_sample_points(spec, n: int, seed: int, draws_per_point: int) -> list:
+    """The first n draws of one generator, drawn and guarded one at a
+    time, that lie in the spec's domain."""
+    rng = np.random.default_rng(seed)
+    box = np.asarray(spec.sample_box, dtype=float)
+    pts = []
+    for _ in range(draws_per_point * n):
+        p = Point(rng.uniform(box[:, 0], box[:, 1]), spec.chart_id)
+        if spec.contains(p):
+            pts.append(p)
+            if len(pts) == n:
+                return pts
+    raise ConfigError(f"only {len(pts)} points")
+
+
+def tree_guard(cfg, coords, limit: float) -> bool:
+    """A metric document's domain guard at one point, by walking its ASTs:
+    the [domain] inequalities in order, then |g_aa| <= ``limit``."""
+    if not np.all(np.isfinite(coords)):
+        return False
+    bindings = cfg.params | dict(zip(cfg.coord_names, np.asarray(coords).tolist()))
+    try:
+        for lhs, op, rhs in cfg.domain:
+            left = tree_evaluate(lhs, bindings)
+            right = tree_evaluate(rhs, bindings)
+            if not (left > right if op == ">" else left < right):
+                return False
+        return all(abs(tree_evaluate(ast, bindings)) <= limit
+                   for ast in cfg.components.values())
+    except EvalError:
+        return False

@@ -348,14 +348,14 @@ def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
     stencil frame; without the connection there, both gates fail."""
     checks = ("eq_1_7_derivative_chain", "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
-    original = rso._covariant_rows
+    original = rso.covariant_rows
 
     def without_connection_on_rows(field, frame, nested=False,
                                    include_spin=True):
         return original(field, frame, nested,
                         include_spin and len(frame.coords) == 1)
 
-    monkeypatch.setattr(rso, "_covariant_rows", without_connection_on_rows)
+    monkeypatch.setattr(rso, "covariant_rows", without_connection_on_rows)
     assert not any(_verdicts(schwarzschild, checks).values())
 
 
@@ -706,6 +706,37 @@ def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
     assert calls == [20 * 9] * 5
 
 
+def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
+    """At 20 points 1.2a samples each of its 5 fixtures once, over the
+    stencils of the context rows: the block side (``rs_residual``) and the
+    term-by-term side read one D_nu Psi and the field on its centre rows."""
+    ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
+    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    residuals = _count_calls(monkeypatch, rso, "rs_residual")
+    _, err = identity_suite._chk_operator_form(ctx)
+    assert err <= identity_suite.TOL_ALGEBRAIC
+    assert calls == [20 * 9] * 5
+    assert len(residuals) == 5
+
+
+def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
+    """One suite at 20 points forms the operator blocks of two row sets,
+    each once: the context frame (shared by ``rs_residual`` and
+    ``SuiteContext.blocks``) and the outer frame of the 10 chain points
+    (1.7)."""
+    rows = []
+    original = rso._alpha_beta_rows
+
+    def counting(gd, gu, g_up):
+        rows.append(len(gd))
+        return original(gd, gu, g_up)
+
+    _patch_everywhere(monkeypatch, rso, "_alpha_beta_rows", counting)
+    rep = run_suite(schwarzschild, n_points=20, seed=42)
+    assert rep.passed
+    assert sorted(rows) == [20, 170]
+
+
 def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
     """2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 share the context's
     operator blocks: one ``build_alpha_beta`` call per suite."""
@@ -745,7 +776,8 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
     the context frame and its outer frame, which 1.8e and 2.7b or 2.8c
     share, and the frame of the c = 10 chain points and its outer frame,
     which 1.7, 1.9 and 1.10c share.  An outer frame has 17 rows per row.
-    The metric is evaluated once per frame row and order used:
+    Each jet evaluates an order it uses in one call over all of its rows,
+    and the metric is evaluated once per jet row and order used:
       order 0: n + 17 n + c + 17 c + 6 + 8 n + 2n per fixture frame,
       order 1: n + 17 n + c + 17 c + 6,
       order 2: n + c + 6,
@@ -753,10 +785,12 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
     and order 0 at the 8 shifted points of each point's 1.4."""
     spec = load_preset(name)
     evals = {0: 0, 1: 0, 2: 0}
+    calls = []  # (order, rows) per call, holding the rows so ids stay unique
     original = spec.component_fn
 
     def counting(x, order=0):
-        evals[order] += 1
+        evals[order] += len(x)
+        calls.append((order, x))
         return original(x, order)
 
     spec.component_fn = counting
@@ -775,3 +809,5 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
         1: n + n * rows + chain + chain * rows + classified,
         2: n + chain + classified,
     }
+    per_jet = [(order, id(rows)) for order, rows in calls]
+    assert len(per_jet) == len(set(per_jet))

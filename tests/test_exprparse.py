@@ -2,6 +2,7 @@
 exact differentiation against sympy."""
 
 import math
+import struct
 
 import pytest
 import sympy as sp
@@ -14,6 +15,7 @@ from curved_rs.exprparse import (
     Call,
     Neg,
     Num,
+    Program,
     Var,
     diff,
     evaluate,
@@ -21,6 +23,8 @@ from curved_rs.exprparse import (
     parse_expression,
     to_text,
 )
+
+from oracles import tree_evaluate
 
 
 def ev(text, **bindings):
@@ -159,6 +163,60 @@ def test_roundtrip_parse_of_serialized_ast(ast):
 def test_serialization_is_stable(ast):
     text = to_text(ast)
     assert to_text(parse_expression(text)) == text
+
+
+def _outcome(evaluate_fn, ast, bindings):
+    """The bits of a value, or the message of the EvalError raised."""
+    try:
+        return struct.pack("<d", evaluate_fn(ast, bindings))
+    except EvalError as exc:
+        return str(exc)
+
+
+_VALUES = st.one_of(st.floats(min_value=-4.0, max_value=4.0),
+                    st.sampled_from([0.0, -0.0, 1.0, -1.0, 800.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(), st.lists(_VALUES, min_size=5, max_size=5))
+def test_compiled_evaluation_is_the_tree_walk(ast, values):
+    """Compiled code gives the tree walk's value to the bit, or raises
+    EvalError with its message, one binding set at a time."""
+    bindings = dict(zip(["r", "theta", "M", "alpha", "x1"], values))
+    assert (_outcome(evaluate, ast, bindings)
+            == _outcome(tree_evaluate, ast, bindings))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_exprs(), min_size=1, max_size=4),
+       st.lists(st.lists(_VALUES, min_size=3, max_size=3), min_size=1,
+                max_size=6))
+def test_a_program_on_rows_is_each_expression_on_each_row(exprs, rows):
+    """A program over rows gives, row by row, each expression's value
+    alone (``M`` and ``alpha`` compiled in); where one fails, it raises
+    that EvalError at the position of the first value that fails."""
+    program = Program(tuple(exprs), ("r", "theta", "x1"), {"M": 0.5, "alpha": -2.0})
+    ref = []
+    for row in rows:
+        bindings = {"M": 0.5, "alpha": -2.0, **dict(zip(program.slots, row))}
+        ref += [_outcome(tree_evaluate, e, bindings) for e in exprs]
+    try:
+        got = [struct.pack("<d", v) for v in evaluate(program, rows)]
+    except EvalError as exc:
+        first = next(i for i, v in enumerate(ref) if isinstance(v, str))
+        assert (exc.position, str(exc)) == (first, ref[first])
+    else:
+        assert got == ref
+
+
+def test_a_guard_program_stops_at_the_first_test_that_fails():
+    x = Var("x")
+    guard = Program((BinOp("/", Num(1.0), x),), ("x",),
+                    tests=((x, ">", Num(-1.0)), (Call("log", x), "<", Num(1.0))),
+                    limit=10.0)
+    rows = [[-2.0], [0.0], [0.05], [0.5], [3.0], [float("nan")]]
+    # -2 fails the first test, 0 the log, 0.05 the limit, 3 the second test
+    assert evaluate(guard, rows) == [False, False, False, True, False, False]
 
 
 def test_referential_transparency():
