@@ -271,12 +271,17 @@ _HELPERS = {"_pow": _pow, "_abs": abs, "_errors": (EvalError, ZeroDivisionError)
             **{_CALLS[name]: _checked(name, fn) for name, fn in FUNCTIONS.items()}}
 
 #: a compiled program's frame: ``rows`` is a list of rows, ``out`` the list
-#: each row's results are appended to
+#: each row's results are appended to.  A guard sets ``_ok`` to its test
+#: of the row; a value program's loop appends each expression instead.
 _TEMPLATE = """
 def _program(rows, out):
     _append = out.append
     for _row in rows:
-        pass
+        try:
+            _ok = True
+        except _errors:
+            _ok = False
+        _append(_ok)
 """
 
 
@@ -346,8 +351,15 @@ class Program:
             raise TypeError(f"not an expression node: {node!r}")
 
         values = [code(e) for e in self.exprs]
+        module = pyast.parse(_TEMPLATE)
+        loop = module.body[0].body[1]
+        if slots:
+            loop.target = pyast.Tuple(
+                [_name(f"_x{i}", True) for i in range(len(self.slots))],
+                pyast.Store(), **_AT)
         if self.tests is None:
-            body = [pyast.Expr(_call("_append", v), **_AT) for v in values]
+            loop.body = ([pyast.Expr(_call("_append", v), **_AT) for v in values]
+                         or [pyast.Pass(**_AT)])
         else:
             conditions = [
                 pyast.Compare(code(lhs), [_COMPARISONS[op]()], [code(rhs)], **_AT)
@@ -355,24 +367,10 @@ class Program:
             ] + [pyast.Compare(_call("_abs", v), [pyast.LtE()],
                                [pyast.Constant(float(self.limit), **_AT)], **_AT)
                  for v in values]
-            passes = (pyast.BoolOp(pyast.And(), conditions, **_AT)
-                      if len(conditions) > 1 else
-                      conditions[0] if conditions else pyast.Constant(True, **_AT))
-            body = [pyast.Try(
-                body=[pyast.Assign([_name("_ok", True)], passes, **_AT)],
-                handlers=[pyast.ExceptHandler(
-                    _name("_errors"), None,
-                    [pyast.Assign([_name("_ok", True)],
-                                  pyast.Constant(False, **_AT), **_AT)], **_AT)],
-                orelse=[], finalbody=[], **_AT),
-                pyast.Expr(_call("_append", _name("_ok")), **_AT)]
-        module = pyast.parse(_TEMPLATE)
-        loop = module.body[0].body[1]
-        if slots:
-            loop.target = pyast.Tuple(
-                [_name(f"_x{i}", True) for i in range(len(self.slots))],
-                pyast.Store(), **_AT)
-        loop.body = body or loop.body
+            if conditions:
+                loop.body[0].body[0].value = (
+                    pyast.BoolOp(pyast.And(), conditions, **_AT)
+                    if len(conditions) > 1 else conditions[0])
 
         def unbound_symbol(k):
             raise EvalError(f"unbound symbol '{unbound[k]}'")

@@ -378,26 +378,12 @@ def _rows(x) -> np.ndarray:
     return x.coords[None] if isinstance(x, Point) else as_rows(x)
 
 
-def _scatter(table: list, order: int) -> tuple:
-    """(flat positions, value columns) that place a derivative table's
-    values in a row's (4,) * (order + 2) array."""
-    positions, columns = [], []
-    for j, (index, _, _) in enumerate(table):
-        target = np.zeros((4,) * (order + 2), dtype=bool)
-        target[index] = True
-        for flat in np.flatnonzero(target):
-            positions.append(flat)
-            columns.append(j)
-    return positions, columns
-
-
 def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
     names = cfg.coord_names
     tables = _derivative_tables(cfg)
     # each compiled on first use: one function per order, and the guard
     programs = [exprparse.Program(tuple(ast for _, _, ast in t), names, cfg.params)
                 for t in tables]
-    scatters = [_scatter(t, k) for k, t in enumerate(tables)]
     guard_program = exprparse.Program(
         tuple(cfg.components[k] for k in COMPONENT_KEYS), names, cfg.params,
         tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
@@ -414,10 +400,11 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
                 f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
                 f"at {np.array2string(rows[row], precision=6)}: {exc}"
             ) from exc
-        positions, columns = scatters[order]
-        out = np.zeros((len(rows), 4 ** (order + 2)))
-        out[:, positions] = np.reshape(values, (len(rows), len(table)))[:, columns]
-        out = out.reshape((len(rows),) + (4,) * (order + 2))
+        columns = np.reshape(values, (len(rows), len(table))).T
+        out = np.zeros((4,) * (order + 2) + (len(rows),))
+        for (index, _, _), column in zip(table, columns):
+            out[index] = column
+        out = np.ascontiguousarray(np.moveaxis(out, -1, 0))
         return out[0] if isinstance(x, Point) else out
 
     def guard(x):
