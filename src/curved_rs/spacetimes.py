@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
-from .geometry import MetricSpec, Point, as_rows
+from .geometry import MetricSpec, Point
 
 #: the preset documents; their guards keep 1e-3 coordinate units from
 #: horizons, poles and singularities
@@ -375,7 +375,21 @@ def _derivative_tables(cfg: MetricConfig) -> tuple:
 
 def _rows(x) -> np.ndarray:
     """A Point's coordinates as one row, or (n, 4) rows."""
-    return x.coords[None] if isinstance(x, Point) else as_rows(x)
+    rows = x.coords[None] if isinstance(x, Point) else np.asarray(x, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"rows must have shape (n, 4), got {rows.shape}")
+    return rows
+
+
+def _scatter(table: list, order: int) -> tuple:
+    """(positions, columns): where in a row's flattened (4,) * (order + 2)
+    array each column of a derivative table's values goes."""
+    positions, columns = [], []
+    for j, (index, _, _) in enumerate(table):
+        flat = np.ravel_multi_index(index, (4,) * (order + 2)).ravel().tolist()
+        positions += flat
+        columns += [j] * len(flat)
+    return positions, columns
 
 
 def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
@@ -384,6 +398,7 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
     # each compiled on first use: one function per order, and the guard
     programs = [exprparse.Program(tuple(ast for _, _, ast in t), names, cfg.params)
                 for t in tables]
+    scatters = [_scatter(t, k) for k, t in enumerate(tables)]
     guard_program = exprparse.Program(
         tuple(cfg.components[k] for k in COMPONENT_KEYS), names, cfg.params,
         tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
@@ -400,11 +415,10 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
                 f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
                 f"at {np.array2string(rows[row], precision=6)}: {exc}"
             ) from exc
-        columns = np.reshape(values, (len(rows), len(table))).T
-        out = np.zeros((4,) * (order + 2) + (len(rows),))
-        for (index, _, _), column in zip(table, columns):
-            out[index] = column
-        out = np.ascontiguousarray(np.moveaxis(out, -1, 0))
+        positions, columns = scatters[order]
+        out = np.zeros((len(rows), 4 ** (order + 2)))
+        out[:, positions] = np.array(values).reshape(len(rows), len(table))[:, columns]
+        out = out.reshape((len(rows),) + (4,) * (order + 2))
         return out[0] if isinstance(x, Point) else out
 
     def guard(x):
