@@ -411,17 +411,27 @@ ZERO, ONE, TWO = Num(0.0), Num(1.0), Num(2.0)
 
 
 def _value(node: Expr):
-    """The float of a subtree without free symbols, else None.  A literal
-    is read as it stands: a ``Num``, or the ``Neg(Num)`` that ``_num``
-    and the parser write for a negative constant."""
-    if isinstance(node, Num):
+    """The float of a subtree without free symbols, else None (also where
+    it cannot be evaluated).  Folded by the helpers compiled code calls
+    (``_BINARY`` and the checked built-ins), in its order, so the float is
+    the one compiled code gives and nothing is compiled."""
+    kind = type(node)
+    if kind is Num:
         return node.value
-    if isinstance(node, Neg) and isinstance(node.arg, Num):
-        return -node.arg.value
-    if free_symbols(node):
+    if kind is Var:
+        return CONSTANTS.get(node.name)
+    if kind is BinOp:
+        args = (_value(node.left), _value(node.right))
+    else:
+        args = (_value(node.arg),)
+    if None in args:
         return None
     try:
-        return evaluate(node, {})
+        if kind is Neg:
+            return -args[0]
+        if kind is Call:
+            return _HELPERS[_CALLS[node.func]](args[0])
+        return _BINARY[node.op](*args)
     except (EvalError, ArithmeticError):
         return None
 

@@ -4,6 +4,12 @@ A sampler wraps a smooth map from chart points to a vector-bispinor
 (a (4, 4) complex array indexed [vector, spinor]) or to a bispinor
 (a (4,) complex array).  Fixture families are polynomial and trigonometric
 fields with seeded coefficients; a fixed seed gives a bit-identical field.
+
+A ``FieldStack`` samples several samplers of one kind together: its values
+carry a trailing fixture axis, (n, *shape, F), which the operator layer
+carries through every contraction (``rs_operator``), so that a check runs
+once over all of its fixtures.  A single sampler's values are the case
+without that axis.
 """
 
 from __future__ import annotations
@@ -67,6 +73,33 @@ class FieldSampler:
 
     def shape(self):
         return _SHAPES[self.kind]
+
+
+@dataclass(frozen=True)
+class FieldStack:
+    """Samplers of one kind sampled together.  ``at`` takes what
+    ``FieldSampler.at`` takes and returns the (n, *shape, F) values of the F
+    members, member k's at [..., k]: each member's ``at`` is called once
+    and written into one preallocated array, so no member's values are held
+    beside the stack."""
+
+    members: tuple
+
+    def __post_init__(self):
+        if len({m.kind for m in self.members}) != 1:
+            raise ValueError("a field stack needs samplers of one kind")
+
+    @property
+    def kind(self) -> str:
+        return self.members[0].kind
+
+    def at(self, coords, chart_id: str = "") -> np.ndarray:
+        n = len(coords.coords if isinstance(coords, Frame) else coords)
+        out = np.empty((n,) + _SHAPES[self.kind] + (len(self.members),),
+                       dtype=complex)
+        for k, member in enumerate(self.members):
+            out[..., k] = member.at(coords, chart_id)
+        return out
 
 
 def _closed_form(batch, kind: str, name: str) -> FieldSampler:

@@ -17,7 +17,9 @@ All stencils are 2nd-order central differences; Richardson extrapolation
 ``differences`` serve every row-batched derivative that samples all its
 stencil points in one call; ``differences`` extrapolates exactly when the
 stencil has two levels.  ``outer_derivative`` differences a quantity over
-the stacked outer stencils of a frame's rows (``Frame.outer``).
+the stacked outer stencils of a frame's rows (``Frame.outer``), and
+``stencil_centres`` reads the values at their centres; the three take
+values with any trailing axes, a fixture axis among them.
 ``partial4`` takes one axis of a function of one point, or of (n, 4) rows
 with one step per row.
 
@@ -103,8 +105,8 @@ def differences(values: np.ndarray, steps: np.ndarray):
     value = values[:, 0]
     shape = value.shape[1:]
     pm = values[:, 1:].reshape((n, levels, 2, 4) + shape)
-    d_levels = (pm[:, :, 0] - pm[:, :, 1]) / (2.0 * steps).reshape(
-        steps.shape + (1,) * len(shape))
+    d_levels = pm[:, :, 0] - pm[:, :, 1]
+    d_levels /= (2.0 * steps).reshape(steps.shape + (1,) * len(shape))
     if levels == 2:
         return value, (4.0 * d_levels[:, 1] - d_levels[:, 0]) / 3.0
     return value, d_levels[:, 0]
@@ -117,6 +119,13 @@ def outer_derivative(values: np.ndarray, centres: np.ndarray):
     _, steps = stencil(centres, nested=True)
     return differences(values.reshape((len(centres), -1) + values.shape[1:]),
                        steps)
+
+
+def stencil_centres(values: np.ndarray, n: int) -> np.ndarray:
+    """The values [n, ...] at the centres of n stacked stencils, from the
+    values [n * points, ...] on all of their points, each centre first (as
+    ``stencil`` and ``Frame.outer`` stack them)."""
+    return values.reshape((n, -1) + values.shape[1:])[:, 0]
 
 
 def thread_count() -> int:

@@ -15,7 +15,14 @@ antisymmetric tensor; both routes are implemented and compared by tests.
 Functions of a field take a Frame and return one row per frame row; the
 algebraic sides of the identities take the field's values on its rows.
 The nested-difference ones take every row's outer stencil from the
-frame's one stacked outer frame (``Frame.outer``).
+frame's one stacked outer frame (``Frame.outer``), and ``nested_rows`` is
+the inner derivative they share.  A field may be a ``fields.FieldStack``:
+its values, and everything computed from them, then carry a trailing
+fixture axis, which every contraction on field values passes through a
+trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler is the case
+without that axis, on the same code.  A function that takes ``rows``
+reads a derivative computed once for several identities instead of
+sampling the field again.
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 Every block product is one dense (..., 16, 16) matmul.  The
@@ -200,33 +207,34 @@ def frame_blocks(frame: Frame):
     return blocks
 
 
+def _spin_term(frame: Frame, kind: str, value):
+    """Gamma_nu on the spinor index of a field's values [n, ...] on a
+    frame's rows, indexed [n, nu, ...]."""
+    sub = "xnij,xj...->xni..." if kind == BISPINOR else "xnij,xbj...->xnbi..."
+    return np.einsum(sub, frame.connection, value, optimize=PAIRWISE)
+
+
 def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     """D_nu from the partial derivatives d [n, nu, ...] and the values
     [n, ...] of a field on a frame's rows: the Christoffel term on a
-    vector index and the connection on the spinor index."""
-    if include_spin:
-        G = frame.connection
-    if kind == BISPINOR:
-        if include_spin:
-            d = d + np.einsum("xnij,xj->xni", G, value, optimize=PAIRWISE)
-    else:
-        gam = frame.christoffel
-        d = d - np.einsum("xlnb,xli->xnbi", gam, value, optimize=PAIRWISE)
-        if include_spin:
-            d = d + np.einsum("xnij,xbj->xnbi", G, value, optimize=PAIRWISE)
-    return d
+    vector index, then the connection on the spinor index."""
+    if kind == VECTOR_BISPINOR:
+        d = d - np.einsum("xlnb,xli...->xnbi...", frame.christoffel, value,
+                          optimize=PAIRWISE)
+    return d + _spin_term(frame, kind, value) if include_spin else d
 
 
 def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
-    """D_nu of a sampler on a frame's rows, and the field there:
-    (d [n, nu, ...], value [n, ...]).  One ``field.at`` call samples every
-    row's stencil (``numerics.stencil``); the geometry comes from the
-    frame."""
+    """D_nu of a sampler or a ``FieldStack`` on a frame's rows, and the
+    field there: (d [n, nu, ...], value [n, ...]).  One ``field.at`` call
+    samples every row's stencil (``numerics.stencil``); the geometry comes
+    from the frame.  The value is a copy, so that a caller who keeps it
+    does not keep the values of the whole stencil."""
     points, steps = stencil(frame.coords, nested)
     values = field.at(points.reshape(-1, 4), frame.chart_id)
     value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
                            steps)
-    return _connect(frame, field.kind, d, value, include_spin), value
+    return _connect(frame, field.kind, d, value, include_spin), value.copy()
 
 
 def covariant_derivative(
@@ -240,8 +248,9 @@ def covariant_derivative(
     Vector-bispinor fields get the Christoffel term on the vector index
     and the bispinor connection on the spinor index; bispinor fields only
     the connection (they are coordinate scalars).  Returns [n, nu, be, s]
-    or [n, nu, s].  ``nested`` picks the nested step policy of
-    ``numerics``, for a derivative that feeds another one.
+    or [n, nu, s] (and the fixture axis of a stack).  ``nested`` picks the
+    nested step policy of ``numerics``, for a derivative that feeds another
+    one.
     """
     return covariant_rows(field, frame, nested, include_spin)[0]
 
@@ -249,15 +258,16 @@ def covariant_derivative(
 def _residual(frame, d, psi, mass):
     """(alpha^nu D_nu + kappa beta) Psi on a frame's rows from D_nu Psi."""
     alpha, beta = frame_blocks(frame)
-    return (mass.kappa * np.einsum("xrsij,xsj->xri", beta, psi,
+    return (mass.kappa * np.einsum("xrsij,xsj...->xri...", beta, psi,
                                    optimize=PAIRWISE)
-            + np.einsum("xnrsij,xnsj->xri", alpha, d, optimize=PAIRWISE))
+            + np.einsum("xnrsij,xnsj...->xri...", alpha, d,
+                        optimize=PAIRWISE))
 
 
 def _first_constraint(frame, d, psi, mass):
     """D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows."""
-    div = np.einsum("xnb,xnbi->xi", frame.metric.g_upper, d)
-    trace = np.einsum("xbij,xbj->xi", frame.gammas.gamma_up, psi)
+    div = np.einsum("xnb,xnbi...->xi...", frame.metric.g_upper, d)
+    trace = np.einsum("xbij,xbj...->xi...", frame.gammas.gamma_up, psi)
     return div - 0.5 * mass.kappa * trace
 
 
@@ -270,13 +280,14 @@ def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam,
     return _residual(frame, d, psi, mass)
 
 
-def contraction_identity(field, frame: Frame, mass):
+def contraction_identity(field, frame: Frame, mass, rows: tuple = None):
     """(lhs, rhs, psi) on a frame's rows from one D_nu Psi: the
     gamma-contraction of the residual, equal for any smooth field to (2/3)
-    D_be Psi^be - (kappa/2) gamma_be Psi^be, and the field itself."""
-    d, psi = covariant_rows(field, frame)
+    D_be Psi^be - (kappa/2) gamma_be Psi^be, and the field itself; ``rows``
+    as for ``rs_residual``."""
+    d, psi = covariant_rows(field, frame) if rows is None else rows
     res = _residual(frame, d, psi, mass)
-    lhs = np.einsum("xsij,xsj->xi", frame.gammas.gamma_up, res)
+    lhs = np.einsum("xsij,xsj...->xi...", frame.gammas.gamma_up, res)
     return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass), psi
 
 
@@ -285,13 +296,15 @@ def constraint_two(frame: Frame, psi, mass):
     1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r on a frame's
     rows from the field values psi [n, be, s] there."""
     gs, bundle = frame.gammas, frame.curvature
-    psi_up = np.einsum("xbl,xlj->xbj", gs.metric.g_upper, psi)
+    psi_up = np.einsum("xbl,xlj...->xbj...", gs.metric.g_upper, psi)
     # einsum's summation order follows its operands' memory layout; a
     # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
     ricci = np.ascontiguousarray(bundle.ricci)
-    t1 = np.einsum("xab,xaij,xbj->xi", 0.5 * ricci, gs.gamma_up, psi_up)
-    phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
-    return t1 + (0.5 * mass.kappa**2 - bundle.scalar[:, None] / 12.0) * phi
+    t1 = np.einsum("xab,xaij,xbj...->xi...", 0.5 * ricci, gs.gamma_up,
+                   psi_up)
+    phi = np.einsum("xrij,xrj...->xi...", gs.gamma_up, psi)
+    factor = 0.5 * mass.kappa**2 - bundle.scalar / 12.0
+    return t1 + factor.reshape(factor.shape + (1,) * (phi.ndim - 1)) * phi
 
 
 def einstein_space_factor(frame: Frame, mass):
@@ -303,25 +316,46 @@ def einstein_space_factor(frame: Frame, mass):
 
 def centre_covariant(values, frame: Frame, kind: str):
     """(value, D_mu value) on a frame's rows from the values [n * 17, ...]
-    a field of ``kind`` takes on the rows of its outer frame."""
+    a field of ``kind`` (or a stack of them) takes on the rows of its outer
+    frame."""
     v, dv = outer_derivative(values, frame.coords)
     return v, _connect(frame, kind, dv, v)
 
 
-def second_covariant_comm(field, frame: Frame, include_spin=True):
+def nested_rows(field, frame: Frame):
+    """The inner derivative the nested chains share, on the rows of a
+    frame's outer frame (nested step policy), in both forms:
+    (Christoffel-only D_nu Psi, D_nu Psi, Psi), from one ``at`` call over
+    every outer row's stencil.  The full form adds the connection term to
+    the Christoffel-only one, as ``_connect`` does, so each equals its own
+    ``covariant_rows`` to the bit.  ``derivative_chain`` and
+    ``second_covariant_comm`` take (D_nu Psi, Psi) as ``rows``,
+    ``bridge_commutator`` the Christoffel-only pair."""
+    outer = frame.outer
+    christ, psi = covariant_rows(field, outer, nested=True,
+                                 include_spin=False)
+    return christ, christ + _spin_term(outer, field.kind, psi), psi
+
+
+def second_covariant_comm(field, frame: Frame, include_spin=True,
+                          rows: tuple = None):
     """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
     nested differences over its outer frame; ``include_spin`` False drops
-    the spin connection (the Christoffel-only commutator)."""
-    inner = covariant_derivative(field, frame.outer, nested=True,
-                                 include_spin=include_spin)
-    v, dv = outer_derivative(inner, frame.coords)  # [x, nu, c, s], [x, mu, ...]
+    the spin connection (the Christoffel-only commutator).  ``rows`` is the
+    inner pair (D_nu Psi, Psi) on the outer frame's rows, of the same
+    form, when already computed (``nested_rows``)."""
+    if rows is None:
+        rows = covariant_rows(field, frame.outer, nested=True,
+                              include_spin=include_spin)
+    # [x, nu, c, s], [x, mu, nu, c, s]
+    v, dv = outer_derivative(rows[0], frame.coords)
     gam = frame.christoffel
-    t = (dv - np.einsum("xlmn,xlcs->xmncs", gam, v, optimize=PAIRWISE)
-         - np.einsum("xlmc,xnls->xmncs", gam, v, optimize=PAIRWISE))
+    t = (dv - np.einsum("xlmn,xlcs...->xmncs...", gam, v, optimize=PAIRWISE)
+         - np.einsum("xlmc,xnls...->xmncs...", gam, v, optimize=PAIRWISE))
     if include_spin:
-        t = t + np.einsum("xmij,xncj->xmnci", frame.connection, v,
+        t = t + np.einsum("xmij,xncj...->xmnci...", frame.connection, v,
                           optimize=PAIRWISE)
-    return t - t.transpose(0, 2, 1, 3, 4)
+    return t - t.swapaxes(1, 2)
 
 
 def curvature_commutator(frame: Frame, psi):
@@ -331,45 +365,50 @@ def curvature_commutator(frame: Frame, psi):
     dhat = spinor_commutator_curvature(frame)
     rmix = riemann_mixed(frame.curvature, frame.metric)
     # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
-    comm = (-np.einsum("xlcab,xls->xabcs", rmix, psi, optimize=PAIRWISE)
-            + np.einsum("xabij,xcj->xabci", dhat, psi, optimize=PAIRWISE))
+    comm = (-np.einsum("xlcab,xls...->xabcs...", rmix, psi, optimize=PAIRWISE)
+            + np.einsum("xabij,xcj...->xabci...", dhat, psi,
+                        optimize=PAIRWISE))
     return comm, dhat
 
 
-def bridge_commutator(field, frame: Frame):
+def bridge_commutator(field, frame: Frame, rows: tuple = None):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be on a
     frame's rows by nested differences of Christoffel-only derivatives;
-    equal to ``ricci_contraction``."""
-    comm = second_covariant_comm(field, frame, include_spin=False)
-    w = np.einsum("xnc,xancs->xas", frame.metric.g_upper, comm)
-    return -np.einsum("xaij,xaj->xi", frame.gammas.gamma_up, w)
+    equal to ``ricci_contraction``.  ``rows`` is the Christoffel-only inner
+    pair of ``nested_rows``, when already computed."""
+    comm = second_covariant_comm(field, frame, include_spin=False, rows=rows)
+    w = np.einsum("xnc,xancs...->xas...", frame.metric.g_upper, comm)
+    return -np.einsum("xaij,xaj...->xi...", frame.gammas.gamma_up, w)
 
 
 def ricci_contraction(frame: Frame, psi):
     """gamma^al Psi^nu R_{nu al} on a frame's rows from the field values
     psi [n, be, s] there."""
-    psi_up = np.einsum("xnl,xlj->xnj", frame.metric.g_upper, psi)
-    return np.einsum("xna,xaij,xnj->xi", frame.curvature.ricci,
+    psi_up = np.einsum("xnl,xlj...->xnj...", frame.metric.g_upper, psi)
+    return np.einsum("xna,xaij,xnj...->xi...", frame.curvature.ricci,
                      frame.gammas.gamma_up, psi_up)
 
 
-def derivative_chain(field, frame: Frame, mass):
+def derivative_chain(field, frame: Frame, mass, rows: tuple = None):
     """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi on a frame's
     rows, with chi the first-constraint combination; equal to
     ``chain_rhs`` for any C^3 field.  One inner D_nu Psi on the rows of
     the outer frame (one ``at`` call over every row's stencil of
-    stencils) gives both the residual and chi there; their outer
-    derivatives at the frame's rows follow.
+    stencils, or ``rows`` = (D_nu Psi, Psi) of ``nested_rows``) gives both
+    the residual and chi there; their outer derivatives at the frame's
+    rows follow.
     """
     outer = frame.outer
-    d, psi = covariant_rows(field, outer, nested=True)
+    if rows is None:
+        rows = covariant_rows(field, outer, nested=True)
+    d, psi = rows
     _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
                                VECTOR_BISPINOR)
     chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
                                  frame, BISPINOR)
-    return (np.einsum("xnb,xnbi->xi", frame.metric.g_upper, dres)
-            - (2.0 / 3.0) * np.einsum("xaij,xaj->xi", frame.gammas.gamma_up,
-                                      dchi)
+    return (np.einsum("xnb,xnbi...->xi...", frame.metric.g_upper, dres)
+            - (2.0 / 3.0) * np.einsum("xaij,xaj...->xi...",
+                                      frame.gammas.gamma_up, dchi)
             - mass.kappa * chi)
 
 
@@ -381,13 +420,13 @@ def chain_rhs(frame: Frame, psi, mass):
     algebraic form (vector curvature + spinor curvature)."""
     gs = frame.gammas
     comm, dhat = curvature_commutator(frame, psi)
-    contracted = np.einsum("xmb,xambs->xas", gs.metric.g_upper, comm)
-    term1 = -np.einsum("xaij,xaj->xi", gs.gamma_up, contracted)
-    phi = np.einsum("xrij,xrj->xi", gs.gamma_up, psi)
+    contracted = np.einsum("xmb,xambs...->xas...", gs.metric.g_upper, comm)
+    term1 = -np.einsum("xaij,xaj...->xi...", gs.gamma_up, contracted)
+    phi = np.einsum("xrij,xrj...->xi...", gs.gamma_up, psi)
     term2 = 0.5 * mass.kappa**2 * phi
-    d_on_phi = np.einsum("xabij,xj->xabi", dhat, phi)
+    d_on_phi = np.einsum("xabij,xj...->xabi...", dhat, phi)
     term3 = (1.0 / 3.0) * np.einsum(
-        "xabij,xabj->xi", gs.sigma_curved, d_on_phi
+        "xabij,xabj...->xi...", gs.sigma_curved, d_on_phi
     )
     return term1 + term2 + term3
 

@@ -270,8 +270,8 @@ def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
 def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
                                                monkeypatch):
     """The multi-operand einsums carry the path ``optimize=True`` finds on
-    every call; with the search put back, their values and 1.10b's error
-    stay bit-identical, at one point and on 1 and 20 rows."""
+    every call; with the search put back, their values and the errors of
+    1.10b and 1.2a stay bit-identical, at one point and on 1 and 20 rows."""
     if rows is None:
         gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
     else:
@@ -284,12 +284,14 @@ def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
         return [*rso._alpha_beta_rows(gd, gu, g_up), rso.eps_gamma(gs),
                 rso.beta_tilde_eps_form(gs).blocks,
                 *(m.blocks for m in printed[1] + printed[3]),
-                identity_suite._chk_sigma_ricci_contraction(ctx)[1]]
+                identity_suite._chk_sigma_ricci_contraction(ctx)[1],
+                identity_suite._chk_operator_form(ctx)[1]]
 
     fixed = values()
     for name in ("_TRIPLE_PATH", "_EPS_GAMMA_PATH", "_EPS_GAMMA_GAMMA_PATH"):
         monkeypatch.setattr(rso, name, True)
     monkeypatch.setattr(identity_suite, "_SIGMA_RICCI_PATH", True)
+    monkeypatch.setattr(identity_suite, "_TERM_PATH", True)
     for a, b in zip(fixed, values(), strict=True):
         assert np.array_equal(a, b)
 
@@ -345,17 +347,21 @@ def test_dense_layout_mutant_fails_the_block_assembly(schwarzschild,
 def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
         schwarzschild, monkeypatch):
     """The inner derivatives of 1.7 and 2.7b run on the rows of the outer
-    stencil frame; without the connection there, both gates fail."""
+    stencil frame; with a zero connection there (and only there), both
+    gates fail."""
     checks = ("eq_1_7_derivative_chain", "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
-    original = rso.covariant_rows
+    original = spin_frame.Frame.outer.func
 
-    def without_connection_on_rows(field, frame, nested=False,
-                                   include_spin=True):
-        return original(field, frame, nested,
-                        include_spin and len(frame.coords) == 1)
+    def without_connection(self):
+        outer = original(self)
+        outer.__dict__["connection"] = np.zeros((len(outer.coords), 4, 4, 4),
+                                                dtype=complex)
+        return outer
 
-    monkeypatch.setattr(rso, "covariant_rows", without_connection_on_rows)
+    prop = functools.cached_property(without_connection)
+    prop.__set_name__(Frame, "outer")
+    monkeypatch.setattr(Frame, "outer", prop)
     assert not any(_verdicts(schwarzschild, checks).values())
 
 
@@ -664,9 +670,9 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     frame, each filled once.  The Christoffels are filled by the outer
     frame and its connection (the inner derivatives), and by the chain
     frame, its connection (the outer derivative) and its curvature (the
-    curvature form).  Per fixture one ``at`` call samples the point for the
-    curvature form and the scale, and one samples the stencil of stencils.
-    A second run builds and fills nothing."""
+    curvature form).  Per fixture one ``at`` call samples the stencil of
+    stencils, whose centre is the point for the curvature form and the
+    scale.  A second run builds, fills and samples nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     at_calls = _count_at(monkeypatch, ctx.vb_fixtures)
@@ -675,25 +681,31 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     christoffels = _count_calls(monkeypatch, geometry, "christoffel")
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
-    assert at_calls == [1, 17 * 17] * 5
+    assert at_calls == [17 * 17] * 5
     assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
     identity_suite._chk_derivative_chain(ctx)
     assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
+    assert at_calls == [17 * 17] * 5
 
 
 def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
-    """At 20 points 1.11a samples each of its 3 fixtures once, on the
-    context rows, and hands that psi to both of its sides.  1.7 samples
-    each of its 5 once on the 10 chain points, for its curvature form and
-    scale, and once over the stencils of stencils of their outer frame
-    (170 rows x 17 points)."""
+    """At 20 points 1.11a reads its 3 fixtures from the context's one pass
+    over the stencils of its rows (20 rows x 9 points, one call per
+    fixture of the stack of 5), and hands that psi to both of its sides.
+    1.7 samples each of its 5 once, over the stencils of stencils of the
+    outer frame of the 10 chain points (170 rows x 17 points), whose
+    centres give its curvature form and scale; 1.9 and 1.10c read the same
+    pass and sample nothing."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
     calls = _count_at(monkeypatch, ctx.vb_fixtures)
     identity_suite._chk_constraint_reduction(ctx)
-    assert calls == [20] * 3
+    assert calls == [20 * 9] * 5
     calls.clear()
     identity_suite._chk_derivative_chain(ctx)
-    assert calls == [10, 170 * 17] * 5
+    assert calls == [170 * 17] * 5
+    identity_suite._chk_commutator_decomposition(ctx)
+    identity_suite._chk_curvature_bridge(ctx)
+    assert calls == [170 * 17] * 5
 
 
 def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
@@ -708,15 +720,16 @@ def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
 
 def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
     """At 20 points 1.2a samples each of its 5 fixtures once, over the
-    stencils of the context rows: the block side (``rs_residual``) and the
-    term-by-term side read one D_nu Psi and the field on its centre rows."""
+    stencils of the context rows: the block side (one ``rs_residual`` over
+    the stack) and the term-by-term side read one D_nu Psi and the field
+    on its centre rows."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
     calls = _count_at(monkeypatch, ctx.vb_fixtures)
     residuals = _count_calls(monkeypatch, rso, "rs_residual")
     _, err = identity_suite._chk_operator_form(ctx)
     assert err <= identity_suite.TOL_ALGEBRAIC
     assert calls == [20 * 9] * 5
-    assert len(residuals) == 5
+    assert len(residuals) == 1
 
 
 def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
@@ -811,3 +824,29 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
     }
     per_jet = [(order, id(rows)) for order, rows in calls]
     assert len(per_jet) == len(set(per_jet))
+
+
+@pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
+def test_suite_samples_each_fixture_in_two_passes(name, monkeypatch):
+    """One suite at n = 20 points samples each of its 5 vector-bispinor
+    fixtures twice, in the two passes over the fixture stack: over the
+    stencils of the context rows (9 n rows; 1.2a, 1.6, 1.11a and 1.14b)
+    and over the stencils of stencils of the c = 10 chain points' outer
+    frame (17 * 17 c rows; 1.7, 1.9 and 1.10c).  The field on the rows
+    themselves comes from the stencil centres."""
+    fixtures = []
+    original = identity_suite.fixture_family
+
+    def recording(seed, count, kind=VECTOR_BISPINOR, box=None):
+        family = original(seed, count, kind, box)
+        if kind == VECTOR_BISPINOR:
+            fixtures.extend(family)
+        return family
+
+    monkeypatch.setattr(identity_suite, "fixture_family", recording)
+    calls = _count_at(monkeypatch, fixtures)
+    rep = run_suite(load_preset(name), n_points=20, seed=42)
+    n, chain = 20, identity_suite.SECOND_ORDER_POINT_CAP
+    assert rep.passed
+    assert len(fixtures) == identity_suite.FIXTURE_COUNT == 5
+    assert calls == [9 * n] * 5 + [17 * 17 * chain] * 5

@@ -3,6 +3,7 @@ metric order are one function over a list of rows, compiled once, whose
 values are bit for bit those of walking the ASTs one point at a time."""
 
 import builtins
+import json
 import re
 from pathlib import Path
 
@@ -159,6 +160,48 @@ def test_each_program_compiles_once(monkeypatch):
     assert len(compiled) == 4
     run_suite(spec, n_points=2, seed=2)
     assert len(compiled) == 4
+
+
+def test_loading_a_preset_compiles_its_sampling_box_only(monkeypatch):
+    """``diff`` folds constant subtrees (frw_dust's exponent 2.0 / 3.0)
+    with the helpers compiled code calls, so loading any preset compiles
+    one program, its sampling box; the guard and the metric orders compile
+    on first use."""
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return builtins.compile(*args)
+
+    monkeypatch.setattr(exprparse, "compile", counting, raising=False)
+    for name in PRESET_DOCUMENTS:
+        compiled.clear()
+        spacetimes.load_preset(name)
+        assert compiled == ["<exprparse>"], name
+
+
+#: each derivative table entry as ``label = to_text(AST)``, recorded from the
+#: folding that evaluated constant subtrees through compiled code
+DERIVATIVE_TABLES = Path(__file__).with_name("derivative_tables.json")
+
+
+def test_derivative_tables_print_as_recorded():
+    """The first and second metric derivatives of the six presets and the
+    three documents print exactly as recorded: folding without compiling
+    changes no float and no tree."""
+    recorded = json.loads(DERIVATIVE_TABLES.read_text())
+    got = {}
+    for kind, names in (("preset", PRESET_DOCUMENTS),
+                        ("document", DOCUMENTS)):
+        for name in names:
+            text = (PRESET_DOCUMENTS[name] if kind == "preset"
+                    else (DOCUMENT_DIR / f"{name}.metric").read_text())
+            cfg = spacetimes.parse_metric_config(text, name=name)
+            got[f"{kind}:{name}"] = [
+                f"{label} = {to_text(ast)}"
+                for table in spacetimes._derivative_tables(cfg)[1:]
+                for _, label, ast in table]
+    assert got == recorded
 
 
 def _document_with_a_cut_box():
