@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTransform
-from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler
+from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
 from .numerics import (
     PAIRWISE,
@@ -238,7 +238,7 @@ def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
 
 
 def covariant_derivative(
-    field: FieldSampler,
+    field: FieldSampler | FieldStack,
     frame: Frame,
     nested: bool = False,
     include_spin: bool = True,
@@ -271,8 +271,8 @@ def _first_constraint(frame, d, psi, mass):
     return div - 0.5 * mass.kappa * trace
 
 
-def rs_residual(field: FieldSampler, frame: Frame, mass: MassParam,
-                rows: tuple = None) -> np.ndarray:
+def rs_residual(field: FieldSampler | FieldStack, frame: Frame,
+                mass: MassParam, rows: tuple = None) -> np.ndarray:
     """Left side of the wave equation on a frame's rows:
     (alpha^nu D_nu + kappa beta) Psi, from ``rows`` = (D_nu Psi, Psi) of
     ``covariant_rows`` when given, without sampling the field again."""
