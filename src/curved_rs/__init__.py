@@ -40,6 +40,7 @@ from .rs_operator import (
     build_alpha_beta,
     contraction_identity,
     covariant_derivative,
+    covariant_rows,
     rs_residual,
     tilde_closed_form,
     transform_CS,

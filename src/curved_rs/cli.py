@@ -14,7 +14,8 @@ import math
 import sys
 
 from . import identity_suite as suite_mod
-from .errors import ConfigError, CurvedRSError, InvalidParameter, ParseError
+from .errors import (ConfigError, CurvedRSError, InvalidParameter, ParseError,
+                     SignatureError, SingularMetric)
 from .spacetimes import PRESET_NAMES, load_preset, parse_metric_config, spec_from_config
 
 EXIT_OK = 0
@@ -191,7 +192,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return run_command(args)
-    except (ConfigError, ParseError, InvalidParameter) as exc:
+    except (ConfigError, ParseError, InvalidParameter, SignatureError,
+            SingularMetric) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CurvedRSError as exc:

@@ -444,10 +444,10 @@ def _subset(*stacks) -> list:
 
 
 def _chk_commutator_decomposition(ctx):
-    _, d, psi, centre = _subset(*ctx.chain_rows)
+    _, d, _, centre = _subset(*ctx.chain_rows)
     frame = ctx.chain_frame
     return len(ctx.chain_points()), _max_row_rel(
-        rso.second_covariant_comm(ctx.fixtures, frame, rows=(d, psi)),
+        rso.second_covariant_comm(frame, d),
         rso.curvature_commutator(frame, centre)[0], centre)
 
 
@@ -469,16 +469,17 @@ def _chk_sigma_ricci_contraction(ctx):
 
 
 def _chk_curvature_bridge(ctx):
-    christ, _, psi, centre = _subset(*ctx.chain_rows)
+    christ, _, _, centre = _subset(*ctx.chain_rows)
     frame = ctx.chain_frame
     return len(ctx.chain_points()), _max_row_rel(
-        rso.bridge_commutator(ctx.fixtures, frame, rows=(christ, psi)),
+        rso.bridge_commutator(frame, christ),
         rso.ricci_contraction(frame, centre), centre)
 
 
 def _chk_gamma_contraction(ctx):
+    d, psi = ctx.fixture_rows
     return len(ctx.points), _max_row_rel(*rso.contraction_identity(
-        ctx.fixtures, ctx.frame, ctx.mass, ctx.fixture_rows))
+        ctx.frame, d, psi, ctx.mass), psi)
 
 
 def _chk_divergence_form(ctx):
@@ -489,7 +490,8 @@ def _chk_divergence_form(ctx):
     worst = 0.0
     for w in waves:
         # gamma.residual and (2/3) of the first constraint, from one D Psi
-        lhs, rhs, psi = rso.contraction_identity(w, ctx.frame, mass)
+        d, psi = rso.covariant_rows(w, ctx.frame)
+        lhs, rhs = rso.contraction_identity(ctx.frame, d, psi, mass)
         chi = 1.5 * rhs
         scale = np.maximum(_row_max(psi), 1e-6)
         worst = _worst(worst, float(np.max(_row_max(lhs) / scale)),
@@ -501,7 +503,7 @@ def _chk_derivative_chain(ctx):
     _, d, psi, centre = ctx.chain_rows
     frame = ctx.chain_frame
     return len(ctx.chain_points()), _max_row_rel(
-        rso.derivative_chain(ctx.fixtures, frame, ctx.mass, rows=(d, psi)),
+        rso.derivative_chain(frame, d, psi, ctx.mass),
         rso.chain_rhs(frame, centre, ctx.mass), centre)
 
 
@@ -518,7 +520,8 @@ def _chk_flat_reduction(ctx):
     mass = rso.MassParam(ctx.mass.m or 1.0)
     worst = 0.0
     for w in waves:
-        rep = rso.flat_reduction_check(w, ctx.frame, mass)
+        rep = rso.flat_reduction_check(
+            ctx.frame, *rso.covariant_rows(w, ctx.frame), mass)
         scale = max(rep["scale"], 1e-6)
         worst = _worst(worst, rep["max_rs_residual"] / scale,
                        rep["max_match_error"] / scale)
@@ -592,8 +595,8 @@ def _term_by_term_residual(d, psi, frame, mass):
 
 
 def _chk_operator_form(ctx):
-    d, psi = rows = ctx.fixture_rows
-    blocks = rso.rs_residual(ctx.fixtures, ctx.frame, ctx.mass, rows)
+    d, psi = ctx.fixture_rows
+    blocks = rso.rs_residual(ctx.frame, d, psi, ctx.mass)
     terms = _term_by_term_residual(d, psi, ctx.frame, ctx.mass)
     return len(ctx.points), _max_row_rel(blocks, terms, psi)
 

@@ -12,17 +12,16 @@ similarity (with S = I + a gamma gamma, S^-1 = I + b gamma gamma,
 a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
-Functions of a field take a Frame and return one row per frame row; the
-algebraic sides of the identities take the field's values on its rows.
-The nested-difference ones take every row's outer stencil from the
-frame's one stacked outer frame (``Frame.outer``), and ``nested_rows`` is
-the inner derivative they share.  A field may be a ``fields.FieldStack``:
-its values, and everything computed from them, then carry a trailing
-fixture axis, which every contraction on field values passes through a
-trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler is the case
-without that axis, on the same code.  A function that takes ``rows``
-reads a derivative computed once for several identities instead of
-sampling the field again.
+A field is sampled only through ``covariant_rows``, which gives D_nu Psi
+and Psi on a frame's rows: ``covariant_derivative`` keeps the first, and
+``nested_rows`` takes the inner derivative of the nested chains on the
+rows of the frame's one stacked outer frame (``Frame.outer``).  Every
+side of an identity is a function of those sampled rows and returns one
+row per frame row.  A field may be a ``fields.FieldStack``: its values, and
+everything computed from them, then carry a trailing fixture axis, which
+every contraction on field values passes through a trailing ``...``
+(``"xnij,xj...->xni..."``).  One sampler is the case without that axis,
+on the same code.
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 Every block product is one dense (..., 16, 16) matmul.  The
@@ -31,7 +30,7 @@ multi-operand einsums (the gamma triples of ``_alpha_beta_rows`` and
 the fixed contraction path numpy would pick for them, so each runs as
 pairwise products instead of one nested loop over every index, without a
 path search on every call; the two-operand contractions over a frame's
-rows (``_residual``, ``_connect`` and the commutator terms) carry
+rows (``rs_residual``, ``_connect`` and the commutator terms) carry
 ``PAIRWISE`` and run as batched matmuls.
 """
 
@@ -237,12 +236,8 @@ def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
     return _connect(frame, field.kind, d, value, include_spin), value.copy()
 
 
-def covariant_derivative(
-    field: FieldSampler | FieldStack,
-    frame: Frame,
-    nested: bool = False,
-    include_spin: bool = True,
-) -> np.ndarray:
+def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
+                         nested: bool = False) -> np.ndarray:
     """D_nu of a sampler on a frame's rows.
 
     Vector-bispinor fields get the Christoffel term on the vector index
@@ -252,16 +247,7 @@ def covariant_derivative(
     nested step policy of ``numerics``, for a derivative that feeds another
     one.
     """
-    return covariant_rows(field, frame, nested, include_spin)[0]
-
-
-def _residual(frame, d, psi, mass):
-    """(alpha^nu D_nu + kappa beta) Psi on a frame's rows from D_nu Psi."""
-    alpha, beta = frame_blocks(frame)
-    return (mass.kappa * np.einsum("xrsij,xsj...->xri...", beta, psi,
-                                   optimize=PAIRWISE)
-            + np.einsum("xnrsij,xnsj...->xri...", alpha, d,
-                        optimize=PAIRWISE))
+    return covariant_rows(field, frame, nested)[0]
 
 
 def _first_constraint(frame, d, psi, mass):
@@ -271,24 +257,24 @@ def _first_constraint(frame, d, psi, mass):
     return div - 0.5 * mass.kappa * trace
 
 
-def rs_residual(field: FieldSampler | FieldStack, frame: Frame,
-                mass: MassParam, rows: tuple = None) -> np.ndarray:
-    """Left side of the wave equation on a frame's rows:
-    (alpha^nu D_nu + kappa beta) Psi, from ``rows`` = (D_nu Psi, Psi) of
-    ``covariant_rows`` when given, without sampling the field again."""
-    d, psi = covariant_rows(field, frame) if rows is None else rows
-    return _residual(frame, d, psi, mass)
+def rs_residual(frame: Frame, d, psi, mass: MassParam) -> np.ndarray:
+    """Left side of the wave equation on a frame's rows,
+    (alpha^nu D_nu + kappa beta) Psi, from D_nu Psi and Psi there
+    (``covariant_rows``)."""
+    alpha, beta = frame_blocks(frame)
+    return (mass.kappa * np.einsum("xrsij,xsj...->xri...", beta, psi,
+                                   optimize=PAIRWISE)
+            + np.einsum("xnrsij,xnsj...->xri...", alpha, d,
+                        optimize=PAIRWISE))
 
 
-def contraction_identity(field, frame: Frame, mass, rows: tuple = None):
-    """(lhs, rhs, psi) on a frame's rows from one D_nu Psi: the
+def contraction_identity(frame: Frame, d, psi, mass):
+    """(lhs, rhs) on a frame's rows from D_nu Psi and Psi there: the
     gamma-contraction of the residual, equal for any smooth field to (2/3)
-    D_be Psi^be - (kappa/2) gamma_be Psi^be, and the field itself; ``rows``
-    as for ``rs_residual``."""
-    d, psi = covariant_rows(field, frame) if rows is None else rows
-    res = _residual(frame, d, psi, mass)
+    D_be Psi^be - (kappa/2) gamma_be Psi^be."""
+    res = rs_residual(frame, d, psi, mass)
     lhs = np.einsum("xsij,xsj...->xi...", frame.gammas.gamma_up, res)
-    return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass), psi
+    return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
 
 
 def constraint_two(frame: Frame, psi, mass):
@@ -329,26 +315,21 @@ def nested_rows(field, frame: Frame):
     every outer row's stencil.  The full form adds the connection term to
     the Christoffel-only one, as ``_connect`` does, so each equals its own
     ``covariant_rows`` to the bit.  ``derivative_chain`` and
-    ``second_covariant_comm`` take (D_nu Psi, Psi) as ``rows``,
-    ``bridge_commutator`` the Christoffel-only pair."""
+    ``second_covariant_comm`` read the full form, ``bridge_commutator``
+    the Christoffel-only one."""
     outer = frame.outer
     christ, psi = covariant_rows(field, outer, nested=True,
                                  include_spin=False)
     return christ, christ + _spin_term(outer, field.kind, psi), psi
 
 
-def second_covariant_comm(field, frame: Frame, include_spin=True,
-                          rows: tuple = None):
+def second_covariant_comm(frame: Frame, d, include_spin=True):
     """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
-    nested differences over its outer frame; ``include_spin`` False drops
-    the spin connection (the Christoffel-only commutator).  ``rows`` is the
-    inner pair (D_nu Psi, Psi) on the outer frame's rows, of the same
-    form, when already computed (``nested_rows``)."""
-    if rows is None:
-        rows = covariant_rows(field, frame.outer, nested=True,
-                              include_spin=include_spin)
+    nested differences of the inner D_nu Psi d on its outer frame's rows
+    (``nested_rows``); ``include_spin`` False drops the spin connection
+    (the Christoffel-only commutator, from the Christoffel-only d)."""
     # [x, nu, c, s], [x, mu, nu, c, s]
-    v, dv = outer_derivative(rows[0], frame.coords)
+    v, dv = outer_derivative(d, frame.coords)
     gam = frame.christoffel
     t = (dv - np.einsum("xlmn,xlcs...->xmncs...", gam, v, optimize=PAIRWISE)
          - np.einsum("xlmc,xnls...->xmncs...", gam, v, optimize=PAIRWISE))
@@ -371,12 +352,11 @@ def curvature_commutator(frame: Frame, psi):
     return comm, dhat
 
 
-def bridge_commutator(field, frame: Frame, rows: tuple = None):
+def bridge_commutator(frame: Frame, christ):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be on a
-    frame's rows by nested differences of Christoffel-only derivatives;
-    equal to ``ricci_contraction``.  ``rows`` is the Christoffel-only inner
-    pair of ``nested_rows``, when already computed."""
-    comm = second_covariant_comm(field, frame, include_spin=False, rows=rows)
+    frame's rows by nested differences of the Christoffel-only inner
+    derivative christ of ``nested_rows``; equal to ``ricci_contraction``."""
+    comm = second_covariant_comm(frame, christ, include_spin=False)
     w = np.einsum("xnc,xancs...->xas...", frame.metric.g_upper, comm)
     return -np.einsum("xaij,xaj...->xi...", frame.gammas.gamma_up, w)
 
@@ -389,20 +369,15 @@ def ricci_contraction(frame: Frame, psi):
                      frame.gammas.gamma_up, psi_up)
 
 
-def derivative_chain(field, frame: Frame, mass, rows: tuple = None):
+def derivative_chain(frame: Frame, d, psi, mass):
     """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi on a frame's
     rows, with chi the first-constraint combination; equal to
-    ``chain_rhs`` for any C^3 field.  One inner D_nu Psi on the rows of
-    the outer frame (one ``at`` call over every row's stencil of
-    stencils, or ``rows`` = (D_nu Psi, Psi) of ``nested_rows``) gives both
-    the residual and chi there; their outer derivatives at the frame's
-    rows follow.
+    ``chain_rhs`` for any C^3 field.  D_nu Psi and Psi on the rows of the
+    outer frame (``nested_rows``) give both the residual and chi there;
+    their outer derivatives at the frame's rows follow.
     """
     outer = frame.outer
-    if rows is None:
-        rows = covariant_rows(field, outer, nested=True)
-    d, psi = rows
-    _, dres = centre_covariant(_residual(outer, d, psi, mass), frame,
+    _, dres = centre_covariant(rs_residual(outer, d, psi, mass), frame,
                                VECTOR_BISPINOR)
     chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
                                  frame, BISPINOR)
@@ -537,14 +512,13 @@ def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
 # ---------------------------------------------------------------------------
 
 
-def flat_reduction_check(field: FieldSampler, frame: Frame,
-                         mass: MassParam) -> dict:
+def flat_reduction_check(frame: Frame, d, psi, mass: MassParam) -> dict:
     """On Minkowski (Cartesian), fields obeying gamma^a Psi_a = 0 and
     d^a Psi_a = 0 must give a residual equal to four independent Dirac
     residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose
-    metric the residual reads.  Returns a report dict."""
-    d, psi = covariant_rows(field, frame)
-    rs = _residual(frame, d, psi, mass)
+    metric the residual reads, from D_nu Psi and Psi there.  Returns a
+    report dict."""
+    rs = rs_residual(frame, d, psi, mass)
     dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
     max_rs, max_dirac, max_match, max_tr, max_div = (
         float(np.max(np.abs(a))) for a in (

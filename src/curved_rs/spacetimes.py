@@ -439,6 +439,10 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         except EvalError as exc:
             raise ConfigError(f"[sampling] bound cannot be evaluated: {exc}")
         box = tuple(zip(values[::2], values[1::2]))
+        for n, (lo, hi) in zip(names, box):
+            if not np.isfinite(hi - lo):
+                raise ConfigError(f"[sampling] box of {n} is not finite: "
+                                  f"({lo:g}, {hi:g})")
 
     return MetricSpec(
         name=cfg.name,

@@ -176,7 +176,8 @@ def test_criterion_4_constraint_operator_identities():
     num = den = 0.0j
     for x in suite.sample_points(mink, 5, 42):
         frame = frame_at(mink, x)
-        res = rso.rs_residual(fld, frame, rso.MassParam(1.0))[0]
+        res = rso.rs_residual(frame, *rso.covariant_rows(fld, frame),
+                              rso.MassParam(1.0))[0]
         lhs = np.einsum("sij,sj->i", frame.gammas.gamma_up[0], res)
         chi = first_constraint(fld, frame, rso.MassParam(1.0))[0]
         num += np.vdot(chi, lhs)
@@ -193,12 +194,14 @@ def test_criterion_4_constraint_operator_identities():
         for f in fixtures:
             for x in points:
                 frame = frame_at(spec, x)
-                lhs, rhs, _ = rso.contraction_identity(f, frame, mass)
+                lhs, rhs = rso.contraction_identity(
+                    frame, *rso.covariant_rows(f, frame), mass)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                             np.max(np.abs(f(x))))
                 worst_first = max(worst_first,
                                   float(np.max(np.abs(lhs - rhs)) / scale))
-                lhs2 = rso.derivative_chain(f, frame, mass)
+                lhs2 = rso.derivative_chain(
+                    frame, *rso.nested_rows(f, frame)[1:], mass)
                 rhs2 = rso.chain_rhs(frame, f.at(frame), mass)
                 scale2 = max(np.max(np.abs(lhs2)), np.max(np.abs(rhs2)),
                              np.max(np.abs(f(x))))
@@ -217,7 +220,8 @@ def test_criterion_5_flat_reduction():
     worst_res = worst_match = 0.0
     for boost in (0.0, 0.4, 0.9):
         wave = flat_rs_plane_wave(1.0, boost)
-        rep = rso.flat_reduction_check(wave, frame, rso.MassParam(1.0))
+        rep = rso.flat_reduction_check(
+            frame, *rso.covariant_rows(wave, frame), rso.MassParam(1.0))
         assert rep["constraints_satisfied"]
         worst_res = max(worst_res, rep["max_rs_residual"])
         worst_match = max(worst_match, rep["max_match_error"] / rep["scale"])

@@ -64,7 +64,8 @@ def _wrapped_samplers(spec):
     sp = polynomial_field(32, BISPINOR, box=box)
     return {
         "residual": _rows_sampler(
-            spec, lambda frame: rso.rs_residual(vb, frame, MASS),
+            spec, lambda frame: rso.rs_residual(
+                frame, *rso.covariant_rows(vb, frame), MASS),
             VECTOR_BISPINOR, "residual"),
         "first_constraint": _rows_sampler(
             spec, lambda frame: first_constraint(vb, frame, MASS), BISPINOR,
@@ -180,13 +181,16 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
     for fld in ctx.vb_fixtures:
-        res = rso.rs_residual(fld, ctx.frame, ctx.mass)
-        lhs, rhs, _ = rso.contraction_identity(fld, ctx.frame, ctx.mass)
+        rows = rso.covariant_rows(fld, ctx.frame)
+        res = rso.rs_residual(ctx.frame, *rows, ctx.mass)
+        lhs, rhs = rso.contraction_identity(ctx.frame, *rows, ctx.mass)
         for i, x in enumerate(ctx.points):
-            one = rso.rs_residual(fld, frame_at(spec, x), ctx.mass)[0]
+            frame = frame_at(spec, x)
+            one_rows = rso.covariant_rows(fld, frame)
+            one = rso.rs_residual(frame, *one_rows, ctx.mass)[0]
             assert np.max(np.abs(res[i] - one)) <= 1e-13 * np.max(np.abs(one))
-            l1, r1, _ = (a[0] for a in rso.contraction_identity(
-                fld, frame_at(spec, x), ctx.mass))
+            l1, r1 = (a[0] for a in rso.contraction_identity(
+                frame, *one_rows, ctx.mass))
             for a, b in ((lhs[i], l1), (rhs[i], r1)):
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
     runners = [identity_suite._chk_operator_form,
@@ -247,13 +251,13 @@ def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
         return [
             rso._connect(outer, VECTOR_BISPINOR, d_vb, psi),
             rso._connect(outer, BISPINOR, d_sp, chi),
-            rso._residual(outer, d_vb, psi, MASS),
+            rso.rs_residual(outer, d_vb, psi, MASS),
             rso.curvature_commutator(outer, psi)[0],
             spin_frame.spinor_commutator_curvature(outer),
             identity_suite._sigma_commutator_defect(
                 outer.gammas.sigma_curved, outer.metric.g_upper),
             gauge.epsilon_contraction_check(outer)["raw"],
-            rso.second_covariant_comm(vb, frame),
+            rso.second_covariant_comm(frame, rso.nested_rows(vb, frame)[1]),
             spin_frame.connection_curvature_fd(frame),
         ]
 
@@ -650,7 +654,8 @@ def test_derivative_chain_samples_its_fixture_once(schwarzschild,
     fld = trig_field(41, box=schwarzschild.sample_box)
     calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
-    rso.derivative_chain(fld, frame_at(schwarzschild, x), MASS)
+    frame = frame_at(schwarzschild, x)
+    rso.derivative_chain(frame, *rso.nested_rows(fld, frame)[1:], MASS)
     assert calls == [17 * 17]
 
 
@@ -660,7 +665,8 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
     fld = trig_field(42, box=schwarzschild.sample_box)
     calls = _count_at(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
-    rso.contraction_identity(fld, frame_at(schwarzschild, x), MASS)
+    frame = frame_at(schwarzschild, x)
+    rso.contraction_identity(frame, *rso.covariant_rows(fld, frame), MASS)
     assert calls == [9]
 
 

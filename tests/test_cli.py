@@ -72,6 +72,15 @@ z = -1, 1
 #: below x = 709.78 exp(x) is finite (up to 1e308): such draws are outside
 #: the domain by ``spacetimes.COMPONENT_LIMIT`` instead of overflowing later
 LARGE_CFG = OVERFLOW_CFG.replace("x = 710, 800", "x = 700, 800")
+#: Minkowski on the unit box, and from it a box with an infinite bound, a
+#: metric of the wrong signature, and one whose determinant underflows to
+#: 0 on the whole box
+FLAT_CFG = OVERFLOW_CFG.replace("1 + exp(x)", "1").replace("x = 710, 800",
+                                                            "x = -1, 1")
+INFINITE_BOX_CFG = FLAT_CFG.replace("t = -1, 1", "t = -2, 1e309")
+SIGNATURE_CFG = FLAT_CFG.replace("g00 = 1", "g00 = -1")
+SINGULAR_CFG = FLAT_CFG.replace("g11 = -1", "g11 = -exp(-800*t)").replace(
+    "t = -1, 1", "t = 1, 2")
 
 COMMANDS = ("identities", "gauge", "constraints")
 #: the checks each command runs
@@ -186,10 +195,18 @@ class TestExitCodes:
         ["identities", "--metric-file", "{large}", "--seed", "1"],
         ["identities", "--metric-file", "{large}", "--seed", "2"],
         ["identities", "--metric-file", "{large}", "--seed", "3"],
+        ["identities", "--metric", "schwarzschild", "--param", "M=1e308"],
+        ["identities", "--metric-file", "{infinite_box}"],
+        ["identities", "--metric-file", "{signature}"],
+        ["identities", "--metric-file", "{singular}"],
+        ["identities", "--metric", "frw_dust", "--param", "a0=1e-300"],
     ])
     def test_bad_input_is_config_error(self, capsys, tmp_path, args):
         for key, text in (("cfg", DS_CFG), ("outside", OUTSIDE_CFG),
-                          ("overflow", OVERFLOW_CFG), ("large", LARGE_CFG)):
+                          ("overflow", OVERFLOW_CFG), ("large", LARGE_CFG),
+                          ("infinite_box", INFINITE_BOX_CFG),
+                          ("signature", SIGNATURE_CFG),
+                          ("singular", SINGULAR_CFG)):
             (tmp_path / f"{key}.cfg").write_text(text)
             args = [a.replace(f"{{{key}}}", str(tmp_path / f"{key}.cfg"))
                     for a in args]

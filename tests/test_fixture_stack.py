@@ -38,47 +38,44 @@ def _close(stacked, single, label, bound=BOUND, scale=0.0):
 def _sides(ctx):
     """The stacked sides of 1.2a, 1.6, 1.7, 1.9 and 1.10c, as the suite
     computes them from the context's two shared passes."""
-    d, psi = rows = ctx.fixture_rows
+    d, psi = ctx.fixture_rows
     christ, dn, psi_outer, centre = ctx.chain_rows
     frame, chain, mass = ctx.frame, ctx.chain_frame, ctx.mass
-    outer = chain.outer
     return {
-        "1.7 inner residual": rso.rs_residual(ctx.fixtures, outer, mass,
-                                              (dn, psi_outer)),
-        "1.2a blocks": rso.rs_residual(ctx.fixtures, frame, mass, rows),
+        "1.7 inner residual": rso.rs_residual(chain.outer, dn, psi_outer,
+                                              mass),
+        "1.2a blocks": rso.rs_residual(frame, d, psi, mass),
         "1.2a terms": identity_suite._term_by_term_residual(d, psi, frame,
                                                             mass),
-        "1.6": rso.contraction_identity(ctx.fixtures, frame, mass, rows),
-        "1.7 nested": rso.derivative_chain(ctx.fixtures, chain, mass,
-                                           rows=(dn, psi_outer)),
+        "1.6": rso.contraction_identity(frame, d, psi, mass),
+        "1.7 nested": rso.derivative_chain(chain, dn, psi_outer, mass),
         "1.7 algebraic": rso.chain_rhs(chain, centre, mass),
-        "1.9 nested": rso.second_covariant_comm(ctx.fixtures, chain,
-                                                rows=(dn, psi_outer)),
+        "1.9 nested": rso.second_covariant_comm(chain, dn),
         "1.9 algebraic": rso.curvature_commutator(chain, centre)[0],
-        "1.10c nested": rso.bridge_commutator(ctx.fixtures, chain,
-                                              rows=(christ, psi_outer)),
+        "1.10c nested": rso.bridge_commutator(chain, christ),
         "1.10c algebraic": rso.ricci_contraction(chain, centre),
     }
 
 
 def _alone(fld, ctx):
-    """The same sides for one sampler, each function sampling it itself
-    (no fixture axis)."""
+    """The same sides for one sampler, from its own ``covariant_rows`` and
+    ``nested_rows`` (no fixture axis)."""
     frame, chain, mass = ctx.frame, ctx.chain_frame, ctx.mass
     d, psi = rso.covariant_rows(fld, frame)
+    christ, dn, psi_outer = rso.nested_rows(fld, chain)
     at_chain = fld.at(chain)
     return {
-        "1.7 inner residual": rso.rs_residual(fld, chain.outer, mass,
-                                              rso.nested_rows(fld, chain)[1:]),
-        "1.2a blocks": rso.rs_residual(fld, frame, mass),
+        "1.7 inner residual": rso.rs_residual(chain.outer, dn, psi_outer,
+                                              mass),
+        "1.2a blocks": rso.rs_residual(frame, d, psi, mass),
         "1.2a terms": identity_suite._term_by_term_residual(d, psi, frame,
                                                             mass),
-        "1.6": rso.contraction_identity(fld, frame, mass),
-        "1.7 nested": rso.derivative_chain(fld, chain, mass),
+        "1.6": rso.contraction_identity(frame, d, psi, mass),
+        "1.7 nested": rso.derivative_chain(chain, dn, psi_outer, mass),
         "1.7 algebraic": rso.chain_rhs(chain, at_chain, mass),
-        "1.9 nested": rso.second_covariant_comm(fld, chain),
+        "1.9 nested": rso.second_covariant_comm(chain, dn),
         "1.9 algebraic": rso.curvature_commutator(chain, at_chain)[0],
-        "1.10c nested": rso.bridge_commutator(fld, chain),
+        "1.10c nested": rso.bridge_commutator(chain, christ),
         "1.10c algebraic": rso.ricci_contraction(chain, at_chain),
     }
 
@@ -96,7 +93,7 @@ def test_each_fixture_of_the_stack_equals_it_alone(name):
             if label == "1.7 nested":
                 _close(stacked[label][..., k], single, label, NESTED_BOUND,
                        np.max(np.abs(centre[..., k])))
-            elif isinstance(single, tuple):  # 1.6: (lhs, rhs, psi)
+            elif isinstance(single, tuple):  # 1.6: (lhs, rhs)
                 for a, b in zip(stacked[label], single, strict=True):
                     _close(a[..., k], b, label)
             else:

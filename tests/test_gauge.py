@@ -23,7 +23,7 @@ from curved_rs.gauge import (
     massless_residual,
 )
 from curved_rs.geometry import curvature, eval_metric
-from curved_rs.rs_operator import covariant_derivative
+from curved_rs.rs_operator import covariant_derivative, covariant_rows
 from curved_rs.spin_frame import (
     gamma_set_at,
     spin_connection,
@@ -181,8 +181,8 @@ class TestGaugeCriterion:
             gs = gamma_set_at(spec, x, flat=flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)
-            raw = covariant_derivative(grad, frame_at(spec, x), nested=nested,
-                                       include_spin=False)[0]
+            raw = covariant_rows(grad, frame_at(spec, x), nested=nested,
+                                 include_spin=False)[0][0]
             d = raw + np.einsum("nij,bj->nbi", g_rot, grad(spec.point(*x.coords)))
             eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower,
                                   gs.eps_upper)

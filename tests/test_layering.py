@@ -55,3 +55,38 @@ def test_the_guard_sees_both_kinds_of_reach():
     assert private_reaches(source) == [
         "<source>:1 _eps_gamma", "<source>:4 rso._chain_rhs",
         "<source>:4 gauge_mod._massless"]
+
+
+#: the functions of ``rs_operator`` that sample a field: every other one
+#: takes the rows they return
+SAMPLERS = {"covariant_rows", "covariant_derivative", "nested_rows"}
+
+
+def sampling_calls(source: str) -> list:
+    """'function:line' for each ``.at(`` or ``covariant_rows`` call made by
+    a function outside ``SAMPLERS``."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef) or func.name in SAMPLERS:
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = (callee.attr if isinstance(callee, ast.Attribute)
+                    else getattr(callee, "id", None))
+            if name in ("at", "covariant_rows"):
+                found.append(f"{func.name}:{node.lineno}")
+    return found
+
+
+def test_identity_sides_take_sampled_rows():
+    assert sampling_calls((PACKAGE / "rs_operator.py").read_text()) == []
+
+
+def test_the_sampling_lint_sees_both_kinds_of_call():
+    source = ("def covariant_rows(field, frame):\n    return field.at(frame)\n"
+              "def side(field, frame):\n"
+              "    return covariant_rows(field, frame), field.at(frame)\n"
+              "def pure(frame, d):\n    return d\n")
+    assert sampling_calls(source) == ["side:4", "side:4"]

@@ -26,11 +26,13 @@ from curved_rs.rs_operator import (
     constraint_two,
     contraction_identity,
     covariant_derivative,
+    covariant_rows,
     curvature_commutator,
     derivative_chain,
     einstein_space_factor,
     flat_reduction_check,
     gamma_pair_block,
+    nested_rows,
     ricci_contraction,
     rs_residual,
     second_covariant_comm,
@@ -50,20 +52,20 @@ MASS = MassParam(1.0)
 
 def chain_pair(fld, frame):
     """1.7: the derivative chain and its curvature form."""
-    return derivative_chain(fld, frame, MASS), chain_rhs(frame, fld.at(frame),
-                                                         MASS)
+    return (derivative_chain(frame, *nested_rows(fld, frame)[1:], MASS),
+            chain_rhs(frame, fld.at(frame), MASS))
 
 
 def commutator_pair(fld, frame):
     """1.9: nested-difference [D_al, D_be] Psi and its curvature form."""
-    return (second_covariant_comm(fld, frame),
+    return (second_covariant_comm(frame, nested_rows(fld, frame)[1]),
             curvature_commutator(frame, fld.at(frame))[0])
 
 
 def bridge_pair(fld, frame):
     """1.10c: the bridge commutator and the Ricci contraction."""
-    return bridge_commutator(fld, frame), ricci_contraction(frame,
-                                                            fld.at(frame))
+    return (bridge_commutator(frame, nested_rows(fld, frame)[0]),
+            ricci_contraction(frame, fld.at(frame)))
 
 
 def residual_term_oracle(fld, spec, x, mass):
@@ -328,7 +330,9 @@ class TestOperatorBlocks:
         for seed in (3, 4):
             fld = polynomial_field(seed, box=spec.sample_box)
             for x in points_of(spec, 3):
-                blocks = rs_residual(fld, frame_at(spec, x), MASS)[0]
+                frame = frame_at(spec, x)
+                blocks = rs_residual(frame, *covariant_rows(fld, frame),
+                                     MASS)[0]
                 terms = residual_term_oracle(fld, spec, x, MASS)
                 scale = max(np.max(np.abs(blocks)), 1.0)
                 assert np.max(np.abs(blocks - terms)) < tol * scale
@@ -342,7 +346,7 @@ class TestContractionIdentity:
         num = den = 0.0j
         for x in points_of(minkowski, 5):
             frame = frame_at(minkowski, x)
-            res = rs_residual(fld, frame, MASS)[0]
+            res = rs_residual(frame, *covariant_rows(fld, frame), MASS)[0]
             lhs = np.einsum("sij,sj->i", frame.gammas.gamma_up[0], res)
             chi = first_constraint(fld, frame, MASS)[0]
             num += np.vdot(chi, lhs)
@@ -355,14 +359,18 @@ class TestContractionIdentity:
         for seed in (11, 12):
             fld = polynomial_field(seed, box=spec.sample_box)
             for x in points_of(spec, 3):
-                lhs, rhs, _ = contraction_identity(fld, frame_at(spec, x), MASS)
+                frame = frame_at(spec, x)
+                lhs, rhs = contraction_identity(
+                    frame, *covariant_rows(fld, frame), MASS)
                 scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1.0)
                 assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
 
     def test_solution_field_gives_zero(self, minkowski):
         wave = flat_rs_plane_wave(1.0, boost=0.5)
         for x in points_of(minkowski, 3):
-            lhs, _, _ = contraction_identity(wave, frame_at(minkowski, x), MASS)
+            frame = frame_at(minkowski, x)
+            lhs, _ = contraction_identity(
+                frame, *covariant_rows(wave, frame), MASS)
             assert np.max(np.abs(lhs)) < 1e-9
 
 
@@ -445,13 +453,14 @@ class TestResidual:
         for boost in (0.0, 0.4, 1.1):
             wave = flat_rs_plane_wave(1.0, boost)
             for x in points_of(minkowski, 3):
-                res = rs_residual(wave, frame_at(minkowski, x), MASS)
+                frame = frame_at(minkowski, x)
+                res = rs_residual(frame, *covariant_rows(wave, frame), MASS)
                 assert np.max(np.abs(res)) < 1e-8
 
     def test_constant_massless_field(self, minkowski):
         f = constant_field(np.ones((4, 4)), VECTOR_BISPINOR)
-        res = rs_residual(f, frame_at(minkowski, minkowski.point(0, 1, 2, 3)),
-                          MassParam(0.0))
+        frame = frame_at(minkowski, minkowski.point(0, 1, 2, 3))
+        res = rs_residual(frame, *covariant_rows(f, frame), MassParam(0.0))
         assert np.max(np.abs(res)) < 1e-13
 
 
@@ -548,7 +557,8 @@ class TestFlatReduction:
     def test_plane_wave_basis(self, minkowski):
         frame = frame_of(minkowski, 4)
         for boost in (0.0, 0.3):
-            rep = flat_reduction_check(flat_rs_plane_wave(1.0, boost), frame,
+            wave = flat_rs_plane_wave(1.0, boost)
+            rep = flat_reduction_check(frame, *covariant_rows(wave, frame),
                                        MASS)
             assert rep["constraints_satisfied"]
             assert rep["reduction_matches"]
@@ -557,12 +567,14 @@ class TestFlatReduction:
 
     def test_violating_field_flagged(self, minkowski):
         fld = polynomial_field(21, box=minkowski.sample_box)
-        rep = flat_reduction_check(fld, frame_of(minkowski, 3), MASS)
+        frame = frame_of(minkowski, 3)
+        rep = flat_reduction_check(frame, *covariant_rows(fld, frame), MASS)
         assert not rep["constraints_satisfied"]
 
     def test_zero_field(self, minkowski):
         fld = constant_field(np.zeros((4, 4)), VECTOR_BISPINOR)
-        rep = flat_reduction_check(fld, frame_of(minkowski, 2), MASS)
+        frame = frame_of(minkowski, 2)
+        rep = flat_reduction_check(frame, *covariant_rows(fld, frame), MASS)
         assert rep["max_rs_residual"] == 0.0
         assert rep["max_dirac_residual"] == 0.0
         assert rep["reduction_matches"]
@@ -594,6 +606,7 @@ class TestMassZeroConsistency:
         zero_mass = MassParam(0.0)
         for x in points_of(schwarzschild, 2):
             frame = frame_at(schwarzschild, x)
-            res = rs_residual(fld, frame, zero_mass)
-            scale = max(np.max(np.abs(covariant_derivative(fld, frame))), 1.0)
+            d, value = covariant_rows(fld, frame)
+            res = rs_residual(frame, d, value, zero_mass)
+            scale = max(np.max(np.abs(d)), 1.0)
             assert np.max(np.abs(res)) < 1e-4 * scale
