@@ -13,7 +13,6 @@ from .errors import (
     ConfigError,
     CurvedRSError,
     EvalError,
-    FitDegenerate,
     InvalidParameter,
     InvalidTransform,
     OutOfDomain,

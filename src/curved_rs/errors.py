@@ -25,10 +25,6 @@ class InvalidTransform(CurvedRSError):
     """Transformation parameters violate a + b + 4ab = 0."""
 
 
-class FitDegenerate(CurvedRSError):
-    """The calibration point produced a vacuous (zero) prediction vector."""
-
-
 class EvalError(CurvedRSError):
     """Expression evaluation hit a domain violation (sqrt of a negative, ...).
 

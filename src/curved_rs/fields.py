@@ -5,11 +5,19 @@ A sampler wraps a smooth map from chart points to a vector-bispinor
 (a (4,) complex array).  Fixture families are polynomial and trigonometric
 fields with seeded coefficients; a fixed seed gives a bit-identical field.
 
-A ``FieldStack`` samples several samplers of one kind together: its values
-carry a trailing fixture axis, (n, *shape, F), which the operator layer
-carries through every contraction (``rs_operator``), so that a check runs
-once over all of its fixtures.  A single sampler's values are the case
-without that axis.
+Every sampler has a first-derivative jet on rows: ``jet`` returns the
+values and their partial derivatives d_mu from one call.  The closed-form
+families (polynomials, trigonometric fields and plane waves, and so the
+flat plane-wave solutions) carry an exact one and sample each row once
+(forward-mode differentiation of the closed form); any other sampler's
+jet differences its values over every row's stencil
+(``numerics.stencil_jet``).
+
+A ``FieldStack`` takes the jets of several samplers of one kind together:
+its arrays carry a trailing fixture axis, (n, *shape, F), which the
+operator layer carries through every contraction (``rs_operator``), so
+that a check runs once over all of its fixtures.  A single sampler's
+arrays are the case without that axis.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import ETA, MetricSpec, Point
-from .numerics import STEP_FIRST, fd_step
+from .numerics import stencil_jet
 from .spin_frame import GAMMA_FLAT, Frame, build_frame
 
 VECTOR_BISPINOR = "vector_bispinor"
@@ -31,22 +39,24 @@ _SHAPES = {VECTOR_BISPINOR: (4, 4), BISPINOR: (4,)}
 
 @dataclass
 class FieldSampler:
-    """A smooth closed-form field; stateless.
+    """A smooth field; stateless.
 
     ``__call__`` samples one Point.  ``at(coords)`` samples many: it takes
     an (n, 4) array of chart coordinates or a Frame and returns the
     (n, *shape) complex values, row i being the value at row i.  Samplers
     with a vectorized ``batch`` (the closed-form families and the package's
-    wrapped samplers: residual, first constraint, gradient, gamma-traceless)
-    answer in one call and are handed a Frame as it is; the others call
-    ``fn`` once per row, at Points carrying ``chart_id`` (or the frame's).
-    Both paths check the returned shape.
+    gradient and gamma-traceless samplers) answer in one call and are
+    handed a Frame as it is; the others call ``fn`` once per row, at Points
+    carrying ``chart_id`` (or the frame's).  Both paths check the returned
+    shape.  ``exact_jet``, given, is the closed-form jet on (n, 4) rows
+    that ``jet`` returns.
     """
 
     fn: Callable[[Point], np.ndarray]
     kind: str
     name: str = "field"
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    exact_jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, x: Point) -> np.ndarray:
         value = np.asarray(self.fn(x), dtype=complex)
@@ -64,6 +74,21 @@ class FieldSampler:
         self._check(values.shape, (len(rows),) + _SHAPES[self.kind])
         return values
 
+    def jet(self, coords, chart_id: str = "", nested=False) -> tuple:
+        """(value [n, *shape], d_mu value [n, 4, *shape]) on what ``at``
+        takes: the exact jet, or else central differences of ``at`` over
+        every row's stencil, with the step policy ``nested`` picks."""
+        if isinstance(coords, Frame):
+            coords, chart_id = coords.coords, coords.chart_id
+        coords = np.asarray(coords, dtype=float)
+        if self.exact_jet is None:
+            return stencil_jet(lambda rows: self.at(rows, chart_id), coords,
+                               nested)
+        value, d = self.exact_jet(coords)
+        self._check(value.shape, (len(coords),) + _SHAPES[self.kind])
+        self._check(d.shape, (len(coords), 4) + _SHAPES[self.kind])
+        return value, d
+
     def _check(self, got, expected):
         if got != expected:
             raise ValueError(
@@ -77,11 +102,11 @@ class FieldSampler:
 
 @dataclass(frozen=True)
 class FieldStack:
-    """Samplers of one kind sampled together.  ``at`` takes what
-    ``FieldSampler.at`` takes and returns the (n, *shape, F) values of the F
-    members, member k's at [..., k]: each member's ``at`` is called once
-    and written into one preallocated array, so no member's values are held
-    beside the stack."""
+    """Samplers of one kind sampled together.  ``jet`` takes what
+    ``FieldSampler.jet`` takes and returns the (n, *shape, F) values and
+    (n, 4, *shape, F) derivatives of the F members, member k's at [..., k]:
+    each member's ``jet`` is called once and written into preallocated
+    arrays, so no member's arrays are held beside the stack."""
 
     members: tuple
 
@@ -93,57 +118,29 @@ class FieldStack:
     def kind(self) -> str:
         return self.members[0].kind
 
-    def at(self, coords, chart_id: str = "") -> np.ndarray:
+    def jet(self, coords, chart_id: str = "", nested=False) -> tuple:
         n = len(coords.coords if isinstance(coords, Frame) else coords)
-        out = np.empty((n,) + _SHAPES[self.kind] + (len(self.members),),
-                       dtype=complex)
+        shape = _SHAPES[self.kind] + (len(self.members),)
+        value = np.empty((n,) + shape, dtype=complex)
+        d = np.empty((n, 4) + shape, dtype=complex)
         for k, member in enumerate(self.members):
-            out[..., k] = member.at(coords, chart_id)
-        return out
+            value[..., k], d[..., k] = member.jet(coords, chart_id, nested)
+        return value, d
 
 
-def _closed_form(batch, kind: str, name: str) -> FieldSampler:
-    """A sampler whose single-point path is its batch on one row, and whose
-    batch reads a frame's coordinates."""
-    return FieldSampler(
-        lambda x: batch(x.coords[None, :])[0], kind, name,
-        lambda rows: batch(rows.coords if isinstance(rows, Frame) else rows))
+def _rows_sampler(batch, kind: str, name: str, exact_jet=None):
+    """A sampler whose batch takes rows or a frame and whose single-point
+    path is that batch on one row."""
+    return FieldSampler(lambda x: batch(x.coords[None, :])[0], kind, name,
+                        batch, exact_jet)
 
 
-def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
-    """Second-order convergence probe: halving the step must shrink the
-    difference between central-difference levels by roughly 4x.
-
-    Returns the worst observed shrink ratio; raises ValueError if it drops
-    below ``min_ratio`` (a sampler that is not C^2 at the probe points).
-    """
-    worst = np.inf
-    for x in points:
-        # roundoff of a difference quotient at step h is ~ eps |f| / h; a
-        # gap below a multiple of it means the central difference is exact
-        # (constant, linear or quadratic along x^mu)
-        noise = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(sampler(x))))
-        for mu in range(4):
-            h = fd_step(x.coords[mu], 100 * STEP_FIRST)
-
-            def diff(hh):
-                return (
-                    sampler(x.shifted(mu, hh)) - sampler(x.shifted(mu, -hh))
-                ) / (2 * hh)
-
-            d1, d2, d4 = diff(h), diff(h / 2), diff(h / 4)
-            coarse = float(np.max(np.abs(d1 - d2)))
-            fine = float(np.max(np.abs(d2 - d4)))
-            if coarse < noise / h:
-                continue
-            ratio = coarse / max(fine, 1e-300)
-            worst = min(worst, ratio)
-    if worst < min_ratio:
-        raise ValueError(
-            f"sampler '{sampler.name}' does not converge at 2nd order "
-            f"(shrink ratio {worst:.2f})"
-        )
-    return worst
+def _closed_form(jet, kind: str, name: str) -> FieldSampler:
+    """A sampler with the exact jet ``jet`` of (n, 4) rows; its values are
+    the jet's, on rows or a frame's coordinates."""
+    return _rows_sampler(
+        lambda rows: jet(rows.coords if isinstance(rows, Frame) else rows)[0],
+        kind, name, jet)
 
 
 def _box_frame(box):
@@ -165,7 +162,8 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
     """Quadratic (by default) polynomial field with seeded coefficients.
 
     Evaluated as the monomial basis [1, u, u (x) u] of the box-scaled
-    coordinates u (width 1, 5 or 21 by degree) times one coefficient matrix.
+    coordinates u (width 1, 5 or 21 by degree) times one coefficient matrix;
+    the basis and its four d/du_mu, stacked, take one product for the jet.
     """
     rng = np.random.default_rng(seed)
     center, half = _box_frame(box)
@@ -180,16 +178,25 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
         coeffs.append(c2.reshape(16, width))
     matrix = np.concatenate(coeffs)
 
-    def batch(coords):
+    def jet(coords):
         u = (coords - center) / half
-        terms = [np.ones((len(u), 1))]
+        n = len(u)
+        # [x, 0] the basis, [x, 1 + mu] its d/du_mu
+        terms = np.zeros((n, 5, len(matrix)))
+        terms[:, 0, 0] = 1.0
         if degree >= 1:
-            terms.append(u)
+            terms[:, 0, 1:5] = u
+            terms[:, 1:, 1:5] = np.eye(4)
         if degree >= 2:
-            terms.append((u[:, :, None] * u[:, None, :]).reshape(-1, 16))
-        return (np.concatenate(terms, axis=1) @ matrix).reshape((-1,) + base)
+            terms[:, 0, 5:] = (u[:, :, None] * u[:, None, :]).reshape(n, 16)
+            # d(u_a u_b)/du_mu = delta_mu_a u_b + u_a delta_mu_b
+            du = np.eye(4)[:, :, None] * u[:, None, None, :]
+            terms[:, 1:, 5:] = (du + du.swapaxes(-1, -2)).reshape(n, 4, 16)
+        out = terms @ matrix
+        return (out[:, 0].reshape((n,) + base),
+                (out[:, 1:] / half[:, None]).reshape((n, 4) + base))
 
-    return _closed_form(batch, kind, f"poly{degree}[{seed}]")
+    return _closed_form(jet, kind, f"poly{degree}[{seed}]")
 
 
 def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler:
@@ -202,21 +209,16 @@ def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler
     k1 = rng.uniform(0.3, 1.2, size=4) / half
     k2 = rng.uniform(0.3, 1.2, size=4) / half
 
-    def batch(coords):
+    def jet(coords):
         w = coords - center
-        return (np.multiply.outer(np.cos(w @ k1), u1)
-                + np.multiply.outer(np.sin(w @ k2), u2))
+        p1, p2 = w @ k1, w @ k2
+        value = (np.multiply.outer(np.cos(p1), u1)
+                 + np.multiply.outer(np.sin(p2), u2))
+        d = (np.multiply.outer(-np.sin(p1)[:, None] * k1, u1)
+             + np.multiply.outer(np.cos(p2)[:, None] * k2, u2))
+        return value, d
 
-    return _closed_form(batch, kind, f"trig[{seed}]")
-
-
-def constant_field(values, kind: str = VECTOR_BISPINOR) -> FieldSampler:
-    values = np.asarray(values, dtype=complex)
-
-    def batch(coords):
-        return np.repeat(values[None], len(coords), axis=0)
-
-    return _closed_form(batch, kind, "constant")
+    return _closed_form(jet, kind, f"trig[{seed}]")
 
 
 def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
@@ -224,10 +226,11 @@ def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
     k = np.asarray(k, dtype=float)
     amplitude = np.asarray(amplitude, dtype=complex)
 
-    def batch(coords):
-        return np.multiply.outer(np.exp(1j * (coords @ k)), amplitude)
+    def jet(coords):
+        value = np.multiply.outer(np.exp(1j * (coords @ k)), amplitude)
+        return value, np.multiply.outer(1j * k, value).swapaxes(0, 1)
 
-    return _closed_form(batch, kind, "plane_wave")
+    return _closed_form(jet, kind, "plane_wave")
 
 
 def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler:
@@ -247,7 +250,7 @@ def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler
         trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
         return lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace)
 
-    return _closed_form(batch, VECTOR_BISPINOR, f"traceless[{seed}]")
+    return _rows_sampler(batch, VECTOR_BISPINOR, f"traceless[{seed}]")
 
 
 def fixture_family(seed: int, count: int, kind: str = VECTOR_BISPINOR,

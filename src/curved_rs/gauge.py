@@ -7,22 +7,24 @@ proportional to the Einstein tensor contracted with gamma psi:
 
     residual_r = C0 * (R_rb - 1/2 R g_rb) gamma^b(x) psi(x).
 
-C0 is a representation-independent constant, calibrated once by a fit at
-one non-vacuum point and frozen below with a regression test.  Where the
+C0 is a representation-independent constant, calibrated once by a
+least-squares fit at one non-vacuum point (the fit is kept in the tests,
+which refit it) and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
 fail by exactly the predicted amount.  Functions that evaluate take a
 Frame and return one row per frame row, like those of ``rs_operator``;
 ``gradient_sampler`` is the one place where raw rows become a frame.  The
-massless residual differentiates on the frame's outer frame (outer step
-with Richardson), as a second derivative of psi needs.
+gradient field is psi's jet on the frame's outer frame (exact for the
+closed-form fixtures, one row per outer row), and the massless residual
+differentiates it over the outer stencils (outer step with Richardson),
+as a second derivative of psi needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import FitDegenerate
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
 from .numerics import PAIRWISE
@@ -36,9 +38,10 @@ C0 = 0.5
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
     """The gradient field as a sampler; ``at`` takes all its rows in one
     ``covariant_derivative`` call, on a Frame or on the frame it builds of
-    raw rows.  It differentiates with the nested step policy (outer step,
-    Richardson), which keeps inner roundoff from being amplified when the
-    sampler feeds a second derivative.
+    raw rows, which takes psi's jet there.  A psi without an exact jet is
+    differenced with the nested step policy (outer step, Richardson),
+    which keeps inner roundoff from being amplified when the sampler feeds
+    a second derivative.
     """
 
     def gradient(rows):
@@ -99,20 +102,6 @@ def gauge_criterion(psi: FieldSampler, frame: Frame):
     """
     direct = massless_residual(gradient_sampler(psi, frame.spec), frame)
     return direct, einstein_prediction(psi, frame)
-
-
-def fit_prediction_constant(psi: FieldSampler, frame: Frame) -> complex:
-    """Least-squares fit of the constant in front of the Einstein-tensor
-    prediction over a frame's rows; FitDegenerate if they are vacuous."""
-    direct = massless_residual(gradient_sampler(psi, frame.spec), frame)
-    unit = einstein_prediction(psi, frame, constant=1.0)
-    norm = float(np.sum(np.abs(unit) ** 2))
-    if norm < 1e-16:
-        raise FitDegenerate(
-            "Einstein-tensor prediction vanishes at the fit points; "
-            "pick non-vacuum points with gamma psi != 0"
-        )
-    return complex(np.sum(direct * unit.conj()) / norm)
 
 
 #: global sign between the raw double-eps contraction and its determinant

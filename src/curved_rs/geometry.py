@@ -120,6 +120,13 @@ class CurvatureBundle:
     einstein: np.ndarray
 
 
+def _singular(g: np.ndarray, det) -> np.ndarray:
+    """Per metric: |det g| at most 1e-14 of max |g_ab|^4, the determinant's
+    size for a metric of that scale, so that the bound does not depend on
+    the units of the metric."""
+    return np.abs(det) <= 1e-14 * np.abs(g).max(axis=(-2, -1)) ** 4
+
+
 def as_rows(coords) -> np.ndarray:
     """A read-only float copy of an (n, 4) array of chart coordinates."""
     coords = np.array(coords, dtype=float)
@@ -165,7 +172,7 @@ class MetricJet:
     def metric(self) -> MetricAtPoint:
         g = self.order(0)
         det = np.linalg.det(g)
-        if np.any(np.abs(det) < 1e-14):
+        if _singular(g, det).any():
             raise SingularMetric(f"|det g| = {np.min(np.abs(det)):.3e} at "
                                  f"{self.coords.tolist()}")
         return MetricAtPoint(
@@ -254,7 +261,7 @@ def levi_civita(metric: MetricAtPoint):
     metric stacked along a leading row axis gets one tensor per row.
     """
     det = np.asarray(metric.det_g, dtype=float)
-    bad = (det >= 0) | (np.abs(det) < 1e-14)
+    bad = (det >= 0) | _singular(metric.g_lower, det)
     if bad.any():
         raise SingularMetric(
             f"need a Lorentzian metric, det g = {det[bad].flat[0]:.3e}"

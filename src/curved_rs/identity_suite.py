@@ -13,12 +13,13 @@ add their own report keys.
 The checks on the vector-bispinor fixtures run once over a
 ``fields.FieldStack`` of all of them, whose values carry a trailing
 fixture axis through the operator layer's ``...`` contractions.  Each
-context makes two passes over the stack and shares them: one D_nu Psi on
-the context rows (``SuiteContext.fixture_rows``: 1.2a, 1.6, 1.11a and
-1.14b, with Psi from the stencil centres) and one nested inner derivative
-on the chain frame's outer frame (``SuiteContext.chain_rows``: 1.7, 1.9
-and 1.10c).  Every error is relative per (row, fixture) pair, so a large
-fixture cannot hide a small one's error.
+context makes two passes over the stack, each one exact jet call per
+fixture, and shares them: D_nu Psi and Psi on the context rows
+(``SuiteContext.fixture_rows``: 1.2a, 1.6, 1.11a and 1.14b) and the
+inner derivative on the chain frame's outer frame
+(``SuiteContext.chain_rows``: 1.7, 1.9 and 1.10c), which those checks
+difference over the outer stencils.  Every error is relative per (row,
+fixture) pair, so a large fixture cannot hide a small one's error.
 """
 
 from __future__ import annotations
@@ -171,9 +172,9 @@ class SuiteContext:
 
     @cached_property
     def fixture_rows(self) -> tuple:
-        """(D_nu Psi, Psi) of the fixture stack on the frame's rows, Psi
-        from the stencil centres: one ``at`` call per fixture, shared by
-        1.2a, 1.6, 1.11a and 1.14b."""
+        """(D_nu Psi, Psi) of the fixture stack on the frame's rows: one
+        ``jet`` call per fixture on those rows, shared by 1.2a, 1.6, 1.11a
+        and 1.14b."""
         return rso.covariant_rows(self.fixtures, self.frame)
 
     @cached_property
@@ -181,7 +182,8 @@ class SuiteContext:
         """``nested_rows`` of the fixture stack on the chain frame,
         (Christoffel-only D_nu Psi, D_nu Psi, Psi) on its outer frame's
         rows, and Psi on its own rows (the outer stencils' centres): one
-        ``at`` call per fixture, shared by 1.7, 1.9 and 1.10c."""
+        ``jet`` call per fixture on the outer rows, shared by 1.7, 1.9 and
+        1.10c, which take only the outer derivative by differences."""
         inner = rso.nested_rows(self.fixtures, self.chain_frame)
         return inner + (stencil_centres(inner[2], len(self.chain_points())),)
 
@@ -943,8 +945,3 @@ def run_constraints(spec: MetricSpec, n_points: int = 20, seed: int = 42,
                               if mc.scalar > 0 else None),
         }
     return replace(rep, kind="constraints", extra={"mass_scan": scan})
-
-
-def coverage_tags() -> set:
-    """All equation tags carried by registered checks."""
-    return {d.tag for d in REGISTRY}

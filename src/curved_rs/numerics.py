@@ -4,24 +4,26 @@ Every finite difference takes one of two step policies, and callers choose
 between them only through a ``nested`` switch:
 
 * ``nested=False``: one level at ``STEP_FIRST``, for first derivatives of
-  closed-form quantities (field samplers, Dirac matrices); metric
+  quantities without a closed-form jet (samplers without one, Dirac
+  matrices); metric derivatives and the closed-form field families'
   derivatives are exact.
 * ``nested=True``: two levels, ``STEP_OUTER`` and its half, combined by
   Richardson, for derivatives of quantities that are themselves
   finite-difference built (residual fields, spin connections, gradient
-  fields) and for the inner derivatives of nested chains.  The larger
-  step keeps the inner-stencil noise from being amplified.
+  fields) and for the outer derivatives of nested chains.  The larger
+  step keeps the inner noise from being amplified.
 
 All stencils are 2nd-order central differences; Richardson extrapolation
 (one halving) upgrades them to 4th order.  ``stencil`` and
 ``differences`` serve every row-batched derivative that samples all its
 stencil points in one call; ``differences`` extrapolates exactly when the
-stencil has two levels.  ``outer_derivative`` differences a quantity over
-the stacked outer stencils of a frame's rows (``Frame.outer``), and
-``stencil_centres`` reads the values at their centres; the three take
-values with any trailing axes, a fixture axis among them.
-``partial4`` takes one axis of a function of one point, or of (n, 4) rows
-with one step per row.
+stencil has two levels.  ``stencil_jet`` is the one adapter that gives a
+function of rows without a closed-form jet its (value, derivative) on
+rows.  ``outer_derivative`` differences a quantity over the stacked outer
+stencils of a frame's rows (``Frame.outer``), and ``stencil_centres``
+reads the values at their centres; the three take values with any
+trailing axes, a fixture axis among them.  ``partial4`` takes one axis of
+a function of one point, or of (n, 4) rows with one step per row.
 
 ``PAIRWISE`` is the contraction path of a two-operand ``einsum`` over a
 frame's rows: numpy then runs it as one batched matmul on BLAS instead of
@@ -110,6 +112,19 @@ def differences(values: np.ndarray, steps: np.ndarray):
     if levels == 2:
         return value, (4.0 * d_levels[:, 1] - d_levels[:, 0]) / 3.0
     return value, d_levels[:, 0]
+
+
+def stencil_jet(f, coords: np.ndarray, nested=False):
+    """(value [n, ...], d_mu value [n, mu, ...]) at the rows ``coords`` of
+    a function ``f`` of (m, 4) rows, from one call of ``f`` on every row's
+    ``stencil`` (``nested`` picks the step policy).  The value is a copy,
+    so that a caller who keeps it does not keep the values of the whole
+    stencil."""
+    points, steps = stencil(coords, nested)
+    values = f(points.reshape(-1, 4))
+    value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
+                           steps)
+    return value.copy(), d
 
 
 def outer_derivative(values: np.ndarray, centres: np.ndarray):

@@ -13,15 +13,17 @@ a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
 A field is sampled only through ``covariant_rows``, which gives D_nu Psi
-and Psi on a frame's rows: ``covariant_derivative`` keeps the first, and
-``nested_rows`` takes the inner derivative of the nested chains on the
-rows of the frame's one stacked outer frame (``Frame.outer``).  Every
-side of an identity is a function of those sampled rows and returns one
-row per frame row.  A field may be a ``fields.FieldStack``: its values, and
-everything computed from them, then carry a trailing fixture axis, which
-every contraction on field values passes through a trailing ``...``
-(``"xnij,xj...->xni..."``).  One sampler is the case without that axis,
-on the same code.
+and Psi on a frame's rows from the field's jet (``fields``: exact for the
+closed-form families, stencil differences for any other sampler):
+``covariant_derivative`` keeps the first, and ``nested_rows`` takes the
+inner derivative of the nested chains on the rows of the frame's one
+stacked outer frame (``Frame.outer``), whose outer differences give the
+second derivatives.  Every side of an identity is a function of those
+sampled rows and returns one row per frame row.  A field may be a
+``fields.FieldStack``: its values, and everything computed from them, then
+carry a trailing fixture axis, which every contraction on field values
+passes through a trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler
+is the case without that axis, on the same code.
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
 Every block product is one dense (..., 16, 16) matmul.  The
@@ -44,13 +46,7 @@ import numpy as np
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
-from .numerics import (
-    PAIRWISE,
-    differences,
-    outer_derivative,
-    read_only,
-    stencil,
-)
+from .numerics import PAIRWISE, outer_derivative, read_only
 from .spin_frame import (GAMMA_FLAT, Frame, GammaSet,
                          spinor_commutator_curvature)
 
@@ -225,15 +221,11 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
 
 def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
     """D_nu of a sampler or a ``FieldStack`` on a frame's rows, and the
-    field there: (d [n, nu, ...], value [n, ...]).  One ``field.at`` call
-    samples every row's stencil (``numerics.stencil``); the geometry comes
-    from the frame.  The value is a copy, so that a caller who keeps it
-    does not keep the values of the whole stencil."""
-    points, steps = stencil(frame.coords, nested)
-    values = field.at(points.reshape(-1, 4), frame.chart_id)
-    value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
-                           steps)
-    return _connect(frame, field.kind, d, value, include_spin), value.copy()
+    field there: (d [n, nu, ...], value [n, ...]), from one ``field.jet``
+    call on the rows (``nested`` picks the step policy of a jet taken by
+    stencil differences); the geometry comes from the frame."""
+    value, d = field.jet(frame, nested=nested)
+    return _connect(frame, field.kind, d, value, include_spin), value
 
 
 def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
@@ -244,8 +236,8 @@ def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
     and the bispinor connection on the spinor index; bispinor fields only
     the connection (they are coordinate scalars).  Returns [n, nu, be, s]
     or [n, nu, s] (and the fixture axis of a stack).  ``nested`` picks the
-    nested step policy of ``numerics``, for a derivative that feeds another
-    one.
+    nested step policy of ``numerics`` for a sampler without an exact jet,
+    for a derivative that feeds another one.
     """
     return covariant_rows(field, frame, nested)[0]
 
@@ -311,8 +303,8 @@ def centre_covariant(values, frame: Frame, kind: str):
 def nested_rows(field, frame: Frame):
     """The inner derivative the nested chains share, on the rows of a
     frame's outer frame (nested step policy), in both forms:
-    (Christoffel-only D_nu Psi, D_nu Psi, Psi), from one ``at`` call over
-    every outer row's stencil.  The full form adds the connection term to
+    (Christoffel-only D_nu Psi, D_nu Psi, Psi), from one ``jet`` call on
+    the outer rows.  The full form adds the connection term to
     the Christoffel-only one, as ``_connect`` does, so each equals its own
     ``covariant_rows`` to the bit.  ``derivative_chain`` and
     ``second_covariant_comm`` read the full form, ``bridge_commutator``

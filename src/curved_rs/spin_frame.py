@@ -75,11 +75,6 @@ SIGMA_FLAT = 0.25 * (
 _SIGMA_MATRIX = read_only(SIGMA_FLAT.reshape(16, 16))
 
 
-def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:
-    """Flat gammas in an equivalent representation: U gamma^a U^dagger."""
-    return np.einsum("ij,ajk,kl->ail", u, GAMMA_FLAT, u.conj().T)
-
-
 @dataclass(frozen=True)
 class Tetrad:
     """Orthonormal frame: e_lower[a, al] = e^(a)_al, e_upper[a, al] = e_(a)^al."""

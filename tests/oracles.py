@@ -10,15 +10,25 @@ differentiation of closed-form metrics, so the two routes share no code.
 a time: the reference for compiled evaluation.  ``loop_sample_points`` is
 the reference for ``sample_points``: one draw and one guard call at a
 time.
+
+The rest are helpers only tests call: ``constant_field`` (a sampler
+without an exact jet, so its derivatives take the stencil adapter),
+``fit_prediction_constant`` (the fit that calibrated ``gauge.C0``),
+``unitary_transform_gammas`` and ``check_smoothness``.
 """
 
 
 import numpy as np
 import sympy as sp
 
-from curved_rs.errors import ConfigError, EvalError
+from curved_rs.errors import ConfigError, CurvedRSError, EvalError
 from curved_rs.exprparse import CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num, Var
+from curved_rs.fields import VECTOR_BISPINOR, FieldSampler
+from curved_rs.gauge import (einstein_prediction, gradient_sampler,
+                             massless_residual)
 from curved_rs.geometry import Point
+from curved_rs.numerics import STEP_FIRST, fd_step
+from curved_rs.spin_frame import GAMMA_FLAT, Frame
 
 
 def symbolic_metric(name, **params):
@@ -176,3 +186,73 @@ def tree_guard(cfg, coords, limit: float) -> bool:
                    for ast in cfg.components.values())
     except EvalError:
         return False
+
+
+def constant_field(values, kind: str = VECTOR_BISPINOR) -> FieldSampler:
+    """A constant sampler with no exact jet."""
+    values = np.asarray(values, dtype=complex)
+
+    def batch(rows):
+        n = len(rows.coords if isinstance(rows, Frame) else rows)
+        return np.repeat(values[None], n, axis=0)
+
+    return FieldSampler(lambda x: values.copy(), kind, "constant", batch)
+
+
+class FitDegenerate(CurvedRSError):
+    """The calibration point produced a vacuous (zero) prediction vector."""
+
+
+def fit_prediction_constant(psi: FieldSampler, frame) -> complex:
+    """Least-squares fit of the constant in front of the Einstein-tensor
+    prediction over a frame's rows; FitDegenerate if they are vacuous."""
+    direct = massless_residual(gradient_sampler(psi, frame.spec), frame)
+    unit = einstein_prediction(psi, frame, constant=1.0)
+    norm = float(np.sum(np.abs(unit) ** 2))
+    if norm < 1e-16:
+        raise FitDegenerate(
+            "Einstein-tensor prediction vanishes at the fit points; "
+            "pick non-vacuum points with gamma psi != 0"
+        )
+    return complex(np.sum(direct * unit.conj()) / norm)
+
+
+def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:
+    """Flat gammas in an equivalent representation: U gamma^a U^dagger."""
+    return np.einsum("ij,ajk,kl->ail", u, GAMMA_FLAT, u.conj().T)
+
+
+def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
+    """Second-order convergence probe: halving the step must shrink the
+    difference between central-difference levels by roughly 4x.
+
+    Returns the worst observed shrink ratio; raises ValueError if it drops
+    below ``min_ratio`` (a sampler that is not C^2 at the probe points).
+    """
+    worst = np.inf
+    for x in points:
+        # roundoff of a difference quotient at step h is ~ eps |f| / h; a
+        # gap below a multiple of it means the central difference is exact
+        # (constant, linear or quadratic along x^mu)
+        noise = 64 * np.finfo(float).eps * max(1.0, np.max(np.abs(sampler(x))))
+        for mu in range(4):
+            h = fd_step(x.coords[mu], 100 * STEP_FIRST)
+
+            def diff(hh):
+                return (
+                    sampler(x.shifted(mu, hh)) - sampler(x.shifted(mu, -hh))
+                ) / (2 * hh)
+
+            d1, d2, d4 = diff(h), diff(h / 2), diff(h / 4)
+            coarse = float(np.max(np.abs(d1 - d2)))
+            fine = float(np.max(np.abs(d2 - d4)))
+            if coarse < noise / h:
+                continue
+            ratio = coarse / max(fine, 1e-300)
+            worst = min(worst, ratio)
+    if worst < min_ratio:
+        raise ValueError(
+            f"sampler '{sampler.name}' does not converge at 2nd order "
+            f"(shrink ratio {worst:.2f})"
+        )
+    return worst

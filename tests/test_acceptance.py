@@ -25,7 +25,6 @@ from curved_rs.fields import (
 )
 from curved_rs.gauge import (
     C0,
-    fit_prediction_constant,
     gauge_criterion,
     gradient_residual,
 )
@@ -39,6 +38,7 @@ from curved_rs.spin_frame import (
 )
 
 from conftest import first_constraint, frame_at
+from oracles import fit_prediction_constant
 
 ALL_PRESETS = [
     ("minkowski_cartesian", {}),

@@ -522,6 +522,33 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
                              ("eq_1_10c_curvature_bridge",)).values())
 
 
+def test_scaled_closed_form_jets_fail_the_nested_gates(schwarzschild,
+                                                      frw_dust, monkeypatch):
+    """Every exact jet's derivative scaled by 1 + 1e-3 where the closed
+    forms are built: the inner D_nu Psi of 1.7 and 1.9 then disagrees with
+    the field values that their curvature forms read, and both fail by
+    more than 10 times their tolerance on both metrics (at 20 points, seed
+    42: 1.7 36x and 26x, 1.9 42x and 19x)."""
+    checks = ("eq_1_7_derivative_chain", "eq_1_9_commutator_decomposition")
+    for spec in (schwarzschild, frw_dust):
+        assert all(_verdicts(spec, checks).values())
+    original = fields._closed_form
+
+    def scaled_jet(jet, kind, name):
+        def scaled(coords):
+            value, d = jet(coords)
+            return value, d * (1.0 + 1e-3)
+
+        return original(scaled, kind, name)
+
+    monkeypatch.setattr(fields, "_closed_form", scaled_jet)
+    for name in ("schwarzschild", "frw_dust"):
+        rep = run_suite(load_preset(name), n_points=20, seed=42, only=checks)
+        for check in rep.checks:
+            assert check.max_rel_error > 10 * check.tolerance, (name,
+                                                                 check.id)
+
+
 def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
                                                          frw_dust, monkeypatch):
     """Scaled only where frames (and connections) read them, the
@@ -619,18 +646,18 @@ def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
 # ---------------------------------------------------------------------------
 
 
-def _count_at(monkeypatch, fields):
-    """Rows of each ``at`` call on the given samplers."""
+def _count_rows(monkeypatch, fields, method="jet"):
+    """Rows of each ``jet`` (or ``at``) call on the given samplers."""
     calls = []
-    original = FieldSampler.at
+    original = getattr(FieldSampler, method)
 
-    def counting_at(self, coords, chart_id=""):
+    def counting(self, coords, *args, **kwargs):
         if any(self is f for f in fields):
             rows = coords.coords if isinstance(coords, Frame) else coords
             calls.append(len(rows))
-        return original(self, coords, chart_id)
+        return original(self, coords, *args, **kwargs)
 
-    monkeypatch.setattr(FieldSampler, "at", counting_at)
+    monkeypatch.setattr(FieldSampler, method, counting)
     return calls
 
 
@@ -649,25 +676,29 @@ def _count_calls(monkeypatch, module, name):
 
 def test_derivative_chain_samples_its_fixture_once(schwarzschild,
                                                    monkeypatch):
-    """1.7 at one point: one ``at`` call over the stencil of stencils gives
-    both the residual and the first constraint."""
+    """1.7 at one point: one exact ``jet`` call on the 17 rows of the outer
+    frame gives both the residual and the first constraint, and the field
+    is sampled nowhere else."""
     fld = trig_field(41, box=schwarzschild.sample_box)
-    calls = _count_at(monkeypatch, [fld])
+    calls = _count_rows(monkeypatch, [fld])
+    at_calls = _count_rows(monkeypatch, [fld], "at")
     x = points_of(schwarzschild, 1, seed=9)[0]
     frame = frame_at(schwarzschild, x)
     rso.derivative_chain(frame, *rso.nested_rows(fld, frame)[1:], MASS)
-    assert calls == [17 * 17]
+    assert calls == [17]
+    assert at_calls == []
 
 
 def test_contraction_identity_samples_its_fixture_once(schwarzschild,
                                                        monkeypatch):
-    """1.6 at one point: both sides share one D_nu Psi."""
+    """1.6 at one point: both sides share one D_nu Psi, from one exact
+    ``jet`` call on the point's row."""
     fld = trig_field(42, box=schwarzschild.sample_box)
-    calls = _count_at(monkeypatch, [fld])
+    calls = _count_rows(monkeypatch, [fld])
     x = points_of(schwarzschild, 1, seed=9)[0]
     frame = frame_at(schwarzschild, x)
     rso.contraction_identity(frame, *rso.covariant_rows(fld, frame), MASS)
-    assert calls == [9]
+    assert calls == [1]
 
 
 def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
@@ -676,65 +707,64 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     frame, each filled once.  The Christoffels are filled by the outer
     frame and its connection (the inner derivatives), and by the chain
     frame, its connection (the outer derivative) and its curvature (the
-    curvature form).  Per fixture one ``at`` call samples the stencil of
-    stencils, whose centre is the point for the curvature form and the
-    scale.  A second run builds, fills and samples nothing."""
+    curvature form).  Per fixture one ``jet`` call samples the 17 outer
+    rows, whose centre is the point for the curvature form and the scale.
+    A second run builds, fills and samples nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
-    at_calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    at_calls = _count_rows(monkeypatch, ctx.vb_fixtures)
     frames = _count_calls(monkeypatch, spin_frame, "build_frame")
     connections = _count_calls(monkeypatch, spin_frame, "spin_connection")
     christoffels = _count_calls(monkeypatch, geometry, "christoffel")
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
-    assert at_calls == [17 * 17] * 5
+    assert at_calls == [17] * 5
     assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
     identity_suite._chk_derivative_chain(ctx)
     assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
-    assert at_calls == [17 * 17] * 5
+    assert at_calls == [17] * 5
 
 
 def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
     """At 20 points 1.11a reads its 3 fixtures from the context's one pass
-    over the stencils of its rows (20 rows x 9 points, one call per
-    fixture of the stack of 5), and hands that psi to both of its sides.
-    1.7 samples each of its 5 once, over the stencils of stencils of the
-    outer frame of the 10 chain points (170 rows x 17 points), whose
+    over its rows (20 rows, one jet call per fixture of the stack of 5),
+    and hands that psi to both of its sides.  1.7 samples each of its 5
+    once, on the outer frame of the 10 chain points (170 rows), whose
     centres give its curvature form and scale; 1.9 and 1.10c read the same
     pass and sample nothing."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
-    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    calls = _count_rows(monkeypatch, ctx.vb_fixtures)
     identity_suite._chk_constraint_reduction(ctx)
-    assert calls == [20 * 9] * 5
+    assert calls == [20] * 5
     calls.clear()
     identity_suite._chk_derivative_chain(ctx)
-    assert calls == [170 * 17] * 5
+    assert calls == [170] * 5
     identity_suite._chk_commutator_decomposition(ctx)
     identity_suite._chk_curvature_bridge(ctx)
-    assert calls == [170 * 17] * 5
+    assert calls == [170] * 5
 
 
 def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
-    """At 20 points 1.6 samples each of its 5 fixtures once, over the
-    stencils of the context rows (20 rows x 9 points); its scale is the
-    field on the centre rows of that call."""
+    """At 20 points 1.6 samples each of its 5 fixtures once, on the
+    context rows (20 rows); its scale is the field's value from that
+    call."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
-    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    calls = _count_rows(monkeypatch, ctx.vb_fixtures)
     identity_suite._chk_gamma_contraction(ctx)
-    assert calls == [20 * 9] * 5
+    assert calls == [20] * 5
 
 
 def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
-    """At 20 points 1.2a samples each of its 5 fixtures once, over the
-    stencils of the context rows: the block side (one ``rs_residual`` over
-    the stack) and the term-by-term side read one D_nu Psi and the field
-    on its centre rows."""
+    """At 20 points 1.2a samples each of its 5 fixtures once, on the
+    context rows: the block side (one ``rs_residual`` over the stack) and
+    the term-by-term side read one D_nu Psi and the field from that
+    jet."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
-    calls = _count_at(monkeypatch, ctx.vb_fixtures)
+    calls = _count_rows(monkeypatch, ctx.vb_fixtures)
     residuals = _count_calls(monkeypatch, rso, "rs_residual")
     _, err = identity_suite._chk_operator_form(ctx)
     assert err <= identity_suite.TOL_ALGEBRAIC
-    assert calls == [20 * 9] * 5
+    assert calls == [20] * 5
     assert len(residuals) == 1
 
 
@@ -768,8 +798,9 @@ def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                                                       monkeypatch):
     """2.7b at one point with 3 fixtures: per fixture one batched inner
-    derivative over the 17 rows of the outer frame; the outer derivative
-    differences those rows, with no further call."""
+    derivative over the 17 rows of the outer frame, which takes one exact
+    jet of psi on those rows; the outer derivative differences those rows,
+    with no further call."""
     calls = []
     original = rso.covariant_derivative
 
@@ -777,13 +808,22 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
         calls.append(1)
         return original(*args, **kwargs)
 
+    jets = []
+    original_jet = FieldSampler.jet
+
+    def counting_jet(self, coords, *args, **kwargs):
+        jets.append((self.kind, len(coords.coords)))
+        return original_jet(self, coords, *args, **kwargs)
+
     monkeypatch.setattr(rso, "covariant_derivative", counting)
     monkeypatch.setattr(gauge, "covariant_derivative", counting)
+    monkeypatch.setattr(FieldSampler, "jet", counting_jet)
     rep = run_suite(schwarzschild, n_points=1, seed=3,
                     only=("eq_2_7b_massless_gradient",))
     assert len(rep.ctx.sp_fixtures) == 3
     assert rep.checks[0].passed
     assert len(calls) == 3
+    assert jets == [(BISPINOR, 17)] * 3
 
 
 @pytest.mark.parametrize("name, traceless_frames",
@@ -835,11 +875,11 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_suite_samples_each_fixture_in_two_passes(name, monkeypatch):
     """One suite at n = 20 points samples each of its 5 vector-bispinor
-    fixtures twice, in the two passes over the fixture stack: over the
-    stencils of the context rows (9 n rows; 1.2a, 1.6, 1.11a and 1.14b)
-    and over the stencils of stencils of the c = 10 chain points' outer
-    frame (17 * 17 c rows; 1.7, 1.9 and 1.10c).  The field on the rows
-    themselves comes from the stencil centres."""
+    fixtures twice, by two exact jet calls in the two passes over the
+    fixture stack: on the context rows (n rows; 1.2a, 1.6, 1.11a and
+    1.14b) and on the c = 10 chain points' outer frame (17 c rows; 1.7,
+    1.9 and 1.10c), whose centres give the field on the chain rows.  No
+    check samples a fixture's values apart from its jet."""
     fixtures = []
     original = identity_suite.fixture_family
 
@@ -850,9 +890,11 @@ def test_suite_samples_each_fixture_in_two_passes(name, monkeypatch):
         return family
 
     monkeypatch.setattr(identity_suite, "fixture_family", recording)
-    calls = _count_at(monkeypatch, fixtures)
+    calls = _count_rows(monkeypatch, fixtures)
+    at_calls = _count_rows(monkeypatch, fixtures, "at")
     rep = run_suite(load_preset(name), n_points=20, seed=42)
     n, chain = 20, identity_suite.SECOND_ORDER_POINT_CAP
     assert rep.passed
     assert len(fixtures) == identity_suite.FIXTURE_COUNT == 5
-    assert calls == [9 * n] * 5 + [17 * 17 * chain] * 5
+    assert calls == [n] * 5 + [17 * chain] * 5
+    assert at_calls == []

@@ -81,6 +81,10 @@ INFINITE_BOX_CFG = FLAT_CFG.replace("t = -1, 1", "t = -2, 1e309")
 SIGNATURE_CFG = FLAT_CFG.replace("g00 = 1", "g00 = -1")
 SINGULAR_CFG = FLAT_CFG.replace("g11 = -1", "g11 = -exp(-800*t)").replace(
     "t = -1, 1", "t = 1, 2")
+#: eta scaled by 1e-4, a regular metric whose det g is 1e-16, and a metric
+#: with g00 = 0, which is singular at any scale
+SCALED_ETA_CFG = re.sub(r"(g\d\d = -?)1\n", r"\g<1>1e-4\n", FLAT_CFG)
+ZERO_G00_CFG = FLAT_CFG.replace("g00 = 1", "g00 = 0")
 
 COMMANDS = ("identities", "gauge", "constraints")
 #: the checks each command runs
@@ -200,13 +204,15 @@ class TestExitCodes:
         ["identities", "--metric-file", "{signature}"],
         ["identities", "--metric-file", "{singular}"],
         ["identities", "--metric", "frw_dust", "--param", "a0=1e-300"],
+        ["identities", "--metric-file", "{zero_g00}"],
     ])
     def test_bad_input_is_config_error(self, capsys, tmp_path, args):
         for key, text in (("cfg", DS_CFG), ("outside", OUTSIDE_CFG),
                           ("overflow", OVERFLOW_CFG), ("large", LARGE_CFG),
                           ("infinite_box", INFINITE_BOX_CFG),
                           ("signature", SIGNATURE_CFG),
-                          ("singular", SINGULAR_CFG)):
+                          ("singular", SINGULAR_CFG),
+                          ("zero_g00", ZERO_G00_CFG)):
             (tmp_path / f"{key}.cfg").write_text(text)
             args = [a.replace(f"{{{key}}}", str(tmp_path / f"{key}.cfg"))
                     for a in args]
@@ -214,6 +220,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_singular_bound_is_relative_to_the_metric_scale(self, capsys,
+                                                            tmp_path):
+        # |det g| = 1e-16 is singular only for a metric of order one
+        assert "g33 = -1e-4\n" in SCALED_ETA_CFG
+        path = tmp_path / "scaled_eta.cfg"
+        path.write_text(SCALED_ETA_CFG)
+        for command in COMMANDS:
+            code, out, err = run([command, "--metric-file", str(path),
+                                  "--points", "2"], capsys)
+            assert (code, err) == (0, ""), command
+            assert "overall: pass" in out
 
     def test_negative_mass_is_config_error(self, capsys):
         code, _, err = run(

@@ -7,8 +7,6 @@ from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
     FieldSampler,
-    check_smoothness,
-    constant_field,
     fixture_family,
     flat_rs_plane_wave,
     gamma_traceless_field,
@@ -17,7 +15,13 @@ from curved_rs.fields import (
     trig_field,
 )
 from curved_rs.geometry import Point
+from curved_rs.numerics import (STEP_OUTER, differences, fd_step, stencil,
+                                stencil_jet)
+from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from curved_rs.spin_frame import GAMMA_FLAT, gamma_set_at
+
+from conftest import points_of
+from oracles import check_smoothness, constant_field
 
 
 def pt(*coords):
@@ -161,3 +165,61 @@ class TestConstrainedFields:
     def test_constant_field(self):
         f = constant_field(np.ones((4, 4)))
         assert np.array_equal(f(pt(0, 0, 0, 0)), f(pt(9, 9, 9, 9)))
+
+
+class TestExactJets:
+    """Finite differences referee the exact jets of the closed forms."""
+
+    @staticmethod
+    def _richardson(f, rows):
+        """The stencil adapter's Richardson derivative of ``f`` on rows,
+        and its gap: |d_h - d_h/2| of the two levels it extrapolates."""
+        points, steps = stencil(rows, nested=True)
+        values = f.at(points.reshape(-1, 4))
+        values = values.reshape(points.shape[:2] + values.shape[1:])
+        _, d_h = differences(values[:, :9], steps[:, :1])
+        _, d_h2 = differences(np.concatenate([values[:, :1], values[:, 9:]],
+                                             axis=1), steps[:, 1:])
+        return stencil_jet(f.at, rows, nested=True)[1], np.abs(d_h - d_h2)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
+    def test_jet_is_the_richardson_derivative(self, name, kind):
+        """On rows of every preset's sampling box, each family's exact d_mu
+        equals the Richardson derivative within the Richardson gap, up to
+        the roundoff of a difference quotient (64 eps |f| / h); its value
+        is the sampler's.  The fields are built for the box, as the suite
+        builds its fixtures."""
+        spec = load_preset(name)
+        box = spec.sample_box
+        rows = np.stack([p.coords for p in points_of(spec, 6, seed=3)])
+        shape = (4, 4) if kind == VECTOR_BISPINOR else (4,)
+        amp = (np.arange(np.prod(shape)) + 0.5j).reshape(shape)
+        half = 0.5 * np.diff(np.asarray(box), axis=1)[:, 0]
+        families = [polynomial_field(8, kind, box, degree=k) for k in range(3)]
+        families += [trig_field(9, kind, box),
+                     plane_wave([0.7, -0.3, 0.2, 0.5] / half, amp, kind)]
+        h = np.min(fd_step(rows, STEP_OUTER) / 2, axis=1)
+        for f in families:
+            value, d = f.jet(rows)
+            assert d.shape == (len(rows), 4) + shape, f.name
+            assert np.array_equal(value, f.at(rows)), f.name
+            rich, gap = self._richardson(f, rows)
+            err = np.max(np.abs(d - rich).reshape(len(rows), -1), axis=1)
+            noise = 64 * np.finfo(float).eps * np.max(
+                np.abs(value).reshape(len(rows), -1), axis=1) / h
+            bound = np.max(gap.reshape(len(rows), -1), axis=1) + noise
+            assert np.all(err <= bound), (f.name, err / bound)
+
+    def test_a_sampler_without_a_closed_form_takes_the_adapter(self):
+        """A sampler with no exact jet differences its values: the stencil
+        adapter's result, under either step policy."""
+        f = trig_field(10, BISPINOR)
+        plain = FieldSampler(f.fn, BISPINOR, "plain", f.batch)
+        rows = TestBatchSampling.COORDS
+        for nested in (False, True):
+            value, d = plain.jet(rows, nested=nested)
+            want = stencil_jet(f.at, rows, nested)
+            assert np.array_equal(value, want[0])
+            assert np.array_equal(d, want[1])
+            assert np.max(np.abs(d - f.jet(rows)[1])) < 1e-6

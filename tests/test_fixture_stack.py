@@ -124,11 +124,15 @@ def test_a_stack_holds_one_kind(schwarzschild):
                     polynomial_field(2, BISPINOR, box=box)))
     stack = FieldStack((trig_field(1, box=box), trig_field(2, box=box)))
     rows = np.array([[0.1, 4.0, 1.0, 1.0], [0.2, 5.0, 1.5, 2.0]])
-    values = stack.at(rows)
+    values, d = stack.jet(rows)
     assert values.shape == (2, 4, 4, 2)
+    assert d.shape == (2, 4, 4, 4, 2)
     assert stack.kind == VECTOR_BISPINOR
     for k, fld in enumerate(stack.members):
+        value_k, d_k = fld.jet(rows)
+        assert np.array_equal(values[..., k], value_k)
         assert np.array_equal(values[..., k], fld.at(rows))
+        assert np.array_equal(d[..., k], d_k)
 
 
 def _scaled(fld, factor):

@@ -4,11 +4,9 @@ contraction."""
 import numpy as np
 import pytest
 
-from curved_rs.errors import FitDegenerate
 from curved_rs.fields import (
     BISPINOR,
     FieldSampler,
-    constant_field,
     plane_wave,
     polynomial_field,
     trig_field,
@@ -16,7 +14,6 @@ from curved_rs.fields import (
 from curved_rs.gauge import (
     C0,
     epsilon_contraction_check,
-    fit_prediction_constant,
     gauge_criterion,
     gradient_residual,
     gradient_sampler,
@@ -24,13 +21,15 @@ from curved_rs.gauge import (
 )
 from curved_rs.geometry import curvature, eval_metric
 from curved_rs.rs_operator import covariant_derivative, covariant_rows
-from curved_rs.spin_frame import (
-    gamma_set_at,
-    spin_connection,
-    unitary_transform_gammas,
-)
+from curved_rs.spin_frame import gamma_set_at, spin_connection
 
 from conftest import frame_at, points_of
+from oracles import (
+    FitDegenerate,
+    constant_field,
+    fit_prediction_constant,
+    unitary_transform_gammas,
+)
 
 
 class TestGradientField:

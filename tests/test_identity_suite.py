@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from curved_rs import fields
 from curved_rs import identity_suite as suite
-from curved_rs import rs_operator as rso
 from curved_rs import spin_frame
 from curved_rs.errors import ConfigError
 from curved_rs.spacetimes import (
@@ -53,13 +53,13 @@ class TestRegistry:
         assert len(ids) == len(set(ids))
 
     def test_every_required_tag_covered(self):
-        tags = suite.coverage_tags()
+        tags = {d.tag for d in suite.REGISTRY}
         for req in REQUIRED_TAGS:
             assert any(t == req or t.startswith(req) for t in tags), req
 
     def test_no_orphan_tags(self):
         known = set(REQUIRED_TAGS)
-        for tag in suite.coverage_tags():
+        for tag in {d.tag for d in suite.REGISTRY}:
             assert any(tag == req or tag.startswith(req) for req in known), tag
 
 
@@ -243,17 +243,21 @@ z = -1, 1
     def test_scaled_time_derivative_fails_the_divergence_form(
             self, minkowski, monkeypatch):
         """The plane waves vary along t with every vector component
-        nonzero, so a time derivative off by 1e-3 breaks 1.11b."""
+        nonzero, so a time derivative of their exact jet off by 1e-3
+        breaks 1.11b."""
         check = ("eq_1_11b_divergence_form",)
-        original = rso.differences
+        original = fields._closed_form
 
-        def scaled_time_derivative(values, steps):
-            value, d = original(values, steps)
-            d = d.copy()
-            d[:, 0] *= 1.0 + 1e-3
-            return value, d
+        def scaled_time_derivative(jet, kind, name):
+            def scaled(coords):
+                value, d = jet(coords)
+                d = d.copy()
+                d[:, 0] *= 1.0 + 1e-3
+                return value, d
 
-        monkeypatch.setattr(rso, "differences", scaled_time_derivative)
+            return original(scaled, kind, name)
+
+        monkeypatch.setattr(fields, "_closed_form", scaled_time_derivative)
         (result,) = suite.run_suite(minkowski, n_points=2, seed=5,
                                     only=check).checks
         assert result.max_rel_error > 1e3 * result.tolerance

@@ -63,8 +63,8 @@ SAMPLERS = {"covariant_rows", "covariant_derivative", "nested_rows"}
 
 
 def sampling_calls(source: str) -> list:
-    """'function:line' for each ``.at(`` or ``covariant_rows`` call made by
-    a function outside ``SAMPLERS``."""
+    """'function:line' for each ``.at(``, ``.jet(`` or ``covariant_rows``
+    call made by a function outside ``SAMPLERS``."""
     found = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef) or func.name in SAMPLERS:
@@ -75,7 +75,7 @@ def sampling_calls(source: str) -> list:
             callee = node.func
             name = (callee.attr if isinstance(callee, ast.Attribute)
                     else getattr(callee, "id", None))
-            if name in ("at", "covariant_rows"):
+            if name in ("at", "jet", "covariant_rows"):
                 found.append(f"{func.name}:{node.lineno}")
     return found
 
@@ -85,8 +85,8 @@ def test_identity_sides_take_sampled_rows():
 
 
 def test_the_sampling_lint_sees_both_kinds_of_call():
-    source = ("def covariant_rows(field, frame):\n    return field.at(frame)\n"
+    source = ("def covariant_rows(field, frame):\n    return field.jet(frame)\n"
               "def side(field, frame):\n"
               "    return covariant_rows(field, frame), field.at(frame)\n"
-              "def pure(frame, d):\n    return d\n")
-    assert sampling_calls(source) == ["side:4", "side:4"]
+              "def pure(frame, field):\n    return field.jet(frame)\n")
+    assert sampling_calls(source) == ["side:4", "side:4", "pure:6"]

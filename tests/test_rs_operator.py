@@ -8,7 +8,6 @@ from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
     FieldSampler,
-    constant_field,
     flat_rs_plane_wave,
     gamma_traceless_field,
     plane_wave,
@@ -46,6 +45,7 @@ from curved_rs.rs_operator import (
 from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
 from conftest import first_constraint, frame_at, points_of
+from oracles import constant_field
 
 MASS = MassParam(1.0)
 

@@ -17,10 +17,10 @@ from curved_rs.spin_frame import (
     gamma_set_at,
     spin_connection,
     spinor_commutator_curvature,
-    unitary_transform_gammas,
 )
 
 from conftest import frame_at, points_of
+from oracles import unitary_transform_gammas
 
 
 class TestFlatMatrices:
