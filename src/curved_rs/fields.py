@@ -74,10 +74,11 @@ class FieldSampler:
         self._check(values.shape, (len(rows),) + _SHAPES[self.kind])
         return values
 
-    def jet(self, coords, chart_id: str = "", nested=False) -> tuple:
+    def jet(self, coords, nested=False) -> tuple:
         """(value [n, *shape], d_mu value [n, 4, *shape]) on what ``at``
         takes: the exact jet, or else central differences of ``at`` over
         every row's stencil, with the step policy ``nested`` picks."""
+        chart_id = ""
         if isinstance(coords, Frame):
             coords, chart_id = coords.coords, coords.chart_id
         coords = np.asarray(coords, dtype=float)
@@ -118,13 +119,13 @@ class FieldStack:
     def kind(self) -> str:
         return self.members[0].kind
 
-    def jet(self, coords, chart_id: str = "", nested=False) -> tuple:
+    def jet(self, coords, nested=False) -> tuple:
         n = len(coords.coords if isinstance(coords, Frame) else coords)
         shape = _SHAPES[self.kind] + (len(self.members),)
         value = np.empty((n,) + shape, dtype=complex)
         d = np.empty((n, 4) + shape, dtype=complex)
         for k, member in enumerate(self.members):
-            value[..., k], d[..., k] = member.jet(coords, chart_id, nested)
+            value[..., k], d[..., k] = member.jet(coords, nested)
         return value, d
 
 

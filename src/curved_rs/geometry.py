@@ -121,10 +121,11 @@ class CurvatureBundle:
 
 
 def _singular(g: np.ndarray, det) -> np.ndarray:
-    """Per metric: |det g| at most 1e-14 of max |g_ab|^4, the determinant's
-    size for a metric of that scale, so that the bound does not depend on
-    the units of the metric."""
-    return np.abs(det) <= 1e-14 * np.abs(g).max(axis=(-2, -1)) ** 4
+    """Per metric: |det g| at most 1e-14 of prod_a max_b |g_ab|, which
+    bounds |det g| up to a factor 16 (Hadamard's inequality) and is
+    prod |g_aa| for a diagonal metric, so that rescaling the metric or
+    one coordinate of a diagonal metric leaves the test unchanged."""
+    return np.abs(det) <= 1e-14 * np.abs(g).max(axis=-1).prod(axis=-1)
 
 
 def as_rows(coords) -> np.ndarray:

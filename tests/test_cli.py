@@ -81,9 +81,11 @@ INFINITE_BOX_CFG = FLAT_CFG.replace("t = -1, 1", "t = -2, 1e309")
 SIGNATURE_CFG = FLAT_CFG.replace("g00 = 1", "g00 = -1")
 SINGULAR_CFG = FLAT_CFG.replace("g11 = -1", "g11 = -exp(-800*t)").replace(
     "t = -1, 1", "t = 1, 2")
-#: eta scaled by 1e-4, a regular metric whose det g is 1e-16, and a metric
+#: eta scaled by 1e-4, a regular metric whose det g is 1e-16; eta with x
+#: rescaled, regular although det g is 1e-15 of max |g_ab|^4; and a metric
 #: with g00 = 0, which is singular at any scale
 SCALED_ETA_CFG = re.sub(r"(g\d\d = -?)1\n", r"\g<1>1e-4\n", FLAT_CFG)
+ANISOTROPIC_CFG = FLAT_CFG.replace("g11 = -1\n", "g11 = -1e5\n")
 ZERO_G00_CFG = FLAT_CFG.replace("g00 = 1", "g00 = 0")
 
 COMMANDS = ("identities", "gauge", "constraints")
@@ -221,17 +223,31 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", [SCALED_ETA_CFG, ANISOTROPIC_CFG],
+                             ids=["scaled_eta", "anisotropic"])
     def test_singular_bound_is_relative_to_the_metric_scale(self, capsys,
-                                                            tmp_path):
-        # |det g| = 1e-16 is singular only for a metric of order one
+                                                            tmp_path, text):
+        # |det g| = 1e-16 is singular only for a metric of order one, and
+        # rescaling one coordinate leaves a regular metric regular
         assert "g33 = -1e-4\n" in SCALED_ETA_CFG
-        path = tmp_path / "scaled_eta.cfg"
-        path.write_text(SCALED_ETA_CFG)
+        assert "g11 = -1e5\n" in ANISOTROPIC_CFG
+        path = tmp_path / "metric.cfg"
+        path.write_text(text)
         for command in COMMANDS:
             code, out, err = run([command, "--metric-file", str(path),
                                   "--points", "2"], capsys)
             assert (code, err) == (0, ""), command
             assert "overall: pass" in out
+
+    def test_a_large_schwarzschild_mass_is_not_singular(self, capsys):
+        # at M = 1000 (r from 3000 to 8000) det g = -r^4 sin^2(theta) is
+        # below 1e-16 of max |g_ab|^4 = r^8, yet the metric is regular
+        for command in COMMANDS:
+            code, out, err = run([command, "--metric", "schwarzschild",
+                                  "--param", "M=1000", "--points", "2"],
+                                 capsys)
+            assert code != 2 and err == "", (command, err)
+            assert "overall:" in out
 
     def test_negative_mass_is_config_error(self, capsys):
         code, _, err = run(
