@@ -5,13 +5,13 @@ A sampler wraps a smooth map from chart points to a vector-bispinor
 (a (4,) complex array).  Fixture families are polynomial and trigonometric
 fields with seeded coefficients; a fixed seed gives a bit-identical field.
 
-Every sampler has a first-derivative jet on rows: ``jet`` returns the
-values and their partial derivatives d_mu from one call.  The closed-form
-families (polynomials, trigonometric fields and plane waves, and so the
-flat plane-wave solutions) carry an exact one and sample each row once
-(forward-mode differentiation of the closed form); any other sampler's
-jet differences its values over every row's stencil
-(``numerics.stencil_jet``).
+Every sampler has a jet on rows: ``jet(coords, order)`` returns the values
+and, up to ``order`` (at most 2), their d_mu and d_mu d_nu from one call.
+The closed-form families (polynomials, trigonometric fields and plane
+waves, and so the flat plane-wave solutions) carry an exact one
+(forward-mode differentiation of the closed form), and their value-only
+calls (``at``, ``__call__``) form no derivative; any other sampler's jet
+differences its values over every row's stencil (``numerics.stencil_jet``).
 
 A ``FieldStack`` takes the jets of several samplers of one kind together:
 its arrays carry a trailing fixture axis, (n, *shape, F), which the
@@ -48,8 +48,8 @@ class FieldSampler:
     gradient and gamma-traceless samplers) answer in one call and are
     handed a Frame as it is; the others call ``fn`` once per row, at Points
     carrying ``chart_id`` (or the frame's).  Both paths check the returned
-    shape.  ``exact_jet``, given, is the closed-form jet on (n, 4) rows
-    that ``jet`` returns.
+    shape.  ``exact_jet(coords, order)``, given, is the jet that ``jet``
+    returns, on what ``at`` takes.
     """
 
     fn: Callable[[Point], np.ndarray]
@@ -74,21 +74,35 @@ class FieldSampler:
         self._check(values.shape, (len(rows),) + _SHAPES[self.kind])
         return values
 
-    def jet(self, coords, nested=False) -> tuple:
-        """(value [n, *shape], d_mu value [n, 4, *shape]) on what ``at``
-        takes: the exact jet, or else central differences of ``at`` over
-        every row's stencil, with the step policy ``nested`` picks."""
-        chart_id = ""
-        if isinstance(coords, Frame):
-            coords, chart_id = coords.coords, coords.chart_id
-        coords = np.asarray(coords, dtype=float)
-        if self.exact_jet is None:
-            return stencil_jet(lambda rows: self.at(rows, chart_id), coords,
-                               nested)
-        value, d = self.exact_jet(coords)
-        self._check(value.shape, (len(coords),) + _SHAPES[self.kind])
-        self._check(d.shape, (len(coords), 4) + _SHAPES[self.kind])
-        return value, d
+    def jet(self, coords, order=1) -> tuple:
+        """(value [n, *shape], d_mu value [n, 4, *shape], d_mu d_nu value
+        [n, 4, 4, *shape]) up to ``order`` on what ``at`` takes: the exact
+        jet, or differences of ``at`` over every row's stencil (for order 2,
+        nested-policy differences of the nested-policy order-1 jet)."""
+        if order not in (0, 1, 2):
+            raise ValueError(f"jet order must be 0, 1 or 2, got {order}")
+        out = (self.exact_jet or self._stencil_jet)(coords, order)
+        n = len(coords.coords if isinstance(coords, Frame) else coords)
+        for k, a in enumerate(out):
+            self._check(a.shape, (n,) + (4,) * k + _SHAPES[self.kind])
+        return out
+
+    def _stencil_jet(self, coords, order):
+        framed = isinstance(coords, Frame)
+        chart_id = coords.chart_id if framed else ""
+        coords = coords.coords if framed else np.asarray(coords, dtype=float)
+
+        def at(rows):
+            return self.at(rows, chart_id)
+
+        def first(rows):
+            value, d = stencil_jet(at, rows, nested=True)
+            return np.concatenate([value[:, None], d], axis=1)
+
+        if order < 2:
+            return stencil_jet(at, coords) if order else (at(coords),)
+        values, d = stencil_jet(first, coords, nested=True)
+        return values[:, 0], values[:, 1:], d[:, :, 1:]
 
     def _check(self, got, expected):
         if got != expected:
@@ -105,9 +119,10 @@ class FieldSampler:
 class FieldStack:
     """Samplers of one kind sampled together.  ``jet`` takes what
     ``FieldSampler.jet`` takes and returns the (n, *shape, F) values and
-    (n, 4, *shape, F) derivatives of the F members, member k's at [..., k]:
-    each member's ``jet`` is called once and written into preallocated
-    arrays, so no member's arrays are held beside the stack."""
+    the (n, 4, *shape, F) and (n, 4, 4, *shape, F) derivatives of the F
+    members, member k's at [..., k]: each member's ``jet`` is called once
+    and written into preallocated arrays, so no member's arrays are held
+    beside the stack."""
 
     members: tuple
 
@@ -119,14 +134,15 @@ class FieldStack:
     def kind(self) -> str:
         return self.members[0].kind
 
-    def jet(self, coords, nested=False) -> tuple:
+    def jet(self, coords, order=1) -> tuple:
         n = len(coords.coords if isinstance(coords, Frame) else coords)
         shape = _SHAPES[self.kind] + (len(self.members),)
-        value = np.empty((n,) + shape, dtype=complex)
-        d = np.empty((n, 4) + shape, dtype=complex)
+        out = tuple(np.empty((n,) + (4,) * k + shape, dtype=complex)
+                    for k in range(order + 1))
         for k, member in enumerate(self.members):
-            value[..., k], d[..., k] = member.jet(coords, nested)
-        return value, d
+            for stacked, a in zip(out, member.jet(coords, order), strict=True):
+                stacked[..., k] = a
+        return out
 
 
 def _rows_sampler(batch, kind: str, name: str, exact_jet=None):
@@ -137,11 +153,14 @@ def _rows_sampler(batch, kind: str, name: str, exact_jet=None):
 
 
 def _closed_form(jet, kind: str, name: str) -> FieldSampler:
-    """A sampler with the exact jet ``jet`` of (n, 4) rows; its values are
-    the jet's, on rows or a frame's coordinates."""
-    return _rows_sampler(
-        lambda rows: jet(rows.coords if isinstance(rows, Frame) else rows)[0],
-        kind, name, jet)
+    """A sampler with the exact jet ``jet(coords, order)`` of (n, 4) rows,
+    on rows or a frame's coordinates, and its values of order 0."""
+
+    def rows_jet(rows, order):
+        return jet(rows.coords if isinstance(rows, Frame) else rows, order)
+
+    return _rows_sampler(lambda rows: rows_jet(rows, 0)[0], kind, name,
+                         rows_jet)
 
 
 def _box_frame(box):
@@ -164,38 +183,47 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
 
     Evaluated as the monomial basis [1, u, u (x) u] of the box-scaled
     coordinates u (width 1, 5 or 21 by degree) times one coefficient matrix;
-    the basis and its four d/du_mu, stacked, take one product for the jet.
+    the basis and its four d/du_mu, stacked, take one product for the jet,
+    and the basis alone for the values.  d_mu d_nu is the constant
+    2 c_{mu nu} / (h_mu h_nu) (quadratic coefficients c, half-widths h).
     """
     rng = np.random.default_rng(seed)
     center, half = _box_frame(box)
     base = _SHAPES[kind]
     width = int(np.prod(base))
     coeffs = [_complex_normal(rng, base).reshape(1, width)]
+    dd = np.zeros((4, 4) + base, dtype=complex)
     if degree >= 1:
         coeffs.append(_complex_normal(rng, (4,) + base, 0.5).reshape(4, width))
     if degree >= 2:
         c2 = _complex_normal(rng, (4, 4) + base, 0.25)
         c2 = 0.5 * (c2 + np.swapaxes(c2, 0, 1))
         coeffs.append(c2.reshape(16, width))
+        dd = 2.0 * c2 / np.outer(half, half).reshape((4, 4) + (1,) * len(base))
     matrix = np.concatenate(coeffs)
 
-    def jet(coords):
+    def jet(coords, order):
         u = (coords - center) / half
         n = len(u)
         # [x, 0] the basis, [x, 1 + mu] its d/du_mu
-        terms = np.zeros((n, 5, len(matrix)))
+        terms = np.zeros((n, 5 if order else 1, len(matrix)))
         terms[:, 0, 0] = 1.0
         if degree >= 1:
             terms[:, 0, 1:5] = u
-            terms[:, 1:, 1:5] = np.eye(4)
         if degree >= 2:
             terms[:, 0, 5:] = (u[:, :, None] * u[:, None, :]).reshape(n, 16)
+        if not order:
+            return ((terms[:, 0] @ matrix).reshape((n,) + base),)
+        if degree >= 1:
+            terms[:, 1:, 1:5] = np.eye(4)
+        if degree >= 2:
             # d(u_a u_b)/du_mu = delta_mu_a u_b + u_a delta_mu_b
             du = np.eye(4)[:, :, None] * u[:, None, None, :]
             terms[:, 1:, 5:] = (du + du.swapaxes(-1, -2)).reshape(n, 4, 16)
         out = terms @ matrix
         return (out[:, 0].reshape((n,) + base),
-                (out[:, 1:] / half[:, None]).reshape((n, 4) + base))
+                (out[:, 1:] / half[:, None]).reshape((n, 4) + base),
+                np.broadcast_to(dd, (n,) + dd.shape))[:order + 1]
 
     return _closed_form(jet, kind, f"poly{degree}[{seed}]")
 
@@ -209,15 +237,21 @@ def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler
     u2 = _complex_normal(rng, base)
     k1 = rng.uniform(0.3, 1.2, size=4) / half
     k2 = rng.uniform(0.3, 1.2, size=4) / half
+    kk1, kk2 = np.outer(k1, k1), np.outer(k2, k2)
 
-    def jet(coords):
+    def jet(coords, order):
         w = coords - center
         p1, p2 = w @ k1, w @ k2
         value = (np.multiply.outer(np.cos(p1), u1)
                  + np.multiply.outer(np.sin(p2), u2))
+        if not order:
+            return (value,)
         d = (np.multiply.outer(-np.sin(p1)[:, None] * k1, u1)
              + np.multiply.outer(np.cos(p2)[:, None] * k2, u2))
-        return value, d
+        # d_mu d_nu is -k k times each term
+        dd = (np.multiply.outer(-np.cos(p1)[:, None, None] * kk1, u1)
+              - np.multiply.outer(np.sin(p2)[:, None, None] * kk2, u2))
+        return (value, d, dd)[:order + 1]
 
     return _closed_form(jet, kind, f"trig[{seed}]")
 
@@ -227,9 +261,11 @@ def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
     k = np.asarray(k, dtype=float)
     amplitude = np.asarray(amplitude, dtype=complex)
 
-    def jet(coords):
-        value = np.multiply.outer(np.exp(1j * (coords @ k)), amplitude)
-        return value, np.multiply.outer(1j * k, value).swapaxes(0, 1)
+    def jet(coords, order):
+        out = [np.multiply.outer(np.exp(1j * (coords @ k)), amplitude)]
+        for _ in range(order):  # each d_mu multiplies by i k_mu
+            out.append(np.multiply.outer(1j * k, out[-1]).swapaxes(0, 1))
+        return tuple(out)
 
     return _closed_form(jet, kind, "plane_wave")
 

@@ -15,10 +15,9 @@ solve the massless equation; where it does not (the dust preset), they
 fail by exactly the predicted amount.  Functions that evaluate take a
 Frame and return one row per frame row, like those of ``rs_operator``;
 ``gradient_sampler`` is the one place where raw rows become a frame.  The
-gradient field is psi's jet on the frame's outer frame (exact for the
-closed-form fixtures, one row per outer row), and the massless residual
-differentiates it over the outer stencils (outer step with Richardson),
-as a second derivative of psi needs.
+gradient field's jet is D_nu psi with d_mu D_nu psi, from psi's
+second-order jet and the frame's exact connection derivative, on the
+frame's own rows, and the massless residual takes D_mu of it there.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
 from .numerics import PAIRWISE
-from .rs_operator import centre_covariant, covariant_derivative, eps_gamma
+from .rs_operator import covariant_derivative, covariant_rows, eps_gamma
 from .spin_frame import Frame, build_frame
 
 #: frozen proportionality constant of the Einstein-tensor prediction
@@ -36,44 +35,40 @@ C0 = 0.5
 
 
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
-    """The gradient field as a sampler; ``at`` takes all its rows in one
-    ``covariant_derivative`` call, on a Frame or on the frame it builds of
-    raw rows, which takes psi's jet there.  A psi without an exact jet is
-    differenced with the nested step policy (outer step, Richardson),
-    which keeps inner roundoff from being amplified when the sampler feeds
-    a second derivative.
-    """
+    """The gradient field as a sampler: ``covariant_derivative`` of psi on a
+    Frame or on the frame it builds of raw rows, all rows in one call, and
+    to first order (``jet``) of psi's second-order jet there."""
 
-    def gradient(rows):
-        if not isinstance(rows, Frame):
-            rows = build_frame(spec, rows)
-        return covariant_derivative(psi, rows, nested=True)
+    def jet(rows, order):
+        if order > 1:
+            raise ValueError("a gradient field's jet goes to first order")
+        frame = rows if isinstance(rows, Frame) else build_frame(spec, rows)
+        out = covariant_derivative(psi, frame, order + 1)
+        return out if order else (out,)
 
     return FieldSampler(
-        lambda x: gradient(build_frame(spec, [x.coords], x.chart_id))[0],
-        VECTOR_BISPINOR, name=f"gradient({psi.name})", batch=gradient)
+        lambda x: jet(build_frame(spec, [x.coords], x.chart_id), 0)[0][0],
+        VECTOR_BISPINOR, name=f"gradient({psi.name})",
+        batch=lambda rows: jet(rows, 0)[0], exact_jet=jet)
 
 
 def _massless(field: FieldSampler, frame: Frame):
-    """(massless residual, the D_nu Psi~_s it contracts), with the field
-    sampled on the outer frame, which a gradient field also takes its
-    inner derivative on."""
-    _, d = centre_covariant(field.at(frame.outer), frame, field.kind)
+    """(massless residual, the D_nu Psi~_s it contracts)."""
+    d, _ = covariant_rows(field, frame)
     # the closed-form blocks alpha~^nu = i gamma5 eps_r^{nu s mu} gamma_mu
     return np.einsum("xnrsik,xnsk->xri", eps_gamma(frame.gammas), d), d
 
 
 def massless_residual(field: FieldSampler, frame: Frame) -> np.ndarray:
     """i gamma5 eps_r^{nu s mu}(x) gamma_mu(x) [nabla_nu + Gamma_nu] Psi~_s
-    on a frame's rows, differentiated on the outer frame (outer step,
-    Richardson), as a field that is itself finite-difference built (a
-    gradient field) needs."""
+    on a frame's rows, from the field's first-order jet there: exact for
+    a gradient field of a closed-form psi."""
     return _massless(field, frame)[0]
 
 
 def gradient_residual(psi: FieldSampler, frame: Frame):
     """(massless residual of the gradient field of psi, its scale per row),
-    both from one outer derivative of the gradient field; the scale is the
+    both from one first-order jet of the gradient field; the scale is the
     magnitude of the derivative entries feeding the residual, the
     yardstick against which 'the residual cancels' is measured."""
     res, d = _massless(gradient_sampler(psi, frame.spec), frame)

@@ -109,11 +109,12 @@ class CurvatureBundle:
     """Christoffel symbols and curvature tensors at one point (or on rows,
     each with a leading row axis and the scalar an array).
 
-    ``christoffel`` is Gamma^s_{ab} indexed [s, a, b]; ``riemann_lower`` is
-    the fully lowered R_{r s mu nu}.
+    ``christoffel`` is Gamma^s_{ab} indexed [s, a, b] and ``dchristoffel``
+    its d_mu, [mu, s, a, b]; ``riemann_lower`` is the lowered R_{r s mu nu}.
     """
 
     christoffel: np.ndarray
+    dchristoffel: np.ndarray
     riemann_lower: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -242,6 +243,7 @@ def curvature(spec: MetricSpec, x) -> CurvatureBundle:
     einstein = ricci - 0.5 * scalar[..., None, None] * m.g_lower
     return CurvatureBundle(
         christoffel=gam,
+        dchristoffel=read_only(dgam),
         riemann_lower=read_only(riemann_lower),
         ricci=read_only(ricci),
         scalar=read_only(scalar) if scalar.ndim else float(scalar),

@@ -13,13 +13,11 @@ add their own report keys.
 The checks on the vector-bispinor fixtures run once over a
 ``fields.FieldStack`` of all of them, whose values carry a trailing
 fixture axis through the operator layer's ``...`` contractions.  Each
-context makes two passes over the stack, each one exact jet call per
-fixture, and shares them: D_nu Psi and Psi on the context rows
-(``SuiteContext.fixture_rows``: 1.2a, 1.6, 1.11a and 1.14b) and the
-inner derivative on the chain frame's outer frame
-(``SuiteContext.chain_rows``: 1.7, 1.9 and 1.10c), which those checks
-difference over the outer stencils.  Every error is relative per (row,
-fixture) pair, so a large fixture cannot hide a small one's error.
+context makes one pass over the stack, one exact second-order jet call per
+fixture on the context rows (``SuiteContext.fixture_rows``), which every
+check on the fixtures shares; the nested ones take no finite difference.
+Every error is relative per (row, fixture) pair, so a large fixture
+cannot hide a small one's error.
 """
 
 from __future__ import annotations
@@ -50,12 +48,12 @@ from .geometry import (
     curvature,
     metric_jet,
 )
-from .numerics import PAIRWISE, STENCIL_POLICY, partial4, stencil_centres
+from .numerics import PAIRWISE, STENCIL_POLICY, partial4
 from .spin_frame import (
     SIGMA_FLAT,
     Frame,
     build_frame,
-    connection_curvature_fd,
+    connection_curvature,
     gamma_set_at,
     spinor_commutator_curvature,
 )
@@ -77,8 +75,6 @@ TOL_EINSTEIN = 1e-5
 TOL_FACTOR = 1e-6
 TOL_FLAT_REDUCTION = 1e-8
 
-#: points used by nested-stencil (second-order) checks
-SECOND_ORDER_POINT_CAP = 10
 FIXTURE_COUNT = 5
 #: the first fixtures of the stack, which 1.9, 1.10c, 1.11a and 1.14b read
 FIXTURE_SUBSET = 3
@@ -149,21 +145,11 @@ class SuiteContext:
     vb_fixtures: list
     sp_fixtures: list
 
-    def chain_points(self):
-        return self.points[:SECOND_ORDER_POINT_CAP]
-
     @cached_property
     def frame(self) -> Frame:
-        """The frame of ``points`` and, through ``outer``, of their outer
-        stencils, shared by every check; a context made by
-        ``replace(ctx, points=...)`` builds its own."""
+        """The frame of ``points``, shared by every check; a context made
+        by ``replace(ctx, points=...)`` builds its own."""
         return build_frame(self.spec, [x.coords for x in self.points])
-
-    @cached_property
-    def chain_frame(self) -> Frame:
-        """The frame of ``chain_points()``, which 1.7, 1.9 and 1.10c run
-        on."""
-        return build_frame(self.spec, [x.coords for x in self.chain_points()])
 
     @cached_property
     def fixtures(self) -> FieldStack:
@@ -171,21 +157,11 @@ class SuiteContext:
         return FieldStack(tuple(self.vb_fixtures))
 
     @cached_property
-    def fixture_rows(self) -> tuple:
-        """(D_nu Psi, Psi) of the fixture stack on the frame's rows: one
-        ``jet`` call per fixture on those rows, shared by 1.2a, 1.6, 1.11a
-        and 1.14b."""
-        return rso.covariant_rows(self.fixtures, self.frame)
-
-    @cached_property
-    def chain_rows(self) -> tuple:
-        """``nested_rows`` of the fixture stack on the chain frame,
-        (Christoffel-only D_nu Psi, D_nu Psi, Psi) on its outer frame's
-        rows, and Psi on its own rows (the outer stencils' centres): one
-        ``jet`` call per fixture on the outer rows, shared by 1.7, 1.9 and
-        1.10c, which take only the outer derivative by differences."""
-        inner = rso.nested_rows(self.fixtures, self.chain_frame)
-        return inner + (stencil_centres(inner[2], len(self.chain_points())),)
+    def fixture_rows(self) -> rso.CovariantJet:
+        """``covariant_jet`` of the fixture stack on the frame's rows: one
+        second-order ``jet`` call per fixture, shared by every check on
+        the fixtures."""
+        return rso.covariant_jet(self.fixtures, self.frame)
 
     @cached_property
     def blocks(self) -> tuple:
@@ -435,8 +411,8 @@ def _chk_sigma_commutator(ctx):
 
 def _chk_commutator_curvature(ctx):
     alg = spinor_commutator_curvature(ctx.frame)
-    fd = connection_curvature_fd(ctx.frame)
-    errs = _row_rel(_row_max(alg - fd), _row_max(alg), _row_max(fd), 1e-3)
+    f = connection_curvature(ctx.frame)
+    errs = _row_rel(_row_max(alg - f), _row_max(alg), _row_max(f), 1e-3)
     return len(ctx.points), _worst(*errs)
 
 
@@ -446,11 +422,10 @@ def _subset(*stacks) -> list:
 
 
 def _chk_commutator_decomposition(ctx):
-    _, d, _, centre = _subset(*ctx.chain_rows)
-    frame = ctx.chain_frame
-    return len(ctx.chain_points()), _max_row_rel(
-        rso.second_covariant_comm(frame, d),
-        rso.curvature_commutator(frame, centre)[0], centre)
+    d, dd, psi = _subset(*ctx.fixture_rows[2:5])
+    return len(ctx.points), _max_row_rel(
+        rso.second_covariant_comm(ctx.frame, d, dd),
+        rso.curvature_commutator(ctx.frame, psi)[0], psi)
 
 
 #: the contraction path numpy picks (``optimize=True``) for 1.10b's
@@ -471,15 +446,14 @@ def _chk_sigma_ricci_contraction(ctx):
 
 
 def _chk_curvature_bridge(ctx):
-    christ, _, _, centre = _subset(*ctx.chain_rows)
-    frame = ctx.chain_frame
-    return len(ctx.chain_points()), _max_row_rel(
-        rso.bridge_commutator(frame, christ),
-        rso.ricci_contraction(frame, centre), centre)
+    christ, dchrist, _, _, psi = _subset(*ctx.fixture_rows[:5])
+    return len(ctx.points), _max_row_rel(
+        rso.bridge_commutator(ctx.frame, christ, dchrist),
+        rso.ricci_contraction(ctx.frame, psi), psi)
 
 
 def _chk_gamma_contraction(ctx):
-    d, psi = ctx.fixture_rows
+    d, psi = ctx.fixture_rows.d, ctx.fixture_rows.psi
     return len(ctx.points), _max_row_rel(*rso.contraction_identity(
         ctx.frame, d, psi, ctx.mass), psi)
 
@@ -502,15 +476,14 @@ def _chk_divergence_form(ctx):
 
 
 def _chk_derivative_chain(ctx):
-    _, d, psi, centre = ctx.chain_rows
-    frame = ctx.chain_frame
-    return len(ctx.chain_points()), _max_row_rel(
-        rso.derivative_chain(frame, d, psi, ctx.mass),
-        rso.chain_rhs(frame, centre, ctx.mass), centre)
+    _, _, d, dd, psi, dpsi = ctx.fixture_rows
+    return len(ctx.points), _max_row_rel(
+        rso.derivative_chain(ctx.frame, d, dd, psi, dpsi, ctx.mass),
+        rso.chain_rhs(ctx.frame, psi, ctx.mass), psi)
 
 
 def _chk_constraint_reduction(ctx):
-    (psi,) = _subset(ctx.fixture_rows[1])
+    (psi,) = _subset(ctx.fixture_rows.psi)
     return len(ctx.points), _max_row_rel(
         rso.chain_rhs(ctx.frame, psi, ctx.mass),
         rso.constraint_two(ctx.frame, psi, ctx.mass), psi)
@@ -560,7 +533,7 @@ def _chk_einstein_space(ctx):
 def _chk_einstein_factor(ctx):
     frame = ctx.frame
     factor = rso.einstein_space_factor(frame, ctx.mass)
-    (psi,) = _subset(ctx.fixture_rows[1])
+    (psi,) = _subset(ctx.fixture_rows.psi)
     phi = np.einsum("xrij,xrj...->xi...", frame.gammas.gamma_up, psi)
     c2 = rso.constraint_two(frame, psi, ctx.mass)
     phi_max = _fixture_max(phi)
@@ -597,7 +570,7 @@ def _term_by_term_residual(d, psi, frame, mass):
 
 
 def _chk_operator_form(ctx):
-    d, psi = ctx.fixture_rows
+    d, psi = ctx.fixture_rows.d, ctx.fixture_rows.psi
     blocks = rso.rs_residual(ctx.frame, d, psi, ctx.mass)
     terms = _term_by_term_residual(d, psi, ctx.frame, ctx.mass)
     return len(ctx.points), _max_row_rel(blocks, terms, psi)
@@ -620,14 +593,14 @@ _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
 
 
 def _transform_errors(beta, beta_ref, alphas, alpha_refs) -> np.ndarray:
-    """Per row: the largest deviation of the beta blocks from their
-    reference, and of each alpha^nu relative to the larger of 1 and its
-    reference's largest entry."""
-    errs = _row_max(beta.blocks - beta_ref.blocks)
-    for al, ref in zip(alphas, alpha_refs):
-        errs = np.maximum(errs, _row_rel(_row_max(al.blocks - ref.blocks),
-                                         _row_max(ref.blocks), 1.0))
-    return errs
+    """Per row: the largest deviation of the beta blocks and of each
+    alpha^nu from its reference, relative to the larger of 1 and the
+    reference's largest entry, so that the errors do not grow with the
+    metric's scale."""
+    return np.max([_row_rel(_row_max(block.blocks - ref.blocks),
+                            _row_max(ref.blocks), 1.0)
+                   for block, ref in zip([beta, *alphas],
+                                         [beta_ref, *alpha_refs])], axis=0)
 
 
 def _chk_transform_stages(ctx):
@@ -637,11 +610,14 @@ def _chk_transform_stages(ctx):
 
 
 def _chk_s_inverse(ctx):
-    gs = ctx.frame.gammas
-    eye = rso.BlockMatrix16.identity()
-    errs = [_row_max((rso.gamma_pair_block(gs, a) @ rso.gamma_pair_block(gs, b)
-                      - eye).blocks)
-            for a, b in [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]]
+    """S S^-1 - 1 per row, relative to the larger of 1 and |S| |S^-1|
+    (largest entries), which bounds the roundoff of the product."""
+    gs, eye = ctx.frame.gammas, rso.BlockMatrix16.identity()
+    errs = []
+    for a, b in [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]:
+        s, s_inv = rso.gamma_pair_block(gs, a), rso.gamma_pair_block(gs, b)
+        errs += [_row_rel(_row_max((s @ s_inv - eye).blocks),
+                          _row_max(s.blocks) * _row_max(s_inv.blocks), 1.0)]
     return len(ctx.points), _worst(*np.ravel(errs))
 
 

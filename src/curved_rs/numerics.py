@@ -5,13 +5,12 @@ between them only through a ``nested`` switch:
 
 * ``nested=False``: one level at ``STEP_FIRST``, for first derivatives of
   quantities without a closed-form jet (samplers without one, Dirac
-  matrices); metric derivatives and the closed-form field families'
-  derivatives are exact.
+  matrices); metric derivatives, the closed-form field families' jets and
+  the connection's derivatives are exact.
 * ``nested=True``: two levels, ``STEP_OUTER`` and its half, combined by
-  Richardson, for derivatives of quantities that are themselves
-  finite-difference built (residual fields, spin connections, gradient
-  fields) and for the outer derivatives of nested chains.  The larger
-  step keeps the inner noise from being amplified.
+  Richardson, for both levels of the second-order jet of a sampler
+  without a closed form; the larger step keeps the inner noise from being
+  amplified.
 
 All stencils are 2nd-order central differences; Richardson extrapolation
 (one halving) upgrades them to 4th order.  ``stencil`` and
@@ -19,11 +18,8 @@ All stencils are 2nd-order central differences; Richardson extrapolation
 stencil points in one call; ``differences`` extrapolates exactly when the
 stencil has two levels.  ``stencil_jet`` is the one adapter that gives a
 function of rows without a closed-form jet its (value, derivative) on
-rows.  ``outer_derivative`` differences a quantity over the stacked outer
-stencils of a frame's rows (``Frame.outer``), and ``stencil_centres``
-reads the values at their centres; the three take values with any
-trailing axes, a fixture axis among them.  ``partial4`` takes one axis of
-a function of one point, or of (n, 4) rows with one step per row.
+rows; it takes values with any trailing axes.  ``partial4`` takes one axis
+of a function of one point, or of (n, 4) rows with one step per row.
 
 ``PAIRWISE`` is the contraction path of a two-operand ``einsum`` over a
 frame's rows: numpy then runs it as one batched matmul on BLAS instead of
@@ -125,22 +121,6 @@ def stencil_jet(f, coords: np.ndarray, nested=False):
     value, d = differences(values.reshape(points.shape[:2] + values.shape[1:]),
                            steps)
     return value.copy(), d
-
-
-def outer_derivative(values: np.ndarray, centres: np.ndarray):
-    """(value [n, ...], d_mu value [n, mu, ...]) at the n rows ``centres``,
-    from the values [n * 17, ...] a quantity takes on their stacked outer
-    stencils (``Frame.outer``, the nested stencils)."""
-    _, steps = stencil(centres, nested=True)
-    return differences(values.reshape((len(centres), -1) + values.shape[1:]),
-                       steps)
-
-
-def stencil_centres(values: np.ndarray, n: int) -> np.ndarray:
-    """The values [n, ...] at the centres of n stacked stencils, from the
-    values [n * points, ...] on all of their points, each centre first (as
-    ``stencil`` and ``Frame.outer`` stack them)."""
-    return values.reshape((n, -1) + values.shape[1:])[:, 0]
 
 
 def thread_count() -> int:

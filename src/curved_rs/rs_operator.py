@@ -14,12 +14,10 @@ antisymmetric tensor; both routes are implemented and compared by tests.
 
 A field is sampled only through ``covariant_rows``, which gives D_nu Psi
 and Psi on a frame's rows from the field's jet (``fields``: exact for the
-closed-form families, stencil differences for any other sampler):
-``covariant_derivative`` keeps the first, and ``nested_rows`` takes the
-inner derivative of the nested chains on the rows of the frame's one
-stacked outer frame (``Frame.outer``), whose outer differences give the
-second derivatives.  Every side of an identity is a function of those
-sampled rows and returns one row per frame row.  A field may be a
+closed-form families, stencil differences for any other sampler), and
+``covariant_jet``, which adds d_mu D_nu Psi exactly, from the field's
+second-order jet and the frame's connection derivatives.  Every side of an
+identity is a function of those rows and returns one row per frame row.  A field may be a
 ``fields.FieldStack``: its values, and everything computed from them, then
 carry a trailing fixture axis, which every contraction on field values
 passes through a trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler
@@ -40,14 +38,15 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
-from .numerics import PAIRWISE, outer_derivative, read_only
-from .spin_frame import (GAMMA_FLAT, Frame, GammaSet,
+from .numerics import PAIRWISE, read_only
+from .spin_frame import (GAMMA_FLAT, Frame, GammaSet, gamma_derivatives,
                          spinor_commutator_curvature)
 
 
@@ -202,11 +201,16 @@ def frame_blocks(frame: Frame):
     return blocks
 
 
+def _pairwise(subscripts, a, b):
+    """A two-operand contraction over a frame's rows, as batched matmuls."""
+    return np.einsum(subscripts, a, b, optimize=PAIRWISE)
+
+
 def _spin_term(frame: Frame, kind: str, value):
     """Gamma_nu on the spinor index of a field's values [n, ...] on a
     frame's rows, indexed [n, nu, ...]."""
     sub = "xnij,xj...->xni..." if kind == BISPINOR else "xnij,xbj...->xnbi..."
-    return np.einsum(sub, frame.connection, value, optimize=PAIRWISE)
+    return _pairwise(sub, frame.connection, value)
 
 
 def _connect(frame: Frame, kind: str, d, value, include_spin=True):
@@ -214,32 +218,60 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     [n, ...] of a field on a frame's rows: the Christoffel term on a
     vector index, then the connection on the spinor index."""
     if kind == VECTOR_BISPINOR:
-        d = d - np.einsum("xlnb,xli...->xnbi...", frame.christoffel, value,
-                          optimize=PAIRWISE)
+        d = d - _pairwise("xlnb,xli...->xnbi...", frame.christoffel, value)
     return d + _spin_term(frame, kind, value) if include_spin else d
 
 
-def covariant_rows(field, frame: Frame, nested=False, include_spin=True):
+def covariant_rows(field, frame: Frame, include_spin=True):
     """D_nu of a sampler or a ``FieldStack`` on a frame's rows, and the
     field there: (d [n, nu, ...], value [n, ...]), from one ``field.jet``
-    call on the rows (``nested`` picks the step policy of a jet taken by
-    stencil differences); the geometry comes from the frame."""
-    value, d = field.jet(frame, nested=nested)
+    call on the rows; the geometry comes from the frame."""
+    value, d = field.jet(frame)
     return _connect(frame, field.kind, d, value, include_spin), value
 
 
-def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
-                         nested: bool = False) -> np.ndarray:
-    """D_nu of a sampler on a frame's rows.
+class CovariantJet(NamedTuple):
+    """C_nu Psi (the Christoffel term alone), D_nu Psi and Psi on a frame's
+    rows [n, nu, ...] and [n, ...], each with its d_mu [n, mu, ...]."""
 
-    Vector-bispinor fields get the Christoffel term on the vector index
-    and the bispinor connection on the spinor index; bispinor fields only
-    the connection (they are coordinate scalars).  Returns [n, nu, be, s]
-    or [n, nu, s] (and the fixture axis of a stack).  ``nested`` picks the
-    nested step policy of ``numerics`` for a sampler without an exact jet,
-    for a derivative that feeds another one.
-    """
-    return covariant_rows(field, frame, nested)[0]
+    christ: np.ndarray
+    dchrist: np.ndarray
+    d: np.ndarray
+    dd: np.ndarray
+    psi: np.ndarray
+    dpsi: np.ndarray
+
+
+def covariant_jet(field, frame: Frame) -> CovariantJet:
+    """The ``CovariantJet`` of a sampler or a ``FieldStack`` on a frame's
+    rows from one ``field.jet(frame, 2)`` call; D_nu Psi adds the spin term
+    as ``_connect`` does, and so equals ``covariant_rows``'s to the bit."""
+    psi, dpsi, ddpsi = field.jet(frame, 2)
+    christ = _connect(frame, field.kind, dpsi, psi, include_spin=False)
+    b = "b" if field.kind == VECTOR_BISPINOR else ""
+    dchrist = ddpsi
+    if b:
+        dchrist = (ddpsi - _pairwise("xmlnb,xli...->xmnbi...",
+                                     frame.curvature.dchristoffel, psi)
+                   - _pairwise("xlnb,xmli...->xmnbi...", frame.christoffel,
+                               dpsi))
+    dspin = (_pairwise(f"xmnij,x{b}j...->xmn{b}i...", frame.dconnection, psi)
+             + _pairwise(f"xnij,xm{b}j...->xmn{b}i...", frame.connection,
+                         dpsi))
+    return CovariantJet(christ, dchrist,
+                        christ + _spin_term(frame, field.kind, psi),
+                        dchrist + dspin, psi, dpsi)
+
+
+def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
+                         order: int = 1):
+    """D_nu of a sampler on a frame's rows: the Christoffel term on a
+    vector index and the bispinor connection on the spinor index.  Returns
+    [n, nu, be, s] or [n, nu, s] (and the fixture axis of a stack); with
+    ``order`` 2 the pair (D_nu Psi, d_mu D_nu Psi) of ``covariant_jet``."""
+    if order == 1:
+        return covariant_rows(field, frame)[0]
+    return covariant_jet(field, frame)[2:4]
 
 
 def _first_constraint(frame, d, psi, mass):
@@ -254,10 +286,8 @@ def rs_residual(frame: Frame, d, psi, mass: MassParam) -> np.ndarray:
     (alpha^nu D_nu + kappa beta) Psi, from D_nu Psi and Psi there
     (``covariant_rows``)."""
     alpha, beta = frame_blocks(frame)
-    return (mass.kappa * np.einsum("xrsij,xsj...->xri...", beta, psi,
-                                   optimize=PAIRWISE)
-            + np.einsum("xnrsij,xnsj...->xri...", alpha, d,
-                        optimize=PAIRWISE))
+    return (mass.kappa * _pairwise("xrsij,xsj...->xri...", beta, psi)
+            + _pairwise("xnrsij,xnsj...->xri...", alpha, d))
 
 
 def contraction_identity(frame: Frame, d, psi, mass):
@@ -292,42 +322,15 @@ def einstein_space_factor(frame: Frame, mass):
     return 0.5 * (frame.curvature.scalar / 12.0 + mass.kappa**2)
 
 
-def centre_covariant(values, frame: Frame, kind: str):
-    """(value, D_mu value) on a frame's rows from the values [n * 17, ...]
-    a field of ``kind`` (or a stack of them) takes on the rows of its outer
-    frame."""
-    v, dv = outer_derivative(values, frame.coords)
-    return v, _connect(frame, kind, dv, v)
-
-
-def nested_rows(field, frame: Frame):
-    """The inner derivative the nested chains share, on the rows of a
-    frame's outer frame (nested step policy), in both forms:
-    (Christoffel-only D_nu Psi, D_nu Psi, Psi), from one ``jet`` call on
-    the outer rows.  The full form adds the connection term to
-    the Christoffel-only one, as ``_connect`` does, so each equals its own
-    ``covariant_rows`` to the bit.  ``derivative_chain`` and
-    ``second_covariant_comm`` read the full form, ``bridge_commutator``
-    the Christoffel-only one."""
-    outer = frame.outer
-    christ, psi = covariant_rows(field, outer, nested=True,
-                                 include_spin=False)
-    return christ, christ + _spin_term(outer, field.kind, psi), psi
-
-
-def second_covariant_comm(frame: Frame, d, include_spin=True):
-    """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows by
-    nested differences of the inner D_nu Psi d on its outer frame's rows
-    (``nested_rows``); ``include_spin`` False drops the spin connection
-    (the Christoffel-only commutator, from the Christoffel-only d)."""
-    # [x, nu, c, s], [x, mu, nu, c, s]
-    v, dv = outer_derivative(d, frame.coords)
+def second_covariant_comm(frame: Frame, d, dd, include_spin=True):
+    """[D_al, D_be] Psi indexed [x, al, be, c, s] on a frame's rows from
+    D_nu Psi d and its d_mu dd (``covariant_jet``); ``include_spin`` False
+    gives the Christoffel-only commutator, of the Christoffel-only d, dd."""
     gam = frame.christoffel
-    t = (dv - np.einsum("xlmn,xlcs...->xmncs...", gam, v, optimize=PAIRWISE)
-         - np.einsum("xlmc,xnls...->xmncs...", gam, v, optimize=PAIRWISE))
+    t = (dd - _pairwise("xlmn,xlcs...->xmncs...", gam, d)
+         - _pairwise("xlmc,xnls...->xmncs...", gam, d))
     if include_spin:
-        t = t + np.einsum("xmij,xncj...->xmnci...", frame.connection, v,
-                          optimize=PAIRWISE)
+        t = t + _pairwise("xmij,xncj...->xmnci...", frame.connection, d)
     return t - t.swapaxes(1, 2)
 
 
@@ -338,17 +341,16 @@ def curvature_commutator(frame: Frame, psi):
     dhat = spinor_commutator_curvature(frame)
     rmix = riemann_mixed(frame.curvature, frame.metric)
     # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
-    comm = (-np.einsum("xlcab,xls...->xabcs...", rmix, psi, optimize=PAIRWISE)
-            + np.einsum("xabij,xcj...->xabci...", dhat, psi,
-                        optimize=PAIRWISE))
+    comm = (-_pairwise("xlcab,xls...->xabcs...", rmix, psi)
+            + _pairwise("xabij,xcj...->xabci...", dhat, psi))
     return comm, dhat
 
 
-def bridge_commutator(frame: Frame, christ):
+def bridge_commutator(frame: Frame, christ, dchrist):
     """-gamma^al (nabla_al nabla_be - nabla_be nabla_al) Psi^be on a
-    frame's rows by nested differences of the Christoffel-only inner
-    derivative christ of ``nested_rows``; equal to ``ricci_contraction``."""
-    comm = second_covariant_comm(frame, christ, include_spin=False)
+    frame's rows from the Christoffel-only derivatives christ and dchrist
+    of ``covariant_jet``; equal to ``ricci_contraction``."""
+    comm = second_covariant_comm(frame, christ, dchrist, include_spin=False)
     w = np.einsum("xnc,xancs...->xas...", frame.metric.g_upper, comm)
     return -np.einsum("xaij,xaj...->xi...", frame.gammas.gamma_up, w)
 
@@ -361,22 +363,45 @@ def ricci_contraction(frame: Frame, psi):
                      frame.gammas.gamma_up, psi_up)
 
 
-def derivative_chain(frame: Frame, d, psi, mass):
+def derivative_chain(frame: Frame, d, dd, psi, dpsi, mass):
     """D^s (residual)_s - (2/3) gamma^al D_al chi - kappa chi on a frame's
     rows, with chi the first-constraint combination; equal to
-    ``chain_rhs`` for any C^3 field.  D_nu Psi and Psi on the rows of the
-    outer frame (``nested_rows``) give both the residual and chi there;
-    their outer derivatives at the frame's rows follow.
-    """
-    outer = frame.outer
-    _, dres = centre_covariant(rs_residual(outer, d, psi, mass), frame,
-                               VECTOR_BISPINOR)
-    chi, dchi = centre_covariant(_first_constraint(outer, d, psi, mass),
-                                 frame, BISPINOR)
-    return (np.einsum("xnb,xnbi...->xi...", frame.metric.g_upper, dres)
-            - (2.0 / 3.0) * np.einsum("xaij,xaj...->xi...",
-                                      frame.gammas.gamma_up, dchi)
-            - mass.kappa * chi)
+    ``chain_rhs`` for any C^3 field.  From D_nu Psi, d_mu D_nu Psi, Psi and
+    d_mu Psi (``covariant_jet``) the residual and chi are differentiated by
+    the product rule, with the exact derivatives of gamma^nu, gamma_nu and
+    g^{nu s} (``gamma_derivatives``): nothing assumes that the blocks are
+    covariantly constant, which 1.4 checks."""
+    gu, gd = frame.gammas.gamma_up, frame.gammas.gamma_down
+    g_up, kappa = frame.metric.g_upper, mass.kappa
+    d_gu, d_gd, d_g_up = gamma_derivatives(frame)
+
+    # residual_r = gamma^nu D_nu Psi_r - 1/3 p_r + 1/3 gamma_r x + kappa Psi_r
+    # with p_nu = gamma^s D_nu Psi_s, x = gamma^nu p_nu - q - kappa b,
+    # q = g^{nu s} D_nu Psi_s and b = gamma^s Psi_s; chi = q - kappa/2 b
+    p = _pairwise("xsij,xnsj...->xni...", gu, d)
+    dp = (_pairwise("xmsij,xnsj...->xmni...", d_gu, d)
+          + _pairwise("xsij,xmnsj...->xmni...", gu, dd))
+    dq = (_pairwise("xmns,xnsi...->xmi...", d_g_up, d)
+          + _pairwise("xns,xmnsi...->xmi...", g_up, dd))
+    db = (_pairwise("xmsij,xsj...->xmi...", d_gu, psi)
+          + _pairwise("xsij,xmsj...->xmi...", gu, dpsi))
+    x = (_pairwise("xnij,xnj...->xi...", gu, p)
+         - _pairwise("xns,xnsi...->xi...", g_up, d)
+         - kappa * _pairwise("xsij,xsj...->xi...", gu, psi))
+    dx = (_pairwise("xmnij,xnj...->xmi...", d_gu, p)
+          + _pairwise("xnij,xmnj...->xmi...", gu, dp) - dq - kappa * db)
+    dres = (_pairwise("xmnij,xnrj...->xmri...", d_gu, d)
+            + _pairwise("xnij,xmnrj...->xmri...", gu, dd) - THIRD * dp
+            + THIRD * (_pairwise("xmrij,xj...->xmri...", d_gd, x)
+                       + _pairwise("xrij,xmj...->xmri...", gd, dx))
+            + kappa * dpsi)
+    chi = _first_constraint(frame, d, psi, mass)
+    dres = _connect(frame, VECTOR_BISPINOR, dres,
+                    rs_residual(frame, d, psi, mass))
+    dchi = _connect(frame, BISPINOR, dq - 0.5 * kappa * db, chi)
+    return (_pairwise("xnb,xnbi...->xi...", g_up, dres)
+            - (2.0 / 3.0) * _pairwise("xaij,xaj...->xi...", gu, dchi)
+            - kappa * chi)
 
 
 def chain_rhs(frame: Frame, psi, mass):

@@ -38,7 +38,7 @@ from .geometry import (
     metric_derivatives,
     metric_jet,
 )
-from .numerics import PAIRWISE, outer_derivative, read_only, stencil
+from .numerics import PAIRWISE, read_only
 
 _PAULI = np.array(
     [
@@ -159,8 +159,8 @@ class Frame(MetricJet):
     curvature and the connection, each with a leading row axis.  Each is
     filled on first use by one call of the geometry function of its name;
     every array is read-only; code that needs one row indexes them.
-    ``outer`` is the frame of every row's outer stencil, built once and
-    shared by every nested derivative on these rows.  Build frames with
+    ``dconnection`` is d_mu Gamma_al, indexed [x, mu, al, i, j], filled
+    the same way by ``connection_derivative``.  Build frames with
     ``build_frame``.
     """
 
@@ -181,12 +181,8 @@ class Frame(MetricJet):
         return spin_connection(self.spec, self)
 
     @cached_property
-    def outer(self) -> "Frame":
-        """The frame of every row's outer stencil (outer step, both
-        Richardson levels): 17 rows per row, centre by centre, each centre
-        first."""
-        points, _ = stencil(self.coords, nested=True)
-        return build_frame(self.spec, points.reshape(-1, 4), self.chart_id)
+    def dconnection(self) -> np.ndarray:
+        return connection_derivative(self)
 
 
 def build_frame(spec: MetricSpec, coords, chart_id: str = None) -> Frame:
@@ -232,6 +228,37 @@ def spin_connection(spec: MetricSpec, x) -> np.ndarray:
     return read_only(0.5 * conn.reshape(conn.shape[:-1] + (4, 4)))
 
 
+def connection_derivative(frame: Frame) -> np.ndarray:
+    """d_mu Gamma_al, indexed [x, mu, al, i, j], on a frame's rows
+    (read-only): ``spin_connection`` differentiated through omega with the
+    curvature's exact d_mu Gamma^s_ab.  For the diagonal tetrad the
+    tetrad's derivatives drop out of sigma^{ab} d_mu omega_{al ab} (they
+    are diagonal in (a, b) or cancel between (a, b) and (b, a)), leaving
+    -1/2 sigma^{ab} e_(a)^n (d_mu Gamma^l_{al n}) eta_bc e^(c)_l."""
+    tet = frame.gammas.tetrad
+    # [x, a, mu, l, al] = e_(a)^n d_mu Gamma^l_{al n}
+    dgam = np.einsum("xan,xmlkn->xamlk", tet.e_upper,
+                     frame.curvature.dchristoffel, optimize=PAIRWISE)
+    domega = -np.einsum("xamlk,xbl->xmkab", dgam, ETA @ tet.e_lower,
+                        optimize=PAIRWISE)
+    dconn = domega.reshape(domega.shape[:-2] + (16,)) @ _SIGMA_MATRIX
+    return read_only(0.5 * dconn.reshape(dconn.shape[:-1] + (4, 4)))
+
+
+def gamma_derivatives(frame: Frame):
+    """(d_mu gamma^nu, d_mu gamma_nu) [x, mu, nu, i, j] and d_mu g^{nu s}
+    [x, mu, nu, s] on a frame's rows: the diagonal tetrad gives gamma^nu and
+    gamma_nu proportional to |g_nu nu|^(-1/2) and |g_nu nu|^(1/2), so their
+    d_mu are -1/2 and +1/2 of (d_mu g_nu nu) / g_nu nu times themselves."""
+    m, gs, dg = frame.metric, frame.gammas, frame.order(1)
+    rate = (np.diagonal(dg, axis1=-2, axis2=-1)
+            / np.diagonal(m.g_lower, axis1=-2, axis2=-1)[:, None, :])
+    rate = 0.5 * rate[..., None, None]
+    g_up = m.g_upper[:, None]
+    return (-rate * gs.gamma_up[:, None], rate * gs.gamma_down[:, None],
+            -(g_up @ dg @ g_up))
+
+
 def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
     """The curvature acting on the bispinor index: 1/2 sigma^{nu mu}(x)
     R_{mu nu be al}(x) on every row of a frame, returned as
@@ -240,13 +267,12 @@ def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
                            frame.curvature.riemann_lower, optimize=PAIRWISE)
 
 
-def connection_curvature_fd(frame: Frame) -> np.ndarray:
+def connection_curvature(frame: Frame) -> np.ndarray:
     """Independent construction of the connection curvature on a frame,
     F[x, al, be] = d_al Gamma_be - d_be Gamma_al + [Gamma_al, Gamma_be],
-    with the derivative taken by Richardson differences of the connection
-    on the outer frame."""
+    from the frame's connection and its exact derivative."""
     # G[x, al, i, j], dG[x, mu, al, i, j] = d_mu Gamma_al
-    G, dG = outer_derivative(frame.outer.connection, frame.coords)
+    G, dG = frame.connection, frame.dconnection
     comm = (np.einsum("xaij,xbjk->xabik", G, G, optimize=PAIRWISE)
             - np.einsum("xbij,xajk->xabik", G, G, optimize=PAIRWISE))
     return dG - dG.transpose(0, 2, 1, 3, 4) + comm

@@ -32,7 +32,7 @@ from curved_rs.geometry import curvature
 from curved_rs.spacetimes import parse_metric_config, spec_from_config
 from curved_rs.spin_frame import (
     build_frame,
-    connection_curvature_fd,
+    connection_curvature,
     gamma_set_at,
     spinor_commutator_curvature,
 )
@@ -151,7 +151,7 @@ def test_criterion_3_curvature_commutator_law():
         for x in suite.sample_points(spec, 20, 42):
             frame = frame_at(spec, x)
             alg = spinor_commutator_curvature(frame)
-            fd = connection_curvature_fd(frame)
+            fd = connection_curvature(frame)
             scale = max(np.max(np.abs(alg)), 1e-3)
             worst_preset = max(worst_preset,
                                float(np.max(np.abs(alg - fd)) / scale))
@@ -161,7 +161,7 @@ def test_criterion_3_curvature_commutator_law():
     for x in suite.sample_points(spec_doc, 6, 42):
         frame = frame_at(spec_doc, x)
         alg = spinor_commutator_curvature(frame)
-        fd = connection_curvature_fd(frame)
+        fd = connection_curvature(frame)
         scale = max(np.max(np.abs(alg)), 1e-3)
         worst_doc = max(worst_doc, float(np.max(np.abs(alg - fd)) / scale))
     verdict(3, "curvature-commutator law",
@@ -200,8 +200,9 @@ def test_criterion_4_constraint_operator_identities():
                             np.max(np.abs(f(x))))
                 worst_first = max(worst_first,
                                   float(np.max(np.abs(lhs - rhs)) / scale))
-                lhs2 = rso.derivative_chain(
-                    frame, *rso.nested_rows(f, frame)[1:], mass)
+                jet = rso.covariant_jet(f, frame)
+                lhs2 = rso.derivative_chain(frame, jet.d, jet.dd, jet.psi,
+                                            jet.dpsi, mass)
                 rhs2 = rso.chain_rhs(frame, f.at(frame), mass)
                 scale2 = max(np.max(np.abs(lhs2)), np.max(np.abs(rhs2)),
                              np.max(np.abs(f(x))))

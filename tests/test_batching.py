@@ -3,7 +3,6 @@ per-point geometry, a batch equals its row loop, the gates still see the
 shared frames, and the work counts of the nested chains stay pinned."""
 
 import dataclasses
-import functools
 import sys
 import types
 
@@ -174,9 +173,8 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
 
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
 def test_batched_first_order_checks_equal_the_per_point_path(name):
-    """1.2a and 1.6 run each fixture over the whole context frame, 1.4 and
-    the algebraic checks run once over its rows, and the nested checks
-    once over the stacked outer frame of the context or chain frame; their
+    """1.2a and 1.6 run each fixture over the whole context frame, 1.4, the
+    algebraic checks and the nested checks run once over its rows; their
     values and errors equal the point-by-point evaluation."""
     spec = load_preset(name)
     ctx = build_context(spec, 4, seed=13, mass=1.0)
@@ -235,30 +233,32 @@ def test_rows_must_be_n_by_4(schwarzschild):
 
 def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
     """Each two-operand contraction over rows that carries ``PAIRWISE`` (one
-    batched matmul) equals its plain ``einsum`` to 1e-14 relative, on the
-    170 rows of an outer frame (the nested commutator and 1.8e's connection
-    curvature on its 10 centres); 1.4's error moves by at most 1e-14."""
+    batched matmul) equals its plain ``einsum`` to 1e-14 relative, on 170
+    rows (the second-order jets, the connection derivative and what is
+    built on them among them); 1.4's error moves by at most 1e-14."""
     ctx = build_context(frw_dust, 10, seed=21, mass=1.0)
-    frame, outer = ctx.frame, ctx.frame.outer
+    rows = build_frame(frw_dust, _rows(frw_dust, 170))
     vb, sp = ctx.vb_fixtures[0], ctx.sp_fixtures[0]
-    psi, chi = vb.at(outer), sp.at(outer)
+    psi, chi = vb.at(rows), sp.at(rows)
     rng = np.random.default_rng(3)
     d_vb = rng.standard_normal(psi.shape[:1] + (4,) + psi.shape[1:]) + 0j
     d_sp = rng.standard_normal(chi.shape[:1] + (4,) + chi.shape[1:]) + 0j
-    assert len(outer.coords) == 170
 
     def contractions():
+        vb_jet, sp_jet = rso.covariant_jet(vb, rows), rso.covariant_jet(sp, rows)
         return [
-            rso._connect(outer, VECTOR_BISPINOR, d_vb, psi),
-            rso._connect(outer, BISPINOR, d_sp, chi),
-            rso.rs_residual(outer, d_vb, psi, MASS),
-            rso.curvature_commutator(outer, psi)[0],
-            spin_frame.spinor_commutator_curvature(outer),
+            rso._connect(rows, VECTOR_BISPINOR, d_vb, psi),
+            rso._connect(rows, BISPINOR, d_sp, chi),
+            rso.rs_residual(rows, d_vb, psi, MASS),
+            rso.curvature_commutator(rows, psi)[0],
+            spin_frame.spinor_commutator_curvature(rows),
             identity_suite._sigma_commutator_defect(
-                outer.gammas.sigma_curved, outer.metric.g_upper),
-            gauge.epsilon_contraction_check(outer)["raw"],
-            rso.second_covariant_comm(frame, rso.nested_rows(vb, frame)[1]),
-            spin_frame.connection_curvature_fd(frame),
+                rows.gammas.sigma_curved, rows.metric.g_upper),
+            gauge.epsilon_contraction_check(rows)["raw"],
+            *vb_jet, *sp_jet,
+            rso.second_covariant_comm(rows, vb_jet.d, vb_jet.dd),
+            spin_frame.connection_derivative(rows),
+            spin_frame.connection_curvature(rows),
         ]
 
     pathed = contractions()
@@ -350,23 +350,50 @@ def test_dense_layout_mutant_fails_the_block_assembly(schwarzschild,
 
 def test_connection_dropped_on_batched_rows_fails_the_nested_gates(
         schwarzschild, monkeypatch):
-    """The inner derivatives of 1.7 and 2.7b run on the rows of the outer
-    stencil frame; with a zero connection there (and only there), both
-    gates fail."""
+    """The nested chains of 1.7 and 2.7b differentiate the connection term
+    with the frame's exact d_mu Gamma_al; with that derivative set to zero
+    (and only that), both gates fail."""
     checks = ("eq_1_7_derivative_chain", "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
-    original = spin_frame.Frame.outer.func
-
-    def without_connection(self):
-        outer = original(self)
-        outer.__dict__["connection"] = np.zeros((len(outer.coords), 4, 4, 4),
-                                                dtype=complex)
-        return outer
-
-    prop = functools.cached_property(without_connection)
-    prop.__set_name__(Frame, "outer")
-    monkeypatch.setattr(Frame, "outer", prop)
+    monkeypatch.setattr(
+        spin_frame, "connection_derivative",
+        lambda frame: np.zeros((len(frame.coords), 4, 4, 4, 4), dtype=complex))
     assert not any(_verdicts(schwarzschild, checks).values())
+
+
+def test_scaled_connection_derivative_fails_the_commutator_curvature(
+        schwarzschild, frw_dust, monkeypatch):
+    """1.8e builds the connection curvature from the frame's exact
+    d_mu Gamma_al; scaled by 1 + 1e-6, it no longer matches the spinor
+    curvature of the Riemann tensor."""
+    check = ("eq_1_8e_commutator_curvature",)
+    for spec in (schwarzschild, frw_dust):
+        assert all(_verdicts(spec, check).values())
+    original = spin_frame.connection_derivative
+    monkeypatch.setattr(spin_frame, "connection_derivative",
+                        lambda frame: original(frame) * (1.0 + 1e-6))
+    for name in ("schwarzschild", "frw_dust"):
+        assert not any(_verdicts(load_preset(name), check).values()), name
+
+
+def test_scaled_tetrad_derivatives_are_an_equivalent_mutant(schwarzschild,
+                                                           monkeypatch):
+    """The tetrad's first derivatives scaled by 1 + 1e-6 where the
+    connection reads them move neither the connection nor its derivative,
+    so no gate can see them.  For the diagonal tetrad, d_mu e^(a)_al enters
+    omega_{al ab} only on the diagonal a = b, which sigma^{ab} annihilates,
+    and d_mu of the rest carries them only through d_mu(e_b / e_a), whose
+    parts cancel between (a, b) and (b, a), so ``connection_derivative``
+    does not read them."""
+    rows = _rows(schwarzschild, 4)
+    before = build_frame(schwarzschild, rows)
+    original = spin_frame._tetrad_derivatives
+    monkeypatch.setattr(spin_frame, "_tetrad_derivatives",
+                        lambda tet, dg: original(tet, dg) * (1.0 + 1e-6))
+    after = build_frame(schwarzschild, rows)
+    for name in ("connection", "dconnection"):
+        a, b = getattr(before, name), getattr(after, name)
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a)), name
 
 
 def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
@@ -412,7 +439,8 @@ ALGEBRAIC_ROW_CHECKS = (
 COVARIANT_CONSTANCY = ("eq_1_4_covariant_constancy",)
 
 
-#: the checks that take nested differences over a stacked outer frame
+#: the checks that read second derivatives: of the fields (the jets'
+#: d_mu d_nu) and of the connection (``Frame.dconnection``)
 NESTED_CHECKS = (
     "eq_1_7_derivative_chain", "eq_1_8e_commutator_curvature",
     "eq_1_9_commutator_decomposition", "eq_1_10c_curvature_bridge",
@@ -421,24 +449,27 @@ NESTED_CHECKS = (
 
 def test_rolled_outer_rows_fail_the_nested_gates(schwarzschild, frw_dust,
                                                  monkeypatch):
-    """The outer frame stacks its centres' stencils centre by centre.  With
-    its rows rolled by one stencil, each of two centres differences its
-    neighbour's stencil, and every nested gate fails."""
+    """The outer derivatives of the nested checks are exact: d_mu of the
+    Christoffel term reads the curvature's d_mu Gamma^s_ab, and
+    ``Frame.dconnection`` is built from it.  With those rows rolled by one
+    row where frames fill their curvature (the Riemann tensor left as it
+    is), each of two points reads its neighbour's, and every nested gate
+    fails.  The fields' second derivatives enter these identities only
+    symmetrized in (mu, nu), so they are not what the gates guard (see
+    ``test_scaled_closed_form_jets_fail_the_nested_gates``)."""
     # 2.7b applies on Ricci-flat metrics, 2.8c on the others
     applicable = {"schwarzschild": NESTED_CHECKS[:-1],
                   "frw_dust": NESTED_CHECKS[:-2] + NESTED_CHECKS[-1:]}
     for spec in (schwarzschild, frw_dust):
         assert all(_verdicts(spec, applicable[spec.name]).values())
-    original = spin_frame.Frame.outer.func
+    original = spin_frame.curvature
 
-    def rolled(self):
-        outer = original(self)
-        return build_frame(self.spec, np.roll(outer.coords, 17, axis=0),
-                           self.chart_id)
+    def rolled(spec, x):
+        b = original(spec, x)
+        return dataclasses.replace(
+            b, dchristoffel=np.roll(b.dchristoffel, 1, axis=0))
 
-    prop = functools.cached_property(rolled)
-    prop.__set_name__(Frame, "outer")
-    monkeypatch.setattr(Frame, "outer", prop)
+    monkeypatch.setattr(spin_frame, "curvature", rolled)
     for name, checks in applicable.items():
         assert not any(_verdicts(load_preset(name), checks).values()), name
 
@@ -522,31 +553,65 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
                              ("eq_1_10c_curvature_bridge",)).values())
 
 
-def test_scaled_closed_form_jets_fail_the_nested_gates(schwarzschild,
-                                                      frw_dust, monkeypatch):
-    """Every exact jet's derivative scaled by 1 + 1e-3 where the closed
-    forms are built: the inner D_nu Psi of 1.7 and 1.9 then disagrees with
-    the field values that their curvature forms read, and both fail by
-    more than 10 times their tolerance on both metrics (at 20 points, seed
-    42: 1.7 36x and 26x, 1.9 42x and 19x)."""
-    checks = ("eq_1_7_derivative_chain", "eq_1_9_commutator_decomposition")
-    for spec in (schwarzschild, frw_dust):
-        assert all(_verdicts(spec, checks).values())
+def _patch_closed_form_jets(monkeypatch, mutate):
+    """Every closed-form sampler built from now on returns its exact jet
+    through ``mutate(out, order)``."""
     original = fields._closed_form
 
-    def scaled_jet(jet, kind, name):
-        def scaled(coords):
-            value, d = jet(coords)
-            return value, d * (1.0 + 1e-3)
+    def mutated(jet, kind, name):
+        return original(lambda coords, order: mutate(jet(coords, order), order),
+                        kind, name)
 
-        return original(scaled, kind, name)
+    monkeypatch.setattr(fields, "_closed_form", mutated)
 
-    monkeypatch.setattr(fields, "_closed_form", scaled_jet)
+
+#: the nested checks that read the fixtures' second-order jets
+JET_CHECKS = ("eq_1_7_derivative_chain", "eq_1_9_commutator_decomposition",
+              "eq_1_10c_curvature_bridge")
+
+
+def test_scaled_closed_form_jets_fail_the_nested_gates(schwarzschild,
+                                                      frw_dust, monkeypatch):
+    """Every exact jet's mixed second derivatives d_mu d_nu, mu < nu,
+    scaled by 1 + 1e-3 where the closed forms are built (as an index
+    mix-up or an unsymmetrized coefficient would): d_mu D_nu Psi no longer
+    is the derivative of a field, and 1.7, 1.9 and 1.10c fail on both
+    metrics (at 20 points, seed 42: 8.8x and 40x, 8.5x and 17x, 13x and
+    40x their tolerance on Schwarzschild and dust)."""
+    for spec in (schwarzschild, frw_dust):
+        assert all(_verdicts(spec, JET_CHECKS).values())
+    upper = 1.0 + 1e-3 * np.triu(np.ones((4, 4)), 1)
+
+    def asymmetric(out, order):
+        if order < 2:
+            return out
+        value, d, dd = out
+        return value, d, dd * upper.reshape((4, 4) + (1,) * (dd.ndim - 3))
+
+    _patch_closed_form_jets(monkeypatch, asymmetric)
     for name in ("schwarzschild", "frw_dust"):
-        rep = run_suite(load_preset(name), n_points=20, seed=42, only=checks)
+        rep = run_suite(load_preset(name), n_points=20, seed=42,
+                        only=JET_CHECKS)
         for check in rep.checks:
-            assert check.max_rel_error > 10 * check.tolerance, (name,
-                                                                 check.id)
+            assert check.max_rel_error > check.tolerance, (name, check.id)
+
+
+def test_uniformly_scaled_jets_are_refereed_not_gated(schwarzschild,
+                                                     monkeypatch):
+    """Every exact jet's derivatives of both orders scaled by 1 + 1e-3: the
+    nested identities hold for any jet whose second derivatives are
+    symmetric (the d Psi and d d Psi terms cancel in pairs), so 1.7, 1.9
+    and 1.10c stay at roundoff.  Such a jet is caught by the Richardson
+    referee of ``tests/test_fields.py::TestExactJets`` instead."""
+
+    def scaled(out, order):
+        value, *derivatives = out
+        return (value, *(d * (1.0 + 1e-3) for d in derivatives))
+
+    _patch_closed_form_jets(monkeypatch, scaled)
+    rep = run_suite(schwarzschild, n_points=20, seed=42, only=JET_CHECKS)
+    for check in rep.checks:
+        assert check.max_rel_error < 1e-6 * check.tolerance, check.id
 
 
 def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
@@ -676,16 +741,17 @@ def _count_calls(monkeypatch, module, name):
 
 def test_derivative_chain_samples_its_fixture_once(schwarzschild,
                                                    monkeypatch):
-    """1.7 at one point: one exact ``jet`` call on the 17 rows of the outer
-    frame gives both the residual and the first constraint, and the field
-    is sampled nowhere else."""
+    """1.7 at one point: one exact second-order ``jet`` call on the point's
+    row gives both the residual and the first constraint and their
+    derivatives, and the field is sampled nowhere else."""
     fld = trig_field(41, box=schwarzschild.sample_box)
     calls = _count_rows(monkeypatch, [fld])
     at_calls = _count_rows(monkeypatch, [fld], "at")
     x = points_of(schwarzschild, 1, seed=9)[0]
     frame = frame_at(schwarzschild, x)
-    rso.derivative_chain(frame, *rso.nested_rows(fld, frame)[1:], MASS)
-    assert calls == [17]
+    jet = rso.covariant_jet(fld, frame)
+    rso.derivative_chain(frame, jet.d, jet.dd, jet.psi, jet.dpsi, MASS)
+    assert calls == [1]
     assert at_calls == []
 
 
@@ -703,13 +769,12 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
 
 def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
-    """1.7 at one point with 5 fixtures: the chain frame and its outer
-    frame, each filled once.  The Christoffels are filled by the outer
-    frame and its connection (the inner derivatives), and by the chain
-    frame, its connection (the outer derivative) and its curvature (the
-    curvature form).  Per fixture one ``jet`` call samples the 17 outer
-    rows, whose centre is the point for the curvature form and the scale.
-    A second run builds, fills and samples nothing."""
+    """1.7 at one point with 5 fixtures: the context frame, filled once.
+    The Christoffels are filled by the frame, its connection and its
+    curvature (whose Christoffel derivative the connection derivative and
+    the Christoffel term of d_mu D_nu Psi read).  Per fixture one ``jet``
+    call samples the point's row.  A second run builds, fills and samples
+    nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     at_calls = _count_rows(monkeypatch, ctx.vb_fixtures)
@@ -718,30 +783,26 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     christoffels = _count_calls(monkeypatch, geometry, "christoffel")
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
-    assert at_calls == [17] * 5
-    assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
+    assert at_calls == [1] * 5
+    assert (len(frames), len(connections), len(christoffels)) == (1, 1, 3)
     identity_suite._chk_derivative_chain(ctx)
-    assert (len(frames), len(connections), len(christoffels)) == (2, 2, 5)
-    assert at_calls == [17] * 5
+    assert (len(frames), len(connections), len(christoffels)) == (1, 1, 3)
+    assert at_calls == [1] * 5
 
 
 def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
     """At 20 points 1.11a reads its 3 fixtures from the context's one pass
-    over its rows (20 rows, one jet call per fixture of the stack of 5),
-    and hands that psi to both of its sides.  1.7 samples each of its 5
-    once, on the outer frame of the 10 chain points (170 rows), whose
-    centres give its curvature form and scale; 1.9 and 1.10c read the same
-    pass and sample nothing."""
+    over its rows (20 rows, one second-order jet call per fixture of the
+    stack of 5), and hands that psi to both of its sides.  1.7, 1.9 and
+    1.10c read the same pass and sample nothing."""
     ctx = build_context(frw_dust, 20, seed=42, mass=1.0)
     calls = _count_rows(monkeypatch, ctx.vb_fixtures)
     identity_suite._chk_constraint_reduction(ctx)
     assert calls == [20] * 5
-    calls.clear()
     identity_suite._chk_derivative_chain(ctx)
-    assert calls == [170] * 5
     identity_suite._chk_commutator_decomposition(ctx)
     identity_suite._chk_curvature_bridge(ctx)
-    assert calls == [170] * 5
+    assert calls == [20] * 5
 
 
 def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
@@ -769,10 +830,9 @@ def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
 
 
 def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
-    """One suite at 20 points forms the operator blocks of two row sets,
-    each once: the context frame (shared by ``rs_residual`` and
-    ``SuiteContext.blocks``) and the outer frame of the 10 chain points
-    (1.7)."""
+    """One suite at 20 points forms the operator blocks of one row set,
+    once: the context frame, shared by ``rs_residual`` (1.2a, 1.6, and 1.7
+    for the residual and its derivative) and ``SuiteContext.blocks``."""
     rows = []
     original = rso._alpha_beta_rows
 
@@ -783,7 +843,7 @@ def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
     _patch_everywhere(monkeypatch, rso, "_alpha_beta_rows", counting)
     rep = run_suite(schwarzschild, n_points=20, seed=42)
     assert rep.passed
-    assert sorted(rows) == [20, 170]
+    assert sorted(rows) == [20]
 
 
 def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
@@ -797,10 +857,10 @@ def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
                                                       monkeypatch):
-    """2.7b at one point with 3 fixtures: per fixture one batched inner
-    derivative over the 17 rows of the outer frame, which takes one exact
-    jet of psi on those rows; the outer derivative differences those rows,
-    with no further call."""
+    """2.7b at one point with 3 fixtures: per fixture the gradient field's
+    first-order jet on the point's row is one ``covariant_derivative``
+    call, which takes one exact second-order jet of psi there; no stencil
+    row is sampled."""
     calls = []
     original = rso.covariant_derivative
 
@@ -811,9 +871,9 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
     jets = []
     original_jet = FieldSampler.jet
 
-    def counting_jet(self, coords, *args, **kwargs):
-        jets.append((self.kind, len(coords.coords)))
-        return original_jet(self, coords, *args, **kwargs)
+    def counting_jet(self, coords, order=1):
+        jets.append((self.kind, len(coords.coords), order))
+        return original_jet(self, coords, order)
 
     monkeypatch.setattr(rso, "covariant_derivative", counting)
     monkeypatch.setattr(gauge, "covariant_derivative", counting)
@@ -823,23 +883,20 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
     assert len(rep.ctx.sp_fixtures) == 3
     assert rep.checks[0].passed
     assert len(calls) == 3
-    assert jets == [(BISPINOR, 17)] * 3
+    assert jets == [(VECTOR_BISPINOR, 1, 1), (BISPINOR, 1, 2)] * 3
 
 
 @pytest.mark.parametrize("name, traceless_frames",
                          [("schwarzschild", 2), ("frw_dust", 0)])
-def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
-                                                monkeypatch):
-    """One suite at n = 20 points builds 4 frames besides the two
-    gamma-traceless fixture frames of 1.13 (Ricci-flat metrics only):
-    the context frame and its outer frame, which 1.8e and 2.7b or 2.8c
-    share, and the frame of the c = 10 chain points and its outer frame,
-    which 1.7, 1.9 and 1.10c share.  An outer frame has 17 rows per row.
-    Each jet evaluates an order it uses in one call over all of its rows,
-    and the metric is evaluated once per jet row and order used:
-      order 0: n + 17 n + c + 17 c + 6 + 8 n + 2n per fixture frame,
-      order 1: n + 17 n + c + 17 c + 6,
-      order 2: n + c + 6,
+def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
+                                                  monkeypatch):
+    """One suite at n = 20 points builds the context frame and, on
+    Ricci-flat metrics, the two gamma-traceless fixture frames of 1.13; no
+    frame has more rows than the context.  Each jet evaluates an order it
+    uses in one call over all of its rows, and the metric is evaluated once
+    per jet row and order used:
+      order 0: n + 6 + 8 n + n per fixture frame,
+      orders 1 and 2: n + 6,
     with orders 0-2 on the 6 points the curvature class is measured on
     and order 0 at the 8 shifted points of each point's 1.4."""
     spec = load_preset(name)
@@ -853,33 +910,32 @@ def test_suite_shares_one_outer_frame_per_point(name, traceless_frames,
         return original(x, order)
 
     spec.component_fn = counting
-    frames = _count_calls(monkeypatch, spin_frame, "build_frame")
+    sizes = []
+    original_build = spin_frame.build_frame
+
+    def recording(spec, coords, chart_id=None):
+        frame = original_build(spec, coords, chart_id)
+        sizes.append(len(frame.coords))
+        return frame
+
+    _patch_everywhere(monkeypatch, spin_frame, "build_frame", recording)
     rep = run_suite(spec, n_points=20, seed=42)
-    n, rows, classified = 20, 17, identity_suite.CLASS_POINT_CAP
-    chain = identity_suite.SECOND_ORDER_POINT_CAP
+    n, classified = 20, identity_suite.CLASS_POINT_CAP
     assert rep.passed
-    assert len(frames) == 4 + traceless_frames
-    assert rep.ctx.frame.outer.coords.shape == (n * rows, 4)
-    assert rep.ctx.chain_frame.outer.coords.shape == (chain * rows, 4)
-    assert len(frames) == 4 + traceless_frames  # no frame built again
-    assert evals == {
-        0: (n + n * rows + chain + chain * rows + classified + 8 * n
-            + traceless_frames * n),
-        1: n + n * rows + chain + chain * rows + classified,
-        2: n + chain + classified,
-    }
+    assert sizes == [n] * (1 + traceless_frames)
+    assert evals == {0: n + classified + 8 * n + traceless_frames * n,
+                     1: n + classified, 2: n + classified}
     per_jet = [(order, id(rows)) for order, rows in calls]
     assert len(per_jet) == len(set(per_jet))
 
 
 @pytest.mark.parametrize("name", ("schwarzschild", "frw_dust"))
-def test_suite_samples_each_fixture_in_two_passes(name, monkeypatch):
+def test_suite_samples_each_fixture_in_one_pass(name, monkeypatch):
     """One suite at n = 20 points samples each of its 5 vector-bispinor
-    fixtures twice, by two exact jet calls in the two passes over the
-    fixture stack: on the context rows (n rows; 1.2a, 1.6, 1.11a and
-    1.14b) and on the c = 10 chain points' outer frame (17 c rows; 1.7,
-    1.9 and 1.10c), whose centres give the field on the chain rows.  No
-    check samples a fixture's values apart from its jet."""
+    fixtures once, by one exact second-order jet call in the one pass over
+    the fixture stack on the context rows, which 1.2a, 1.6, 1.7, 1.9,
+    1.10c, 1.11a and 1.14b share.  No check samples a fixture's values
+    apart from its jet."""
     fixtures = []
     original = identity_suite.fixture_family
 
@@ -893,8 +949,7 @@ def test_suite_samples_each_fixture_in_two_passes(name, monkeypatch):
     calls = _count_rows(monkeypatch, fixtures)
     at_calls = _count_rows(monkeypatch, fixtures, "at")
     rep = run_suite(load_preset(name), n_points=20, seed=42)
-    n, chain = 20, identity_suite.SECOND_ORDER_POINT_CAP
     assert rep.passed
     assert len(fixtures) == identity_suite.FIXTURE_COUNT == 5
-    assert calls == [n] * 5 + [17 * chain] * 5
+    assert calls == [20] * 5
     assert at_calls == []

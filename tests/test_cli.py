@@ -87,6 +87,8 @@ SINGULAR_CFG = FLAT_CFG.replace("g11 = -1", "g11 = -exp(-800*t)").replace(
 SCALED_ETA_CFG = re.sub(r"(g\d\d = -?)1\n", r"\g<1>1e-4\n", FLAT_CFG)
 ANISOTROPIC_CFG = FLAT_CFG.replace("g11 = -1\n", "g11 = -1e5\n")
 ZERO_G00_CFG = FLAT_CFG.replace("g00 = 1", "g00 = 0")
+#: eta scaled by 1e-6 on the unit box
+TINY_ETA_CFG = re.sub(r"(g\d\d = -?)1\n", r"\g<1>1e-6\n", FLAT_CFG)
 
 COMMANDS = ("identities", "gauge", "constraints")
 #: the checks each command runs
@@ -248,6 +250,28 @@ class TestExitCodes:
                                  capsys)
             assert code != 2 and err == "", (command, err)
             assert "overall:" in out
+
+    def test_a_rescaled_metric_passes_the_nested_checks(self, capsys,
+                                                        tmp_path):
+        # g = 1e-6 eta: the nested checks take exact derivatives, so their
+        # errors do not grow with the metric's inverse scale (1.10c read
+        # 1.1e-2 against 1e-4 when it differenced the inner derivative)
+        assert "g22 = -1e-6\n" in TINY_ETA_CFG
+        path = tmp_path / "metric.cfg"
+        path.write_text(TINY_ETA_CFG)
+        code, out, err = run(["identities", "--metric-file", str(path)],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert "overall: pass" in out
+
+    def test_transform_gates_do_not_grow_with_the_metric_scale(self, capsys):
+        # at M = 300 (r from 900 to 2400) the blocks reach about 1e3; 2.3 to
+        # 2.6 measure their deviations relative to the blocks' size (2.6
+        # read 3.6 times its tolerance in absolute terms)
+        code, out, err = run(["identities", "--metric", "schwarzschild",
+                              "--param", "M=300"], capsys)
+        assert (code, err) == (0, "")
+        assert "overall: pass" in out
 
     def test_negative_mass_is_config_error(self, capsys):
         code, _, err = run(

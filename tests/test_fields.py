@@ -18,7 +18,8 @@ from curved_rs.geometry import Point
 from curved_rs.numerics import (STEP_OUTER, differences, fd_step, stencil,
                                 stencil_jet)
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
-from curved_rs.spin_frame import GAMMA_FLAT, gamma_set_at
+from curved_rs.spin_frame import (GAMMA_FLAT, build_frame, gamma_derivatives,
+                                  gamma_set_at)
 
 from conftest import points_of
 from oracles import check_smoothness, constant_field
@@ -171,55 +172,136 @@ class TestExactJets:
     """Finite differences referee the exact jets of the closed forms."""
 
     @staticmethod
-    def _richardson(f, rows):
-        """The stencil adapter's Richardson derivative of ``f`` on rows,
-        and its gap: |d_h - d_h/2| of the two levels it extrapolates."""
+    def richardson(f, rows):
+        """The stencil adapter's Richardson derivative of the function ``f``
+        of rows, and its gap: |d_h - d_h/2| of the two levels it
+        extrapolates."""
         points, steps = stencil(rows, nested=True)
-        values = f.at(points.reshape(-1, 4))
+        values = f(points.reshape(-1, 4))
         values = values.reshape(points.shape[:2] + values.shape[1:])
         _, d_h = differences(values[:, :9], steps[:, :1])
         _, d_h2 = differences(np.concatenate([values[:, :1], values[:, 9:]],
                                              axis=1), steps[:, 1:])
-        return stencil_jet(f.at, rows, nested=True)[1], np.abs(d_h - d_h2)
+        return stencil_jet(f, rows, nested=True)[1], np.abs(d_h - d_h2)
+
+    @classmethod
+    def assert_refereed(cls, exact, f, rows, label):
+        """``exact`` (d_mu of ``f`` on rows) equals the Richardson
+        derivative within the Richardson gap, up to the roundoff of a
+        difference quotient (64 eps |f| / h)."""
+        rich, gap = cls.richardson(f, rows)
+        n = len(rows)
+        h = np.min(fd_step(rows, STEP_OUTER) / 2, axis=1)
+        err = np.max(np.abs(exact - rich).reshape(n, -1), axis=1)
+        noise = 64 * np.finfo(float).eps * np.max(
+            np.abs(f(rows)).reshape(n, -1), axis=1) / h
+        bound = np.max(gap.reshape(n, -1), axis=1) + noise
+        assert np.all(err <= bound), (label, err, bound)
+
+    @staticmethod
+    def families(spec, kind):
+        """Every closed-form family, built for the spec's box as the suite
+        builds its fixtures."""
+        box = spec.sample_box
+        shape = (4, 4) if kind == VECTOR_BISPINOR else (4,)
+        amp = (np.arange(np.prod(shape)) + 0.5j).reshape(shape)
+        half = 0.5 * np.diff(np.asarray(box), axis=1)[:, 0]
+        families = [polynomial_field(8, kind, box, degree=k) for k in range(3)]
+        return families + [trig_field(9, kind, box),
+                           plane_wave([0.7, -0.3, 0.2, 0.5] / half, amp, kind)]
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
     def test_jet_is_the_richardson_derivative(self, name, kind):
         """On rows of every preset's sampling box, each family's exact d_mu
-        equals the Richardson derivative within the Richardson gap, up to
-        the roundoff of a difference quotient (64 eps |f| / h); its value
-        is the sampler's.  The fields are built for the box, as the suite
-        builds its fixtures."""
+        equals the Richardson derivative of its values within the
+        Richardson gap; its value is the sampler's.  A derivative scaled by
+        1 + 1e-3 exceeds the bound."""
         spec = load_preset(name)
-        box = spec.sample_box
         rows = np.stack([p.coords for p in points_of(spec, 6, seed=3)])
         shape = (4, 4) if kind == VECTOR_BISPINOR else (4,)
-        amp = (np.arange(np.prod(shape)) + 0.5j).reshape(shape)
-        half = 0.5 * np.diff(np.asarray(box), axis=1)[:, 0]
-        families = [polynomial_field(8, kind, box, degree=k) for k in range(3)]
-        families += [trig_field(9, kind, box),
-                     plane_wave([0.7, -0.3, 0.2, 0.5] / half, amp, kind)]
-        h = np.min(fd_step(rows, STEP_OUTER) / 2, axis=1)
-        for f in families:
+        for f in self.families(spec, kind):
             value, d = f.jet(rows)
             assert d.shape == (len(rows), 4) + shape, f.name
             assert np.array_equal(value, f.at(rows)), f.name
-            rich, gap = self._richardson(f, rows)
-            err = np.max(np.abs(d - rich).reshape(len(rows), -1), axis=1)
-            noise = 64 * np.finfo(float).eps * np.max(
-                np.abs(value).reshape(len(rows), -1), axis=1) / h
-            bound = np.max(gap.reshape(len(rows), -1), axis=1) + noise
-            assert np.all(err <= bound), (f.name, err / bound)
+            self.assert_refereed(d, f.at, rows, f.name)
+            if np.max(np.abs(d)) > 0:
+                with pytest.raises(AssertionError):
+                    self.assert_refereed(d * (1.0 + 1e-3), f.at, rows, f.name)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
+    def test_second_order_jet_is_the_richardson_derivative(self, name, kind):
+        """Each family's exact d_mu d_nu equals the Richardson derivative of
+        its exact d_nu within the Richardson gap, and the value and d_mu of
+        the second-order jet are the first-order jet's, to the bit.  A
+        second derivative scaled by 1 + 1e-3 exceeds the bound."""
+        spec = load_preset(name)
+        rows = np.stack([p.coords for p in points_of(spec, 6, seed=3)])
+        shape = (4, 4) if kind == VECTOR_BISPINOR else (4,)
+        for f in self.families(spec, kind):
+            value, d, dd = f.jet(rows, 2)
+            assert dd.shape == (len(rows), 4, 4) + shape, f.name
+            first = f.jet(rows)
+            assert np.array_equal(value, first[0]), f.name
+            assert np.array_equal(d, first[1]), f.name
+            assert np.array_equal(f.jet(rows, 0)[0], value), f.name
+            self.assert_refereed(dd, lambda r: f.jet(r)[1], rows, f.name)
+            if np.max(np.abs(dd)) > 0:
+                with pytest.raises(AssertionError):
+                    self.assert_refereed(dd * (1.0 + 1e-3),
+                                         lambda r: f.jet(r)[1], rows, f.name)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_geometry_derivatives_are_the_richardson_derivatives(self, name):
+        """On rows of every preset's sampling box, the curvature's exact
+        d_mu Gamma^s_ab, the frame's d_mu Gamma_al (``dconnection``) and the
+        derivatives of gamma^nu, gamma_nu and g^{nu s}
+        (``gamma_derivatives``) equal the Richardson derivatives of frames
+        built on the stencil rows, within the Richardson gap.  Where it
+        does not vanish, d_mu Gamma_al scaled by 1 + 1e-6 exceeds the
+        bound."""
+        spec = load_preset(name)
+        rows = np.stack([p.coords for p in points_of(spec, 6, seed=3)])
+        frame = build_frame(spec, rows)
+
+        def on_frames(read):
+            return lambda r: read(build_frame(spec, r))
+
+        exact = {
+            "christoffel": (frame.curvature.dchristoffel,
+                            on_frames(lambda f: f.christoffel)),
+            "connection": (frame.dconnection,
+                           on_frames(lambda f: f.connection)),
+        }
+        d_up, d_down, d_g_up = gamma_derivatives(frame)
+        exact["gamma_up"] = (d_up, on_frames(lambda f: f.gammas.gamma_up))
+        exact["gamma_down"] = (d_down,
+                               on_frames(lambda f: f.gammas.gamma_down))
+        exact["g_upper"] = (d_g_up, on_frames(lambda f: f.metric.g_upper))
+        for label, (d, f) in exact.items():
+            self.assert_refereed(d, f, rows, label)
+        if np.max(np.abs(frame.dconnection)) > 0:
+            with pytest.raises(AssertionError):
+                self.assert_refereed(frame.dconnection * (1.0 + 1e-6),
+                                     exact["connection"][1], rows, "scaled")
 
     def test_a_sampler_without_a_closed_form_takes_the_adapter(self):
-        """A sampler with no exact jet differences its values: the stencil
-        adapter's result, under either step policy."""
+        """A sampler with no exact jet differences its values: to first
+        order the stencil adapter under the plain step policy; to second
+        order the nested-policy differences of its nested-policy
+        first-order jet, whose value and d_mu it keeps."""
         f = trig_field(10, BISPINOR)
         plain = FieldSampler(f.fn, BISPINOR, "plain", f.batch)
         rows = TestBatchSampling.COORDS
+        assert np.array_equal(plain.jet(rows, 0)[0], f.at(rows))
         for nested in (False, True):
-            value, d = plain.jet(rows, nested=nested)
+            got = plain.jet(rows, 2 if nested else 1)
             want = stencil_jet(f.at, rows, nested)
-            assert np.array_equal(value, want[0])
-            assert np.array_equal(d, want[1])
-            assert np.max(np.abs(d - f.jet(rows)[1])) < 1e-6
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert np.max(np.abs(got[1] - f.jet(rows)[1])) < 1e-6
+        dd = plain.jet(rows, 2)[2]
+        assert np.max(np.abs(dd - f.jet(rows, 2)[2])) < 1e-5
+        with pytest.raises(ValueError, match="order"):
+            plain.jet(rows, 3)

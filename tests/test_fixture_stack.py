@@ -16,83 +16,56 @@ from curved_rs.fields import (
     trig_field,
 )
 from curved_rs.identity_suite import build_context
-from curved_rs.numerics import STEP_OUTER
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
 
 #: how far a fixture of the stack may lie from it alone, relative to the
-#: larger side; a stacked contraction sums in another order than a single
-#: one, and moves its result in the last bits
+#: larger side (or, for 1.7, whose sides nearly cancel, the fixture's
+#: size); a stacked contraction sums in another order than a single one,
+#: and moves its result in the last bits
 BOUND = 1e-12
-#: the same for 1.7's nested side, relative to the fixture's size: its outer
-#: difference divides the last-bit moves of the stacked residual it
-#: differences (held to ``BOUND`` above) by the outer step
-NESTED_BOUND = BOUND / STEP_OUTER
 
 
-def _close(stacked, single, label, bound=BOUND, scale=0.0):
+def _close(stacked, single, label, scale=0.0):
     assert stacked.shape == single.shape, label
     err = np.max(np.abs(stacked - single))
-    assert err <= bound * max(np.max(np.abs(single)), scale), (label, err)
+    assert err <= BOUND * max(np.max(np.abs(single)), scale), (label, err)
 
 
-def _sides(ctx):
-    """The stacked sides of 1.2a, 1.6, 1.7, 1.9 and 1.10c, as the suite
-    computes them from the context's two shared passes."""
-    d, psi = ctx.fixture_rows
-    christ, dn, psi_outer, centre = ctx.chain_rows
-    frame, chain, mass = ctx.frame, ctx.chain_frame, ctx.mass
+def _sides(frame, rows, mass):
+    """The sides of 1.2a, 1.6, 1.7, 1.9 and 1.10c from a ``CovariantJet``,
+    as the suite computes them."""
+    d, psi = rows.d, rows.psi
     return {
-        "1.7 inner residual": rso.rs_residual(chain.outer, dn, psi_outer,
-                                              mass),
         "1.2a blocks": rso.rs_residual(frame, d, psi, mass),
         "1.2a terms": identity_suite._term_by_term_residual(d, psi, frame,
                                                             mass),
         "1.6": rso.contraction_identity(frame, d, psi, mass),
-        "1.7 nested": rso.derivative_chain(chain, dn, psi_outer, mass),
-        "1.7 algebraic": rso.chain_rhs(chain, centre, mass),
-        "1.9 nested": rso.second_covariant_comm(chain, dn),
-        "1.9 algebraic": rso.curvature_commutator(chain, centre)[0],
-        "1.10c nested": rso.bridge_commutator(chain, christ),
-        "1.10c algebraic": rso.ricci_contraction(chain, centre),
-    }
-
-
-def _alone(fld, ctx):
-    """The same sides for one sampler, from its own ``covariant_rows`` and
-    ``nested_rows`` (no fixture axis)."""
-    frame, chain, mass = ctx.frame, ctx.chain_frame, ctx.mass
-    d, psi = rso.covariant_rows(fld, frame)
-    christ, dn, psi_outer = rso.nested_rows(fld, chain)
-    at_chain = fld.at(chain)
-    return {
-        "1.7 inner residual": rso.rs_residual(chain.outer, dn, psi_outer,
-                                              mass),
-        "1.2a blocks": rso.rs_residual(frame, d, psi, mass),
-        "1.2a terms": identity_suite._term_by_term_residual(d, psi, frame,
-                                                            mass),
-        "1.6": rso.contraction_identity(frame, d, psi, mass),
-        "1.7 nested": rso.derivative_chain(chain, dn, psi_outer, mass),
-        "1.7 algebraic": rso.chain_rhs(chain, at_chain, mass),
-        "1.9 nested": rso.second_covariant_comm(chain, dn),
-        "1.9 algebraic": rso.curvature_commutator(chain, at_chain)[0],
-        "1.10c nested": rso.bridge_commutator(chain, christ),
-        "1.10c algebraic": rso.ricci_contraction(chain, at_chain),
+        "1.7 nested": rso.derivative_chain(frame, d, rows.dd, psi, rows.dpsi,
+                                           mass),
+        "1.7 algebraic": rso.chain_rhs(frame, psi, mass),
+        "1.9 nested": rso.second_covariant_comm(frame, d, rows.dd),
+        "1.9 algebraic": rso.curvature_commutator(frame, psi)[0],
+        "1.10c nested": rso.bridge_commutator(frame, rows.christ,
+                                              rows.dchrist),
+        "1.10c algebraic": rso.ricci_contraction(frame, psi),
     }
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_each_fixture_of_the_stack_equals_it_alone(name):
     """Every fixture slice of the stacked sides equals that fixture run on
-    its own through the same functions, to 1e-12 relative; 1.7's nested
-    side to 1e-8 of the fixture's size."""
+    its own through the same functions, from its own ``covariant_jet``
+    (no fixture axis), to 1e-12 relative; 1.7's nested side to 1e-12 of
+    the fixture's size."""
     ctx = build_context(load_preset(name), 4, seed=11, mass=1.0)
-    stacked = _sides(ctx)
-    centre = ctx.chain_rows[3]
+    stacked = _sides(ctx.frame, ctx.fixture_rows, ctx.mass)
+    psi = ctx.fixture_rows.psi
     for k, fld in enumerate(ctx.vb_fixtures):
-        for label, single in _alone(fld, ctx).items():
+        alone = _sides(ctx.frame, rso.covariant_jet(fld, ctx.frame), ctx.mass)
+        for label, single in alone.items():
             if label == "1.7 nested":
-                _close(stacked[label][..., k], single, label, NESTED_BOUND,
-                       np.max(np.abs(centre[..., k])))
+                _close(stacked[label][..., k], single, label,
+                       scale=np.max(np.abs(psi[..., k])))
             elif isinstance(single, tuple):  # 1.6: (lhs, rhs)
                 for a, b in zip(stacked[label], single, strict=True):
                     _close(a[..., k], b, label)
@@ -101,20 +74,22 @@ def test_each_fixture_of_the_stack_equals_it_alone(name):
 
 
 def test_nested_rows_are_each_forms_own_covariant_rows(schwarzschild):
-    """The shared inner pass gives, to the bit, the Christoffel-only and the
-    full D_nu Psi that ``covariant_rows`` gives on the outer frame, and the
-    stencil centres give the field on the chain rows."""
+    """The shared second-order pass gives, to the bit, the Christoffel-only
+    and the full D_nu Psi that ``covariant_rows`` gives on the context
+    rows, the field there, and each fixture's own ``covariant_jet``."""
     ctx = build_context(schwarzschild, 3, seed=4, mass=1.0)
-    christ, d, psi, centre = ctx.chain_rows
-    outer = ctx.chain_frame.outer
+    rows = ctx.fixture_rows
     for k, fld in enumerate(ctx.vb_fixtures):
-        c1, p1 = rso.covariant_rows(fld, outer, nested=True,
-                                    include_spin=False)
-        d1, _ = rso.covariant_rows(fld, outer, nested=True)
-        assert np.array_equal(christ[..., k], c1)
-        assert np.array_equal(d[..., k], d1)
-        assert np.array_equal(psi[..., k], p1)
-        assert np.array_equal(centre[..., k], fld.at(ctx.chain_frame))
+        c1, p1 = rso.covariant_rows(fld, ctx.frame, include_spin=False)
+        d1, _ = rso.covariant_rows(fld, ctx.frame)
+        assert np.array_equal(rows.christ[..., k], c1)
+        assert np.array_equal(rows.d[..., k], d1)
+        assert np.array_equal(rows.psi[..., k], p1)
+        assert np.array_equal(rows.psi[..., k], fld.at(ctx.frame))
+        alone = rso.covariant_jet(fld, ctx.frame)
+        assert np.array_equal(rows.dpsi[..., k], alone.dpsi)
+        for stacked, single in zip(rows, alone, strict=True):
+            assert stacked[..., k].shape == single.shape
 
 
 def test_a_stack_holds_one_kind(schwarzschild):
@@ -124,15 +99,18 @@ def test_a_stack_holds_one_kind(schwarzschild):
                     polynomial_field(2, BISPINOR, box=box)))
     stack = FieldStack((trig_field(1, box=box), trig_field(2, box=box)))
     rows = np.array([[0.1, 4.0, 1.0, 1.0], [0.2, 5.0, 1.5, 2.0]])
-    values, d = stack.jet(rows)
+    values, d, dd = stack.jet(rows, 2)
     assert values.shape == (2, 4, 4, 2)
     assert d.shape == (2, 4, 4, 4, 2)
+    assert dd.shape == (2, 4, 4, 4, 4, 2)
     assert stack.kind == VECTOR_BISPINOR
     for k, fld in enumerate(stack.members):
-        value_k, d_k = fld.jet(rows)
+        value_k, d_k, dd_k = fld.jet(rows, 2)
         assert np.array_equal(values[..., k], value_k)
         assert np.array_equal(values[..., k], fld.at(rows))
         assert np.array_equal(d[..., k], d_k)
+        assert np.array_equal(d[..., k], fld.jet(rows)[1])
+        assert np.array_equal(dd[..., k], dd_k)
 
 
 def _scaled(fld, factor):
@@ -142,7 +120,8 @@ def _scaled(fld, factor):
 
 def _noisy(fld, rel):
     """``fld`` with relative noise of size ``rel`` on every value: not
-    smooth, so its nested differences amplify the noise by 1/h^2."""
+    smooth, so the nested differences of its second-order stencil jet
+    amplify the noise by 1/h^2."""
     rng = np.random.default_rng(0)
 
     def batch(rows):

@@ -20,7 +20,8 @@ from curved_rs.gauge import (
     massless_residual,
 )
 from curved_rs.geometry import curvature, eval_metric
-from curved_rs.rs_operator import covariant_derivative, covariant_rows
+from curved_rs.rs_operator import (covariant_derivative, covariant_jet,
+                                   covariant_rows)
 from curved_rs.spin_frame import gamma_set_at, spin_connection
 
 from conftest import frame_at, points_of
@@ -158,8 +159,8 @@ class TestGaugeCriterion:
         # a constant unitary change of the flat representation conjugates
         # every bispinor object: the criterion pair built from rotated
         # pieces equals U (default pair), so every zero/nonzero verdict is
-        # representation independent, under either step policy of the
-        # rotated gradient field
+        # representation independent, with the rotated gradient field's
+        # derivative from its first- or second-order stencil jet
 
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         q, _ = np.linalg.qr(h)
@@ -169,19 +170,19 @@ class TestGaugeCriterion:
         psi = polynomial_field(58, kind=BISPINOR, box=spec.sample_box)
         x = spec.point(1.2, 0.1, 0.3, -0.2)
 
-        def rotated_pair(nested):
+        def rotated_pair(second_order):
             # gradient field of U psi with the rotated connection U G U+
             def grad_rot(p):
-                d = covariant_derivative(psi, frame_at(spec, p),
-                                         nested=nested)[0]
+                d = covariant_derivative(psi, frame_at(spec, p))[0]
                 return np.einsum("ij,bj->bi", q, d)
 
             grad = FieldSampler(grad_rot, "vector_bispinor")
             gs = gamma_set_at(spec, x, flat=flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)
-            raw = covariant_rows(grad, frame_at(spec, x), nested=nested,
-                                 include_spin=False)[0][0]
+            frame = frame_at(spec, x)
+            raw = (covariant_jet(grad, frame).christ if second_order else
+                   covariant_rows(grad, frame, include_spin=False)[0])[0]
             d = raw + np.einsum("nij,bj->nbi", g_rot, grad(spec.point(*x.coords)))
             eps_mixed = np.einsum("rl,lnsm->rnsm", gs.metric.g_lower,
                                   gs.eps_upper)
@@ -195,8 +196,8 @@ class TestGaugeCriterion:
 
         direct0, predicted0 = (a[0] for a in gauge_criterion(
             psi, frame_at(spec, x)))
-        for nested in (False, True):
-            direct1, predicted1 = rotated_pair(nested)
+        for second_order in (False, True):
+            direct1, predicted1 = rotated_pair(second_order)
             assert np.max(np.abs(
                 direct1 - np.einsum("ij,bj->bi", q, direct0))) \
                 < 1e-8 * max(np.max(np.abs(direct0)), 1e-6)

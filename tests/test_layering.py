@@ -59,7 +59,7 @@ def test_the_guard_sees_both_kinds_of_reach():
 
 #: the functions of ``rs_operator`` that sample a field: every other one
 #: takes the rows they return
-SAMPLERS = {"covariant_rows", "covariant_derivative", "nested_rows"}
+SAMPLERS = {"covariant_rows", "covariant_derivative", "covariant_jet"}
 
 
 def sampling_calls(source: str) -> list:

@@ -25,13 +25,13 @@ from curved_rs.rs_operator import (
     constraint_two,
     contraction_identity,
     covariant_derivative,
+    covariant_jet,
     covariant_rows,
     curvature_commutator,
     derivative_chain,
     einstein_space_factor,
     flat_reduction_check,
     gamma_pair_block,
-    nested_rows,
     ricci_contraction,
     rs_residual,
     second_covariant_comm,
@@ -52,19 +52,23 @@ MASS = MassParam(1.0)
 
 def chain_pair(fld, frame):
     """1.7: the derivative chain and its curvature form."""
-    return (derivative_chain(frame, *nested_rows(fld, frame)[1:], MASS),
+    jet = covariant_jet(fld, frame)
+    return (derivative_chain(frame, jet.d, jet.dd, jet.psi, jet.dpsi, MASS),
             chain_rhs(frame, fld.at(frame), MASS))
 
 
 def commutator_pair(fld, frame):
-    """1.9: nested-difference [D_al, D_be] Psi and its curvature form."""
-    return (second_covariant_comm(frame, nested_rows(fld, frame)[1]),
+    """1.9: [D_al, D_be] Psi from the second-order jet and its curvature
+    form."""
+    jet = covariant_jet(fld, frame)
+    return (second_covariant_comm(frame, jet.d, jet.dd),
             curvature_commutator(frame, fld.at(frame))[0])
 
 
 def bridge_pair(fld, frame):
     """1.10c: the bridge commutator and the Ricci contraction."""
-    return (bridge_commutator(frame, nested_rows(fld, frame)[0]),
+    jet = covariant_jet(fld, frame)
+    return (bridge_commutator(frame, jet.christ, jet.dchrist),
             ricci_contraction(frame, fld.at(frame)))
 
 
@@ -169,19 +173,21 @@ class TestBatchedStencil:
     @pytest.mark.parametrize("make", [polynomial_field, trig_field])
     @pytest.mark.parametrize("nested", [False, True])
     def test_matches_partial4_oracle(self, schwarzschild, kind, make, nested):
+        """The exact covariant derivative against the per-axis oracle under
+        either step policy."""
         fld = make(21, kind, box=schwarzschild.sample_box)
         for x in points_of(schwarzschild, n=3):
-            got = covariant_derivative(fld, frame_at(schwarzschild, x),
-                                       nested=nested)[0]
+            got = covariant_derivative(fld, frame_at(schwarzschild, x))[0]
             want = stencil_oracle(fld, schwarzschild, x, nested)
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestNestedRoundoff:
-    """Nested chains take their inner derivatives at the outer step with
-    Richardson.  With the fine inner step the identity suite's 1.7 chain on
-    anti-de Sitter (suite seed 2135483339, fixture trig[2135483340001])
-    read 4.8e-5 against its 1e-4 band, all of it roundoff."""
+    """The nested chains take no finite difference.  With differences (a
+    fine inner step) the identity suite's 1.7 chain on anti-de Sitter
+    (suite seed 2135483339, fixture trig[2135483340001]) read 4.8e-5
+    against its 1e-4 band, all of it roundoff; the exact jets hold these
+    identities at roundoff."""
 
     @pytest.mark.parametrize("identity", [
         chain_pair, commutator_pair, bridge_pair,

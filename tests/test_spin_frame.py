@@ -12,7 +12,7 @@ from curved_rs.spin_frame import (
     SIGMA_FLAT,
     Point,
     build_tetrad,
-    connection_curvature_fd,
+    connection_curvature,
     curved_gammas,
     gamma_set_at,
     spin_connection,
@@ -172,7 +172,7 @@ class TestSpinConnection:
         G = spin_connection(minkowski_spherical, x)
         assert np.max(np.abs(G[2])) > 1e-3  # Gamma_theta
         assert np.max(np.abs(G[3])) > 1e-3  # Gamma_phi
-        fd = connection_curvature_fd(frame_at(minkowski_spherical, x))
+        fd = connection_curvature(frame_at(minkowski_spherical, x))
         assert np.max(np.abs(fd)) < 1e-7
 
     def test_traceless_and_hermiticity(self, all_presets):
@@ -216,7 +216,7 @@ class TestSpinConnection:
             for x in points_of(spec, 4):
                 frame = frame_at(spec, x)
                 alg = spinor_commutator_curvature(frame)[0]
-                fd = connection_curvature_fd(frame)[0]
+                fd = connection_curvature(frame)[0]
                 scale = max(np.max(np.abs(alg)), 1e-3)
                 assert np.max(np.abs(alg - fd)) < 1e-8 * scale
                 assert np.max(np.abs(alg + alg.transpose(1, 0, 2, 3))) < 1e-12
