@@ -80,8 +80,10 @@ def _resolve_metric(args):
         raise ConfigError("--points must be >= 1")
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
-    if not 0 <= getattr(args, "mass", 0.0) < math.inf:
-        raise ConfigError("--mass must be finite and >= 0")
+    mass = getattr(args, "mass", 0.0)
+    # the operator reads kappa^2 = -m^2, which must be finite too
+    if not (0 <= mass < math.inf and math.isfinite(mass * mass)):
+        raise ConfigError("--mass must be >= 0 with a finite square")
     if args.metric_file:
         if args.param:
             raise ConfigError(
@@ -110,8 +112,11 @@ def _emit(report_dict, args) -> None:
     else:
         payload = _render(report_dict)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write '{args.output}': {exc}")
     else:
         print(payload)
 

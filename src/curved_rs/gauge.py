@@ -27,7 +27,7 @@ import numpy as np
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
 from .numerics import PAIRWISE
-from .rs_operator import covariant_derivative, covariant_rows, eps_gamma
+from .rs_operator import covariant_derivative, covariant_rows
 from .spin_frame import Frame, build_frame
 
 #: frozen proportionality constant of the Einstein-tensor prediction
@@ -56,7 +56,7 @@ def _massless(field: FieldSampler, frame: Frame):
     """(massless residual, the D_nu Psi~_s it contracts)."""
     d, _ = covariant_rows(field, frame)
     # the closed-form blocks alpha~^nu = i gamma5 eps_r^{nu s mu} gamma_mu
-    return np.einsum("xnrsik,xnsk->xri", eps_gamma(frame.gammas), d), d
+    return np.einsum("xnrsik,xnsk->xri", frame.gammas.eps_gamma, d), d
 
 
 def massless_residual(field: FieldSampler, frame: Frame) -> np.ndarray:
@@ -103,13 +103,31 @@ def gauge_criterion(psi: FieldSampler, frame: Frame):
 #: expansion in the single-tensor convention (frozen, regression-tested)
 EPS_DET_SIGN = -1.0
 
+#: the 3x3 Kronecker/metric determinant that replaces eps_r^{ns mu}
+#: eps^{abt}_mu, term by term: (sign, R_{abns} contracted with the term's
+#: Kronecker delta and its two g^{..}, the metric that the first
+#: contraction takes listed first); the last two terms carry delta^t_r and
+#: contract to a number per row
+_DET_TERMS = (
+    (1.0, "xrbns,xnb,xst->xrt"),  # delta^a_r g^{nb} g^{st}
+    (-1.0, "xrbns,xsb,xnt->xrt"),  # delta^a_r g^{nt} g^{sb}
+    (-1.0, "xarns,xna,xst->xrt"),  # delta^b_r g^{na} g^{st}
+    (1.0, "xarns,xsa,xnt->xrt"),  # delta^b_r g^{nt} g^{sa}
+    (1.0, "xabns,xna,xsb->x"),  # delta^t_r g^{na} g^{sb}
+    (-1.0, "xabns,xnb,xsa->x"),  # delta^t_r g^{nb} g^{sa}
+)
+#: the contraction path numpy picks (``optimize=True``) for each term:
+#: Riemann with the first metric, then with the second
+_DET_TERM_PATH = ("einsum_path", (0, 1), (0, 1))
+
 
 def epsilon_contraction_check(frame: Frame) -> dict:
     """Two routes to the double-eps curvature contraction, per frame row.
 
     ``raw[r, t]``           = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
     ``det_expanded[r, t]``  = the same with the eps product replaced by
-                              its 3x3 Kronecker/metric determinant;
+                              its 3x3 Kronecker/metric determinant, each
+                              term contracted with R_{abns} on its own;
     ``einstein_combination`` = 4 G_r^t, what the contraction reduces to.
 
     With indices raised and lowered by one metric the raw contraction
@@ -125,16 +143,12 @@ def epsilon_contraction_check(frame: Frame) -> dict:
                     optimize=PAIRWISE)
 
     g_up = m.g_upper
-    delta = np.eye(4)
-    det = (
-        np.einsum("ar,xnb,xst->xrnsabt", delta, g_up, g_up)
-        - np.einsum("ar,xnt,xsb->xrnsabt", delta, g_up, g_up)
-        - np.einsum("br,xna,xst->xrnsabt", delta, g_up, g_up)
-        + np.einsum("br,xnt,xsa->xrnsabt", delta, g_up, g_up)
-        + np.einsum("tr,xna,xsb->xrnsabt", delta, g_up, g_up)
-        - np.einsum("tr,xnb,xsa->xrnsabt", delta, g_up, g_up)
-    )
-    det_expanded = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, det)
+    terms = [sign * np.einsum(sub, bundle.riemann_lower, g_up, g_up,
+                              optimize=_DET_TERM_PATH)
+             for sign, sub in _DET_TERMS]
+    trace = terms[4] + terms[5]
+    det_expanded = (terms[0] + terms[1] + terms[2] + terms[3]
+                    + trace[:, None, None] * np.eye(4))
     einstein_mixed = np.einsum("xrb,xbt->xrt", bundle.einstein, g_up)
     return {"raw": raw, "det_expanded": det_expanded,
             "einstein_combination": 4.0 * einstein_mixed,

@@ -369,6 +369,10 @@ def _chk_sigma_tetrad(ctx):
 def _chk_triple_gamma(ctx):
     gs = ctx.frame.gammas
     gu, g_up = gs.gamma_up, gs.metric.g_upper
+    n = len(gu)
+    # eps^{abrs} gamma_s as one (n, 64, 4) @ (n, 4, 16) matmul
+    eps_gd = (gs.eps_upper.reshape(n, 64, 4)
+              @ gs.gamma_down.reshape(n, 4, 16)).reshape(n, 4, 4, 4, 4, 4)
     # every product gamma^a gamma^b gamma^r, indexed [x, a, b, r, i, j]
     ga = gu[:, :, None, None]
     gb = gu[:, None, :, None]
@@ -377,8 +381,7 @@ def _chk_triple_gamma(ctx):
     rhs = (ga * g_up[:, None, :, :, None, None]
            - gb * g_up[:, :, None, :, None, None]
            + gr * g_up[:, :, :, None, None, None]
-           + 1j * gs.gamma5 @ np.einsum("xabrs,xsij->xabrij", gs.eps_upper,
-                                        gs.gamma_down))
+           + 1j * gs.gamma5 @ eps_gd)
     # each product relative to its own size
     errs = _row_rel(np.max(np.abs(lhs - rhs), axis=(-2, -1)), 1.0,
                     np.max(np.abs(lhs), axis=(-2, -1)))
@@ -387,16 +390,21 @@ def _chk_triple_gamma(ctx):
 
 def _sigma_commutator_defect(sig, g):
     """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
-    n, i, k], for sigma and the inverse metric on any leading axes."""
+    n, i, k], for sigma and the inverse metric on any leading axes.  The
+    metric form g^{ma} sigma^{nb} - g^{mb} sigma^{na} - g^{na} sigma^{mb}
+    + g^{nb} sigma^{ma} is T = g^{ma} sigma^{nb} antisymmetrised in (a, b)
+    and then in (m, n); for a diagonal g (every metric a tetrad is built
+    for) at most two of its terms are nonzero, so the sum is the four-term
+    sum to the bit.  T and the form reuse the product's buffer."""
     comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig,
                      optimize=PAIRWISE)
-    comm = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
-    return comm - (
-        np.einsum("...ma,...nbij->...abmnij", g, sig)
-        - np.einsum("...mb,...naij->...abmnij", g, sig)
-        - np.einsum("...na,...mbij->...abmnij", g, sig)
-        + np.einsum("...nb,...maij->...abmnij", g, sig)
-    )
+    defect = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
+    t = np.multiply(np.swapaxes(g, -1, -2)[..., :, None, :, None, None, None],
+                    np.swapaxes(sig, -4, -3)[..., None, :, None, :, :, :],
+                    out=comm)
+    anti = t - np.swapaxes(t, -6, -5)
+    defect -= np.subtract(anti, np.swapaxes(anti, -4, -3), out=t)
+    return defect
 
 
 def _chk_sigma_commutator(ctx):

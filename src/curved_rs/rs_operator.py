@@ -24,9 +24,12 @@ passes through a trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler
 is the case without that axis, on the same code.
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
-Every block product is one dense (..., 16, 16) matmul.  The
-multi-operand einsums (the gamma triples of ``_alpha_beta_rows`` and
-``transform_printed``, ``eps_gamma`` and ``beta_tilde_eps_form``) carry
+It forms no Dirac product of its own: gamma_r gamma^s, eps_r^{nu s mu}
+and the closed-form i gamma5 eps_r^{nu s mu} gamma_mu are read from the
+GammaSet, which forms each once.  Every block product is one dense
+(..., 16, 16) matmul.  The multi-operand einsums (the gamma triples of
+``_alpha_beta_rows`` and ``transform_printed``, and
+``beta_tilde_eps_form``) carry
 the fixed contraction path numpy would pick for them, so each runs as
 pairwise products instead of one nested loop over every index, without a
 path search on every call; the two-operand contractions over a frame's
@@ -58,8 +61,10 @@ class MassParam:
     kappa: complex = None
 
     def __post_init__(self):
-        if not 0 <= self.m < np.inf:
-            raise ValueError(f"mass must be finite and >= 0, got {self.m}")
+        m = float(self.m)
+        if not (0 <= m < np.inf and np.isfinite(m * m)):
+            raise ValueError(
+                f"mass must be >= 0 with a finite square, got {self.m}")
         if self.kappa is None:
             self.kappa = 1j * self.m
 
@@ -121,10 +126,9 @@ class BlockMatrix16:
 THIRD = 1.0 / 3.0
 
 #: the contraction paths numpy picks (``optimize=True``) for the gamma
-#: triple gamma_r gamma^nu gamma^s, for i gamma5 eps gamma and for
-#: i/2 gamma5 eps gamma gamma, at one point and on 1 to 340 rows alike
+#: triple gamma_r gamma^nu gamma^s and for i/2 gamma5 eps gamma gamma, at
+#: one point and on 1 to 340 rows alike
 _TRIPLE_PATH = ("einsum_path", (0, 1), (0, 1))
-_EPS_GAMMA_PATH = ("einsum_path", (0, 2), (0, 1))
 _EPS_GAMMA_GAMMA_PATH = ("einsum_path", (0, 2), (1, 2), (0, 1))
 
 #: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
@@ -137,25 +141,17 @@ def _per_nu(blocks) -> list:
     return [BlockMatrix16(blocks[..., nu, :, :, :, :]) for nu in range(4)]
 
 
-def _gamma_pairs(gd: np.ndarray, gu: np.ndarray) -> np.ndarray:
-    """gamma_r gamma^s as blocks [..., r, s, i, j] (any leading axes)."""
-    return gd[..., :, None, :, :] @ gu[..., None, :, :, :]
-
-
 def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
     """I + coeff * gamma_r gamma^s as a block matrix (on the GammaSet's
     leading axes)."""
-    return BlockMatrix16(
-        _IDENTITY_BLOCKS + coeff * _gamma_pairs(gs.gamma_down, gs.gamma_up)
-    )
+    return BlockMatrix16(_IDENTITY_BLOCKS + coeff * gs.pairs)
 
 
-def _alpha_beta_rows(gd: np.ndarray, gu: np.ndarray, g_up: np.ndarray):
-    """The operator blocks on any leading axes: gamma_al(x), gamma^al(x)
-    [..., 4, 4, 4] and g^{al be}(x) [..., 4, 4] give alpha
+def _alpha_beta_rows(gs: GammaSet):
+    """The operator blocks on a GammaSet's leading axes: alpha
     [..., nu, r, s, i, j] and beta [..., r, s, i, j]."""
-    pair = _gamma_pairs(gd, gu)
-    beta = _IDENTITY_BLOCKS - THIRD * pair
+    gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
+    beta = _IDENTITY_BLOCKS - THIRD * gs.pairs
     eye = np.eye(4)
     # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
     # - gamma_r gamma^nu gamma^s), indexed [..., nu, r, s, i, j]: summed in
@@ -180,8 +176,7 @@ def build_alpha_beta(gs: GammaSet | Frame):
     if isinstance(gs, Frame):
         alpha, beta = frame_blocks(gs)
     else:
-        alpha, beta = map(read_only, _alpha_beta_rows(
-            gs.gamma_down, gs.gamma_up, gs.metric.g_upper))
+        alpha, beta = map(read_only, _alpha_beta_rows(gs))
     return _per_nu(alpha), BlockMatrix16(beta)
 
 
@@ -194,9 +189,7 @@ def frame_blocks(frame: Frame):
     built once per frame (read-only)."""
     blocks = _FRAME_BLOCKS.get(frame)
     if blocks is None:
-        gs = frame.gammas
-        blocks = tuple(map(read_only, _alpha_beta_rows(
-            gs.gamma_down, gs.gamma_up, gs.metric.g_upper)))
+        blocks = tuple(map(read_only, _alpha_beta_rows(frame.gammas)))
         _FRAME_BLOCKS[frame] = blocks
     return blocks
 
@@ -458,18 +451,6 @@ def transform_CS(alphas, beta, gs: GammaSet, a: float, b: float, c: float
     )
 
 
-def _eps_mixed(gs: GammaSet) -> np.ndarray:
-    """eps_r^{nu s mu}, indexed [..., r, nu, s, mu]."""
-    return np.einsum("...rl,...lnsm->...rnsm", gs.metric.g_lower, gs.eps_upper)
-
-
-def eps_gamma(gs: GammaSet) -> np.ndarray:
-    """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]."""
-    return 1j * np.einsum("ij,...rnsm,...mjk->...nrsik", gs.gamma5,
-                          _eps_mixed(gs), gs.gamma_down,
-                          optimize=_EPS_GAMMA_PATH)
-
-
 def transform_printed(gs: GammaSet, a: float, b: float, c: float):
     """The expanded coefficient form of the transformed operator blocks (on
     the GammaSet's leading axes).
@@ -504,7 +485,7 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
                     optimize=_TRIPLE_PATH) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
-                   + B * eps_gamma(gs))
+                   + B * gs.eps_gamma)
     return beta_prime, _per_nu(alpha_prime), beta_tilde, _per_nu(alpha_tilde)
 
 
@@ -512,14 +493,14 @@ def tilde_closed_form(gs: GammaSet):
     """The closed-form transformed blocks (on the GammaSet's leading axes):
     (beta~)_r^s = delta - gamma_r gamma^s,
     (alpha~^nu)_r^s = i gamma5 eps_r^{nu s mu} gamma_mu."""
-    return _per_nu(eps_gamma(gs)), gamma_pair_block(gs, -1.0)
+    return _per_nu(gs.eps_gamma), gamma_pair_block(gs, -1.0)
 
 
 def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
     """The dual form (beta~)_r^s = i/2 gamma5 eps_r^{nu s mu} gamma_mu gamma_nu."""
     return BlockMatrix16(0.5j * np.einsum(
         "ij,...rnsm,...mjk,...nkl->...rsil",
-        gs.gamma5, _eps_mixed(gs), gs.gamma_down, gs.gamma_down,
+        gs.gamma5, gs.eps_mixed, gs.gamma_down, gs.gamma_down,
         optimize=_EPS_GAMMA_GAMMA_PATH,
     ))
 

@@ -10,9 +10,13 @@ The bispinor connection is Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al
 e_(b)nu); with it the position-dependent gammas are covariantly constant:
 d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
-A ``Frame`` holds all of this for a set of rows and is the one place
-where geometry is kept and shared; functions of a Point or (n, 4) rows
-keep nothing, and the two connection curvatures take a Frame.
+A ``GammaSet`` is the one place where products of the position-dependent
+Dirac matrices are formed: it is built with gamma^al and gamma_al, and
+forms sigma^{al be}, the volume tensor, gamma_r gamma^s and
+i gamma5 eps_r^{nu s mu} gamma_mu each on first read, once.  A ``Frame``
+holds all of this for a set of rows and is the one place where geometry
+is kept and shared; functions of a Point or (n, 4) rows keep nothing, and
+the two connection curvatures take a Frame.
 """
 
 from __future__ import annotations
@@ -83,21 +87,64 @@ class Tetrad:
     e_upper: np.ndarray
 
 
+#: the contraction path numpy picks (``optimize=True``) for
+#: i gamma5 eps_r^{nu s mu} gamma_mu, at one point and on 1 to 340 rows alike
+_EPS_GAMMA_PATH = ("einsum_path", (0, 2), (0, 1))
+
+
 @dataclass(frozen=True)
 class GammaSet:
-    """Flat and position-dependent Dirac matrices plus the volume tensor
-    (in a ``Frame``, each position-dependent array has a leading row
-    axis)."""
+    """Flat and position-dependent Dirac matrices (in a ``Frame``, each
+    position-dependent array has a leading row axis).
+
+    The products of the position-dependent matrices, and the volume
+    tensor, are formed on first read, at most once per GammaSet, and are
+    read-only: every block builder reads them here instead of forming its
+    own."""
 
     gamma_flat: np.ndarray  # [a, i, j]
     gamma5: np.ndarray
     gamma_up: np.ndarray  # gamma^al(x), [al, i, j]
     gamma_down: np.ndarray  # gamma_al(x)
-    sigma_curved: np.ndarray  # sigma^{al be}(x), [al, be, i, j]
-    eps_upper: np.ndarray
-    eps_lower: np.ndarray
     metric: MetricAtPoint
     tetrad: Tetrad
+
+    @cached_property
+    def sigma_curved(self) -> np.ndarray:
+        """sigma^{al be}(x) = [gamma^al, gamma^be]/4, [..., al, be, i, j]."""
+        gu = self.gamma_up
+        prod = gu[..., :, None, :, :] @ gu[..., None, :, :, :]
+        return read_only(0.25 * (prod - np.swapaxes(prod, -4, -3)))
+
+    @cached_property
+    def eps_upper(self) -> np.ndarray:
+        """eps^{abcd}(x), [..., a, b, c, d]."""
+        return read_only(levi_civita(self.metric)[0])
+
+    @cached_property
+    def eps_lower(self) -> np.ndarray:
+        """eps_{abcd}(x), [..., a, b, c, d]."""
+        return read_only(levi_civita(self.metric)[1])
+
+    @cached_property
+    def eps_mixed(self) -> np.ndarray:
+        """eps_r^{nu s mu}(x), [..., r, nu, s, mu]."""
+        return read_only(np.einsum("...rl,...lnsm->...rnsm",
+                                   self.metric.g_lower, self.eps_upper))
+
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """gamma_r gamma^s as blocks [..., r, s, i, j]."""
+        return read_only(self.gamma_down[..., :, None, :, :]
+                         @ self.gamma_up[..., None, :, :, :])
+
+    @cached_property
+    def eps_gamma(self) -> np.ndarray:
+        """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]:
+        the closed-form blocks alpha~^nu."""
+        return read_only(1j * np.einsum(
+            "ij,...rnsm,...mjk->...nrsik", self.gamma5, self.eps_mixed,
+            self.gamma_down, optimize=_EPS_GAMMA_PATH))
 
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
@@ -136,17 +183,11 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
         gamma5 = 1j * flat[0] @ flat[1] @ flat[2] @ flat[3]
     gamma_up = np.einsum("...am,aij->...mij", t.e_upper, gamma_flat)
     gamma_down = np.einsum("...mn,...nij->...mij", m.g_lower, gamma_up)
-    prod = gamma_up[..., :, None, :, :] @ gamma_up[..., None, :, :, :]
-    sigma = 0.25 * (prod - np.swapaxes(prod, -4, -3))
-    eps_upper, eps_lower = map(read_only, levi_civita(m))
     return GammaSet(
         gamma_flat=gamma_flat,
         gamma5=gamma5,
         gamma_up=read_only(gamma_up),
         gamma_down=read_only(gamma_down),
-        sigma_curved=read_only(sigma),
-        eps_upper=eps_upper,
-        eps_lower=eps_lower,
         metric=m,
         tetrad=t,
     )

@@ -11,6 +11,11 @@ a time: the reference for compiled evaluation.  ``loop_sample_points`` is
 the reference for ``sample_points``: one draw and one guard call at a
 time.
 
+``four_einsum_sigma_defect`` and ``rank7_det_expanded`` are the
+references for the sigma commutator defect and for 2.8b's determinant
+expansion: each metric term formed by its own einsum, and the determinant
+as a rank-7 tensor contracted with Riemann.
+
 The rest are helpers only tests call: ``constant_field`` (a sampler
 without an exact jet, so its derivatives take the stencil adapter),
 ``fit_prediction_constant`` (the fit that calibrated ``gauge.C0``),
@@ -27,7 +32,7 @@ from curved_rs.fields import VECTOR_BISPINOR, FieldSampler
 from curved_rs.gauge import (einstein_prediction, gradient_sampler,
                              massless_residual)
 from curved_rs.geometry import Point
-from curved_rs.numerics import STEP_FIRST, fd_step
+from curved_rs.numerics import PAIRWISE, STEP_FIRST, fd_step
 from curved_rs.spin_frame import GAMMA_FLAT, Frame
 
 
@@ -215,6 +220,38 @@ def fit_prediction_constant(psi: FieldSampler, frame) -> complex:
             "pick non-vacuum points with gamma psi != 0"
         )
     return complex(np.sum(direct * unit.conj()) / norm)
+
+
+def four_einsum_sigma_defect(sig, g):
+    """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
+    n, i, k], with each metric term its own einsum."""
+    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig,
+                     optimize=PAIRWISE)
+    comm = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
+    return comm - (
+        np.einsum("...ma,...nbij->...abmnij", g, sig)
+        - np.einsum("...mb,...naij->...abmnij", g, sig)
+        - np.einsum("...na,...mbij->...abmnij", g, sig)
+        + np.einsum("...nb,...maij->...abmnij", g, sig)
+    )
+
+
+def rank7_det_expanded(frame: Frame) -> np.ndarray:
+    """R_{abns} contracted with the 3x3 Kronecker/metric determinant that
+    replaces eps_r^{ns mu} eps^{abt}_mu, formed as one [x, r, n, s, a, b,
+    t] tensor, per frame row [x, r, t]."""
+    g_up = frame.metric.g_upper
+    delta = np.eye(4)
+    det = (
+        np.einsum("ar,xnb,xst->xrnsabt", delta, g_up, g_up)
+        - np.einsum("ar,xnt,xsb->xrnsabt", delta, g_up, g_up)
+        - np.einsum("br,xna,xst->xrnsabt", delta, g_up, g_up)
+        + np.einsum("br,xnt,xsa->xrnsabt", delta, g_up, g_up)
+        + np.einsum("tr,xna,xsb->xrnsabt", delta, g_up, g_up)
+        - np.einsum("tr,xnb,xsa->xrnsabt", delta, g_up, g_up)
+    )
+    return np.einsum("xabns,xrnsabt->xrt", frame.curvature.riemann_lower,
+                     det)
 
 
 def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:

@@ -275,25 +275,27 @@ def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
                                                monkeypatch):
     """The multi-operand einsums carry the path ``optimize=True`` finds on
     every call; with the search put back, their values and the errors of
-    1.10b and 1.2a stay bit-identical, at one point and on 1 and 20 rows."""
-    if rows is None:
-        gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
-    else:
-        gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
+    1.10b and 1.2a stay bit-identical, at one point and on 1 and 20 rows.
+    Each call of ``values`` takes a new GammaSet, which forms its products
+    again."""
     ctx = build_context(frw_dust, rows or 1, seed=8, mass=1.0)
 
     def values():
-        gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
+        if rows is None:
+            gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
+        else:
+            gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
         printed = rso.transform_printed(gs, 0.25, -0.125, 0.7)
-        return [*rso._alpha_beta_rows(gd, gu, g_up), rso.eps_gamma(gs),
+        return [*rso._alpha_beta_rows(gs), gs.eps_gamma,
                 rso.beta_tilde_eps_form(gs).blocks,
                 *(m.blocks for m in printed[1] + printed[3]),
                 identity_suite._chk_sigma_ricci_contraction(ctx)[1],
                 identity_suite._chk_operator_form(ctx)[1]]
 
     fixed = values()
-    for name in ("_TRIPLE_PATH", "_EPS_GAMMA_PATH", "_EPS_GAMMA_GAMMA_PATH"):
+    for name in ("_TRIPLE_PATH", "_EPS_GAMMA_GAMMA_PATH"):
         monkeypatch.setattr(rso, name, True)
+    monkeypatch.setattr(spin_frame, "_EPS_GAMMA_PATH", True)
     monkeypatch.setattr(identity_suite, "_SIGMA_RICCI_PATH", True)
     monkeypatch.setattr(identity_suite, "_TERM_PATH", True)
     for a, b in zip(fixed, values(), strict=True):
@@ -836,9 +838,9 @@ def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
     rows = []
     original = rso._alpha_beta_rows
 
-    def counting(gd, gu, g_up):
-        rows.append(len(gd))
-        return original(gd, gu, g_up)
+    def counting(gs):
+        rows.append(len(gs.gamma_down))
+        return original(gs)
 
     _patch_everywhere(monkeypatch, rso, "_alpha_beta_rows", counting)
     rep = run_suite(schwarzschild, n_points=20, seed=42)

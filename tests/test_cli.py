@@ -193,6 +193,8 @@ class TestExitCodes:
         ["gauge", "--metric", "de_sitter_static", "--param", "alpha=nan"],
         ["identities", "--mass", "nan"],
         ["identities", "--mass", "inf"],
+        ["identities", "--metric", "schwarzschild", "--mass", "1e200"],
+        ["constraints", "--metric", "schwarzschild", "--mass", "1e200"],
         ["identities", "--metric", "de_sitter_static", "--param", "foo=1"],
         ["identities", "--metric", "anti_de_sitter_static", "--param", "M=3"],
         ["identities", "--metric-file", "{cfg}", "--param", "alpha=5"],
@@ -224,6 +226,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_unwritable_output_is_config_error(self, capsys, tmp_path):
+        # a missing directory and a directory: a usage error naming the path
+        for path in (tmp_path / "missing" / "report.json", tmp_path):
+            code, out, err = run(["identities", "--points", "2", "--output",
+                                  str(path)], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith(f"error: cannot write '{path}'")
 
     @pytest.mark.parametrize("text", [SCALED_ETA_CFG, ANISOTROPIC_CFG],
                              ids=["scaled_eta", "anisotropic"])
