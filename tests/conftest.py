@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def all_presets(minkowski, minkowski_spherical, schwarzschild, de_sitter,
                 anti_de_sitter, frw_dust):
     return [minkowski, minkowski_spherical, schwarzschild, de_sitter,
             anti_de_sitter, frw_dust]
+
+
+#: the benchmark's metric documents, by file stem
+DOCUMENT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "documents"
+DOCUMENTS = ("schwarzschild", "frw_dust", "anti_de_sitter")
+
+#: the products a GammaSet forms on first read
+GAMMA_PRODUCTS = ("sigma_curved", "eps_upper", "eps_lower", "eps_mixed",
+                  "pairs", "eps_gamma")
 
 
 def points_of(spec, n=5, seed=1234):

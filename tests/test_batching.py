@@ -38,7 +38,7 @@ from curved_rs.spin_frame import (
     spin_connection,
 )
 
-from conftest import first_constraint, frame_at, points_of
+from conftest import GAMMA_PRODUCTS, first_constraint, frame_at, points_of
 
 MASS = MassParam(1.0)
 
@@ -104,8 +104,7 @@ def test_single_point_is_row_of_the_batch(name):
         gs = gamma_set_at(spec, x)
         for key in ("gamma_flat", "gamma5"):
             assert np.array_equal(getattr(rows, key), getattr(gs, key)), key
-        for key in ("gamma_up", "gamma_down", "sigma_curved", "eps_upper",
-                    "eps_lower"):
+        for key in ("gamma_up", "gamma_down") + GAMMA_PRODUCTS:
             assert np.array_equal(getattr(rows, key)[i], getattr(gs, key)), key
         for key in ("g_lower", "g_upper", "det_g"):
             assert np.array_equal(getattr(rows.metric, key)[i],
@@ -126,7 +125,7 @@ def _frame_arrays(frame):
     out = {"coords": frame.coords, "christoffel": frame.christoffel,
            "connection": frame.connection}
     for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
-                "sigma_curved", "eps_upper", "eps_lower"):
+                *GAMMA_PRODUCTS):
         out[f"gammas.{key}"] = getattr(gs, key)
     for key in ("g_lower", "g_upper", "det_g"):
         out[f"gammas.metric.{key}"] = getattr(gs.metric, key)

@@ -18,10 +18,8 @@ from curved_rs.identity_suite import (SAMPLE_DRAWS_PER_POINT, run_suite,
                                       sample_points)
 from curved_rs.spacetimes import COMPONENT_LIMIT, PRESET_DOCUMENTS
 
+from conftest import DOCUMENT_DIR, DOCUMENTS
 from oracles import loop_sample_points, tree_evaluate, tree_guard
-
-DOCUMENT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "documents"
-DOCUMENTS = ("schwarzschild", "frw_dust", "anti_de_sitter")
 
 
 def _config(key):

@@ -3,7 +3,6 @@ the forms that replaced the sigma commutator's four metric einsums and
 2.8b's rank-7 determinant equal their references in ``oracles``."""
 
 import functools
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,32 +14,29 @@ from curved_rs.spacetimes import (PRESET_NAMES, load_preset,
                                   parse_metric_config, spec_from_config)
 from curved_rs.spin_frame import SIGMA_FLAT, GammaSet, build_frame
 
+from conftest import DOCUMENT_DIR, DOCUMENTS, GAMMA_PRODUCTS
 from oracles import four_einsum_sigma_defect, rank7_det_expanded
-
-DOCUMENT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "documents"
-#: the six presets and the benchmark's three metric documents
-SPEC_KEYS = PRESET_NAMES + ("anti_de_sitter.metric", "frw_dust.metric",
-                            "schwarzschild.metric")
-
-#: the products a GammaSet forms on first read
-PRODUCTS = ("sigma_curved", "eps_upper", "eps_lower", "eps_mixed", "pairs",
-            "eps_gamma")
 
 EPS_DETERMINANT = ("eps_determinant_contraction",)
 
 
+#: the six presets and the benchmark's three documents (two of which
+#: share a preset's name)
+SPEC_KEYS = PRESET_NAMES + tuple(f"{name}.metric" for name in DOCUMENTS)
+
+
 def _spec(key):
+    """The spec of a preset name or a ``perfbench/documents`` file name."""
     if key in PRESET_NAMES:
         return load_preset(key)
-    path = DOCUMENT_DIR / key
-    return spec_from_config(parse_metric_config(path.read_text(),
-                                                name=str(path)))
+    text = (DOCUMENT_DIR / key).read_text()
+    return spec_from_config(parse_metric_config(text, name=key))
 
 
 def _count_products(monkeypatch) -> dict:
-    """The GammaSets each of ``PRODUCTS`` is formed on, by name."""
-    formed = {name: [] for name in PRODUCTS}
-    for name in PRODUCTS:
+    """The GammaSets each of ``GAMMA_PRODUCTS`` is formed on, by name."""
+    formed = {name: [] for name in GAMMA_PRODUCTS}
+    for name in GAMMA_PRODUCTS:
         form = GammaSet.__dict__[name].func
 
         def counting(gs, name=name, form=form):
@@ -70,7 +66,8 @@ def test_suite_forms_each_product_once_on_the_context_frame(frw_dust,
     assert run_suite(frw_dust, n_points=20, seed=42).passed
     gs = contexts[0].frame.gammas
     assert {name: [g is gs for g in sets] for name, sets in formed.items()} \
-        == {name: [] if name == "eps_lower" else [True] for name in PRODUCTS}
+        == {name: [] if name == "eps_lower" else [True]
+            for name in GAMMA_PRODUCTS}
 
 
 def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
@@ -90,12 +87,12 @@ def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
     _, err = identity_suite._chk_covariant_constancy(ctx)
     assert err <= identity_suite.TOL_FIRST_ORDER
     assert len(sets) == 8 and all(len(gs.gamma_up) == 20 for gs in sets)
-    assert formed == {name: [] for name in PRODUCTS}
+    assert formed == {name: [] for name in GAMMA_PRODUCTS}
 
 
 def test_flat_sigma_defect_is_the_four_einsum_defect():
-    assert np.array_equal(identity_suite._sigma_commutator_defect(SIGMA_FLAT, ETA),
-                          four_einsum_sigma_defect(SIGMA_FLAT, ETA))
+    defect = identity_suite._sigma_commutator_defect(SIGMA_FLAT, ETA)
+    assert np.array_equal(defect, four_einsum_sigma_defect(SIGMA_FLAT, ETA))
 
 
 @pytest.mark.parametrize("key", SPEC_KEYS)
