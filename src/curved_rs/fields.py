@@ -5,13 +5,15 @@ A sampler wraps a smooth map from chart points to a vector-bispinor
 (a (4,) complex array).  Fixture families are polynomial and trigonometric
 fields with seeded coefficients; a fixed seed gives a bit-identical field.
 
-Every sampler has a jet on rows: ``jet(coords, order)`` returns the values
-and, up to ``order`` (at most 2), their d_mu and d_mu d_nu from one call.
+A sampler is its jet: one callable ``jet(rows_or_frame, order)`` that
+returns, on (n, 4) rows or a Frame's rows, the values and, up to ``order``
+(at most 2), their d_mu and d_mu d_nu.  Values alone (``at``, and
+``__call__`` on one Point) are its order 0, so they form no derivative.
 The closed-form families (polynomials, trigonometric fields and plane
-waves, and so the flat plane-wave solutions) carry an exact one
-(forward-mode differentiation of the closed form), and their value-only
-calls (``at``, ``__call__``) form no derivative; any other sampler's jet
-differences its values over every row's stencil (``numerics.stencil_jet``).
+waves, and so the flat plane-wave solutions) differentiate their closed
+form exactly (forward mode); the gradient field of ``gauge`` takes its
+jet from psi's; the gamma-traceless field has values only.  Nothing here
+takes a finite difference.
 
 A ``FieldStack`` takes the jets of several samplers of one kind together:
 its arrays carry a trailing fixture axis, (n, *shape, F), which the
@@ -23,12 +25,11 @@ arrays are the case without that axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .geometry import ETA, MetricSpec, Point
-from .numerics import stencil_jet
 from .spin_frame import GAMMA_FLAT, Frame, build_frame
 
 VECTOR_BISPINOR = "vector_bispinor"
@@ -37,72 +38,44 @@ BISPINOR = "bispinor"
 _SHAPES = {VECTOR_BISPINOR: (4, 4), BISPINOR: (4,)}
 
 
+def rows_of(coords) -> np.ndarray:
+    """The (n, 4) chart coordinates of rows or of a Frame."""
+    return coords.coords if isinstance(coords, Frame) else np.asarray(
+        coords, dtype=float)
+
+
 @dataclass
 class FieldSampler:
-    """A smooth field; stateless.
+    """A smooth field given by its jet; stateless.
 
-    ``__call__`` samples one Point.  ``at(coords)`` samples many: it takes
-    an (n, 4) array of chart coordinates or a Frame and returns the
-    (n, *shape) complex values, row i being the value at row i.  Samplers
-    with a vectorized ``batch`` (the closed-form families and the package's
-    gradient and gamma-traceless samplers) answer in one call and are
-    handed a Frame as it is; the others call ``fn`` once per row, at Points
-    carrying ``chart_id`` (or the frame's).  Both paths check the returned
-    shape.  ``exact_jet(coords, order)``, given, is the jet that ``jet``
-    returns, on what ``at`` takes.
+    ``jet_fn(rows_or_frame, order)`` returns the tuple that ``jet`` checks
+    and returns.  ``at(coords)`` takes an (n, 4) array of chart
+    coordinates or a Frame and returns the (n, *shape) complex values,
+    row i being the value at row i; ``__call__`` samples one Point.  Both
+    are the jet's order 0.
     """
 
-    fn: Callable[[Point], np.ndarray]
+    jet_fn: Callable[..., tuple]
     kind: str
     name: str = "field"
-    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    exact_jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, x: Point) -> np.ndarray:
-        value = np.asarray(self.fn(x), dtype=complex)
-        self._check(value.shape, _SHAPES[self.kind])
-        return value
+        return self.at(x.coords[None, :])[0]
 
-    def at(self, coords, chart_id: str = "") -> np.ndarray:
-        if isinstance(coords, Frame):
-            rows, chart_id = coords.coords, coords.chart_id
-        else:
-            rows = coords = np.asarray(coords, dtype=float)
-        if self.batch is None:
-            return np.stack([self(Point(c, chart_id)) for c in rows])
-        values = np.asarray(self.batch(coords), dtype=complex)
-        self._check(values.shape, (len(rows),) + _SHAPES[self.kind])
-        return values
+    def at(self, coords) -> np.ndarray:
+        return self.jet(coords, 0)[0]
 
     def jet(self, coords, order=1) -> tuple:
         """(value [n, *shape], d_mu value [n, 4, *shape], d_mu d_nu value
-        [n, 4, 4, *shape]) up to ``order`` on what ``at`` takes: the exact
-        jet, or differences of ``at`` over every row's stencil (for order 2,
-        nested-policy differences of the nested-policy order-1 jet)."""
+        [n, 4, 4, *shape]) up to ``order`` on what ``at`` takes."""
         if order not in (0, 1, 2):
             raise ValueError(f"jet order must be 0, 1 or 2, got {order}")
-        out = (self.exact_jet or self._stencil_jet)(coords, order)
-        n = len(coords.coords if isinstance(coords, Frame) else coords)
+        out = tuple(np.asarray(a, dtype=complex)
+                    for a in self.jet_fn(coords, order))
+        n = len(rows_of(coords))
         for k, a in enumerate(out):
             self._check(a.shape, (n,) + (4,) * k + _SHAPES[self.kind])
         return out
-
-    def _stencil_jet(self, coords, order):
-        framed = isinstance(coords, Frame)
-        chart_id = coords.chart_id if framed else ""
-        coords = coords.coords if framed else np.asarray(coords, dtype=float)
-
-        def at(rows):
-            return self.at(rows, chart_id)
-
-        def first(rows):
-            value, d = stencil_jet(at, rows, nested=True)
-            return np.concatenate([value[:, None], d], axis=1)
-
-        if order < 2:
-            return stencil_jet(at, coords) if order else (at(coords),)
-        values, d = stencil_jet(first, coords, nested=True)
-        return values[:, 0], values[:, 1:], d[:, :, 1:]
 
     def _check(self, got, expected):
         if got != expected:
@@ -135,7 +108,7 @@ class FieldStack:
         return self.members[0].kind
 
     def jet(self, coords, order=1) -> tuple:
-        n = len(coords.coords if isinstance(coords, Frame) else coords)
+        n = len(rows_of(coords))
         shape = _SHAPES[self.kind] + (len(self.members),)
         out = tuple(np.empty((n,) + (4,) * k + shape, dtype=complex)
                     for k in range(order + 1))
@@ -143,24 +116,6 @@ class FieldStack:
             for stacked, a in zip(out, member.jet(coords, order), strict=True):
                 stacked[..., k] = a
         return out
-
-
-def _rows_sampler(batch, kind: str, name: str, exact_jet=None):
-    """A sampler whose batch takes rows or a frame and whose single-point
-    path is that batch on one row."""
-    return FieldSampler(lambda x: batch(x.coords[None, :])[0], kind, name,
-                        batch, exact_jet)
-
-
-def _closed_form(jet, kind: str, name: str) -> FieldSampler:
-    """A sampler with the exact jet ``jet(coords, order)`` of (n, 4) rows,
-    on rows or a frame's coordinates, and its values of order 0."""
-
-    def rows_jet(rows, order):
-        return jet(rows.coords if isinstance(rows, Frame) else rows, order)
-
-    return _rows_sampler(lambda rows: rows_jet(rows, 0)[0], kind, name,
-                         rows_jet)
 
 
 def _box_frame(box):
@@ -203,7 +158,7 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
     matrix = np.concatenate(coeffs)
 
     def jet(coords, order):
-        u = (coords - center) / half
+        u = (rows_of(coords) - center) / half
         n = len(u)
         # [x, 0] the basis, [x, 1 + mu] its d/du_mu
         terms = np.zeros((n, 5 if order else 1, len(matrix)))
@@ -225,7 +180,7 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
                 (out[:, 1:] / half[:, None]).reshape((n, 4) + base),
                 np.broadcast_to(dd, (n,) + dd.shape))[:order + 1]
 
-    return _closed_form(jet, kind, f"poly{degree}[{seed}]")
+    return FieldSampler(jet, kind, f"poly{degree}[{seed}]")
 
 
 def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler:
@@ -240,7 +195,7 @@ def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler
     kk1, kk2 = np.outer(k1, k1), np.outer(k2, k2)
 
     def jet(coords, order):
-        w = coords - center
+        w = rows_of(coords) - center
         p1, p2 = w @ k1, w @ k2
         value = (np.multiply.outer(np.cos(p1), u1)
                  + np.multiply.outer(np.sin(p2), u2))
@@ -253,7 +208,7 @@ def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler
               - np.multiply.outer(np.sin(p2)[:, None, None] * kk2, u2))
         return (value, d, dd)[:order + 1]
 
-    return _closed_form(jet, kind, f"trig[{seed}]")
+    return FieldSampler(jet, kind, f"trig[{seed}]")
 
 
 def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
@@ -262,12 +217,13 @@ def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
     amplitude = np.asarray(amplitude, dtype=complex)
 
     def jet(coords, order):
-        out = [np.multiply.outer(np.exp(1j * (coords @ k)), amplitude)]
+        phase = np.exp(1j * (rows_of(coords) @ k))
+        out = [np.multiply.outer(phase, amplitude)]
         for _ in range(order):  # each d_mu multiplies by i k_mu
             out.append(np.multiply.outer(1j * k, out[-1]).swapaxes(0, 1))
         return tuple(out)
 
-    return _closed_form(jet, kind, "plane_wave")
+    return FieldSampler(jet, kind, "plane_wave")
 
 
 def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler:
@@ -275,19 +231,24 @@ def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler
 
     Projects a seeded polynomial field with the Dirac matrices of the
     MetricSpec ``spec``: Psi_be = L_be - (1/4) gamma_be(x) gamma^s(x) L_s.
+    It has values only: its jet raises ValueError beyond order 0.
     """
     raw = polynomial_field(seed, VECTOR_BISPINOR, box)
+    name = f"traceless[{seed}]"
 
-    def batch(rows):
-        coords = rows.coords if isinstance(rows, Frame) else rows
-        lam = raw.at(coords, spec.chart_id)
+    def jet(rows, order):
+        if order:
+            raise ValueError(f"sampler '{name}' has values only, "
+                             f"no jet of order {order}")
+        coords = rows_of(rows)
+        lam = raw.at(coords)
         # projected with its own Dirac matrices, never those of a caller's
         # frame, so that an operator checked on it is not checked by itself
         gs = build_frame(spec, coords).gammas
         trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
-        return lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace)
+        return (lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace),)
 
-    return _rows_sampler(batch, VECTOR_BISPINOR, f"traceless[{seed}]")
+    return FieldSampler(jet, VECTOR_BISPINOR, name)
 
 
 def fixture_family(seed: int, count: int, kind: str = VECTOR_BISPINOR,

@@ -13,11 +13,13 @@ which refit it) and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
 fail by exactly the predicted amount.  Functions that evaluate take a
-Frame and return one row per frame row, like those of ``rs_operator``;
-``gradient_sampler`` is the one place where raw rows become a frame.  The
-gradient field's jet is D_nu psi with d_mu D_nu psi, from psi's
-second-order jet and the frame's exact connection derivative, on the
-frame's own rows, and the massless residual takes D_mu of it there.
+Frame and return one row per frame row, like those of ``rs_operator``.
+The gradient field is a sampler like any other, given by its jet alone:
+D_nu psi with d_mu D_nu psi, from psi's second-order jet and the frame's
+exact connection derivative, on a frame's own rows (raw rows, and the
+one row of a Point, become a frame there, the one place in this module
+where they do), and the massless residual takes D_mu of it there.  No
+finite difference is taken.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ C0 = 0.5
 
 
 def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
-    """The gradient field as a sampler: ``covariant_derivative`` of psi on a
-    Frame or on the frame it builds of raw rows, all rows in one call, and
-    to first order (``jet``) of psi's second-order jet there."""
+    """The gradient field as a sampler: its jet is ``covariant_derivative``
+    of psi to one order more, on a Frame or on the frame it builds of raw
+    rows, all rows in one call; it goes to first order."""
 
     def jet(rows, order):
         if order > 1:
@@ -46,10 +48,7 @@ def gradient_sampler(psi: FieldSampler, spec: MetricSpec) -> FieldSampler:
         out = covariant_derivative(psi, frame, order + 1)
         return out if order else (out,)
 
-    return FieldSampler(
-        lambda x: jet(build_frame(spec, [x.coords], x.chart_id), 0)[0][0],
-        VECTOR_BISPINOR, name=f"gradient({psi.name})",
-        batch=lambda rows: jet(rows, 0)[0], exact_jet=jet)
+    return FieldSampler(jet, VECTOR_BISPINOR, name=f"gradient({psi.name})")
 
 
 def _massless(field: FieldSampler, frame: Frame):

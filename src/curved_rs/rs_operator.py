@@ -13,9 +13,8 @@ a + b + 4ab = 0) bring the operator to a closed form built from the
 antisymmetric tensor; both routes are implemented and compared by tests.
 
 A field is sampled only through ``covariant_rows``, which gives D_nu Psi
-and Psi on a frame's rows from the field's jet (``fields``: exact for the
-closed-form families, stencil differences for any other sampler), and
-``covariant_jet``, which adds d_mu D_nu Psi exactly, from the field's
+and Psi on a frame's rows from the field's first-order jet (``fields``),
+and ``covariant_jet``, which adds d_mu D_nu Psi exactly, from the field's
 second-order jet and the frame's connection derivatives.  Every side of an
 identity is a function of those rows and returns one row per frame row.  A field may be a
 ``fields.FieldStack``: its values, and everything computed from them, then

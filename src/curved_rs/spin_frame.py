@@ -39,7 +39,6 @@ from .geometry import (
     curvature,
     eval_metric,
     levi_civita,
-    metric_derivatives,
     metric_jet,
 )
 from .numerics import PAIRWISE, read_only
@@ -226,11 +225,10 @@ class Frame(MetricJet):
         return connection_derivative(self)
 
 
-def build_frame(spec: MetricSpec, coords, chart_id: str = None) -> Frame:
-    """The frame of an (n, 4) array of chart coordinates (of the spec's
-    chart unless ``chart_id`` says otherwise)."""
-    return Frame(spec, as_rows(coords),
-                 spec.chart_id if chart_id is None else chart_id)
+def build_frame(spec: MetricSpec, coords) -> Frame:
+    """The frame of an (n, 4) array of chart coordinates of the spec's
+    chart."""
+    return Frame(spec, as_rows(coords), spec.chart_id)
 
 
 def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,
@@ -243,47 +241,41 @@ def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,
     return curved_gammas(build_tetrad(m), m, flat)
 
 
-def _tetrad_derivatives(tet: Tetrad, dg: np.ndarray) -> np.ndarray:
-    """d_mu e^(a)_al, indexed [mu, a, al], of the diagonal tetrad: the chain
-    rule on sqrt(eta_aa g_aa) with the exact metric derivatives dg."""
-    d = np.diagonal(dg, axis1=-2, axis2=-1)
-    e = np.diagonal(tet.e_lower, axis1=-2, axis2=-1)[..., None, :]
-    return (np.diag(ETA) * d / (2.0 * e))[..., :, :, None] * np.eye(4)
-
-
-def spin_connection(spec: MetricSpec, x) -> np.ndarray:
-    """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu), indexed
-    [al, i, j], at a Point or on rows (read-only)."""
-    jet = metric_jet(spec, x)
-    tet = build_tetrad(eval_metric(spec, jet))
-    de = _tetrad_derivatives(tet, metric_derivatives(spec, jet))
-    gam = christoffel(spec, jet)
-    # frame indices lowered with eta: E[b, nu] = eta_bc e^(c)_nu
-    e_dn = ETA @ tet.e_lower
-    de_dn = np.einsum("ba,...mac->...mbc", ETA, de)
-    # omega[al, a, b] = e_(a)^nu (d_al E[b,nu] - Gamma^l_{al nu} E[b,l])
-    nabla_e = de_dn - np.einsum("...lan,...bl->...abn", gam, e_dn)
-    omega = np.einsum("...an,...mbn->...mab", tet.e_upper, nabla_e)
-    # sigma^{ab} omega_{al ab} as one (..., 16) @ (16, 16) matmul over (a, b)
+def _sigma_contraction(omega) -> np.ndarray:
+    """1/2 sigma^{ab} omega_{..., al ab}, indexed [..., al, i, j], as one
+    (..., 16) @ (16, 16) matmul over (a, b) (read-only)."""
     conn = omega.reshape(omega.shape[:-2] + (16,)) @ _SIGMA_MATRIX
     return read_only(0.5 * conn.reshape(conn.shape[:-1] + (4, 4)))
 
 
+def spin_connection(spec: MetricSpec, x) -> np.ndarray:
+    """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu), indexed
+    [al, i, j], at a Point or on rows (read-only).  For the diagonal tetrad
+    d_al e^(b)_nu is diagonal in (b, nu), so its term in omega_{al ab} is
+    diagonal in (a, b), which sigma^{ab} annihilates: the connection is
+    -1/2 sigma^{ab} e_(a)^n Gamma^l_{al n} eta_bc e^(c)_l."""
+    jet = metric_jet(spec, x)
+    tet = build_tetrad(eval_metric(spec, jet))
+    # [al, b, n] = Gamma^l_{al n} eta_bc e^(c)_l
+    ge = np.einsum("...lkn,...bl->...kbn", christoffel(spec, jet),
+                   ETA @ tet.e_lower)
+    # omega[al, a, b] = -e_(a)^n Gamma^l_{al n} eta_bc e^(c)_l
+    return _sigma_contraction(
+        -np.einsum("...an,...kbn->...kab", tet.e_upper, ge))
+
+
 def connection_derivative(frame: Frame) -> np.ndarray:
     """d_mu Gamma_al, indexed [x, mu, al, i, j], on a frame's rows
-    (read-only): ``spin_connection`` differentiated through omega with the
-    curvature's exact d_mu Gamma^s_ab.  For the diagonal tetrad the
-    tetrad's derivatives drop out of sigma^{ab} d_mu omega_{al ab} (they
-    are diagonal in (a, b) or cancel between (a, b) and (b, a)), leaving
-    -1/2 sigma^{ab} e_(a)^n (d_mu Gamma^l_{al n}) eta_bc e^(c)_l."""
+    (read-only): ``spin_connection``'s sigma contraction of the
+    curvature's exact d_mu Gamma^l_{al n}.  The tetrad's derivatives drop
+    out of it (they carry d_mu(e_b / e_a), whose parts cancel between
+    (a, b) and (b, a))."""
     tet = frame.gammas.tetrad
     # [x, a, mu, l, al] = e_(a)^n d_mu Gamma^l_{al n}
     dgam = np.einsum("xan,xmlkn->xamlk", tet.e_upper,
                      frame.curvature.dchristoffel, optimize=PAIRWISE)
-    domega = -np.einsum("xamlk,xbl->xmkab", dgam, ETA @ tet.e_lower,
-                        optimize=PAIRWISE)
-    dconn = domega.reshape(domega.shape[:-2] + (16,)) @ _SIGMA_MATRIX
-    return read_only(0.5 * dconn.reshape(dconn.shape[:-1] + (4, 4)))
+    return _sigma_contraction(-np.einsum(
+        "xamlk,xbl->xmkab", dgam, ETA @ tet.e_lower, optimize=PAIRWISE))
 
 
 def gamma_derivatives(frame: Frame):

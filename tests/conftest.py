@@ -62,7 +62,7 @@ def points_of(spec, n=5, seed=1234):
 def frame_at(spec, x):
     """The one-row frame of a Point, which the operator layer evaluates a
     single point on."""
-    return build_frame(spec, x.coords[None, :], x.chart_id)
+    return build_frame(spec, x.coords[None, :])
 
 
 def first_constraint(fld, frame, mass):

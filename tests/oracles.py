@@ -16,10 +16,21 @@ references for the sigma commutator defect and for 2.8b's determinant
 expansion: each metric term formed by its own einsum, and the determinant
 as a rank-7 tensor contracted with Riemann.
 
+``omega_spin_connection`` is the connection's former form, which also
+carries the diagonal tetrad's derivatives through omega, where sigma^{ab}
+annihilates them.
+
+``stencil_sampler`` makes a sampler of any function of rows by
+differencing its values: one central level at ``STEP_FIRST`` for the
+first-order jet, and for the second-order jet Richardson differences
+(``richardson``: levels at ``fd_step(x, STEP_OUTER)`` and its half) of
+the Richardson first-order jet.  It is the reference for the exact jets
+and the jet of every sampler a test builds by hand.
+
 The rest are helpers only tests call: ``constant_field`` (a sampler
-without an exact jet, so its derivatives take the stencil adapter),
-``fit_prediction_constant`` (the fit that calibrated ``gauge.C0``),
-``unitary_transform_gammas`` and ``check_smoothness``.
+whose jet is the stencil adapter's), ``fit_prediction_constant`` (the fit
+that calibrated ``gauge.C0``), ``unitary_transform_gammas`` and
+``check_smoothness``.
 """
 
 
@@ -28,12 +39,13 @@ import sympy as sp
 
 from curved_rs.errors import ConfigError, CurvedRSError, EvalError
 from curved_rs.exprparse import CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num, Var
-from curved_rs.fields import VECTOR_BISPINOR, FieldSampler
+from curved_rs.fields import VECTOR_BISPINOR, FieldSampler, rows_of
 from curved_rs.gauge import (einstein_prediction, gradient_sampler,
                              massless_residual)
-from curved_rs.geometry import Point
+from curved_rs.geometry import (ETA, Point, christoffel, eval_metric,
+                                metric_derivatives, metric_jet)
 from curved_rs.numerics import PAIRWISE, STEP_FIRST, fd_step
-from curved_rs.spin_frame import GAMMA_FLAT, Frame
+from curved_rs.spin_frame import GAMMA_FLAT, SIGMA_FLAT, Frame, build_tetrad
 
 
 def symbolic_metric(name, **params):
@@ -193,15 +205,64 @@ def tree_guard(cfg, coords, limit: float) -> bool:
         return False
 
 
+#: the larger of the two Richardson levels, which keeps the noise of the
+#: inner difference of a second derivative from being amplified
+STEP_OUTER = 1e-4
+
+
+def central_difference(f, rows, h):
+    """d_mu f [n, mu, ...] on (n, 4) rows by central differences with the
+    steps ``h`` (n, 4), from one call of the function ``f`` of rows on the
+    8 shifted rows of every row."""
+    shifts = h[:, None, :] * np.eye(4)
+    points = np.stack([rows[:, None] + shifts, rows[:, None] - shifts], 1)
+    values = np.asarray(f(points.reshape(-1, 4)))
+    values = values.reshape((len(rows), 2, 4) + values.shape[1:])
+    step = (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 3))
+    return (values[:, 0] - values[:, 1]) / step
+
+
+def richardson(f, rows):
+    """(Richardson d_mu f, |d_h - d_h/2|) on rows: the central differences
+    at h = ``fd_step(x, STEP_OUTER)`` and h/2, extrapolated, and the gap
+    between the two levels."""
+    h = fd_step(rows, STEP_OUTER)
+    d_h, d_h2 = central_difference(f, rows, h), central_difference(f, rows,
+                                                                  h / 2)
+    return (4.0 * d_h2 - d_h) / 3.0, np.abs(d_h - d_h2)
+
+
+def stencil_sampler(values, kind: str = VECTOR_BISPINOR,
+                    name: str = "stencil") -> FieldSampler:
+    """A sampler of ``values``, a function of (n, 4) rows returning the
+    (n, *shape) values, whose jet differences them: d_mu at
+    ``fd_step(x, STEP_FIRST)`` to first order; to second order the
+    Richardson d_mu of the value and of its Richardson d_nu."""
+
+    def first(rows):
+        value = np.asarray(values(rows), dtype=complex)
+        return np.concatenate([value[:, None], richardson(values, rows)[0]],
+                              axis=1)
+
+    def jet(coords, order):
+        rows = rows_of(coords)
+        if order == 0:
+            return (values(rows),)
+        if order == 1:
+            return values(rows), central_difference(
+                values, rows, fd_step(rows, STEP_FIRST))
+        both, dd = first(rows), richardson(first, rows)[0]
+        return both[:, 0], both[:, 1:], dd[:, :, 1:]
+
+    return FieldSampler(jet, kind, name)
+
+
 def constant_field(values, kind: str = VECTOR_BISPINOR) -> FieldSampler:
-    """A constant sampler with no exact jet."""
+    """A constant sampler, differenced by the stencil adapter."""
     values = np.asarray(values, dtype=complex)
-
-    def batch(rows):
-        n = len(rows.coords if isinstance(rows, Frame) else rows)
-        return np.repeat(values[None], n, axis=0)
-
-    return FieldSampler(lambda x: values.copy(), kind, "constant", batch)
+    return stencil_sampler(
+        lambda rows: np.repeat(values[None], len(rows), axis=0), kind,
+        "constant")
 
 
 class FitDegenerate(CurvedRSError):
@@ -252,6 +313,28 @@ def rank7_det_expanded(frame: Frame) -> np.ndarray:
     )
     return np.einsum("xabns,xrnsabt->xrt", frame.curvature.riemann_lower,
                      det)
+
+
+def omega_spin_connection(spec, x) -> np.ndarray:
+    """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu), indexed
+    [..., al, i, j], at a Point or on rows, with omega_{al ab} =
+    e_(a)^nu (d_al E[b, nu] - Gamma^l_{al nu} E[b, l]) written out, the
+    tetrad's derivatives from the exact metric derivatives."""
+    jet = metric_jet(spec, x)
+    tet = build_tetrad(eval_metric(spec, jet))
+    # d_mu e^(a)_al of the diagonal tetrad: the chain rule on
+    # sqrt(eta_aa g_aa), indexed [..., mu, a, al]
+    d = np.diagonal(metric_derivatives(spec, jet), axis1=-2, axis2=-1)
+    e = np.diagonal(tet.e_lower, axis1=-2, axis2=-1)[..., None, :]
+    de = (np.diag(ETA) * d / (2.0 * e))[..., :, :, None] * np.eye(4)
+    # frame indices lowered with eta: E[b, nu] = eta_bc e^(c)_nu
+    e_dn = ETA @ tet.e_lower
+    de_dn = np.einsum("ba,...mac->...mbc", ETA, de)
+    nabla_e = de_dn - np.einsum("...lan,...bl->...abn",
+                                christoffel(spec, jet), e_dn)
+    omega = np.einsum("...an,...mbn->...mab", tet.e_upper, nabla_e)
+    conn = omega.reshape(omega.shape[:-2] + (16,)) @ SIGMA_FLAT.reshape(16, 16)
+    return 0.5 * conn.reshape(conn.shape[:-1] + (4, 4))
 
 
 def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:

@@ -39,6 +39,7 @@ from curved_rs.spin_frame import (
 )
 
 from conftest import GAMMA_PRODUCTS, first_constraint, frame_at, points_of
+from oracles import omega_spin_connection, stencil_sampler
 
 MASS = MassParam(1.0)
 
@@ -49,12 +50,8 @@ def _rows(spec, n=3):
 def _rows_sampler(spec, fn, kind, name):
     """A sampler whose rows all go through one call of ``fn`` on their
     frame; a Point is a one-row frame."""
-
-    def batch(rows):
-        return fn(build_frame(spec, rows))
-
-    return FieldSampler(lambda x: fn(frame_at(spec, x))[0], kind, name=name,
-                        batch=batch)
+    return stencil_sampler(lambda rows: fn(build_frame(spec, rows)), kind,
+                           name)
 
 
 def _wrapped_samplers(spec):
@@ -79,8 +76,7 @@ def test_batch_equals_row_loop(name):
     spec = load_preset(name)
     coords = _rows(spec)
     for label, sampler in _wrapped_samplers(spec).items():
-        assert sampler.batch is not None, label
-        batch = sampler.at(coords, spec.chart_id)
+        batch = sampler.at(coords)
         loop = np.stack([sampler(Point(c, spec.chart_id)) for c in coords])
         assert batch.shape == loop.shape, label
         assert np.max(np.abs(batch - loop)) <= 1e-13 * np.max(np.abs(loop)), label
@@ -161,7 +157,7 @@ def test_one_row_outside_the_domain_raises(schwarzschild):
     samplers = _wrapped_samplers(schwarzschild)
     for label, sampler in samplers.items():
         with pytest.raises(OutOfDomain):
-            sampler.at(coords, schwarzschild.chart_id)
+            sampler.at(coords)
     frame = build_frame(schwarzschild, coords)
     with pytest.raises(OutOfDomain):
         rso.covariant_derivative(trig_field(3), frame)
@@ -206,7 +202,7 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
 
 def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
     """``partial4`` on (n, 4) rows with one step per row equals the
-    one-point ``partial4`` of each row, under both step policies."""
+    one-point ``partial4`` of each row."""
     coords = _rows(schwarzschild, 4)
 
     def gamma_up(x):
@@ -216,13 +212,12 @@ def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
         return gamma_up(Point(c, schwarzschild.chart_id))
 
     for mu in range(4):
-        for nested in (False, True):
-            rows = numerics.partial4(gamma_up, coords, mu, nested)
-            assert rows.shape == (4, 4, 4, 4)
-            for i, c in enumerate(coords):
-                one = numerics.partial4(at_point, c, mu, nested)
-                assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
-                    1.0, np.max(np.abs(one)))
+        rows = numerics.partial4(gamma_up, coords, mu)
+        assert rows.shape == (4, 4, 4, 4)
+        for i, c in enumerate(coords):
+            one = numerics.partial4(at_point, c, mu)
+            assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
+                1.0, np.max(np.abs(one)))
 
 
 def test_rows_must_be_n_by_4(schwarzschild):
@@ -377,24 +372,22 @@ def test_scaled_connection_derivative_fails_the_commutator_curvature(
         assert not any(_verdicts(load_preset(name), check).values()), name
 
 
-def test_scaled_tetrad_derivatives_are_an_equivalent_mutant(schwarzschild,
-                                                           monkeypatch):
-    """The tetrad's first derivatives scaled by 1 + 1e-6 where the
-    connection reads them move neither the connection nor its derivative,
-    so no gate can see them.  For the diagonal tetrad, d_mu e^(a)_al enters
-    omega_{al ab} only on the diagonal a = b, which sigma^{ab} annihilates,
-    and d_mu of the rest carries them only through d_mu(e_b / e_a), whose
-    parts cancel between (a, b) and (b, a), so ``connection_derivative``
-    does not read them."""
-    rows = _rows(schwarzschild, 4)
-    before = build_frame(schwarzschild, rows)
-    original = spin_frame._tetrad_derivatives
-    monkeypatch.setattr(spin_frame, "_tetrad_derivatives",
-                        lambda tet, dg: original(tet, dg) * (1.0 + 1e-6))
-    after = build_frame(schwarzschild, rows)
-    for name in ("connection", "dconnection"):
-        a, b = getattr(before, name), getattr(after, name)
-        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a)), name
+def test_connection_is_the_omega_form_bit_for_bit():
+    """The connection from the Christoffel term alone equals the former
+    form, which also carried the tetrad's derivatives through omega
+    (``oracles.omega_spin_connection``), bit for bit, on every preset, on
+    20 rows and at single Points, for five seeds: for the diagonal tetrad
+    that term is diagonal in (a, b), which sigma^{ab} annihilates."""
+    for name in PRESET_NAMES:
+        spec = load_preset(name)
+        for seed in range(1, 6):
+            points = points_of(spec, 20, seed=seed)
+            rows = np.stack([x.coords for x in points])
+            assert np.array_equal(spin_connection(spec, rows),
+                                  omega_spin_connection(spec, rows)), name
+            for x in points[:2]:
+                assert np.array_equal(spin_connection(spec, x),
+                                      omega_spin_connection(spec, x)), name
 
 
 def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
@@ -555,15 +548,16 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
 
 
 def _patch_closed_form_jets(monkeypatch, mutate):
-    """Every closed-form sampler built from now on returns its exact jet
-    through ``mutate(out, order)``."""
-    original = fields._closed_form
+    """Every closed-form sampler built from now on (each family builds
+    its ``FieldSampler`` in ``fields``) returns its exact jet through
+    ``mutate(out, order)``."""
+    original = fields.FieldSampler
 
     def mutated(jet, kind, name):
         return original(lambda coords, order: mutate(jet(coords, order), order),
                         kind, name)
 
-    monkeypatch.setattr(fields, "_closed_form", mutated)
+    monkeypatch.setattr(fields, "FieldSampler", mutated)
 
 
 #: the nested checks that read the fixtures' second-order jets
@@ -696,8 +690,8 @@ def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
     assert all(_verdicts(schwarzschild, check).values())
     original = fields.build_frame
 
-    def scaled_leg(spec, coords, chart_id=None):
-        gs = original(spec, coords, chart_id).gammas
+    def scaled_leg(spec, coords):
+        gs = original(spec, coords).gammas
         e_upper = gs.tetrad.e_upper.copy()
         e_upper[:, 1] *= 1.0 + 1e-3
         return types.SimpleNamespace(gammas=spin_frame.curved_gammas(
@@ -914,8 +908,8 @@ def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
     sizes = []
     original_build = spin_frame.build_frame
 
-    def recording(spec, coords, chart_id=None):
-        frame = original_build(spec, coords, chart_id)
+    def recording(spec, coords):
+        frame = original_build(spec, coords)
         sizes.append(len(frame.coords))
         return frame
 

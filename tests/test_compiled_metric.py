@@ -22,12 +22,24 @@ from conftest import DOCUMENT_DIR, DOCUMENTS
 from oracles import loop_sample_points, tree_evaluate, tree_guard
 
 
+#: the six presets and the benchmark's three documents, the documents by
+#: file name (two share a preset's name, and differ from its text)
+SPEC_KEYS = spacetimes.PRESET_NAMES + tuple(f"{name}.metric"
+                                            for name in DOCUMENTS)
+#: the test ids of SPEC_KEYS: a name that a preset and a document share
+#: carries 0 for the preset and 1 for the document
+SPEC_IDS = [key.removesuffix(".metric") for key in SPEC_KEYS]
+SPEC_IDS = [key + str(int(key != full)) if SPEC_IDS.count(key) > 1 else key
+            for key, full in zip(SPEC_IDS, SPEC_KEYS)]
+
+
 def _config(key):
-    """(config, spec) of a preset name or a ``perfbench/documents`` key."""
+    """(config, spec) of a preset name or a ``perfbench/documents`` file
+    name."""
     if key in PRESET_DOCUMENTS:
         cfg = spacetimes.parse_metric_config(PRESET_DOCUMENTS[key], name=key)
         return cfg, spacetimes.load_preset(key)
-    text = (DOCUMENT_DIR / f"{key}.metric").read_text()
+    text = (DOCUMENT_DIR / key).read_text()
     cfg = spacetimes.parse_metric_config(text, name=key)
     return cfg, spacetimes.spec_from_config(cfg)
 
@@ -47,7 +59,18 @@ def _tree_order(cfg, rows, k) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("key", spacetimes.PRESET_NAMES + DOCUMENTS)
+def test_spec_keys_load_every_document():
+    """Each of the three documents is read from its file: none is a
+    preset's text under the document's name."""
+    for key in SPEC_KEYS[len(spacetimes.PRESET_NAMES):]:
+        cfg, spec = _config(key)
+        text = (DOCUMENT_DIR / key).read_text()
+        assert cfg == spacetimes.parse_metric_config(text, name=key), key
+        assert text not in PRESET_DOCUMENTS.values(), key
+        assert spec.chart_id.startswith("config:"), key
+
+
+@pytest.mark.parametrize("key", SPEC_KEYS, ids=SPEC_IDS)
 def test_rows_equal_each_row_alone_bit_for_bit(key):
     """n rows at once give each row's values alone and the tree walk's,
     to the bit, for the guard and every order."""

@@ -15,14 +15,14 @@ from curved_rs.fields import (
     trig_field,
 )
 from curved_rs.geometry import Point
-from curved_rs.numerics import (STEP_OUTER, differences, fd_step, stencil,
-                                stencil_jet)
+from curved_rs.numerics import STEP_FIRST, fd_step
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from curved_rs.spin_frame import (GAMMA_FLAT, build_frame, gamma_derivatives,
                                   gamma_set_at)
 
 from conftest import points_of
-from oracles import check_smoothness, constant_field
+from oracles import (STEP_OUTER, central_difference, check_smoothness,
+                     constant_field, richardson, stencil_sampler)
 
 
 def pt(*coords):
@@ -31,7 +31,7 @@ def pt(*coords):
 
 class TestSamplers:
     def test_shape_enforcement(self):
-        bad = FieldSampler(lambda p: np.zeros(3), BISPINOR)
+        bad = stencil_sampler(lambda rows: np.zeros((len(rows), 3)), BISPINOR)
         with pytest.raises(ValueError):
             bad(pt(0, 0, 0, 0))
 
@@ -77,7 +77,6 @@ class TestBatchSampling:
     @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
     def test_at_matches_stacked_calls(self, kind):
         for f in _closed_form_fields(kind):
-            assert f.batch is not None
             batch = f.at(self.COORDS)
             rows = np.stack([f(pt(*c)) for c in self.COORDS])
             assert batch.shape == (len(self.COORDS),) + f.shape()
@@ -106,24 +105,29 @@ class TestBatchSampling:
             assert np.max(np.abs(f(pt(*c)) - want)) <= 1e-13 * np.max(
                 np.abs(want))
 
-    def test_row_loop_for_point_samplers(self):
+    def test_values_are_the_jets_order_zero_in_one_call(self):
+        """``at`` and ``__call__`` are one order-0 call of the jet, on
+        all rows, or on a Point's one row."""
         seen = []
 
-        def fn(p):
-            seen.append(p.chart_id)
-            return np.full(4, p.coords.sum(), dtype=complex)
+        def jet(rows, order):
+            seen.append((np.shape(rows), order))
+            return (np.repeat(rows.sum(axis=1)[:, None], 4, axis=1),)
 
-        f = FieldSampler(fn, BISPINOR)
-        values = f.at(self.COORDS, "chart")
+        f = FieldSampler(jet, BISPINOR)
+        values = f.at(self.COORDS)
         assert values.shape == (len(self.COORDS), 4)
+        assert values.dtype == complex
         assert np.array_equal(values[:, 0], self.COORDS.sum(axis=1))
-        assert seen == ["chart"] * len(self.COORDS)
+        assert np.array_equal(f(pt(*self.COORDS[2])), values[2])
+        assert seen == [((len(self.COORDS), 4), 0), ((1, 4), 0)]
 
     def test_at_shape_enforcement(self):
-        bad_batch = FieldSampler(lambda p: np.zeros(4), BISPINOR,
-                                 batch=lambda c: np.zeros((len(c), 3)))
-        bad_rows = FieldSampler(lambda p: np.zeros(3), BISPINOR)
-        for bad in (bad_batch, bad_rows):
+        bad_shape = FieldSampler(
+            lambda rows, order: (np.zeros((len(rows), 3)),), BISPINOR)
+        bad_rows = FieldSampler(
+            lambda rows, order: (np.zeros((len(rows) + 1, 4)),), BISPINOR)
+        for bad in (bad_shape, bad_rows):
             with pytest.raises(ValueError):
                 bad.at(self.COORDS)
 
@@ -137,11 +141,11 @@ class TestSmoothness:
 
     def test_kinked_field_rejected(self):
         # x0 |x0| is C1 only: the convergence ratio at the kink is ~2
-        def kink(p):
-            v = p.coords[0] * abs(p.coords[0])
-            return np.full(4, v, dtype=complex)
+        def kink(rows):
+            v = rows[:, 0] * np.abs(rows[:, 0])
+            return np.repeat(v[:, None], 4, axis=1)
 
-        f = FieldSampler(kink, BISPINOR, name="kink")
+        f = stencil_sampler(kink, BISPINOR, name="kink")
         with pytest.raises(ValueError):
             check_smoothness(f, [pt(0.0, 0.2, 0.3, 0.1)])
 
@@ -163,6 +167,18 @@ class TestConstrainedFields:
         trace = np.einsum("bij,bj->i", gs.gamma_up, f(x))
         assert np.max(np.abs(trace)) < 1e-12 * np.max(np.abs(f(x)))
 
+    def test_traceless_jet_has_values_only(self, schwarzschild):
+        """The gamma-traceless field's jet of order 0 is its values, bit
+        for bit; any higher order raises a ValueError naming the field."""
+        f = gamma_traceless_field(12, schwarzschild,
+                                  box=schwarzschild.sample_box)
+        rows = np.stack([p.coords for p in points_of(schwarzschild, 4)])
+        (value,) = f.jet(rows, 0)
+        assert np.array_equal(value, f.at(rows))
+        for order in (1, 2):
+            with pytest.raises(ValueError, match=r"traceless\[12\]"):
+                f.jet(rows, order)
+
     def test_constant_field(self):
         f = constant_field(np.ones((4, 4)))
         assert np.array_equal(f(pt(0, 0, 0, 0)), f(pt(9, 9, 9, 9)))
@@ -172,24 +188,11 @@ class TestExactJets:
     """Finite differences referee the exact jets of the closed forms."""
 
     @staticmethod
-    def richardson(f, rows):
-        """The stencil adapter's Richardson derivative of the function ``f``
-        of rows, and its gap: |d_h - d_h/2| of the two levels it
-        extrapolates."""
-        points, steps = stencil(rows, nested=True)
-        values = f(points.reshape(-1, 4))
-        values = values.reshape(points.shape[:2] + values.shape[1:])
-        _, d_h = differences(values[:, :9], steps[:, :1])
-        _, d_h2 = differences(np.concatenate([values[:, :1], values[:, 9:]],
-                                             axis=1), steps[:, 1:])
-        return stencil_jet(f, rows, nested=True)[1], np.abs(d_h - d_h2)
-
-    @classmethod
-    def assert_refereed(cls, exact, f, rows, label):
+    def assert_refereed(exact, f, rows, label):
         """``exact`` (d_mu of ``f`` on rows) equals the Richardson
         derivative within the Richardson gap, up to the roundoff of a
         difference quotient (64 eps |f| / h)."""
-        rich, gap = cls.richardson(f, rows)
+        rich, gap = richardson(f, rows)
         n = len(rows)
         h = np.min(fd_step(rows, STEP_OUTER) / 2, axis=1)
         err = np.max(np.abs(exact - rich).reshape(n, -1), axis=1)
@@ -287,21 +290,23 @@ class TestExactJets:
                                      exact["connection"][1], rows, "scaled")
 
     def test_a_sampler_without_a_closed_form_takes_the_adapter(self):
-        """A sampler with no exact jet differences its values: to first
-        order the stencil adapter under the plain step policy; to second
-        order the nested-policy differences of its nested-policy
-        first-order jet, whose value and d_mu it keeps."""
+        """A sampler built on values alone (``oracles.stencil_sampler``)
+        differences them: to first order one central level at
+        ``STEP_FIRST``; to second order the Richardson differences of its
+        Richardson first-order jet, whose value and d_mu it keeps."""
         f = trig_field(10, BISPINOR)
-        plain = FieldSampler(f.fn, BISPINOR, "plain", f.batch)
+        plain = stencil_sampler(f.at, BISPINOR, "plain")
         rows = TestBatchSampling.COORDS
         assert np.array_equal(plain.jet(rows, 0)[0], f.at(rows))
-        for nested in (False, True):
-            got = plain.jet(rows, 2 if nested else 1)
-            want = stencil_jet(f.at, rows, nested)
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-            assert np.max(np.abs(got[1] - f.jet(rows)[1])) < 1e-6
-        dd = plain.jet(rows, 2)[2]
-        assert np.max(np.abs(dd - f.jet(rows, 2)[2])) < 1e-5
+        got = plain.jet(rows, 1)
+        assert np.array_equal(got[0], f.at(rows))
+        assert np.array_equal(
+            got[1], central_difference(f.at, rows, fd_step(rows, STEP_FIRST)))
+        assert np.max(np.abs(got[1] - f.jet(rows)[1])) < 1e-6
+        got = plain.jet(rows, 2)
+        assert np.array_equal(got[0], f.at(rows))
+        assert np.array_equal(got[1], richardson(f.at, rows)[0])
+        assert np.max(np.abs(got[1] - f.jet(rows)[1])) < 1e-6
+        assert np.max(np.abs(got[2] - f.jet(rows, 2)[2])) < 1e-5
         with pytest.raises(ValueError, match="order"):
             plain.jet(rows, 3)

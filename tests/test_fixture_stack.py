@@ -10,13 +10,14 @@ from curved_rs import rs_operator as rso
 from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
-    FieldSampler,
     FieldStack,
     polynomial_field,
     trig_field,
 )
 from curved_rs.identity_suite import build_context
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
+
+from oracles import stencil_sampler
 
 #: how far a fixture of the stack may lie from it alone, relative to the
 #: larger side (or, for 1.7, whose sides nearly cancel, the fixture's
@@ -114,21 +115,21 @@ def test_a_stack_holds_one_kind(schwarzschild):
 
 
 def _scaled(fld, factor):
-    return FieldSampler(fld.fn, fld.kind, f"scaled({fld.name})",
-                        lambda rows: factor * fld.at(rows))
+    return stencil_sampler(lambda rows: factor * fld.at(rows), fld.kind,
+                           f"scaled({fld.name})")
 
 
 def _noisy(fld, rel):
     """``fld`` with relative noise of size ``rel`` on every value: not
-    smooth, so the nested differences of its second-order stencil jet
+    smooth, so the Richardson differences of its second-order stencil jet
     amplify the noise by 1/h^2."""
     rng = np.random.default_rng(0)
 
-    def batch(rows):
+    def values(rows):
         values = fld.at(rows)
         return values * (1.0 + rel * rng.standard_normal(values.shape))
 
-    return FieldSampler(fld.fn, fld.kind, f"noisy({fld.name})", batch)
+    return stencil_sampler(values, fld.kind, f"noisy({fld.name})")
 
 
 @pytest.mark.parametrize("check", ["eq_1_7_derivative_chain",

@@ -6,7 +6,6 @@ import pytest
 
 from curved_rs.fields import (
     BISPINOR,
-    FieldSampler,
     plane_wave,
     polynomial_field,
     trig_field,
@@ -22,13 +21,14 @@ from curved_rs.gauge import (
 from curved_rs.geometry import curvature, eval_metric
 from curved_rs.rs_operator import (covariant_derivative, covariant_jet,
                                    covariant_rows)
-from curved_rs.spin_frame import gamma_set_at, spin_connection
+from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
 from conftest import frame_at, points_of
 from oracles import (
     FitDegenerate,
     constant_field,
     fit_prediction_constant,
+    stencil_sampler,
     unitary_transform_gammas,
 )
 
@@ -89,8 +89,9 @@ class TestMasslessResidual:
         psis = [trig_field(s, kind=BISPINOR, box=schwarzschild.sample_box)
                 for s in (41, 42)]
         c1, c2 = 0.7 - 0.2j, -1.3 + 0.4j
-        combo = FieldSampler(
-            lambda p: c1 * psis[0](p) + c2 * psis[1](p), BISPINOR)
+        combo = stencil_sampler(
+            lambda rows: c1 * psis[0].at(rows) + c2 * psis[1].at(rows),
+            BISPINOR)
         frame = frame_at(schwarzschild, schwarzschild.point(0.1, 5.0, 1.4, 1.0))
         direct_combo = massless_residual(
             gradient_sampler(combo, schwarzschild), frame)
@@ -172,11 +173,11 @@ class TestGaugeCriterion:
 
         def rotated_pair(second_order):
             # gradient field of U psi with the rotated connection U G U+
-            def grad_rot(p):
-                d = covariant_derivative(psi, frame_at(spec, p))[0]
-                return np.einsum("ij,bj->bi", q, d)
+            def grad_rot(rows):
+                d = covariant_derivative(psi, build_frame(spec, rows))
+                return np.einsum("ij,xbj->xbi", q, d)
 
-            grad = FieldSampler(grad_rot, "vector_bispinor")
+            grad = stencil_sampler(grad_rot)
             gs = gamma_set_at(spec, x, flat=flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)

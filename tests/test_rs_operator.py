@@ -7,7 +7,6 @@ from curved_rs.errors import InvalidTransform
 from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
-    FieldSampler,
     flat_rs_plane_wave,
     gamma_traceless_field,
     plane_wave,
@@ -15,7 +14,7 @@ from curved_rs.fields import (
     trig_field,
 )
 from curved_rs.geometry import Point, christoffel
-from curved_rs.numerics import STENCIL_POLICY, fd_step, partial4, stencil
+from curved_rs.numerics import STENCIL_POLICY, fd_step, partial4
 from curved_rs.rs_operator import (
     BlockMatrix16,
     MassParam,
@@ -45,7 +44,7 @@ from curved_rs.rs_operator import (
 from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
 
 from conftest import first_constraint, frame_at, points_of
-from oracles import constant_field
+from oracles import constant_field, richardson, stencil_sampler
 
 MASS = MassParam(1.0)
 
@@ -135,16 +134,15 @@ class TestCovariantDerivative:
 
 
 
-def stencil_oracle(field, spec, x, nested=False):
-    """Per-axis partial4 derivative plus connection terms: the pre-batch
-    evaluation of covariant_derivative."""
-
-    def f(c):
-        return field(Point(c, x.chart_id))
-
-    d = np.stack([
-        partial4(f, x.coords, mu, nested) for mu in range(4)
-    ])
+def stencil_oracle(field, spec, x, richardson_step=False):
+    """Per-axis partial4 derivative (or, with ``richardson_step``, the
+    Richardson derivative of ``oracles.richardson``) plus connection terms:
+    the pre-batch evaluation of covariant_derivative."""
+    if richardson_step:
+        d = richardson(field.at, x.coords[None, :])[0][0]
+    else:
+        d = np.stack([partial4(lambda c: field(Point(c)), x.coords, mu)
+                      for mu in range(4)])
     value = field(x)
     G = spin_connection(spec, x)
     if field.kind == BISPINOR:
@@ -156,25 +154,32 @@ def stencil_oracle(field, spec, x, nested=False):
 
 class TestBatchedStencil:
     def test_step_policy_table(self):
-        # the two policies: one level at 1e-5, or two at 1e-4 and its half
+        """The one step, max(1e-5, 1e-5 |x|) per coordinate: ``partial4``
+        shifts only x^mu, by it, on every row, and the reports name it."""
         x = np.array([[0.5, 4.0, -2.5, 0.3], [3.0, 0.1, 0.2, -7.0]])
         h = fd_step(x, 1e-5)
-        points, steps = stencil(x, False)
-        assert points.shape == (2, 9, 4)
-        assert np.array_equal(steps, h[:, None])
-        assert np.array_equal(points[:, 1:5], x[:, None] + h[:, None] * np.eye(4))
-        h = fd_step(x, 1e-4)
-        points, steps = stencil(x, True)
-        assert points.shape == (2, 17, 4)
-        assert np.array_equal(steps, np.stack([h, h / 2], axis=1))
-        assert "h1=1e-5" in STENCIL_POLICY and "h2=1e-4" in STENCIL_POLICY
+        assert np.array_equal(h, 1e-5 * np.maximum(1.0, np.abs(x)))
+        shifted = []
+
+        def record(rows):
+            shifted.append(rows.copy())
+            return rows
+
+        for mu in range(4):
+            partial4(record, x, mu)
+            plus, minus = shifted[-2:]
+            step = h[:, mu, None] * np.eye(4)[mu]
+            assert np.array_equal(plus, x + step)
+            assert np.array_equal(minus, x - step)
+        assert STENCIL_POLICY == "central2(h=1e-5)"
 
     @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
     @pytest.mark.parametrize("make", [polynomial_field, trig_field])
     @pytest.mark.parametrize("nested", [False, True])
     def test_matches_partial4_oracle(self, schwarzschild, kind, make, nested):
-        """The exact covariant derivative against the per-axis oracle under
-        either step policy."""
+        """The exact covariant derivative against the per-axis oracle, with
+        the one step of ``partial4`` or (``nested``) with the Richardson
+        derivative of the tests' stencil adapter."""
         fld = make(21, kind, box=schwarzschild.sample_box)
         for x in points_of(schwarzschild, n=3):
             got = covariant_derivative(fld, frame_at(schwarzschild, x))[0]
@@ -602,13 +607,13 @@ class TestMassZeroConsistency:
         # massless equation wherever the metric is Ricci-flat
         psi = trig_field(18, kind=BISPINOR, box=schwarzschild.sample_box)
 
-        def untransformed(p):
-            gs = gamma_set_at(schwarzschild, p)
-            s_inv = gamma_pair_block(gs, -1.0)  # inverse of I - (1/3) gg
-            return s_inv.apply(
-                covariant_derivative(psi, frame_at(schwarzschild, p))[0])
+        def untransformed(rows):
+            frame = build_frame(schwarzschild, rows)
+            # inverse of I - (1/3) gg
+            s_inv = gamma_pair_block(frame.gammas, -1.0)
+            return s_inv.apply(covariant_derivative(psi, frame))
 
-        fld = FieldSampler(untransformed, VECTOR_BISPINOR, name="gauge-orig")
+        fld = stencil_sampler(untransformed, VECTOR_BISPINOR, "gauge-orig")
         zero_mass = MassParam(0.0)
         for x in points_of(schwarzschild, 2):
             frame = frame_at(schwarzschild, x)
