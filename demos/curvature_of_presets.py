@@ -14,6 +14,7 @@ import numpy as np
 from curved_rs import spacetimes
 from curved_rs.geometry import curvature
 from curved_rs.identity_suite import classify_metric, sample_points
+from curved_rs.spin_frame import build_frame
 
 PRESETS = [
     ("minkowski_cartesian", {}),
@@ -32,7 +33,7 @@ for name, params in PRESETS:
     ricci = max(np.max(np.abs(curvature(spec, x).ricci)) for x in points)
     einstein = max(np.max(np.abs(curvature(spec, x).einstein)) for x in points)
     scalar = curvature(spec, points[0]).scalar
-    met_class = classify_metric(spec, points)
+    met_class = classify_metric(build_frame(spec, [x.coords for x in points]))
     print(f"{name:<24} {ricci:>10.2e} {scalar:>10.3f} {einstein:>10.2e} "
           f"{met_class.describe():>12}")
 

@@ -16,6 +16,7 @@ import sys
 from . import identity_suite as suite_mod
 from .errors import (ConfigError, CurvedRSError, InvalidParameter, ParseError,
                      SignatureError, SingularMetric)
+from .rs_operator import MASS_SQUARED_MAX
 from .spacetimes import PRESET_NAMES, load_preset, parse_metric_config, spec_from_config
 
 EXIT_OK = 0
@@ -81,9 +82,10 @@ def _resolve_metric(args):
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
     mass = getattr(args, "mass", 0.0)
-    # the operator reads kappa^2 = -m^2, which must be finite too
-    if not (0 <= mass < math.inf and math.isfinite(mass * mass)):
-        raise ConfigError("--mass must be >= 0 with a finite square")
+    # the operator reads kappa^2 = -m^2, whose products must stay finite
+    if not (mass >= 0 and mass * mass <= MASS_SQUARED_MAX):
+        raise ConfigError(
+            f"--mass must be >= 0 with m^2 <= {MASS_SQUARED_MAX:g}")
     if args.metric_file:
         if args.param:
             raise ConfigError(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .fields import VECTOR_BISPINOR, FieldSampler
 from .geometry import MetricSpec, Point
-from .numerics import PAIRWISE
+from .numerics import contract
 from .rs_operator import covariant_derivative, covariant_rows
 from .spin_frame import Frame, build_frame
 
@@ -55,7 +55,7 @@ def _massless(field: FieldSampler, frame: Frame):
     """(massless residual, the D_nu Psi~_s it contracts)."""
     d, _ = covariant_rows(field, frame)
     # the closed-form blocks alpha~^nu = i gamma5 eps_r^{nu s mu} gamma_mu
-    return np.einsum("xnrsik,xnsk->xri", frame.gammas.eps_gamma, d), d
+    return contract("xnrsik,xnsk->xri", frame.gammas.eps_gamma, d), d
 
 
 def massless_residual(field: FieldSampler, frame: Frame) -> np.ndarray:
@@ -103,21 +103,18 @@ def gauge_criterion(psi: FieldSampler, frame: Frame):
 EPS_DET_SIGN = -1.0
 
 #: the 3x3 Kronecker/metric determinant that replaces eps_r^{ns mu}
-#: eps^{abt}_mu, term by term: (sign, R_{abns} contracted with the term's
-#: Kronecker delta and its two g^{..}, the metric that the first
-#: contraction takes listed first); the last two terms carry delta^t_r and
-#: contract to a number per row
+#: eps^{abt}_mu, term by term: (sign, (R_{abns} contracted with the term's
+#: Kronecker delta and its first g^{..}, that contracted with its second
+#: g^{..})); the last two terms carry delta^t_r and contract to a number
+#: per row
 _DET_TERMS = (
-    (1.0, "xrbns,xnb,xst->xrt"),  # delta^a_r g^{nb} g^{st}
-    (-1.0, "xrbns,xsb,xnt->xrt"),  # delta^a_r g^{nt} g^{sb}
-    (-1.0, "xarns,xna,xst->xrt"),  # delta^b_r g^{na} g^{st}
-    (1.0, "xarns,xsa,xnt->xrt"),  # delta^b_r g^{nt} g^{sa}
-    (1.0, "xabns,xna,xsb->x"),  # delta^t_r g^{na} g^{sb}
-    (-1.0, "xabns,xnb,xsa->x"),  # delta^t_r g^{nb} g^{sa}
+    (1.0, ("xrbns,xnb->xrs", "xst,xrs->xrt")),  # delta^a_r g^{nb} g^{st}
+    (-1.0, ("xrbns,xsb->xrn", "xnt,xrn->xrt")),  # delta^a_r g^{nt} g^{sb}
+    (-1.0, ("xarns,xna->xrs", "xst,xrs->xrt")),  # delta^b_r g^{na} g^{st}
+    (1.0, ("xarns,xsa->xrn", "xnt,xrn->xrt")),  # delta^b_r g^{nt} g^{sa}
+    (1.0, ("xabns,xna->xbs", "xsb,xbs->x")),  # delta^t_r g^{na} g^{sb}
+    (-1.0, ("xabns,xnb->xas", "xsa,xas->x")),  # delta^t_r g^{nb} g^{sa}
 )
-#: the contraction path numpy picks (``optimize=True``) for each term:
-#: Riemann with the first metric, then with the second
-_DET_TERM_PATH = ("einsum_path", (0, 1), (0, 1))
 
 
 def epsilon_contraction_check(frame: Frame) -> dict:
@@ -134,21 +131,19 @@ def epsilon_contraction_check(frame: Frame) -> dict:
     """
     m, gs, bundle = frame.metric, frame.gammas, frame.curvature
 
-    eps_first = np.einsum("xrl,xlnsm->xrnsm", m.g_lower, gs.eps_upper)
-    eps_last = np.einsum("xabtl,xlm->xabtm", gs.eps_upper, m.g_lower)
-    prod = np.einsum("xrnsm,xabtm->xrnsabt", eps_first, eps_last,
-                     optimize=PAIRWISE)
-    raw = np.einsum("xabns,xrnsabt->xrt", bundle.riemann_lower, prod,
-                    optimize=PAIRWISE)
+    eps_first = contract("xrl,xlnsm->xrnsm", m.g_lower, gs.eps_upper)
+    eps_last = contract("xabtl,xlm->xabtm", gs.eps_upper, m.g_lower)
+    prod = contract("xrnsm,xabtm->xrnsabt", eps_first, eps_last)
+    raw = contract("xabns,xrnsabt->xrt", bundle.riemann_lower, prod)
 
     g_up = m.g_upper
-    terms = [sign * np.einsum(sub, bundle.riemann_lower, g_up, g_up,
-                              optimize=_DET_TERM_PATH)
-             for sign, sub in _DET_TERMS]
+    terms = [sign * contract(second, g_up,
+                             contract(first, bundle.riemann_lower, g_up))
+             for sign, (first, second) in _DET_TERMS]
     trace = terms[4] + terms[5]
     det_expanded = (terms[0] + terms[1] + terms[2] + terms[3]
                     + trace[:, None, None] * np.eye(4))
-    einstein_mixed = np.einsum("xrb,xbt->xrt", bundle.einstein, g_up)
+    einstein_mixed = contract("xrb,xbt->xrt", bundle.einstein, g_up)
     return {"raw": raw, "det_expanded": det_expanded,
             "einstein_combination": 4.0 * einstein_mixed,
             "sign": EPS_DET_SIGN}

@@ -45,10 +45,8 @@ from .geometry import (
     MetricSpec,
     Point,
     covariant_metric_derivative,
-    curvature,
-    metric_jet,
 )
-from .numerics import PAIRWISE, STENCIL_POLICY, partial4
+from .numerics import STENCIL_POLICY, contract, partial4
 from .spin_frame import (
     SIGMA_FLAT,
     Frame,
@@ -330,8 +328,7 @@ def _chk_covariant_constancy(ctx):
     d = np.stack([partial4(gamma_up_at, coords, s) for s in range(4)], axis=1)
     gu, G = frame.gammas.gamma_up, frame.connection
     val = (d
-           + np.einsum("xrsl,xlij->xsrij", frame.christoffel, gu,
-                       optimize=PAIRWISE)
+           + contract("xrsl,xlij->xsrij", frame.christoffel, gu)
            + G[:, :, None] @ gu[:, None]
            - gu[:, None] @ G[:, :, None])
     errs = _row_rel(_row_max(val), 1.0, _row_max(gu))
@@ -341,10 +338,10 @@ def _chk_covariant_constancy(ctx):
 def _chk_clifford(ctx):
     gs = ctx.frame.gammas
     g_up, g5 = gs.metric.g_upper, gs.gamma5
-    anti = np.einsum("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
+    anti = contract("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
     anti = anti + np.swapaxes(anti, 1, 2)
     target = 2.0 * np.einsum("xab,ij->xabij", g_up, np.eye(4))
-    trace = np.einsum("xaij,xajk->xik", gs.gamma_up, gs.gamma_down)
+    trace = contract("xaij,xajk->xik", gs.gamma_up, gs.gamma_down)
     errs = np.maximum(
         _row_rel(_row_max(anti - target), 1.0, _row_max(g_up)),
         _row_rel(_row_max(trace - 4.0 * np.eye(4)), 4.0))
@@ -357,7 +354,7 @@ def _chk_clifford(ctx):
 def _chk_sigma_tetrad(ctx):
     gs = ctx.frame.gammas
     g_up, sigma, e_up = gs.metric.g_upper, gs.sigma_curved, gs.tetrad.e_upper
-    prod = np.einsum("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
+    prod = contract("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
     target = np.einsum("xab,ij->xabij", g_up, np.eye(4)) + 2.0 * sigma
     tetrad_sigma = np.einsum("abij,xam,xbn->xmnij", SIGMA_FLAT, e_up, e_up)
     errs = np.maximum(
@@ -388,32 +385,47 @@ def _chk_triple_gamma(ctx):
     return len(ctx.points), _worst(*_row_max(errs))
 
 
+#: the independent index pairs (a, b), a < b, of an antisymmetric pair
+_PAIRS = np.triu_indices(4, 1)
+
+
 def _sigma_commutator_defect(sig, g):
-    """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
-    n, i, k], for sigma and the inverse metric on any leading axes.  The
-    metric form g^{ma} sigma^{nb} - g^{mb} sigma^{na} - g^{na} sigma^{mb}
-    + g^{nb} sigma^{ma} is T = g^{ma} sigma^{nb} antisymmetrised in (a, b)
-    and then in (m, n); for a diagonal g (every metric a tetrad is built
-    for) at most two of its terms are nonzero, so the sum is the four-term
-    sum to the bit.  T and the form reuse the product's buffer."""
-    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig,
-                     optimize=PAIRWISE)
-    defect = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
-    t = np.multiply(np.swapaxes(g, -1, -2)[..., :, None, :, None, None, None],
-                    np.swapaxes(sig, -4, -3)[..., None, :, None, :, :, :],
-                    out=comm)
-    anti = t - np.swapaxes(t, -6, -5)
-    defect -= np.subtract(anti, np.swapaxes(anti, -4, -3), out=t)
-    return defect
+    """[sigma^ab, sigma^mn] minus its metric form g^{ma} sigma^{nb}
+    - g^{mb} sigma^{na} - g^{na} sigma^{mb} + g^{nb} sigma^{ma} on the 36
+    independent blocks, indexed [..., p, q, i, k] with p = (a, b) and
+    q = (m, n) the pairs of ``_PAIRS``, for sigma and the inverse metric on
+    any leading axes.  Only the blocks sigma^{ab} with a < b are read: the
+    form takes sigma^{ba} as -sigma^{ab} and sigma^{aa} as 0.  Where sigma
+    is antisymmetric, which ``_chk_sigma_commutator`` checks apart, the
+    defect is antisymmetric in (a, b) and in (m, n), so these blocks hold
+    the largest entry of all 256."""
+    a, b = _PAIRS
+    upper = sig[..., a, b, :, :]
+    full = np.zeros_like(sig)
+    full[..., a, b, :, :] = upper
+    full[..., b, a, :, :] = -upper
+    prod = contract("...pij,...qjk->...pqik", upper, upper)
+    a, b, m, n = a[:, None], b[:, None], a, b
+    form = (g[..., m, a, None, None] * full[..., n, b, :, :]
+            - g[..., m, b, None, None] * full[..., n, a, :, :]
+            - g[..., n, a, None, None] * full[..., m, b, :, :]
+            + g[..., n, b, None, None] * full[..., m, a, :, :])
+    return prod - np.swapaxes(prod, -4, -3) - form
 
 
 def _chk_sigma_commutator(ctx):
+    """The commutator defect of flat sigma and of each row's, and each
+    sigma's antisymmetry defect max |sigma^ab + sigma^ba| over every
+    (a, b), a = b among them."""
     gs = ctx.frame.gammas
-    flat = _rel(np.max(np.abs(_sigma_commutator_defect(SIGMA_FLAT, ETA))), 1.0,
-                np.max(np.abs(ETA)))
-    g_up = gs.metric.g_upper
-    errs = _row_rel(_row_max(_sigma_commutator_defect(gs.sigma_curved, g_up)),
-                    1.0, _row_max(g_up))
+    sig, g_up = gs.sigma_curved, gs.metric.g_upper
+    defect = _sigma_commutator_defect(SIGMA_FLAT, ETA)
+    flat = _worst(_rel(np.max(np.abs(defect)), 1.0, np.max(np.abs(ETA))),
+                  np.max(np.abs(SIGMA_FLAT + SIGMA_FLAT.swapaxes(0, 1))))
+    errs = np.maximum(
+        _row_rel(_row_max(_sigma_commutator_defect(sig, g_up)), 1.0,
+                 _row_max(g_up)),
+        _row_rel(_row_max(sig + sig.swapaxes(1, 2)), 1.0, _row_max(sig)))
     return len(ctx.points), _worst(flat, *errs)
 
 
@@ -436,18 +448,13 @@ def _chk_commutator_decomposition(ctx):
         rso.curvature_commutator(ctx.frame, psi)[0], psi)
 
 
-#: the contraction path numpy picks (``optimize=True``) for 1.10b's
-#: gamma sigma Riemann product
-_SIGMA_RICCI_PATH = ("einsum_path", (1, 2), (0, 1))
-
-
 def _chk_sigma_ricci_contraction(ctx):
     gs, bundle = ctx.frame.gammas, ctx.frame.curvature
-    lhs = -0.5 * np.einsum(
-        "xaij,xmnjk,xmnab->xbik", gs.gamma_up, gs.sigma_curved,
-        bundle.riemann_lower, optimize=_SIGMA_RICCI_PATH,
-    )
-    rhs = -0.5 * np.einsum("xnij,xnb->xbij", gs.gamma_up, bundle.ricci)
+    # gamma^a sigma^{mn} R_{mnab}, sigma^{mn} R_{mnab} formed first
+    sigma_r = contract("xmnjk,xmnab->xabjk", gs.sigma_curved,
+                       bundle.riemann_lower)
+    lhs = -0.5 * contract("xaij,xabjk->xbik", gs.gamma_up, sigma_r)
+    rhs = -0.5 * contract("xnij,xnb->xbij", gs.gamma_up, bundle.ricci)
     errs = _row_rel(_row_max(lhs - rhs), _row_max(lhs), _row_max(rhs),
                     ctx.met_class.riemann_scale, 1e-3)
     return len(ctx.points), _worst(*errs)
@@ -542,7 +549,7 @@ def _chk_einstein_factor(ctx):
     frame = ctx.frame
     factor = rso.einstein_space_factor(frame, ctx.mass)
     (psi,) = _subset(ctx.fixture_rows.psi)
-    phi = np.einsum("xrij,xrj...->xi...", frame.gammas.gamma_up, psi)
+    phi = contract("xrij,xrj...->xi...", frame.gammas.gamma_up, psi)
     c2 = rso.constraint_two(frame, psi, ctx.mass)
     phi_max = _fixture_max(phi)
     # (row, fixture) pairs where gamma^r Psi_r vanishes test nothing
@@ -554,26 +561,22 @@ def _chk_einstein_factor(ctx):
             f"vacuous_points={int(empty.sum())}")
 
 
-#: the contraction path numpy picks (``optimize=True``) for the two
-#: three-operand terms of ``_term_by_term_residual``
-_TERM_PATH = ("einsum_path", (1, 2), (0, 1))
-
-
 def _term_by_term_residual(d, psi, frame, mass):
     """Independent evaluation of the wave equation on a frame's rows, term
     by term, from D_nu Psi and Psi there."""
     gs = frame.gammas
     gu, g_up = gs.gamma_up, gs.metric.g_upper
-    t1 = np.einsum("xaij,xasj...->xsi...", gu, d) + mass.kappa * psi
+    t1 = contract("xaij,xasj...->xsi...", gu, d) + mass.kappa * psi
+    # the three-operand terms contract d with g^{nb} and gamma^b first
+    div = contract("xnb,xnbj...->xj...", g_up, d)
     t2 = -(1.0 / 3.0) * (
-        np.einsum("xbij,xsbj...->xsi...", gu, d)
-        + np.einsum("xsij,xnb,xnbj...->xsi...", gs.gamma_down, g_up, d,
-                    optimize=_TERM_PATH)
+        contract("xbij,xsbj...->xsi...", gu, d)
+        + contract("xsij,xj...->xsi...", gs.gamma_down, div)
     )
-    inner = (np.einsum("xaij,xbjk,xabk...->xi...", gu, gu, d,
-                       optimize=_TERM_PATH)
-             - mass.kappa * np.einsum("xbij,xbj...->xi...", gu, psi))
-    t3 = (1.0 / 3.0) * np.einsum("xsij,xj...->xsi...", gs.gamma_down, inner)
+    slash = contract("xbjk,xabk...->xaj...", gu, d)
+    inner = (contract("xaij,xaj...->xi...", gu, slash)
+             - mass.kappa * contract("xbij,xbj...->xi...", gu, psi))
+    t3 = (1.0 / 3.0) * contract("xsij,xj...->xsi...", gs.gamma_down, inner)
     return t1 + t2 + t3
 
 
@@ -589,7 +592,7 @@ def _chk_block_assembly(ctx):
     trace = sum(beta.blocks[:, r, r] for r in range(4))
     # the block product against sum_l A_rl B_ls written out, independent of
     # the dense layout ``@`` goes through
-    ref = np.einsum("...rlij,...lsjk->...rsik", alphas[0].blocks, beta.blocks)
+    ref = contract("...rlij,...lsjk->...rsik", alphas[0].blocks, beta.blocks)
     errs = np.maximum(
         _row_max(trace - (8.0 / 3.0) * np.eye(4)),
         _row_rel(_row_max((alphas[0] @ beta).blocks - ref), _row_max(ref),
@@ -787,34 +790,39 @@ def sample_points(spec: MetricSpec, n: int, seed: int) -> list:
         f"'{spec.name}' lie in its domain ({n} points asked for)")
 
 
-def classify_metric(spec: MetricSpec, points) -> MetricClass:
-    """The curvature class measured on ``points``; ``scalar`` is the scalar
-    curvature at the last of them."""
-    jet = metric_jet(spec, [x.coords for x in points])
-    b = curvature(spec, jet)
-    dev = b.ricci - b.scalar[:, None, None] / 4.0 * jet.metric.g_lower
-    return MetricClass(float(np.max(np.abs(b.riemann_lower))),
-                       float(np.max(np.abs(b.ricci))), float(np.max(np.abs(dev))),
-                       float(b.scalar[-1]), float(np.max(np.abs(b.christoffel))),
-                       float(np.max(np.abs(jet.metric.g_lower - ETA))))
+def classify_metric(frame: Frame) -> MetricClass:
+    """The curvature class measured on the first ``CLASS_POINT_CAP`` rows
+    of a frame, from the frame's own metric and curvature; ``scalar`` is
+    the scalar curvature at the last of those rows."""
+    rows = slice(CLASS_POINT_CAP)
+    b, g = frame.curvature, frame.metric.g_lower[rows]
+    ricci, scalar = b.ricci[rows], b.scalar[rows]
+    dev = ricci - scalar[:, None, None] / 4.0 * g
+    return MetricClass(float(np.max(np.abs(b.riemann_lower[rows]))),
+                       float(np.max(np.abs(ricci))), float(np.max(np.abs(dev))),
+                       float(scalar[-1]),
+                       float(np.max(np.abs(b.christoffel[rows]))),
+                       float(np.max(np.abs(g - ETA))))
 
 
 def build_context(spec: MetricSpec, n_points: int, seed: int,
                   mass: float) -> SuiteContext:
-    """Points, curvature class and fixtures that every check runs on."""
+    """Points, fixtures and the context frame that every check runs on,
+    with the curvature class measured on that frame's first rows."""
     if n_points < 1:
         raise ConfigError("points must be >= 1")
-    points = sample_points(spec, n_points, seed)
-    return SuiteContext(
+    ctx = SuiteContext(
         spec=spec,
-        points=points,
+        points=sample_points(spec, n_points, seed),
         seed=seed,
         mass=rso.MassParam(mass),
-        met_class=classify_metric(spec, points[:CLASS_POINT_CAP]),
+        met_class=None,
         vb_fixtures=fixture_family(seed + 1, FIXTURE_COUNT, VECTOR_BISPINOR,
                                    spec.sample_box),
         sp_fixtures=fixture_family(seed + 2, 3, BISPINOR, spec.sample_box),
     )
+    ctx.met_class = classify_metric(ctx.frame)
+    return ctx
 
 
 def run_suite(

@@ -26,14 +26,11 @@ instead of one point's GammaSet, it builds every row's blocks at once.
 It forms no Dirac product of its own: gamma_r gamma^s, eps_r^{nu s mu}
 and the closed-form i gamma5 eps_r^{nu s mu} gamma_mu are read from the
 GammaSet, which forms each once.  Every block product is one dense
-(..., 16, 16) matmul.  The multi-operand einsums (the gamma triples of
-``_alpha_beta_rows`` and ``transform_printed``, and
-``beta_tilde_eps_form``) carry
-the fixed contraction path numpy would pick for them, so each runs as
-pairwise products instead of one nested loop over every index, without a
-path search on every call; the two-operand contractions over a frame's
-rows (``rs_residual``, ``_connect`` and the commutator terms) carry
-``PAIRWISE`` and run as batched matmuls.
+(..., 16, 16) matmul.  Every other contraction of two operands is
+``numerics.contract``, one batched matmul planned once per subscripts;
+one of more operands (the gamma triple that ``_alpha_beta_rows`` and
+``transform_printed`` share, ``beta_tilde_eps_form``) is written as the
+pairwise steps of the path numpy's search picks for it.
 """
 
 from __future__ import annotations
@@ -47,9 +44,14 @@ import numpy as np
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
-from .numerics import PAIRWISE, read_only
+from .numerics import contract, read_only
 from .spin_frame import (GAMMA_FLAT, Frame, GammaSet, gamma_derivatives,
                          spinor_commutator_curvature)
+
+
+#: the largest m^2 a mass may have: every check passes at m^2 = 1e306,
+#: while at m^2 = 1e308 the operator products overflow to NaN
+MASS_SQUARED_MAX = 1e300
 
 
 @dataclass
@@ -61,9 +63,9 @@ class MassParam:
 
     def __post_init__(self):
         m = float(self.m)
-        if not (0 <= m < np.inf and np.isfinite(m * m)):
-            raise ValueError(
-                f"mass must be >= 0 with a finite square, got {self.m}")
+        if not (m >= 0 and m * m <= MASS_SQUARED_MAX):
+            raise ValueError(f"mass must be >= 0 with m^2 <= "
+                             f"{MASS_SQUARED_MAX:g}, got {self.m}")
         if self.kappa is None:
             self.kappa = 1j * self.m
 
@@ -115,7 +117,7 @@ class BlockMatrix16:
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """(M Psi)_r = sum_s block(r, s) Psi_s."""
-        return np.einsum("...rsij,...sj->...ri", self.blocks, psi)
+        return contract("...rsij,...sj->...ri", self.blocks, psi)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.blocks)))
@@ -123,12 +125,6 @@ class BlockMatrix16:
 
 #: the 1/3 of the operator blocks alpha^nu and beta
 THIRD = 1.0 / 3.0
-
-#: the contraction paths numpy picks (``optimize=True``) for the gamma
-#: triple gamma_r gamma^nu gamma^s and for i/2 gamma5 eps gamma gamma, at
-#: one point and on 1 to 340 rows alike
-_TRIPLE_PATH = ("einsum_path", (0, 1), (0, 1))
-_EPS_GAMMA_GAMMA_PATH = ("einsum_path", (0, 2), (1, 2), (0, 1))
 
 #: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
 _IDENTITY_BLOCKS = read_only(
@@ -146,6 +142,13 @@ def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
     return BlockMatrix16(_IDENTITY_BLOCKS + coeff * gs.pairs)
 
 
+def _gamma_triple(gs: GammaSet) -> np.ndarray:
+    """gamma_r gamma^nu gamma^s as blocks [..., nu, r, s, i, l], the pair
+    gamma_r gamma^nu formed first."""
+    pair = contract("...rij,...njk->...iknr", gs.gamma_down, gs.gamma_up)
+    return contract("...skl,...iknr->...nrsil", gs.gamma_up, pair)
+
+
 def _alpha_beta_rows(gs: GammaSet):
     """The operator blocks on a GammaSet's leading axes: alpha
     [..., nu, r, s, i, j] and beta [..., r, s, i, j]."""
@@ -160,8 +163,7 @@ def _alpha_beta_rows(gs: GammaSet):
     alpha -= THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
     alpha -= (THIRD * gd[..., None, :, None, :, :]
               * g_up[..., :, None, :, None, None])
-    triple = np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
-                       optimize=_TRIPLE_PATH)
+    triple = _gamma_triple(gs)
     triple *= THIRD
     alpha += triple
     return alpha, beta
@@ -193,16 +195,11 @@ def frame_blocks(frame: Frame):
     return blocks
 
 
-def _pairwise(subscripts, a, b):
-    """A two-operand contraction over a frame's rows, as batched matmuls."""
-    return np.einsum(subscripts, a, b, optimize=PAIRWISE)
-
-
 def _spin_term(frame: Frame, kind: str, value):
     """Gamma_nu on the spinor index of a field's values [n, ...] on a
     frame's rows, indexed [n, nu, ...]."""
     sub = "xnij,xj...->xni..." if kind == BISPINOR else "xnij,xbj...->xnbi..."
-    return _pairwise(sub, frame.connection, value)
+    return contract(sub, frame.connection, value)
 
 
 def _connect(frame: Frame, kind: str, d, value, include_spin=True):
@@ -210,7 +207,7 @@ def _connect(frame: Frame, kind: str, d, value, include_spin=True):
     [n, ...] of a field on a frame's rows: the Christoffel term on a
     vector index, then the connection on the spinor index."""
     if kind == VECTOR_BISPINOR:
-        d = d - _pairwise("xlnb,xli...->xnbi...", frame.christoffel, value)
+        d = d - contract("xlnb,xli...->xnbi...", frame.christoffel, value)
     return d + _spin_term(frame, kind, value) if include_spin else d
 
 
@@ -243,13 +240,13 @@ def covariant_jet(field, frame: Frame) -> CovariantJet:
     b = "b" if field.kind == VECTOR_BISPINOR else ""
     dchrist = ddpsi
     if b:
-        dchrist = (ddpsi - _pairwise("xmlnb,xli...->xmnbi...",
-                                     frame.curvature.dchristoffel, psi)
-                   - _pairwise("xlnb,xmli...->xmnbi...", frame.christoffel,
-                               dpsi))
-    dspin = (_pairwise(f"xmnij,x{b}j...->xmn{b}i...", frame.dconnection, psi)
-             + _pairwise(f"xnij,xm{b}j...->xmn{b}i...", frame.connection,
-                         dpsi))
+        dchrist = (ddpsi - contract("xmlnb,xli...->xmnbi...",
+                                    frame.curvature.dchristoffel, psi)
+                   - contract("xlnb,xmli...->xmnbi...", frame.christoffel,
+                              dpsi))
+    dspin = (contract(f"xmnij,x{b}j...->xmn{b}i...", frame.dconnection, psi)
+             + contract(f"xnij,xm{b}j...->xmn{b}i...", frame.connection,
+                        dpsi))
     return CovariantJet(christ, dchrist,
                         christ + _spin_term(frame, field.kind, psi),
                         dchrist + dspin, psi, dpsi)
@@ -268,8 +265,8 @@ def covariant_derivative(field: FieldSampler | FieldStack, frame: Frame,
 
 def _first_constraint(frame, d, psi, mass):
     """D_be Psi^be - (kappa/2) gamma_be Psi^be on a frame's rows."""
-    div = np.einsum("xnb,xnbi...->xi...", frame.metric.g_upper, d)
-    trace = np.einsum("xbij,xbj...->xi...", frame.gammas.gamma_up, psi)
+    div = contract("xnb,xnbi...->xi...", frame.metric.g_upper, d)
+    trace = contract("xbij,xbj...->xi...", frame.gammas.gamma_up, psi)
     return div - 0.5 * mass.kappa * trace
 
 
@@ -278,8 +275,8 @@ def rs_residual(frame: Frame, d, psi, mass: MassParam) -> np.ndarray:
     (alpha^nu D_nu + kappa beta) Psi, from D_nu Psi and Psi there
     (``covariant_rows``)."""
     alpha, beta = frame_blocks(frame)
-    return (mass.kappa * _pairwise("xrsij,xsj...->xri...", beta, psi)
-            + _pairwise("xnrsij,xnsj...->xri...", alpha, d))
+    return (mass.kappa * contract("xrsij,xsj...->xri...", beta, psi)
+            + contract("xnrsij,xnsj...->xri...", alpha, d))
 
 
 def contraction_identity(frame: Frame, d, psi, mass):
@@ -287,7 +284,7 @@ def contraction_identity(frame: Frame, d, psi, mass):
     gamma-contraction of the residual, equal for any smooth field to (2/3)
     D_be Psi^be - (kappa/2) gamma_be Psi^be."""
     res = rs_residual(frame, d, psi, mass)
-    lhs = np.einsum("xsij,xsj...->xi...", frame.gammas.gamma_up, res)
+    lhs = contract("xsij,xsj...->xi...", frame.gammas.gamma_up, res)
     return lhs, (2.0 / 3.0) * _first_constraint(frame, d, psi, mass)
 
 
@@ -296,13 +293,13 @@ def constraint_two(frame: Frame, psi, mass):
     1/2 R_ab gamma^a Psi^b + (kappa^2/2 - R/12) gamma^r Psi_r on a frame's
     rows from the field values psi [n, be, s] there."""
     gs, bundle = frame.gammas, frame.curvature
-    psi_up = np.einsum("xbl,xlj...->xbj...", gs.metric.g_upper, psi)
+    psi_up = contract("xbl,xlj...->xbj...", gs.metric.g_upper, psi)
     # einsum's summation order follows its operands' memory layout; a
     # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
     ricci = np.ascontiguousarray(bundle.ricci)
     t1 = np.einsum("xab,xaij,xbj...->xi...", 0.5 * ricci, gs.gamma_up,
                    psi_up)
-    phi = np.einsum("xrij,xrj...->xi...", gs.gamma_up, psi)
+    phi = contract("xrij,xrj...->xi...", gs.gamma_up, psi)
     factor = 0.5 * mass.kappa**2 - bundle.scalar / 12.0
     return t1 + factor.reshape(factor.shape + (1,) * (phi.ndim - 1)) * phi
 
@@ -319,10 +316,10 @@ def second_covariant_comm(frame: Frame, d, dd, include_spin=True):
     D_nu Psi d and its d_mu dd (``covariant_jet``); ``include_spin`` False
     gives the Christoffel-only commutator, of the Christoffel-only d, dd."""
     gam = frame.christoffel
-    t = (dd - _pairwise("xlmn,xlcs...->xmncs...", gam, d)
-         - _pairwise("xlmc,xnls...->xmncs...", gam, d))
+    t = (dd - contract("xlmn,xlcs...->xmncs...", gam, d)
+         - contract("xlmc,xnls...->xmncs...", gam, d))
     if include_spin:
-        t = t + _pairwise("xmij,xncj...->xmnci...", frame.connection, d)
+        t = t + contract("xmij,xncj...->xmnci...", frame.connection, d)
     return t - t.swapaxes(1, 2)
 
 
@@ -333,8 +330,8 @@ def curvature_commutator(frame: Frame, psi):
     dhat = spinor_commutator_curvature(frame)
     rmix = riemann_mixed(frame.curvature, frame.metric)
     # (D_{a b} Psi)_c = -R^l_{c a b} Psi_l + Dhat_{a b} Psi_c
-    comm = (-_pairwise("xlcab,xls...->xabcs...", rmix, psi)
-            + _pairwise("xabij,xcj...->xabci...", dhat, psi))
+    comm = (-contract("xlcab,xls...->xabcs...", rmix, psi)
+            + contract("xabij,xcj...->xabci...", dhat, psi))
     return comm, dhat
 
 
@@ -343,14 +340,14 @@ def bridge_commutator(frame: Frame, christ, dchrist):
     frame's rows from the Christoffel-only derivatives christ and dchrist
     of ``covariant_jet``; equal to ``ricci_contraction``."""
     comm = second_covariant_comm(frame, christ, dchrist, include_spin=False)
-    w = np.einsum("xnc,xancs...->xas...", frame.metric.g_upper, comm)
-    return -np.einsum("xaij,xaj...->xi...", frame.gammas.gamma_up, w)
+    w = contract("xnc,xancs...->xas...", frame.metric.g_upper, comm)
+    return -contract("xaij,xaj...->xi...", frame.gammas.gamma_up, w)
 
 
 def ricci_contraction(frame: Frame, psi):
     """gamma^al Psi^nu R_{nu al} on a frame's rows from the field values
     psi [n, be, s] there."""
-    psi_up = np.einsum("xnl,xlj...->xnj...", frame.metric.g_upper, psi)
+    psi_up = contract("xnl,xlj...->xnj...", frame.metric.g_upper, psi)
     return np.einsum("xna,xaij,xnj...->xi...", frame.curvature.ricci,
                      frame.gammas.gamma_up, psi_up)
 
@@ -370,29 +367,29 @@ def derivative_chain(frame: Frame, d, dd, psi, dpsi, mass):
     # residual_r = gamma^nu D_nu Psi_r - 1/3 p_r + 1/3 gamma_r x + kappa Psi_r
     # with p_nu = gamma^s D_nu Psi_s, x = gamma^nu p_nu - q - kappa b,
     # q = g^{nu s} D_nu Psi_s and b = gamma^s Psi_s; chi = q - kappa/2 b
-    p = _pairwise("xsij,xnsj...->xni...", gu, d)
-    dp = (_pairwise("xmsij,xnsj...->xmni...", d_gu, d)
-          + _pairwise("xsij,xmnsj...->xmni...", gu, dd))
-    dq = (_pairwise("xmns,xnsi...->xmi...", d_g_up, d)
-          + _pairwise("xns,xmnsi...->xmi...", g_up, dd))
-    db = (_pairwise("xmsij,xsj...->xmi...", d_gu, psi)
-          + _pairwise("xsij,xmsj...->xmi...", gu, dpsi))
-    x = (_pairwise("xnij,xnj...->xi...", gu, p)
-         - _pairwise("xns,xnsi...->xi...", g_up, d)
-         - kappa * _pairwise("xsij,xsj...->xi...", gu, psi))
-    dx = (_pairwise("xmnij,xnj...->xmi...", d_gu, p)
-          + _pairwise("xnij,xmnj...->xmi...", gu, dp) - dq - kappa * db)
-    dres = (_pairwise("xmnij,xnrj...->xmri...", d_gu, d)
-            + _pairwise("xnij,xmnrj...->xmri...", gu, dd) - THIRD * dp
-            + THIRD * (_pairwise("xmrij,xj...->xmri...", d_gd, x)
-                       + _pairwise("xrij,xmj...->xmri...", gd, dx))
+    p = contract("xsij,xnsj...->xni...", gu, d)
+    dp = (contract("xmsij,xnsj...->xmni...", d_gu, d)
+          + contract("xsij,xmnsj...->xmni...", gu, dd))
+    dq = (contract("xmns,xnsi...->xmi...", d_g_up, d)
+          + contract("xns,xmnsi...->xmi...", g_up, dd))
+    db = (contract("xmsij,xsj...->xmi...", d_gu, psi)
+          + contract("xsij,xmsj...->xmi...", gu, dpsi))
+    x = (contract("xnij,xnj...->xi...", gu, p)
+         - contract("xns,xnsi...->xi...", g_up, d)
+         - kappa * contract("xsij,xsj...->xi...", gu, psi))
+    dx = (contract("xmnij,xnj...->xmi...", d_gu, p)
+          + contract("xnij,xmnj...->xmi...", gu, dp) - dq - kappa * db)
+    dres = (contract("xmnij,xnrj...->xmri...", d_gu, d)
+            + contract("xnij,xmnrj...->xmri...", gu, dd) - THIRD * dp
+            + THIRD * (contract("xmrij,xj...->xmri...", d_gd, x)
+                       + contract("xrij,xmj...->xmri...", gd, dx))
             + kappa * dpsi)
     chi = _first_constraint(frame, d, psi, mass)
     dres = _connect(frame, VECTOR_BISPINOR, dres,
                     rs_residual(frame, d, psi, mass))
     dchi = _connect(frame, BISPINOR, dq - 0.5 * kappa * db, chi)
-    return (_pairwise("xnb,xnbi...->xi...", g_up, dres)
-            - (2.0 / 3.0) * _pairwise("xaij,xaj...->xi...", gu, dchi)
+    return (contract("xnb,xnbi...->xi...", g_up, dres)
+            - (2.0 / 3.0) * contract("xaij,xaj...->xi...", gu, dchi)
             - kappa * chi)
 
 
@@ -404,14 +401,13 @@ def chain_rhs(frame: Frame, psi, mass):
     algebraic form (vector curvature + spinor curvature)."""
     gs = frame.gammas
     comm, dhat = curvature_commutator(frame, psi)
-    contracted = np.einsum("xmb,xambs...->xas...", gs.metric.g_upper, comm)
-    term1 = -np.einsum("xaij,xaj...->xi...", gs.gamma_up, contracted)
-    phi = np.einsum("xrij,xrj...->xi...", gs.gamma_up, psi)
+    contracted = contract("xmb,xambs...->xas...", gs.metric.g_upper, comm)
+    term1 = -contract("xaij,xaj...->xi...", gs.gamma_up, contracted)
+    phi = contract("xrij,xrj...->xi...", gs.gamma_up, psi)
     term2 = 0.5 * mass.kappa**2 * phi
-    d_on_phi = np.einsum("xabij,xj...->xabi...", dhat, phi)
-    term3 = (1.0 / 3.0) * np.einsum(
-        "xabij,xabj...->xi...", gs.sigma_curved, d_on_phi
-    )
+    d_on_phi = contract("xabij,xj...->xabi...", dhat, phi)
+    term3 = (1.0 / 3.0) * contract("xabij,xabj...->xi...",
+                                   gs.sigma_curved, d_on_phi)
     return term1 + term2 + term3
 
 
@@ -480,8 +476,7 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
         ..., :, None, :, None, None]
     alpha_prime = (
         nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
-        + np.einsum("...rij,...njk,...skl->...nrsil", gd, gu, gu,
-                    optimize=_TRIPLE_PATH) / 3.0
+        + _gamma_triple(gs) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
                    + B * gs.eps_gamma)
@@ -497,11 +492,11 @@ def tilde_closed_form(gs: GammaSet):
 
 def beta_tilde_eps_form(gs: GammaSet) -> BlockMatrix16:
     """The dual form (beta~)_r^s = i/2 gamma5 eps_r^{nu s mu} gamma_mu gamma_nu."""
-    return BlockMatrix16(0.5j * np.einsum(
-        "ij,...rnsm,...mjk,...nkl->...rsil",
-        gs.gamma5, gs.eps_mixed, gs.gamma_down, gs.gamma_down,
-        optimize=_EPS_GAMMA_GAMMA_PATH,
-    ))
+    gd = gs.gamma_down
+    g5_gd = contract("ij,...mjk->...ikm", gs.gamma5, gd)
+    g5_gd_gd = contract("...nkl,...ikm->...ilmn", gd, g5_gd)
+    return BlockMatrix16(0.5j * contract("...rnsm,...ilmn->...rsil",
+                                         gs.eps_mixed, g5_gd_gd))
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +511,11 @@ def flat_reduction_check(frame: Frame, d, psi, mass: MassParam) -> dict:
     metric the residual reads, from D_nu Psi and Psi there.  Returns a
     report dict."""
     rs = rs_residual(frame, d, psi, mass)
-    dirac = np.einsum("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
+    dirac = contract("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
     max_rs, max_dirac, max_match, max_tr, max_div = (
         float(np.max(np.abs(a))) for a in (
-            rs, dirac, rs - dirac, np.einsum("aij,xaj->xi", GAMMA_FLAT, psi),
-            np.einsum("ab,xabj->xj", ETA, d)))
+            rs, dirac, rs - dirac, contract("aij,xaj->xi", GAMMA_FLAT, psi),
+            contract("ab,xabj->xj", ETA, d)))
     scale = max(1e-300, float(np.max(np.abs(psi))), float(np.max(np.abs(d))))
     constraints_ok = max_tr <= 1e-8 * scale and max_div <= 1e-8 * scale
     return {

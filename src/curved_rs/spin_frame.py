@@ -41,7 +41,7 @@ from .geometry import (
     levi_civita,
     metric_jet,
 )
-from .numerics import PAIRWISE, read_only
+from .numerics import contract, read_only
 
 _PAULI = np.array(
     [
@@ -84,11 +84,6 @@ class Tetrad:
 
     e_lower: np.ndarray
     e_upper: np.ndarray
-
-
-#: the contraction path numpy picks (``optimize=True``) for
-#: i gamma5 eps_r^{nu s mu} gamma_mu, at one point and on 1 to 340 rows alike
-_EPS_GAMMA_PATH = ("einsum_path", (0, 2), (0, 1))
 
 
 @dataclass(frozen=True)
@@ -140,10 +135,10 @@ class GammaSet:
     @cached_property
     def eps_gamma(self) -> np.ndarray:
         """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]:
-        the closed-form blocks alpha~^nu."""
-        return read_only(1j * np.einsum(
-            "ij,...rnsm,...mjk->...nrsik", self.gamma5, self.eps_mixed,
-            self.gamma_down, optimize=_EPS_GAMMA_PATH))
+        the closed-form blocks alpha~^nu, gamma5 gamma_mu formed first."""
+        g5_gd = contract("ij,...mjk->...ikm", self.gamma5, self.gamma_down)
+        return read_only(1j * contract("...rnsm,...ikm->...nrsik",
+                                       self.eps_mixed, g5_gd))
 
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)
@@ -272,10 +267,10 @@ def connection_derivative(frame: Frame) -> np.ndarray:
     (a, b) and (b, a))."""
     tet = frame.gammas.tetrad
     # [x, a, mu, l, al] = e_(a)^n d_mu Gamma^l_{al n}
-    dgam = np.einsum("xan,xmlkn->xamlk", tet.e_upper,
-                     frame.curvature.dchristoffel, optimize=PAIRWISE)
-    return _sigma_contraction(-np.einsum(
-        "xamlk,xbl->xmkab", dgam, ETA @ tet.e_lower, optimize=PAIRWISE))
+    dgam = contract("xan,xmlkn->xamlk", tet.e_upper,
+                    frame.curvature.dchristoffel)
+    return _sigma_contraction(-contract("xamlk,xbl->xmkab", dgam,
+                                        ETA @ tet.e_lower))
 
 
 def gamma_derivatives(frame: Frame):
@@ -296,8 +291,8 @@ def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
     """The curvature acting on the bispinor index: 1/2 sigma^{nu mu}(x)
     R_{mu nu be al}(x) on every row of a frame, returned as
     Dhat[x, al, be] (4x4 complex each), antisymmetric in (al, be)."""
-    return 0.5 * np.einsum("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
-                           frame.curvature.riemann_lower, optimize=PAIRWISE)
+    return 0.5 * contract("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
+                          frame.curvature.riemann_lower)
 
 
 def connection_curvature(frame: Frame) -> np.ndarray:
@@ -306,6 +301,6 @@ def connection_curvature(frame: Frame) -> np.ndarray:
     from the frame's connection and its exact derivative."""
     # G[x, al, i, j], dG[x, mu, al, i, j] = d_mu Gamma_al
     G, dG = frame.connection, frame.dconnection
-    comm = (np.einsum("xaij,xbjk->xabik", G, G, optimize=PAIRWISE)
-            - np.einsum("xbij,xajk->xabik", G, G, optimize=PAIRWISE))
+    comm = (contract("xaij,xbjk->xabik", G, G)
+            - contract("xbij,xajk->xabik", G, G))
     return dG - dG.transpose(0, 2, 1, 3, 4) + comm

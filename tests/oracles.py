@@ -44,7 +44,7 @@ from curved_rs.gauge import (einstein_prediction, gradient_sampler,
                              massless_residual)
 from curved_rs.geometry import (ETA, Point, christoffel, eval_metric,
                                 metric_derivatives, metric_jet)
-from curved_rs.numerics import PAIRWISE, STEP_FIRST, fd_step
+from curved_rs.numerics import STEP_FIRST, fd_step
 from curved_rs.spin_frame import GAMMA_FLAT, SIGMA_FLAT, Frame, build_tetrad
 
 
@@ -286,8 +286,7 @@ def fit_prediction_constant(psi: FieldSampler, frame) -> complex:
 def four_einsum_sigma_defect(sig, g):
     """[sigma^ab, sigma^mn] minus its metric form, indexed [..., a, b, m,
     n, i, k], with each metric term its own einsum."""
-    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig,
-                     optimize=PAIRWISE)
+    comm = np.einsum("...abij,...mnjk->...abmnik", sig, sig)
     comm = comm - np.swapaxes(np.swapaxes(comm, -6, -4), -5, -3)
     return comm - (
         np.einsum("...ma,...nbij->...abmnij", g, sig)

@@ -79,7 +79,8 @@ def verdict(number, label, ok, detail=""):
 
 def _suite_ctx(spec, n_points, seed=42):
     points = suite.sample_points(spec, n_points, seed)
-    met_class = suite.classify_metric(spec, points[:4])
+    met_class = suite.classify_metric(
+        build_frame(spec, [x.coords for x in points[:4]]))
     return suite.SuiteContext(
         spec=spec,
         points=points,

@@ -225,11 +225,21 @@ def test_rows_must_be_n_by_4(schwarzschild):
         build_frame(schwarzschild, np.zeros(4))
 
 
-def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
-    """Each two-operand contraction over rows that carries ``PAIRWISE`` (one
-    batched matmul) equals its plain ``einsum`` to 1e-14 relative, on 170
-    rows (the second-order jets, the connection derivative and what is
-    built on them among them); 1.4's error moves by at most 1e-14."""
+#: numpy's own pairwise path for a two-operand ``einsum``
+PAIRWISE_PATH = ("einsum_path", (0, 1))
+
+
+def _pairwise_einsum(subscripts, a, b):
+    return np.einsum(subscripts, a, b, optimize=PAIRWISE_PATH)
+
+
+def test_contractions_equal_the_pairwise_einsum(frw_dust, monkeypatch):
+    """Every two-operand contraction over rows goes through
+    ``numerics.contract``, which equals ``einsum`` on numpy's pairwise
+    path to the bit: with that ``einsum`` in its place, the values built
+    on it (the second-order jets, the connection derivative and what is
+    built on them among them) on 170 rows, and 1.4's error, are
+    unchanged."""
     ctx = build_context(frw_dust, 10, seed=21, mass=1.0)
     rows = build_frame(frw_dust, _rows(frw_dust, 170))
     vb, sp = ctx.vb_fixtures[0], ctx.sp_fixtures[0]
@@ -239,61 +249,110 @@ def test_pathed_contractions_equal_the_plain_einsum(frw_dust, monkeypatch):
     d_sp = rng.standard_normal(chi.shape[:1] + (4,) + chi.shape[1:]) + 0j
 
     def contractions():
-        vb_jet, sp_jet = rso.covariant_jet(vb, rows), rso.covariant_jet(sp, rows)
+        fresh = build_frame(frw_dust, rows.coords)
+        vb_jet = rso.covariant_jet(vb, fresh)
+        sp_jet = rso.covariant_jet(sp, fresh)
         return [
-            rso._connect(rows, VECTOR_BISPINOR, d_vb, psi),
-            rso._connect(rows, BISPINOR, d_sp, chi),
-            rso.rs_residual(rows, d_vb, psi, MASS),
-            rso.curvature_commutator(rows, psi)[0],
-            spin_frame.spinor_commutator_curvature(rows),
+            rso._connect(fresh, VECTOR_BISPINOR, d_vb, psi),
+            rso._connect(fresh, BISPINOR, d_sp, chi),
+            rso.rs_residual(fresh, d_vb, psi, MASS),
+            rso.curvature_commutator(fresh, psi)[0],
+            spin_frame.spinor_commutator_curvature(fresh),
             identity_suite._sigma_commutator_defect(
-                rows.gammas.sigma_curved, rows.metric.g_upper),
-            gauge.epsilon_contraction_check(rows)["raw"],
+                fresh.gammas.sigma_curved, fresh.metric.g_upper),
+            gauge.epsilon_contraction_check(fresh)["raw"],
             *vb_jet, *sp_jet,
-            rso.second_covariant_comm(rows, vb_jet.d, vb_jet.dd),
-            spin_frame.connection_derivative(rows),
-            spin_frame.connection_curvature(rows),
+            rso.second_covariant_comm(fresh, vb_jet.d, vb_jet.dd),
+            spin_frame.connection_derivative(fresh),
+            spin_frame.connection_curvature(fresh),
         ]
 
-    pathed = contractions()
+    planned = contractions()
     constancy = identity_suite._chk_covariant_constancy(ctx)[1]
-    _patch_everywhere(monkeypatch, numerics, "PAIRWISE", False)
-    for a, b in zip(pathed, contractions(), strict=True):
-        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
-    assert abs(identity_suite._chk_covariant_constancy(ctx)[1]
-               - constancy) <= 1e-14
+    _patch_everywhere(monkeypatch, numerics, "contract", _pairwise_einsum)
+    for a, b in zip(planned, contractions(), strict=True):
+        assert np.array_equal(a, b)
+    ctx = dataclasses.replace(ctx, points=ctx.points)  # a fresh frame
+    assert identity_suite._chk_covariant_constancy(ctx)[1] == constancy
+
+
+def _optimal(subscripts, *operands):
+    return np.einsum(subscripts, *operands, optimize=True)
+
+
+def _recording(monkeypatch, module) -> dict:
+    """The results of ``module``'s ``contract`` calls, in call order, by
+    subscripts."""
+    steps = {}
+
+    def recording(subscripts, a, b):
+        out = numerics.contract(subscripts, a, b)
+        steps.setdefault(subscripts, []).append(out)
+        return out
+
+    monkeypatch.setattr(module, "contract", recording)
+    return steps
 
 
 @pytest.mark.parametrize("rows", (None, 1, 20))
-def test_fixed_paths_are_the_paths_numpy_picks(schwarzschild, frw_dust, rows,
-                                               monkeypatch):
-    """The multi-operand einsums carry the path ``optimize=True`` finds on
-    every call; with the search put back, their values and the errors of
-    1.10b and 1.2a stay bit-identical, at one point and on 1 and 20 rows.
-    Each call of ``values`` takes a new GammaSet, which forms its products
-    again."""
-    ctx = build_context(frw_dust, rows or 1, seed=8, mass=1.0)
+def test_pairwise_steps_equal_the_optimal_einsum(schwarzschild, frw_dust,
+                                                 rows, monkeypatch):
+    """Each contraction of three or more operands is written as the
+    pairwise steps of the path numpy picks (``optimize=True``), with the
+    intermediate subscripts that path makes, and equals that ``einsum`` to
+    the bit, at one point and on 1 and 20 rows: the gamma triple of the
+    operator blocks and of the printed transform, i gamma5 eps gamma,
+    beta~'s eps form, 1.10b's left side, the two three-operand terms of
+    1.2a and each term of 2.8b's determinant."""
+    if rows is None:
+        gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
+    else:
+        gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
+    gd, gu = gs.gamma_down, gs.gamma_up
+    triple = _optimal("...rij,...njk,...skl->...nrsil", gd, gu, gu)
+    assert np.array_equal(rso._gamma_triple(gs), triple)
+    assert np.array_equal(gs.eps_gamma, 1j * _optimal(
+        "ij,...rnsm,...mjk->...nrsik", gs.gamma5, gs.eps_mixed, gd))
+    assert np.array_equal(rso.beta_tilde_eps_form(gs).blocks, 0.5j * _optimal(
+        "ij,...rnsm,...mjk,...nkl->...rsil", gs.gamma5, gs.eps_mixed, gd,
+        gd))
 
-    def values():
-        if rows is None:
-            gs = gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
-        else:
-            gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
+    def blocks():
+        """The operator blocks and the printed transform's alphas, which
+        read the triple."""
         printed = rso.transform_printed(gs, 0.25, -0.125, 0.7)
-        return [*rso._alpha_beta_rows(gs), gs.eps_gamma,
-                rso.beta_tilde_eps_form(gs).blocks,
-                *(m.blocks for m in printed[1] + printed[3]),
-                identity_suite._chk_sigma_ricci_contraction(ctx)[1],
-                identity_suite._chk_operator_form(ctx)[1]]
+        return [*rso._alpha_beta_rows(gs),
+                *(m.blocks for m in printed[1] + printed[3])]
 
-    fixed = values()
-    for name in ("_TRIPLE_PATH", "_EPS_GAMMA_GAMMA_PATH"):
-        monkeypatch.setattr(rso, name, True)
-    monkeypatch.setattr(spin_frame, "_EPS_GAMMA_PATH", True)
-    monkeypatch.setattr(identity_suite, "_SIGMA_RICCI_PATH", True)
-    monkeypatch.setattr(identity_suite, "_TERM_PATH", True)
-    for a, b in zip(fixed, values(), strict=True):
+    formed = blocks()
+    monkeypatch.setattr(rso, "_gamma_triple", lambda _: triple.copy())
+    for a, b in zip(formed, blocks(), strict=True):
         assert np.array_equal(a, b)
+
+    ctx = build_context(frw_dust, rows or 1, seed=8, mass=1.0)
+    frame, d = ctx.frame, ctx.fixture_rows.d
+    gs, bundle = frame.gammas, frame.curvature
+    steps = _recording(monkeypatch, identity_suite)
+    identity_suite._chk_sigma_ricci_contraction(ctx)
+    identity_suite._chk_operator_form(ctx)
+    assert np.array_equal(steps["xaij,xabjk->xbik"][0], _optimal(
+        "xaij,xmnjk,xmnab->xbik", gs.gamma_up, gs.sigma_curved,
+        bundle.riemann_lower))
+    assert np.array_equal(steps["xsij,xj...->xsi..."][0], _optimal(
+        "xsij,xnb,xnbj...->xsi...", gs.gamma_down, gs.metric.g_upper, d))
+    assert np.array_equal(steps["xaij,xaj...->xi..."][0], _optimal(
+        "xaij,xbjk,xabk...->xi...", gs.gamma_up, gs.gamma_up, d))
+
+    steps = _recording(monkeypatch, gauge)
+    gauge.epsilon_contraction_check(frame)
+    g_up = frame.metric.g_upper
+    for k, (_, (first, second)) in enumerate(gauge._DET_TERMS):
+        three = (f"{first.split('->')[0]},{second.split(',')[0]}"
+                 f"->{second.split('->')[1]}")
+        # the k-th term's second step, among the terms sharing it
+        nth = [t[1][1] for t in gauge._DET_TERMS[:k]].count(second)
+        assert np.array_equal(steps[second][nth], _optimal(
+            three, bundle.riemann_lower, g_up, g_up))
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +700,7 @@ def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
 
 def _scale_frame_ricci(monkeypatch):
     """Scale the Ricci tensor alone in the curvature that frames fill, which
-    every check reads; the curvature class is measured apart from frames,
-    so the same checks apply."""
+    every check reads, and the curvature class too."""
     original = spin_frame.curvature
 
     def scaled_ricci(spec, x):
@@ -650,6 +708,27 @@ def _scale_frame_ricci(monkeypatch):
         return dataclasses.replace(b, ricci=b.ricci * (1.0 + 1e-3))
 
     monkeypatch.setattr(spin_frame, "curvature", scaled_ricci)
+
+
+def _runner_verdicts(ctx, checks) -> dict:
+    """The verdicts of ``checks`` run on a copy of the context with a frame
+    of its own, built now, and the context's curvature class."""
+    ctx = dataclasses.replace(ctx, points=ctx.points)
+    return {d.id: bool(np.max(d.runner(ctx)[1]) <= d.tolerance)
+            for d in identity_suite.REGISTRY if d.id in checks}
+
+
+def _einstein_context_under_scaled_ricci(anti_de_sitter, monkeypatch):
+    """An anti-de Sitter context classified intact, with the Ricci tensor
+    of every frame built from now on scaled: the scaled Ricci tensor moves
+    the class itself to 'generic', where the Einstein-space checks do not
+    run."""
+    ctx = build_context(anti_de_sitter, 2, seed=5, mass=1.0)
+    assert ctx.met_class.describe() == "einstein"
+    _scale_frame_ricci(monkeypatch)
+    assert build_context(anti_de_sitter, 2, seed=5,
+                         mass=1.0).met_class.describe() == "generic"
+    return ctx
 
 
 def test_scaled_ricci_fails_the_constraint_gates(frw_dust, anti_de_sitter,
@@ -661,10 +740,9 @@ def test_scaled_ricci_fails_the_constraint_gates(frw_dust, anti_de_sitter,
     both = reduction + ("eq_1_14b_constraint_factor",)
     assert all(_verdicts(frw_dust, reduction).values())
     assert all(_verdicts(anti_de_sitter, both).values())
-    _scale_frame_ricci(monkeypatch)
+    ctx = _einstein_context_under_scaled_ricci(anti_de_sitter, monkeypatch)
     assert not any(_verdicts(load_preset("frw_dust"), reduction).values())
-    assert not any(_verdicts(load_preset("anti_de_sitter_static"),
-                             both).values())
+    assert _runner_verdicts(ctx, both) == dict.fromkeys(both, False)
 
 
 def test_scaled_ricci_fails_the_ricci_gates(frw_dust, anti_de_sitter,
@@ -675,10 +753,9 @@ def test_scaled_ricci_fails_the_ricci_gates(frw_dust, anti_de_sitter,
     both = sigma_ricci + ("eq_1_14a_einstein_space",)
     assert all(_verdicts(frw_dust, sigma_ricci).values())
     assert all(_verdicts(anti_de_sitter, both).values())
-    _scale_frame_ricci(monkeypatch)
+    ctx = _einstein_context_under_scaled_ricci(anti_de_sitter, monkeypatch)
     assert not any(_verdicts(load_preset("frw_dust"), sigma_ricci).values())
-    assert not any(_verdicts(load_preset("anti_de_sitter_static"),
-                             both).values())
+    assert _runner_verdicts(ctx, both) == dict.fromkeys(both, False)
 
 
 def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
@@ -765,11 +842,12 @@ def test_contraction_identity_samples_its_fixture_once(schwarzschild,
 def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
     """1.7 at one point with 5 fixtures: the context frame, filled once.
-    The Christoffels are filled by the frame, its connection and its
-    curvature (whose Christoffel derivative the connection derivative and
-    the Christoffel term of d_mu D_nu Psi read).  Per fixture one ``jet``
-    call samples the point's row.  A second run builds, fills and samples
-    nothing."""
+    The context is built with its frame and the frame's curvature, which
+    the curvature class reads; the Christoffels are then filled by the
+    frame and its connection (the curvature's Christoffel derivative feeds
+    the connection derivative and the Christoffel term of d_mu D_nu Psi).
+    Per fixture one ``jet`` call samples the point's row.  A second run
+    builds, fills and samples nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     at_calls = _count_rows(monkeypatch, ctx.vb_fixtures)
@@ -779,9 +857,9 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
     assert at_calls == [1] * 5
-    assert (len(frames), len(connections), len(christoffels)) == (1, 1, 3)
+    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 2)
     identity_suite._chk_derivative_chain(ctx)
-    assert (len(frames), len(connections), len(christoffels)) == (1, 1, 3)
+    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 2)
     assert at_calls == [1] * 5
 
 
@@ -890,10 +968,11 @@ def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
     frame has more rows than the context.  Each jet evaluates an order it
     uses in one call over all of its rows, and the metric is evaluated once
     per jet row and order used:
-      order 0: n + 6 + 8 n + n per fixture frame,
-      orders 1 and 2: n + 6,
-    with orders 0-2 on the 6 points the curvature class is measured on
-    and order 0 at the 8 shifted points of each point's 1.4."""
+      order 0: n + 8 n + n per fixture frame,
+      orders 1 and 2: n,
+    with order 0 at the 8 shifted points of each point's 1.4.  The
+    curvature class reads the context frame's first rows and evaluates
+    nothing of its own."""
     spec = load_preset(name)
     evals = {0: 0, 1: 0, 2: 0}
     calls = []  # (order, rows) per call, holding the rows so ids stay unique
@@ -915,11 +994,10 @@ def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
 
     _patch_everywhere(monkeypatch, spin_frame, "build_frame", recording)
     rep = run_suite(spec, n_points=20, seed=42)
-    n, classified = 20, identity_suite.CLASS_POINT_CAP
+    n = 20
     assert rep.passed
     assert sizes == [n] * (1 + traceless_frames)
-    assert evals == {0: n + classified + 8 * n + traceless_frames * n,
-                     1: n + classified, 2: n + classified}
+    assert evals == {0: n + 8 * n + traceless_frames * n, 1: n, 2: n}
     per_jet = [(order, id(rows)) for order, rows in calls]
     assert len(per_jet) == len(set(per_jet))
 

@@ -291,6 +291,19 @@ class TestExitCodes:
         assert code == 2
         assert "--mass" in err
 
+    @pytest.mark.parametrize("command", ("identities", "constraints"))
+    def test_mass_whose_products_overflow_is_config_error(self, capsys,
+                                                          command):
+        """At m = 1e154 the operator products overflow to NaN (1.7 and
+        1.11a failed with exit 1); m^2 is bounded at 1e300, and every
+        check still passes at m = 1e150."""
+        base = [command, "--metric", "schwarzschild", "--points", "2"]
+        code, out, err = run(base + ["--mass", "1e154"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --mass") and "1e+300" in err
+        code, out, err = run(base + ["--mass", "1e150"], capsys)
+        assert (code, err) == (0, "")
+
     def test_check_failure_exit_one(self, capsys):
         for command, metric, check in (
             ("identities", "minkowski_cartesian", "eq_1_7_derivative_chain"),

@@ -90,23 +90,36 @@ def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
     assert formed == {name: [] for name in GAMMA_PRODUCTS}
 
 
+def _independent_blocks(defect):
+    """The (a < b, m < n) blocks of a defect [..., a, b, m, n, i, k], as
+    [..., p, q, i, k] over the pairs of ``np.triu_indices(4, 1)``."""
+    a, b = np.triu_indices(4, 1)
+    return defect[..., a[:, None], b[:, None], a, b, :, :]
+
+
 def test_flat_sigma_defect_is_the_four_einsum_defect():
     defect = identity_suite._sigma_commutator_defect(SIGMA_FLAT, ETA)
-    assert np.array_equal(defect, four_einsum_sigma_defect(SIGMA_FLAT, ETA))
+    assert defect.shape == (6, 6, 4, 4)
+    assert np.array_equal(defect, _independent_blocks(
+        four_einsum_sigma_defect(SIGMA_FLAT, ETA)))
 
 
 @pytest.mark.parametrize("key", SPEC_KEYS)
 def test_products_equal_their_oracles(key):
-    """On 20 rows: the sigma commutator defect equals the four-einsum
-    defect to the bit, and 2.8b's term-by-term determinant equals the
+    """On 20 rows: the sigma commutator defect equals the (a < b, m < n)
+    blocks of the four-einsum defect to the bit, and the largest entry of
+    those blocks is the largest of all 256; and 2.8b's term-by-term determinant equals the
     rank-7 contraction within 1e-13 of the larger of max|raw|, max|R_abns|
     and 1e-3 (the yardstick 2.8b divides by; the raw contraction is
     roundoff on a vacuum)."""
     spec = _spec(key)
     frame = build_frame(spec, [x.coords for x in sample_points(spec, 20, 2)])
     sig, g_up = frame.gammas.sigma_curved, frame.metric.g_upper
-    assert np.array_equal(identity_suite._sigma_commutator_defect(sig, g_up),
-                          four_einsum_sigma_defect(sig, g_up))
+    defect = identity_suite._sigma_commutator_defect(sig, g_up)
+    full = four_einsum_sigma_defect(sig, g_up)
+    assert np.array_equal(defect, _independent_blocks(full))
+    assert np.array_equal(np.max(np.abs(defect), axis=(1, 2, 3, 4)),
+                          np.max(np.abs(full), axis=(1, 2, 3, 4, 5, 6)))
     rep = gauge.epsilon_contraction_check(frame)
     scale = max(np.max(np.abs(rep["raw"])),
                 np.max(np.abs(frame.curvature.riemann_lower)), 1e-3)
@@ -130,3 +143,42 @@ def test_scaled_determinant_term_fails_the_eps_determinant(monkeypatch):
     monkeypatch.setattr(gauge, "_DET_TERMS",
                         ((sign * (1.0 + 1e-3), sub), *rest))
     assert verdicts() == [False, False, True]
+
+
+def _scale_lower(sig):
+    a, b = np.tril_indices(4, -1)
+    sig[..., a, b, :, :] *= 1.0 + 1e-6
+
+
+def _fill_diagonal(sig):
+    sig[..., range(4), range(4), :, :] = 1e-6 * np.eye(4)
+
+
+@pytest.mark.parametrize("corrupt", (_scale_lower, _fill_diagonal))
+def test_sigma_outside_the_independent_blocks_fails_the_check(corrupt,
+                                                            monkeypatch):
+    """sigma^{ba} (a < b) scaled by 1 + 1e-6, or each sigma^{aa} set to
+    1e-6 times the identity: the commutator defect, which reads only the
+    blocks a < b, does not change, and the antisymmetry term fails
+    ``sigma_commutator``."""
+    spec = load_preset("frw_dust")
+    check = ("sigma_commutator",)
+    assert run_suite(spec, n_points=4, seed=5, only=check).passed
+    intact = GammaSet.__dict__["sigma_curved"].func
+
+    def corrupted(gs):
+        sig = intact(gs).copy()
+        corrupt(sig)
+        return sig
+
+    frame = build_frame(spec, [x.coords for x in sample_points(spec, 4, 5)])
+    sig, g_up = frame.gammas.sigma_curved, frame.metric.g_upper
+    assert np.array_equal(
+        identity_suite._sigma_commutator_defect(corrupted(frame.gammas), g_up),
+        identity_suite._sigma_commutator_defect(sig, g_up))
+    prop = functools.cached_property(corrupted)
+    prop.__set_name__(GammaSet, "sigma_curved")
+    monkeypatch.setattr(GammaSet, "sigma_curved", prop)
+    rep = run_suite(spec, n_points=4, seed=5, only=check)
+    assert not rep.passed
+    assert rep.checks[0].max_rel_error > 1e-7

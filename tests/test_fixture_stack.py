@@ -22,7 +22,8 @@ from oracles import stencil_sampler
 #: how far a fixture of the stack may lie from it alone, relative to the
 #: larger side (or, for 1.7, whose sides nearly cancel, the fixture's
 #: size); a stacked contraction sums in another order than a single one,
-#: and moves its result in the last bits
+#: and moves its result in the last bits: it is one matmul whose rows run
+#: over the fixtures, which the single one does not have
 BOUND = 1e-12
 
 
@@ -56,15 +57,16 @@ def _sides(frame, rows, mass):
 def test_each_fixture_of_the_stack_equals_it_alone(name):
     """Every fixture slice of the stacked sides equals that fixture run on
     its own through the same functions, from its own ``covariant_jet``
-    (no fixture axis), to 1e-12 relative; 1.7's nested side to 1e-12 of
-    the fixture's size."""
+    (no fixture axis), to 1e-12 relative; 1.7's sides to 1e-12 of the
+    fixture's size (on anti-de Sitter at m = 1 the algebraic side vanishes,
+    and its entries are roundoff)."""
     ctx = build_context(load_preset(name), 4, seed=11, mass=1.0)
     stacked = _sides(ctx.frame, ctx.fixture_rows, ctx.mass)
     psi = ctx.fixture_rows.psi
     for k, fld in enumerate(ctx.vb_fixtures):
         alone = _sides(ctx.frame, rso.covariant_jet(fld, ctx.frame), ctx.mass)
         for label, single in alone.items():
-            if label == "1.7 nested":
+            if label.startswith("1.7"):
                 _close(stacked[label][..., k], single, label,
                        scale=np.max(np.abs(psi[..., k])))
             elif isinstance(single, tuple):  # 1.6: (lhs, rhs)

@@ -10,6 +10,7 @@ from curved_rs import identity_suite as suite
 from curved_rs import spin_frame
 from curved_rs.errors import ConfigError
 from curved_rs.spacetimes import (
+    PRESET_NAMES,
     load_preset,
     parse_metric_config,
     spec_from_config,
@@ -96,7 +97,8 @@ class TestClassification:
                      de_sitter, frw_dust):
         def classify(spec):
             pts = suite.sample_points(spec, 4, 11)
-            return suite.classify_metric(spec, pts)
+            return suite.classify_metric(
+                spin_frame.build_frame(spec, [x.coords for x in pts]))
 
         assert classify(minkowski).describe() == "flat"
         assert classify(minkowski).flat_cartesian
@@ -110,6 +112,20 @@ class TestClassification:
         frw = classify(frw_dust)
         assert frw.describe() == "generic"
         assert not frw.ricci_flat
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_class_reads_the_context_frames_first_rows(self, name):
+        """A context's class is the class of a frame of its first
+        ``CLASS_POINT_CAP`` points alone, to the bit (a frame's rows do
+        not depend on the rows beside them), and a context of fewer points
+        is classified on all of them."""
+        spec = load_preset(name)
+        for n in (20, 4):
+            ctx = suite.build_context(spec, n, seed=3, mass=1.0)
+            first = [x.coords for x in ctx.points[:suite.CLASS_POINT_CAP]]
+            assert len(first) == min(n, suite.CLASS_POINT_CAP)
+            assert ctx.met_class == suite.classify_metric(
+                spin_frame.build_frame(spec, first))
 
 
 class TestRunSuite:

@@ -90,3 +90,23 @@ def test_the_sampling_lint_sees_both_kinds_of_call():
               "    return covariant_rows(field, frame), field.at(frame)\n"
               "def pure(frame, field):\n    return field.jet(frame)\n")
     assert sampling_calls(source) == ["side:4", "side:4", "pure:6"]
+
+
+def einsum_paths(source: str) -> list:
+    """'line' for each call that passes ``optimize=``: a contraction path
+    is ``numerics.contract``'s to plan, and none is kept anywhere else."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and any(kw.arg == "optimize" for kw in node.keywords)]
+
+
+def test_no_module_passes_a_contraction_path():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in einsum_paths(path.read_text())]
+    assert found == []
+
+
+def test_the_path_lint_sees_a_path():
+    source = ("np.einsum('ij,jk->ik', a, b)\n"
+              "np.einsum('ij,jk->ik', a, b, optimize=True)\n")
+    assert einsum_paths(source) == [2]

@@ -104,6 +104,13 @@ class TestMassParam:
             with pytest.raises(ValueError):
                 MassParam(m)
 
+    def test_mass_squared_is_bounded(self):
+        """m^2 <= 1e300: 1e150 is a mass, 1e151 (whose square still is
+        finite) is not."""
+        assert MassParam(1e150).m == 1e150
+        with pytest.raises(ValueError, match=r"m\^2 <= 1e\+300"):
+            MassParam(1e151)
+
 
 class TestCovariantDerivative:
     def test_constant_bispinor_flat(self, minkowski):
