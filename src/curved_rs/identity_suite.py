@@ -792,13 +792,21 @@ def sample_points(spec: MetricSpec, n: int, seed: int) -> list:
 
 def classify_metric(frame: Frame) -> MetricClass:
     """The curvature class measured on the first ``CLASS_POINT_CAP`` rows
-    of a frame, from the frame's own metric and curvature; ``scalar`` is
-    the scalar curvature at the last of those rows."""
+    of a frame, from the frame's metric and Riemann tensor; ``scalar`` is
+    the scalar curvature at the last of those rows.  The Ricci tensor and
+    scalar are contracted here from the Riemann tensor, not read from the
+    frame's curvature: 1.10b checks the frame's Ricci tensor against that
+    contraction in every class, and 1.14a checks it against R/4 g, so a
+    fault in it fails those checks instead of moving the class and with
+    it the checks that run."""
     rows = slice(CLASS_POINT_CAP)
-    b, g = frame.curvature, frame.metric.g_lower[rows]
-    ricci, scalar = b.ricci[rows], b.scalar[rows]
+    b, m = frame.curvature, frame.metric
+    g, g_up, riemann = m.g_lower[rows], m.g_upper[rows], b.riemann_lower[rows]
+    # R_sn = g^{rl} R_{rsln}, R = g^{sn} R_sn
+    ricci = contract("xrl,xrsln->xsn", g_up, riemann)
+    scalar = contract("xsn,xsn->x", g_up, ricci)
     dev = ricci - scalar[:, None, None] / 4.0 * g
-    return MetricClass(float(np.max(np.abs(b.riemann_lower[rows]))),
+    return MetricClass(float(np.max(np.abs(riemann))),
                        float(np.max(np.abs(ricci))), float(np.max(np.abs(dev))),
                        float(scalar[-1]),
                        float(np.max(np.abs(b.christoffel[rows]))),

@@ -20,11 +20,18 @@ from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from oracles import stencil_sampler
 
 #: how far a fixture of the stack may lie from it alone, relative to the
-#: larger side (or, for 1.7, whose sides nearly cancel, the fixture's
-#: size); a stacked contraction sums in another order than a single one,
-#: and moves its result in the last bits: it is one matmul whose rows run
-#: over the fixtures, which the single one does not have
+#: larger side (or, for 1.7's nested side, whose terms nearly cancel, the
+#: fixture's size); a stacked contraction sums in another order than a
+#: single one, and moves its result in the last bits: it is one matmul
+#: whose rows run over the fixtures, which the single one does not have
 BOUND = 1e-12
+
+
+def _vanishes(side, psi):
+    """The side is below BOUND of the fixture's size: its entries are
+    roundoff, as 1.7's algebraic side is on anti-de Sitter at m = 1, where
+    its terms cancel."""
+    return np.max(np.abs(side)) < BOUND * np.max(np.abs(psi))
 
 
 def _close(stacked, single, label, scale=0.0):
@@ -57,16 +64,17 @@ def _sides(frame, rows, mass):
 def test_each_fixture_of_the_stack_equals_it_alone(name):
     """Every fixture slice of the stacked sides equals that fixture run on
     its own through the same functions, from its own ``covariant_jet``
-    (no fixture axis), to 1e-12 relative; 1.7's sides to 1e-12 of the
-    fixture's size (on anti-de Sitter at m = 1 the algebraic side vanishes,
-    and its entries are roundoff)."""
+    (no fixture axis), to 1e-12 relative; 1.7's nested side, and its
+    algebraic side where that vanishes (``_vanishes``), to 1e-12 of the
+    fixture's size."""
     ctx = build_context(load_preset(name), 4, seed=11, mass=1.0)
     stacked = _sides(ctx.frame, ctx.fixture_rows, ctx.mass)
     psi = ctx.fixture_rows.psi
     for k, fld in enumerate(ctx.vb_fixtures):
         alone = _sides(ctx.frame, rso.covariant_jet(fld, ctx.frame), ctx.mass)
         for label, single in alone.items():
-            if label.startswith("1.7"):
+            if label == "1.7 nested" or (label == "1.7 algebraic"
+                                         and _vanishes(single, psi[..., k])):
                 _close(stacked[label][..., k], single, label,
                        scale=np.max(np.abs(psi[..., k])))
             elif isinstance(single, tuple):  # 1.6: (lhs, rhs)
@@ -74,6 +82,21 @@ def test_each_fixture_of_the_stack_equals_it_alone(name):
                     _close(a[..., k], b, label)
             else:
                 _close(stacked[label][..., k], single, label)
+
+
+def test_the_chain_vanishes_on_anti_de_sitter_alone():
+    """The fixture-size floor of 1.7's algebraic side above reaches
+    anti-de Sitter alone, every fixture of it; on every other preset the
+    side keeps the bound relative to its own size."""
+    floored = set()
+    for name in PRESET_NAMES:
+        ctx = build_context(load_preset(name), 4, seed=11, mass=1.0)
+        psi = ctx.fixture_rows.psi
+        side = rso.chain_rhs(ctx.frame, psi, ctx.mass)
+        floored |= {(name, k) for k in range(psi.shape[-1])
+                    if _vanishes(side[..., k], psi[..., k])}
+    assert floored == {("anti_de_sitter_static", k)
+                       for k in range(identity_suite.FIXTURE_COUNT)}
 
 
 def test_nested_rows_are_each_forms_own_covariant_rows(schwarzschild):
