@@ -162,18 +162,11 @@ class SuiteContext:
         return rso.covariant_jet(self.fixtures, self.frame)
 
     @cached_property
-    def blocks(self) -> tuple:
-        """``build_alpha_beta`` of the frame, shared by 2.2, 2.6 and
-        ``generic_transform``; its blocks are the ones ``rs_residual``
-        reads on the frame, built once."""
-        return rso.build_alpha_beta(self.frame)
-
-    @cached_property
     def generic_transform(self) -> tuple:
         """(``transform_CS``, ``transform_printed``) of the frame's blocks
         at ``_GENERIC_ABC``, which 2.3 and 2.5 compare stage by stage."""
         gs = self.frame.gammas
-        return (rso.transform_CS(*self.blocks, gs, *_GENERIC_ABC),
+        return (rso.transform_CS(*rso.build_alpha_beta(gs), gs, *_GENERIC_ABC),
                 rso.transform_printed(gs, *_GENERIC_ABC))
 
 
@@ -588,7 +581,7 @@ def _chk_operator_form(ctx):
 
 
 def _chk_block_assembly(ctx):
-    alphas, beta = ctx.blocks
+    alphas, beta = rso.build_alpha_beta(ctx.frame.gammas)
     trace = sum(beta.blocks[:, r, r] for r in range(4))
     # the block product against sum_l A_rl B_ls written out, independent of
     # the dense layout ``@`` goes through
@@ -640,7 +633,7 @@ def _chk_transform_expansion(ctx):
 
 def _chk_tilde_closed_form(ctx):
     gs = ctx.frame.gammas
-    tr = rso.transform_CS(*ctx.blocks, gs, -1.0 / 3.0, -1.0, 2.0)
+    tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, -1.0 / 3.0, -1.0, 2.0)
     alpha_t, beta_t = rso.tilde_closed_form(gs)
     errs = _transform_errors(tr.beta_tilde, beta_t, tr.alpha_tilde, alpha_t)
     return len(ctx.points), _worst(*errs)

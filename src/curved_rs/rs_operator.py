@@ -23,19 +23,19 @@ passes through a trailing ``...`` (``"xnij,xj...->xni..."``).  One sampler
 is the case without that axis, on the same code.
 The block algebra works on any leading axes: given a frame's ``gammas``
 instead of one point's GammaSet, it builds every row's blocks at once.
-It forms no Dirac product of its own: gamma_r gamma^s, eps_r^{nu s mu}
-and the closed-form i gamma5 eps_r^{nu s mu} gamma_mu are read from the
-GammaSet, which forms each once.  Every block product is one dense
+It forms no Dirac product of its own: the operator blocks alpha^nu and
+beta, gamma_r gamma^s, eps_r^{nu s mu} and the closed-form
+i gamma5 eps_r^{nu s mu} gamma_mu are read from the GammaSet, which forms
+each once, and the gamma triple of ``transform_printed`` is
+``spin_frame.gamma_triple``.  Every block product is one dense
 (..., 16, 16) matmul.  Every other contraction of two operands is
 ``numerics.contract``, one batched matmul planned once per subscripts;
-one of more operands (the gamma triple that ``_alpha_beta_rows`` and
-``transform_printed`` share, ``beta_tilde_eps_form``) is written as the
+one of more operands (``beta_tilde_eps_form``) is written as the
 pairwise steps of the path numpy's search picks for it.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,8 +44,9 @@ import numpy as np
 from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
-from .numerics import contract, read_only
-from .spin_frame import (GAMMA_FLAT, Frame, GammaSet, gamma_derivatives,
+from .numerics import contract
+from .spin_frame import (GAMMA_FLAT, IDENTITY_BLOCKS, THIRD, Frame, GammaSet,
+                         gamma_derivatives, gamma_triple,
                          spinor_commutator_curvature)
 
 
@@ -89,7 +90,7 @@ class BlockMatrix16:
 
     @classmethod
     def identity(cls):
-        return cls(_IDENTITY_BLOCKS)
+        return cls(IDENTITY_BLOCKS)
 
     @classmethod
     def from_dense(cls, dense):
@@ -123,14 +124,6 @@ class BlockMatrix16:
         return float(np.max(np.abs(self.blocks)))
 
 
-#: the 1/3 of the operator blocks alpha^nu and beta
-THIRD = 1.0 / 3.0
-
-#: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
-_IDENTITY_BLOCKS = read_only(
-    np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex))
-
-
 def _per_nu(blocks) -> list:
     """The four BlockMatrix16 of blocks [..., nu, r, s, i, j]."""
     return [BlockMatrix16(blocks[..., nu, :, :, :, :]) for nu in range(4)]
@@ -139,60 +132,14 @@ def _per_nu(blocks) -> list:
 def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
     """I + coeff * gamma_r gamma^s as a block matrix (on the GammaSet's
     leading axes)."""
-    return BlockMatrix16(_IDENTITY_BLOCKS + coeff * gs.pairs)
+    return BlockMatrix16(IDENTITY_BLOCKS + coeff * gs.pairs)
 
 
-def _gamma_triple(gs: GammaSet) -> np.ndarray:
-    """gamma_r gamma^nu gamma^s as blocks [..., nu, r, s, i, l], the pair
-    gamma_r gamma^nu formed first."""
-    pair = contract("...rij,...njk->...iknr", gs.gamma_down, gs.gamma_up)
-    return contract("...skl,...iknr->...nrsil", gs.gamma_up, pair)
-
-
-def _alpha_beta_rows(gs: GammaSet):
-    """The operator blocks on a GammaSet's leading axes: alpha
-    [..., nu, r, s, i, j] and beta [..., r, s, i, j]."""
-    gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
-    beta = _IDENTITY_BLOCKS - THIRD * gs.pairs
-    eye = np.eye(4)
-    # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
-    # - gamma_r gamma^nu gamma^s), indexed [..., nu, r, s, i, j]: summed in
-    # place, with the triple product formed last, so that at most one
-    # temporary of alpha's size is held beside it
-    alpha = eye[:, :, None, None] * gu[..., :, None, None, :, :]
-    alpha -= THIRD * eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
-    alpha -= (THIRD * gd[..., None, :, None, :, :]
-              * g_up[..., :, None, :, None, None])
-    triple = _gamma_triple(gs)
-    triple *= THIRD
-    alpha += triple
-    return alpha, beta
-
-
-def build_alpha_beta(gs: GammaSet | Frame):
-    """The operator blocks (alpha^nu for nu = 0..3, beta) at a point, on
-    every row of a frame's ``gammas``, or on a frame's rows from the blocks
-    ``frame_blocks`` keeps for it (each block matrix then carries the row
-    axis); read-only, since a suite context shares them."""
-    if isinstance(gs, Frame):
-        alpha, beta = frame_blocks(gs)
-    else:
-        alpha, beta = map(read_only, _alpha_beta_rows(gs))
-    return _per_nu(alpha), BlockMatrix16(beta)
-
-
-#: operator blocks per frame, built on first use and dropped with the frame
-_FRAME_BLOCKS = weakref.WeakKeyDictionary()
-
-
-def frame_blocks(frame: Frame):
-    """alpha [n, nu, r, s, i, j] and beta [n, r, s, i, j] on a frame's rows,
-    built once per frame (read-only)."""
-    blocks = _FRAME_BLOCKS.get(frame)
-    if blocks is None:
-        blocks = tuple(map(read_only, _alpha_beta_rows(frame.gammas)))
-        _FRAME_BLOCKS[frame] = blocks
-    return blocks
+def build_alpha_beta(gs: GammaSet):
+    """The operator blocks (alpha^nu for nu = 0..3, beta) of a GammaSet, at
+    a point or on every row of a frame's ``gammas`` (each block matrix then
+    carries the row axis): views of its read-only ``alpha`` and ``beta``."""
+    return _per_nu(gs.alpha), BlockMatrix16(gs.beta)
 
 
 def _spin_term(frame: Frame, kind: str, value):
@@ -274,9 +221,9 @@ def rs_residual(frame: Frame, d, psi, mass: MassParam) -> np.ndarray:
     """Left side of the wave equation on a frame's rows,
     (alpha^nu D_nu + kappa beta) Psi, from D_nu Psi and Psi there
     (``covariant_rows``)."""
-    alpha, beta = frame_blocks(frame)
-    return (mass.kappa * contract("xrsij,xsj...->xri...", beta, psi)
-            + contract("xnrsij,xnsj...->xri...", alpha, d))
+    gs = frame.gammas
+    return (mass.kappa * contract("xrsij,xsj...->xri...", gs.beta, psi)
+            + contract("xnrsij,xnsj...->xri...", gs.alpha, d))
 
 
 def contraction_identity(frame: Frame, d, psi, mass):
@@ -476,7 +423,7 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
         ..., :, None, :, None, None]
     alpha_prime = (
         nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
-        + _gamma_triple(gs) / 3.0
+        + gamma_triple(gs) / 3.0
     )
     alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
                    + B * gs.eps_gamma)

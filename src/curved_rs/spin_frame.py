@@ -12,8 +12,11 @@ d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
 A ``GammaSet`` is the one place where products of the position-dependent
 Dirac matrices are formed: it is built with gamma^al and gamma_al, and
-forms sigma^{al be}, the volume tensor, gamma_r gamma^s and
-i gamma5 eps_r^{nu s mu} gamma_mu each on first read, once.  A ``Frame``
+forms sigma^{al be}, the volume tensor, gamma_r gamma^s,
+i gamma5 eps_r^{nu s mu} gamma_mu and the operator blocks alpha^nu and
+beta each on first read, once.  The triple gamma_r gamma^nu gamma^s
+(``gamma_triple``) is formed, not kept, by alpha^nu and by the printed
+form of the transformed blocks.  A ``Frame``
 holds all of this for a set of rows and is the one place where geometry
 is kept and shared; functions of a Point or (n, 4) rows keep nothing, and
 the two connection curvatures take a Frame.
@@ -77,6 +80,13 @@ SIGMA_FLAT = 0.25 * (
 #: SIGMA_FLAT as a matrix [(a, b), (i, j)]
 _SIGMA_MATRIX = read_only(SIGMA_FLAT.reshape(16, 16))
 
+#: the 1/3 of the operator blocks alpha^nu and beta
+THIRD = 1.0 / 3.0
+
+#: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
+IDENTITY_BLOCKS = read_only(
+    np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex))
+
 
 @dataclass(frozen=True)
 class Tetrad:
@@ -91,10 +101,10 @@ class GammaSet:
     """Flat and position-dependent Dirac matrices (in a ``Frame``, each
     position-dependent array has a leading row axis).
 
-    The products of the position-dependent matrices, and the volume
-    tensor, are formed on first read, at most once per GammaSet, and are
-    read-only: every block builder reads them here instead of forming its
-    own."""
+    The products of the position-dependent matrices, the volume tensor
+    and the operator blocks are formed on first read, at most once per
+    GammaSet, and are read-only: every block builder reads them here
+    instead of forming its own."""
 
     gamma_flat: np.ndarray  # [a, i, j]
     gamma5: np.ndarray
@@ -139,6 +149,38 @@ class GammaSet:
         g5_gd = contract("ij,...mjk->...ikm", self.gamma5, self.gamma_down)
         return read_only(1j * contract("...rnsm,...ikm->...nrsik",
                                        self.eps_mixed, g5_gd))
+
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """The operator block beta = delta_r^s - 1/3 gamma_r gamma^s,
+        [..., r, s, i, j]."""
+        return read_only(IDENTITY_BLOCKS - THIRD * self.pairs)
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """The operator blocks alpha^nu, [..., nu, r, s, i, j]."""
+        gd, gu, g_up = self.gamma_down, self.gamma_up, self.metric.g_upper
+        eye = np.eye(4)
+        # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
+        # - gamma_r gamma^nu gamma^s): summed in place, with the triple
+        # product formed last, so that at most one temporary of alpha's
+        # size is held beside it
+        alpha = eye[:, :, None, None] * gu[..., :, None, None, :, :]
+        alpha -= (THIRD * eye[:, :, None, None, None]
+                  * gu[..., None, None, :, :, :])
+        alpha -= (THIRD * gd[..., None, :, None, :, :]
+                  * g_up[..., :, None, :, None, None])
+        triple = gamma_triple(self)
+        triple *= THIRD
+        alpha += triple
+        return read_only(alpha)
+
+
+def gamma_triple(gs: GammaSet) -> np.ndarray:
+    """gamma_r gamma^nu gamma^s as blocks [..., nu, r, s, i, l], the pair
+    gamma_r gamma^nu formed first; a new array on every call."""
+    pair = contract("...rij,...njk->...iknr", gs.gamma_down, gs.gamma_up)
+    return contract("...skl,...iknr->...nrsil", gs.gamma_up, pair)
 
 
 _OFF_DIAGONAL = ~np.eye(4, dtype=bool)

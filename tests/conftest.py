@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,16 @@ DOCUMENTS = ("schwarzschild", "frw_dust", "anti_de_sitter")
 
 #: the products a GammaSet forms on first read
 GAMMA_PRODUCTS = ("sigma_curved", "eps_upper", "eps_lower", "eps_mixed",
-                  "pairs", "eps_gamma")
+                  "pairs", "eps_gamma", "alpha", "beta")
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` in every package module binding it."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if (mod_name.startswith("curved_rs")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, replacement)
 
 
 def points_of(spec, n=5, seed=1234):

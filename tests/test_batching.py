@@ -3,7 +3,7 @@ per-point geometry, a batch equals its row loop, the gates still see the
 shared frames, and the work counts of the nested chains stay pinned."""
 
 import dataclasses
-import sys
+import functools
 import types
 
 import numpy as np
@@ -33,12 +33,14 @@ from curved_rs.rs_operator import MassParam
 from curved_rs.spacetimes import PRESET_NAMES, load_preset
 from curved_rs.spin_frame import (
     Frame,
+    GammaSet,
     build_frame,
     gamma_set_at,
     spin_connection,
 )
 
-from conftest import GAMMA_PRODUCTS, first_constraint, frame_at, points_of
+from conftest import (GAMMA_PRODUCTS, first_constraint, frame_at,
+                      patch_everywhere, points_of)
 from oracles import omega_spin_connection, stencil_sampler
 
 MASS = MassParam(1.0)
@@ -89,8 +91,8 @@ def test_single_point_is_row_of_the_batch(name):
     exactly, and so do the block matrices built on the frame's gammas."""
     spec = load_preset(name)
     frame = build_frame(spec, _rows(spec))
-    alpha, beta = rso.frame_blocks(frame)
     rows = frame.gammas
+    alpha, beta = rows.alpha, rows.beta
     alphas_rows, beta_rows = rso.build_alpha_beta(rows)
     for i, c in enumerate(frame.coords):
         x = Point(c, spec.chart_id)
@@ -127,8 +129,6 @@ def _frame_arrays(frame):
         out[f"gammas.metric.{key}"] = getattr(gs.metric, key)
     for key in ("e_lower", "e_upper"):
         out[f"gammas.tetrad.{key}"] = getattr(gs.tetrad, key)
-    alpha, beta = rso.frame_blocks(frame)
-    out["alpha"], out["beta"] = alpha, beta
     alphas, beta = rso.build_alpha_beta(gs)
     out["build_alpha_beta.alpha"] = alphas[0].blocks
     out["build_alpha_beta.beta"] = beta.blocks
@@ -269,7 +269,7 @@ def test_contractions_equal_the_pairwise_einsum(frw_dust, monkeypatch):
 
     planned = contractions()
     constancy = identity_suite._chk_covariant_constancy(ctx)[1]
-    _patch_everywhere(monkeypatch, numerics, "contract", _pairwise_einsum)
+    patch_everywhere(monkeypatch, numerics, "contract", _pairwise_einsum)
     for a, b in zip(planned, contractions(), strict=True):
         assert np.array_equal(a, b)
     ctx = dataclasses.replace(ctx, points=ctx.points)  # a fresh frame
@@ -310,7 +310,7 @@ def test_pairwise_steps_equal_the_optimal_einsum(schwarzschild, frw_dust,
         gs = build_frame(schwarzschild, _rows(schwarzschild, rows)).gammas
     gd, gu = gs.gamma_down, gs.gamma_up
     triple = _optimal("...rij,...njk,...skl->...nrsil", gd, gu, gu)
-    assert np.array_equal(rso._gamma_triple(gs), triple)
+    assert np.array_equal(spin_frame.gamma_triple(gs), triple)
     assert np.array_equal(gs.eps_gamma, 1j * _optimal(
         "ij,...rnsm,...mjk->...nrsik", gs.gamma5, gs.eps_mixed, gd))
     assert np.array_equal(rso.beta_tilde_eps_form(gs).blocks, 0.5j * _optimal(
@@ -318,14 +318,16 @@ def test_pairwise_steps_equal_the_optimal_einsum(schwarzschild, frw_dust,
         gd))
 
     def blocks():
-        """The operator blocks and the printed transform's alphas, which
-        read the triple."""
-        printed = rso.transform_printed(gs, 0.25, -0.125, 0.7)
-        return [*rso._alpha_beta_rows(gs),
+        """The operator blocks of a fresh GammaSet and the printed
+        transform's alphas, which read the triple."""
+        fresh = dataclasses.replace(gs)
+        printed = rso.transform_printed(fresh, 0.25, -0.125, 0.7)
+        return [fresh.alpha, fresh.beta,
                 *(m.blocks for m in printed[1] + printed[3])]
 
     formed = blocks()
-    monkeypatch.setattr(rso, "_gamma_triple", lambda _: triple.copy())
+    patch_everywhere(monkeypatch, spin_frame, "gamma_triple",
+                     lambda _: triple.copy())
     for a, b in zip(formed, blocks(), strict=True):
         assert np.array_equal(a, b)
 
@@ -377,7 +379,8 @@ def test_perturbed_block_coefficient_fails_the_operator_gates(
               "eq_2_3_transform_stages", "eq_2_5_transform_expansion",
               "eq_2_6_tilde_closed_form")
     assert all(_verdicts(schwarzschild, checks).values())
-    monkeypatch.setattr(rso, "THIRD", rso.THIRD * (1.0 + 1e-3))
+    patch_everywhere(monkeypatch, spin_frame, "THIRD",
+                     spin_frame.THIRD * (1.0 + 1e-3))
     assert not any(_verdicts(schwarzschild, checks).values())
 
 
@@ -465,15 +468,6 @@ def test_connection_dropped_everywhere(schwarzschild, frw_dust, monkeypatch):
 
 def _scaled(fn, factor=1.0 + 1e-3):
     return lambda spec, x: fn(spec, x) * factor
-
-
-def _patch_everywhere(monkeypatch, module, name, replacement):
-    """Replace ``module.name`` in every package module binding it."""
-    original = getattr(module, name)
-    for mod_name, mod in list(sys.modules.items()):
-        if (mod_name.startswith("curved_rs")
-                and getattr(mod, name, None) is original):
-            monkeypatch.setattr(mod, name, replacement)
 
 
 # The mutations below act where the geometry is computed.
@@ -582,7 +576,7 @@ def test_scaled_connection_fails_the_connection_gates(schwarzschild, frw_dust,
               "eq_2_7b_massless_gradient")
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
-    _patch_everywhere(monkeypatch, spin_frame, "spin_connection",
+    patch_everywhere(monkeypatch, spin_frame, "spin_connection",
                       _scaled(spin_frame.spin_connection))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
@@ -599,7 +593,7 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
               "metric_compatibility")
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
-    _patch_everywhere(monkeypatch, geometry, "christoffel",
+    patch_everywhere(monkeypatch, geometry, "christoffel",
                       _scaled(geometry.christoffel))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
@@ -801,7 +795,7 @@ def _count_calls(monkeypatch, module, name):
         calls.append(1)
         return original(*args, **kwargs)
 
-    _patch_everywhere(monkeypatch, module, name, counting)
+    patch_everywhere(monkeypatch, module, name, counting)
     return calls
 
 
@@ -896,30 +890,24 @@ def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
     assert len(residuals) == 1
 
 
-def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
-    """One suite at 20 points forms the operator blocks of one row set,
-    once: the context frame, shared by ``rs_residual`` (1.2a, 1.6, and 1.7
-    for the residual and its derivative) and ``SuiteContext.blocks``."""
+def test_suite_forms_the_operator_blocks_once(schwarzschild, monkeypatch):
+    """One suite at 20 points forms alpha^nu once, on its 20-row context
+    frame: ``rs_residual`` (1.2a, 1.6, and 1.7 for the residual and its
+    derivative), 2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 all read
+    ``GammaSet.alpha`` of that frame."""
     rows = []
-    original = rso._alpha_beta_rows
+    form = GammaSet.__dict__["alpha"].func
 
     def counting(gs):
         rows.append(len(gs.gamma_down))
-        return original(gs)
+        return form(gs)
 
-    _patch_everywhere(monkeypatch, rso, "_alpha_beta_rows", counting)
+    prop = functools.cached_property(counting)
+    prop.__set_name__(GammaSet, "alpha")
+    monkeypatch.setattr(GammaSet, "alpha", prop)
     rep = run_suite(schwarzschild, n_points=20, seed=42)
     assert rep.passed
-    assert sorted(rows) == [20]
-
-
-def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
-    """2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 share the context's
-    operator blocks: one ``build_alpha_beta`` call per suite."""
-    calls = _count_calls(monkeypatch, rso, "build_alpha_beta")
-    rep = run_suite(schwarzschild, n_points=4, seed=42)
-    assert rep.passed
-    assert len(calls) == 1
+    assert rows == [20]
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
@@ -986,7 +974,7 @@ def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
         sizes.append(len(frame.coords))
         return frame
 
-    _patch_everywhere(monkeypatch, spin_frame, "build_frame", recording)
+    patch_everywhere(monkeypatch, spin_frame, "build_frame", recording)
     rep = run_suite(spec, n_points=20, seed=42)
     n = 20
     assert rep.passed

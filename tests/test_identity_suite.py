@@ -16,6 +16,8 @@ from curved_rs.spacetimes import (
     spec_from_config,
 )
 
+from conftest import patch_everywhere
+
 #: every equation family the registry must exercise (an id may refine a
 #: family tag with a letter suffix, e.g. 1.14 -> eq_1_14a / eq_1_14b)
 REQUIRED_TAGS = [
@@ -345,9 +347,7 @@ class TestNaNErrors:
                                              monkeypatch):
         # a NaN in the operator blocks makes every error NaN; the check
         # must fail, not report 0.0
-        from curved_rs import rs_operator
-
-        monkeypatch.setattr(rs_operator, "THIRD", float("nan"))
+        patch_everywhere(monkeypatch, spin_frame, "THIRD", float("nan"))
         (result,) = suite.run_suite(schwarzschild, n_points=2, seed=5,
                                     only=(check,)).checks
         assert np.isnan(result.max_rel_error)

@@ -38,10 +38,9 @@ from curved_rs.rs_operator import (
     transform_CS,
     transform_printed,
     beta_tilde_eps_form,
-    THIRD,
-    _alpha_beta_rows,
 )
-from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
+from curved_rs.spin_frame import (THIRD, build_frame, gamma_set_at,
+                                  spin_connection)
 
 from conftest import first_constraint, frame_at, points_of
 from oracles import constant_field, richardson, stencil_sampler
@@ -301,7 +300,7 @@ class TestDenseBlockProducts:
         its row of a frame agree exactly."""
         gs = _frame_rows(schwarzschild).gammas
         gd, gu, g_up = gs.gamma_down, gs.gamma_up, gs.metric.g_upper
-        alpha, _ = _alpha_beta_rows(gs)
+        alpha = gs.alpha
         eye = np.eye(4)
         gd_r = gd[..., None, :, None, :, :]
         chain = eye[:, :, None, None] * gu[..., :, None, None, :, :]
