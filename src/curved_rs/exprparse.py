@@ -380,11 +380,10 @@ class Program:
         return namespace["_program"]
 
 
-def evaluate(node, bindings):
-    """The float value of an expression against name->value ``bindings``,
-    or the results of a ``Program`` on ``bindings``, a list of rows: the
-    value of each expression row by row in one flat list, or, for a
-    guard, one bool per row.
+def evaluate(program: Program, rows) -> list:
+    """The results of a ``Program`` on ``rows``, a list of rows: the value
+    of each expression row by row in one flat list, or, for a guard, one
+    bool per row.
 
     Every evaluation runs compiled code.  Raises EvalError on unbound
     names, division by zero, math-domain violations (sqrt of a negative,
@@ -392,10 +391,6 @@ def evaluate(node, bindings):
     for a float; its ``position`` is the index in the flat list of the
     value that failed.
     """
-    if isinstance(node, Program):
-        program, rows = node, bindings
-    else:
-        program, rows = Program((node,), consts=bindings), ((),)
     out = []
     try:
         program.function(rows, out)
@@ -404,7 +399,7 @@ def evaluate(node, bindings):
     except EvalError as exc:
         exc.position = len(out)
         raise
-    return out if program is node else out[0]
+    return out
 
 
 ZERO, ONE, TWO = Num(0.0), Num(1.0), Num(2.0)

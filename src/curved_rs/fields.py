@@ -84,9 +84,6 @@ class FieldSampler:
                 f"expected {expected}"
             )
 
-    def shape(self):
-        return _SHAPES[self.kind]
-
 
 @dataclass(frozen=True)
 class FieldStack:

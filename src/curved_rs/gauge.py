@@ -79,7 +79,7 @@ def einstein_prediction(psi: FieldSampler, frame: Frame,
     """constant * G_rb gamma^b(x) psi(x) on a frame's rows."""
     # psi point by point: the suite's one FieldSampler.__call__, which
     # perfbench traces as ``fields.sampler`` (``FieldSampler.at`` untraced)
-    values = np.stack([psi(Point(c, frame.chart_id)) for c in frame.coords])
+    values = np.stack([psi(Point(c, frame.spec.chart_id)) for c in frame.coords])
     return constant * np.einsum(
         "xrb,xbij,xj->xri", frame.curvature.einstein, frame.gammas.gamma_up,
         values

@@ -58,11 +58,6 @@ class Point:
         if self.coords.shape != (4,):
             raise ValueError("a point needs exactly 4 coordinates")
 
-    def shifted(self, mu: int, dh: float) -> "Point":
-        c = self.coords.copy()
-        c[mu] += dh
-        return Point(c, self.chart_id)
-
 
 @dataclass(eq=False)
 class MetricSpec:
@@ -70,28 +65,26 @@ class MetricSpec:
     the guard delimiting the chart's validity domain.  Specs are built from
     metric documents (see ``spacetimes``).
 
-    ``component_fn(x, order=0)`` maps a Point to the 4x4 symmetric matrix
-    g_ab (order 0), to d_mu g_ab indexed [mu, a, b] (order 1) or to
-    d_mu d_nu g_ab indexed [mu, nu, a, b] (order 2), and (n, 4) rows to
-    those arrays with a leading row axis.  ``domain_guard(x)`` is a bool
-    for a Point and a bool per row for rows.  ``sample_box`` is the
-    per-coordinate (lo, hi) box used by randomized suites; it must lie
-    strictly inside the domain.
+    Both callables take (n, 4) rows of chart coordinates, and only rows:
+    ``component_fn(rows, order=0)`` gives the 4x4 symmetric g_ab of each
+    row (order 0), d_mu g_ab indexed [x, mu, a, b] (order 1) or
+    d_mu d_nu g_ab indexed [x, mu, nu, a, b] (order 2);
+    ``domain_guard(rows)`` gives a bool per row.  ``MetricJet`` and
+    ``identity_suite.sample_points`` are their callers.  ``chart_id``
+    names the chart (a document's carries its config hash), and
+    ``sample_box`` is the per-coordinate (lo, hi) box used by randomized
+    suites; it must lie strictly inside the domain.
     """
 
     name: str
     component_fn: Callable[..., np.ndarray]
-    domain_guard: Callable[..., object]
-    chart: tuple = ("x0", "x1", "x2", "x3")
+    domain_guard: Callable[..., np.ndarray]
     chart_id: str = ""
     params: dict = field(default_factory=dict)
     sample_box: Optional[tuple] = None
 
     def point(self, *coords) -> Point:
         return Point(np.array(coords, dtype=float), self.chart_id)
-
-    def contains(self, x: Point) -> bool:
-        return bool(self.domain_guard(x))
 
 
 @dataclass(frozen=True)
@@ -147,7 +140,6 @@ class MetricJet:
 
     spec: MetricSpec
     coords: np.ndarray
-    chart_id: str
     _orders: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
@@ -187,8 +179,8 @@ def metric_jet(spec: MetricSpec, x) -> MetricJet:
     if isinstance(x, MetricJet):
         return x
     if isinstance(x, Point):
-        return MetricJet(spec, x.coords, x.chart_id)
-    return MetricJet(spec, as_rows(x), spec.chart_id)
+        return MetricJet(spec, x.coords)
+    return MetricJet(spec, as_rows(x))
 
 
 def eval_metric(spec: MetricSpec, x) -> MetricAtPoint:

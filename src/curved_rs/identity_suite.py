@@ -812,6 +812,8 @@ def build_context(spec: MetricSpec, n_points: int, seed: int,
     with the curvature class measured on that frame's first rows."""
     if n_points < 1:
         raise ConfigError("points must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     ctx = SuiteContext(
         spec=spec,
         points=sample_points(spec, n_points, seed),

@@ -116,10 +116,6 @@ class BlockMatrix16:
 
     __rmul__ = __mul__
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """(M Psi)_r = sum_s block(r, s) Psi_s."""
-        return contract("...rsij,...sj->...ri", self.blocks, psi)
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.blocks)))
 

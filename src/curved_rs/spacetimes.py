@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
-from .geometry import MetricSpec, Point
+from .geometry import MetricSpec
 
 #: the preset documents; their guards keep 1e-3 coordinate units from
 #: horizons, poles and singularities
@@ -153,7 +153,8 @@ def load_preset(name: str, **params) -> MetricSpec:
     unknown preset or parameter, and for a value that is not finite and
     positive."""
     if name not in PRESET_DOCUMENTS:
-        raise InvalidParameter(f"unknown preset '{name}'")
+        raise InvalidParameter(f"unknown preset '{name}'; available: "
+                               f"{', '.join(PRESET_NAMES)}")
     cfg = parse_metric_config(PRESET_DOCUMENTS[name], name=name)
     for key, value in params.items():
         if key not in cfg.params:
@@ -374,8 +375,8 @@ def _derivative_tables(cfg: MetricConfig) -> tuple:
 
 
 def _rows(x) -> np.ndarray:
-    """A Point's coordinates as one row, or (n, 4) rows."""
-    rows = x.coords[None] if isinstance(x, Point) else np.asarray(x, dtype=float)
+    """(n, 4) rows as a float array."""
+    rows = np.asarray(x, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"rows must have shape (n, 4), got {rows.shape}")
     return rows
@@ -403,8 +404,8 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         tuple(cfg.components[k] for k in COMPONENT_KEYS), names, cfg.params,
         tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
 
-    def comp(x, order: int = 0) -> np.ndarray:
-        rows = _rows(x)
+    def comp(rows, order: int = 0) -> np.ndarray:
+        rows = _rows(rows)
         table = tables[order]
         try:
             values = exprparse.evaluate(programs[order], rows.tolist())
@@ -418,14 +419,13 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         positions, columns = scatters[order]
         out = np.zeros((len(rows), 4 ** (order + 2)))
         out[:, positions] = np.array(values).reshape(len(rows), len(table))[:, columns]
-        out = out.reshape((len(rows),) + (4,) * (order + 2))
-        return out[0] if isinstance(x, Point) else out
+        return out.reshape((len(rows),) + (4,) * (order + 2))
 
-    def guard(x):
-        rows = _rows(x)
+    def guard(rows):
+        rows = _rows(rows)
         inside = np.isfinite(rows).all(axis=1)
         inside[inside] = exprparse.evaluate(guard_program, rows[inside].tolist())
-        return bool(inside[0]) if isinstance(x, Point) else inside
+        return inside
 
     box = None
     if cfg.sampling:
@@ -448,7 +448,6 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         name=cfg.name,
         component_fn=comp,
         domain_guard=guard,
-        chart=names,
         chart_id=chart_id,
         params=dict(cfg.params),
         sample_box=box,

@@ -265,7 +265,7 @@ class Frame(MetricJet):
 def build_frame(spec: MetricSpec, coords) -> Frame:
     """The frame of an (n, 4) array of chart coordinates of the spec's
     chart."""
-    return Frame(spec, as_rows(coords), spec.chart_id)
+    return Frame(spec, as_rows(coords))
 
 
 def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,

@@ -29,8 +29,11 @@ and the jet of every sampler a test builds by hand.
 
 The rest are helpers only tests call: ``constant_field`` (a sampler
 whose jet is the stencil adapter's), ``fit_prediction_constant`` (the fit
-that calibrated ``gauge.C0``), ``unitary_transform_gammas`` and
-``check_smoothness``.
+that calibrated ``gauge.C0``), ``unitary_transform_gammas``,
+``check_smoothness``, and the one-point and one-expression forms of the
+package's row APIs: ``value_of`` (an AST's compiled value),
+``guard_at`` and ``components_at`` (a spec's callables on one Point),
+``shifted`` and ``apply_blocks``.
 """
 
 
@@ -38,13 +41,14 @@ import numpy as np
 import sympy as sp
 
 from curved_rs.errors import ConfigError, CurvedRSError, EvalError
-from curved_rs.exprparse import CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num, Var
+from curved_rs.exprparse import (CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num,
+                                 Program, Var, evaluate)
 from curved_rs.fields import VECTOR_BISPINOR, FieldSampler, rows_of
 from curved_rs.gauge import (einstein_prediction, gradient_sampler,
                              massless_residual)
 from curved_rs.geometry import (ETA, Point, christoffel, eval_metric,
                                 metric_derivatives, metric_jet)
-from curved_rs.numerics import STEP_FIRST, fd_step
+from curved_rs.numerics import STEP_FIRST, contract, fd_step
 from curved_rs.spin_frame import GAMMA_FLAT, SIGMA_FLAT, Frame, build_tetrad
 
 
@@ -180,7 +184,7 @@ def loop_sample_points(spec, n: int, seed: int, draws_per_point: int) -> list:
     pts = []
     for _ in range(draws_per_point * n):
         p = Point(rng.uniform(box[:, 0], box[:, 1]), spec.chart_id)
-        if spec.contains(p):
+        if guard_at(spec, p):
             pts.append(p)
             if len(pts) == n:
                 return pts
@@ -359,7 +363,7 @@ def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
 
             def diff(hh):
                 return (
-                    sampler(x.shifted(mu, hh)) - sampler(x.shifted(mu, -hh))
+                    sampler(shifted(x, mu, hh)) - sampler(shifted(x, mu, -hh))
                 ) / (2 * hh)
 
             d1, d2, d4 = diff(h), diff(h / 2), diff(h / 4)
@@ -375,3 +379,31 @@ def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
             f"(shrink ratio {worst:.2f})"
         )
     return worst
+
+
+def value_of(node, bindings: dict) -> float:
+    """The compiled value of one expression AST with name->value
+    ``bindings``: a one-expression ``Program`` on one empty row."""
+    return evaluate(Program((node,), consts=bindings), [()])[0]
+
+
+def guard_at(spec, x: Point) -> bool:
+    """The spec's domain guard on one Point's row."""
+    return bool(spec.domain_guard(x.coords[None])[0])
+
+
+def components_at(spec, x: Point, order: int = 0) -> np.ndarray:
+    """The spec's metric table of one order on one Point's row."""
+    return spec.component_fn(x.coords[None], order)[0]
+
+
+def shifted(x: Point, mu: int, dh: float) -> Point:
+    """x with its coordinate mu moved by dh."""
+    c = x.coords.copy()
+    c[mu] += dh
+    return Point(c, x.chart_id)
+
+
+def apply_blocks(m, psi: np.ndarray) -> np.ndarray:
+    """(M Psi)_r = sum_s block(r, s) Psi_s of a ``BlockMatrix16``."""
+    return contract("...rsij,...sj->...ri", m.blocks, psi)

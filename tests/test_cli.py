@@ -110,7 +110,7 @@ class TestExitCodes:
     def test_unknown_preset_is_config_error(self, capsys):
         code, _, err = run(["identities", "--metric", "nosuch"], capsys)
         assert code == 2
-        assert "unknown preset" in err
+        assert "unknown preset 'nosuch'; available: minkowski_cartesian" in err
 
     def test_bad_param_is_config_error(self, capsys):
         code, _, err = run(

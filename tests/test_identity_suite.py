@@ -17,6 +17,7 @@ from curved_rs.spacetimes import (
 )
 
 from conftest import patch_everywhere
+from oracles import guard_at
 
 #: every equation family the registry must exercise (an id may refine a
 #: family tag with a letter suffix, e.g. 1.14 -> eq_1_14a / eq_1_14b)
@@ -75,7 +76,7 @@ class TestSampling:
 
     def test_points_in_domain(self, de_sitter):
         for p in suite.sample_points(de_sitter, 30, 7):
-            assert de_sitter.contains(p)
+            assert guard_at(de_sitter, p)
 
     def test_missing_box_rejected(self, minkowski):
         import copy
@@ -211,6 +212,11 @@ class TestRunSuite:
     def test_points_validation(self, minkowski):
         with pytest.raises(ConfigError):
             suite.run_suite(minkowski, n_points=0)
+
+    def test_negative_seed_is_config_error(self, minkowski):
+        # numpy's generator would raise a ValueError for it
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            suite.run_suite(minkowski, n_points=1, seed=-1)
 
     def test_config_metric_hash_in_report(self):
         text = """
