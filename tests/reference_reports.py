@@ -25,10 +25,9 @@ from pathlib import Path
 from curved_rs import cli
 from curved_rs.spacetimes import PRESET_NAMES
 
-HERE = Path(__file__).resolve().parent
-REFERENCE = HERE / "reference_reports.json"
-DOCUMENT_DIR = HERE.parent / "perfbench" / "documents"
-DOCUMENTS = ("schwarzschild", "frw_dust", "anti_de_sitter")
+from conftest import DOCUMENT_DIR, DOCUMENTS
+
+REFERENCE = Path(__file__).resolve().parent / "reference_reports.json"
 
 COMMANDS = ("identities", "gauge", "constraints")
 SEEDS = (42, 7)

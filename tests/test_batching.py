@@ -577,7 +577,7 @@ def test_scaled_connection_fails_the_connection_gates(schwarzschild, frw_dust,
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_2_8c_gauge_criterion",)).values())
     patch_everywhere(monkeypatch, spin_frame, "spin_connection",
-                      _scaled(spin_frame.spin_connection))
+                     _scaled(spin_frame.spin_connection))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
                              ("eq_2_8c_gauge_criterion",)).values())
@@ -594,7 +594,7 @@ def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
     assert all(_verdicts(schwarzschild, checks).values())
     assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
     patch_everywhere(monkeypatch, geometry, "christoffel",
-                      _scaled(geometry.christoffel))
+                     _scaled(geometry.christoffel))
     assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
     assert not any(_verdicts(load_preset("frw_dust"),
                              ("eq_1_10c_curvature_bridge",)).values())
