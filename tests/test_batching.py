@@ -890,24 +890,51 @@ def test_operator_form_samples_each_fixture_once(frw_dust, monkeypatch):
     assert len(residuals) == 1
 
 
-def test_suite_forms_the_operator_blocks_once(schwarzschild, monkeypatch):
-    """One suite at 20 points forms alpha^nu once, on its 20-row context
-    frame: ``rs_residual`` (1.2a, 1.6, and 1.7 for the residual and its
-    derivative), 2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 all read
-    ``GammaSet.alpha`` of that frame."""
+def _count_formations(monkeypatch, name):
+    """Rows of each GammaSet whose cached product ``name`` is formed."""
     rows = []
-    form = GammaSet.__dict__["alpha"].func
+    form = GammaSet.__dict__[name].func
 
     def counting(gs):
         rows.append(len(gs.gamma_down))
         return form(gs)
 
     prop = functools.cached_property(counting)
-    prop.__set_name__(GammaSet, "alpha")
-    monkeypatch.setattr(GammaSet, "alpha", prop)
+    prop.__set_name__(GammaSet, name)
+    monkeypatch.setattr(GammaSet, name, prop)
+    return rows
+
+
+def test_suite_builds_each_frames_blocks_once(schwarzschild, monkeypatch):
+    """One suite at 20 points forms the operator blocks of one row set,
+    once: alpha^nu and beta on its 20-row context frame, which
+    ``rs_residual`` (1.2a, 1.6, and 1.7 for the residual and its
+    derivative), 2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 all
+    read."""
+    alphas = _count_formations(monkeypatch, "alpha")
+    betas = _count_formations(monkeypatch, "beta")
     rep = run_suite(schwarzschild, n_points=20, seed=42)
     assert rep.passed
-    assert rows == [20]
+    assert alphas == [20]
+    assert betas == [20]
+
+
+def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
+    """2.2, 2.3 and 2.5 (``generic_transform``) and 2.6 take their operator
+    blocks from the context frame's GammaSet: every ``build_alpha_beta``
+    call of a suite reads that one GammaSet."""
+    seen = []
+    original = rso.build_alpha_beta
+
+    def recording(gs):
+        seen.append(gs)
+        return original(gs)
+
+    patch_everywhere(monkeypatch, rso, "build_alpha_beta", recording)
+    rep = run_suite(schwarzschild, n_points=4, seed=42)
+    assert rep.passed
+    assert seen
+    assert all(gs is rep.ctx.frame.gammas for gs in seen)
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
