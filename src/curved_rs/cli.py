@@ -65,8 +65,11 @@ def _parse_kv(pairs, what) -> dict:
         key, eq, value = pair.partition("=")
         if not eq:
             raise ConfigError(f"{what} '{pair}' is not NAME=VALUE")
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{what} '{key}' is given more than once")
         try:
-            out[key.strip()] = float(value)
+            out[key] = float(value)
         except ValueError:
             raise ConfigError(f"{what} '{pair}' has a non-numeric value")
     return out

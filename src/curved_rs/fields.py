@@ -129,30 +129,26 @@ def _complex_normal(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
-                     degree: int = 2) -> FieldSampler:
-    """Quadratic (by default) polynomial field with seeded coefficients.
+def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR,
+                     box=None) -> FieldSampler:
+    """Quadratic polynomial field with seeded coefficients.
 
     Evaluated as the monomial basis [1, u, u (x) u] of the box-scaled
-    coordinates u (width 1, 5 or 21 by degree) times one coefficient matrix;
-    the basis and its four d/du_mu, stacked, take one product for the jet,
-    and the basis alone for the values.  d_mu d_nu is the constant
+    coordinates u (width 21) times one coefficient matrix; the basis and
+    its four d/du_mu, stacked, take one product for the jet, and the basis
+    alone for the values.  d_mu d_nu is the constant
     2 c_{mu nu} / (h_mu h_nu) (quadratic coefficients c, half-widths h).
     """
     rng = np.random.default_rng(seed)
     center, half = _box_frame(box)
     base = _SHAPES[kind]
     width = int(np.prod(base))
-    coeffs = [_complex_normal(rng, base).reshape(1, width)]
-    dd = np.zeros((4, 4) + base, dtype=complex)
-    if degree >= 1:
-        coeffs.append(_complex_normal(rng, (4,) + base, 0.5).reshape(4, width))
-    if degree >= 2:
-        c2 = _complex_normal(rng, (4, 4) + base, 0.25)
-        c2 = 0.5 * (c2 + np.swapaxes(c2, 0, 1))
-        coeffs.append(c2.reshape(16, width))
-        dd = 2.0 * c2 / np.outer(half, half).reshape((4, 4) + (1,) * len(base))
-    matrix = np.concatenate(coeffs)
+    c0 = _complex_normal(rng, base).reshape(1, width)
+    c1 = _complex_normal(rng, (4,) + base, 0.5).reshape(4, width)
+    c2 = _complex_normal(rng, (4, 4) + base, 0.25)
+    c2 = 0.5 * (c2 + np.swapaxes(c2, 0, 1))
+    matrix = np.concatenate([c0, c1, c2.reshape(16, width)])
+    dd = 2.0 * c2 / np.outer(half, half).reshape((4, 4) + (1,) * len(base))
 
     def jet(coords, order):
         u = (rows_of(coords) - center) / half
@@ -160,24 +156,20 @@ def polynomial_field(seed: int, kind: str = VECTOR_BISPINOR, box=None,
         # [x, 0] the basis, [x, 1 + mu] its d/du_mu
         terms = np.zeros((n, 5 if order else 1, len(matrix)))
         terms[:, 0, 0] = 1.0
-        if degree >= 1:
-            terms[:, 0, 1:5] = u
-        if degree >= 2:
-            terms[:, 0, 5:] = (u[:, :, None] * u[:, None, :]).reshape(n, 16)
+        terms[:, 0, 1:5] = u
+        terms[:, 0, 5:] = (u[:, :, None] * u[:, None, :]).reshape(n, 16)
         if not order:
             return ((terms[:, 0] @ matrix).reshape((n,) + base),)
-        if degree >= 1:
-            terms[:, 1:, 1:5] = np.eye(4)
-        if degree >= 2:
-            # d(u_a u_b)/du_mu = delta_mu_a u_b + u_a delta_mu_b
-            du = np.eye(4)[:, :, None] * u[:, None, None, :]
-            terms[:, 1:, 5:] = (du + du.swapaxes(-1, -2)).reshape(n, 4, 16)
+        terms[:, 1:, 1:5] = np.eye(4)
+        # d(u_a u_b)/du_mu = delta_mu_a u_b + u_a delta_mu_b
+        du = np.eye(4)[:, :, None] * u[:, None, None, :]
+        terms[:, 1:, 5:] = (du + du.swapaxes(-1, -2)).reshape(n, 4, 16)
         out = terms @ matrix
         return (out[:, 0].reshape((n,) + base),
                 (out[:, 1:] / half[:, None]).reshape((n, 4) + base),
                 np.broadcast_to(dd, (n,) + dd.shape))[:order + 1]
 
-    return FieldSampler(jet, kind, f"poly{degree}[{seed}]")
+    return FieldSampler(jet, kind, f"poly2[{seed}]")
 
 
 def trig_field(seed: int, kind: str = VECTOR_BISPINOR, box=None) -> FieldSampler:

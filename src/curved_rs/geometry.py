@@ -175,10 +175,17 @@ class MetricJet:
 
 
 def metric_jet(spec: MetricSpec, x) -> MetricJet:
-    """``x`` as a jet: a Point or (n, 4) rows wrapped, a jet as it is."""
+    """``x`` as a jet: a Point or (n, 4) rows wrapped, a jet as it is.  A
+    Point whose ``chart_id`` is set and differs from the spec's is a
+    ValueError naming both charts; a Point without one evaluates on any
+    spec.  A preset's chart id is its name for every parameter value, so
+    this catches a point of another chart, not of another parameter."""
     if isinstance(x, MetricJet):
         return x
     if isinstance(x, Point):
+        if x.chart_id and x.chart_id != spec.chart_id:
+            raise ValueError(f"a point of chart '{x.chart_id}' evaluated on "
+                             f"chart '{spec.chart_id}'")
         return MetricJet(spec, x.coords)
     return MetricJet(spec, as_rows(x))
 

@@ -191,9 +191,9 @@ class CheckResult:
     passed: bool
     runtime_s: float
     note: str = ""
-    #: per-point errors of a check whose runner returns one error per
-    #: point (not reported)
-    point_errors: Optional[list] = field(default=None, repr=False)
+    #: the check's error at each point, which ``max_rel_error`` folds (not
+    #: reported)
+    point_errors: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -244,15 +244,11 @@ class SuiteReport:
         }
 
 
-def _rel(err, *scales) -> float:
-    floor = max([1e-300] + [abs(float(s)) for s in scales])
-    return float(err) / floor
-
-
 def _worst(*errors) -> float:
-    """The largest error (0.0 of none); NaN when any error is NaN.  Every
-    fold of errors goes through here: Python's ``max`` keeps its first
-    argument against a NaN, so a NaN error would pass its check."""
+    """The largest error (0.0 of none); NaN when any error is NaN.  The one
+    fold of a check's point errors, in ``run_suite``: Python's ``max``
+    keeps its first argument against a NaN, so a NaN error would pass its
+    check."""
     worst = 0.0
     for err in errors:
         if not err <= worst:
@@ -272,21 +268,21 @@ def _fixture_max(a) -> np.ndarray:
 
 
 def _row_rel(err, *scales) -> np.ndarray:
-    """``_rel`` row by row: the errors [n] over the largest of 1e-300 and
-    the scales (each [n] or a number)."""
+    """The errors [n] over the largest of 1e-300 and the scales (each [n]
+    or a number)."""
     floor = 1e-300
     for s in scales:
         floor = np.maximum(floor, np.abs(s))
     return err / floor
 
 
-def _max_row_rel(lhs, rhs, psi) -> float:
-    """Largest over (row, fixture) pairs of max|lhs - rhs| relative to the
-    pair's largest entry of lhs, rhs and psi (stacks [n, ..., F]), so that
-    each fixture is measured against its own size."""
+def _max_row_rel(lhs, rhs, psi) -> np.ndarray:
+    """Per row, the largest over fixtures of max|lhs - rhs| relative to the
+    (row, fixture) pair's largest entry of lhs, rhs and psi (stacks
+    [n, ..., F]), so that each fixture is measured against its own size."""
     scale = np.maximum(np.maximum(_fixture_max(lhs), _fixture_max(rhs)),
                        _fixture_max(psi))
-    return float(np.max(_fixture_max(lhs - rhs) / np.maximum(scale, 1e-300)))
+    return np.max(_fixture_max(lhs - rhs) / np.maximum(scale, 1e-300), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +300,7 @@ def _chk_hermiticity(ctx):
     errs = np.maximum(
         _row_rel(_row_max(_dagger(gu) - g0 @ gu @ g0), 1.0, _row_max(gu)),
         _row_rel(_row_max(_dagger(G) @ g0 + g0 @ G), 1.0, _row_max(G)))
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_covariant_constancy(ctx):
@@ -325,7 +321,7 @@ def _chk_covariant_constancy(ctx):
            + G[:, :, None] @ gu[:, None]
            - gu[:, None] @ G[:, :, None])
     errs = _row_rel(_row_max(val), 1.0, _row_max(gu))
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_clifford(ctx):
@@ -338,10 +334,9 @@ def _chk_clifford(ctx):
     errs = np.maximum(
         _row_rel(_row_max(anti - target), 1.0, _row_max(g_up)),
         _row_rel(_row_max(trace - 4.0 * np.eye(4)), 4.0))
-    flat = _worst(_rel(np.max(np.abs(g5 @ g5 - np.eye(4))), 1.0),
-                  _rel(np.max(np.abs(g5 @ gs.gamma_flat
-                                     + gs.gamma_flat @ g5)), 1.0))
-    return len(ctx.points), _worst(flat, *errs)
+    flat = np.maximum(np.max(np.abs(g5 @ g5 - np.eye(4))),
+                      np.max(np.abs(g5 @ gs.gamma_flat + gs.gamma_flat @ g5)))
+    return len(ctx.points), np.maximum(errs, flat)
 
 
 def _chk_sigma_tetrad(ctx):
@@ -353,7 +348,7 @@ def _chk_sigma_tetrad(ctx):
     errs = np.maximum(
         _row_rel(_row_max(prod - target), 1.0, _row_max(g_up)),
         _row_rel(_row_max(tetrad_sigma - sigma), 1.0, _row_max(sigma)))
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_triple_gamma(ctx):
@@ -375,7 +370,7 @@ def _chk_triple_gamma(ctx):
     # each product relative to its own size
     errs = _row_rel(np.max(np.abs(lhs - rhs), axis=(-2, -1)), 1.0,
                     np.max(np.abs(lhs), axis=(-2, -1)))
-    return len(ctx.points), _worst(*_row_max(errs))
+    return len(ctx.points), _row_max(errs)
 
 
 #: the independent index pairs (a, b), a < b, of an antisymmetric pair
@@ -413,20 +408,21 @@ def _chk_sigma_commutator(ctx):
     gs = ctx.frame.gammas
     sig, g_up = gs.sigma_curved, gs.metric.g_upper
     defect = _sigma_commutator_defect(SIGMA_FLAT, ETA)
-    flat = _worst(_rel(np.max(np.abs(defect)), 1.0, np.max(np.abs(ETA))),
-                  np.max(np.abs(SIGMA_FLAT + SIGMA_FLAT.swapaxes(0, 1))))
+    # |eta| = 1, so the flat defect is its own relative error
+    flat = np.maximum(np.max(np.abs(defect)),
+                      np.max(np.abs(SIGMA_FLAT + SIGMA_FLAT.swapaxes(0, 1))))
     errs = np.maximum(
         _row_rel(_row_max(_sigma_commutator_defect(sig, g_up)), 1.0,
                  _row_max(g_up)),
         _row_rel(_row_max(sig + sig.swapaxes(1, 2)), 1.0, _row_max(sig)))
-    return len(ctx.points), _worst(flat, *errs)
+    return len(ctx.points), np.maximum(errs, flat)
 
 
 def _chk_commutator_curvature(ctx):
     alg = spinor_commutator_curvature(ctx.frame)
     f = connection_curvature(ctx.frame)
     errs = _row_rel(_row_max(alg - f), _row_max(alg), _row_max(f), 1e-3)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _subset(*stacks) -> list:
@@ -450,7 +446,7 @@ def _chk_sigma_ricci_contraction(ctx):
     rhs = -0.5 * contract("xnij,xnb->xbij", gs.gamma_up, bundle.ricci)
     errs = _row_rel(_row_max(lhs - rhs), _row_max(lhs), _row_max(rhs),
                     ctx.met_class.riemann_scale, 1e-3)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_curvature_bridge(ctx):
@@ -470,17 +466,15 @@ def _chk_divergence_form(ctx):
     waves = [flat_rs_plane_wave(ctx.mass.m or 1.0, boost)
              for boost in (0.0, 0.4)]
     mass = rso.MassParam(ctx.mass.m or 1.0)
-
-    worst = 0.0
+    errs = []
     for w in waves:
         # gamma.residual and (2/3) of the first constraint, from one D Psi
         d, psi = rso.covariant_rows(w, ctx.frame)
         lhs, rhs = rso.contraction_identity(ctx.frame, d, psi, mass)
         chi = 1.5 * rhs
         scale = np.maximum(_row_max(psi), 1e-6)
-        worst = _worst(worst, float(np.max(_row_max(lhs) / scale)),
-                       float(np.max(_row_max(chi) / scale)))
-    return len(ctx.points), worst
+        errs += [_row_max(lhs) / scale, _row_max(chi) / scale]
+    return len(ctx.points), np.max(errs, axis=0)
 
 
 def _chk_derivative_chain(ctx):
@@ -501,16 +495,16 @@ def _chk_flat_reduction(ctx):
     waves = [flat_rs_plane_wave(ctx.mass.m or 1.0, boost)
              for boost in (0.0, 0.3, 0.8)]
     mass = rso.MassParam(ctx.mass.m or 1.0)
-    worst = 0.0
+    errs = []
     for w in waves:
         rep = rso.flat_reduction_check(
             ctx.frame, *rso.covariant_rows(w, ctx.frame), mass)
-        scale = max(rep["scale"], 1e-6)
-        worst = _worst(worst, rep["max_rs_residual"] / scale,
-                       rep["max_match_error"] / scale)
-        if not rep["constraints_satisfied"]:
-            worst = _worst(worst, 1.0)
-    return len(ctx.points), worst
+        scale = np.maximum(rep["scale"], 1e-6)
+        # a row whose wave breaks the constraints fails outright
+        errs += [rep["max_rs_residual"] / scale,
+                 rep["max_match_error"] / scale,
+                 np.where(rep["constraints_satisfied"], 0.0, 1.0)]
+    return len(ctx.points), np.max(errs, axis=0)
 
 
 def _chk_vacuum_constraint(ctx):
@@ -521,13 +515,13 @@ def _chk_vacuum_constraint(ctx):
     ]
 
     kappa2 = max(1.0, abs(ctx.mass.kappa) ** 2)
-    worst = 0.0
+    errs = []
     for fld in fields:
         psi = fld.at(ctx.frame)
         c2 = rso.constraint_two(ctx.frame, psi, ctx.mass)
-        worst = _worst(worst, *_row_rel(
+        errs.append(_row_rel(
             _row_max(c2), np.maximum(_row_max(psi), 1e-6) * kappa2))
-    return len(ctx.points), worst
+    return len(ctx.points), np.maximum.reduce(errs)
 
 
 def _chk_einstein_space(ctx):
@@ -535,7 +529,7 @@ def _chk_einstein_space(ctx):
     dev = (bundle.ricci
            - bundle.scalar[:, None, None] / 4.0 * ctx.frame.metric.g_lower)
     errs = _row_rel(_row_max(dev), _row_max(bundle.ricci), 1e-3)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_einstein_factor(ctx):
@@ -550,7 +544,7 @@ def _chk_einstein_factor(ctx):
     errs = _row_rel(_fixture_max(c2 - factor[:, None, None] * phi),
                     _fixture_max(c2), np.abs(factor)[:, None] * phi_max,
                     phi_max)
-    return (len(ctx.points), _worst(*errs[~empty]),
+    return (len(ctx.points), np.max(np.where(empty, 0.0, errs), axis=1),
             f"vacuous_points={int(empty.sum())}")
 
 
@@ -590,7 +584,7 @@ def _chk_block_assembly(ctx):
         _row_max(trace - (8.0 / 3.0) * np.eye(4)),
         _row_rel(_row_max((alphas[0] @ beta).blocks - ref), _row_max(ref),
                  1.0))
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 _GENERIC_ABC = (0.25, -0.125, 0.7)  # a + b + 4ab = 0
@@ -610,7 +604,7 @@ def _transform_errors(beta, beta_ref, alphas, alpha_refs) -> np.ndarray:
 def _chk_transform_stages(ctx):
     tr, (bp, ap, _, _) = ctx.generic_transform
     errs = _transform_errors(tr.beta_prime, bp, tr.alpha_prime, ap)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_s_inverse(ctx):
@@ -622,13 +616,13 @@ def _chk_s_inverse(ctx):
         s, s_inv = rso.gamma_pair_block(gs, a), rso.gamma_pair_block(gs, b)
         errs += [_row_rel(_row_max((s @ s_inv - eye).blocks),
                           _row_max(s.blocks) * _row_max(s_inv.blocks), 1.0)]
-    return len(ctx.points), _worst(*np.ravel(errs))
+    return len(ctx.points), np.max(errs, axis=0)
 
 
 def _chk_transform_expansion(ctx):
     tr, (_, _, bt, at_) = ctx.generic_transform
     errs = _transform_errors(tr.beta_tilde, bt, tr.alpha_tilde, at_)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_tilde_closed_form(ctx):
@@ -636,7 +630,7 @@ def _chk_tilde_closed_form(ctx):
     tr = rso.transform_CS(*rso.build_alpha_beta(gs), gs, -1.0 / 3.0, -1.0, 2.0)
     alpha_t, beta_t = rso.tilde_closed_form(gs)
     errs = _transform_errors(tr.beta_tilde, beta_t, tr.alpha_tilde, alpha_t)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_beta_dual_forms(ctx):
@@ -645,7 +639,7 @@ def _chk_beta_dual_forms(ctx):
     eps_form = rso.beta_tilde_eps_form(gs)
     errs = _row_rel(_row_max(beta_t.blocks - eps_form.blocks),
                     _row_max(beta_t.blocks), 1.0)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_massless_gradient(ctx):
@@ -675,13 +669,13 @@ def _chk_eps_determinant(ctx):
     errs = np.maximum(
         _row_rel(_row_max(raw - rep["sign"] * det), *scale),
         _row_rel(_row_max(raw - rep["einstein_combination"]), *scale))
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 def _chk_metric_compatibility(ctx):
     dev = covariant_metric_derivative(ctx.spec, ctx.frame)
     errs = _row_rel(_row_max(dev), _row_max(ctx.frame.metric.g_lower), 1.0)
-    return len(ctx.points), _worst(*errs)
+    return len(ctx.points), errs
 
 
 REGISTRY = [
@@ -843,10 +837,11 @@ def run_suite(
     that is not registered, or a tolerance override for a check outside
     the run or inapplicable to the metric's measured curvature class, is a
     ConfigError naming the run's checks.  A runner returns
-    (points, error[, note]); an error that is an array holds one error per
-    point, kept in ``CheckResult.point_errors`` and folded by ``_worst``
-    into the check's error.  Check failures are recorded, not raised;
-    infrastructure errors propagate with context.
+    (points, errors[, note]) with one error per context point, kept in
+    ``CheckResult.point_errors`` and folded here, by ``_worst`` alone, into
+    the check's error; errors of any other shape are a ValueError naming
+    the check.  Check failures are recorded, not raised; infrastructure
+    errors propagate with context.
     """
     overrides = tolerance_overrides or {}
     known = [d.id for d in REGISTRY]
@@ -879,10 +874,13 @@ def run_suite(
         tol = float(overrides.get(desc.id, desc.tolerance))
         t_check = time.perf_counter()
         out = desc.runner(ctx)
-        point_errors = None
-        if np.ndim(out[1]):
-            point_errors = [float(e) for e in out[1]]
-        err = _worst(*point_errors) if point_errors else float(out[1])
+        if np.shape(out[1]) != (len(ctx.points),):
+            raise ValueError(
+                f"check {desc.id} returned errors of shape "
+                f"{np.shape(out[1])}, not one per point "
+                f"({len(ctx.points)},)")
+        point_errors = [float(e) for e in out[1]]
+        err = _worst(*point_errors)
         results.append(
             CheckResult(
                 id=desc.id,

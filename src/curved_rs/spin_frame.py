@@ -126,11 +126,6 @@ class GammaSet:
         return read_only(levi_civita(self.metric)[0])
 
     @cached_property
-    def eps_lower(self) -> np.ndarray:
-        """eps_{abcd}(x), [..., a, b, c, d]."""
-        return read_only(levi_civita(self.metric)[1])
-
-    @cached_property
     def eps_mixed(self) -> np.ndarray:
         """eps_r^{nu s mu}(x), [..., r, nu, s, mu]."""
         return read_only(np.einsum("...rl,...lnsm->...rnsm",

@@ -110,8 +110,8 @@ def test_criterion_1_algebraic_identities():
     for name, params in ALL_PRESETS:
         ctx = _suite_ctx(spacetimes.load_preset(name, **params), 20)
         for runner in ALGEBRAIC_RUNNERS:
-            _, err = runner(ctx)
-            worst = max(worst, err)
+            _, errs = runner(ctx)
+            worst = np.maximum(worst, np.max(errs))
     elapsed = time.perf_counter() - t0
     verdict(1, "algebraic identity suite",
             worst < 1e-10 and elapsed < 5.0,
@@ -224,9 +224,10 @@ def test_criterion_5_flat_reduction():
         wave = flat_rs_plane_wave(1.0, boost)
         rep = rso.flat_reduction_check(
             frame, *rso.covariant_rows(wave, frame), rso.MassParam(1.0))
-        assert rep["constraints_satisfied"]
-        worst_res = max(worst_res, rep["max_rs_residual"])
-        worst_match = max(worst_match, rep["max_match_error"] / rep["scale"])
+        assert rep["constraints_satisfied"].all()
+        worst_res = np.maximum(worst_res, np.max(rep["max_rs_residual"]))
+        worst_match = np.maximum(
+            worst_match, np.max(rep["max_match_error"] / rep["scale"]))
     verdict(5, "flat reduction",
             worst_res < 1e-8 and worst_match < 1e-10,
             f"residual {worst_res:.2e}, operator match {worst_match:.2e}")

@@ -211,6 +211,10 @@ class TestExitCodes:
         ["identities", "--metric-file", "{zero_g00}"],
         ["identities", "--metric", "schwarzschild", "--mass", "1e200"],
         ["constraints", "--metric", "schwarzschild", "--mass", "1e200"],
+        ["identities", "--metric", "schwarzschild", "--param", "M=1",
+         "--param", "M=2"],
+        ["identities", "--tolerance", "eq_1_3_hermiticity=1e-3",
+         "--tolerance", "eq_1_3_hermiticity=1e-5"],
     ])
     def test_bad_input_is_config_error(self, capsys, tmp_path, args):
         for key, text in (("cfg", DS_CFG), ("outside", OUTSIDE_CFG),

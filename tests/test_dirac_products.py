@@ -52,8 +52,8 @@ def _count_products(monkeypatch) -> dict:
 def test_suite_forms_each_product_once_on_the_context_frame(frw_dust,
                                                            monkeypatch):
     """One suite at 20 points forms gamma_r gamma^s, i gamma5 eps gamma,
-    sigma, eps^{abcd} and eps_r^{nsm} once each, all on the context
-    frame's GammaSet; nothing reads eps_{abcd}."""
+    sigma, eps^{abcd}, eps_r^{nsm} and the operator blocks once each, all
+    on the context frame's GammaSet."""
     formed = _count_products(monkeypatch)
     contexts = []
     build = identity_suite.build_context
@@ -66,8 +66,7 @@ def test_suite_forms_each_product_once_on_the_context_frame(frw_dust,
     assert run_suite(frw_dust, n_points=20, seed=42).passed
     gs = contexts[0].frame.gammas
     assert {name: [g is gs for g in sets] for name, sets in formed.items()} \
-        == {name: [] if name == "eps_lower" else [True]
-            for name in GAMMA_PRODUCTS}
+        == {name: [True] for name in GAMMA_PRODUCTS}
 
 
 def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
@@ -84,8 +83,8 @@ def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
         return sets[-1]
 
     monkeypatch.setattr(identity_suite, "gamma_set_at", recording)
-    _, err = identity_suite._chk_covariant_constancy(ctx)
-    assert err <= identity_suite.TOL_FIRST_ORDER
+    _, errs = identity_suite._chk_covariant_constancy(ctx)
+    assert np.max(errs) <= identity_suite.TOL_FIRST_ORDER
     assert len(sets) == 8 and all(len(gs.gamma_up) == 20 for gs in sets)
     assert formed == {name: [] for name in GAMMA_PRODUCTS}
 

@@ -171,7 +171,7 @@ def test_a_large_fixture_does_not_hide_a_small_ones_error(schwarzschild,
     fixtures[0] = _scaled(fixtures[0], 1e8)
     scaled = build_context(schwarzschild, 4, seed=5, mass=1.0)
     scaled.vb_fixtures = list(fixtures)
-    assert runner.runner(scaled)[1] <= runner.tolerance
+    assert np.max(runner.runner(scaled)[1]) <= runner.tolerance
     fixtures[1] = _noisy(fixtures[1], 1e-9)
     ctx.vb_fixtures = fixtures
-    assert runner.runner(ctx)[1] > runner.tolerance
+    assert np.max(runner.runner(ctx)[1]) > runner.tolerance

@@ -62,6 +62,20 @@ class TestEvalMetric:
         with pytest.raises(SingularMetric):
             eval_metric(spec, spec.point(0.0, 0.0, 0.0, 0.0))
 
+    def test_point_of_another_chart_is_an_error(self, schwarzschild):
+        """A de Sitter point on Schwarzschild names both charts.  A Point
+        without a chart evaluates, and so does a point of the same preset
+        at another parameter, since a preset's chart id is its name."""
+        x = spacetimes.load_preset("de_sitter_static").point(0, 3.0, 1.0, 0.2)
+        with pytest.raises(ValueError,
+                           match="'de_sitter_static'.*'schwarzschild'"):
+            eval_metric(schwarzschild, x)
+        bare = eval_metric(schwarzschild, geometry.Point(x.coords))
+        light = spacetimes.load_preset("schwarzschild", M=0.5)
+        other_m = eval_metric(schwarzschild, light.point(0, 3.0, 1.0, 0.2))
+        assert np.array_equal(bare.g_lower, other_m.g_lower)
+        assert bare.g_lower[0, 0] == pytest.approx(1.0 / 3.0)
+
 
 class TestMetricDerivatives:
     def test_minkowski_zero(self, minkowski):

@@ -249,8 +249,8 @@ z = -1, 1
         assert rep.passed
         assert rep.ctx.met_class.flat_cartesian
         assert "eq_1_12_flat_reduction" not in {c.id for c in rep.checks}
-        _, err = suite._chk_flat_reduction(rep.ctx)
-        assert err > suite.TOL_FLAT_REDUCTION
+        _, errs = suite._chk_flat_reduction(rep.ctx)
+        assert np.max(errs) > suite.TOL_FLAT_REDUCTION
 
     def test_divergence_form_applies_to_eta_only(self):
         """1.11b differentiates the same plane waves: on the g00 = 4
@@ -261,8 +261,8 @@ z = -1, 1
         rep = suite.run_suite(spec, n_points=4, seed=5)
         assert rep.passed
         assert "eq_1_11b_divergence_form" not in {c.id for c in rep.checks}
-        _, err = suite._chk_divergence_form(rep.ctx)
-        assert err > 1e3 * suite.TOL_FLAT_REDUCTION
+        _, errs = suite._chk_divergence_form(rep.ctx)
+        assert np.max(errs) > 1e3 * suite.TOL_FLAT_REDUCTION
 
     def test_scaled_time_derivative_fails_the_divergence_form(
             self, minkowski, monkeypatch):
@@ -337,6 +337,34 @@ def test_gauge_table_is_one_run_of_the_check(name, monkeypatch):
     table = rep.extra["points_table"]
     assert [row["max_rel_error"] for row in table] == check.point_errors
     assert max(check.point_errors) == check.max_rel_error
+
+
+def test_every_runner_returns_one_error_per_point():
+    """Each registered runner, on a preset whose class it applies to,
+    returns one error per context point, and ``run_suite`` keeps them as
+    the check's ``point_errors`` and folds them into its error."""
+    contexts = [suite.build_context(load_preset(name), 3, seed=5, mass=1.0)
+                for name in ("minkowski_cartesian", "schwarzschild",
+                             "de_sitter_static", "frw_dust")]
+    for desc in suite.REGISTRY:
+        ctx = next(c for c in contexts if desc.applies(c.met_class))
+        assert np.shape(desc.runner(ctx)[1]) == (3,), desc.id
+    for ctx in contexts:
+        for check in suite.run_suite(ctx.spec, n_points=3, seed=5).checks:
+            assert len(check.point_errors) == 3, check.id
+            assert check.max_rel_error == max(check.point_errors), check.id
+
+
+@pytest.mark.parametrize("errors", [0.0, np.zeros(2), np.zeros((3, 1))],
+                         ids=["float", "short", "column"])
+def test_a_runner_without_one_error_per_point_is_an_error(
+        schwarzschild, monkeypatch, errors):
+    """A runner that folds its errors itself, or returns them in any shape
+    but one per point, makes ``run_suite`` raise naming the check."""
+    desc = next(d for d in suite.REGISTRY if d.id == "eq_1_3_hermiticity")
+    monkeypatch.setattr(desc, "runner", lambda ctx: (len(ctx.points), errors))
+    with pytest.raises(ValueError, match="eq_1_3_hermiticity"):
+        suite.run_suite(schwarzschild, n_points=3, seed=5, only=(desc.id,))
 
 
 class TestNaNErrors:

@@ -110,3 +110,41 @@ def test_the_path_lint_sees_a_path():
     source = ("np.einsum('ij,jk->ik', a, b)\n"
               "np.einsum('ij,jk->ik', a, b, optimize=True)\n")
     assert einsum_paths(source) == [2]
+
+
+def _gamma_products(tree) -> set:
+    """The names of the cached properties of a class ``GammaSet``."""
+    return {func.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "GammaSet"
+            for func in cls.body if isinstance(func, ast.FunctionDef)
+            and any(getattr(d, "id", getattr(d, "attr", None))
+                    == "cached_property" for d in func.decorator_list)}
+
+
+def unread_products(sources: list) -> list:
+    """The cached properties of ``GammaSet`` that no attribute read in the
+    sources names: products formed for no reader."""
+    trees = [ast.parse(source) for source in sources]
+    products = set().union(*(_gamma_products(tree) for tree in trees))
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return sorted(products - read)
+
+
+def test_every_gamma_product_has_a_reader():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_products(sources) == []
+
+
+def test_the_product_lint_sees_an_unread_product():
+    source = ("class GammaSet:\n"
+              "    @cached_property\n"
+              "    def pairs(self):\n        return 1\n"
+              "    @functools.cached_property\n"
+              "    def eps_lower(self):\n        return 2\n"
+              "    @property\n"
+              "    def size(self):\n        return 3\n")
+    reader = "def side(gs):\n    return gs.pairs\n"
+    assert unread_products([source, reader]) == ["eps_lower"]
+    assert unread_products([source]) == ["eps_lower", "pairs"]
