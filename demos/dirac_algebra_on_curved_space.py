@@ -14,7 +14,7 @@ import numpy as np
 from curved_rs import spacetimes
 from curved_rs.geometry import christoffel
 from curved_rs.numerics import partial4
-from curved_rs.spin_frame import Point, gamma_set_at, spin_connection
+from curved_rs.spin_frame import gamma_set_at, spin_connection
 
 spec = spacetimes.load_preset("schwarzschild", M=1.0)
 x = spec.point(0.0, 4.0, 1.2, 0.7)
@@ -54,15 +54,12 @@ gam = christoffel(spec, x)
 G = spin_connection(spec, x)
 
 
-def gup_at(c):
-    return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
-
-
+# d[s, r] = d_s gamma^r, from the Dirac matrices of the 8 shifted points
+d = partial4(lambda rows: gamma_set_at(spec, rows).gamma_up, x.coords)
 worst = 0.0
 for s in range(4):
-    d = partial4(gup_at, x.coords, s)
     for r in range(4):
-        val = (d[r] + np.einsum("l,lij->ij", gam[r, s, :], gs.gamma_up)
+        val = (d[s, r] + np.einsum("l,lij->ij", gam[r, s, :], gs.gamma_up)
                + G[s] @ gs.gamma_up[r] - gs.gamma_up[r] @ G[s])
         worst = max(worst, np.max(np.abs(val)))
 print(f"covariant constancy of gamma^al(x)    = {worst:.2e}")

@@ -23,7 +23,7 @@ cannot hide a small one's error.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -162,6 +162,19 @@ class SuiteContext:
         return rso.covariant_jet(self.fixtures, self.frame)
 
     @cached_property
+    def curvature_forms(self) -> tuple:
+        """(commutator, chain): the curvature forms of the fixture stack on
+        the frame's rows, from one ``curvature_commutator`` pass.  The
+        chain is ``chain_rhs`` of every fixture (1.7, and 1.11a on the
+        first ``FIXTURE_SUBSET``); of the commutator, which the chain
+        reads whole, only the ``FIXTURE_SUBSET`` fixtures 1.9 reads are
+        kept."""
+        psi = self.fixture_rows.psi
+        commutator = rso.curvature_commutator(self.frame, psi)
+        return (commutator[0][..., :FIXTURE_SUBSET].copy(),
+                rso.chain_rhs(self.frame, psi, self.mass, commutator))
+
+    @cached_property
     def generic_transform(self) -> tuple:
         """(``transform_CS``, ``transform_printed``) of the frame's blocks
         at ``_GENERIC_ABC``, which 2.3 and 2.5 compare stage by stage."""
@@ -196,9 +209,9 @@ class CheckResult:
     point_errors: list = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        del out["point_errors"]
-        return out
+        """Every field but ``point_errors``, read field by field
+        (``asdict`` would deep-copy the point errors first)."""
+        return {k: v for k, v in vars(self).items() if k != "point_errors"}
 
 
 @dataclass
@@ -306,15 +319,12 @@ def _chk_hermiticity(ctx):
 def _chk_covariant_constancy(ctx):
     """d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] on the
     frame's rows, with d_s gamma^r differenced over Dirac matrices built
-    apart from the frame (``gamma_set_at`` on the shifted rows)."""
+    apart from the frame (one ``gamma_set_at`` on all the shifted rows)."""
     frame = ctx.frame
-    coords = frame.coords
-
-    def gamma_up_at(rows):
-        return gamma_set_at(ctx.spec, rows).gamma_up
 
     # d[x, s, r, i, j] = d_s gamma^r
-    d = np.stack([partial4(gamma_up_at, coords, s) for s in range(4)], axis=1)
+    d = partial4(lambda rows: gamma_set_at(ctx.spec, rows).gamma_up,
+                 frame.coords)
     gu, G = frame.gammas.gamma_up, frame.connection
     val = (d
            + contract("xrsl,xlij->xsrij", frame.christoffel, gu)
@@ -432,9 +442,9 @@ def _subset(*stacks) -> list:
 
 def _chk_commutator_decomposition(ctx):
     d, dd, psi = _subset(*ctx.fixture_rows[2:5])
+    comm, _ = ctx.curvature_forms
     return len(ctx.points), _max_row_rel(
-        rso.second_covariant_comm(ctx.frame, d, dd),
-        rso.curvature_commutator(ctx.frame, psi)[0], psi)
+        rso.second_covariant_comm(ctx.frame, d, dd), comm, psi)
 
 
 def _chk_sigma_ricci_contraction(ctx):
@@ -479,16 +489,16 @@ def _chk_divergence_form(ctx):
 
 def _chk_derivative_chain(ctx):
     _, _, d, dd, psi, dpsi = ctx.fixture_rows
+    _, chain = ctx.curvature_forms
     return len(ctx.points), _max_row_rel(
-        rso.derivative_chain(ctx.frame, d, dd, psi, dpsi, ctx.mass),
-        rso.chain_rhs(ctx.frame, psi, ctx.mass), psi)
+        rso.derivative_chain(ctx.frame, d, dd, psi, dpsi, ctx.mass), chain,
+        psi)
 
 
 def _chk_constraint_reduction(ctx):
-    (psi,) = _subset(ctx.fixture_rows.psi)
+    chain, psi = _subset(ctx.curvature_forms[1], ctx.fixture_rows.psi)
     return len(ctx.points), _max_row_rel(
-        rso.chain_rhs(ctx.frame, psi, ctx.mass),
-        rso.constraint_two(ctx.frame, psi, ctx.mass), psi)
+        chain, rso.constraint_two(ctx.frame, psi, ctx.mass), psi)
 
 
 def _chk_flat_reduction(ctx):

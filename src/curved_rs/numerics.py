@@ -3,10 +3,11 @@ array helpers.
 
 Metric derivatives, the fields' jets and the connection's derivatives are
 exact, so one quantity is still differenced: the Dirac matrices that 1.4
-builds apart from the frame.  ``partial4`` takes that d/dx^mu by a
-2nd-order central difference at the step ``fd_step(x, STEP_FIRST)`` =
-``max(1e-5, 1e-5 |x|)``, on one point or on (n, 4) rows with one step per
-row.
+builds apart from the frame.  ``partial4`` takes d/dx^mu along all four
+axes by a 2nd-order central difference at the step
+``fd_step(x, STEP_FIRST)`` = ``max(1e-5, 1e-5 |x|)`` per coordinate, on
+one point or on (n, 4) rows, from one call of the differenced function on
+the 8 n shifted rows (4 axes x 2 signs per row).
 
 ``contract`` is the one path for a two-operand contraction over rows: one
 ``np.matmul`` on transposed and reshaped views of its operands, planned
@@ -42,20 +43,22 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def partial4(f, coords, mu):
-    """Central-difference d/dx^mu at ``fd_step(x^mu, STEP_FIRST)`` of an
-    array-valued function of 4 coords, at one point, or on (n, 4) rows with
-    one step per row: ``f`` then takes the shifted rows and returns one
-    value per row."""
+def partial4(f, coords):
+    """Central-difference d/dx^mu along all four axes at
+    ``fd_step(x, STEP_FIRST)``, at one point (4,) or on (n, 4) rows with
+    one step per row and axis: ``d[..., mu, ...]``.  ``f`` is called once,
+    on the 8 shifted rows of every row, stacked (row, sign, axis) with the
+    + shifts first, and returns one value per shifted row."""
     coords = np.asarray(coords, dtype=float)
-    h = fd_step(coords[..., mu], STEP_FIRST)
-    xp = coords.copy()
-    xm = coords.copy()
-    xp[..., mu] += h
-    xm[..., mu] -= h
-    diff = np.asarray(f(xp)) - np.asarray(f(xm))
-    step = 2.0 * np.asarray(h)
-    return diff / step.reshape(step.shape + (1,) * (diff.ndim - step.ndim))
+    rows = coords.reshape(-1, 4)
+    h = fd_step(rows, STEP_FIRST)
+    shifts = h[:, None, :] * np.eye(4)
+    shifted = np.stack([rows[:, None] + shifts, rows[:, None] - shifts], 1)
+    values = np.asarray(f(shifted.reshape(-1, 4)))
+    values = values.reshape((len(rows), 2, 4) + values.shape[1:])
+    step = (2.0 * h).reshape(h.shape + (1,) * (values.ndim - 3))
+    d = (values[:, 0] - values[:, 1]) / step
+    return d.reshape(coords.shape[:-1] + d.shape[1:])
 
 
 def thread_count() -> int:

@@ -336,14 +336,15 @@ def derivative_chain(frame: Frame, d, dd, psi, dpsi, mass):
             - kappa * chi)
 
 
-def chain_rhs(frame: Frame, psi, mass):
+def chain_rhs(frame: Frame, psi, mass, commutator):
     """The curvature form of the derivative chain on a frame's rows from
     the field values psi [n, be, s] there:
     -D_{al be} gamma^al Psi^be + kappa^2/2 gamma^r Psi_r
     + 1/3 sigma^{al be} D_{al be} gamma^r Psi_r, with the commutator in its
-    algebraic form (vector curvature + spinor curvature)."""
+    algebraic form (vector curvature + spinor curvature): the pair
+    ``curvature_commutator(frame, psi)``."""
     gs = frame.gammas
-    comm, dhat = curvature_commutator(frame, psi)
+    comm, dhat = commutator
     contracted = contract("xmb,xambs...->xas...", gs.metric.g_upper, comm)
     term1 = -contract("xaij,xaj...->xi...", gs.gamma_up, contracted)
     phi = contract("xrij,xrj...->xi...", gs.gamma_up, psi)
@@ -453,7 +454,9 @@ def flat_reduction_check(frame: Frame, d, psi, mass: MassParam) -> dict:
     residuals (gamma^a d_a + kappa) Psi_c, on every row of the frame, whose
     metric the residual reads, from D_nu Psi and Psi there.  Returns a
     report dict of per-row values [n]: each ``max_*`` is the row's largest
-    entry, measured against the row's ``scale``."""
+    entry, measured against the row's ``scale``.  ``constraints_satisfied``
+    holds where the largest entries of gamma^a Psi_a and d^a Psi_a are at
+    most 1e-8 of the scale; neither is returned."""
     rs = rs_residual(frame, d, psi, mass)
     dirac = contract("aij,xacj->xci", GAMMA_FLAT, d) + mass.kappa * psi
     max_rs, max_dirac, max_match, max_tr, max_div, max_psi, max_d = (
@@ -468,7 +471,5 @@ def flat_reduction_check(frame: Frame, d, psi, mass: MassParam) -> dict:
         "max_rs_residual": max_rs,
         "max_dirac_residual": max_dirac,
         "max_match_error": max_match,
-        "max_gamma_trace": max_tr,
-        "max_divergence": max_div,
         "scale": scale,
     }

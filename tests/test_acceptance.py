@@ -204,7 +204,9 @@ def test_criterion_4_constraint_operator_identities():
                 jet = rso.covariant_jet(f, frame)
                 lhs2 = rso.derivative_chain(frame, jet.d, jet.dd, jet.psi,
                                             jet.dpsi, mass)
-                rhs2 = rso.chain_rhs(frame, f.at(frame), mass)
+                psi = f.at(frame)
+                rhs2 = rso.chain_rhs(frame, psi, mass,
+                                     rso.curvature_commutator(frame, psi))
                 scale2 = max(np.max(np.abs(lhs2)), np.max(np.abs(rhs2)),
                              np.max(np.abs(f(x))))
                 worst_second = max(worst_second,

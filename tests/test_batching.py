@@ -41,7 +41,8 @@ from curved_rs.spin_frame import (
 
 from conftest import (GAMMA_PRODUCTS, first_constraint, frame_at,
                       patch_everywhere, points_of)
-from oracles import omega_spin_connection, stencil_sampler
+from oracles import (central_difference, omega_spin_connection,
+                     stencil_sampler)
 
 MASS = MassParam(1.0)
 
@@ -201,22 +202,36 @@ def test_batched_first_order_checks_equal_the_per_point_path(name):
 
 def test_row_partial4_is_the_partial4_of_each_row(schwarzschild):
     """``partial4`` on (n, 4) rows with one step per row equals the
-    one-point ``partial4`` of each row."""
+    one-point ``partial4`` of each row, on every axis."""
     coords = _rows(schwarzschild, 4)
 
-    def gamma_up(x):
-        return gamma_set_at(schwarzschild, x).gamma_up
+    def gamma_up(rows):
+        return gamma_set_at(schwarzschild, rows).gamma_up
 
-    def at_point(c):
-        return gamma_up(Point(c, schwarzschild.chart_id))
+    rows = numerics.partial4(gamma_up, coords)
+    assert rows.shape == (4, 4, 4, 4, 4)
+    for i, c in enumerate(coords):
+        one = numerics.partial4(gamma_up, c)
+        assert one.shape == (4, 4, 4, 4)
+        assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
+            1.0, np.max(np.abs(one)))
 
-    for mu in range(4):
-        rows = numerics.partial4(gamma_up, coords, mu)
-        assert rows.shape == (4, 4, 4, 4)
-        for i, c in enumerate(coords):
-            one = numerics.partial4(at_point, c, mu)
-            assert np.max(np.abs(rows[i] - one)) <= 1e-13 * max(
-                1.0, np.max(np.abs(one)))
+
+@pytest.mark.parametrize("n", (None, 1, 20), ids=("point", "1", "20"))
+def test_partial4_is_the_central_difference_oracle(frw_dust, n):
+    """``partial4`` equals the tests' ``central_difference`` at the one
+    step ``fd_step(x, STEP_FIRST)``, bit for bit, on 1 and 20 rows and at
+    one point (the oracle's one row)."""
+    coords = _rows(frw_dust, n or 1)
+
+    def gamma_up(rows):
+        return gamma_set_at(frw_dust, rows).gamma_up
+
+    want = central_difference(gamma_up, coords,
+                              numerics.fd_step(coords, numerics.STEP_FIRST))
+    if n is None:
+        coords, want = coords[0], want[0]
+    assert np.array_equal(numerics.partial4(gamma_up, coords), want)
 
 
 def test_rows_must_be_n_by_4(schwarzschild):
@@ -935,6 +950,69 @@ def test_suite_builds_the_context_blocks_once(schwarzschild, monkeypatch):
     assert rep.passed
     assert seen
     assert all(gs is rep.ctx.frame.gammas for gs in seen)
+
+
+def test_suite_forms_the_curvature_forms_once(frw_dust, monkeypatch):
+    """One suite calls ``curvature_commutator`` and ``chain_rhs`` once
+    each, on the whole fixture stack (``SuiteContext.curvature_forms``),
+    which 1.7, 1.9 and 1.11a read."""
+    calls = {"curvature_commutator": [], "chain_rhs": []}
+    for name, seen in calls.items():
+        original = getattr(rso, name)
+
+        def counting(frame, psi, *rest, seen=seen, original=original):
+            seen.append(psi.shape[-1])
+            return original(frame, psi, *rest)
+
+        monkeypatch.setattr(rso, name, counting)
+    assert run_suite(frw_dust, n_points=20, seed=42).passed
+    assert calls == {name: [identity_suite.FIXTURE_COUNT] for name in calls}
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_subset_checks_read_the_curvature_forms_bit_for_bit(name):
+    """1.9 and 1.11a read their first ``FIXTURE_SUBSET`` fixtures of the
+    stack's curvature forms: each point's error, and the commutator and
+    chain themselves, are bit-identical to those formed on the subset
+    alone, and the context keeps the subset's commutator only."""
+    ctx = build_context(load_preset(name), 20, seed=3, mass=1.0)
+    frame, k = ctx.frame, identity_suite.FIXTURE_SUBSET
+    d, dd, psi = (a[..., :k] for a in ctx.fixture_rows[2:5])
+    comm = rso.curvature_commutator(frame, psi)
+    chain = rso.chain_rhs(frame, psi, ctx.mass, comm)
+    kept, whole = ctx.curvature_forms
+    assert kept.base is None and np.array_equal(kept, comm[0])
+    assert np.array_equal(whole[..., :k], chain)
+    assert np.array_equal(
+        identity_suite._chk_commutator_decomposition(ctx)[1],
+        identity_suite._max_row_rel(rso.second_covariant_comm(frame, d, dd),
+                                    comm[0], psi))
+    assert np.array_equal(
+        identity_suite._chk_constraint_reduction(ctx)[1],
+        identity_suite._max_row_rel(
+            chain, rso.constraint_two(frame, psi, ctx.mass), psi))
+
+
+def test_scaled_curvature_commutator_fails_the_curvature_form_gates(
+        de_sitter, frw_dust, monkeypatch):
+    """The curvature form of [D_al, D_be] Psi and its spinor curvature
+    scaled by 1 + 1e-3 where they are formed: 1.9 compares the form with
+    the antisymmetrised jet, and 1.7 and 1.11a read it through
+    ``chain_rhs``; all three fail.  (Where the Ricci tensor vanishes, as
+    on Schwarzschild, the chain's curvature terms do too, and only 1.9
+    sees the mutant.)"""
+    checks = ("eq_1_9_commutator_decomposition", "eq_1_7_derivative_chain",
+              "eq_1_11a_constraint_reduction")
+    for spec in (de_sitter, frw_dust):
+        assert all(_verdicts(spec, checks).values())
+    original = rso.curvature_commutator
+
+    def scaled(frame, psi):
+        return tuple(a * (1.0 + 1e-3) for a in original(frame, psi))
+
+    monkeypatch.setattr(rso, "curvature_commutator", scaled)
+    for name in ("de_sitter_static", "frw_dust"):
+        assert not any(_verdicts(load_preset(name), checks).values()), name
 
 
 def test_massless_gradient_takes_one_outer_derivative(schwarzschild,

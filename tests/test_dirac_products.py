@@ -70,9 +70,10 @@ def test_suite_forms_each_product_once_on_the_context_frame(frw_dust,
 
 
 def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
-    """1.4 reads only gamma^nu of the GammaSets that ``gamma_set_at``
-    builds for its shifted rows, and of the frame's: none forms sigma, the
-    volume tensor or a gamma product."""
+    """1.4 reads only gamma^nu of the one GammaSet that ``gamma_set_at``
+    builds for its 8 n shifted rows (4 axes x 2 signs of each of the n
+    points), and of the frame's: none forms sigma, the volume tensor or a
+    gamma product."""
     ctx = build_context(schwarzschild, 20, seed=42, mass=1.0)
     formed = _count_products(monkeypatch)
     sets = []
@@ -85,7 +86,7 @@ def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
     monkeypatch.setattr(identity_suite, "gamma_set_at", recording)
     _, errs = identity_suite._chk_covariant_constancy(ctx)
     assert np.max(errs) <= identity_suite.TOL_FIRST_ORDER
-    assert len(sets) == 8 and all(len(gs.gamma_up) == 20 for gs in sets)
+    assert [len(gs.gamma_up) for gs in sets] == [8 * 20]
     assert formed == {name: [] for name in GAMMA_PRODUCTS}
 
 

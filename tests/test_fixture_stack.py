@@ -51,7 +51,8 @@ def _sides(frame, rows, mass):
         "1.6": rso.contraction_identity(frame, d, psi, mass),
         "1.7 nested": rso.derivative_chain(frame, d, rows.dd, psi, rows.dpsi,
                                            mass),
-        "1.7 algebraic": rso.chain_rhs(frame, psi, mass),
+        "1.7 algebraic": rso.chain_rhs(frame, psi, mass,
+                                       rso.curvature_commutator(frame, psi)),
         "1.9 nested": rso.second_covariant_comm(frame, d, rows.dd),
         "1.9 algebraic": rso.curvature_commutator(frame, psi)[0],
         "1.10c nested": rso.bridge_commutator(frame, rows.christ,
@@ -92,7 +93,8 @@ def test_the_chain_vanishes_on_anti_de_sitter_alone():
     for name in PRESET_NAMES:
         ctx = build_context(load_preset(name), 4, seed=11, mass=1.0)
         psi = ctx.fixture_rows.psi
-        side = rso.chain_rhs(ctx.frame, psi, ctx.mass)
+        side = rso.chain_rhs(ctx.frame, psi, ctx.mass,
+                             rso.curvature_commutator(ctx.frame, psi))
         floored |= {(name, k) for k in range(psi.shape[-1])
                     if _vanishes(side[..., k], psi[..., k])}
     assert floored == {("anti_de_sitter_static", k)

@@ -1,5 +1,6 @@
 """The batch identity runner: coverage, determinism, classification."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -178,6 +179,15 @@ class TestRunSuite:
         a = suite.run_suite(schwarzschild, n_points=4, seed=9).to_dict()
         b = suite.run_suite(schwarzschild, n_points=4, seed=9).to_dict()
         assert strip_timing(a) == strip_timing(b)
+
+    def test_check_entry_is_asdict_without_point_errors(self, frw_dust):
+        """Each check's report entry holds every field but the point
+        errors, with the values and in the order ``asdict`` gives."""
+        for check in suite.run_suite(frw_dust, n_points=4, seed=9).checks:
+            want = dataclasses.asdict(check)
+            del want["point_errors"]
+            got = check.to_dict()
+            assert got == want and list(got) == list(want)
 
     def test_seed_changes_report(self, minkowski):
         a = suite.run_suite(minkowski, n_points=4, seed=1).to_dict()

@@ -13,7 +13,7 @@ from curved_rs.fields import (
     polynomial_field,
     trig_field,
 )
-from curved_rs.geometry import Point, christoffel
+from curved_rs.geometry import christoffel
 from curved_rs.numerics import STENCIL_POLICY, fd_step, partial4
 from curved_rs.rs_operator import (
     BlockMatrix16,
@@ -51,8 +51,9 @@ MASS = MassParam(1.0)
 def chain_pair(fld, frame):
     """1.7: the derivative chain and its curvature form."""
     jet = covariant_jet(fld, frame)
+    psi = fld.at(frame)
     return (derivative_chain(frame, jet.d, jet.dd, jet.psi, jet.dpsi, MASS),
-            chain_rhs(frame, fld.at(frame), MASS))
+            chain_rhs(frame, psi, MASS, curvature_commutator(frame, psi)))
 
 
 def commutator_pair(fld, frame):
@@ -147,8 +148,7 @@ def stencil_oracle(field, spec, x, richardson_step=False):
     if richardson_step:
         d = richardson(field.at, x.coords[None, :])[0][0]
     else:
-        d = np.stack([partial4(lambda c: field(Point(c)), x.coords, mu)
-                      for mu in range(4)])
+        d = partial4(field.at, x.coords)
     value = field(x)
     G = spin_connection(spec, x)
     if field.kind == BISPINOR:
@@ -161,7 +161,8 @@ def stencil_oracle(field, spec, x, richardson_step=False):
 class TestBatchedStencil:
     def test_step_policy_table(self):
         """The one step, max(1e-5, 1e-5 |x|) per coordinate: ``partial4``
-        shifts only x^mu, by it, on every row, and the reports name it."""
+        calls its function once, on every row shifted along each x^mu
+        alone, by that step, + and -, and the reports name it."""
         x = np.array([[0.5, 4.0, -2.5, 0.3], [3.0, 0.1, 0.2, -7.0]])
         h = fd_step(x, 1e-5)
         assert np.array_equal(h, 1e-5 * np.maximum(1.0, np.abs(x)))
@@ -171,12 +172,13 @@ class TestBatchedStencil:
             shifted.append(rows.copy())
             return rows
 
+        partial4(record, x)
+        assert len(shifted) == 1 and shifted[0].shape == (16, 4)
+        rows = shifted[0].reshape(2, 2, 4, 4)  # [row, sign, mu, coord]
         for mu in range(4):
-            partial4(record, x, mu)
-            plus, minus = shifted[-2:]
             step = h[:, mu, None] * np.eye(4)[mu]
-            assert np.array_equal(plus, x + step)
-            assert np.array_equal(minus, x - step)
+            assert np.array_equal(rows[:, 0, mu], x + step)
+            assert np.array_equal(rows[:, 1, mu], x - step)
         assert STENCIL_POLICY == "central2(h=1e-5)"
 
     @pytest.mark.parametrize("kind", [VECTOR_BISPINOR, BISPINOR])
@@ -560,7 +562,8 @@ class TestDerivativeChain:
         for x in points_of(de_sitter, 3):
             frame = frame_at(de_sitter, x)
             psi = fld.at(frame)
-            chain = chain_rhs(frame, psi, MASS)
+            chain = chain_rhs(frame, psi, MASS,
+                              curvature_commutator(frame, psi))
             c2 = constraint_two(frame, psi, MASS)
             scale = max(np.max(np.abs(chain)), np.max(np.abs(c2)), 1.0)
             assert np.max(np.abs(chain - c2)) < 1e-8 * scale

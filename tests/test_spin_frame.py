@@ -10,7 +10,6 @@ from curved_rs.spin_frame import (
     GAMMA5,
     GAMMA_FLAT,
     SIGMA_FLAT,
-    Point,
     build_tetrad,
     connection_curvature,
     curved_gammas,
@@ -196,14 +195,12 @@ class TestSpinConnection:
                 gs = gamma_set_at(spec, x)
                 G = spin_connection(spec, x)
 
-                def gup_at(c):
-                    return gamma_set_at(spec, Point(c, spec.chart_id)).gamma_up
-
+                d = partial4(lambda rows: gamma_set_at(spec, rows).gamma_up,
+                             x.coords)
                 for s in range(4):
-                    d = partial4(gup_at, x.coords, s)
                     for r in range(4):
                         val = (
-                            d[r]
+                            d[s, r]
                             + np.einsum("l,lij->ij", gam[r, s, :], gs.gamma_up)
                             + G[s] @ gs.gamma_up[r]
                             - gs.gamma_up[r] @ G[s]
