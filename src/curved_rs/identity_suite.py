@@ -17,7 +17,8 @@ context makes one pass over the stack, one exact second-order jet call per
 fixture on the context rows (``SuiteContext.fixture_rows``), which every
 check on the fixtures shares; the nested ones take no finite difference.
 Every error is relative per (row, fixture) pair, so a large fixture
-cannot hide a small one's error.
+cannot hide a small one's error.  1.11b's plane waves and 1.13's
+gamma-traceless fields run the same way, each as one stack.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ TOL_FACTOR = 1e-6
 TOL_FLAT_REDUCTION = 1e-8
 
 FIXTURE_COUNT = 5
-#: the first fixtures of the stack, which 1.9, 1.10c, 1.11a and 1.14b read
-FIXTURE_SUBSET = 3
-#: points the curvature class is measured on
-CLASS_POINT_CAP = 6
 #: draws from the sampling box per asked point before sampling gives up
 SAMPLE_DRAWS_PER_POINT = 1000
 
@@ -95,9 +92,9 @@ class MetricClass:
     ricci_norm: float
     einstein_dev: float
     scalar: float
-    christoffel_norm: float = 0.0
+    christoffel_norm: float
     #: largest |g - eta| over the points
-    eta_dev: float = 0.0
+    eta_dev: float
 
     @property
     def is_flat(self) -> bool:
@@ -164,14 +161,12 @@ class SuiteContext:
     @cached_property
     def curvature_forms(self) -> tuple:
         """(commutator, chain): the curvature forms of the fixture stack on
-        the frame's rows, from one ``curvature_commutator`` pass.  The
-        chain is ``chain_rhs`` of every fixture (1.7, and 1.11a on the
-        first ``FIXTURE_SUBSET``); of the commutator, which the chain
-        reads whole, only the ``FIXTURE_SUBSET`` fixtures 1.9 reads are
-        kept."""
+        the frame's rows, from one ``curvature_commutator`` pass, which
+        1.9 reads, and the ``chain_rhs`` of it, which 1.7 and 1.11a
+        read."""
         psi = self.fixture_rows.psi
         commutator = rso.curvature_commutator(self.frame, psi)
-        return (commutator[0][..., :FIXTURE_SUBSET].copy(),
+        return (commutator[0],
                 rso.chain_rhs(self.frame, psi, self.mass, commutator))
 
     @cached_property
@@ -435,16 +430,11 @@ def _chk_commutator_curvature(ctx):
     return len(ctx.points), errs
 
 
-def _subset(*stacks) -> list:
-    """The first ``FIXTURE_SUBSET`` fixtures of each stack."""
-    return [a[..., :FIXTURE_SUBSET] for a in stacks]
-
-
 def _chk_commutator_decomposition(ctx):
-    d, dd, psi = _subset(*ctx.fixture_rows[2:5])
-    comm, _ = ctx.curvature_forms
+    rows, (comm, _) = ctx.fixture_rows, ctx.curvature_forms
     return len(ctx.points), _max_row_rel(
-        rso.second_covariant_comm(ctx.frame, d, dd), comm, psi)
+        rso.second_covariant_comm(ctx.frame, rows.d, rows.dd), comm,
+        rows.psi)
 
 
 def _chk_sigma_ricci_contraction(ctx):
@@ -460,7 +450,7 @@ def _chk_sigma_ricci_contraction(ctx):
 
 
 def _chk_curvature_bridge(ctx):
-    christ, dchrist, _, _, psi = _subset(*ctx.fixture_rows[:5])
+    christ, dchrist, _, _, psi, _ = ctx.fixture_rows
     return len(ctx.points), _max_row_rel(
         rso.bridge_commutator(ctx.frame, christ, dchrist),
         rso.ricci_contraction(ctx.frame, psi), psi)
@@ -473,18 +463,15 @@ def _chk_gamma_contraction(ctx):
 
 
 def _chk_divergence_form(ctx):
-    waves = [flat_rs_plane_wave(ctx.mass.m or 1.0, boost)
-             for boost in (0.0, 0.4)]
+    waves = FieldStack(tuple(flat_rs_plane_wave(ctx.mass.m or 1.0, boost)
+                             for boost in (0.0, 0.4)))
     mass = rso.MassParam(ctx.mass.m or 1.0)
-    errs = []
-    for w in waves:
-        # gamma.residual and (2/3) of the first constraint, from one D Psi
-        d, psi = rso.covariant_rows(w, ctx.frame)
-        lhs, rhs = rso.contraction_identity(ctx.frame, d, psi, mass)
-        chi = 1.5 * rhs
-        scale = np.maximum(_row_max(psi), 1e-6)
-        errs += [_row_max(lhs) / scale, _row_max(chi) / scale]
-    return len(ctx.points), np.max(errs, axis=0)
+    # gamma.residual and (2/3) of the first constraint, from one D Psi
+    d, psi = rso.covariant_rows(waves, ctx.frame)
+    lhs, rhs = rso.contraction_identity(ctx.frame, d, psi, mass)
+    errs = (np.maximum(_fixture_max(lhs), _fixture_max(1.5 * rhs))
+            / np.maximum(_fixture_max(psi), 1e-6))
+    return len(ctx.points), np.max(errs, axis=1)
 
 
 def _chk_derivative_chain(ctx):
@@ -496,7 +483,7 @@ def _chk_derivative_chain(ctx):
 
 
 def _chk_constraint_reduction(ctx):
-    chain, psi = _subset(ctx.curvature_forms[1], ctx.fixture_rows.psi)
+    chain, psi = ctx.curvature_forms[1], ctx.fixture_rows.psi
     return len(ctx.points), _max_row_rel(
         chain, rso.constraint_two(ctx.frame, psi, ctx.mass), psi)
 
@@ -518,20 +505,16 @@ def _chk_flat_reduction(ctx):
 
 
 def _chk_vacuum_constraint(ctx):
-    fields = [
+    fields = FieldStack(tuple(
         gamma_traceless_field(ctx.seed * 7 + i, ctx.spec,
                               box=ctx.spec.sample_box)
-        for i in range(2)
-    ]
-
+        for i in range(2)))
     kappa2 = max(1.0, abs(ctx.mass.kappa) ** 2)
-    errs = []
-    for fld in fields:
-        psi = fld.at(ctx.frame)
-        c2 = rso.constraint_two(ctx.frame, psi, ctx.mass)
-        errs.append(_row_rel(
-            _row_max(c2), np.maximum(_row_max(psi), 1e-6) * kappa2))
-    return len(ctx.points), np.maximum.reduce(errs)
+    (psi,) = fields.jet(ctx.frame, 0)
+    c2 = rso.constraint_two(ctx.frame, psi, ctx.mass)
+    errs = _row_rel(_fixture_max(c2),
+                    np.maximum(_fixture_max(psi), 1e-6) * kappa2)
+    return len(ctx.points), np.max(errs, axis=1)
 
 
 def _chk_einstein_space(ctx):
@@ -545,7 +528,7 @@ def _chk_einstein_space(ctx):
 def _chk_einstein_factor(ctx):
     frame = ctx.frame
     factor = rso.einstein_space_factor(frame, ctx.mass)
-    (psi,) = _subset(ctx.fixture_rows.psi)
+    psi = ctx.fixture_rows.psi
     phi = contract("xrij,xrj...->xi...", frame.gammas.gamma_up, psi)
     c2 = rso.constraint_two(frame, psi, ctx.mass)
     phi_max = _fixture_max(phi)
@@ -788,17 +771,15 @@ def sample_points(spec: MetricSpec, n: int, seed: int) -> list:
 
 
 def classify_metric(frame: Frame) -> MetricClass:
-    """The curvature class measured on the first ``CLASS_POINT_CAP`` rows
-    of a frame, from the frame's metric and Riemann tensor; ``scalar`` is
-    the scalar curvature at the last of those rows.  The Ricci tensor and
-    scalar are contracted here from the Riemann tensor, not read from the
-    frame's curvature: 1.10b checks the frame's Ricci tensor against that
-    contraction in every class, and 1.14a checks it against R/4 g, so a
-    fault in it fails those checks instead of moving the class and with
-    it the checks that run."""
-    rows = slice(CLASS_POINT_CAP)
+    """The curvature class measured on every row of a frame, from the
+    frame's metric and Riemann tensor; ``scalar`` is the scalar curvature
+    at the last row.  The Ricci tensor and scalar are contracted here from
+    the Riemann tensor, not read from the frame's curvature: 1.10b checks
+    the frame's Ricci tensor against that contraction in every class, and
+    1.14a checks it against R/4 g, so a fault in it fails those checks
+    instead of moving the class and with it the checks that run."""
     b, m = frame.curvature, frame.metric
-    g, g_up, riemann = m.g_lower[rows], m.g_upper[rows], b.riemann_lower[rows]
+    g, g_up, riemann = m.g_lower, m.g_upper, b.riemann_lower
     # R_sn = g^{rl} R_{rsln}, R = g^{sn} R_sn
     ricci = contract("xrl,xrsln->xsn", g_up, riemann)
     scalar = contract("xsn,xsn->x", g_up, ricci)
@@ -806,14 +787,14 @@ def classify_metric(frame: Frame) -> MetricClass:
     return MetricClass(float(np.max(np.abs(riemann))),
                        float(np.max(np.abs(ricci))), float(np.max(np.abs(dev))),
                        float(scalar[-1]),
-                       float(np.max(np.abs(b.christoffel[rows]))),
+                       float(np.max(np.abs(b.christoffel))),
                        float(np.max(np.abs(g - ETA))))
 
 
 def build_context(spec: MetricSpec, n_points: int, seed: int,
                   mass: float) -> SuiteContext:
     """Points, fixtures and the context frame that every check runs on,
-    with the curvature class measured on that frame's first rows."""
+    with the curvature class measured on that frame."""
     if n_points < 1:
         raise ConfigError("points must be >= 1")
     if seed < 0:

@@ -30,8 +30,10 @@ each once, and the gamma triple of ``transform_printed`` is
 ``spin_frame.gamma_triple``.  Every block product is one dense
 (..., 16, 16) matmul.  Every other contraction of two operands is
 ``numerics.contract``, one batched matmul planned once per subscripts;
-one of more operands (``beta_tilde_eps_form``) is written as the
-pairwise steps of the path numpy's search picks for it.
+one of more operands is written as its pairwise steps:
+``beta_tilde_eps_form`` as the path numpy's search picks for it, and the
+Ricci terms of ``constraint_two`` and ``ricci_contraction`` with
+R_ab gamma^a formed first.
 """
 
 from __future__ import annotations
@@ -237,11 +239,9 @@ def constraint_two(frame: Frame, psi, mass):
     rows from the field values psi [n, be, s] there."""
     gs, bundle = frame.gammas, frame.curvature
     psi_up = contract("xbl,xlj...->xbj...", gs.metric.g_upper, psi)
-    # einsum's summation order follows its operands' memory layout; a
-    # C-ordered Ricci tensor keeps the reported errors fixed to the last bit
-    ricci = np.ascontiguousarray(bundle.ricci)
-    t1 = np.einsum("xab,xaij,xbj...->xi...", 0.5 * ricci, gs.gamma_up,
-                   psi_up)
+    # 1/2 R_ab gamma^a formed first
+    ricci_gamma = contract("xab,xaij->xbij", 0.5 * bundle.ricci, gs.gamma_up)
+    t1 = contract("xbij,xbj...->xi...", ricci_gamma, psi_up)
     phi = contract("xrij,xrj...->xi...", gs.gamma_up, psi)
     factor = 0.5 * mass.kappa**2 - bundle.scalar / 12.0
     return t1 + factor.reshape(factor.shape + (1,) * (phi.ndim - 1)) * phi
@@ -291,8 +291,10 @@ def ricci_contraction(frame: Frame, psi):
     """gamma^al Psi^nu R_{nu al} on a frame's rows from the field values
     psi [n, be, s] there."""
     psi_up = contract("xnl,xlj...->xnj...", frame.metric.g_upper, psi)
-    return np.einsum("xna,xaij,xnj...->xi...", frame.curvature.ricci,
-                     frame.gammas.gamma_up, psi_up)
+    # R_na gamma^a formed first
+    ricci_gamma = contract("xna,xaij->xnij", frame.curvature.ricci,
+                           frame.gammas.gamma_up)
+    return contract("xnij,xnj...->xi...", ricci_gamma, psi_up)
 
 
 def derivative_chain(frame: Frame, d, dd, psi, dpsi, mass):

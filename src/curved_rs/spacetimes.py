@@ -27,7 +27,7 @@ import numpy as np
 
 from . import exprparse
 from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
-from .geometry import MetricSpec
+from .geometry import MetricSpec, as_rows
 
 #: the preset documents; their guards keep 1e-3 coordinate units from
 #: horizons, poles and singularities
@@ -374,14 +374,6 @@ def _derivative_tables(cfg: MetricConfig) -> tuple:
     return tuple([e for e in t if e[2] != exprparse.ZERO] for t in tables)
 
 
-def _rows(x) -> np.ndarray:
-    """(n, 4) rows as a float array."""
-    rows = np.asarray(x, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError(f"rows must have shape (n, 4), got {rows.shape}")
-    return rows
-
-
 def _scatter(table: list, order: int) -> tuple:
     """(positions, columns): where in a row's flattened (4,) * (order + 2)
     array each column of a derivative table's values goes."""
@@ -405,7 +397,7 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
 
     def comp(rows, order: int = 0) -> np.ndarray:
-        rows = _rows(rows)
+        rows = as_rows(rows)
         table = tables[order]
         try:
             values = exprparse.evaluate(programs[order], rows.tolist())
@@ -422,7 +414,7 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
         return out.reshape((len(rows),) + (4,) * (order + 2))
 
     def guard(rows):
-        rows = _rows(rows)
+        rows = as_rows(rows)
         inside = np.isfinite(rows).all(axis=1)
         inside[inside] = exprparse.evaluate(guard_program, rows[inside].tolist())
         return inside

@@ -11,8 +11,8 @@ e_(b)nu); with it the position-dependent gammas are covariantly constant:
 d_s gamma^r + Gamma^r_{s l} gamma^l + [Gamma_s, gamma^r] = 0.
 
 A ``GammaSet`` is the one place where products of the position-dependent
-Dirac matrices are formed: it is built with gamma^al and gamma_al, and
-forms sigma^{al be}, the volume tensor, gamma_r gamma^s,
+Dirac matrices are formed: it is built with gamma^al and the metric, and
+forms gamma_al, sigma^{al be}, the volume tensor, gamma_r gamma^s,
 i gamma5 eps_r^{nu s mu} gamma_mu and the operator blocks alpha^nu and
 beta each on first read, once.  The triple gamma_r gamma^nu gamma^s
 (``gamma_triple``) is formed, not kept, by alpha^nu and by the printed
@@ -101,17 +101,22 @@ class GammaSet:
     """Flat and position-dependent Dirac matrices (in a ``Frame``, each
     position-dependent array has a leading row axis).
 
-    The products of the position-dependent matrices, the volume tensor
-    and the operator blocks are formed on first read, at most once per
-    GammaSet, and are read-only: every block builder reads them here
-    instead of forming its own."""
+    gamma_al, the products of the position-dependent matrices, the
+    volume tensor and the operator blocks are formed on first read, at
+    most once per GammaSet, and are read-only: every block builder reads
+    them here instead of forming its own."""
 
     gamma_flat: np.ndarray  # [a, i, j]
     gamma5: np.ndarray
     gamma_up: np.ndarray  # gamma^al(x), [al, i, j]
-    gamma_down: np.ndarray  # gamma_al(x)
     metric: MetricAtPoint
     tetrad: Tetrad
+
+    @cached_property
+    def gamma_down(self) -> np.ndarray:
+        """gamma_al(x) = g_{al be} gamma^be(x), [..., al, i, j]."""
+        return read_only(np.einsum("...mn,...nij->...mij",
+                                   self.metric.g_lower, self.gamma_up))
 
     @cached_property
     def sigma_curved(self) -> np.ndarray:
@@ -213,12 +218,10 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
         gamma_flat = flat
         gamma5 = 1j * flat[0] @ flat[1] @ flat[2] @ flat[3]
     gamma_up = np.einsum("...am,aij->...mij", t.e_upper, gamma_flat)
-    gamma_down = np.einsum("...mn,...nij->...mij", m.g_lower, gamma_up)
     return GammaSet(
         gamma_flat=gamma_flat,
         gamma5=gamma5,
         gamma_up=read_only(gamma_up),
-        gamma_down=read_only(gamma_down),
         metric=m,
         tetrad=t,
     )

@@ -52,8 +52,8 @@ DOCUMENT_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "documents
 DOCUMENTS = ("schwarzschild", "frw_dust", "anti_de_sitter")
 
 #: the products a GammaSet forms on first read
-GAMMA_PRODUCTS = ("sigma_curved", "eps_upper", "eps_mixed", "pairs",
-                  "eps_gamma", "alpha", "beta")
+GAMMA_PRODUCTS = ("gamma_down", "sigma_curved", "eps_upper", "eps_mixed",
+                  "pairs", "eps_gamma", "alpha", "beta")
 
 
 def patch_everywhere(monkeypatch, module, name, replacement):

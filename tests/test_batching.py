@@ -103,7 +103,7 @@ def test_single_point_is_row_of_the_batch(name):
         gs = gamma_set_at(spec, x)
         for key in ("gamma_flat", "gamma5"):
             assert np.array_equal(getattr(rows, key), getattr(gs, key)), key
-        for key in ("gamma_up", "gamma_down") + GAMMA_PRODUCTS:
+        for key in ("gamma_up",) + GAMMA_PRODUCTS:
             assert np.array_equal(getattr(rows, key)[i], getattr(gs, key)), key
         for key in ("g_lower", "g_upper", "det_g"):
             assert np.array_equal(getattr(rows.metric, key)[i],
@@ -123,7 +123,7 @@ def _frame_arrays(frame):
     gs = frame.gammas
     out = {"coords": frame.coords, "christoffel": frame.christoffel,
            "connection": frame.connection}
-    for key in ("gamma_flat", "gamma5", "gamma_up", "gamma_down",
+    for key in ("gamma_flat", "gamma5", "gamma_up",
                 *GAMMA_PRODUCTS):
         out[f"gammas.{key}"] = getattr(gs, key)
     for key in ("g_lower", "g_upper", "det_g"):
@@ -867,7 +867,7 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
 
 
 def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
-    """At 20 points 1.11a reads its 3 fixtures from the context's one pass
+    """At 20 points 1.11a reads its 5 fixtures from the context's one pass
     over its rows (20 rows, one second-order jet call per fixture of the
     stack of 5), and hands that psi to both of its sides.  1.7, 1.9 and
     1.10c read the same pass and sample nothing."""
@@ -879,6 +879,31 @@ def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
     identity_suite._chk_commutator_decomposition(ctx)
     identity_suite._chk_curvature_bridge(ctx)
     assert calls == [20] * 5
+
+
+def test_wave_and_traceless_checks_sample_one_stack(minkowski, schwarzschild,
+                                                   monkeypatch):
+    """1.11b takes its two plane waves' D_nu Psi from one first-order jet
+    of their ``FieldStack`` (one ``covariant_rows`` call), and 1.13 its two
+    gamma-traceless fields' values from one order-0 jet of theirs; no
+    field is sampled on its own."""
+    stacks = []
+    original = fields.FieldStack.jet
+
+    def recording(self, coords, order=1):
+        stacks.append((len(self.members), len(fields.rows_of(coords)), order))
+        return original(self, coords, order)
+
+    monkeypatch.setattr(fields.FieldStack, "jet", recording)
+    ctx = build_context(minkowski, 20, seed=42, mass=1.0)
+    _, errs = identity_suite._chk_divergence_form(ctx)
+    assert np.max(errs) <= identity_suite.TOL_FLAT_REDUCTION
+    assert stacks == [(2, 20, 1)]
+    stacks.clear()
+    ctx = build_context(schwarzschild, 20, seed=42, mass=1.0)
+    _, errs = identity_suite._chk_vacuum_constraint(ctx)
+    assert np.max(errs) <= identity_suite.TOL_FIRST_ORDER
+    assert stacks == [(2, 20, 0)]
 
 
 def test_gamma_contraction_samples_each_fixture_once(frw_dust, monkeypatch):
@@ -969,28 +994,32 @@ def test_suite_forms_the_curvature_forms_once(frw_dust, monkeypatch):
     assert calls == {name: [identity_suite.FIXTURE_COUNT] for name in calls}
 
 
+#: the checks on the vector-bispinor fixtures, which read
+#: ``SuiteContext.fixture_rows`` and the curvature forms of its Psi
+FIXTURE_CHECKS = ("eq_1_2a_operator_form", "eq_1_6_gamma_contraction",
+                  "eq_1_7_derivative_chain", "eq_1_9_commutator_decomposition",
+                  "eq_1_10c_curvature_bridge", "eq_1_11a_constraint_reduction",
+                  "eq_1_14b_constraint_factor")
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_subset_checks_read_the_curvature_forms_bit_for_bit(name):
-    """1.9 and 1.11a read their first ``FIXTURE_SUBSET`` fixtures of the
-    stack's curvature forms: each point's error, and the commutator and
-    chain themselves, are bit-identical to those formed on the subset
-    alone, and the context keeps the subset's commutator only."""
-    ctx = build_context(load_preset(name), 20, seed=3, mass=1.0)
-    frame, k = ctx.frame, identity_suite.FIXTURE_SUBSET
-    d, dd, psi = (a[..., :k] for a in ctx.fixture_rows[2:5])
-    comm = rso.curvature_commutator(frame, psi)
-    chain = rso.chain_rhs(frame, psi, ctx.mass, comm)
-    kept, whole = ctx.curvature_forms
-    assert kept.base is None and np.array_equal(kept, comm[0])
-    assert np.array_equal(whole[..., :k], chain)
-    assert np.array_equal(
-        identity_suite._chk_commutator_decomposition(ctx)[1],
-        identity_suite._max_row_rel(rso.second_covariant_comm(frame, d, dd),
-                                    comm[0], psi))
-    assert np.array_equal(
-        identity_suite._chk_constraint_reduction(ctx)[1],
-        identity_suite._max_row_rel(
-            chain, rso.constraint_two(frame, psi, ctx.mass), psi))
+def test_fixture_checks_read_every_fixture(name):
+    """NaN in any one fixture k of a context's ``fixture_rows`` gives a NaN
+    error at every point of every check on the fixtures that applies to
+    the metric: each check reads every fixture of the stack, and the
+    curvature forms are formed on all of them."""
+    spec = load_preset(name)
+    for k in range(identity_suite.FIXTURE_COUNT):
+        ctx = build_context(spec, 20, seed=3, mass=1.0)
+        poisoned = [a.copy() for a in ctx.fixture_rows]
+        for a in poisoned:
+            a[..., k] = np.nan
+        ctx.fixture_rows = rso.CovariantJet(*poisoned)
+        run = [d for d in identity_suite.REGISTRY
+               if d.id in FIXTURE_CHECKS and d.applies(ctx.met_class)]
+        assert {d.id for d in run} >= set(FIXTURE_CHECKS[:6])
+        finite = [d.id for d in run if not np.isnan(d.runner(ctx)[1]).all()]
+        assert finite == [], k
 
 
 def test_scaled_curvature_commutator_fails_the_curvature_form_gates(
@@ -1058,8 +1087,8 @@ def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
       order 0: n + 8 n + n per fixture frame,
       orders 1 and 2: n,
     with order 0 at the 8 shifted points of each point's 1.4.  The
-    curvature class reads the context frame's first rows and evaluates
-    nothing of its own."""
+    curvature class reads the context frame and evaluates nothing of its
+    own."""
     spec = load_preset(name)
     evals = {0: 0, 1: 0, 2: 0}
     calls = []  # (order, rows) per call, holding the rows so ids stay unique

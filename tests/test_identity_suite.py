@@ -10,6 +10,7 @@ from curved_rs import fields
 from curved_rs import identity_suite as suite
 from curved_rs import spin_frame
 from curved_rs.errors import ConfigError
+from curved_rs.geometry import ETA
 from curved_rs.spacetimes import (
     PRESET_NAMES,
     load_preset,
@@ -118,18 +119,19 @@ class TestClassification:
         assert not frw.ricci_flat
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
-    def test_class_reads_the_context_frames_first_rows(self, name):
-        """A context's class is the class of a frame of its first
-        ``CLASS_POINT_CAP`` points alone, to the bit (a frame's rows do
-        not depend on the rows beside them), and a context of fewer points
-        is classified on all of them."""
-        spec = load_preset(name)
-        for n in (20, 4):
-            ctx = suite.build_context(spec, n, seed=3, mass=1.0)
-            first = [x.coords for x in ctx.points[:suite.CLASS_POINT_CAP]]
-            assert len(first) == min(n, suite.CLASS_POINT_CAP)
-            assert ctx.met_class == suite.classify_metric(
-                spin_frame.build_frame(spec, first))
+    def test_class_reads_all_rows(self, name):
+        """A context's class is measured on every row of its frame: the
+        Riemann scale, the Christoffel norm and the deviation from eta are
+        the largest over all rows, and the scalar curvature is the last
+        row's."""
+        ctx = suite.build_context(load_preset(name), 20, seed=3, mass=1.0)
+        mc, frame = ctx.met_class, ctx.frame
+        assert mc.riemann_scale == np.max(np.abs(
+            frame.curvature.riemann_lower))
+        assert mc.christoffel_norm == np.max(np.abs(frame.christoffel))
+        assert mc.eta_dev == np.max(np.abs(frame.metric.g_lower - ETA))
+        assert mc.scalar == pytest.approx(frame.curvature.scalar[-1],
+                                          rel=1e-12, abs=1e-12)
 
 
 class TestRunSuite:

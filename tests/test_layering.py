@@ -148,3 +148,32 @@ def test_the_product_lint_sees_an_unread_product():
     reader = "def side(gs):\n    return gs.pairs\n"
     assert unread_products([source, reader]) == ["eps_lower"]
     assert unread_products([source]) == ["eps_lower", "pairs"]
+
+
+def many_operand_einsums(source: str) -> list:
+    """'line' for each ``einsum`` call with three or more operands: the
+    operator layer writes such a contraction as its pairwise ``contract``
+    steps."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        callee = node.func
+        name = (callee.attr if isinstance(callee, ast.Attribute)
+                else getattr(callee, "id", None))
+        if name == "einsum" and len(node.args) >= 4:
+            found.append(node.lineno)
+    return found
+
+
+def test_the_operator_layer_contracts_pairwise():
+    assert many_operand_einsums(
+        (PACKAGE / "rs_operator.py").read_text()) == []
+
+
+def test_the_operand_lint_sees_three_operands():
+    source = ("np.einsum('ij,jk->ik', a, b)\n"
+              "np.einsum('xab,xaij,xbj->xi', r, g, p)\n"
+              "einsum('i,i,i,i->', a, b, c, d)\n"
+              "contract('ij,jk->ik', a, b)\n")
+    assert many_operand_einsums(source) == [2, 3]
