@@ -123,8 +123,7 @@ def _frame_arrays(frame):
     gs = frame.gammas
     out = {"coords": frame.coords, "christoffel": frame.christoffel,
            "connection": frame.connection}
-    for key in ("gamma_flat", "gamma5", "gamma_up",
-                *GAMMA_PRODUCTS):
+    for key in ("gamma_flat", "gamma5", "gamma_up", *GAMMA_PRODUCTS):
         out[f"gammas.{key}"] = getattr(gs, key)
     for key in ("g_lower", "g_upper", "det_g"):
         out[f"gammas.metric.{key}"] = getattr(gs.metric, key)
