@@ -9,6 +9,7 @@ configuration error, 3 infrastructure error.  All randomness flows from
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -181,10 +182,15 @@ def run_command(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILURE
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built on the first."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

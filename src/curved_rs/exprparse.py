@@ -14,14 +14,16 @@ Grammar (precedence from loosest to tightest, ``^`` right-associative)::
 grammar.
 
 Every evaluation runs compiled code.  A ``Program`` holds expressions over
-the slots of a row and, on its first evaluation, compiles them into one
-Python function over a list of rows, built as a Python syntax tree: slots
-are positional names, parameters float constants, and the function reaches
+the slots of a row and the names of its parameters and, on its first
+evaluation, compiles them into one Python function over a list of rows,
+built as a Python syntax tree: slots and parameters are positional names,
+the parameters' values arguments of each call, and the function reaches
 only fixed helpers, with no builtins, so no name or text of a document
-becomes code.  The compiled code performs the float operations of the
-grammar in its order, with the same ``math`` functions, so the same AST
-with the same bindings gives a bit-identical float whether evaluated alone
-or on any row of a batch.
+becomes code.  The compiled code depends only on the expressions, so one
+program serves every set of parameter values.  It performs the float
+operations of the grammar in its order, with the same ``math`` functions,
+so the same AST with the same bindings gives a bit-identical float whether
+evaluated alone or on any row of a batch.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import ast as pyast
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -271,10 +273,11 @@ _HELPERS = {"_pow": _pow, "_abs": abs, "_errors": (EvalError, ZeroDivisionError)
             **{_CALLS[name]: _checked(name, fn) for name, fn in FUNCTIONS.items()}}
 
 #: a compiled program's frame: ``rows`` is a list of rows, ``out`` the list
-#: each row's results are appended to.  A guard sets ``_ok`` to its test
-#: of the row; a value program's loop appends each expression instead.
+#: each row's results are appended to, ``params`` the parameters' values.
+#: A guard sets ``_ok`` to its test of the row; a value program's loop
+#: appends each expression instead.
 _TEMPLATE = """
-def _program(rows, out):
+def _program(rows, out, params):
     _append = out.append
     for _row in rows:
         try:
@@ -307,21 +310,25 @@ class Program:
     guard: a row passes when each test holds and then each of ``exprs``
     lies within +-``limit``, checked in that order up to the first that
     fails; a row where one of them cannot be evaluated fails.  Names are
-    bound to the row's slots first, then to ``consts`` (compiled in as
-    floats), then to the constants of the language.
+    bound to the row's slots first, then to ``params``, whose values each
+    evaluation passes in that order, then to the constants of the
+    language.  The compiled code holds no parameter value, so one program
+    serves every set of values.
     """
 
     exprs: tuple
     slots: tuple = ()
-    consts: dict = field(default_factory=dict)
+    params: tuple = ()
     tests: Optional[tuple] = None
     limit: float = math.inf
 
     @cached_property
     def function(self):
-        """The compiled program: ``function(rows, out)`` appends each row's
-        results to ``out`` (values row by row, or one bool per row)."""
+        """The compiled program: ``function(rows, out, params)`` appends
+        each row's results to ``out`` (values row by row, or one bool per
+        row)."""
         slots = {name: f"_x{i}" for i, name in enumerate(self.slots)}
+        params = {name: f"_p{i}" for i, name in enumerate(self.params)}
         unbound = []
 
         def code(node: Expr) -> pyast.expr:
@@ -338,8 +345,8 @@ class Program:
             if kind is Var:
                 if node.name in slots:
                     return _name(slots[node.name])
-                if node.name in self.consts:
-                    return pyast.Constant(float(self.consts[node.name]), **_AT)
+                if node.name in params:
+                    return _name(params[node.name])
                 if node.name in CONSTANTS:
                     return pyast.Constant(CONSTANTS[node.name], **_AT)
                 unbound.append(node.name)
@@ -352,7 +359,13 @@ class Program:
 
         values = [code(e) for e in self.exprs]
         module = pyast.parse(_TEMPLATE)
-        loop = module.body[0].body[1]
+        body = module.body[0].body
+        loop = body[1]
+        if params:
+            body.insert(1, pyast.Assign(
+                [pyast.Tuple([_name(f"_p{i}", True) for i in range(len(params))],
+                             pyast.Store(), **_AT)],
+                _name("params"), **_AT))
         if slots:
             loop.target = pyast.Tuple(
                 [_name(f"_x{i}", True) for i in range(len(self.slots))],
@@ -380,10 +393,11 @@ class Program:
         return namespace["_program"]
 
 
-def evaluate(program: Program, rows) -> list:
-    """The results of a ``Program`` on ``rows``, a list of rows: the value
-    of each expression row by row in one flat list, or, for a guard, one
-    bool per row.
+def evaluate(program: Program, rows, params: tuple = ()) -> list:
+    """The results of a ``Program`` on ``rows``, a list of rows, with its
+    parameters bound to ``params``, their values in the order of
+    ``program.params``: the value of each expression row by row in one
+    flat list, or, for a guard, one bool per row.
 
     Every evaluation runs compiled code.  Raises EvalError on unbound
     names, division by zero, math-domain violations (sqrt of a negative,
@@ -393,7 +407,7 @@ def evaluate(program: Program, rows) -> list:
     """
     out = []
     try:
-        program.function(rows, out)
+        program.function(rows, out, params)
     except ZeroDivisionError as exc:  # what an inline '/' by zero raises
         raise EvalError("division by zero", len(out)) from exc
     except EvalError as exc:

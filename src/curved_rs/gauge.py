@@ -80,10 +80,9 @@ def einstein_prediction(psi: FieldSampler, frame: Frame,
     # psi point by point: the suite's one FieldSampler.__call__, which
     # perfbench traces as ``fields.sampler`` (``FieldSampler.at`` untraced)
     values = np.stack([psi(Point(c, frame.spec.chart_id)) for c in frame.coords])
-    return constant * np.einsum(
-        "xrb,xbij,xj->xri", frame.curvature.einstein, frame.gammas.gamma_up,
-        values
-    )
+    gamma_psi = contract("xbij,xj->xbi", frame.gammas.gamma_up, values)
+    return constant * contract("xrb,xbi->xri", frame.curvature.einstein,
+                               gamma_psi)
 
 
 def gauge_criterion(psi: FieldSampler, frame: Frame):

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OutOfDomain, SingularMetric
-from .numerics import read_only
+from .numerics import contract, read_only
 
 #: global sign of the antisymmetric tensor: eps^{0123} = EPS_SIGN / sqrt(-g)
 EPS_SIGN = -1.0
@@ -123,11 +123,12 @@ def _singular(g: np.ndarray, det) -> np.ndarray:
 
 
 def as_rows(coords) -> np.ndarray:
-    """A read-only float copy of an (n, 4) array of chart coordinates."""
-    coords = np.array(coords, dtype=float)
+    """An (n, 4) array of chart coordinates as floats: ``coords`` itself
+    where it is one, so a caller that keeps the rows copies them."""
+    coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 4:
         raise ValueError(f"rows must have shape (n, 4), got {coords.shape}")
-    return read_only(coords)
+    return coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +188,7 @@ def metric_jet(spec: MetricSpec, x) -> MetricJet:
             raise ValueError(f"a point of chart '{x.chart_id}' evaluated on "
                              f"chart '{spec.chart_id}'")
         return MetricJet(spec, x.coords)
-    return MetricJet(spec, as_rows(x))
+    return MetricJet(spec, read_only(as_rows(x).copy()))
 
 
 def eval_metric(spec: MetricSpec, x) -> MetricAtPoint:
@@ -227,7 +228,8 @@ def curvature(spec: MetricSpec, x) -> CurvatureBundle:
               - ddg)  # [mu, r, a, b] = d_mu (d_a g_rb + d_b g_ra - d_r g_ab)
     # [mu, s, a, b] = d_mu Gamma^s_ab
     dgam = (0.5 * np.einsum("...sr,...mrab->...msab", m.g_upper, dterms)
-            - np.einsum("...sk,...mkl,...lab->...msab", m.g_upper, dg, gam))
+            - contract("...msl,...lab->...msab",
+                       contract("...sk,...mkl->...msl", m.g_upper, dg), gam))
 
     # R^r_{s mu nu}
     r_up = (

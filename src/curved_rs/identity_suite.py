@@ -349,7 +349,8 @@ def _chk_sigma_tetrad(ctx):
     g_up, sigma, e_up = gs.metric.g_upper, gs.sigma_curved, gs.tetrad.e_upper
     prod = contract("xaij,xbjk->xabik", gs.gamma_up, gs.gamma_up)
     target = np.einsum("xab,ij->xabij", g_up, np.eye(4)) + 2.0 * sigma
-    tetrad_sigma = np.einsum("abij,xam,xbn->xmnij", SIGMA_FLAT, e_up, e_up)
+    tetrad_sigma = contract("xbn,xmbij->xmnij", e_up,
+                            contract("xam,abij->xmbij", e_up, SIGMA_FLAT))
     errs = np.maximum(
         _row_rel(_row_max(prod - target), 1.0, _row_max(g_up)),
         _row_rel(_row_max(tetrad_sigma - sigma), 1.0, _row_max(sigma)))

@@ -14,7 +14,10 @@ presets are documents embedded here (all signature (+,-,-,-)):
   canonical preset with a nonzero Einstein tensor.
 
 A spec's metric derivatives are exact: ``exprparse.diff`` differentiates
-each component once per spec, and the spec evaluates those ASTs.
+each component, and the spec evaluates those ASTs.  That work and the
+compiled programs belong to the document's structure, not to its
+parameter values: the specs of one structure share them, and each binds
+its own values.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from . import exprparse
 from .errors import ConfigError, EvalError, InvalidParameter, OutOfDomain, ParseError
 from .geometry import MetricSpec, as_rows
+from .numerics import read_only
 
 #: the preset documents; their guards keep 1e-3 coordinate units from
 #: horizons, poles and singularities
@@ -371,36 +375,89 @@ def _derivative_tables(cfg: MetricConfig) -> tuple:
           exprparse.diff(first[mu][a], names[nu]))
          for mu in range(4) for nu in range(mu, 4) for a in range(4)],
     )
-    return tuple([e for e in t if e[2] != exprparse.ZERO] for t in tables)
+    return tuple(tuple(e for e in t if e[2] != exprparse.ZERO) for t in tables)
 
 
-def _scatter(table: list, order: int) -> tuple:
-    """(positions, columns): where in a row's flattened (4,) * (order + 2)
-    array each column of a derivative table's values goes."""
+def _scatter(table: tuple, order: int) -> tuple:
+    """(positions, columns), read-only: where in a row's flattened
+    (4,) * (order + 2) array each column of a derivative table's values
+    goes."""
     positions, columns = [], []
     for j, (index, _, _) in enumerate(table):
         flat = np.ravel_multi_index(index, (4,) * (order + 2)).ravel().tolist()
         positions += flat
         columns += [j] * len(flat)
-    return positions, columns
+    return tuple(read_only(np.array(v, dtype=np.intp))
+                 for v in (positions, columns))
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """What every spec of one document structure shares: per metric order
+    the derivative table, its scatter and its program, then the guard and
+    the sampling box (None without a [sampling] section).  The programs
+    bind the parameters ``params`` at each call and compile on first use."""
+
+    params: tuple
+    tables: tuple
+    scatters: tuple
+    programs: tuple
+    guard: exprparse.Program
+    box: exprparse.Program | None
+
+
+#: the kernel of each document structure this process has built a spec
+#: of, by ``_structure``; an entry is never changed once made
+_KERNELS = {}
+
+
+def _structure(cfg: MetricConfig) -> tuple:
+    """A document without its parameter values and its name."""
+    return (cfg.coord_names, tuple(cfg.components[k] for k in COMPONENT_KEYS),
+            tuple(sorted(cfg.params)), tuple(cfg.domain),
+            tuple(sorted(cfg.sampling.items())))
+
+
+def _kernel(cfg: MetricConfig) -> _Kernel:
+    key = _structure(cfg)
+    kernel = _KERNELS.get(key)
+    if kernel is not None:
+        return kernel
+    names, params = cfg.coord_names, key[2]
+    box = None
+    if cfg.sampling:
+        missing = [n for n in names if n not in cfg.sampling]
+        if missing:
+            raise ConfigError(f"[sampling] missing coordinates: {missing}")
+        box = exprparse.Program(
+            tuple(e for n in names for e in cfg.sampling[n]), params=params)
+    tables = _derivative_tables(cfg)
+    kernel = _Kernel(
+        params=params,
+        tables=tables,
+        scatters=tuple(_scatter(t, k) for k, t in enumerate(tables)),
+        programs=tuple(exprparse.Program(tuple(ast for _, _, ast in t), names,
+                                         params) for t in tables),
+        guard=exprparse.Program(
+            tuple(cfg.components[k] for k in COMPONENT_KEYS), names, params,
+            tests=tuple(cfg.domain), limit=COMPONENT_LIMIT),
+        box=box,
+    )
+    return _KERNELS.setdefault(key, kernel)
 
 
 def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
+    """A fresh spec of the document's shared kernel, its parameters bound
+    to ``cfg.params``."""
     names = cfg.coord_names
-    tables = _derivative_tables(cfg)
-    # each compiled on first use: one function per order, and the guard
-    programs = [exprparse.Program(tuple(ast for _, _, ast in t), names, cfg.params)
-                for t in tables]
-    scatters = [_scatter(t, k) for k, t in enumerate(tables)]
-    guard_program = exprparse.Program(
-        tuple(cfg.components[k] for k in COMPONENT_KEYS), names, cfg.params,
-        tests=tuple(cfg.domain), limit=COMPONENT_LIMIT)
+    kernel = _kernel(cfg)
+    bound = tuple(float(cfg.params[k]) for k in kernel.params)
 
     def comp(rows, order: int = 0) -> np.ndarray:
         rows = as_rows(rows)
-        table = tables[order]
+        table = kernel.tables[order]
         try:
-            values = exprparse.evaluate(programs[order], rows.tolist())
+            values = exprparse.evaluate(kernel.programs[order], rows.tolist(), bound)
         except EvalError as exc:
             row, entry = divmod(exc.position, len(table))
             _, label, ast = table[entry]
@@ -408,7 +465,7 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
                 f"{label} = {exprparse.to_text(ast)} cannot be evaluated "
                 f"at {np.array2string(rows[row], precision=6)}: {exc}"
             ) from exc
-        positions, columns = scatters[order]
+        positions, columns = kernel.scatters[order]
         out = np.zeros((len(rows), 4 ** (order + 2)))
         out[:, positions] = np.array(values).reshape(len(rows), len(table))[:, columns]
         return out.reshape((len(rows),) + (4,) * (order + 2))
@@ -416,18 +473,14 @@ def _build_spec(cfg: MetricConfig, chart_id: str) -> MetricSpec:
     def guard(rows):
         rows = as_rows(rows)
         inside = np.isfinite(rows).all(axis=1)
-        inside[inside] = exprparse.evaluate(guard_program, rows[inside].tolist())
+        inside[inside] = exprparse.evaluate(kernel.guard, rows[inside].tolist(),
+                                            bound)
         return inside
 
     box = None
-    if cfg.sampling:
-        missing = [n for n in names if n not in cfg.sampling]
-        if missing:
-            raise ConfigError(f"[sampling] missing coordinates: {missing}")
-        bounds = exprparse.Program(
-            tuple(e for n in names for e in cfg.sampling[n]), consts=cfg.params)
+    if kernel.box is not None:
         try:
-            values = exprparse.evaluate(bounds, [()])
+            values = exprparse.evaluate(kernel.box, [()], bound)
         except EvalError as exc:
             raise ConfigError(f"[sampling] bound cannot be evaluated: {exc}")
         box = tuple(zip(values[::2], values[1::2]))

@@ -383,8 +383,10 @@ def check_smoothness(sampler: FieldSampler, points, min_ratio: float = 3.0):
 
 def value_of(node, bindings: dict) -> float:
     """The compiled value of one expression AST with name->value
-    ``bindings``: a one-expression ``Program`` on one empty row."""
-    return evaluate(Program((node,), consts=bindings), [()])[0]
+    ``bindings``: a one-expression ``Program`` on one empty row, the
+    bindings its parameters."""
+    return evaluate(Program((node,), params=tuple(bindings)), [()],
+                    tuple(bindings.values()))[0]
 
 
 def guard_at(spec, x: Point) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from curved_rs import cli
 from curved_rs.cli import build_parser, main
 from curved_rs.identity_suite import CONSTRAINT_CHECKS, GAUGE_CHECKS, REGISTRY
 
@@ -513,6 +514,25 @@ FLAG_CHANGES = {
 }
 #: options that choose only how the report is written
 OUTPUT_FLAGS = ("--format", "--output")
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    """``main`` builds its parser on the first call and keeps it."""
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["identities", "--metric", "no_such_preset"]) == 2
+        assert main(["nonsense"]) == 2
+        assert main(["gauge", "--metric", "no_such_preset"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def _command_options():

@@ -1,10 +1,13 @@
-"""Compiled evaluation of metric documents: each spec's guard and each
-metric order are one function over a list of rows, compiled once, whose
-values are bit for bit those of walking the ASTs one point at a time."""
+"""Compiled evaluation of metric documents: each document structure's
+guard and each metric order are one function over a list of rows,
+compiled once per process and shared by every spec of that structure,
+whose values are bit for bit those of walking the ASTs one point at a
+time, at each spec's own parameter values."""
 
 import builtins
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,14 +166,17 @@ def test_python_names_are_plain_names():
     names = {"lambda": 1.0, "__import__": 2.0, "print": 3.0, "exec": 0.5}
     assert value_of(expr, names) == 6.5
     program = exprparse.Program((expr,), ("lambda", "__import__", "print"),
-                                {"exec": 0.5})
-    assert evaluate(program, [[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]]) == [6.5, 0.5]
+                                ("exec",))
+    assert evaluate(program, [[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]],
+                    (0.5,)) == [6.5, 0.5]
 
 
-def test_each_program_compiles_once(monkeypatch):
-    """A suite compiles the spec's guard and its three orders, once each;
-    a second suite on the spec compiles nothing."""
-    spec = spacetimes.load_preset("schwarzschild")
+@pytest.fixture
+def compiles(monkeypatch):
+    """The programs compiled from here on, in a process that has seen no
+    document: ``spacetimes``' kernel map starts empty, and the process's
+    map is restored afterwards."""
+    monkeypatch.setattr(spacetimes, "_KERNELS", {})
     compiled = []
 
     def counting(*args):
@@ -178,28 +184,139 @@ def test_each_program_compiles_once(monkeypatch):
         return builtins.compile(*args)
 
     monkeypatch.setattr(exprparse, "compile", counting, raising=False)
-    run_suite(spec, n_points=2, seed=1)
-    assert len(compiled) == 4
-    run_suite(spec, n_points=2, seed=2)
-    assert len(compiled) == 4
+    return compiled
 
 
-def test_loading_a_preset_compiles_its_sampling_box_only(monkeypatch):
+@pytest.mark.parametrize("name", PRESET_DOCUMENTS)
+def test_a_new_document_compiles_its_box_then_the_rest(compiles, name):
     """``diff`` folds constant subtrees (frw_dust's exponent 2.0 / 3.0)
-    with the helpers compiled code calls, so loading any preset compiles
-    one program, its sampling box; the guard and the metric orders compile
-    on first use."""
-    compiled = []
+    with the helpers compiled code calls, so loading a preset the process
+    has not seen compiles one program, its sampling box; its first suite
+    compiles the guard and the three metric orders, and a second suite
+    nothing."""
+    spec = spacetimes.load_preset(name)
+    assert compiles == ["<exprparse>"]
+    run_suite(spec, n_points=2, seed=1)
+    assert compiles == ["<exprparse>"] * 5
+    run_suite(spec, n_points=2, seed=2)
+    assert len(compiles) == 5
 
-    def counting(*args):
-        compiled.append(args[1])
-        return builtins.compile(*args)
 
-    monkeypatch.setattr(exprparse, "compile", counting, raising=False)
-    for name in PRESET_DOCUMENTS:
-        compiled.clear()
-        spacetimes.load_preset(name)
-        assert compiled == ["<exprparse>"], name
+def _schwarzschild_document(m):
+    return spacetimes.spec_from_config(spacetimes.parse_metric_config(
+        PRESET_DOCUMENTS["schwarzschild"].replace("M = 1.0", f"M = {m!r}")))
+
+
+@pytest.mark.parametrize("second", [
+    lambda: spacetimes.load_preset("schwarzschild"),
+    lambda: spacetimes.load_preset("schwarzschild", M=2.5),
+    lambda: _schwarzschild_document(1.0),
+    lambda: _schwarzschild_document(2.5),
+], ids=["preset_same_values", "preset_other_values", "document_same_values",
+        "document_other_values"])
+def test_a_second_spec_of_a_document_compiles_nothing(compiles, second):
+    """A preset or a config document of the structure that a suite has
+    run on compiles nothing, at the same parameter values or others."""
+    run_suite(spacetimes.load_preset("schwarzschild"), n_points=2, seed=1)
+    assert len(compiles) == 5
+    run_suite(second(), n_points=2, seed=3)
+    assert len(compiles) == 5
+
+
+def test_six_presets_at_two_values_compile_five_programs_each(compiles):
+    """Each preset's sampling box, guard and three orders compile once,
+    whichever parameter values its specs bind."""
+    for name in spacetimes.PRESET_NAMES:
+        before = len(compiles)
+        defaults = spacetimes.load_preset(name).params
+        for params in ({}, {key: 1.5 * v for key, v in defaults.items()}):
+            spec = spacetimes.load_preset(name, **params)
+            rows = np.array([x.coords for x in sample_points(spec, 3, 1)])
+            spec.domain_guard(rows)
+            for k in range(3):
+                spec.component_fn(rows, k)
+        assert len(compiles) - before == 5, name
+    assert len(spacetimes._KERNELS) == len(spacetimes.PRESET_NAMES)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("schwarzschild", "M", 2.5), ("de_sitter_static", "alpha", 3.0),
+    ("anti_de_sitter_static", "alpha", 0.4), ("frw_dust", "a0", 0.7)])
+def test_two_specs_of_one_document_each_walk_their_own_values(name, key, value):
+    """Two specs of one kernel, at two values of a parameter, each give the
+    tree walk's values at their own binding, to the bit: the metric
+    orders, the guard and the sampling box."""
+    text = PRESET_DOCUMENTS[name]
+    base = spacetimes.parse_metric_config(text, name=name)
+    for params in (base.params, {key: value}):
+        spec = spacetimes.load_preset(name, **params)
+        cfg = replace(base, params=spec.params)
+        assert spacetimes._kernel(cfg) is spacetimes._kernel(base)
+        rows = np.array([x.coords for x in sample_points(spec, 5, 3)])
+        for k in range(3):
+            assert _bits(spec.component_fn(rows, k)) == _bits(
+                _tree_order(cfg, rows, k))
+        box = np.asarray(spec.sample_box)
+        assert _bits(box) == _bits([[tree_evaluate(e, cfg.params) for e in
+                                     cfg.sampling[n]] for n in cfg.coord_names])
+        centre, half = box.mean(axis=1), box[:, 1] - box[:, 0]
+        wide = np.random.default_rng(5).uniform(centre - half, centre + half,
+                                                size=(30, 4))
+        assert spec.domain_guard(wide).tolist() == [
+            tree_guard(cfg, r, COMPONENT_LIMIT) for r in wide]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: spacetimes.load_preset("frw_dust"),
+    lambda: _schwarzschild_document(1.0),
+], ids=["preset", "document"])
+def test_each_call_returns_a_fresh_spec(build):
+    """Specs share their kernel, never themselves: wrapping one spec's
+    callables, as a tracer does, leaves another's as they were."""
+    first, second = build(), build()
+    assert first is not second
+    component_fn, domain_guard = second.component_fn, second.domain_guard
+    calls = []
+
+    def wrapped(*args):
+        calls.append(args)
+        return component_fn(*args)
+
+    first.component_fn = wrapped
+    rows = np.array([x.coords for x in sample_points(second, 2, 1)])
+    second.component_fn(rows, 1)
+    second.domain_guard(rows)
+    assert calls == []
+    assert (second.component_fn, second.domain_guard) == (component_fn,
+                                                          domain_guard)
+
+
+def test_a_kernel_cannot_be_changed_through_a_spec():
+    """The shared tables are tuples and the scatters read-only arrays."""
+    cfg = spacetimes.parse_metric_config(PRESET_DOCUMENTS["frw_dust"])
+    kernel = spacetimes._kernel(cfg)
+    assert all(isinstance(t, tuple) for t in kernel.tables + kernel.scatters)
+    for positions, columns in kernel.scatters:
+        with pytest.raises(ValueError, match="read-only"):
+            positions[...] = 0
+        assert not columns.flags.writeable
+
+
+def test_documents_that_differ_in_one_line_do_not_share_a_kernel(compiles):
+    """One domain line or one sampling bound makes another structure,
+    which compiles its own programs and keeps its own test and box."""
+    text = PRESET_DOCUMENTS["schwarzschild"]
+    domain = text.replace("r > 2*M + 0.001", "r > 2*M + 0.01")
+    sampling = text.replace("r = 3*M, 8*M", "r = 3*M, 7*M")
+    assert len({text, domain, sampling}) == 3
+    specs = [spacetimes.spec_from_config(spacetimes.parse_metric_config(t))
+             for t in (text, domain, sampling)]
+    assert compiles == ["<exprparse>"] * 3
+    assert len(spacetimes._KERNELS) == 3
+    near = np.array([[0.0, 2.005, 1.0, 1.0]])
+    assert [s.domain_guard(near)[0] for s in specs] == [True, False, True]
+    assert [s.sample_box[1] for s in specs] == [(3.0, 8.0), (3.0, 8.0),
+                                               (3.0, 7.0)]
 
 
 #: each derivative table entry as ``label = to_text(AST)``, recorded from the

@@ -193,15 +193,15 @@ def test_compiled_evaluation_is_the_tree_walk(ast, values):
                 max_size=6))
 def test_a_program_on_rows_is_each_expression_on_each_row(exprs, rows):
     """A program over rows gives, row by row, each expression's value
-    alone (``M`` and ``alpha`` compiled in); where one fails, it raises
+    alone (``M`` and ``alpha`` its parameters); where one fails, it raises
     that EvalError at the position of the first value that fails."""
-    program = Program(tuple(exprs), ("r", "theta", "x1"), {"M": 0.5, "alpha": -2.0})
+    program = Program(tuple(exprs), ("r", "theta", "x1"), ("M", "alpha"))
     ref = []
     for row in rows:
         bindings = {"M": 0.5, "alpha": -2.0, **dict(zip(program.slots, row))}
         ref += [_outcome(tree_evaluate, e, bindings) for e in exprs]
     try:
-        got = [struct.pack("<d", v) for v in evaluate(program, rows)]
+        got = [struct.pack("<d", v) for v in evaluate(program, rows, (0.5, -2.0))]
     except EvalError as exc:
         first = next(i for i, v in enumerate(ref) if isinstance(v, str))
         assert (exc.position, str(exc)) == (first, ref[first])

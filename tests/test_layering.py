@@ -152,8 +152,7 @@ def test_the_product_lint_sees_an_unread_product():
 
 def many_operand_einsums(source: str) -> list:
     """'line' for each ``einsum`` call with three or more operands: the
-    operator layer writes such a contraction as its pairwise ``contract``
-    steps."""
+    package writes such a contraction as its pairwise ``contract`` steps."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -167,8 +166,10 @@ def many_operand_einsums(source: str) -> list:
 
 
 def test_the_operator_layer_contracts_pairwise():
-    assert many_operand_einsums(
-        (PACKAGE / "rs_operator.py").read_text()) == []
+    """Every module of the package, not only ``rs_operator``."""
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in many_operand_einsums(path.read_text())]
+    assert found == []
 
 
 def test_the_operand_lint_sees_three_operands():
