@@ -323,8 +323,8 @@ def _chk_covariant_constancy(ctx):
     gu, G = frame.gammas.gamma_up, frame.connection
     val = (d
            + contract("xrsl,xlij->xsrij", frame.christoffel, gu)
-           + G[:, :, None] @ gu[:, None]
-           - gu[:, None] @ G[:, :, None])
+           + contract("xsij,xrjk->xsrik", G, gu)
+           - contract("xrij,xsjk->xsrik", gu, G))
     errs = _row_rel(_row_max(val), 1.0, _row_max(gu))
     return len(ctx.points), errs
 
@@ -360,19 +360,17 @@ def _chk_sigma_tetrad(ctx):
 def _chk_triple_gamma(ctx):
     gs = ctx.frame.gammas
     gu, g_up = gs.gamma_up, gs.metric.g_upper
-    n = len(gu)
-    # eps^{abrs} gamma_s as one (n, 64, 4) @ (n, 4, 16) matmul
-    eps_gd = (gs.eps_upper.reshape(n, 64, 4)
-              @ gs.gamma_down.reshape(n, 4, 16)).reshape(n, 4, 4, 4, 4, 4)
+    eps_gd = contract("xabrs,xsij->xabrij", gs.eps_upper, gs.gamma_down)
     # every product gamma^a gamma^b gamma^r, indexed [x, a, b, r, i, j]
+    lhs = contract("xabij,xrjk->xabrik",
+                   contract("xaij,xbjk->xabik", gu, gu), gu)
     ga = gu[:, :, None, None]
     gb = gu[:, None, :, None]
     gr = gu[:, None, None, :]
-    lhs = ga @ gb @ gr
     rhs = (ga * g_up[:, None, :, :, None, None]
            - gb * g_up[:, :, None, :, None, None]
            + gr * g_up[:, :, :, None, None, None]
-           + 1j * gs.gamma5 @ eps_gd)
+           + 1j * contract("ij,xabrjk->xabrik", gs.gamma5, eps_gd))
     # each product relative to its own size
     errs = _row_rel(np.max(np.abs(lhs - rhs), axis=(-2, -1)), 1.0,
                     np.max(np.abs(lhs), axis=(-2, -1)))
@@ -589,8 +587,8 @@ def _transform_errors(beta, beta_ref, alphas, alpha_refs) -> np.ndarray:
     alpha^nu from its reference, relative to the larger of 1 and the
     reference's largest entry, so that the errors do not grow with the
     metric's scale."""
-    return np.max([_row_rel(_row_max(block.blocks - ref.blocks),
-                            _row_max(ref.blocks), 1.0)
+    return np.max([_row_rel(_row_max(block.to_dense() - ref.to_dense()),
+                            _row_max(ref.to_dense()), 1.0)
                    for block, ref in zip([beta, *alphas],
                                          [beta_ref, *alpha_refs])], axis=0)
 
@@ -608,8 +606,9 @@ def _chk_s_inverse(ctx):
     errs = []
     for a, b in [(-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)]:
         s, s_inv = rso.gamma_pair_block(gs, a), rso.gamma_pair_block(gs, b)
-        errs += [_row_rel(_row_max((s @ s_inv - eye).blocks),
-                          _row_max(s.blocks) * _row_max(s_inv.blocks), 1.0)]
+        errs += [_row_rel(_row_max((s @ s_inv - eye).to_dense()),
+                          _row_max(s.to_dense()) * _row_max(s_inv.to_dense()),
+                          1.0)]
     return len(ctx.points), np.max(errs, axis=0)
 
 
@@ -631,8 +630,8 @@ def _chk_beta_dual_forms(ctx):
     gs = ctx.frame.gammas
     _, beta_t = rso.tilde_closed_form(gs)
     eps_form = rso.beta_tilde_eps_form(gs)
-    errs = _row_rel(_row_max(beta_t.blocks - eps_form.blocks),
-                    _row_max(beta_t.blocks), 1.0)
+    errs = _row_rel(_row_max(beta_t.to_dense() - eps_form.to_dense()),
+                    _row_max(beta_t.to_dense()), 1.0)
     return len(ctx.points), errs
 
 

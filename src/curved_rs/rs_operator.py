@@ -27,8 +27,9 @@ It forms no Dirac product of its own: the operator blocks alpha^nu and
 beta, gamma_r gamma^s, eps_r^{nu s mu} and the closed-form
 i gamma5 eps_r^{nu s mu} gamma_mu are read from the GammaSet, which forms
 each once, and the gamma triple of ``transform_printed`` is
-``spin_frame.gamma_triple``.  Every block product is one dense
-(..., 16, 16) matmul.  Every other contraction of two operands is
+``spin_frame.gamma_triple``.  A block matrix stores its dense
+(..., 16, 16) form, which the GammaSet's block arrays already lie in, so
+every block product is one matmul with no layout copy.  Every other contraction of two operands is
 ``numerics.contract``, one batched matmul planned once per subscripts;
 one of more operands is written as its pairwise steps:
 ``beta_tilde_eps_form`` as the path numpy's search picks for it, and the
@@ -38,6 +39,7 @@ R_ab gamma^a formed first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,9 +49,9 @@ from .errors import InvalidTransform
 from .fields import BISPINOR, VECTOR_BISPINOR, FieldSampler, FieldStack
 from .geometry import ETA, riemann_mixed
 from .numerics import contract
-from .spin_frame import (GAMMA_FLAT, IDENTITY_BLOCKS, THIRD, Frame, GammaSet,
-                         gamma_derivatives, gamma_triple,
-                         spinor_commutator_curvature)
+from .spin_frame import (GAMMA_FLAT, IDENTITY_DENSE, THIRD, Frame, GammaSet,
+                         block_view, dense_view, gamma_derivatives,
+                         gamma_triple, new_blocks, spinor_commutator_curvature)
 
 
 #: the largest m^2 a mass may have: every check passes at m^2 = 1e306,
@@ -77,67 +79,82 @@ class BlockMatrix16:
     """A 4x4 grid of 4x4 complex blocks acting on vector-bispinors, or a
     stack of them on any leading axes (a frame's rows).
 
-    blocks[..., r, s, i, j]: r/s are the vector row/column, i/j the spinor
-    ones; the dense form is [..., 4 r + i, 4 s + j].  A product is one
-    (..., 16, 16) matmul of the dense forms.  ``max_abs`` is the largest
-    entry over the whole stack.
+    The matrix holds one array, its dense form [..., 4 r + i, 4 s + j]
+    (r/s the vector row/column, i/j the spinor ones): ``to_dense`` returns
+    it and ``from_dense`` wraps one, neither with a copy, and ``blocks``
+    [..., r, s, i, j] is a view of it.  Built from blocks that lie in the
+    dense form's memory order, as a GammaSet's do, the matrix is a view of
+    them.  A product is one (..., 16, 16) matmul of the dense forms, and
+    ``+``, ``-``, ``*`` and ``max_abs`` (the largest entry over the whole
+    stack) read them too.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("_dense",)
 
     def __init__(self, blocks):
-        self.blocks = np.asarray(blocks, dtype=complex)
-        if self.blocks.shape[-4:] != (4, 4, 4, 4):
+        blocks = np.asarray(blocks, dtype=complex)
+        if blocks.shape[-4:] != (4, 4, 4, 4):
             raise ValueError("blocks must have shape (..., 4, 4, 4, 4)")
+        self._dense = dense_view(blocks)
 
     @classmethod
     def identity(cls):
-        return cls(IDENTITY_BLOCKS)
+        return cls.from_dense(IDENTITY_DENSE)
 
     @classmethod
     def from_dense(cls, dense):
         dense = np.asarray(dense, dtype=complex)
-        return cls(dense.reshape(dense.shape[:-2] + (4, 4, 4, 4))
-                   .swapaxes(-3, -2))
+        if dense.shape[-2:] != (16, 16):
+            raise ValueError(f"a dense form must have shape (..., 16, 16), "
+                             f"got {dense.shape}")
+        matrix = cls.__new__(cls)
+        matrix._dense = dense
+        return matrix
 
     def to_dense(self) -> np.ndarray:
-        b = self.blocks
-        return b.swapaxes(-3, -2).reshape(b.shape[:-4] + (16, 16))
+        return self._dense
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return block_view(self._dense)
 
     def __matmul__(self, other):
         return BlockMatrix16.from_dense(self.to_dense() @ other.to_dense())
 
     def __add__(self, other):
-        return BlockMatrix16(self.blocks + other.blocks)
+        return BlockMatrix16.from_dense(self._dense + other._dense)
 
     def __sub__(self, other):
-        return BlockMatrix16(self.blocks - other.blocks)
+        return BlockMatrix16.from_dense(self._dense - other._dense)
 
     def __mul__(self, scalar):
-        return BlockMatrix16(self.blocks * scalar)
+        return BlockMatrix16.from_dense(self._dense * scalar)
 
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.blocks)))
+        return float(np.max(np.abs(self._dense)))
 
 
 def _per_nu(blocks) -> list:
-    """The four BlockMatrix16 of blocks [..., nu, r, s, i, j]."""
-    return [BlockMatrix16(blocks[..., nu, :, :, :, :]) for nu in range(4)]
+    """The four BlockMatrix16 of blocks [..., nu, r, s, i, j] held in the
+    dense form's memory order: views of their dense form."""
+    dense = dense_view(blocks)
+    return [BlockMatrix16.from_dense(dense[..., nu, :, :]) for nu in range(4)]
 
 
 def gamma_pair_block(gs: GammaSet, coeff: complex) -> BlockMatrix16:
     """I + coeff * gamma_r gamma^s as a block matrix (on the GammaSet's
-    leading axes)."""
-    return BlockMatrix16(IDENTITY_BLOCKS + coeff * gs.pairs)
+    leading axes), formed in its dense form."""
+    return BlockMatrix16.from_dense(IDENTITY_DENSE
+                                    + coeff * dense_view(gs.pairs))
 
 
 def build_alpha_beta(gs: GammaSet):
     """The operator blocks (alpha^nu for nu = 0..3, beta) of a GammaSet, at
     a point or on every row of a frame's ``gammas`` (each block matrix then
     carries the row axis): views of its read-only ``alpha`` and ``beta``."""
-    return _per_nu(gs.alpha), BlockMatrix16(gs.beta)
+    return _per_nu(gs.alpha), BlockMatrix16.from_dense(dense_view(gs.beta))
 
 
 def _spin_term(frame: Frame, kind: str, value):
@@ -375,7 +392,10 @@ def transform_CS(alphas, beta, gs: GammaSet, a: float, b: float, c: float
     """Left-multiply by C = I + c gamma gamma, then conjugate by
     S = I + a gamma gamma with inverse I + b gamma gamma; requires
     a + b + 4ab = 0."""
-    if abs(a + b + 4.0 * a * b) > 1e-12:
+    if not all(map(math.isfinite, (a, b, c))):
+        raise InvalidTransform(f"a, b and c must be finite, got {a}, {b}, "
+                               f"{c}")
+    if not abs(a + b + 4.0 * a * b) <= 1e-12:
         raise InvalidTransform(
             f"a + b + 4ab = {a + b + 4 * a * b:.3e}, must vanish"
         )
@@ -420,12 +440,16 @@ def transform_printed(gs: GammaSet, a: float, b: float, c: float):
     nu_r_s = eye[:, :, None, None, None] * gu[..., None, None, :, :, :]
     r_nu_s = gd[..., None, :, None, :, :] * gs.metric.g_upper[
         ..., :, None, :, None, None]
-    alpha_prime = (
-        nu_rs - nu_r_s / 3.0 + (2.0 * c - 1.0) / 3.0 * r_nu_s
-        + gamma_triple(gs) / 3.0
-    )
-    alpha_tilde = (c_nu * nu_rs + c_sig * nu_r_s + c_g * r_nu_s
-                   + B * gs.eps_gamma)
+    # each sum formed in place, left to right, in the dense memory order
+    alpha_prime, alpha_tilde = (new_blocks(gu.shape[:-3] + (4,))
+                                for _ in range(2))
+    np.subtract(nu_rs, nu_r_s / 3.0, out=alpha_prime)
+    alpha_prime += (2.0 * c - 1.0) / 3.0 * r_nu_s
+    alpha_prime += gamma_triple(gs) / 3.0
+    np.multiply(c_nu, nu_rs, out=alpha_tilde)
+    alpha_tilde += c_sig * nu_r_s
+    alpha_tilde += c_g * r_nu_s
+    alpha_tilde += B * gs.eps_gamma
     return beta_prime, _per_nu(alpha_prime), beta_tilde, _per_nu(alpha_tilde)
 
 

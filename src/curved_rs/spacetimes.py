@@ -150,16 +150,23 @@ z = -1, 1
 }
 PRESET_NAMES = tuple(PRESET_DOCUMENTS)
 
+#: the parsed document of each preset this process has loaded, by name; a
+#: spec never holds it, so an entry is never changed once made
+_PRESET_CONFIGS = {}
+
 
 def load_preset(name: str, **params) -> MetricSpec:
-    """Build a preset MetricSpec from its document, with ``params``
-    overriding the document's [params]; raises InvalidParameter for an
-    unknown preset or parameter, and for a value that is not finite and
-    positive."""
+    """Build a preset MetricSpec from its document, parsed once per
+    process, with ``params`` overriding the document's [params]; raises
+    InvalidParameter for an unknown preset or parameter, and for a value
+    that is not finite and positive."""
     if name not in PRESET_DOCUMENTS:
         raise InvalidParameter(f"unknown preset '{name}'; available: "
                                f"{', '.join(PRESET_NAMES)}")
-    cfg = parse_metric_config(PRESET_DOCUMENTS[name], name=name)
+    cfg = _PRESET_CONFIGS.get(name)
+    if cfg is None:
+        cfg = _PRESET_CONFIGS.setdefault(name, parse_metric_config(
+            PRESET_DOCUMENTS[name], name=name))
     for key, value in params.items():
         if key not in cfg.params:
             raise InvalidParameter(

@@ -14,7 +14,10 @@ A ``GammaSet`` is the one place where products of the position-dependent
 Dirac matrices are formed: it is built with gamma^al and the metric, and
 forms gamma_al, sigma^{al be}, the volume tensor, gamma_r gamma^s,
 i gamma5 eps_r^{nu s mu} gamma_mu and the operator blocks alpha^nu and
-beta each on first read, once.  The triple gamma_r gamma^nu gamma^s
+beta each on first read, once; each block array is one array in the
+memory order of the dense form [..., 4 r + i, 4 s + j] that
+``rs_operator.BlockMatrix16`` stores, read as a [..., (nu,) r, s, i, j]
+view.  The triple gamma_r gamma^nu gamma^s
 (``gamma_triple``) is formed, not kept, by alpha^nu and by the printed
 form of the transformed blocks.  A ``Frame``
 holds all of this for a set of rows and is the one place where geometry
@@ -83,9 +86,27 @@ _SIGMA_MATRIX = read_only(SIGMA_FLAT.reshape(16, 16))
 #: the 1/3 of the operator blocks alpha^nu and beta
 THIRD = 1.0 / 3.0
 
-#: delta_r^s times the 4x4 identity, as blocks [r, s, i, j]
-IDENTITY_BLOCKS = read_only(
-    np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex))
+#: delta_r^s times the 4x4 identity in the dense form [4 r + i, 4 s + j]
+IDENTITY_DENSE = read_only(np.eye(16, dtype=complex))
+
+
+def block_view(dense: np.ndarray) -> np.ndarray:
+    """The blocks [..., r, s, i, j] of a dense form [..., 4 r + i, 4 s + j]:
+    a view of its memory."""
+    return dense.reshape(dense.shape[:-2] + (4, 4, 4, 4)).swapaxes(-3, -2)
+
+
+def dense_view(blocks: np.ndarray) -> np.ndarray:
+    """The dense form [..., 4 r + i, 4 s + j] of blocks [..., r, s, i, j]: a
+    view of blocks held in the dense form's memory order, as every block
+    array of a GammaSet is, else a copy laid out in that order."""
+    return blocks.swapaxes(-3, -2).reshape(blocks.shape[:-4] + (16, 16))
+
+
+def new_blocks(lead: tuple) -> np.ndarray:
+    """An uninitialised complex array of blocks [*lead, r, s, i, j] in the
+    dense form's memory order, for a builder to form in place."""
+    return block_view(np.empty(lead + (16, 16), dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -104,7 +125,10 @@ class GammaSet:
     gamma_al, the products of the position-dependent matrices, the
     volume tensor and the operator blocks are formed on first read, at
     most once per GammaSet, and are read-only: every block builder reads
-    them here instead of forming its own."""
+    them here instead of forming its own.  ``pairs``, ``beta``, ``alpha``
+    and ``eps_gamma`` are [..., (nu,) r, s, i, j] views of arrays laid
+    out as the dense form [..., (nu,) 4 r + i, 4 s + j], so a block
+    matrix wraps them without a copy."""
 
     gamma_flat: np.ndarray  # [a, i, j]
     gamma5: np.ndarray
@@ -122,7 +146,7 @@ class GammaSet:
     def sigma_curved(self) -> np.ndarray:
         """sigma^{al be}(x) = [gamma^al, gamma^be]/4, [..., al, be, i, j]."""
         gu = self.gamma_up
-        prod = gu[..., :, None, :, :] @ gu[..., None, :, :, :]
+        prod = contract("...aij,...bjk->...abik", gu, gu)
         return read_only(0.25 * (prod - np.swapaxes(prod, -4, -3)))
 
     @cached_property
@@ -138,23 +162,27 @@ class GammaSet:
 
     @cached_property
     def pairs(self) -> np.ndarray:
-        """gamma_r gamma^s as blocks [..., r, s, i, j]."""
-        return read_only(self.gamma_down[..., :, None, :, :]
-                         @ self.gamma_up[..., None, :, :, :])
+        """gamma_r gamma^s as blocks [..., r, s, i, j]: the matmul yields
+        them in the dense form's memory order."""
+        return read_only(contract("...sjk,...rij->...risk", self.gamma_up,
+                                  self.gamma_down).swapaxes(-3, -2))
 
     @cached_property
     def eps_gamma(self) -> np.ndarray:
         """i gamma5 eps_r^{nu s mu} gamma_mu as blocks [..., nu, r, s, i, k]:
         the closed-form blocks alpha~^nu, gamma5 gamma_mu formed first."""
         g5_gd = contract("ij,...mjk->...ikm", self.gamma5, self.gamma_down)
-        return read_only(1j * contract("...rnsm,...ikm->...nrsik",
-                                       self.eps_mixed, g5_gd))
+        eps_gamma = new_blocks(self.gamma_up.shape[:-3] + (4,))
+        np.multiply(1j, contract("...rnsm,...ikm->...nrsik", self.eps_mixed,
+                                 g5_gd), out=eps_gamma)
+        return read_only(eps_gamma)
 
     @cached_property
     def beta(self) -> np.ndarray:
         """The operator block beta = delta_r^s - 1/3 gamma_r gamma^s,
         [..., r, s, i, j]."""
-        return read_only(IDENTITY_BLOCKS - THIRD * self.pairs)
+        return read_only(block_view(
+            IDENTITY_DENSE - THIRD * dense_view(self.pairs)))
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -164,7 +192,8 @@ class GammaSet:
         # gamma^nu delta_r^s - 1/3 (delta^nu_r gamma^s + gamma_r g^{nu s}
         # - gamma_r gamma^nu gamma^s): summed in place, with the triple
         # product formed last, so that at most one temporary of alpha's
-        # size is held beside it
+        # size is held beside it; the sum is then laid out in the dense
+        # form's memory order, the one copy of its formation
         alpha = eye[:, :, None, None] * gu[..., :, None, None, :, :]
         alpha -= (THIRD * eye[:, :, None, None, None]
                   * gu[..., None, None, :, :, :])
@@ -173,7 +202,7 @@ class GammaSet:
         triple = gamma_triple(self)
         triple *= THIRD
         alpha += triple
-        return read_only(alpha)
+        return read_only(block_view(dense_view(alpha)))
 
 
 def gamma_triple(gs: GammaSet) -> np.ndarray:

@@ -34,6 +34,11 @@ that calibrated ``gauge.C0``), ``unitary_transform_gammas``,
 package's row APIs: ``value_of`` (an AST's compiled value),
 ``guard_at`` and ``components_at`` (a spec's callables on one Point),
 ``shifted`` and ``apply_blocks``.
+
+``copying_block_product`` and ``copying_transform`` are the block
+products by the route that stored blocks [..., r, s, i, j] took: each
+operand copied to its dense form, one (..., 16, 16) matmul, the product
+reshaped back to blocks.
 """
 
 
@@ -409,3 +414,37 @@ def shifted(x: Point, mu: int, dh: float) -> Point:
 def apply_blocks(m, psi: np.ndarray) -> np.ndarray:
     """(M Psi)_r = sum_s block(r, s) Psi_s of a ``BlockMatrix16``."""
     return contract("...rsij,...sj->...ri", m.blocks, psi)
+
+
+def copying_block_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two block arrays [..., r, s, i, j]: each copied to
+    its dense form [..., 4 r + i, 4 s + j], one matmul, and the product
+    reshaped back to blocks."""
+    def dense(blocks):
+        return np.array(blocks.swapaxes(-3, -2)).reshape(
+            blocks.shape[:-4] + (16, 16))
+
+    prod = dense(a) @ dense(b)
+    return prod.reshape(prod.shape[:-2] + (4, 4, 4, 4)).swapaxes(-3, -2)
+
+
+def pair_blocks(gs, coeff) -> np.ndarray:
+    """I + coeff * gamma_r gamma^s as blocks [..., r, s, i, j]."""
+    eye = np.einsum("rs,ij->rsij", np.eye(4), np.eye(4)).astype(complex)
+    return eye + coeff * gs.pairs
+
+
+def copying_transform(gs, a, b, c) -> tuple:
+    """(beta', alpha'^nu, beta~, alpha~^nu) of ``rs_operator.transform_CS``
+    as block arrays, each product by ``copying_block_product``: C beta,
+    C alpha^nu, then (S X) S^-1."""
+    C, S, S_inv = (pair_blocks(gs, k) for k in (c, a, b))
+    alphas = [gs.alpha[..., nu, :, :, :, :] for nu in range(4)]
+    beta_prime = copying_block_product(C, gs.beta)
+    alpha_prime = [copying_block_product(C, al) for al in alphas]
+
+    def conjugate(x):
+        return copying_block_product(copying_block_product(S, x), S_inv)
+
+    return (beta_prime, alpha_prime, conjugate(beta_prime),
+            [conjugate(al) for al in alpha_prime])

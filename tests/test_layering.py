@@ -178,3 +178,41 @@ def test_the_operand_lint_sees_three_operands():
               "einsum('i,i,i,i->', a, b, c, d)\n"
               "contract('ij,jk->ik', a, b)\n")
     assert many_operand_einsums(source) == [2, 3]
+
+
+def none_indexed_matmuls(source: str) -> list:
+    """'line' for each ``@`` with an operand indexed with ``None``: a
+    broadcast product over stacked 4x4 blocks, which the package runs as
+    one ``numerics.contract`` step, one batched matmul."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            if any(isinstance(operand, ast.Subscript) and any(
+                    isinstance(n, ast.Constant) and n.value is None
+                    for n in ast.walk(operand.slice))
+                   for operand in (node.left, node.right)):
+                found.append(node.lineno)
+    return found
+
+
+def test_no_module_broadcasts_a_matmul():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in none_indexed_matmuls(path.read_text())]
+    assert found == []
+
+
+def test_the_matmul_lint_sees_a_broadcast_product():
+    """The former ``GammaSet.pairs`` is flagged; a contract step, a plain
+    matmul and an elementwise product with ``None`` are not."""
+    former_pairs = (
+        "class GammaSet:\n"
+        "    @cached_property\n"
+        "    def pairs(self) -> np.ndarray:\n"
+        "        return read_only(self.gamma_down[..., :, None, :, :]\n"
+        "                         @ self.gamma_up[..., None, :, :, :])\n")
+    assert none_indexed_matmuls(former_pairs) == [4]
+    source = ("contract('...rij,...sjk->...rsik', gd, gu)\n"
+              "a @ b[0]\n"
+              "g[:, None] * h\n"
+              "x = g0 @ (G[:, :, None] @ gu)\n")
+    assert none_indexed_matmuls(source) == [4]

@@ -1,5 +1,8 @@
 """Operator assembly, residuals, constraints, and the C/S transformation."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -39,11 +42,13 @@ from curved_rs.rs_operator import (
     transform_printed,
     beta_tilde_eps_form,
 )
-from curved_rs.spin_frame import (THIRD, build_frame, gamma_set_at,
-                                  spin_connection)
+from curved_rs.spin_frame import (THIRD, build_frame, dense_view,
+                                  gamma_set_at, spin_connection)
 
 from conftest import first_constraint, frame_at, points_of
-from oracles import apply_blocks, constant_field, richardson, stencil_sampler
+from oracles import (apply_blocks, constant_field, copying_block_product,
+                     copying_transform, pair_blocks, richardson,
+                     stencil_sampler)
 
 MASS = MassParam(1.0)
 
@@ -296,6 +301,30 @@ class TestDenseBlockProducts:
         assert np.array_equal(BlockMatrix16.from_dense(dense).to_dense(),
                               dense)
 
+    @pytest.mark.parametrize("rows", (None, 20), ids=("point", "rows"))
+    def test_products_equal_the_copying_route(self, all_presets, rows):
+        """Every stage of the C/S transform (beta', alpha'^nu, beta~,
+        alpha~^nu) at the generic and the closed-form coefficients, and
+        2.4's S S^-1, equal the products that copy each operand to its
+        dense form (``oracles.copying_block_product``) bit for bit, on
+        all six presets at one Point and on 20 rows."""
+        for spec in all_presets:
+            gs = (gamma_set_at(spec, points_of(spec, 1)[0]) if rows is None
+                  else _frame_rows(spec, rows).gammas)
+            for abc in ((0.25, -0.125, 0.7), (-1.0 / 3.0, -1.0, 2.0)):
+                tr = transform_CS(*build_alpha_beta(gs), gs, *abc)
+                bp, ap, bt, at_ = copying_transform(gs, *abc)
+                assert np.array_equal(tr.beta_prime.blocks, bp)
+                assert np.array_equal(tr.beta_tilde.blocks, bt)
+                for nu in range(4):
+                    assert np.array_equal(tr.alpha_prime[nu].blocks, ap[nu])
+                    assert np.array_equal(tr.alpha_tilde[nu].blocks,
+                                          at_[nu])
+            for a, b in ((-1.0 / 3.0, -1.0), (0.25, -0.125), (1.0, -0.2)):
+                prod = gamma_pair_block(gs, a) @ gamma_pair_block(gs, b)
+                assert np.array_equal(prod.blocks, copying_block_product(
+                    pair_blocks(gs, a), pair_blocks(gs, b)))
+
     def test_alpha_triple_path_equals_the_matmul_chain(self, schwarzschild):
         """The contraction path of gamma_r gamma^nu gamma^s leaves alpha
         bit-identical to the broadcast 4x4 matmul chain, so a point and
@@ -393,12 +422,69 @@ class TestContractionIdentity:
             assert np.max(np.abs(lhs)) < 1e-9
 
 
+class TestDenseLayout:
+    """A block matrix holds one array, its dense form; the operator blocks
+    are views of the GammaSet's arrays, which lie in that memory order."""
+
+    def test_to_dense_is_the_stored_array(self, rng):
+        dense = rng.standard_normal((3, 16, 16)) + 1j * rng.standard_normal(
+            (3, 16, 16))
+        m = BlockMatrix16.from_dense(dense)
+        assert m.to_dense() is dense
+        assert np.shares_memory(m.blocks, dense)
+        m.blocks[1, 2, 3] = 7.0
+        assert np.all(dense[1, 8:12, 12:16] == 7.0)
+        doubled = m * 2.0
+        assert np.shares_memory(doubled.blocks, doubled.to_dense())
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 4), (16, 4), (2, 4, 16)])
+    def test_from_dense_names_a_bad_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            BlockMatrix16.from_dense(np.zeros(shape, dtype=complex))
+
+    @pytest.mark.parametrize("rows", (None, 20), ids=("point", "rows"))
+    def test_operator_blocks_are_views_of_the_gammaset(self, schwarzschild,
+                                                       rows):
+        gs = (gamma_set_at(schwarzschild, points_of(schwarzschild, 1)[0])
+              if rows is None else _frame_rows(schwarzschild, rows).gammas)
+        for name in ("pairs", "beta", "alpha", "eps_gamma"):
+            assert np.shares_memory(dense_view(getattr(gs, name)),
+                                    getattr(gs, name)), name
+        alphas, beta = build_alpha_beta(gs)
+        alpha_t, beta_t = tilde_closed_form(gs)
+        for nu in range(4):
+            assert np.shares_memory(alphas[nu].to_dense(), gs.alpha)
+            assert np.array_equal(alphas[nu].blocks, gs.alpha[..., nu, :, :,
+                                                              :, :])
+            assert not alphas[nu].to_dense().flags.writeable
+            assert np.shares_memory(alpha_t[nu].to_dense(), gs.eps_gamma)
+            assert np.array_equal(alpha_t[nu].blocks,
+                                  gs.eps_gamma[..., nu, :, :, :, :])
+        assert np.shares_memory(beta.to_dense(), gs.beta)
+        assert np.array_equal(beta.blocks, gs.beta)
+        assert not beta.blocks.flags.writeable
+        # a matrix formed fresh owns its array, and its blocks write to it
+        assert beta_t.blocks.flags.writeable
+        assert np.shares_memory(beta_t.blocks, beta_t.to_dense())
+
+
 class TestTransform:
     def test_invalid_parameters_rejected(self, minkowski):
         gs = gamma_set_at(minkowski, minkowski.point(0, 0, 0, 0))
         alphas, beta = build_alpha_beta(gs)
         with pytest.raises(InvalidTransform):
             transform_CS(alphas, beta, gs, 0.3, 0.3, 1.0)
+
+    @pytest.mark.parametrize("abc", [
+        (math.nan, -1.0, 2.0), (math.inf, -1.0, 2.0), (-math.inf, -1.0, 2.0),
+        (-1.0 / 3.0, math.nan, 2.0), (-1.0 / 3.0, math.inf, 2.0),
+        (-1.0 / 3.0, -1.0, math.nan), (-1.0 / 3.0, -1.0, math.inf)])
+    def test_non_finite_coefficients_rejected(self, minkowski, abc):
+        """a + b + 4ab is NaN for a NaN or an infinite a or b, which no
+        comparison with the bound can pass; c enters no condition."""
+        gs = gamma_set_at(minkowski, minkowski.point(0, 0, 0, 0))
+        with pytest.raises(InvalidTransform, match="finite"):
+            transform_CS(*build_alpha_beta(gs), gs, *abc)
 
     def test_constraint_satisfied_for_special_solution(self):
         a, b = -1.0 / 3.0, -1.0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curved_rs import identity_suite
+from curved_rs import identity_suite, spacetimes
 from curved_rs.errors import ConfigError, InvalidParameter, OutOfDomain, ParseError
 from curved_rs.geometry import curvature, eval_metric
 from curved_rs.spacetimes import (
@@ -153,6 +153,47 @@ class TestPresets:
         assert not guard_at(de_sitter, de_sitter.point(0, 1.0, 1.0, 0))
         assert not guard_at(frw_dust, frw_dust.point(0.0, 0, 0, 0))
         assert guard_at(schwarzschild, schwarzschild.point(0, 4.0, 1.0, 0))
+
+
+class TestPresetParse:
+    """A preset's document is parsed once per process; no spec a load
+    returns reaches the shared parse."""
+
+    def test_each_preset_is_parsed_once(self, monkeypatch):
+        monkeypatch.setattr(spacetimes, "_PRESET_CONFIGS", {})
+        parsed = []
+        original = spacetimes.parse_metric_config
+
+        def counting(text, name="config"):
+            parsed.append(name)
+            return original(text, name)
+
+        monkeypatch.setattr(spacetimes, "parse_metric_config", counting)
+        for params in ({}, {}, {"M": 2.5}):
+            load_preset("schwarzschild", **params)
+        for name in PRESET_NAMES:
+            load_preset(name)
+        assert parsed == ["schwarzschild"] + [
+            name for name in PRESET_NAMES if name != "schwarzschild"]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_a_load_cannot_change_the_next(self, name):
+        """A spec's parameters mutated after one load (and a load with
+        other values) leave the next load as a freshly parsed document's
+        spec."""
+        doc = spec_from_config(parse_metric_config(PRESET_DOCUMENTS[name],
+                                                   name=name))
+        first = load_preset(name, **{k: 2.0 * v
+                                     for k, v in doc.params.items()})
+        first.params.clear()
+        first.params["extra"] = 3.0
+        spec = load_preset(name)
+        assert spec.params == doc.params
+        assert spec.sample_box == doc.sample_box
+        rows = np.array([x.coords for x in points_of(doc, 4)])
+        for order in range(3):
+            assert np.array_equal(spec.component_fn(rows, order),
+                                  doc.component_fn(rows, order))
 
 
 class TestConfigParsing:
