@@ -30,7 +30,6 @@ from .geometry import (
     curvature,
     eval_metric,
     levi_civita,
-    metric_derivatives,
 )
 from .identity_suite import SuiteReport, run_suite
 from .rs_operator import (

@@ -12,8 +12,9 @@ returns, on (n, 4) rows or a Frame's rows, the values and, up to ``order``
 The closed-form families (polynomials, trigonometric fields and plane
 waves, and so the flat plane-wave solutions) differentiate their closed
 form exactly (forward mode); the gradient field of ``gauge`` takes its
-jet from psi's; the gamma-traceless field has values only.  Nothing here
-takes a finite difference.
+jet from psi's.  Nothing here takes a finite difference, and no sampler
+builds geometry: a field that needs the metric's Dirac matrices takes them
+from its caller.
 
 A ``FieldStack`` takes the jets of several samplers of one kind together:
 its arrays carry a trailing fixture axis, (n, *shape, F), which the
@@ -29,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ETA, MetricSpec, Point
-from .spin_frame import GAMMA_FLAT, Frame, build_frame
+from .geometry import ETA, Point
+from .spin_frame import GAMMA_FLAT, Frame
 
 VECTOR_BISPINOR = "vector_bispinor"
 BISPINOR = "bispinor"
@@ -213,31 +214,6 @@ def plane_wave(k, amplitude, kind: str = VECTOR_BISPINOR) -> FieldSampler:
         return tuple(out)
 
     return FieldSampler(jet, kind, "plane_wave")
-
-
-def gamma_traceless_field(seed: int, spec: MetricSpec, box=None) -> FieldSampler:
-    """A smooth vector-bispinor with gamma^be(x) Psi_be = 0 pointwise.
-
-    Projects a seeded polynomial field with the Dirac matrices of the
-    MetricSpec ``spec``: Psi_be = L_be - (1/4) gamma_be(x) gamma^s(x) L_s.
-    It has values only: its jet raises ValueError beyond order 0.
-    """
-    raw = polynomial_field(seed, VECTOR_BISPINOR, box)
-    name = f"traceless[{seed}]"
-
-    def jet(rows, order):
-        if order:
-            raise ValueError(f"sampler '{name}' has values only, "
-                             f"no jet of order {order}")
-        coords = rows_of(rows)
-        lam = raw.at(coords)
-        # projected with its own Dirac matrices, never those of a caller's
-        # frame, so that an operator checked on it is not checked by itself
-        gs = build_frame(spec, coords).gammas
-        trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
-        return (lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace),)
-
-    return FieldSampler(jet, VECTOR_BISPINOR, name)
 
 
 def fixture_family(seed: int, count: int, kind: str = VECTOR_BISPINOR,

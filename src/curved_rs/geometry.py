@@ -2,7 +2,10 @@
 
 Every function takes a Point, an (n, 4) coordinate array or a
 ``MetricJet``, and does its tensor algebra once over the row axis (a Point
-has none).  Nothing is kept between calls but what a jet keeps.
+has none).  Nothing is kept between calls but what a jet keeps: a jet is
+the one owner of its rows' metric orders, Christoffels and curvature,
+each formed once, on first use, by the function of its name, and every
+function built on them reads the jet's.
 
 Conventions (pinned once, verified by the test suite):
 
@@ -136,7 +139,9 @@ class MetricJet:
     """The metric of a spec and its derivatives at one point (``coords`` of
     shape (4,)) or on (n, 4) rows: one guard call checks every row, and
     one call per order evaluates it on every row, on first use, for
-    everything built on the jet.  ``spin_frame.Frame`` is the jet of a row
+    everything built on the jet.  The Christoffels and the curvature are
+    filled the same way, by one call of ``christoffel`` and of
+    ``curvature``, and kept.  ``spin_frame.Frame`` is the jet of a row
     set."""
 
     spec: MetricSpec
@@ -174,6 +179,14 @@ class MetricJet:
             g_lower=g, g_upper=read_only(np.linalg.inv(g)),
             det_g=read_only(det) if det.ndim else float(det))
 
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return christoffel(self.spec, self)
+
+    @cached_property
+    def curvature(self) -> CurvatureBundle:
+        return curvature(self.spec, self)
+
 
 def metric_jet(spec: MetricSpec, x) -> MetricJet:
     """``x`` as a jet: a Point or (n, 4) rows wrapped, a jet as it is.  A
@@ -196,14 +209,9 @@ def eval_metric(spec: MetricSpec, x) -> MetricAtPoint:
     return metric_jet(spec, x).metric
 
 
-def metric_derivatives(spec: MetricSpec, x, order: int = 1) -> np.ndarray:
-    """The exact d_mu g_ab, indexed [mu, a, b] (``order`` 1), or
-    d_mu d_nu g_ab, indexed [mu, nu, a, b] (``order`` 2)."""
-    return metric_jet(spec, x).order(order)
-
-
 def christoffel(spec: MetricSpec, x) -> np.ndarray:
-    """Gamma^s_{ab}, indexed [s, a, b]."""
+    """Gamma^s_{ab}, indexed [s, a, b], formed anew: a jet's are its
+    ``christoffel``."""
     jet = metric_jet(spec, x)
     dg = jet.order(1)
     # Gamma^s_ab = 1/2 g^{sr} (dg[a,r,b] + dg[b,r,a] - dg[r,a,b])
@@ -218,10 +226,12 @@ def curvature(spec: MetricSpec, x) -> CurvatureBundle:
     derivatives: with
     d_mu g^{sr} = -g^{sk} (d_mu g_kl) g^{lr},
     d_mu Gamma^s_ab = -g^{sk} d_mu g_kl Gamma^l_ab
-    + 1/2 g^{sr} d_mu (d_a g_rb + d_b g_ra - d_r g_ab)."""
+    + 1/2 g^{sr} d_mu (d_a g_rb + d_b g_ra - d_r g_ab),
+    from the jet's Christoffels; formed anew: a jet's is its
+    ``curvature``."""
     jet = metric_jet(spec, x)
     m = jet.metric
-    gam = christoffel(spec, jet)
+    gam = jet.christoffel
     dg, ddg = jet.order(1), jet.order(2)
     dterms = (np.einsum("...marb->...mrab", ddg)
               + np.einsum("...mbra->...mrab", ddg)
@@ -280,8 +290,7 @@ def covariant_metric_derivative(spec: MetricSpec, x) -> np.ndarray:
     """nabla_mu g_ab, which must vanish; exposed for the compatibility
     check."""
     jet = metric_jet(spec, x)
-    gam = christoffel(spec, jet)
-    g = jet.metric.g_lower
+    gam, g = jet.christoffel, jet.metric.g_lower
     return (
         jet.order(1)
         - np.einsum("...lma,...lb->...mab", gam, g)

@@ -20,9 +20,12 @@ memory order of the dense form [..., 4 r + i, 4 s + j] that
 view.  The triple gamma_r gamma^nu gamma^s
 (``gamma_triple``) is formed, not kept, by alpha^nu and by the printed
 form of the transformed blocks.  A ``Frame``
-holds all of this for a set of rows and is the one place where geometry
-is kept and shared; functions of a Point or (n, 4) rows keep nothing, and
-the two connection curvatures take a Frame.
+is the metric jet of a set of rows, which owns their Christoffels and
+curvature, and adds the one owner of each spin quantity of the rows: the
+Dirac matrices with their tetrad, the connection (from that tetrad and
+the jet's Christoffels), its derivative and the spinor curvature.
+Functions of a Point or (n, 4) rows keep nothing, and the two connection
+curvatures take a Frame.
 """
 
 from __future__ import annotations
@@ -35,14 +38,11 @@ import numpy as np
 from .errors import SignatureError
 from .geometry import (
     ETA,
-    CurvatureBundle,
     MetricAtPoint,
     MetricJet,
     MetricSpec,
     Point,
     as_rows,
-    christoffel,
-    curvature,
     eval_metric,
     levi_civita,
     metric_jet,
@@ -237,19 +237,14 @@ def build_tetrad(m: MetricAtPoint) -> Tetrad:
     return Tetrad(*map(read_only, _tetrad_rows(m.g_lower)))
 
 
-def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> GammaSet:
+def curved_gammas(t: Tetrad, m: MetricAtPoint) -> GammaSet:
     """Position-dependent Dirac matrices from a tetrad, at one point or,
     when tetrad and metric carry a leading row axis, on every row
     (read-only)."""
-    if flat is None:
-        gamma_flat, gamma5 = GAMMA_FLAT, GAMMA5
-    else:
-        gamma_flat = flat
-        gamma5 = 1j * flat[0] @ flat[1] @ flat[2] @ flat[3]
-    gamma_up = np.einsum("...am,aij->...mij", t.e_upper, gamma_flat)
+    gamma_up = np.einsum("...am,aij->...mij", t.e_upper, GAMMA_FLAT)
     return GammaSet(
-        gamma_flat=gamma_flat,
-        gamma5=gamma5,
+        gamma_flat=GAMMA_FLAT,
+        gamma5=GAMMA5,
         gamma_up=read_only(gamma_up),
         metric=m,
         tetrad=t,
@@ -258,27 +253,20 @@ def curved_gammas(t: Tetrad, m: MetricAtPoint, flat: np.ndarray = None) -> Gamma
 
 class Frame(MetricJet):
     """The geometry of an (n, 4) row set of chart coordinates, shared by
-    everything evaluated on those rows: the metric jet it extends, the
-    Dirac matrices with their tetrad (``gammas``), the Christoffels, the
-    curvature and the connection, each with a leading row axis.  Each is
-    filled on first use by one call of the geometry function of its name;
-    every array is read-only; code that needs one row indexes them.
-    ``dconnection`` is d_mu Gamma_al, indexed [x, mu, al, i, j], filled
-    the same way by ``connection_derivative``.  Build frames with
-    ``build_frame``.
+    everything evaluated on those rows: the metric jet it extends, with
+    its Christoffels and curvature, and the Dirac matrices with their
+    tetrad (``gammas``), the connection (``connection``), its d_mu
+    (``dconnection``, indexed [x, mu, al, i, j]) and the spinor curvature
+    (``spinor_curvature``), each with a leading row axis.  Each is filled
+    on first use by one call of the function of its name
+    (``curved_gammas``, ``spin_connection``, ``connection_derivative``,
+    ``spinor_commutator_curvature``); every array is read-only; code that
+    needs one row indexes them.  Build frames with ``build_frame``.
     """
 
     @cached_property
     def gammas(self) -> GammaSet:
         return curved_gammas(build_tetrad(self.metric), self.metric)
-
-    @cached_property
-    def christoffel(self) -> np.ndarray:
-        return christoffel(self.spec, self)
-
-    @cached_property
-    def curvature(self) -> CurvatureBundle:
-        return curvature(self.spec, self)
 
     @cached_property
     def connection(self) -> np.ndarray:
@@ -288,6 +276,10 @@ class Frame(MetricJet):
     def dconnection(self) -> np.ndarray:
         return connection_derivative(self)
 
+    @cached_property
+    def spinor_curvature(self) -> np.ndarray:
+        return spinor_commutator_curvature(self)
+
 
 def build_frame(spec: MetricSpec, coords) -> Frame:
     """The frame of an (n, 4) array of chart coordinates of the spec's
@@ -295,14 +287,13 @@ def build_frame(spec: MetricSpec, coords) -> Frame:
     return Frame(spec, read_only(as_rows(coords).copy()))
 
 
-def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray,
-                 flat: np.ndarray = None) -> GammaSet:
+def gamma_set_at(spec: MetricSpec, x: Point | np.ndarray) -> GammaSet:
     """The Dirac matrices at a Point, or on every row of (n, 4) chart
     coordinates of the spec's chart (each array then with a leading row
     axis), by the same tetrad and gamma builders as ``Frame.gammas`` but
     without a frame: nothing is kept for the rows."""
     m = eval_metric(spec, x)
-    return curved_gammas(build_tetrad(m), m, flat)
+    return curved_gammas(build_tetrad(m), m)
 
 
 def _sigma_contraction(omega) -> np.ndarray:
@@ -314,15 +305,16 @@ def _sigma_contraction(omega) -> np.ndarray:
 
 def spin_connection(spec: MetricSpec, x) -> np.ndarray:
     """Gamma_al = 1/2 sigma^{ab} e_(a)^nu (nabla_al e_(b)nu), indexed
-    [al, i, j], at a Point or on rows (read-only).  For the diagonal tetrad
-    d_al e^(b)_nu is diagonal in (b, nu), so its term in omega_{al ab} is
-    diagonal in (a, b), which sigma^{ab} annihilates: the connection is
-    -1/2 sigma^{ab} e_(a)^n Gamma^l_{al n} eta_bc e^(c)_l."""
+    [al, i, j], at a Point or on rows (read-only), from the jet's
+    Christoffels and, on a Frame, the frame's tetrad.  For the diagonal
+    tetrad d_al e^(b)_nu is diagonal in (b, nu), so its term in
+    omega_{al ab} is diagonal in (a, b), which sigma^{ab} annihilates: the
+    connection is -1/2 sigma^{ab} e_(a)^n Gamma^l_{al n} eta_bc e^(c)_l."""
     jet = metric_jet(spec, x)
-    tet = build_tetrad(eval_metric(spec, jet))
+    tet = (jet.gammas.tetrad if isinstance(jet, Frame)
+           else build_tetrad(eval_metric(spec, jet)))
     # [al, b, n] = Gamma^l_{al n} eta_bc e^(c)_l
-    ge = np.einsum("...lkn,...bl->...kbn", christoffel(spec, jet),
-                   ETA @ tet.e_lower)
+    ge = np.einsum("...lkn,...bl->...kbn", jet.christoffel, ETA @ tet.e_lower)
     # omega[al, a, b] = -e_(a)^n Gamma^l_{al n} eta_bc e^(c)_l
     return _sigma_contraction(
         -np.einsum("...an,...kbn->...kab", tet.e_upper, ge))
@@ -359,9 +351,11 @@ def gamma_derivatives(frame: Frame):
 def spinor_commutator_curvature(frame: Frame) -> np.ndarray:
     """The curvature acting on the bispinor index: 1/2 sigma^{nu mu}(x)
     R_{mu nu be al}(x) on every row of a frame, returned as
-    Dhat[x, al, be] (4x4 complex each), antisymmetric in (al, be)."""
-    return 0.5 * contract("xnmij,xmnba->xabij", frame.gammas.sigma_curved,
-                          frame.curvature.riemann_lower)
+    Dhat[x, al, be] (4x4 complex each), antisymmetric in (al, be); formed
+    anew: a frame's is its ``spinor_curvature``."""
+    return read_only(0.5 * contract("xnmij,xmnba->xabij",
+                                    frame.gammas.sigma_curved,
+                                    frame.curvature.riemann_lower))
 
 
 def connection_curvature(frame: Frame) -> np.ndarray:

@@ -20,6 +20,12 @@ as a rank-7 tensor contracted with Riemann.
 carries the diagonal tetrad's derivatives through omega, where sigma^{ab}
 annihilates them.
 
+``represented_gamma_set`` builds the Dirac matrices of a point from flat
+matrices in another representation, and ``gamma_traceless_field`` is a
+values-only sampler projected to gamma^be(x) Psi_be = 0 with the Dirac
+matrices of its own rows: the fields and representations the package's
+suite does not build for itself.
+
 ``stencil_sampler`` makes a sampler of any function of rows by
 differencing its values: one central level at ``STEP_FIRST`` for the
 first-order jet, and for the second-order jet Richardson differences
@@ -48,13 +54,15 @@ import sympy as sp
 from curved_rs.errors import ConfigError, CurvedRSError, EvalError
 from curved_rs.exprparse import (CONSTANTS, FUNCTIONS, BinOp, Call, Neg, Num,
                                  Program, Var, evaluate)
-from curved_rs.fields import VECTOR_BISPINOR, FieldSampler, rows_of
+from curved_rs.fields import (VECTOR_BISPINOR, FieldSampler,
+                              polynomial_field, rows_of)
 from curved_rs.gauge import (einstein_prediction, gradient_sampler,
                              massless_residual)
 from curved_rs.geometry import (ETA, Point, christoffel, eval_metric,
-                                metric_derivatives, metric_jet)
-from curved_rs.numerics import STEP_FIRST, contract, fd_step
-from curved_rs.spin_frame import GAMMA_FLAT, SIGMA_FLAT, Frame, build_tetrad
+                                metric_jet)
+from curved_rs.numerics import STEP_FIRST, contract, fd_step, read_only
+from curved_rs.spin_frame import (GAMMA_FLAT, SIGMA_FLAT, Frame, GammaSet,
+                                  build_tetrad, gamma_set_at)
 
 
 def symbolic_metric(name, **params):
@@ -332,7 +340,7 @@ def omega_spin_connection(spec, x) -> np.ndarray:
     tet = build_tetrad(eval_metric(spec, jet))
     # d_mu e^(a)_al of the diagonal tetrad: the chain rule on
     # sqrt(eta_aa g_aa), indexed [..., mu, a, al]
-    d = np.diagonal(metric_derivatives(spec, jet), axis1=-2, axis2=-1)
+    d = np.diagonal(jet.order(1), axis1=-2, axis2=-1)
     e = np.diagonal(tet.e_lower, axis1=-2, axis2=-1)[..., None, :]
     de = (np.diag(ETA) * d / (2.0 * e))[..., :, :, None] * np.eye(4)
     # frame indices lowered with eta: E[b, nu] = eta_bc e^(c)_nu
@@ -343,6 +351,42 @@ def omega_spin_connection(spec, x) -> np.ndarray:
     omega = np.einsum("...an,...mbn->...mab", tet.e_upper, nabla_e)
     conn = omega.reshape(omega.shape[:-2] + (16,)) @ SIGMA_FLAT.reshape(16, 16)
     return 0.5 * conn.reshape(conn.shape[:-1] + (4, 4))
+
+
+def represented_gamma_set(spec, x, flat: np.ndarray) -> GammaSet:
+    """The Dirac matrices at a Point (or on rows) from the flat matrices
+    ``flat`` of another representation, gamma5 = i g0 g1 g2 g3 of them,
+    with the package's metric and tetrad."""
+    m = eval_metric(spec, x)
+    tetrad = build_tetrad(m)
+    return GammaSet(
+        gamma_flat=flat,
+        gamma5=1j * flat[0] @ flat[1] @ flat[2] @ flat[3],
+        gamma_up=read_only(np.einsum("...am,aij->...mij", tetrad.e_upper,
+                                     flat)),
+        metric=m,
+        tetrad=tetrad,
+    )
+
+
+def gamma_traceless_field(seed: int, spec, box=None) -> FieldSampler:
+    """A seeded polynomial vector-bispinor L projected with the Dirac
+    matrices of its own rows, Psi_be = L_be - 1/4 gamma_be gamma^s L_s, so
+    that gamma^be(x) Psi_be = 0 pointwise; values only, its jet raises
+    above order 0."""
+    raw = polynomial_field(seed, VECTOR_BISPINOR, box)
+    name = f"traceless[{seed}]"
+
+    def jet(coords, order):
+        if order:
+            raise ValueError(f"sampler '{name}' has values only")
+        rows = rows_of(coords)
+        lam = raw.at(rows)
+        gs = gamma_set_at(spec, rows)
+        trace = np.einsum("xsij,xsj->xi", gs.gamma_up, lam)
+        return (lam - 0.25 * np.einsum("xbij,xj->xbi", gs.gamma_down, trace),)
+
+    return FieldSampler(jet, VECTOR_BISPINOR, name)
 
 
 def unitary_transform_gammas(u: np.ndarray) -> np.ndarray:

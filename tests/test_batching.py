@@ -23,7 +23,6 @@ from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
     FieldSampler,
-    gamma_traceless_field,
     polynomial_field,
     trig_field,
 )
@@ -41,8 +40,8 @@ from curved_rs.spin_frame import (
 
 from conftest import (GAMMA_PRODUCTS, first_constraint, frame_at,
                       patch_everywhere, points_of)
-from oracles import (central_difference, omega_spin_connection,
-                     stencil_sampler)
+from oracles import (central_difference, gamma_traceless_field,
+                     omega_spin_connection, stencil_sampler)
 
 MASS = MassParam(1.0)
 
@@ -513,24 +512,25 @@ def test_rolled_outer_rows_fail_the_nested_gates(schwarzschild, frw_dust,
     """The outer derivatives of the nested checks are exact: d_mu of the
     Christoffel term reads the curvature's d_mu Gamma^s_ab, and
     ``Frame.dconnection`` is built from it.  With those rows rolled by one
-    row where frames fill their curvature (the Riemann tensor left as it
-    is), each of two points reads its neighbour's, and every nested gate
-    fails.  The fields' second derivatives enter these identities only
-    symmetrized in (mu, nu), so they are not what the gates guard (see
+    row where jets fill their curvature (``geometry.curvature``, the
+    Riemann tensor left as it is), each of two points reads its
+    neighbour's, and every nested gate fails.  The fields' second
+    derivatives enter these identities only symmetrized in (mu, nu), so
+    they are not what the gates guard (see
     ``test_scaled_closed_form_jets_fail_the_nested_gates``)."""
     # 2.7b applies on Ricci-flat metrics, 2.8c on the others
     applicable = {"schwarzschild": NESTED_CHECKS[:-1],
                   "frw_dust": NESTED_CHECKS[:-2] + NESTED_CHECKS[-1:]}
     for spec in (schwarzschild, frw_dust):
         assert all(_verdicts(spec, applicable[spec.name]).values())
-    original = spin_frame.curvature
+    original = geometry.curvature
 
     def rolled(spec, x):
         b = original(spec, x)
         return dataclasses.replace(
             b, dchristoffel=np.roll(b.dchristoffel, 1, axis=0))
 
-    monkeypatch.setattr(spin_frame, "curvature", rolled)
+    monkeypatch.setattr(geometry, "curvature", rolled)
     for name, checks in applicable.items():
         assert not any(_verdicts(load_preset(name), checks).values()), name
 
@@ -543,8 +543,8 @@ def test_rolled_gamma_rows_fail_the_covariant_constancy(schwarzschild,
     assert all(_verdicts(schwarzschild, COVARIANT_CONSTANCY).values())
     original = identity_suite.gamma_set_at
 
-    def rolled(spec, x, flat=None):
-        gs = original(spec, x, flat)
+    def rolled(spec, x):
+        gs = original(spec, x)
         return dataclasses.replace(gs, gamma_up=np.roll(gs.gamma_up, 1,
                                                         axis=0))
 
@@ -597,21 +597,36 @@ def test_scaled_connection_fails_the_connection_gates(schwarzschild, frw_dust,
                              ("eq_2_8c_gauge_criterion",)).values())
 
 
+#: the checks that fail when the one Christoffel field of a jet is scaled;
+#: 2.8c applies off Ricci-flat metrics only
+CHRISTOFFEL_CHECKS = (
+    "eq_1_4_covariant_constancy", "eq_1_7_derivative_chain",
+    "eq_1_10b_sigma_ricci", "eq_1_10c_curvature_bridge",
+    "eq_1_11a_constraint_reduction", "eps_determinant_contraction",
+    "metric_compatibility", "eq_2_8c_gauge_criterion")
+
+
 def test_scaled_christoffels_fail_the_christoffel_gates(schwarzschild,
                                                         frw_dust, monkeypatch):
-    """Scaled where they are computed, the Christoffels of every layer
-    (frames, connections, curvature) move together.  1.9 cannot see that:
-    its curvature side is built from the same Christoffels, and the
-    commutator decomposition holds for any connection."""
-    checks = ("eq_1_4_covariant_constancy", "eq_1_7_derivative_chain",
-              "metric_compatibility")
-    assert all(_verdicts(schwarzschild, checks).values())
-    assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
-    patch_everywhere(monkeypatch, geometry, "christoffel",
-                     _scaled(geometry.christoffel))
-    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+    """The Christoffels scaled by 1 + 1e-3 where jets form them
+    (``geometry.christoffel``): the frame, its connection and its
+    curvature all read that one field, so the connection is no longer
+    metric-compatible, 1.4 and the chains fail, and the curvature of the
+    scaled field lacks the symmetries of a Riemann tensor that 1.10b,
+    1.10c, 1.11a and 2.8b rest on.  1.8e and 1.9 hold: their two sides
+    are built from the same Christoffels, and they hold for any
+    connection (1.9 stays guarded by the rolled d_mu Gamma mutant)."""
+    on_any = CHRISTOFFEL_CHECKS[:-1]
+    same = ("eq_1_8e_commutator_curvature", "eq_1_9_commutator_decomposition")
+    assert all(_verdicts(schwarzschild, on_any).values())
+    assert all(_verdicts(frw_dust, CHRISTOFFEL_CHECKS).values())
+    monkeypatch.setattr(geometry, "christoffel",
+                        _scaled(geometry.christoffel))
+    assert not any(_verdicts(load_preset("schwarzschild"), on_any).values())
     assert not any(_verdicts(load_preset("frw_dust"),
-                             ("eq_1_10c_curvature_bridge",)).values())
+                             CHRISTOFFEL_CHECKS).values())
+    for name in ("schwarzschild", "frw_dust"):
+        assert all(_verdicts(load_preset(name), same).values()), name
 
 
 def _patch_closed_form_jets(monkeypatch, mutate):
@@ -676,22 +691,6 @@ def test_uniformly_scaled_jets_are_refereed_not_gated(schwarzschild,
         assert check.max_rel_error < 1e-6 * check.tolerance, check.id
 
 
-def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
-                                                         frw_dust, monkeypatch):
-    """Scaled only where frames (and connections) read them, the
-    Christoffels no longer match the curvature, and 1.9 fails too."""
-    checks = ("eq_1_4_covariant_constancy", "eq_1_9_commutator_decomposition",
-              "eq_1_7_derivative_chain")
-    assert all(_verdicts(schwarzschild, checks).values())
-    assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
-    original = spin_frame.christoffel
-    monkeypatch.setattr(spin_frame, "christoffel",
-                        lambda spec, x: original(spec, x) * (1.0 + 1e-3))
-    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
-    assert not any(_verdicts(load_preset("frw_dust"),
-                             ("eq_1_10c_curvature_bridge",)).values())
-
-
 def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
                                                          anti_de_sitter,
                                                          monkeypatch):
@@ -707,16 +706,16 @@ def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
 
 
 def _scale_frame_ricci(monkeypatch):
-    """Scale the Ricci tensor alone in the curvature that frames fill, which
-    every check reads; the curvature class contracts the Riemann tensor
-    itself, so the same checks apply."""
-    original = spin_frame.curvature
+    """Scale the Ricci tensor alone in the curvature that jets fill
+    (``geometry.curvature``), which every check reads; the curvature class
+    contracts the Riemann tensor itself, so the same checks apply."""
+    original = geometry.curvature
 
     def scaled_ricci(spec, x):
         b = original(spec, x)
         return dataclasses.replace(b, ricci=b.ricci * (1.0 + 1e-3))
 
-    monkeypatch.setattr(spin_frame, "curvature", scaled_ricci)
+    monkeypatch.setattr(geometry, "curvature", scaled_ricci)
 
 
 def test_scaled_ricci_keeps_the_curvature_class(anti_de_sitter, frw_dust,
@@ -762,21 +761,22 @@ def test_scaled_ricci_fails_the_ricci_gates(frw_dust, anti_de_sitter,
 
 def test_scaled_tetrad_leg_fails_the_vacuum_constraint(schwarzschild,
                                                        monkeypatch):
-    """One leg of the tetrad scaled in the Dirac matrices the
-    gamma-traceless fixtures are projected with: they are no longer
-    traceless for the operator's matrices."""
+    """One leg of the tetrad scaled in the Dirac matrices of 1.13's
+    projection frame, which the gamma-traceless fixtures are projected
+    with: they are no longer traceless for the operator's matrices."""
     check = ("eq_1_13_vacuum_constraint",)
     assert all(_verdicts(schwarzschild, check).values())
-    original = fields.build_frame
+    original = identity_suite.SuiteContext.projection_frame.func
 
-    def scaled_leg(spec, coords):
-        gs = original(spec, coords).gammas
+    def scaled_leg(ctx):
+        gs = original(ctx).gammas
         e_upper = gs.tetrad.e_upper.copy()
         e_upper[:, 1] *= 1.0 + 1e-3
         return types.SimpleNamespace(gammas=spin_frame.curved_gammas(
             spin_frame.Tetrad(gs.tetrad.e_lower, e_upper), gs.metric))
 
-    monkeypatch.setattr(fields, "build_frame", scaled_leg)
+    monkeypatch.setattr(identity_suite.SuiteContext, "projection_frame",
+                        property(scaled_leg))
     assert not any(_verdicts(load_preset("schwarzschild"), check).values())
 
 
@@ -845,11 +845,12 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
                                                            monkeypatch):
     """1.7 at one point with 5 fixtures: the context frame, filled once.
     The context is built with its frame and the frame's curvature, which
-    the curvature class reads; the Christoffels are then filled by the
-    frame and its connection (the curvature's Christoffel derivative feeds
-    the connection derivative and the Christoffel term of d_mu D_nu Psi).
-    Per fixture one ``jet`` call samples the point's row.  A second run
-    builds, fills and samples nothing."""
+    the curvature class reads, and with it the frame's Christoffels; 1.7
+    then fills the connection from them and forms no Christoffels (the
+    curvature's Christoffel derivative feeds the connection derivative and
+    the Christoffel term of d_mu D_nu Psi).  Per fixture one ``jet`` call
+    samples the point's row.  A second run builds, fills and samples
+    nothing."""
     ctx = build_context(schwarzschild, 1, seed=9, mass=1.0)
     assert len(ctx.vb_fixtures) == 5
     at_calls = _count_rows(monkeypatch, ctx.vb_fixtures)
@@ -859,9 +860,9 @@ def test_derivative_chain_shares_one_frame_across_fixtures(schwarzschild,
     _, err = identity_suite._chk_derivative_chain(ctx)
     assert err <= identity_suite.TOL_SECOND_ORDER
     assert at_calls == [1] * 5
-    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 2)
+    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 0)
     identity_suite._chk_derivative_chain(ctx)
-    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 2)
+    assert (len(frames), len(connections), len(christoffels)) == (0, 1, 0)
     assert at_calls == [1] * 5
 
 
@@ -1075,15 +1076,15 @@ def test_massless_gradient_takes_one_outer_derivative(schwarzschild,
 
 
 @pytest.mark.parametrize("name, traceless_frames",
-                         [("schwarzschild", 2), ("frw_dust", 0)])
+                         [("schwarzschild", 1), ("frw_dust", 0)])
 def test_suite_builds_no_frame_beyond_the_context(name, traceless_frames,
                                                   monkeypatch):
     """One suite at n = 20 points builds the context frame and, on
-    Ricci-flat metrics, the two gamma-traceless fixture frames of 1.13; no
-    frame has more rows than the context.  Each jet evaluates an order it
-    uses in one call over all of its rows, and the metric is evaluated once
-    per jet row and order used:
-      order 0: n + 8 n + n per fixture frame,
+    Ricci-flat metrics, the one projection frame of 1.13's two
+    gamma-traceless fixtures; no frame has more rows than the context.
+    Each jet evaluates an order it uses in one call over all of its rows,
+    and the metric is evaluated once per jet row and order used:
+      order 0: n + 8 n + n per projection frame,
       orders 1 and 2: n,
     with order 0 at the 8 shifted points of each point's 1.4.  The
     curvature class reads the context frame and evaluates nothing of its
@@ -1141,3 +1142,42 @@ def test_suite_samples_each_fixture_in_one_pass(name, monkeypatch):
     assert len(fixtures) == identity_suite.FIXTURE_COUNT == 5
     assert calls == [20] * 5
     assert at_calls == []
+
+
+def _recording_calls(monkeypatch, module, name):
+    """The last argument of each call of ``module.name`` through every
+    package module binding it (the cached properties call it by name)."""
+    original = getattr(module, name)
+    seen = []
+
+    def recording(*args):
+        seen.append(args[-1])
+        return original(*args)
+
+    patch_everywhere(monkeypatch, module, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_suite_forms_each_geometric_quantity_once(name, monkeypatch):
+    """One suite at n = 20 points forms each quantity of its rows once, in
+    the one owner of it: the Christoffels in the context frame's jet
+    (which the curvature, the connection, 1.4, 1.10c and the metric
+    compatibility read), the context tetrad in the frame's ``gammas``
+    (which the connection reads), and the spinor curvature in the frame
+    (which 1.8e and the curvature forms read).  1.13 projects its two
+    gamma-traceless fields with one frame of its own, on Ricci-flat
+    metrics only."""
+    spec = load_preset(name)
+    christoffels = _recording_calls(monkeypatch, geometry, "christoffel")
+    tetrads = _recording_calls(monkeypatch, spin_frame, "build_tetrad")
+    spinor = _recording_calls(monkeypatch, spin_frame,
+                              "spinor_commutator_curvature")
+    frames = _count_calls(monkeypatch, spin_frame, "build_frame")
+    rep = run_suite(spec, n_points=20, seed=42)
+    assert rep.passed
+    frame = rep.ctx.frame
+    assert [x is frame for x in christoffels] == [True]
+    assert [m is frame.metric for m in tetrads].count(True) == 1
+    assert [f is frame for f in spinor] == [True]
+    assert len(frames) == 1 + rep.ctx.met_class.ricci_flat

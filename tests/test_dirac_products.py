@@ -79,8 +79,8 @@ def test_covariant_constancy_forms_no_product(schwarzschild, monkeypatch):
     sets = []
     original = identity_suite.gamma_set_at
 
-    def recording(spec, x, flat=None):
-        sets.append(original(spec, x, flat))
+    def recording(spec, x):
+        sets.append(original(spec, x))
         return sets[-1]
 
     monkeypatch.setattr(identity_suite, "gamma_set_at", recording)

@@ -9,7 +9,6 @@ from curved_rs.fields import (
     FieldSampler,
     fixture_family,
     flat_rs_plane_wave,
-    gamma_traceless_field,
     plane_wave,
     polynomial_field,
     trig_field,
@@ -22,7 +21,8 @@ from curved_rs.spin_frame import (GAMMA_FLAT, build_frame, gamma_derivatives,
 
 from conftest import points_of
 from oracles import (STEP_OUTER, central_difference, check_smoothness,
-                     constant_field, richardson, stencil_sampler)
+                     constant_field, gamma_traceless_field, richardson,
+                     stencil_sampler)
 
 
 def pt(*coords):
@@ -168,18 +168,6 @@ class TestConstrainedFields:
         gs = gamma_set_at(schwarzschild, x)
         trace = np.einsum("bij,bj->i", gs.gamma_up, f(x))
         assert np.max(np.abs(trace)) < 1e-12 * np.max(np.abs(f(x)))
-
-    def test_traceless_jet_has_values_only(self, schwarzschild):
-        """The gamma-traceless field's jet of order 0 is its values, bit
-        for bit; any higher order raises a ValueError naming the field."""
-        f = gamma_traceless_field(12, schwarzschild,
-                                  box=schwarzschild.sample_box)
-        rows = np.stack([p.coords for p in points_of(schwarzschild, 4)])
-        (value,) = f.jet(rows, 0)
-        assert np.array_equal(value, f.at(rows))
-        for order in (1, 2):
-            with pytest.raises(ValueError, match=r"traceless\[12\]"):
-                f.jet(rows, order)
 
     def test_constant_field(self):
         f = constant_field(np.ones((4, 4)))

@@ -21,13 +21,14 @@ from curved_rs.gauge import (
 from curved_rs.geometry import curvature, eval_metric
 from curved_rs.rs_operator import (covariant_derivative, covariant_jet,
                                    covariant_rows)
-from curved_rs.spin_frame import build_frame, gamma_set_at, spin_connection
+from curved_rs.spin_frame import build_frame, spin_connection
 
 from conftest import frame_at, points_of
 from oracles import (
     FitDegenerate,
     constant_field,
     fit_prediction_constant,
+    represented_gamma_set,
     stencil_sampler,
     unitary_transform_gammas,
 )
@@ -178,7 +179,7 @@ class TestGaugeCriterion:
                 return np.einsum("ij,xbj->xbi", q, d)
 
             grad = stencil_sampler(grad_rot)
-            gs = gamma_set_at(spec, x, flat=flat)
+            gs = represented_gamma_set(spec, x, flat)
             g_rot = np.einsum("ij,ajk,kl->ail",
                               q, spin_connection(spec, x), q.conj().T)
             frame = frame_at(spec, x)

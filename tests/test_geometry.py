@@ -13,7 +13,7 @@ from curved_rs.geometry import (
     curvature,
     eval_metric,
     levi_civita,
-    metric_derivatives,
+    metric_jet,
 )
 
 from curved_rs.spin_frame import spin_connection
@@ -79,7 +79,8 @@ class TestEvalMetric:
 
 class TestMetricDerivatives:
     def test_minkowski_zero(self, minkowski):
-        dg = metric_derivatives(minkowski, minkowski.point(0.1, 0.2, 0.3, 0.4))
+        x = minkowski.point(0.1, 0.2, 0.3, 0.4)
+        dg = metric_jet(minkowski, x).order(1)
         assert np.max(np.abs(dg)) == 0.0
 
     def test_analytic_matches_fd(self, all_presets):
@@ -89,7 +90,7 @@ class TestMetricDerivatives:
         for spec in all_presets:
             for x in points_of(spec, 4):
                 for order in (1, 2):
-                    exact = metric_derivatives(spec, x, order)
+                    exact = metric_jet(spec, x).order(order)
                     scale = max(np.max(np.abs(exact)), 1.0)
                     for mu in range(4):
                         h = 1e-5 * max(1.0, abs(x.coords[mu]))
@@ -102,14 +103,14 @@ class TestMetricDerivatives:
         # d/dt g_11 = -2 a adot with a = t^(2/3)
         t = 1.7
         x = frw_dust.point(t, 0.1, 0.2, 0.3)
-        dg = metric_derivatives(frw_dust, x)
+        dg = metric_jet(frw_dust, x).order(1)
         a = t ** (2.0 / 3.0)
         adot = (2.0 / 3.0) * t ** (-1.0 / 3.0)
         assert dg[0, 1, 1] == pytest.approx(-2.0 * a * adot, rel=1e-12)
 
     def test_symmetry(self, schwarzschild):
         for x in points_of(schwarzschild, 3):
-            dg = metric_derivatives(schwarzschild, x)
+            dg = metric_jet(schwarzschild, x).order(1)
             assert np.allclose(dg, dg.transpose(0, 2, 1))
 
     def test_curvature_near_horizon_is_finite(self, schwarzschild):
@@ -134,7 +135,7 @@ class TestMetricDerivatives:
         x = spec.point(0.0, 0.0, 0.0, 0.0)
         assert guard_at(spec, x)
         with pytest.raises(OutOfDomain, match=r"d_x g00 = .*sqrt\(x\)"):
-            metric_derivatives(spec, x)
+            metric_jet(spec, x).order(1)
 
 
 class TestCurvature:
@@ -247,8 +248,8 @@ class TestCachedArrays:
         x = points_of(spec, 1, seed=3)[0]
         m = eval_metric(spec, x)
         b = curvature(spec, x)
-        arrays = [m.g_lower, m.g_upper, metric_derivatives(spec, x),
-                  metric_derivatives(spec, x, order=2),
+        arrays = [m.g_lower, m.g_upper, metric_jet(spec, x).order(1),
+                  metric_jet(spec, x).order(2),
                   geometry.christoffel(spec, x), b.christoffel,
                   b.riemann_lower, b.ricci, b.einstein,
                   spin_connection(spec, x)]

@@ -112,14 +112,19 @@ def test_the_path_lint_sees_a_path():
     assert einsum_paths(source) == [2]
 
 
+def _cached_properties(cls: ast.ClassDef) -> list:
+    """The methods of a class decorated ``cached_property``."""
+    return [func for func in cls.body if isinstance(func, ast.FunctionDef)
+            and any(getattr(d, "id", getattr(d, "attr", None))
+                    == "cached_property" for d in func.decorator_list)]
+
+
 def _gamma_products(tree) -> set:
     """The names of the cached properties of a class ``GammaSet``."""
     return {func.name
             for cls in ast.walk(tree)
             if isinstance(cls, ast.ClassDef) and cls.name == "GammaSet"
-            for func in cls.body if isinstance(func, ast.FunctionDef)
-            and any(getattr(d, "id", getattr(d, "attr", None))
-                    == "cached_property" for d in func.decorator_list)}
+            for func in _cached_properties(cls)}
 
 
 def unread_products(sources: list) -> list:
@@ -216,3 +221,61 @@ def test_the_matmul_lint_sees_a_broadcast_product():
               "g[:, None] * h\n"
               "x = g0 @ (G[:, :, None] @ gu)\n")
     assert none_indexed_matmuls(source) == [4]
+
+
+#: each quantity a jet owns -> (class, cached property) of its one owner,
+#: the only caller in the package of the function that forms it
+OWNERS = {"christoffel": ("MetricJet", "christoffel"),
+          "curvature": ("MetricJet", "curvature"),
+          "spinor_commutator_curvature": ("Frame", "spinor_curvature")}
+
+
+def unowned_formations(source: str) -> list:
+    """'line name' for each call of a function of ``OWNERS`` made outside
+    its owner's cached property."""
+    tree = ast.parse(source)
+    owned = {id(node)
+             for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for func in _cached_properties(cls)
+             for node in ast.walk(func) if isinstance(node, ast.Call)
+             and OWNERS.get(_callee(node)) == (cls.name, func.name)}
+    calls = sorted((node for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and _callee(node) in OWNERS
+                    and id(node) not in owned), key=lambda node: node.lineno)
+    return [f"{node.lineno} {_callee(node)}" for node in calls]
+
+
+def _callee(call: ast.Call):
+    callee = call.func
+    return (callee.attr if isinstance(callee, ast.Attribute)
+            else getattr(callee, "id", None))
+
+
+def test_each_quantity_is_formed_by_its_owner_only():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in unowned_formations(path.read_text())]
+    assert found == []
+
+
+def test_the_owner_lint_sees_a_second_formation():
+    """A Christoffel formed beside the jet's, a curvature formed in a
+    property of another name and a spinor curvature formed in a function
+    are flagged; the owners' own calls and attribute reads are not."""
+    source = ("class MetricJet:\n"
+              "    @cached_property\n"
+              "    def christoffel(self):\n"
+              "        return christoffel(self.spec, self)\n"
+              "    @cached_property\n"
+              "    def bundle(self):\n"
+              "        return geometry.curvature(self.spec, self)\n"
+              "class Frame(MetricJet):\n"
+              "    @cached_property\n"
+              "    def spinor_curvature(self):\n"
+              "        return spinor_commutator_curvature(self)\n"
+              "def spin_connection(spec, x):\n"
+              "    jet = metric_jet(spec, x)\n"
+              "    return christoffel(spec, jet), jet.christoffel\n"
+              "def side(frame):\n"
+              "    return spinor_commutator_curvature(frame)\n")
+    assert unowned_formations(source) == [
+        "7 curvature", "14 christoffel", "16 spinor_commutator_curvature"]

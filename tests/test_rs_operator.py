@@ -11,7 +11,6 @@ from curved_rs.fields import (
     BISPINOR,
     VECTOR_BISPINOR,
     flat_rs_plane_wave,
-    gamma_traceless_field,
     plane_wave,
     polynomial_field,
     trig_field,
@@ -42,13 +41,13 @@ from curved_rs.rs_operator import (
     transform_printed,
     beta_tilde_eps_form,
 )
-from curved_rs.spin_frame import (THIRD, build_frame, dense_view,
-                                  gamma_set_at, spin_connection)
+from curved_rs.spin_frame import (IDENTITY_DENSE, THIRD, build_frame,
+                                  dense_view, gamma_set_at, spin_connection)
 
 from conftest import first_constraint, frame_at, points_of
 from oracles import (apply_blocks, constant_field, copying_block_product,
-                     copying_transform, pair_blocks, richardson,
-                     stencil_sampler)
+                     copying_transform, gamma_traceless_field, pair_blocks,
+                     richardson, stencil_sampler)
 
 MASS = MassParam(1.0)
 
@@ -99,10 +98,6 @@ class TestMassParam:
         m = MassParam(2.0)
         assert m.kappa == 2.0j
         assert m.kappa**2 == pytest.approx(-4.0)
-
-    def test_override(self):
-        m = MassParam(1.0, kappa=0.5)
-        assert m.kappa == 0.5
 
     def test_negative_mass_rejected(self):
         for m in (-1.0, float("nan"), float("inf"), 1e200):
@@ -279,7 +274,8 @@ class TestDenseBlockProducts:
             self._assert_block_sum(al, beta)
         self._assert_block_sum(gamma_pair_block(gs, 0.7), alphas[2])
         # a single matrix against a stack broadcasts over the rows
-        self._assert_block_sum(BlockMatrix16.identity() * 2.0, beta)
+        self._assert_block_sum(
+            BlockMatrix16.from_dense(2.0 * IDENTITY_DENSE), beta)
 
     def test_product_is_the_block_sum_at_a_point(self, schwarzschild):
         gs = gamma_set_at(schwarzschild, schwarzschild.point(0.3, 5.0, 1.1,
@@ -434,8 +430,6 @@ class TestDenseLayout:
         assert np.shares_memory(m.blocks, dense)
         m.blocks[1, 2, 3] = 7.0
         assert np.all(dense[1, 8:12, 12:16] == 7.0)
-        doubled = m * 2.0
-        assert np.shares_memory(doubled.blocks, doubled.to_dense())
 
     @pytest.mark.parametrize("shape", [(16,), (4, 4), (16, 4), (2, 4, 16)])
     def test_from_dense_names_a_bad_shape(self, shape):
@@ -502,11 +496,11 @@ class TestTransform:
 
     def test_s_inverse_identity(self, de_sitter):
         gs = gamma_set_at(de_sitter, de_sitter.point(0, 0.5, 1.2, 0.4))
-        eye = BlockMatrix16.identity()
         for a in (0.25, -1.0 / 3.0, 1.0):
             b = -a / (1.0 + 4.0 * a)
             s, s_inv = gamma_pair_block(gs, a), gamma_pair_block(gs, b)
-            assert (s @ s_inv - eye).max_abs() < 1e-12
+            assert np.max(np.abs((s @ s_inv).to_dense()
+                                 - IDENTITY_DENSE)) < 1e-12
 
     @pytest.mark.parametrize(
         "preset", ["minkowski", "schwarzschild", "de_sitter"])
@@ -667,9 +661,13 @@ class TestFlatReduction:
             rep = flat_reduction_check(frame, *covariant_rows(wave, frame),
                                        MASS)
             assert rep["constraints_satisfied"].all()
-            assert rep["reduction_matches"].all()
+            # the residual matches the four Dirac residuals, which are then
+            # at most max_rs_residual + max_match_error
+            assert (rep["max_match_error"]
+                    <= 1e-10 * np.maximum(rep["scale"], 1.0)).all()
             assert np.max(rep["max_rs_residual"]) < 1e-8
-            assert np.max(rep["max_dirac_residual"]) < 1e-8
+            assert np.max(rep["max_rs_residual"]
+                          + rep["max_match_error"]) < 1e-8
 
     def test_violating_field_flagged(self, minkowski):
         fld = polynomial_field(21, box=minkowski.sample_box)
@@ -682,8 +680,8 @@ class TestFlatReduction:
         frame = frame_of(minkowski, 2)
         rep = flat_reduction_check(frame, *covariant_rows(fld, frame), MASS)
         assert np.array_equal(rep["max_rs_residual"], [0.0, 0.0])
-        assert np.array_equal(rep["max_dirac_residual"], [0.0, 0.0])
-        assert rep["reduction_matches"].all()
+        # so the Dirac residuals vanish too
+        assert np.array_equal(rep["max_match_error"], [0.0, 0.0])
 
 
 class TestMassZeroConsistency:

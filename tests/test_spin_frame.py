@@ -12,14 +12,13 @@ from curved_rs.spin_frame import (
     SIGMA_FLAT,
     build_tetrad,
     connection_curvature,
-    curved_gammas,
     gamma_set_at,
     spin_connection,
     spinor_commutator_curvature,
 )
 
 from conftest import frame_at, points_of
-from oracles import unitary_transform_gammas
+from oracles import represented_gamma_set, unitary_transform_gammas
 
 
 class TestFlatMatrices:
@@ -152,8 +151,8 @@ class TestCurvedGammas:
         q, _ = np.linalg.qr(h)
         flat = unitary_transform_gammas(q)
         x = schwarzschild.point(0.0, 4.5, 1.2, 0.7)
-        m = eval_metric(schwarzschild, x)
-        gs = curved_gammas(build_tetrad(m), m, flat=flat)
+        gs = represented_gamma_set(schwarzschild, x, flat)
+        m = gs.metric
         anti = np.einsum("aij,bjk->abik", gs.gamma_up, gs.gamma_up)
         anti = anti + anti.transpose(1, 0, 2, 3)
         target = 2.0 * np.einsum("ab,ij->abij", m.g_upper, np.eye(4))
