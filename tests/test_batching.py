@@ -691,6 +691,30 @@ def test_uniformly_scaled_jets_are_refereed_not_gated(schwarzschild,
         assert check.max_rel_error < 1e-6 * check.tolerance, check.id
 
 
+def test_scaled_frame_christoffels_fail_the_nested_gates(schwarzschild,
+                                                         frw_dust, monkeypatch):
+    """Scaled only where frames (and their connections) read them, with
+    the curvature still formed from the metric's own Christoffels: the
+    Christoffels no longer match the curvature, and 1.9 fails too."""
+    checks = ("eq_1_4_covariant_constancy", "eq_1_9_commutator_decomposition",
+              "eq_1_7_derivative_chain")
+    assert all(_verdicts(schwarzschild, checks).values())
+    assert all(_verdicts(frw_dust, ("eq_1_10c_curvature_bridge",)).values())
+    original = geometry.curvature
+
+    def unscaled_curvature(spec, x):
+        if isinstance(x, spin_frame.Frame):
+            x = geometry.MetricJet(spec, x.coords)
+        return original(spec, x)
+
+    monkeypatch.setattr(geometry, "curvature", unscaled_curvature)
+    monkeypatch.setattr(spin_frame.Frame, "christoffel", property(
+        lambda frame: christoffel(frame.spec, frame) * (1.0 + 1e-3)))
+    assert not any(_verdicts(load_preset("schwarzschild"), checks).values())
+    assert not any(_verdicts(load_preset("frw_dust"),
+                             ("eq_1_10c_curvature_bridge",)).values())
+
+
 def test_flipped_eps_det_sign_fails_the_determinant_gate(frw_dust,
                                                          anti_de_sitter,
                                                          monkeypatch):
