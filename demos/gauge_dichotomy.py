@@ -43,7 +43,7 @@ for name in ("schwarzschild", "frw_dust"):
               f"{pred[i]:>12.3e} {shown:>10}")
     if name == "schwarzschild":
         print(f"(residuals above sit at ~1e-11 of the derivative scale "
-              f"{gradient_residual(psi, frame)[1][0]:.2f})")
+              f"{np.max(np.abs(gradient_residual(psi, frame)[1][0])):.2f})")
 
 print("""
 Verdict: gradient fields solve the massless equation exactly where the

@@ -16,7 +16,6 @@ import sys
 from . import identity_suite as suite_mod
 from .errors import (ConfigError, CurvedRSError, InvalidParameter, ParseError,
                      SignatureError, SingularMetric)
-from .rs_operator import MASS_SQUARED_MAX
 from .spacetimes import load_preset, parse_metric_config, spec_from_config
 
 EXIT_OK = 0
@@ -77,11 +76,6 @@ def _parse_kv(pairs, what) -> dict:
 
 
 def _resolve_metric(args):
-    mass = getattr(args, "mass", 0.0)
-    # the operator reads kappa^2 = -m^2, whose products must stay finite
-    if not (mass >= 0 and mass * mass <= MASS_SQUARED_MAX):
-        raise ConfigError(
-            f"--mass must be >= 0 with m^2 <= {MASS_SQUARED_MAX:g}")
     if args.metric_file:
         if args.param:
             raise ConfigError(

@@ -59,4 +59,5 @@ class ParseError(CurvedRSError):
 
 
 class ConfigError(CurvedRSError):
-    """Structurally invalid metric configuration or CLI usage."""
+    """Structurally invalid metric configuration, CLI usage or run
+    parameter (points, seed, mass)."""

@@ -13,7 +13,8 @@ which refit it) and frozen below with a regression test.  Where the
 Einstein tensor vanishes (flat space, Schwarzschild), gradient fields
 solve the massless equation; where it does not (the dust preset), they
 fail by exactly the predicted amount.  Functions that evaluate take a
-Frame and return one row per frame row, like those of ``rs_operator``.
+Frame and, like those of ``rs_operator``, return one row per frame row
+of the sides of an identity, not its error.
 The gradient field is a sampler like any other, given by its jet alone:
 D_nu psi with d_mu D_nu psi, from psi's second-order jet and the frame's
 exact connection derivative, on a frame's own rows (raw rows, and the
@@ -66,12 +67,9 @@ def massless_residual(field: FieldSampler, frame: Frame) -> np.ndarray:
 
 
 def gradient_residual(psi: FieldSampler, frame: Frame):
-    """(massless residual of the gradient field of psi, its scale per row),
-    both from one first-order jet of the gradient field; the scale is the
-    magnitude of the derivative entries feeding the residual, the
-    yardstick against which 'the residual cancels' is measured."""
-    res, d = _massless(gradient_sampler(psi, frame.spec), frame)
-    return res, np.maximum(np.max(np.abs(d), axis=(-3, -2, -1)), 1e-300)
+    """(massless residual of the gradient field of psi, the D_nu Psi~_s it
+    contracts), both from one first-order jet of the gradient field."""
+    return _massless(gradient_sampler(psi, frame.spec), frame)
 
 
 def einstein_prediction(psi: FieldSampler, frame: Frame,
@@ -116,17 +114,17 @@ _DET_TERMS = (
 )
 
 
-def epsilon_contraction_check(frame: Frame) -> dict:
-    """Two routes to the double-eps curvature contraction, per frame row.
+def epsilon_contraction_check(frame: Frame):
+    """Three sides of the double-eps curvature contraction, per frame row:
+    (raw, EPS_DET_SIGN * det_expanded, 4 G_r^t) with
 
-    ``raw[r, t]``           = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
-    ``det_expanded[r, t]``  = the same with the eps product replaced by
-                              its 3x3 Kronecker/metric determinant, each
-                              term contracted with R_{abns} on its own;
-    ``einstein_combination`` = 4 G_r^t, what the contraction reduces to.
+    ``raw[r, t]``          = R_{ab ns} eps_r^{ns mu} eps^{abt}_mu;
+    ``det_expanded[r, t]`` = the same with the eps product replaced by its
+                             3x3 Kronecker/metric determinant, each term
+                             contracted with R_{abns} on its own;
+    4 G_r^t, what the contraction reduces to.
 
-    With indices raised and lowered by one metric the raw contraction
-    equals EPS_DET_SIGN times the determinant expansion.
+    With indices raised and lowered by one metric the three are equal.
     """
     m, gs, bundle = frame.metric, frame.gammas, frame.curvature
 
@@ -143,6 +141,4 @@ def epsilon_contraction_check(frame: Frame) -> dict:
     det_expanded = (terms[0] + terms[1] + terms[2] + terms[3]
                     + trace[:, None, None] * np.eye(4))
     einstein_mixed = contract("xrb,xbt->xrt", bundle.einstein, g_up)
-    return {"raw": raw, "det_expanded": det_expanded,
-            "einstein_combination": 4.0 * einstein_mixed,
-            "sign": EPS_DET_SIGN}
+    return raw, EPS_DET_SIGN * det_expanded, 4.0 * einstein_mixed

@@ -6,7 +6,8 @@ import pytest
 
 from curved_rs import spacetimes
 from curved_rs.identity_suite import sample_points
-from curved_rs.rs_operator import covariant_derivative
+from curved_rs.rs_operator import (covariant_derivative, covariant_rows,
+                                   flat_reduction_check)
 from curved_rs.spin_frame import build_frame
 
 
@@ -83,6 +84,22 @@ def first_constraint(fld, frame, mass):
     return (np.einsum("xnb,xnbi->xi", gs.metric.g_upper, d)
             - 0.5 * mass.kappa * np.einsum("xbij,xbj->xi", gs.gamma_up,
                                            fld.at(frame)))
+
+
+def row_max(a):
+    return np.max(np.abs(a).reshape(len(a), -1), axis=1)
+
+
+def flat_reduction(fld, frame, mass):
+    """Per row of a frame, from the sides of ``flat_reduction_check``:
+    whether gamma^a Psi_a and d^a Psi_a are at most 1e-8 of the scale, the
+    largest entry of the residual and of its match error, and the scale
+    (the largest entry of Psi and d Psi, at least 1e-300)."""
+    d, psi = covariant_rows(fld, frame)
+    rs, match, trace, div = map(row_max,
+                                flat_reduction_check(frame, d, psi, mass))
+    scale = np.maximum(np.maximum(row_max(psi), row_max(d)), 1e-300)
+    return (trace <= 1e-8 * scale) & (div <= 1e-8 * scale), rs, match, scale
 
 
 @pytest.fixture(scope="session")

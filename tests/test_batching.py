@@ -272,7 +272,7 @@ def test_contractions_equal_the_pairwise_einsum(frw_dust, monkeypatch):
             spin_frame.spinor_commutator_curvature(fresh),
             identity_suite._sigma_commutator_defect(
                 fresh.gammas.sigma_curved, fresh.metric.g_upper),
-            gauge.epsilon_contraction_check(fresh)["raw"],
+            gauge.epsilon_contraction_check(fresh)[0],
             *vb_jet, *sp_jet,
             rso.second_covariant_comm(fresh, vb_jet.d, vb_jet.dd),
             spin_frame.connection_derivative(fresh),
@@ -907,10 +907,11 @@ def test_chain_checks_sample_each_fixture_once(frw_dust, monkeypatch):
 
 def test_wave_and_traceless_checks_sample_one_stack(minkowski, schwarzschild,
                                                    monkeypatch):
-    """1.11b takes its two plane waves' D_nu Psi from one first-order jet
-    of their ``FieldStack`` (one ``covariant_rows`` call), and 1.13 its two
-    gamma-traceless fields' values from one order-0 jet of theirs; no
-    field is sampled on its own."""
+    """1.11b and 1.12 take their plane waves' D_nu Psi from one
+    first-order jet of their ``FieldStack`` (one ``covariant_rows`` call
+    each: two waves and three), and 1.13 its two gamma-traceless fields'
+    values from one order-0 jet of theirs; no field is sampled on its
+    own."""
     stacks = []
     original = fields.FieldStack.jet
 
@@ -923,6 +924,10 @@ def test_wave_and_traceless_checks_sample_one_stack(minkowski, schwarzschild,
     _, errs = identity_suite._chk_divergence_form(ctx)
     assert np.max(errs) <= identity_suite.TOL_FLAT_REDUCTION
     assert stacks == [(2, 20, 1)]
+    stacks.clear()
+    _, errs = identity_suite._chk_flat_reduction(ctx)
+    assert np.max(errs) <= identity_suite.TOL_FLAT_REDUCTION
+    assert stacks == [(3, 20, 1)]
     stacks.clear()
     ctx = build_context(schwarzschild, 20, seed=42, mass=1.0)
     _, errs = identity_suite._chk_vacuum_constraint(ctx)

@@ -121,9 +121,10 @@ def test_products_equal_their_oracles(key):
     assert np.array_equal(np.max(np.abs(defect), axis=(1, 2, 3, 4)),
                           np.max(np.abs(full), axis=(1, 2, 3, 4, 5, 6)))
     rep = gauge.epsilon_contraction_check(frame)
-    scale = max(np.max(np.abs(rep["raw"])),
+    scale = max(np.max(np.abs(rep[0])),
                 np.max(np.abs(frame.curvature.riemann_lower)), 1e-3)
-    assert np.max(np.abs(rep["det_expanded"] - rank7_det_expanded(frame))) \
+    assert np.max(np.abs(rep[1] - gauge.EPS_DET_SIGN
+                         * rank7_det_expanded(frame))) \
         <= 1e-13 * scale
 
 

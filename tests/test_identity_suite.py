@@ -230,6 +230,12 @@ class TestRunSuite:
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             suite.run_suite(minkowski, n_points=1, seed=-1)
 
+    @pytest.mark.parametrize("mass", (-1.0, float("nan"), 1e200))
+    def test_bad_mass_is_config_error(self, minkowski, mass):
+        # as a bad seed is: the library, not only the CLI, rejects it
+        with pytest.raises(ConfigError, match="mass must be >= 0"):
+            suite.run_suite(minkowski, n_points=1, mass=mass)
+
     def test_config_metric_hash_in_report(self):
         text = """
 [coords]

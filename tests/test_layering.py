@@ -279,3 +279,63 @@ def test_the_owner_lint_sees_a_second_formation():
               "    return spinor_commutator_curvature(frame)\n")
     assert unowned_formations(source) == [
         "7 curvature", "14 christoffel", "16 spinor_commutator_curvature"]
+
+
+#: the numpy calls that fold a side into a size
+NORM_CALLS = {"max", "min", "abs"}
+#: the one reduction allowed in the sides modules: the benchmark reads it
+MEASURE_EXEMPT = {"BlockMatrix16.max_abs"}
+
+
+def error_measures(source: str) -> list:
+    """'line what' for each ``np.max``, ``np.min`` or ``np.abs`` call and
+    each dict a function returns (a ``-> dict`` annotation, a dict display
+    or comprehension, or a ``dict(...)`` call) outside ``MEASURE_EXEMPT``:
+    a module of identity sides returns the sides, and how far apart they
+    are is ``identity_suite``'s to measure."""
+    tree = ast.parse(source)
+    exempt = {id(node)
+              for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for func in cls.body if isinstance(func, ast.FunctionDef)
+              and f"{cls.name}.{func.name}" in MEASURE_EXEMPT
+              for node in ast.walk(func)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "np"
+                and node.func.attr in NORM_CALLS):
+            found.append((node.lineno, f"np.{node.func.attr}"))
+        elif isinstance(node, ast.FunctionDef) and getattr(
+                node.returns, "id", None) == "dict":
+            found.append((node.lineno, "dict"))
+        elif isinstance(node, ast.Return) and (
+                isinstance(node.value, (ast.Dict, ast.DictComp))
+                or isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "dict"):
+            found.append((node.lineno, "dict"))
+    return [f"{line} {what}" for line, what in sorted(found)]
+
+
+def test_sides_modules_measure_no_error():
+    found = [f"{name}:{line}" for name in ("rs_operator.py", "gauge.py")
+             for line in error_measures((PACKAGE / name).read_text())]
+    assert found == []
+
+
+def test_the_measure_lint_sees_both_kinds_of_violation():
+    """The former ``flat_reduction_check`` shape (a norm reduction and a
+    returned dict) and a ``dict(...)`` return are flagged; the exempt
+    ``max_abs``, a method ``.max()`` and the builtin ``abs`` are not."""
+    source = ("class BlockMatrix16:\n"
+              "    def max_abs(self):\n"
+              "        return float(np.max(np.abs(self._dense)))\n"
+              "def check(frame) -> dict:\n"
+              "    return {'scale': np.max(np.abs(frame), axis=1)}\n"
+              "def report(frame):\n"
+              "    return dict(raw=frame)\n"
+              "def side(frame):\n"
+              "    return np.min(frame), frame.max(), abs(frame)\n")
+    assert error_measures(source) == [
+        "4 dict", "5 dict", "5 np.abs", "5 np.max", "7 dict", "9 np.min"]
